@@ -10,9 +10,8 @@ convergence bounds, a nonlinear solver to produce ground truth, and a CLI
 for reproducible experiments.
 """
 
-from .propagation import TimeGrid, TimeSampledField, free_evolve, green_apply, omega, time_integral
+from .propagation import TimeGrid, TimeSampledField, free_evolve, green_apply, time_integral
 from .series import (
-    AmplitudeCache,
     ChargeReport,
     DeltaNormCheck,
     OrderTooHigh,

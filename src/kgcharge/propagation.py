@@ -75,12 +75,6 @@ class TimeSampledField:
         return ModeArray(self.grid, self.values[j], self.real_field)
 
 
-def omega(grid: SpectralGrid, k) -> float:
-    """Dispersion relation sqrt(m^2 + |k|^2) at one wavenumber."""
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    return float(np.sqrt(grid.mass**2 + np.sum(k**2)))
-
-
 def free_evolve(snap: FieldSnapshot, dt: float) -> FieldSnapshot:
     """Exact linear evolution by dt (negative dt evolves backward)."""
     grid = snap.grid
@@ -137,14 +131,6 @@ def time_integral(samples, tgrid: TimeGrid, start: int = 0, stop: int | None = N
     window = samples[start : stop + 1]
     total = window.sum(axis=0) - 0.5 * (window[0] + window[-1])
     return total * tgrid.dt
-
-
-def time_integral_modes(
-    field: TimeSampledField, start: int = 0, stop: int | None = None
-) -> ModeArray:
-    """Mode-wise trapezoid of a time-sampled field."""
-    values = time_integral(field.values, field.tgrid, start, stop)
-    return ModeArray(field.grid, values, field.real_field)
 
 
 def suffix_time_integral(samples: np.ndarray, tgrid: TimeGrid, upper: int) -> np.ndarray:

@@ -12,16 +12,22 @@ tree contributes an iterated time integral of retarded kernels applied to
 products of backward-evolved data, and the order-N term sums over the
 Catalan-many trees with N internal vertices.
 
-The evaluation scheme carries, per subtree b, the table
+Per subtree b the evaluation carries the table
 
     w_leaf(tau)  = backward free evolution of (phi(s), pi(s)) to time tau
     w_b(tau)     = integral over t in [tau, s] of sin((t-tau) omega)/omega
                    times the product of the two child tables at t
 
 so a tree amplitude is a single outer time integral of <psi(tau), product
-of the root's child tables>.  Tables are memoized across the forest by the
-Dyck word of the subtree.  A literal nested-loop evaluator (direct_amplitude)
-with no table shortcut covers orders <= 2 and pins the fast path down.
+of the root's child tables>.  Each table is bilinear in its child tables and
+the kernel is linear, so the summed table of all trees of order n obeys one
+recursion, W_0 = w_leaf and W_n = K[sum over i + j = n - 1 of W_i W_j], and
+the order-n term pairs psi with that same sum of products.  The series
+driver runs this order recursion: n tables and one transform pair per order
+instead of Catalan-many tables.  Two oracles stay beside it: the per-tree
+tables (tree_amplitude, memoized by Dyck word in an AmplitudeCache) and a
+literal nested-loop evaluator (direct_amplitude) with no table shortcut,
+which covers orders <= 2.
 
 All time integrals restrict their trapezoid weights to the nodes inside the
 integrand's support (the step cutoffs of the retarded kernels), so results
@@ -31,6 +37,7 @@ do not change when the time grid extends past s.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -49,7 +56,7 @@ from .spectral import (
     random_band_limited,
     sobolev_norm,
 )
-from .trees import Tree, decompose, enumerate_trees, internal_count, leaf_count, to_dyck
+from .trees import Tree, decompose, internal_count, leaf_count, to_dyck
 
 
 class OrderTooHigh(ValueError):
@@ -143,16 +150,42 @@ def test_function_sup_norm(tf: TestFunction, tgrid: TimeGrid) -> float:
     return best
 
 
+def _to_points(grid: SpectralGrid, a: np.ndarray, real: bool) -> np.ndarray:
+    """Node-stacked mode tables to point values, real part only for real fields."""
+    axes = tuple(range(1, 1 + grid.dim))
+    values = np.fft.ifftn(a, axes=axes) * (grid.npoints / grid.volume)
+    return values.real if real else values
+
+
+def _to_modes(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
+    """Node-stacked point values to mode tables, dealiased by the 2/3 rule."""
+    axes = tuple(range(1, 1 + grid.dim))
+    modes = np.fft.fftn(f, axes=axes) / (grid.npoints / grid.volume)
+    return np.where(grid.keep_mask, modes, 0.0)
+
+
 def _stacked_product(grid: SpectralGrid, a: np.ndarray, b: np.ndarray, real: bool = True) -> np.ndarray:
     """Dealiased products of two node-stacked mode tables, all rows at once."""
+    return _to_modes(grid, _to_points(grid, a, real) * _to_points(grid, b, real))
+
+
+def _retarded_integral(grid: SpectralGrid, tgrid: TimeGrid, prod: np.ndarray, upper: int) -> np.ndarray:
+    """Rows integral over t in [tau_j, tau_upper] of sin((t - tau_j) omega)/omega prod(t)."""
+    # sin((t - tau) w) = sin(t w) cos(tau w) - cos(t w) sin(tau w) turns
+    # the per-row kernel integrals into two shared suffix sums.
+    ph = _time_phases(grid, tgrid)
+    sin_sum = suffix_time_integral(np.sin(ph) * prod, tgrid, upper)
+    cos_sum = suffix_time_integral(np.cos(ph) * prod, tgrid, upper)
+    return (np.cos(ph) * sin_sum - np.sin(ph) * cos_sum) / grid.omega
+
+
+def _pairing_integral(
+    grid: SpectralGrid, tgrid: TimeGrid, prod: np.ndarray, psi_rows: np.ndarray, upper: int
+) -> float:
+    """Integral over [0, tau_upper] of <psi(tau), prod(tau)>."""
     axes = tuple(range(1, 1 + grid.dim))
-    scale = grid.npoints / grid.volume
-    fa = np.fft.ifftn(a, axes=axes) * scale
-    fb = np.fft.ifftn(b, axes=axes) * scale
-    if real:
-        fa, fb = fa.real, fb.real
-    prod = np.fft.fftn(fa * fb, axes=axes) / scale
-    return np.where(grid.keep_mask, prod, 0.0)
+    integrand = np.sum(np.conj(prod) * psi_rows, axis=axes) / grid.volume
+    return _real(complex(time_integral(integrand, tgrid, 0, upper)))
 
 
 def bracket_ds(psi: TestFunction, snap: FieldSnapshot) -> float:
@@ -193,12 +226,7 @@ def subtree_table(b: Tree, cache: AmplitudeCache, snap: FieldSnapshot, tgrid: Ti
         grid = snap.grid
         upper = tgrid.node_index(snap.time)
         prod = _stacked_product(grid, w1.values, w2.values, w1.real_field and w2.real_field)
-        # sin((t - tau) w) = sin(t w) cos(tau w) - cos(t w) sin(tau w) turns
-        # the per-row kernel integrals into two shared suffix sums.
-        ph = _time_phases(grid, tgrid)
-        sin_sum = suffix_time_integral(np.sin(ph) * prod, tgrid, upper)
-        cos_sum = suffix_time_integral(np.cos(ph) * prod, tgrid, upper)
-        rows = (np.cos(ph) * sin_sum - np.sin(ph) * cos_sum) / grid.omega
+        rows = _retarded_integral(grid, tgrid, prod, upper)
         table = TimeSampledField(grid, tgrid, rows, w1.real_field and w2.real_field)
     cache.tables[key] = table
     return table
@@ -228,10 +256,7 @@ def tree_amplitude(
     grid = snap.grid
     upper = tgrid.node_index(snap.time)
     prod = _stacked_product(grid, w1.values, w2.values, w1.real_field and w2.real_field)
-    psi_rows = _test_function_rows(psi, tgrid)
-    axes = tuple(range(1, 1 + grid.dim))
-    integrand = np.sum(np.conj(prod) * psi_rows, axis=axes) / grid.volume
-    return _real(complex(time_integral(integrand, tgrid, 0, upper)))
+    return _pairing_integral(grid, tgrid, prod, _test_function_rows(psi, tgrid), upper)
 
 
 def _mode_convolution(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -389,10 +414,7 @@ def _sampled_legs(
     right, u2 = _sampled_legs(b2, legs, grid, tgrid)
     upper = min(u1, u2)
     prod = _stacked_product(grid, left, right, real=True)
-    ph = _time_phases(grid, tgrid)
-    sin_sum = suffix_time_integral(np.sin(ph) * prod, tgrid, upper)
-    cos_sum = suffix_time_integral(np.cos(ph) * prod, tgrid, upper)
-    return (np.cos(ph) * sin_sum - np.sin(ph) * cos_sum) / grid.omega, upper
+    return _retarded_integral(grid, tgrid, prod, upper), upper
 
 
 def delta_norm_bound_check(
@@ -422,7 +444,6 @@ def delta_norm_bound_check(
     if psi_norm == 0.0:
         raise ValueError("test function is identically zero")
     psi_rows = _test_function_rows(psi, tgrid)
-    axes = tuple(range(1, 1 + grid.dim))
     ratio = 0.0
     for _ in range(samples):
         drawn = []
@@ -441,8 +462,7 @@ def delta_norm_bound_check(
             right, u2 = _sampled_legs(b2, legs, grid, tgrid)
             upper = min(u1, u2)
             prod = _stacked_product(grid, left, right, real=True)
-            integrand = np.sum(np.conj(prod) * psi_rows, axis=axes) / grid.volume
-            value = _real(complex(time_integral(integrand, tgrid, 0, upper)))
+            value = _pairing_integral(grid, tgrid, prod, psi_rows, upper)
         ratio = max(ratio, abs(value) / psi_norm)
     m_factor = max(1.0 / grid.mass, 1.0)
     bound = (c_q * m_factor * tgrid.horizon) ** order
@@ -472,6 +492,39 @@ def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
     return abs(b_s - b_0 + integral)
 
 
+def _order_products(snap: FieldSnapshot, tgrid: TimeGrid, max_order: int):
+    """Yield, for n = 1..max_order, the dealiased sum of W_i W_j over i + j = n - 1.
+
+    W_n is the summed table of all trees of order n; each is kept in point
+    space, so the sum of products needs one forward transform per order and
+    masking it once equals summing the masked products.  The yielded mode
+    table is both the order-n integrand against psi and the source of
+    W_n = K[product].
+    """
+    grid = snap.grid
+    upper = tgrid.node_index(snap.time)
+    real = snap.phi.real_field and snap.pi.real_field
+    points = [_to_points(grid, leaf_table(snap, tgrid).values, real)]
+    for order in range(1, max_order + 1):
+        prod = _to_modes(grid, sum(points[i] * points[order - 1 - i] for i in range(order)))
+        yield prod
+        if order < max_order:
+            points.append(_to_points(grid, _retarded_integral(grid, tgrid, prod, upper), real))
+
+
+def _order_amplitudes(psi: TestFunction, snap: FieldSnapshot, tgrid: TimeGrid, products) -> list[float]:
+    """Sum of tree amplitudes per order, order 0 first, from _order_products."""
+    upper = tgrid.node_index(snap.time)
+    psi_rows = _test_function_rows(psi, tgrid)
+    return [bracket_ds(psi, snap)] + [
+        _pairing_integral(snap.grid, tgrid, prod, psi_rows, upper) for prod in products
+    ]
+
+
+def _catalan(order: int) -> int:
+    return math.comb(2 * order, order) // (order + 1)
+
+
 def series(
     psi: TestFunction,
     snap: FieldSnapshot,
@@ -482,15 +535,15 @@ def series(
     window: float | None = None,
     c_q: float | None = None,
     phi_e_norm: float | None = None,
-    cache: AmplitudeCache | None = None,
 ) -> ChargeReport:
     """Sum the tree series from the single slice at s, order by order.
 
     The order-N term is (-coupling)^N times the sum of amplitudes over the
-    trees with N internal vertices.  ``target`` is the charge at t = 0 when
-    the caller knows it (from a stored trajectory); residuals are reported
-    against it.  ``phi_e_norm`` feeds the convergence condition; without it
-    the single-slice proxy max(||phi(s)||, ||pi(s)||, ||accel(s)||) is used.
+    trees with N internal vertices, computed by the order recursion without
+    visiting the trees.  ``target`` is the charge at t = 0 when the caller
+    knows it (from a stored trajectory); residuals are reported against it.
+    ``phi_e_norm`` feeds the convergence condition; without it the
+    single-slice proxy max(||phi(s)||, ||pi(s)||, ||accel(s)||) is used.
     """
     if window is None:
         window = tgrid.horizon
@@ -502,18 +555,14 @@ def series(
             sobolev_norm(snap.pi),
             sobolev_norm(acceleration(snap, coupling)),
         )
-    if cache is None:
-        cache = AmplitudeCache()
+    amplitudes = _order_amplitudes(psi, snap, tgrid, _order_products(snap, tgrid, max_order))
     per_order: list[OrderTerm] = []
     partial_sums: list[float] = []
     running = 0.0
-    for order in range(max_order + 1):
-        forest = enumerate_trees(order)
-        term = (-coupling) ** order * sum(
-            tree_amplitude(b, psi, snap, tgrid, cache) for b in forest
-        )
+    for order, amplitude in enumerate(amplitudes):
+        term = (-coupling) ** order * amplitude
         running += term
-        per_order.append(OrderTerm(order, len(forest), term))
+        per_order.append(OrderTerm(order, _catalan(order), term))
         partial_sums.append(running)
     residuals = None
     if target is not None:
@@ -538,18 +587,18 @@ def readout(
 ) -> tuple[float, float]:
     """Estimate phi(0, x0) and d/dt phi(0, x0) from the slice at s alone.
 
-    Runs the series against the two Dirac-approximating test functions; the
+    Sums the series against the two Dirac-approximating test functions; the
     bump in the velocity slot reads out phi, the bump in the position slot
-    reads out the time derivative (with the pairing's sign).  Both runs
-    share one table cache since tables do not depend on psi.
+    reads out the time derivative (with the pairing's sign).  The order
+    products do not depend on psi, so both probes share one set.
     """
     grid = trajectory.grid
     tgrid = trajectory.tgrid
     snap = trajectory.node(tgrid.node_index(s))
-    cache = AmplitudeCache()
-    c_q = estimate_algebra_constant(grid)
-    tf_v = dirac_test_function(grid, x0, width, "velocity")
-    tf_p = dirac_test_function(grid, x0, width, "position")
-    rep_v = series(tf_v, snap, trajectory.coupling, tgrid, max_order, c_q=c_q, cache=cache)
-    rep_p = series(tf_p, snap, trajectory.coupling, tgrid, max_order, c_q=c_q, cache=cache)
-    return rep_v.partial_sums[-1], -rep_p.partial_sums[-1]
+    products = list(_order_products(snap, tgrid, max_order))
+    estimates = []
+    for which in ("velocity", "position"):
+        tf = dirac_test_function(grid, x0, width, which)
+        amplitudes = _order_amplitudes(tf, snap, tgrid, products)
+        estimates.append(sum((-trajectory.coupling) ** n * a for n, a in enumerate(amplitudes)))
+    return estimates[0], -estimates[1]

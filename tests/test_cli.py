@@ -127,6 +127,16 @@ def test_transport_residuals_shrink_with_the_order(runner, tmp_path):
     assert residuals == sorted(residuals, reverse=True)
 
 
+def test_transport_affords_the_order_cap(runner, tmp_path):
+    cfg = run_solved(runner, tmp_path)
+    result = runner.invoke(main, ["transport", "--config", str(cfg), "--max-order", "10"])
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "run" / "report.csv", newline="") as fh:
+        counts = [int(row["tree_count"]) for row in csv.DictReader(fh)]
+    assert counts == [catalan(n) for n in range(11)]
+    assert "order 10: 16796 trees" in result.output
+
+
 def test_transport_respects_the_convergence_flag(runner, tmp_path):
     cfg = run_solved(runner, tmp_path, coupling=0.6)
     blocked = runner.invoke(main, ["transport", "--config", str(cfg)])

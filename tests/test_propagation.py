@@ -6,12 +6,10 @@ import pytest
 from conftest import random_snapshot
 from kgcharge.propagation import (
     TimeGrid,
-    TimeSampledField,
     free_evolve,
     green_apply,
     suffix_time_integral,
     time_integral,
-    time_integral_modes,
 )
 from kgcharge.spectral import random_band_limited, sobolev_norm
 from oracles import free_mode_evolution
@@ -121,15 +119,6 @@ def test_time_integral_converges_at_second_order():
         errors.append(abs(time_integral(np.exp(tg.nodes), tg) - exact))
     assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.05)
     assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.05)
-
-
-def test_time_integral_modes_matches_scalar_rule(small_grid, rng):
-    tg = TimeGrid(horizon=1.0, nt=8)
-    stack = rng.standard_normal((tg.nnodes,) + small_grid.shape).astype(complex)
-    field = TimeSampledField(small_grid, tg, stack, real_field=False)
-    out = time_integral_modes(field, 0, tg.nt)
-    per_mode = np.array([time_integral(stack[:, j], tg) for j in range(32)])
-    np.testing.assert_allclose(out.values, per_mode, atol=1e-12)
 
 
 def test_suffix_time_integral_matches_per_row_trapezoids(small_grid, rng):

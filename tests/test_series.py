@@ -1,9 +1,10 @@
 """Tree amplitudes, the charge series, and its bound apparatus.
 
-The fast recursion-carrier path is checked three ways: against the literal
-nested evaluator inside the package, against a closed-form oracle that
-shares no code with either, and against the conservation identities the
-series exists to satisfy.
+The per-tree table path is checked three ways: against the literal nested
+evaluator inside the package, against a closed-form oracle that shares no
+code with either, and against the conservation identities the series exists
+to satisfy.  The order recursion the series driver runs is then checked
+against the per-tree sums, order by order.
 """
 
 import numpy as np
@@ -107,7 +108,7 @@ def test_literal_evaluator_refuses_high_orders(setting, tgrid):
 
 def test_amplitudes_ignore_grid_time_past_s(setting, grid):
     # enlarging the horizon at fixed spacing must not move any amplitude
-    traj, snap, psi, _, _ = setting
+    traj, snap, psi, coupling, _ = setting
     tg1 = TimeGrid(horizon=0.4, nt=32)
     tg2 = TimeGrid(horizon=0.8, nt=64)
     for order in (1, 2, 3):
@@ -115,6 +116,10 @@ def test_amplitudes_ignore_grid_time_past_s(setting, grid):
             a1 = tree_amplitude(b, psi, snap, tg1)
             a2 = tree_amplitude(b, psi, snap, tg2)
             assert a1 == pytest.approx(a2, rel=1e-12)
+    r1 = series(psi, snap, coupling, tg1, max_order=3, c_q=1.0)
+    r2 = series(psi, snap, coupling, tg2, max_order=3, c_q=1.0)
+    for t1, t2 in zip(r1.per_order, r2.per_order):
+        assert t1.order_sum == pytest.approx(t2.order_sum, rel=1e-12)
 
 
 def test_cache_is_shared_and_consistent(setting, tgrid):
@@ -127,6 +132,31 @@ def test_cache_is_shared_and_consistent(setting, tgrid):
     fresh = tree_amplitude(b, psi, snap, tgrid)
     assert first == again
     assert first == pytest.approx(fresh, rel=1e-13)
+
+
+def assert_order_sums_match_the_trees(psi, snap, coupling, tgrid, max_order):
+    report = series(psi, snap, coupling, tgrid, max_order, c_q=1.0)
+    cache = AmplitudeCache()
+    for term in report.per_order:
+        trees = enumerate_trees(term.order)
+        per_tree = sum(tree_amplitude(b, psi, snap, tgrid, cache) for b in trees)
+        assert term.order_sum == pytest.approx((-coupling) ** term.order * per_tree, rel=1e-12)
+
+
+def test_order_recursion_matches_the_per_tree_sums(setting, tgrid):
+    _, snap, psi, coupling, _ = setting
+    assert_order_sums_match_the_trees(psi, snap, coupling, tgrid, max_order=5)
+
+
+def test_order_recursion_matches_the_per_tree_sums_in_two_dimensions(rng):
+    from kgcharge.spectral import SpectralGrid
+
+    grid2 = SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2)
+    tg = TimeGrid(horizon=0.4, nt=16)
+    data = FieldSnapshot(0.0, gaussian_field(grid2, 0.5, 1.5), zero_modes(grid2))
+    snap = solve(data, 0.5, tg).snapshots[-1]
+    psi = random_test_function(grid2, rng)
+    assert_order_sums_match_the_trees(psi, snap, 0.5, tg, max_order=3)
 
 
 def test_series_reproduces_the_linear_charge(grid, tgrid, rng):
@@ -161,9 +191,8 @@ def test_order_terms_scale_with_the_coupling(setting, tgrid):
     # amplitudes depend on the data, not on coupling; scaling the coupling
     # from the same slice scales the order-N term by lambda^N exactly
     _, snap, psi, coupling, _ = setting
-    cache = AmplitudeCache()
-    r1 = series(psi, snap, coupling, tgrid, max_order=3, cache=cache)
-    r2 = series(psi, snap, 2.0 * coupling, tgrid, max_order=3, cache=cache)
+    r1 = series(psi, snap, coupling, tgrid, max_order=3)
+    r2 = series(psi, snap, 2.0 * coupling, tgrid, max_order=3)
     for t1, t2 in zip(r1.per_order, r2.per_order):
         assert t2.order_sum == pytest.approx(2.0**t1.order * t1.order_sum, rel=1e-12)
 
@@ -282,3 +311,18 @@ def test_readout_recovers_the_free_field(grid):
     # and the smoothing itself stays close to the point value
     assert abs(smoothed - evaluate_at(data.phi, x0)) <= 2e-2
     assert abs(dtphi_est) <= 1e-8
+
+
+def test_readout_equals_two_series_runs(setting, grid, tgrid):
+    from kgcharge.solver import dirac_test_function
+
+    traj, _, _, coupling, _ = setting
+    x0, width, max_order = 3.0, 0.8, 3
+    phi_est, dtphi_est = readout(traj, tgrid.horizon, x0, width, max_order)
+    snap = traj.node(tgrid.node_index(tgrid.horizon))
+    expected = []
+    for which in ("velocity", "position"):
+        probe = dirac_test_function(grid, x0, width, which)
+        expected.append(series(probe, snap, coupling, tgrid, max_order).partial_sums[-1])
+    assert phi_est == pytest.approx(expected[0], rel=1e-12)
+    assert dtphi_est == pytest.approx(-expected[1], rel=1e-12)

@@ -1,13 +1,15 @@
 """Experiment driver: config handling, commands, and reproducible outputs.
 
 Configs are single JSON files with nested sections; defaults below.  All
-quantities are in the grid's natural units.  Outputs are CSV (plus JSON
-manifests and reports) under the configured output directory; rerunning a
-command with the same config and seed produces byte-identical CSV bodies.
+quantities are in the grid's natural units.  Outputs are CSV and JSON reports
+under the configured output directory, plus the trajectory archive and its
+manifest that solve writes; rerunning a command with the same config and seed
+produces byte-identical CSV bodies.
 
-Exit codes: 0 success, 1 lemma-check failures, 2 config validation,
-3 blow-up during solving, 4 convergence condition false without --force,
-5 sweep underflow or too few coupling values.
+Exit codes: 0 success, 1 lemma-check failures, 2 config validation (also a
+stored trajectory missing, or solved from a different grid, time grid,
+coupling or initial data), 3 blow-up during solving, 4 convergence condition
+false without --force, 5 sweep underflow or too few coupling values.
 """
 
 from __future__ import annotations
@@ -36,7 +38,16 @@ from .spectral import (
     evaluate_at,
     random_band_limited,
 )
-from .storage import format_float, read_trajectory, write_report_csv, write_report_json, write_trajectory
+from .storage import (
+    MANIFEST_FILE,
+    TRAJECTORY_FILE,
+    format_float,
+    read_manifest,
+    read_trajectory,
+    write_report_csv,
+    write_report_json,
+    write_trajectory,
+)
 from .trees import (
     DEFAULT_ENUMERATION_CAP,
     GrowSpec,
@@ -162,19 +173,28 @@ class ExperimentConfig:
             raise ConfigError("coupling", "this command needs a single coupling value")
         return values[0]
 
+    def initial_spec(self) -> dict:
+        """The initial section resolved to its type and floats, as solve records it."""
+        di = DEFAULT_CONFIG["initial"]
+        spec = {"type": self.initial.get("type")}
+        for key in ("amplitude", "width", "center"):
+            spec[key] = _get(self.initial, "initial", key, float, di[key])
+        return spec
+
     def validate(self) -> None:
         self.build_grid()
         self.build_tgrid()
         self.coupling_list()
+        initial = self.initial_spec()
         if not 0 <= self.max_order <= DEFAULT_ENUMERATION_CAP:
             raise ConfigError(
                 "max_order", f"must be between 0 and {DEFAULT_ENUMERATION_CAP}"
             )
         if self.threads < 1:
             raise ConfigError("threads", "must be at least 1")
-        if self.initial.get("type") != "gaussian":
+        if initial["type"] != "gaussian":
             raise ConfigError("initial.type", "only 'gaussian' initial data is supported")
-        if not float(self.initial.get("width", 0)) > 0:
+        if not initial["width"] > 0:
             raise ConfigError("initial.width", "must be positive")
         kind = self.test_function.get("type")
         if kind not in ("gaussian", "low-mode", "dirac"):
@@ -188,18 +208,18 @@ class ExperimentConfig:
             x0 = float(self.test_function.get("x0", self.extent / 2))
             if not 0 <= x0 < self.extent:
                 raise ConfigError("test_function.x0", f"x0={x0} outside the grid [0, {self.extent})")
-            if not float(self.test_function.get("width", 0)) > 0:
-                raise ConfigError("test_function.width", "must be positive")
+            width = float(self.test_function.get("width", 0))
+            spacing = self.extent / self.modes
+            if not width >= spacing:
+                raise ConfigError(
+                    "test_function.width", f"width {width} is below the grid spacing {spacing}"
+                )
 
     def build_initial(self, grid: SpectralGrid):
         from .spectral import FieldSnapshot
 
-        phi = gaussian_field(
-            grid,
-            float(self.initial["amplitude"]),
-            float(self.initial["width"]),
-            float(self.initial.get("center", 0.0)),
-        )
+        initial = self.initial_spec()
+        phi = gaussian_field(grid, initial["amplitude"], initial["width"], initial["center"])
         pi = ModeArray(grid, np.zeros(grid.shape, dtype=complex))
         return FieldSnapshot(0.0, phi, pi)
 
@@ -298,14 +318,37 @@ def _trajectory_dir(cfg: ExperimentConfig) -> Path:
 
 
 def _read_matching_trajectory(cfg: ExperimentConfig):
+    """Load the stored trajectory; exit 2 unless it was solved from this config.
+
+    Grid, time grid, coupling and initial data shape the trajectory and must
+    match; s, max_order, test_function and seed do not and stay free.
+    """
     tdir = _trajectory_dir(cfg)
-    if not (tdir / "manifest.json").exists():
-        raise ConfigError("out", f"no trajectory found under {tdir}; run solve first")
-    traj = read_trajectory(tdir)
+    if not ((tdir / MANIFEST_FILE).exists() and (tdir / TRAJECTORY_FILE).exists()):
+        raise ConfigError("out", f"no {TRAJECTORY_FILE} found under {tdir}; run solve first")
+    try:
+        traj = read_trajectory(tdir)
+    except ValueError as exc:
+        message = f"unreadable trajectory under {tdir} ({exc}); run solve first"
+        raise ConfigError("out", message) from exc
     if traj.grid != cfg.build_grid():
         raise ConfigError("grid", "stored trajectory was produced with a different grid")
     if traj.tgrid != cfg.build_tgrid():
         raise ConfigError("time", "stored trajectory was produced with a different time grid")
+    coupling = cfg.coupling_scalar()
+    if traj.coupling != coupling:
+        raise ConfigError(
+            "coupling",
+            f"stored trajectory was solved at {traj.coupling!r}, the config gives {coupling!r}",
+        )
+    stored = read_manifest(tdir).get("initial", {})
+    for key, value in cfg.initial_spec().items():
+        if stored.get(key) != value:
+            raise ConfigError(
+                f"initial.{key}",
+                f"stored trajectory was solved with {stored.get(key)!r}, "
+                f"the config gives {value!r}",
+            )
     return traj
 
 
@@ -332,6 +375,7 @@ def solve(config_path, out, seed):
         traj,
         {
             "seed": cfg.seed,
+            "initial": cfg.initial_spec(),
             "energy_drift": drift,
             "created": datetime.now(timezone.utc).isoformat(),
         },

@@ -240,9 +240,14 @@ def pointwise_product(f: ModeArray, g: ModeArray) -> ModeArray:
 
 
 def evaluate_at(f: ModeArray, x) -> float | complex:
-    """Evaluate the band-limited field at an arbitrary point by mode summation."""
+    """Evaluate the band-limited field at an arbitrary point by mode summation.
+
+    A scalar x stands for the diagonal point (x, ..., x).
+    """
     grid = f.grid
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        x = np.full(grid.dim, x)
     if x.shape != (grid.dim,):
         raise SizeMismatch(f"point must have {grid.dim} coordinates, got shape {x.shape}")
     phase = np.zeros(grid.shape)

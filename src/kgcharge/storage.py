@@ -1,9 +1,18 @@
-"""On-disk formats: snapshot CSV, trajectory directory, report JSON/CSV.
+"""On-disk formats: trajectory directory, report JSON/CSV.
 
-All CSV bodies are deterministic: comma separated, header rows, floats at 17
-significant digits with a "." decimal point regardless of locale.  Wall-clock
-information lives only in trajectory manifests, never in CSV bodies, so
-reruns with the same inputs produce byte-identical CSV files.
+A trajectory directory holds two files.  ``trajectory.npz`` is an
+uncompressed ``np.savez`` archive of three arrays: ``times`` (float64, one
+entry per time node) and ``phi`` and ``pi`` (complex128, shape
+``(nnodes, *grid.shape)``), so every grid dimension uses one format and the
+values round-trip bit for bit.  ``manifest.json`` describes the run: grid,
+time grid, coupling, solver metadata and whatever the caller adds.  The
+archive's zip entries carry a fixed timestamp, so writing the same
+trajectory again produces the same bytes.
+
+Report CSV bodies are deterministic: comma separated, header rows, floats at
+17 significant digits with a "." decimal point regardless of locale.
+Wall-clock information lives only in trajectory manifests, never in CSV
+bodies, so reruns with the same inputs produce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -18,78 +27,25 @@ from .propagation import TimeGrid
 from .solver import Trajectory
 from .spectral import FieldSnapshot, ModeArray, SpectralGrid
 
-NODE_FILE_FORMAT = "node_{:05d}.csv"
+TRAJECTORY_FILE = "trajectory.npz"
+MANIFEST_FILE = "manifest.json"
 
 
 def format_float(x: float) -> str:
     return f"{x:.16e}"
 
 
-def write_snapshot(path, snap: FieldSnapshot) -> None:
-    """Columnar snapshot file: grid header, then one row per mode index.
-
-    Only one-dimensional grids serialize; the header carries no dimension
-    field and the k column is a single signed integer.
-    """
-    grid = snap.grid
-    if grid.dim != 1:
-        raise ValueError("snapshot files are defined for one-dimensional grids")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["L", "Nx", "m", "q", "time"])
-        writer.writerow(
-            [
-                format_float(grid.extent),
-                grid.modes,
-                format_float(grid.mass),
-                grid.sobolev_q,
-                format_float(snap.time),
-            ]
-        )
-        writer.writerow(["k", "re_phi", "im_phi", "re_pi", "im_pi"])
-        for i in range(grid.modes):
-            p = snap.phi.values[i]
-            v = snap.pi.values[i]
-            writer.writerow(
-                [
-                    int(grid.mode_index[i]),
-                    format_float(p.real),
-                    format_float(p.imag),
-                    format_float(v.real),
-                    format_float(v.imag),
-                ]
-            )
-
-
-def read_snapshot(path) -> FieldSnapshot:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, values = rows[0], rows[1]
-    if header != ["L", "Nx", "m", "q", "time"]:
-        raise ValueError(f"unrecognized snapshot header in {path}")
-    grid = SpectralGrid(
-        dim=1,
-        extent=float(values[0]),
-        modes=int(values[1]),
-        mass=float(values[2]),
-        sobolev_q=int(values[3]),
-    )
-    time = float(values[4])
-    phi = np.zeros(grid.shape, dtype=complex)
-    pi = np.zeros(grid.shape, dtype=complex)
-    for row in rows[3:]:
-        i = int(row[0]) % grid.modes
-        phi[i] = complex(float(row[1]), float(row[2]))
-        pi[i] = complex(float(row[3]), float(row[4]))
-    return FieldSnapshot(time, ModeArray(grid, phi), ModeArray(grid, pi))
-
-
 def write_trajectory(directory, traj: Trajectory, manifest_extra: dict | None = None) -> None:
-    """Per-node snapshot files plus a JSON manifest describing the run."""
+    """One array archive of every node plus a JSON manifest describing the run."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for j, snap in enumerate(traj.snapshots):
-        write_snapshot(directory / NODE_FILE_FORMAT.format(j), snap)
+    snapshots = traj.snapshots
+    np.savez(
+        directory / TRAJECTORY_FILE,
+        times=np.array([snap.time for snap in snapshots], dtype=np.float64),
+        phi=np.stack([snap.phi.values for snap in snapshots]),
+        pi=np.stack([snap.pi.values for snap in snapshots]),
+    )
     grid = traj.grid
     manifest = {
         "grid": {
@@ -105,18 +61,36 @@ def write_trajectory(directory, traj: Trajectory, manifest_extra: dict | None = 
     }
     if manifest_extra:
         manifest.update(manifest_extra)
-    with open(directory / "manifest.json", "w") as fh:
+    with open(directory / MANIFEST_FILE, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def read_manifest(directory) -> dict:
+    with open(Path(directory) / MANIFEST_FILE) as fh:
+        return json.load(fh)
+
+
 def read_trajectory(directory) -> Trajectory:
+    """Rebuild a trajectory; raises ValueError if the arrays do not fit the manifest."""
     directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
-        manifest = json.load(fh)
+    manifest = read_manifest(directory)
+    grid = SpectralGrid(**manifest["grid"])
     tgrid = TimeGrid(manifest["time"]["horizon"], manifest["time"]["nt"])
+    with np.load(directory / TRAJECTORY_FILE, allow_pickle=False) as data:
+        missing = {"times", "phi", "pi"} - set(data.files)
+        if missing:
+            raise ValueError(f"{TRAJECTORY_FILE} lacks the arrays {sorted(missing)}")
+        times, phi, pi = data["times"], data["phi"], data["pi"]
+    expected = (tgrid.nnodes, *grid.shape)
+    if times.shape != (tgrid.nnodes,) or phi.shape != expected or pi.shape != expected:
+        raise ValueError(
+            f"{TRAJECTORY_FILE} arrays have shapes times {times.shape}, phi {phi.shape}, "
+            f"pi {pi.shape}; the manifest needs {(tgrid.nnodes,)} and {expected}"
+        )
     snapshots = tuple(
-        read_snapshot(directory / NODE_FILE_FORMAT.format(j)) for j in range(tgrid.nnodes)
+        FieldSnapshot(float(t), ModeArray(grid, p), ModeArray(grid, v))
+        for t, p, v in zip(times, phi, pi)
     )
     return Trajectory(tgrid, snapshots, manifest["coupling"], manifest.get("solver", {}))
 

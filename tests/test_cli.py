@@ -4,6 +4,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -62,10 +63,14 @@ def test_help_lists_the_defaults(runner):
 def test_solve_writes_a_complete_trajectory(runner, tmp_path):
     run_solved(runner, tmp_path)
     tdir = tmp_path / "run" / "trajectory"
-    nodes = sorted(tdir.glob("node_*.csv"))
-    assert len(nodes) == SMALL["time"]["nt"] + 1
+    with np.load(tdir / "trajectory.npz", allow_pickle=False) as data:
+        nnodes = SMALL["time"]["nt"] + 1
+        assert data["times"].shape == (nnodes,)
+        assert data["phi"].shape == data["pi"].shape == (nnodes, SMALL["grid"]["Nx"])
+    assert not list(tdir.glob("node_*.csv"))
     manifest = json.loads((tdir / "manifest.json").read_text())
     assert manifest["coupling"] == 0.2
+    assert manifest["initial"] == SMALL["initial"]
     assert "energy_drift" in manifest
 
 
@@ -106,6 +111,51 @@ def test_transport_without_a_trajectory_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["transport", "--config", str(cfg)])
     assert result.exit_code == 2
     assert "run solve first" in result.output
+
+
+@pytest.mark.parametrize(
+    "changed, field",
+    [
+        ({"coupling": 0.4}, "coupling"),
+        ({"initial": {"amplitude": 0.9}}, "initial.amplitude"),
+    ],
+)
+def test_transport_rejects_a_trajectory_solved_from_other_data(runner, tmp_path, changed, field):
+    run_solved(runner, tmp_path)
+    cfg = write_config(tmp_path, name="changed.json", **changed)
+    result = runner.invoke(main, ["transport", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert field in result.output
+
+
+def test_transport_rejects_the_per_node_csv_layout(runner, tmp_path):
+    cfg = run_solved(runner, tmp_path)
+    tdir = tmp_path / "run" / "trajectory"
+    (tdir / "trajectory.npz").unlink()
+    (tdir / "node_00000.csv").write_text("L,Nx,m,q,time\n")
+    result = runner.invoke(main, ["transport", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert "run solve first" in result.output
+
+
+def test_transport_rejects_arrays_that_do_not_fit_the_manifest(runner, tmp_path):
+    cfg = run_solved(runner, tmp_path)
+    archive = tmp_path / "run" / "trajectory" / "trajectory.npz"
+    with np.load(archive) as data:
+        arrays = {name: data[name][:-1] for name in data.files}
+    np.savez(archive, **arrays)
+    result = runner.invoke(main, ["transport", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert "unreadable trajectory" in result.output
+
+
+def test_transport_takes_any_slice_of_the_stored_trajectory(runner, tmp_path):
+    run_solved(runner, tmp_path)
+    cfg = write_config(tmp_path, name="earlier.json", time={"s": 0.2}, max_order=2, seed=7)
+    result = runner.invoke(main, ["transport", "--config", str(cfg)])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["s"] == 0.2
 
 
 def test_transport_reports_conserved_charge_at_zero_coupling(runner, tmp_path):
@@ -155,6 +205,17 @@ def test_transport_runs_are_reproducible(runner, tmp_path):
     first = (tmp_path / "run" / "report.csv").read_bytes()
     assert runner.invoke(main, ["transport", "--config", str(cfg)]).exit_code == 0
     assert (tmp_path / "run" / "report.csv").read_bytes() == first
+
+
+def test_two_dimensional_solve_and_transport(runner, tmp_path):
+    cfg = run_solved(runner, tmp_path, grid={"dim": 2, "Nx": 16, "q": 2}, time={"nt": 16})
+    result = runner.invoke(main, ["transport", "--config", str(cfg)])
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "run" / "report.csv", newline="") as fh:
+        residuals = [abs(float(row["residual"])) for row in csv.DictReader(fh)]
+    assert len(residuals) == SMALL["max_order"] + 1
+    assert residuals == sorted(residuals, reverse=True)
+    assert residuals[-1] < 1e-3 * residuals[0]
 
 
 def test_sweep_needs_three_couplings(runner, tmp_path):
@@ -219,6 +280,31 @@ def test_readout_writes_estimates(runner, tmp_path):
     assert float(row["x0"]) == 3.0
     assert float(row["phi_abs_err"]) <= 2e-2
     assert float(row["dtphi_abs_err"]) <= 1e-8
+
+
+def test_readout_on_a_two_dimensional_grid_uses_the_diagonal_point(runner, tmp_path):
+    tf = {"type": "dirac", "x0": 3.0, "width": 1.5, "which": "velocity"}
+    cfg = run_solved(
+        runner,
+        tmp_path,
+        grid={"dim": 2, "Nx": 16, "q": 2},
+        time={"nt": 16},
+        test_function=tf,
+        coupling=0.0,
+    )
+    result = runner.invoke(main, ["readout", "--config", str(cfg)])
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "run" / "readout.csv", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert float(row["x0"]) == 3.0
+    assert float(row["dtphi_abs_err"]) <= 1e-8
+
+
+def test_readout_rejects_an_unresolved_bump(runner, tmp_path):
+    cfg = write_config(tmp_path, test_function={"type": "dirac", "x0": 3.0, "width": 0.3})
+    result = runner.invoke(main, ["solve", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert "test_function.width" in result.output
 
 
 def test_enumerate_streams_dyck_rows(runner):

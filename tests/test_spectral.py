@@ -154,6 +154,14 @@ def test_evaluate_at_grid_points_and_off_grid(small_grid, rng):
     assert evaluate_at(g, 0.3) == pytest.approx(np.cos(k1 * 0.3), abs=1e-10)
 
 
+def test_evaluate_at_reads_a_scalar_as_the_diagonal_point(rng):
+    grid = SpectralGrid(dim=2, extent=10.0, modes=8, mass=1.0, sobolev_q=2)
+    f = random_band_limited(grid, rng)
+    assert evaluate_at(f, 1.7) == evaluate_at(f, [1.7, 1.7])
+    with pytest.raises(SizeMismatch):
+        evaluate_at(f, [1.0, 2.0, 3.0])
+
+
 def test_random_band_limited_is_band_limited_and_real(small_grid, rng):
     f = random_band_limited(small_grid, rng)
     assert np.all(f.values[~small_grid.keep_mask] == 0.0)

@@ -1,4 +1,4 @@
-"""On-disk formats: snapshots, trajectories, reports."""
+"""On-disk formats: trajectories and reports."""
 
 import csv
 import json
@@ -12,13 +12,12 @@ from kgcharge.series import bracket_ds, series
 from kgcharge.solver import solve
 from kgcharge.spectral import SpectralGrid
 from kgcharge.storage import (
+    TRAJECTORY_FILE,
     format_float,
-    read_snapshot,
     read_trajectory,
     report_to_dict,
     write_report_csv,
     write_report_json,
-    write_snapshot,
     write_trajectory,
 )
 
@@ -28,42 +27,46 @@ def test_format_float_roundtrips_exactly(rng):
         assert float(format_float(x)) == x
 
 
-def test_snapshot_roundtrip(tmp_path, small_grid, rng):
-    snap = random_snapshot(small_grid, rng, time=0.375)
-    path = tmp_path / "snap.csv"
-    write_snapshot(path, snap)
-    back = read_snapshot(path)
-    assert back.grid == small_grid
-    assert back.time == snap.time
-    np.testing.assert_array_equal(back.phi.values, snap.phi.values)
-    np.testing.assert_array_equal(back.pi.values, snap.pi.values)
-
-
-def test_snapshot_rejects_unknown_header(tmp_path, small_grid, rng):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
-        read_snapshot(path)
-
-
-def test_snapshot_requires_one_dimension(tmp_path, rng):
-    grid2 = SpectralGrid(dim=2, extent=10.0, modes=8, mass=1.0, sobolev_q=2)
-    snap = random_snapshot(grid2, rng)
-    with pytest.raises(ValueError):
-        write_snapshot(tmp_path / "snap.csv", snap)
+def check_roundtrip(tmp_path, traj):
+    """Arrays and node times come back bit for bit; a rewrite gives the same bytes."""
+    write_trajectory(tmp_path / "run", traj)
+    first = (tmp_path / "run" / TRAJECTORY_FILE).read_bytes()
+    back = read_trajectory(tmp_path / "run")
+    assert back.grid == traj.grid
+    assert back.tgrid == traj.tgrid
+    assert back.coupling == traj.coupling
+    for ours, theirs in zip(traj.snapshots, back.snapshots, strict=True):
+        np.testing.assert_array_equal(ours.phi.values, theirs.phi.values)
+        np.testing.assert_array_equal(ours.pi.values, theirs.pi.values)
+        assert ours.time == theirs.time
+    write_trajectory(tmp_path / "run", back)
+    assert (tmp_path / "run" / TRAJECTORY_FILE).read_bytes() == first
 
 
 def test_trajectory_roundtrip(tmp_path, small_grid, rng):
     tg = TimeGrid(horizon=0.5, nt=8)
-    traj = solve(random_snapshot(small_grid, rng), 0.1, tg)
+    check_roundtrip(tmp_path, solve(random_snapshot(small_grid, rng), 0.1, tg))
+
+
+def test_trajectory_roundtrip_in_two_dimensions(tmp_path, rng):
+    grid = SpectralGrid(dim=2, extent=10.0, modes=8, mass=1.0, sobolev_q=2)
+    tg = TimeGrid(horizon=0.5, nt=4)
+    traj = solve(random_snapshot(grid, rng), 0.1, tg)
+    check_roundtrip(tmp_path, traj)
+    with np.load(tmp_path / "run" / TRAJECTORY_FILE) as data:
+        assert data["phi"].shape == (tg.nnodes, 8, 8)
+        assert data["pi"].dtype == np.complex128
+
+
+def test_trajectory_rejects_arrays_that_do_not_fit_the_manifest(tmp_path, small_grid, rng):
+    traj = solve(random_snapshot(small_grid, rng), 0.1, TimeGrid(horizon=0.5, nt=4))
     write_trajectory(tmp_path / "run", traj)
-    back = read_trajectory(tmp_path / "run")
-    assert back.tgrid == tg
-    assert back.coupling == traj.coupling
-    for ours, theirs in zip(traj.snapshots, back.snapshots):
-        np.testing.assert_array_equal(ours.phi.values, theirs.phi.values)
-        np.testing.assert_array_equal(ours.pi.values, theirs.pi.values)
-        assert ours.time == theirs.time
+    manifest_path = tmp_path / "run" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["time"]["nt"] = 8
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="shapes"):
+        read_trajectory(tmp_path / "run")
 
 
 def test_trajectory_manifest_contents(tmp_path, small_grid, rng):

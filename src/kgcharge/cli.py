@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -74,8 +73,18 @@ DEFAULT_CONFIG = {
     },
     "max_order": 4,
     "seed": 0,
-    "threads": 1,
     "out": "runs/desk",
+}
+
+# The keys each section may hold.  test_function lists the union over its
+# types, so one spec can carry keys its type does not read.  sweep runs on one
+# thread; a top-level "threads" is still accepted, as 1 only.
+CONFIG_KEYS = {
+    "": set(DEFAULT_CONFIG) | {"threads"},
+    "grid": set(DEFAULT_CONFIG["grid"]),
+    "time": set(DEFAULT_CONFIG["time"]),
+    "initial": set(DEFAULT_CONFIG["initial"]),
+    "test_function": {"type", "amplitude", "width", "center", "slot", "kmax", "x0", "which"},
 }
 
 
@@ -110,14 +119,21 @@ class ExperimentConfig:
     test_function: dict
     max_order: int
     seed: int
-    threads: int
     out: str
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("<file>", "must hold a JSON object")
         for name in ("grid", "time", "initial", "test_function"):
             if name in data and not isinstance(data[name], dict):
                 raise ConfigError(name, "must be an object")
+        for name, known in CONFIG_KEYS.items():
+            for key in data.get(name, {}) if name else data:
+                if key not in known:
+                    raise ConfigError(f"{name}.{key}" if name else key, "unknown key")
+        if data.get("threads", 1) != 1:
+            raise ConfigError("threads", "sweep runs on one thread")
         grid = data.get("grid", {})
         time = data.get("time", {})
         dg, dt = DEFAULT_CONFIG["grid"], DEFAULT_CONFIG["time"]
@@ -135,7 +151,6 @@ class ExperimentConfig:
             test_function={**DEFAULT_CONFIG["test_function"], **data.get("test_function", {})},
             max_order=_get(data, "", "max_order", int, DEFAULT_CONFIG["max_order"]),
             seed=_get(data, "", "seed", int, DEFAULT_CONFIG["seed"]),
-            threads=_get(data, "", "threads", int, DEFAULT_CONFIG["threads"]),
             out=str(data.get("out", DEFAULT_CONFIG["out"])),
         )
 
@@ -181,6 +196,15 @@ class ExperimentConfig:
             spec[key] = _get(self.initial, "initial", key, float, di[key])
         return spec
 
+    def test_function_spec(self) -> dict:
+        """The test_function section with its numeric fields cast, as the commands read it."""
+        tf = self.test_function
+        spec = {"type": tf["type"], "slot": tf["slot"], "which": tf.get("which", "velocity")}
+        defaults = {"x0": self.extent / 2, "kmax": 8}
+        for key, cast in (("amplitude", float), ("width", float), ("center", float), ("x0", float), ("kmax", int)):
+            spec[key] = _get(tf, "test_function", key, cast, defaults.get(key))
+        return spec
+
     def validate(self) -> None:
         self.build_grid()
         self.build_tgrid()
@@ -190,29 +214,27 @@ class ExperimentConfig:
             raise ConfigError(
                 "max_order", f"must be between 0 and {DEFAULT_ENUMERATION_CAP}"
             )
-        if self.threads < 1:
-            raise ConfigError("threads", "must be at least 1")
         if initial["type"] != "gaussian":
             raise ConfigError("initial.type", "only 'gaussian' initial data is supported")
         if not initial["width"] > 0:
             raise ConfigError("initial.width", "must be positive")
-        kind = self.test_function.get("type")
-        if kind not in ("gaussian", "low-mode", "dirac"):
-            raise ConfigError("test_function.type", f"unknown type {kind!r}")
-        if kind == "gaussian":
-            if self.test_function.get("slot", "both") not in ("both", "position", "velocity"):
+        tf = self.test_function_spec()
+        if tf["type"] not in ("gaussian", "low-mode", "dirac"):
+            raise ConfigError("test_function.type", f"unknown type {tf['type']!r}")
+        if tf["type"] == "gaussian":
+            if tf["slot"] not in ("both", "position", "velocity"):
                 raise ConfigError("test_function.slot", "must be both, position, or velocity")
-            if not float(self.test_function.get("width", 0)) > 0:
+            if not tf["width"] > 0:
                 raise ConfigError("test_function.width", "must be positive")
-        if kind == "dirac":
-            x0 = float(self.test_function.get("x0", self.extent / 2))
-            if not 0 <= x0 < self.extent:
-                raise ConfigError("test_function.x0", f"x0={x0} outside the grid [0, {self.extent})")
-            width = float(self.test_function.get("width", 0))
+        if tf["type"] == "dirac":
+            if tf["which"] not in ("velocity", "position"):
+                raise ConfigError("test_function.which", "must be velocity or position")
+            if not 0 <= tf["x0"] < self.extent:
+                raise ConfigError("test_function.x0", f"x0={tf['x0']} outside the grid [0, {self.extent})")
             spacing = self.extent / self.modes
-            if not width >= spacing:
+            if not tf["width"] >= spacing:
                 raise ConfigError(
-                    "test_function.width", f"width {width} is below the grid spacing {spacing}"
+                    "test_function.width", f"width {tf['width']} is below the grid spacing {spacing}"
                 )
 
     def build_initial(self, grid: SpectralGrid):
@@ -224,40 +246,27 @@ class ExperimentConfig:
         return FieldSnapshot(0.0, phi, pi)
 
     def build_test_function(self, grid: SpectralGrid) -> TestFunction:
-        spec = self.test_function
+        spec = self.test_function_spec()
         kind = spec["type"]
         if kind == "gaussian":
-            g = gaussian_field(
-                grid,
-                float(spec.get("amplitude", 1.0)),
-                float(spec["width"]),
-                float(spec.get("center", 0.0)),
-            )
+            g = gaussian_field(grid, spec["amplitude"], spec["width"], spec["center"])
             zero = ModeArray(grid, np.zeros(grid.shape, dtype=complex))
-            slot = spec.get("slot", "both")
-            if slot == "position":
+            if spec["slot"] == "position":
                 return TestFunction(g, zero)
-            if slot == "velocity":
+            if spec["slot"] == "velocity":
                 return TestFunction(zero, g)
             return TestFunction(g, g)
         if kind == "low-mode":
             rng = np.random.default_rng(self.seed)
-            kmax = int(spec.get("kmax", 8))
-            amp = float(spec.get("amplitude", 1.0))
-            psi0 = random_band_limited(grid, rng, kmax)
-            psi1 = random_band_limited(grid, rng, kmax)
-            psi0.values *= amp
-            psi1.values *= amp
+            psi0 = random_band_limited(grid, rng, spec["kmax"])
+            psi1 = random_band_limited(grid, rng, spec["kmax"])
+            psi0.values *= spec["amplitude"]
+            psi1.values *= spec["amplitude"]
             return TestFunction(psi0, psi1)
-        return dirac_test_function(
-            grid,
-            float(spec.get("x0", self.extent / 2)),
-            float(spec["width"]),
-            spec.get("which", "velocity"),
-        )
+        return dirac_test_function(grid, spec["x0"], spec["width"], spec["which"])
 
 
-def _load_config(path: str, max_order=None, seed=None, out=None, threads=None) -> ExperimentConfig:
+def _load_config(path: str, max_order=None, seed=None, out=None) -> ExperimentConfig:
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -270,8 +279,6 @@ def _load_config(path: str, max_order=None, seed=None, out=None, threads=None) -
         cfg.seed = seed
     if out is not None:
         cfg.out = out
-    if threads is not None:
-        cfg.threads = threads
     cfg.validate()
     return cfg
 
@@ -310,7 +317,6 @@ _config_opt = click.option("--config", "config_path", required=True, type=click.
 _out_opt = click.option("--out", default=None, help="Override the output directory.")
 _max_order_opt = click.option("--max-order", type=int, default=None, help="Override max_order.")
 _seed_opt = click.option("--seed", type=int, default=None, help="Override the seed.")
-_threads_opt = click.option("--threads", type=int, default=None, help="Cap worker threads.")
 
 
 def _trajectory_dir(cfg: ExperimentConfig) -> Path:
@@ -431,11 +437,10 @@ def transport(config_path, out, max_order, force):
 @_out_opt
 @_max_order_opt
 @_seed_opt
-@_threads_opt
 @_config_errors
-def sweep(config_path, out, max_order, seed, threads):
+def sweep(config_path, out, max_order, seed):
     """Solve and transport across a coupling list; fit residual slopes."""
-    cfg = _load_config(config_path, max_order=max_order, seed=seed, out=out, threads=threads)
+    cfg = _load_config(config_path, max_order=max_order, seed=seed, out=out)
     couplings = cfg.coupling_list()
     if len(couplings) < 3:
         _fail(5, f"sweep needs at least 3 coupling values, got {len(couplings)}")
@@ -462,11 +467,7 @@ def sweep(config_path, out, max_order, seed, threads):
         )
 
     try:
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                reports = list(pool.map(one, couplings))
-        else:
-            reports = [one(c) for c in couplings]
+        reports = [one(c) for c in couplings]
     except BlowUp as exc:
         _fail(3, f"blow-up: {exc}")
     for coupling, report in zip(couplings, reports):
@@ -540,11 +541,11 @@ def lemma_check(max_leaves):
 def readout(config_path, out, max_order):
     """Recover phi and its time derivative at (t=0, x0) from the slice at s."""
     cfg = _load_config(config_path, max_order=max_order, out=out)
-    if cfg.test_function.get("type") != "dirac":
+    spec = cfg.test_function_spec()
+    if spec["type"] != "dirac":
         raise ConfigError("test_function.type", "readout needs a dirac test-function spec")
     traj = _read_matching_trajectory(cfg)
-    x0 = float(cfg.test_function.get("x0", cfg.extent / 2))
-    width = float(cfg.test_function["width"])
+    x0, width = spec["x0"], spec["width"]
     phi_est, dtphi_est = readout_series(traj, cfg.s, x0, width, cfg.max_order)
     first = traj.node(0)
     phi_true = evaluate_at(first.phi, x0)

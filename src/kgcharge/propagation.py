@@ -6,7 +6,9 @@ frequency omega = sqrt(m^2 + |k|^2), so evolution and the retarded kernels
     G0: f_hat(k) -> theta(t - tau) * sin((t - tau) omega) / omega * f_hat(k)
     G1: f_hat(k) -> theta(t - tau) * cos((t - tau) omega) * f_hat(k)
 
-are plain Fourier multipliers.  Time integrals throughout the package use a
+are plain Fourier multipliers.  free_flow is the one closed form of the free
+evolution; it moves a single snapshot or a whole stack of node lags.  Time
+integrals throughout the package use a
 single composite trapezoid rule on the uniform node set of a
 :class:`TimeGrid`; inner integrals that start at a node use the same rule
 restricted to the trailing nodes, so nothing is ever interpolated in time.
@@ -75,14 +77,24 @@ class TimeSampledField:
         return ModeArray(self.grid, self.values[j], self.real_field)
 
 
+def free_flow(grid: SpectralGrid, phi: np.ndarray, pi: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form linear flow of mode data (phi_hat, pi_hat) by dt.
+
+    ``dt`` is a scalar or a 1-D array of lags; an array broadcasts over a
+    leading node axis, so row j of each result is the flow by dt[j].
+    """
+    dt = np.asarray(dt)
+    w = grid.omega
+    ph = dt.reshape(dt.shape + (1,) * grid.dim) * w
+    c = np.cos(ph)
+    s = np.sin(ph)
+    return c * phi + (s / w) * pi, -w * s * phi + c * pi
+
+
 def free_evolve(snap: FieldSnapshot, dt: float) -> FieldSnapshot:
     """Exact linear evolution by dt (negative dt evolves backward)."""
     grid = snap.grid
-    w = grid.omega
-    c = np.cos(dt * w)
-    s = np.sin(dt * w)
-    phi = c * snap.phi.values + (s / w) * snap.pi.values
-    pi = -w * s * snap.phi.values + c * snap.pi.values
+    phi, pi = free_flow(grid, snap.phi.values, snap.pi.values, dt)
     real = snap.phi.real_field and snap.pi.real_field
     return FieldSnapshot(
         snap.time + dt,

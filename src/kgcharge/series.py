@@ -24,10 +24,13 @@ the kernel is linear, so the summed table of all trees of order n obeys one
 recursion, W_0 = w_leaf and W_n = K[sum over i + j = n - 1 of W_i W_j], and
 the order-n term pairs psi with that same sum of products.  The series
 driver runs this order recursion: n tables and one transform pair per order
-instead of Catalan-many tables.  Two oracles stay beside it: the per-tree
-tables (tree_amplitude, memoized by Dyck word in an AmplitudeCache) and a
-literal nested-loop evaluator (direct_amplitude) with no table shortcut,
-which covers orders <= 2.
+instead of Catalan-many tables, keeping the tables in point space so the
+products of one order are summed before a single forward transform.  The
+transforms and the dealiased product are spectral's, and the leaf table and
+psi rows are propagation's closed-form free flow.  Two oracles stay beside
+it: the per-tree tables (tree_amplitude, memoized by Dyck word in an
+AmplitudeCache) and a literal nested-loop evaluator (direct_amplitude) with
+no table shortcut, which covers orders <= 2.
 
 All time integrals restrict their trapezoid weights to the nodes inside the
 integrand's support (the step cutoffs of the retarded kernels), so results
@@ -43,14 +46,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .propagation import TimeGrid, TimeSampledField, green_apply, suffix_time_integral, time_integral
+from .propagation import TimeGrid, TimeSampledField, free_flow, green_apply, suffix_time_integral, time_integral
 from .solver import TestFunction, Trajectory, acceleration, dirac_test_function, evaluate_test_function
 from .spectral import (
     FieldSnapshot,
     GridMismatch,
     ModeArray,
     SpectralGrid,
+    dealiased_modes,
+    dealiased_product,
     estimate_algebra_constant,
+    grid_values,
     pair_modes,
     pointwise_product,
     random_band_limited,
@@ -126,12 +132,7 @@ def _time_phases(grid: SpectralGrid, tgrid: TimeGrid) -> np.ndarray:
 
 def _test_function_rows(tf: TestFunction, tgrid: TimeGrid, derivative: int = 0) -> np.ndarray:
     """psi (or d/dt psi) at every node, stacked, from the closed-form flow."""
-    grid = tf.grid
-    ph = _time_phases(grid, tgrid)
-    c, s = np.cos(ph), np.sin(ph)
-    if derivative == 0:
-        return c * tf.psi0.values + s / grid.omega * tf.psi1.values
-    return -grid.omega * s * tf.psi0.values + c * tf.psi1.values
+    return free_flow(tf.grid, tf.psi0.values, tf.psi1.values, tgrid.nodes)[derivative]
 
 
 def test_function_sup_norm(tf: TestFunction, tgrid: TimeGrid) -> float:
@@ -148,25 +149,6 @@ def test_function_sup_norm(tf: TestFunction, tgrid: TimeGrid) -> float:
         norms = np.sqrt(np.sum(w * np.abs(rows) ** 2, axis=axes) / grid.volume)
         best = max(best, float(norms.max()))
     return best
-
-
-def _to_points(grid: SpectralGrid, a: np.ndarray, real: bool) -> np.ndarray:
-    """Node-stacked mode tables to point values, real part only for real fields."""
-    axes = tuple(range(1, 1 + grid.dim))
-    values = np.fft.ifftn(a, axes=axes) * (grid.npoints / grid.volume)
-    return values.real if real else values
-
-
-def _to_modes(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
-    """Node-stacked point values to mode tables, dealiased by the 2/3 rule."""
-    axes = tuple(range(1, 1 + grid.dim))
-    modes = np.fft.fftn(f, axes=axes) / (grid.npoints / grid.volume)
-    return np.where(grid.keep_mask, modes, 0.0)
-
-
-def _stacked_product(grid: SpectralGrid, a: np.ndarray, b: np.ndarray, real: bool = True) -> np.ndarray:
-    """Dealiased products of two node-stacked mode tables, all rows at once."""
-    return _to_modes(grid, _to_points(grid, a, real) * _to_points(grid, b, real))
 
 
 def _retarded_integral(grid: SpectralGrid, tgrid: TimeGrid, prod: np.ndarray, upper: int) -> np.ndarray:
@@ -204,11 +186,9 @@ def leaf_table(snap: FieldSnapshot, tgrid: TimeGrid) -> TimeSampledField:
     s.  Rows past s are filled too; consumers that need the step cutoff
     restrict their quadrature instead.
     """
-    grid = snap.grid
-    lag = (snap.time - tgrid.nodes).reshape((-1,) + (1,) * grid.dim) * grid.omega
-    rows = np.cos(lag) * snap.phi.values - np.sin(lag) / grid.omega * snap.pi.values
+    rows, _ = free_flow(snap.grid, snap.phi.values, snap.pi.values, tgrid.nodes - snap.time)
     real = snap.phi.real_field and snap.pi.real_field
-    return TimeSampledField(grid, tgrid, rows, real)
+    return TimeSampledField(snap.grid, tgrid, rows, real)
 
 
 def subtree_table(b: Tree, cache: AmplitudeCache, snap: FieldSnapshot, tgrid: TimeGrid) -> TimeSampledField:
@@ -225,7 +205,7 @@ def subtree_table(b: Tree, cache: AmplitudeCache, snap: FieldSnapshot, tgrid: Ti
         w2 = subtree_table(b2, cache, snap, tgrid)
         grid = snap.grid
         upper = tgrid.node_index(snap.time)
-        prod = _stacked_product(grid, w1.values, w2.values, w1.real_field and w2.real_field)
+        prod = dealiased_product(grid, w1.values, w2.values, w1.real_field and w2.real_field)
         rows = _retarded_integral(grid, tgrid, prod, upper)
         table = TimeSampledField(grid, tgrid, rows, w1.real_field and w2.real_field)
     cache.tables[key] = table
@@ -255,7 +235,7 @@ def tree_amplitude(
     w2 = subtree_table(b2, cache, snap, tgrid)
     grid = snap.grid
     upper = tgrid.node_index(snap.time)
-    prod = _stacked_product(grid, w1.values, w2.values, w1.real_field and w2.real_field)
+    prod = dealiased_product(grid, w1.values, w2.values, w1.real_field and w2.real_field)
     return _pairing_integral(grid, tgrid, prod, _test_function_rows(psi, tgrid), upper)
 
 
@@ -413,7 +393,7 @@ def _sampled_legs(
     left, u1 = _sampled_legs(b1, legs, grid, tgrid)
     right, u2 = _sampled_legs(b2, legs, grid, tgrid)
     upper = min(u1, u2)
-    prod = _stacked_product(grid, left, right, real=True)
+    prod = dealiased_product(grid, left, right, real=True)
     return _retarded_integral(grid, tgrid, prod, upper), upper
 
 
@@ -461,7 +441,7 @@ def delta_norm_bound_check(
             left, u1 = _sampled_legs(b1, legs, grid, tgrid)
             right, u2 = _sampled_legs(b2, legs, grid, tgrid)
             upper = min(u1, u2)
-            prod = _stacked_product(grid, left, right, real=True)
+            prod = dealiased_product(grid, left, right, real=True)
             value = _pairing_integral(grid, tgrid, prod, psi_rows, upper)
         ratio = max(ratio, abs(value) / psi_norm)
     m_factor = max(1.0 / grid.mass, 1.0)
@@ -504,12 +484,12 @@ def _order_products(snap: FieldSnapshot, tgrid: TimeGrid, max_order: int):
     grid = snap.grid
     upper = tgrid.node_index(snap.time)
     real = snap.phi.real_field and snap.pi.real_field
-    points = [_to_points(grid, leaf_table(snap, tgrid).values, real)]
+    points = [grid_values(grid, leaf_table(snap, tgrid).values, real)]
     for order in range(1, max_order + 1):
-        prod = _to_modes(grid, sum(points[i] * points[order - 1 - i] for i in range(order)))
+        prod = dealiased_modes(grid, sum(points[i] * points[order - 1 - i] for i in range(order)))
         yield prod
         if order < max_order:
-            points.append(_to_points(grid, _retarded_integral(grid, tgrid, prod, upper), real))
+            points.append(grid_values(grid, _retarded_integral(grid, tgrid, prod, upper), real))
 
 
 def _order_amplitudes(psi: TestFunction, snap: FieldSnapshot, tgrid: TimeGrid, products) -> list[float]:

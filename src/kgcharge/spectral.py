@@ -15,6 +15,10 @@ Sobolev norms of weak solutions.
 Quadratic products are evaluated on the grid and then truncated to the band
 ``|j| <= (modes - 1) // 3`` per axis (the two-thirds rule).  For inputs that
 are band limited to that band the truncated product is exactly alias free.
+This is the package's one product: ``grid_values`` and ``dealiased_modes``
+transform over the trailing ``dim`` axes of a stack of mode tables, and
+``dealiased_product`` composes them.  The solver squares single fields, the
+series whole node stacks.
 """
 
 from __future__ import annotations
@@ -117,13 +121,17 @@ class SpectralGrid:
         # |j| <= bound alias only into |j| > bound, which gets zeroed.
         return (self.modes - 1) // 3
 
-    @cached_property
-    def keep_mask(self) -> np.ndarray:
-        axis_keep = np.abs(self.mode_index) <= self.dealias_bound
+    def band_mask(self, kmax: int) -> np.ndarray:
+        """True on the modes with |j| <= kmax on every axis."""
+        axis_keep = np.abs(self.mode_index) <= kmax
         mask = axis_keep
         for _ in range(self.dim - 1):
             mask = np.multiply.outer(mask, axis_keep)
         return mask
+
+    @cached_property
+    def keep_mask(self) -> np.ndarray:
+        return self.band_mask(self.dealias_bound)
 
     def sobolev_weights(self, q: float) -> np.ndarray:
         return (1.0 + self.k_squared) ** q
@@ -188,12 +196,29 @@ def to_modes(grid: SpectralGrid, samples: np.ndarray) -> ModeArray:
     return ModeArray(grid, values, real_field=True)
 
 
+def grid_values(grid: SpectralGrid, values: np.ndarray, real: bool) -> np.ndarray:
+    """Inverse transform over the trailing grid.dim axes; real part only for real fields."""
+    # Passing s along with axes keeps numpy on its fast path for one field.
+    axes = tuple(range(-grid.dim, 0))
+    out = np.fft.ifftn(values, s=grid.shape, axes=axes) * (grid.npoints / grid.volume)
+    return out.real if real else out
+
+
+def dealiased_modes(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
+    """Forward transform over the trailing grid.dim axes, then the 2/3 mask."""
+    axes = tuple(range(-grid.dim, 0))
+    values = np.fft.fftn(samples, s=grid.shape, axes=axes) * (grid.volume / grid.npoints)
+    return np.where(grid.keep_mask, values, 0.0)
+
+
+def dealiased_product(grid: SpectralGrid, a: np.ndarray, b: np.ndarray, real: bool = True) -> np.ndarray:
+    """Dealiased pointwise products of two stacks of mode tables, row by row."""
+    return dealiased_modes(grid, grid_values(grid, a, real) * grid_values(grid, b, real))
+
+
 def to_grid(f: ModeArray) -> np.ndarray:
     """Inverse transform; real-valued output for real-field arrays."""
-    out = np.fft.ifftn(f.values) * (f.grid.npoints / f.grid.volume)
-    if f.real_field:
-        return np.ascontiguousarray(out.real)
-    return out
+    return np.ascontiguousarray(grid_values(f.grid, f.values, f.real_field))
 
 
 def hermitian_defect(f: ModeArray) -> float:
@@ -232,11 +257,8 @@ def pointwise_product(f: ModeArray, g: ModeArray) -> ModeArray:
     """
     if f.grid != g.grid:
         raise GridMismatch("product requires both arrays on one grid")
-    grid = f.grid
-    fg = to_grid(f) * to_grid(g)
-    values = np.fft.fftn(fg) * (grid.volume / grid.npoints)
-    values = np.where(grid.keep_mask, values, 0.0)
-    return ModeArray(grid, values, real_field=f.real_field and g.real_field)
+    real = f.real_field and g.real_field
+    return ModeArray(f.grid, dealiased_product(f.grid, f.values, g.values, real), real)
 
 
 def evaluate_at(f: ModeArray, x) -> float | complex:
@@ -274,11 +296,7 @@ def random_band_limited(
         kmax = grid.dealias_bound
     noise = rng.standard_normal(grid.shape)
     f = to_modes(grid, noise)
-    axis_keep = np.abs(grid.mode_index) <= kmax
-    mask = axis_keep
-    for _ in range(grid.dim - 1):
-        mask = np.multiply.outer(mask, axis_keep)
-    f.values[~mask] = 0.0
+    f.values[~grid.band_mask(kmax)] = 0.0
     return f
 
 

@@ -106,6 +106,41 @@ def test_unknown_test_function_type_exits_2(runner, tmp_path):
     assert "test_function.type" in result.output
 
 
+@pytest.mark.parametrize(
+    "changed, field",
+    [
+        ({"max_ordr": 7}, "max_ordr"),
+        ({"grid": {"nx": 64}}, "grid.nx"),
+        ({"time": {"dt": 0.01}}, "time.dt"),
+        ({"initial": {"amplitud": 0.9}}, "initial.amplitud"),
+        ({"test_function": {"widht": 1.0}}, "test_function.widht"),
+    ],
+)
+def test_unknown_config_keys_exit_2(runner, tmp_path, changed, field):
+    cfg = write_config(tmp_path, **changed)
+    result = runner.invoke(main, ["solve", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert f"'{field}': unknown key" in result.output
+
+
+@pytest.mark.parametrize(
+    "test_function, field",
+    [
+        ({"type": "gaussian", "width": "wide"}, "test_function.width"),
+        ({"type": "gaussian", "amplitude": "big"}, "test_function.amplitude"),
+        ({"type": "gaussian", "center": [0.0, 1.0]}, "test_function.center"),
+        ({"type": "low-mode", "kmax": "many"}, "test_function.kmax"),
+        ({"type": "dirac", "x0": "left", "width": 0.8}, "test_function.x0"),
+        ({"type": "dirac", "x0": 3.0, "width": 0.8, "which": "both"}, "test_function.which"),
+    ],
+)
+def test_malformed_test_function_fields_exit_2(runner, tmp_path, test_function, field):
+    cfg = write_config(tmp_path, test_function=test_function)
+    result = runner.invoke(main, ["solve", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert field in result.output
+
+
 def test_transport_without_a_trajectory_exits_2(runner, tmp_path):
     cfg = write_config(tmp_path)
     result = runner.invoke(main, ["transport", "--config", str(cfg)])
@@ -233,6 +268,15 @@ def test_sweep_fits_slopes_one_past_the_order(runner, tmp_path):
     for order, slope in slopes.items():
         assert slope == pytest.approx(order + 1, abs=0.2)
     assert (tmp_path / "run" / "sweep_residuals.csv").exists()
+
+
+def test_sweep_accepts_threads_only_as_one(runner, tmp_path):
+    cfg = write_config(tmp_path, coupling=[0.1, 0.2, 0.4], max_order=1, threads=1)
+    assert runner.invoke(main, ["sweep", "--config", str(cfg)]).exit_code == 0
+    cfg = write_config(tmp_path, coupling=[0.1, 0.2, 0.4], max_order=1, threads=2)
+    result = runner.invoke(main, ["sweep", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert "sweep runs on one thread" in result.output
 
 
 def test_lemma_check_passes_and_counts_trees(runner, tmp_path):

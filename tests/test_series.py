@@ -21,17 +21,19 @@ from kgcharge.series import (
     delta_norm_bound_check,
     direct_amplitude,
     first_order_bound,
+    leaf_table,
     p_residual,
     radius_bound,
     readout,
     series,
     tree_amplitude,
 )
+from kgcharge.series import _test_function_rows as psi_node_rows
 from kgcharge.series import test_function_sup_norm as sup_norm
 from kgcharge.solver import TestFunction, evaluate_test_function, gaussian_field, solve
 from kgcharge.spectral import FieldSnapshot, sobolev_norm, zero_modes
 from kgcharge.trees import enumerate_trees, from_dyck, graft, leaf
-from oracles import catalan, cherry_amplitude
+from oracles import catalan, cherry_amplitude, free_mode_evolution
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +69,18 @@ def test_bracket_is_conserved_without_coupling(grid, tgrid, rng):
         traj = solve(data, 0.0, tgrid)
         drift = abs(bracket_ds(psi, traj.snapshots[-1]) - bracket_ds(psi, traj.node(0)))
         assert drift <= 1e-10
+
+
+def test_leaf_and_test_function_rows_follow_the_free_flow(setting, tgrid):
+    _, snap, psi, _, _ = setting
+    omega = snap.grid.omega
+    leaves = leaf_table(snap, tgrid).values
+    psi_rows = [psi_node_rows(psi, tgrid, derivative) for derivative in (0, 1)]
+    for j, tau in enumerate(tgrid.nodes):
+        phi, _ = free_mode_evolution(snap.phi.values, snap.pi.values, omega, tau - snap.time)
+        np.testing.assert_allclose(leaves[j], phi, rtol=1e-12, atol=1e-12)
+        for rows, expected in zip(psi_rows, free_mode_evolution(psi.psi0.values, psi.psi1.values, omega, tau)):
+            np.testing.assert_allclose(rows[j], expected, rtol=1e-12, atol=1e-12)
 
 
 def test_leaf_amplitude_is_the_bracket(setting, tgrid):

@@ -9,6 +9,7 @@ from kgcharge.spectral import (
     ModeArray,
     SizeMismatch,
     SpectralGrid,
+    dealiased_product,
     estimate_algebra_constant,
     evaluate_at,
     hermitian_defect,
@@ -21,6 +22,7 @@ from kgcharge.spectral import (
     to_modes,
     zero_modes,
 )
+from kgcharge.series import _mode_convolution
 from oracles import folded_convolution, signed_mode_index
 
 
@@ -110,6 +112,29 @@ def test_pointwise_product_matches_folded_convolution(small_grid, rng):
     prod = pointwise_product(f, g)
     oracle = folded_convolution(f.values, g.values, small_grid.volume)
     np.testing.assert_allclose(prod.values, oracle, atol=1e-12)
+
+
+def test_stacked_product_matches_folded_convolution_row_by_row(small_grid, rng):
+    a = np.stack([random_band_limited(small_grid, rng).values for _ in range(5)])
+    b = np.stack([random_band_limited(small_grid, rng).values for _ in range(5)])
+    prod = dealiased_product(small_grid, a, b)
+    assert prod.shape == a.shape
+    for row_a, row_b, row in zip(a, b, prod):
+        np.testing.assert_allclose(row, folded_convolution(row_a, row_b, small_grid.volume), atol=1e-12)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_two_dimensional_stacked_product_matches_mode_convolution(rng, real):
+    grid = SpectralGrid(dim=2, extent=10.0, modes=8, mass=1.0, sobolev_q=2)
+    if real:
+        draw = lambda: random_band_limited(grid, rng).values
+    else:
+        draw = lambda: rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    a = np.stack([draw() for _ in range(3)])
+    b = np.stack([draw() for _ in range(3)])
+    prod = dealiased_product(grid, a, b, real)
+    for row_a, row_b, row in zip(a, b, prod):
+        np.testing.assert_allclose(row, _mode_convolution(grid, row_a, row_b), atol=1e-12)
 
 
 def test_product_of_kept_cosines_is_alias_free(small_grid):

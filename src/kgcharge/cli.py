@@ -28,7 +28,7 @@ from .propagation import TimeGrid
 from .series import bracket_ds
 from .series import readout as readout_series
 from .series import series as run_series
-from .solver import BlowUp, TestFunction, dirac_test_function, energy, field_energy_norm, gaussian_field
+from .solver import BlowUp, TestFunction, dirac_test_function, field_energy_norm, gaussian_field, node_energies
 from .solver import solve as solve_pde
 from .spectral import (
     ModeArray,
@@ -101,7 +101,7 @@ def _get(section: dict, section_name: str, key: str, cast, default):
     try:
         return cast(raw)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section_name}.{key}", str(exc)) from exc
+        raise ConfigError(f"{section_name}.{key}" if section_name else key, str(exc)) from exc
 
 
 @dataclass
@@ -226,6 +226,8 @@ class ExperimentConfig:
                 raise ConfigError("test_function.slot", "must be both, position, or velocity")
             if not tf["width"] > 0:
                 raise ConfigError("test_function.width", "must be positive")
+        if tf["type"] == "low-mode" and tf["kmax"] < 0:
+            raise ConfigError("test_function.kmax", f"must be at least 0, got {tf['kmax']}")
         if tf["type"] == "dirac":
             if tf["which"] not in ("velocity", "position"):
                 raise ConfigError("test_function.which", "must be velocity or position")
@@ -374,8 +376,8 @@ def solve(config_path, out, seed):
         traj = solve_pde(initial, coupling, tgrid)
     except BlowUp as exc:
         _fail(3, f"blow-up: {exc}")
-    energies = [energy(s, coupling) for s in traj.snapshots]
-    drift = max(abs(e - energies[0]) for e in energies) / max(1.0, abs(energies[0]))
+    energies = node_energies(traj)
+    drift = float(np.max(np.abs(energies - energies[0]))) / max(1.0, abs(float(energies[0])))
     write_trajectory(
         _trajectory_dir(cfg),
         traj,

@@ -58,9 +58,9 @@ from .spectral import (
     estimate_algebra_constant,
     grid_values,
     pair_modes,
-    pointwise_product,
     random_band_limited,
     sobolev_norm,
+    sobolev_norms,
 )
 from .trees import Tree, decompose, internal_count, leaf_count, to_dyck
 
@@ -140,15 +140,8 @@ def test_function_sup_norm(tf: TestFunction, tgrid: TimeGrid) -> float:
 
     This is the single sup-in-time dual norm all bound checks use for psi.
     """
-    grid = tf.grid
-    w = grid.sobolev_weights(-grid.sobolev_q)
-    axes = tuple(range(1, 1 + grid.dim))
-    best = 0.0
-    for derivative in (0, 1):
-        rows = _test_function_rows(tf, tgrid, derivative)
-        norms = np.sqrt(np.sum(w * np.abs(rows) ** 2, axis=axes) / grid.volume)
-        best = max(best, float(norms.max()))
-    return best
+    q = -tf.grid.sobolev_q
+    return max(float(sobolev_norms(tf.grid, _test_function_rows(tf, tgrid, d), q).max()) for d in (0, 1))
 
 
 def _retarded_integral(grid: SpectralGrid, tgrid: TimeGrid, prod: np.ndarray, upper: int) -> np.ndarray:
@@ -462,14 +455,10 @@ def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
     grid = trajectory.grid
     b_s = bracket_ds(psi, trajectory.node(j_s))
     b_0 = bracket_ds(psi, trajectory.node(0))
-    samples = np.zeros(tgrid.nnodes)
-    for j in range(j_s + 1):
-        snap = trajectory.node(j)
-        phi_sq = pointwise_product(snap.phi, snap.phi)
-        psi_j = evaluate_test_function(psi, float(tgrid.nodes[j])).phi
-        samples[j] = _real(pair_modes(psi_j, phi_sq))
-    integral = float(time_integral(-trajectory.coupling * samples, tgrid, 0, j_s))
-    return abs(b_s - b_0 + integral)
+    phi, _ = trajectory.node_values()
+    phi_sq = dealiased_product(grid, phi, phi, trajectory.real_field)
+    integral = _pairing_integral(grid, tgrid, phi_sq, _test_function_rows(psi, tgrid), j_s)
+    return abs(b_s - b_0 - trajectory.coupling * integral)
 
 
 def _order_products(snap: FieldSnapshot, tgrid: TimeGrid, max_order: int):

@@ -39,13 +39,9 @@ def write_trajectory(directory, traj: Trajectory, manifest_extra: dict | None = 
     """One array archive of every node plus a JSON manifest describing the run."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    snapshots = traj.snapshots
-    np.savez(
-        directory / TRAJECTORY_FILE,
-        times=np.array([snap.time for snap in snapshots], dtype=np.float64),
-        phi=np.stack([snap.phi.values for snap in snapshots]),
-        pi=np.stack([snap.pi.values for snap in snapshots]),
-    )
+    phi, pi = traj.node_values()
+    times = np.array([snap.time for snap in traj.snapshots], dtype=np.float64)
+    np.savez(directory / TRAJECTORY_FILE, times=times, phi=phi, pi=pi)
     grid = traj.grid
     manifest = {
         "grid": {

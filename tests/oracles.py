@@ -11,6 +11,16 @@ import math
 
 import numpy as np
 
+from kgcharge.propagation import free_evolve
+from kgcharge.solver import BlowUp
+from kgcharge.spectral import (
+    FieldSnapshot,
+    ModeArray,
+    pair_modes,
+    pointwise_product,
+    random_localized_field,
+    sobolev_norm,
+)
 from kgcharge.trees import (
     GrowSpec,
     enumerate_trees,
@@ -102,3 +112,93 @@ def cherry_amplitude(extent, mass, s, nodes, phi_hat, pi_hat, psi0_hat, psi1_hat
         samples[j] = (np.conj(psi_row) * conv).sum().real / volume
     dt = nodes[1] - nodes[0]
     return float((samples.sum() - 0.5 * (samples[0] + samples[-1])) * dt)
+
+
+# Literal per-node and per-call loops.  The package squares whole stacks of
+# node fields at once and reuses one square per solver node; these are the
+# loops it replaced, one dealiased product per call, kept to check it by.
+
+
+def _kick(snap, coupling, half_dt):
+    phi_sq = pointwise_product(snap.phi, snap.phi)
+    pi = ModeArray(snap.grid, snap.pi.values - half_dt * coupling * phi_sq.values, snap.pi.real_field)
+    return FieldSnapshot(snap.time, snap.phi, pi)
+
+
+def strang_with_fresh_kicks(initial, coupling, tgrid, norm_ceiling=1e6):
+    """Snapshots of the Strang scheme with two freshly squared half kicks per step."""
+    dt = tgrid.dt
+    snapshots = [initial]
+    current = initial
+    for j in range(tgrid.nt):
+        if coupling != 0.0:
+            current = _kick(current, coupling, dt / 2.0)
+        current = free_evolve(current, dt)
+        if coupling != 0.0:
+            current = _kick(current, coupling, dt / 2.0)
+        current = FieldSnapshot(float(tgrid.nodes[j + 1]), current.phi, current.pi)
+        if max(sobolev_norm(current.phi), sobolev_norm(current.pi)) > norm_ceiling:
+            raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={current.time}")
+        snapshots.append(current)
+    return snapshots
+
+
+def node_acceleration(snap, coupling):
+    """-(omega^2 phi_hat) - coupling (phi^2)_hat of one node."""
+    phi_sq = pointwise_product(snap.phi, snap.phi)
+    values = -(snap.grid.omega**2) * snap.phi.values - coupling * phi_sq.values
+    return ModeArray(snap.grid, values, snap.phi.real_field)
+
+
+def per_node_field_energy_norm(traj):
+    """Max over nodes of the H^q norms of phi, pi and the acceleration, node by node."""
+    best = 0.0
+    for snap in traj.snapshots:
+        accel = node_acceleration(snap, traj.coupling)
+        best = max(best, sobolev_norm(snap.phi), sobolev_norm(snap.pi), sobolev_norm(accel))
+    return best
+
+
+def node_energy(snap, coupling):
+    """Energy of one node with its own square and an np.vdot pairing."""
+    grid = snap.grid
+    quad = 0.5 * (np.abs(snap.pi.values) ** 2 + (grid.mass**2 + grid.k_squared) * np.abs(snap.phi.values) ** 2)
+    total = float(np.sum(quad) / grid.volume)
+    if coupling != 0.0:
+        phi_sq = pointwise_product(snap.phi, snap.phi)
+        total += coupling / 3.0 * pair_modes(phi_sq, snap.phi).real
+    return total
+
+
+def per_trial_algebra_constant(grid, trials=200, seed=0):
+    """1.5 times the largest product norm ratio, one drawn pair at a time."""
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(trials):
+        f = random_localized_field(grid, rng)
+        g = random_localized_field(grid, rng)
+        nf, ng = sobolev_norm(f), sobolev_norm(g)
+        if nf == 0.0 or ng == 0.0:
+            continue
+        best = max(best, sobolev_norm(pointwise_product(f, g)) / (nf * ng))
+    return 1.5 * best
+
+
+def per_node_p_residual(psi, traj, s):
+    """Charge-balance defect with one product and one free-flow call per node."""
+    tgrid = traj.tgrid
+    j_s = tgrid.node_index(s)
+
+    def bracket(snap):
+        at = free_evolve(FieldSnapshot(0.0, psi.psi0, psi.psi1), snap.time)
+        return (pair_modes(at.pi, snap.phi) - pair_modes(at.phi, snap.pi)).real
+
+    samples = np.zeros(tgrid.nnodes)
+    for j in range(j_s + 1):
+        snap = traj.node(j)
+        phi_sq = pointwise_product(snap.phi, snap.phi)
+        psi_j = free_evolve(FieldSnapshot(0.0, psi.psi0, psi.psi1), float(tgrid.nodes[j])).phi
+        samples[j] = pair_modes(psi_j, phi_sq).real
+    window = -traj.coupling * samples[: j_s + 1]
+    integral = (window.sum() - 0.5 * (window[0] + window[-1])) * tgrid.dt
+    return abs(bracket(traj.node(j_s)) - bracket(traj.node(0)) + integral)

@@ -141,6 +141,32 @@ def test_malformed_test_function_fields_exit_2(runner, tmp_path, test_function, 
     assert field in result.output
 
 
+@pytest.mark.parametrize(
+    "changed, field",
+    [
+        ({"max_order": "x"}, "max_order"),
+        ({"seed": "s"}, "seed"),
+        ({"grid": {"Nx": "many"}}, "grid.Nx"),
+    ],
+)
+def test_non_numeric_fields_are_named_by_their_key_path(runner, tmp_path, changed, field):
+    cfg = write_config(tmp_path, **changed)
+    result = runner.invoke(main, ["solve", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert f"config field '{field}':" in result.output
+
+
+def test_negative_low_mode_band_exits_2(runner, tmp_path):
+    # kmax < 0 keeps no mode: psi would be zero and every residual 0.000e+00
+    cfg = write_config(tmp_path, test_function={"type": "low-mode", "kmax": -3})
+    for command in ("solve", "transport"):
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "test_function.kmax" in result.output
+    cfg = run_solved(runner, tmp_path, test_function={"type": "low-mode", "kmax": 0})
+    assert runner.invoke(main, ["transport", "--config", str(cfg)]).exit_code == 0
+
+
 def test_transport_without_a_trajectory_exits_2(runner, tmp_path):
     cfg = write_config(tmp_path)
     result = runner.invoke(main, ["transport", "--config", str(cfg)])

@@ -33,7 +33,7 @@ from kgcharge.series import test_function_sup_norm as sup_norm
 from kgcharge.solver import TestFunction, evaluate_test_function, gaussian_field, solve
 from kgcharge.spectral import FieldSnapshot, sobolev_norm, zero_modes
 from kgcharge.trees import enumerate_trees, from_dyck, graft, leaf
-from oracles import catalan, cherry_amplitude, free_mode_evolution
+from oracles import catalan, cherry_amplitude, free_mode_evolution, per_node_p_residual
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +234,29 @@ def test_p_residual_vanishes_at_the_quadrature_level(setting, grid, tgrid, rng):
     # the half-kick pattern of the splitting reproduces the trapezoid rule
     # exactly, so the defect stays at rounding level even when coupled
     assert p_residual(psi, traj, tgrid.horizon) <= 1e-10
+
+
+@pytest.mark.parametrize("coupling", [0.0, 0.3])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_p_residual_matches_the_per_node_loop(dim, coupling, rng):
+    from kgcharge.solver import Trajectory
+    from kgcharge.spectral import SpectralGrid
+
+    if dim == 1:
+        grid = SpectralGrid(dim=1, extent=20.0, modes=32, mass=1.0, sobolev_q=1)
+    else:
+        grid = SpectralGrid(dim=2, extent=10.0, modes=8, mass=1.0, sobolev_q=2)
+    tgrid = TimeGrid(horizon=0.4, nt=16)
+    psi = random_test_function(grid, rng)
+    solved = solve(random_snapshot(grid, rng), coupling, tgrid)
+    # random node data is no solution, so its defect is O(1), not a cancellation
+    unsolved = Trajectory(tgrid, tuple(random_snapshot(grid, rng, t) for t in tgrid.nodes), coupling)
+    for traj in (solved, unsolved):
+        scale = abs(bracket_ds(psi, traj.node(0)))
+        for s in (0.4, 0.2):
+            want = per_node_p_residual(psi, traj, s)
+            assert p_residual(psi, traj, s) == pytest.approx(want, rel=1e-14, abs=1e-14 * scale)
+    assert per_node_p_residual(psi, unsolved, 0.4) > 1e-3 * abs(bracket_ds(psi, unsolved.node(0)))
 
 
 def test_radius_bound_formula(setting, grid):

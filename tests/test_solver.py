@@ -16,6 +16,7 @@ from kgcharge.solver import (
     evaluate_test_function,
     field_energy_norm,
     gaussian_field,
+    node_energies,
     solve,
 )
 from kgcharge.spectral import (
@@ -28,6 +29,14 @@ from kgcharge.spectral import (
     to_modes,
     zero_modes,
 )
+from oracles import node_energy, per_node_field_energy_norm, strang_with_fresh_kicks
+
+# A 1-D grid and an 8 x 8 grid for the checks that the stacked and shared
+# squares reproduce the one-product-per-call loops bit for bit.
+EXACT_GRIDS = [
+    SpectralGrid(dim=1, extent=20.0, modes=32, mass=1.0, sobolev_q=1),
+    SpectralGrid(dim=2, extent=10.0, modes=8, mass=1.0, sobolev_q=2),
+]
 
 
 def gaussian_data(grid, amplitude=0.5, width=2.0):
@@ -77,10 +86,52 @@ def test_splitting_converges_at_second_order(small_grid):
     assert e1 / e2 == pytest.approx(4.0, rel=0.15)
 
 
+@pytest.mark.parametrize("coupling", [0.0, 0.3])
+@pytest.mark.parametrize("grid", EXACT_GRIDS, ids=["1d", "2d"])
+def test_solve_matches_fresh_kicks_bit_for_bit(grid, coupling, rng):
+    # one square per node, shared by two half kicks, against two fresh ones
+    data = random_snapshot(grid, rng)
+    tg = TimeGrid(horizon=0.5, nt=16)
+    traj = solve(data, coupling, tg)
+    literal = strang_with_fresh_kicks(data, coupling, tg)
+    assert [s.time for s in traj.snapshots] == [s.time for s in literal]
+    for got, want in zip(traj.snapshots, literal):
+        np.testing.assert_array_equal(got.phi.values, want.phi.values)
+        np.testing.assert_array_equal(got.pi.values, want.pi.values)
+        assert (got.phi.real_field, got.pi.real_field) == (want.phi.real_field, want.pi.real_field)
+
+
+@pytest.mark.parametrize("coupling", [0.0, 0.3])
+@pytest.mark.parametrize("grid", EXACT_GRIDS, ids=["1d", "2d"])
+def test_stacked_node_diagnostics_match_the_per_node_loops(grid, coupling, rng):
+    tg = TimeGrid(horizon=0.5, nt=16)
+    solved = solve(random_snapshot(grid, rng), coupling, tg)
+    # random node data under a coupling large enough that the cubic term
+    # dominates the energy, so the last bits of every pairing show
+    loud = Trajectory(tg, tuple(random_snapshot(grid, rng, t) for t in tg.nodes), 1e3 * coupling)
+    for traj in (solved, loud):
+        assert field_energy_norm(traj) == per_node_field_energy_norm(traj)
+        literal = [node_energy(snap, traj.coupling) for snap in traj.snapshots]
+        assert node_energies(traj).tolist() == literal
+        assert [energy(snap, traj.coupling) for snap in traj.snapshots] == literal
+
+
 def test_blow_up_is_reported(small_grid):
     data = gaussian_data(small_grid, amplitude=2.0)
     with pytest.raises(BlowUp):
         solve(data, 0.2, TimeGrid(1.0, 64), norm_ceiling=1.0)
+
+
+def test_blow_up_names_the_node_of_the_fresh_kick_loop(small_grid):
+    data = gaussian_data(small_grid, amplitude=2.0)
+    tg = TimeGrid(1.0, 64)
+    ceiling = 1.5 * sobolev_norm(data.phi)
+    with pytest.raises(BlowUp) as literal:
+        strang_with_fresh_kicks(data, 5.0, tg, norm_ceiling=ceiling)
+    with pytest.raises(BlowUp) as shared:
+        solve(data, 5.0, tg, norm_ceiling=ceiling)
+    assert str(shared.value) == str(literal.value)
+    assert "t=1.0" not in str(shared.value)
 
 
 def test_energy_closed_form_single_mode(small_grid):

@@ -22,8 +22,9 @@ from kgcharge.spectral import (
     to_modes,
     zero_modes,
 )
+from kgcharge import spectral
 from kgcharge.series import _mode_convolution
-from oracles import folded_convolution, signed_mode_index
+from oracles import folded_convolution, per_trial_algebra_constant, signed_mode_index
 
 
 def test_grid_validation():
@@ -214,6 +215,26 @@ def test_estimate_algebra_constant_contract(small_grid):
     assert c1 >= floor
     with pytest.raises(ValueError):
         estimate_algebra_constant(small_grid, trials=0)
+
+
+@pytest.mark.parametrize("two_d", [False, True], ids=["1d", "2d"])
+def test_a_square_transforms_its_factor_once(small_grid, rng, monkeypatch, two_d):
+    grid = SpectralGrid(dim=2, extent=10.0, modes=8, mass=1.0, sobolev_q=2) if two_d else small_grid
+    stack = np.stack([random_band_limited(grid, rng).values for _ in range(5)])
+    expected = dealiased_product(grid, stack, stack.copy())
+    calls = []
+    real_grid_values = spectral.grid_values
+    monkeypatch.setattr(spectral, "grid_values", lambda *args: calls.append(1) or real_grid_values(*args))
+    np.testing.assert_array_equal(dealiased_product(grid, stack, stack), expected)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("trials, seed", [(1, 0), (25, 3), (40, 11)])
+@pytest.mark.parametrize("two_d", [False, True], ids=["1d", "2d"])
+def test_stacked_algebra_constant_matches_the_per_trial_loop(small_grid, two_d, trials, seed):
+    # localized draws need two spacings below an eighth of the box: 16 modes at least
+    grid = SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2) if two_d else small_grid
+    assert estimate_algebra_constant(grid, trials, seed) == per_trial_algebra_constant(grid, trials, seed)
 
 
 def test_single_mode_pair_is_dominated(small_grid):

@@ -6,8 +6,10 @@ frequency omega = sqrt(m^2 + |k|^2), so evolution and the retarded kernels
     G0: f_hat(k) -> theta(t - tau) * sin((t - tau) omega) / omega * f_hat(k)
     G1: f_hat(k) -> theta(t - tau) * cos((t - tau) omega) * f_hat(k)
 
-are plain Fourier multipliers.  free_flow is the one closed form of the free
-evolution; it moves a single snapshot or a whole stack of node lags.  Time
+are plain Fourier multipliers.  flow_multipliers is the one closed form of
+the free evolution; free_flow applies it to a single snapshot or a whole
+stack of node lags, and callers that flow by the same lags many times build
+the multipliers once.  Time
 integrals throughout the package use a
 single composite trapezoid rule on the uniform node set of a
 :class:`TimeGrid`; inner integrals that start at a node use the same rule
@@ -77,18 +79,35 @@ class TimeSampledField:
         return ModeArray(self.grid, self.values[j], self.real_field)
 
 
-def free_flow(grid: SpectralGrid, phi: np.ndarray, pi: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form linear flow of mode data (phi_hat, pi_hat) by dt.
+def flow_multipliers(omega: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos(omega dt), sin(omega dt) / omega and -omega sin(omega dt).
 
-    ``dt`` is a scalar or a 1-D array of lags; an array broadcasts over a
-    leading node axis, so row j of each result is the flow by dt[j].
+    The free flow by dt as mode multipliers, for any mode layout ``omega``
+    is given on.  ``dt`` is a scalar or a 1-D array of lags; an array
+    broadcasts over a leading node axis, so row j holds the flow by dt[j].
     """
     dt = np.asarray(dt)
-    w = grid.omega
-    ph = dt.reshape(dt.shape + (1,) * grid.dim) * w
+    ph = dt.reshape(dt.shape + (1,) * omega.ndim) * omega
     c = np.cos(ph)
     s = np.sin(ph)
-    return c * phi + (s / w) * pi, -w * s * phi + c * pi
+    return c, s / omega, -omega * s
+
+
+def flowed_phi(multipliers, phi: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """The phi_hat half of :func:`apply_flow`, for callers that need no pi_hat."""
+    c, s_over_w, _ = multipliers
+    return c * phi + s_over_w * pi
+
+
+def apply_flow(multipliers, phi: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flow mode data (phi_hat, pi_hat) by the :func:`flow_multipliers` given."""
+    c, _, w_s = multipliers
+    return flowed_phi(multipliers, phi, pi), w_s * phi + c * pi
+
+
+def free_flow(grid: SpectralGrid, phi: np.ndarray, pi: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form linear flow of mode data (phi_hat, pi_hat) by dt; see :func:`flow_multipliers`."""
+    return apply_flow(flow_multipliers(grid.omega, dt), phi, pi)
 
 
 def free_evolve(snap: FieldSnapshot, dt: float) -> FieldSnapshot:

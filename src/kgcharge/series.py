@@ -25,12 +25,26 @@ recursion, W_0 = w_leaf and W_n = K[sum over i + j = n - 1 of W_i W_j], and
 the order-n term pairs psi with that same sum of products.  The series
 driver runs this order recursion: n tables and one transform pair per order
 instead of Catalan-many tables, keeping the tables in point space so the
-products of one order are summed before a single forward transform.  The
-transforms and the dealiased product are spectral's, and the leaf table and
-psi rows are propagation's closed-form free flow.  Two oracles stay beside
-it: the per-tree tables (tree_amplitude, memoized by Dyck word in an
-AmplitudeCache) and a literal nested-loop evaluator (direct_amplitude) with
-no table shortcut, which covers orders <= 2.
+products of one order are summed before a single forward transform.
+
+Every product in the recursion is a dealiased product of real fields, so
+its mode table is zero outside the kept band and Hermitian.  The recursion
+therefore keeps its mode tables on the band's half of the real half
+spectrum (spectral.band_modes / band_values), and the retarded integrals and
+their suffix sums run on those columns only.  The free-flow multipliers
+cos(tau omega) and sin(tau omega)/omega on the band are built once per
+series or readout call and serve every order's kernel and psi's rows; the
+leaf table W_0 comes from the slice's N/2 + 1-column half spectrum.  The
+pairing with psi still forms the full complex sum over k of conj(prod) psi:
+it pairs each band entry with psi at +k and, through the conjugate half,
+at -k, and the last-axis j = 0 column, whose -k entries are already in the
+band, pairs once.  Only slice data flagged real are accepted.
+
+Two oracles stay beside it in this module: the per-tree tables
+(tree_amplitude, memoized by Dyck word in an AmplitudeCache) and a literal
+nested-loop evaluator (direct_amplitude) with no table shortcut, which
+covers orders <= 2.  The full-spectrum form of the recursion lives in the
+tests as the reference for the band form.
 
 All time integrals restrict their trapezoid weights to the nodes inside the
 integrand's support (the step cutoffs of the retarded kernels), so results
@@ -46,17 +60,27 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .propagation import TimeGrid, TimeSampledField, free_flow, green_apply, suffix_time_integral, time_integral
+from .propagation import (
+    TimeGrid,
+    TimeSampledField,
+    flow_multipliers,
+    flowed_phi,
+    free_flow,
+    green_apply,
+    suffix_time_integral,
+    time_integral,
+)
 from .solver import TestFunction, Trajectory, acceleration, dirac_test_function, evaluate_test_function
 from .spectral import (
     FieldSnapshot,
     GridMismatch,
     ModeArray,
     SpectralGrid,
-    dealiased_modes,
+    band_modes,
+    band_values,
     dealiased_product,
     estimate_algebra_constant,
-    grid_values,
+    half_spectrum_values,
     pair_modes,
     random_band_limited,
     sobolev_norm,
@@ -124,12 +148,6 @@ def _real(value: complex) -> float:
     return float(value.real)
 
 
-def _time_phases(grid: SpectralGrid, tgrid: TimeGrid) -> np.ndarray:
-    """tau_j * omega_k as a (nnodes, *grid.shape) array."""
-    t = tgrid.nodes.reshape((-1,) + (1,) * grid.dim)
-    return t * grid.omega
-
-
 def _test_function_rows(tf: TestFunction, tgrid: TimeGrid, derivative: int = 0) -> np.ndarray:
     """psi (or d/dt psi) at every node, stacked, from the closed-form flow."""
     return free_flow(tf.grid, tf.psi0.values, tf.psi1.values, tgrid.nodes)[derivative]
@@ -144,14 +162,18 @@ def test_function_sup_norm(tf: TestFunction, tgrid: TimeGrid) -> float:
     return max(float(sobolev_norms(tf.grid, _test_function_rows(tf, tgrid, d), q).max()) for d in (0, 1))
 
 
-def _retarded_integral(grid: SpectralGrid, tgrid: TimeGrid, prod: np.ndarray, upper: int) -> np.ndarray:
-    """Rows integral over t in [tau_j, tau_upper] of sin((t - tau_j) omega)/omega prod(t)."""
-    # sin((t - tau) w) = sin(t w) cos(tau w) - cos(t w) sin(tau w) turns
-    # the per-row kernel integrals into two shared suffix sums.
-    ph = _time_phases(grid, tgrid)
-    sin_sum = suffix_time_integral(np.sin(ph) * prod, tgrid, upper)
-    cos_sum = suffix_time_integral(np.cos(ph) * prod, tgrid, upper)
-    return (np.cos(ph) * sin_sum - np.sin(ph) * cos_sum) / grid.omega
+def _retarded_integral(flow, tgrid: TimeGrid, prod: np.ndarray, upper: int) -> np.ndarray:
+    """Rows integral over t in [tau_j, tau_upper] of sin((t - tau_j) omega)/omega prod(t).
+
+    ``flow`` is ``flow_multipliers(omega, tgrid.nodes)`` on the layout of
+    ``prod``'s mode axes.
+    """
+    # sin((t - tau) w) / w = sin(t w) / w cos(tau w) - cos(t w) sin(tau w) / w
+    # turns the per-row kernel integrals into two shared suffix sums.
+    cos, sin_over_w, _ = flow
+    sin_sum = suffix_time_integral(sin_over_w * prod, tgrid, upper)
+    cos_sum = suffix_time_integral(cos * prod, tgrid, upper)
+    return cos * sin_sum - sin_over_w * cos_sum
 
 
 def _pairing_integral(
@@ -199,7 +221,7 @@ def subtree_table(b: Tree, cache: AmplitudeCache, snap: FieldSnapshot, tgrid: Ti
         grid = snap.grid
         upper = tgrid.node_index(snap.time)
         prod = dealiased_product(grid, w1.values, w2.values, w1.real_field and w2.real_field)
-        rows = _retarded_integral(grid, tgrid, prod, upper)
+        rows = _retarded_integral(flow_multipliers(grid.omega, tgrid.nodes), tgrid, prod, upper)
         table = TimeSampledField(grid, tgrid, rows, w1.real_field and w2.real_field)
     cache.tables[key] = table
     return table
@@ -387,7 +409,7 @@ def _sampled_legs(
     right, u2 = _sampled_legs(b2, legs, grid, tgrid)
     upper = min(u1, u2)
     prod = dealiased_product(grid, left, right, real=True)
-    return _retarded_integral(grid, tgrid, prod, upper), upper
+    return _retarded_integral(flow_multipliers(grid.omega, tgrid.nodes), tgrid, prod, upper), upper
 
 
 def delta_norm_bound_check(
@@ -461,33 +483,53 @@ def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
     return abs(b_s - b_0 - trajectory.coupling * integral)
 
 
-def _order_products(snap: FieldSnapshot, tgrid: TimeGrid, max_order: int):
-    """Yield, for n = 1..max_order, the dealiased sum of W_i W_j over i + j = n - 1.
+def _order_products(snap: FieldSnapshot, tgrid: TimeGrid, flow, max_order: int) -> list[np.ndarray]:
+    """The band layout of the dealiased sum of W_i W_j over i + j = n - 1, for n = 1..max_order.
 
-    W_n is the summed table of all trees of order n; each is kept in point
-    space, so the sum of products needs one forward transform per order and
-    masking it once equals summing the masked products.  The yielded mode
-    table is both the order-n integrand against psi and the source of
-    W_n = K[product].
+    W_n is the summed table of all trees of order n.  Each is kept in point
+    space, so the sum of products needs one real forward transform per
+    order, and cutting it to the band once equals summing the cut
+    products.  The n-th table is both the order-n integrand against psi and
+    the source of W_n = K[product].  ``flow`` is the band's
+    ``flow_multipliers`` at the nodes; W_0, the backward free flow of the
+    slice, comes from its half spectrum.
+    """
+    if not (snap.phi.real_field and snap.pi.real_field):
+        raise ValueError("the tree series needs real slice data: phi and pi must be flagged real fields")
+    grid = snap.grid
+    upper = tgrid.node_index(snap.time)
+    half = (Ellipsis, slice(0, grid.half_shape[-1]))
+    leaf_flow = flow_multipliers(grid.omega[half], tgrid.nodes - snap.time)
+    points = [half_spectrum_values(grid, flowed_phi(leaf_flow, snap.phi.values[half], snap.pi.values[half]))]
+    products = []
+    for order in range(1, max_order + 1):
+        products.append(band_modes(grid, sum(points[i] * points[order - 1 - i] for i in range(order))))
+        if order < max_order:
+            points.append(band_values(grid, _retarded_integral(flow, tgrid, products[-1], upper)))
+    return products
+
+
+def _order_amplitudes(psi: TestFunction, snap: FieldSnapshot, tgrid: TimeGrid, flow, products) -> list[float]:
+    """Sum of tree amplitudes per order, order 0 first, from _order_products.
+
+    The band holds each product's +k half.  Its -k half is the conjugate, so
+    the full pairing sum over k of conj(prod) psi takes psi's rows at +k and
+    at -k; the last-axis j = 0 column already holds both signs of the
+    leading axes and pairs at +k only.
     """
     grid = snap.grid
     upper = tgrid.node_index(snap.time)
-    real = snap.phi.real_field and snap.pi.real_field
-    points = [grid_values(grid, leaf_table(snap, tgrid).values, real)]
-    for order in range(1, max_order + 1):
-        prod = dealiased_modes(grid, sum(points[i] * points[order - 1 - i] for i in range(order)))
-        yield prod
-        if order < max_order:
-            points.append(grid_values(grid, _retarded_integral(grid, tgrid, prod, upper), real))
-
-
-def _order_amplitudes(psi: TestFunction, snap: FieldSnapshot, tgrid: TimeGrid, products) -> list[float]:
-    """Sum of tree amplitudes per order, order 0 first, from _order_products."""
-    upper = tgrid.node_index(snap.time)
-    psi_rows = _test_function_rows(psi, tgrid)
-    return [bracket_ds(psi, snap)] + [
-        _pairing_integral(snap.grid, tgrid, prod, psi_rows, upper) for prod in products
-    ]
+    plus = grid.band_index
+    minus = tuple((-index) % grid.modes for index in plus)
+    psi_plus = flowed_phi(flow, psi.psi0.values[plus], psi.psi1.values[plus])
+    psi_minus = flowed_phi(flow, psi.psi0.values[minus], psi.psi1.values[minus])
+    psi_minus[..., 0] = 0.0
+    axes = tuple(range(1, 1 + grid.dim))
+    amplitudes = [bracket_ds(psi, snap)]
+    for prod in products:
+        pairs = np.sum(np.conj(prod) * psi_plus, axis=axes) + np.sum(prod * psi_minus, axis=axes)
+        amplitudes.append(_real(complex(time_integral(pairs / grid.volume, tgrid, 0, upper))))
+    return amplitudes
 
 
 def _catalan(order: int) -> int:
@@ -524,7 +566,8 @@ def series(
             sobolev_norm(snap.pi),
             sobolev_norm(acceleration(snap, coupling)),
         )
-    amplitudes = _order_amplitudes(psi, snap, tgrid, _order_products(snap, tgrid, max_order))
+    flow = flow_multipliers(snap.grid.band_omega, tgrid.nodes)
+    amplitudes = _order_amplitudes(psi, snap, tgrid, flow, _order_products(snap, tgrid, flow, max_order))
     per_order: list[OrderTerm] = []
     partial_sums: list[float] = []
     running = 0.0
@@ -559,15 +602,17 @@ def readout(
     Sums the series against the two Dirac-approximating test functions; the
     bump in the velocity slot reads out phi, the bump in the position slot
     reads out the time derivative (with the pairing's sign).  The order
-    products do not depend on psi, so both probes share one set.
+    products do not depend on psi, so both probes share one set, and one
+    set of band phase tables.
     """
     grid = trajectory.grid
     tgrid = trajectory.tgrid
     snap = trajectory.node(tgrid.node_index(s))
-    products = list(_order_products(snap, tgrid, max_order))
+    flow = flow_multipliers(grid.band_omega, tgrid.nodes)
+    products = _order_products(snap, tgrid, flow, max_order)
     estimates = []
     for which in ("velocity", "position"):
         tf = dirac_test_function(grid, x0, width, which)
-        amplitudes = _order_amplitudes(tf, snap, tgrid, products)
+        amplitudes = _order_amplitudes(tf, snap, tgrid, flow, products)
         estimates.append(sum((-trajectory.coupling) ** n * a for n, a in enumerate(amplitudes)))
     return estimates[0], -estimates[1]

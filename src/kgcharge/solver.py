@@ -8,7 +8,9 @@ the exact linear evolution when lambda = 0.  A step's closing half kick and
 the next step's opening one see the same phi, so the solver squares phi once
 per node: nt + 1 dealiased products for nt steps.  The per-node diagnostics
 (the energies and the norm that feeds the convergence condition) square the
-whole stack of node fields in one product.
+whole stack of node fields in one product.  The free-flow multipliers of one
+step are built once per solve, and the grid builds its own Sobolev weights
+once, for the per-node blow-up check.
 
 Test functions psi solve the linear equation exactly; they are stored as
 Cauchy data at t = 0 and evaluated at any time with the free flow, so
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .propagation import TimeGrid, free_evolve, free_flow
+from .propagation import TimeGrid, apply_flow, flow_multipliers, free_evolve
 from .spectral import (
     FieldSnapshot,
     GridMismatch,
@@ -118,13 +120,14 @@ def solve(
     kick = dt / 2.0 * coupling
     real = initial.phi.real_field and initial.pi.real_field
     phi, pi = initial.phi.values, initial.pi.values
+    step = flow_multipliers(grid.omega, dt)
     if coupling != 0.0:
         phi_sq = dealiased_product(grid, phi, phi, initial.phi.real_field)
     snapshots = [initial]
     for j in range(tgrid.nt):
         if coupling != 0.0:
             pi = pi - kick * phi_sq
-        phi, pi = free_flow(grid, phi, pi, dt)
+        phi, pi = apply_flow(step, phi, pi)
         if coupling != 0.0:
             # the next step's opening half kick reuses this square
             phi_sq = dealiased_product(grid, phi, phi, real)

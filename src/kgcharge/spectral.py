@@ -17,8 +17,18 @@ Quadratic products are evaluated on the grid and then truncated to the band
 are band limited to that band the truncated product is exactly alias free.
 This is the package's one product: ``grid_values`` and ``dealiased_modes``
 transform over the trailing ``dim`` axes of a stack of mode tables, and
-``dealiased_product`` composes them.  The solver squares single fields, the
-series whole node stacks.
+``dealiased_product`` composes them.  The solver squares single fields and
+whole node stacks.
+
+A dealiased product of real fields is zero outside the kept band and
+Hermitian, so it is fully described by the band's half: ``|j| <= K`` on the
+leading axes and ``0 <= j <= K`` on the last, with K = ``dealias_bound``
+(43 of 128 columns on a 128-mode line).  ``band_modes`` and ``band_values``
+are the real transform pair on that layout: ``rfftn`` scaled and cut to the
+band, and its inverse, which scatters into the half spectrum and applies
+``irfftn``.  They take real point data only; the series keeps its tables in
+this layout.  ``SpectralGrid.band_index`` picks the band out of a full or a
+half spectrum alike, since both store the last axis' j = 0..K first.
 """
 
 from __future__ import annotations
@@ -116,6 +126,11 @@ class SpectralGrid:
         return np.sqrt(self.mass**2 + self.k_squared)
 
     @property
+    def half_shape(self) -> tuple[int, ...]:
+        """Shape of an ``rfftn`` spectrum: the last axis keeps j = 0..modes/2."""
+        return self.shape[:-1] + (self.modes // 2 + 1,)
+
+    @property
     def dealias_bound(self) -> int:
         # Largest j with 3j <= modes - 1: products of fields supported on
         # |j| <= bound alias only into |j| > bound, which gets zeroed.
@@ -133,7 +148,30 @@ class SpectralGrid:
     def keep_mask(self) -> np.ndarray:
         return self.band_mask(self.dealias_bound)
 
+    @cached_property
+    def band_index(self) -> tuple[np.ndarray, ...]:
+        """Open-mesh index of the kept band's half in a full or a half spectrum.
+
+        |j| <= dealias_bound on the leading axes, in FFT storage order, and
+        j = 0..dealias_bound on the last axis.
+        """
+        kmax = self.dealias_bound
+        rows = np.r_[0 : kmax + 1, self.modes - kmax : self.modes]
+        return np.ix_(*([rows] * (self.dim - 1) + [np.arange(kmax + 1)]))
+
+    @cached_property
+    def band_omega(self) -> np.ndarray:
+        """The dispersion relation on the band layout of :attr:`band_index`."""
+        return self.omega[self.band_index]
+
+    @cached_property
+    def _own_sobolev_weights(self) -> np.ndarray:
+        return (1.0 + self.k_squared) ** self.sobolev_q
+
     def sobolev_weights(self, q: float) -> np.ndarray:
+        """(1 + |k|^2)^q over the mode set; the grid's own q is built once."""
+        if q == self.sobolev_q:
+            return self._own_sobolev_weights
         return (1.0 + self.k_squared) ** q
 
 
@@ -209,6 +247,30 @@ def dealiased_modes(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
     axes = tuple(range(-grid.dim, 0))
     values = np.fft.fftn(samples, s=grid.shape, axes=axes) * (grid.volume / grid.npoints)
     return np.where(grid.keep_mask, values, 0.0)
+
+
+def band_modes(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
+    """Real forward transform over the trailing grid.dim axes, cut to the band layout.
+
+    The band entries equal those of ``dealiased_modes`` up to rounding;
+    ``samples`` must be real.
+    """
+    axes = tuple(range(-grid.dim, 0))
+    half = np.fft.rfftn(samples, s=grid.shape, axes=axes)
+    return half[(Ellipsis,) + grid.band_index] * (grid.volume / grid.npoints)
+
+
+def band_values(grid: SpectralGrid, band: np.ndarray) -> np.ndarray:
+    """Real point values of band-layout tables: the inverse of :func:`band_modes`."""
+    half = np.zeros(band.shape[: band.ndim - grid.dim] + grid.half_shape, dtype=complex)
+    half[(Ellipsis,) + grid.band_index] = band
+    return half_spectrum_values(grid, half)
+
+
+def half_spectrum_values(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
+    """Real point values from ``rfftn``-layout mode tables over the trailing grid.dim axes."""
+    axes = tuple(range(-grid.dim, 0))
+    return np.fft.irfftn(half, s=grid.shape, axes=axes) * (grid.npoints / grid.volume)
 
 
 def dealiased_product(grid: SpectralGrid, a: np.ndarray, b: np.ndarray, real: bool = True) -> np.ndarray:
@@ -314,7 +376,10 @@ def random_band_limited(
 
 def _localized_samples(grid: SpectralGrid, rng: np.random.Generator) -> np.ndarray:
     """Grid samples of a random Gaussian envelope, bare or modulating white noise."""
-    width = np.exp(rng.uniform(np.log(2.0 * grid.spacing), np.log(grid.extent / 8.0)))
+    # Below 16 modes two spacings exceed an eighth of the box; the width then
+    # pins to two spacings, still with one draw.
+    narrow = np.log(2.0 * grid.spacing)
+    width = np.exp(rng.uniform(narrow, max(narrow, np.log(grid.extent / 8.0))))
     center = rng.uniform(0.0, grid.extent, size=grid.dim)
     samples = np.ones(grid.shape)
     for axis in range(grid.dim):
@@ -332,10 +397,11 @@ def random_localized_field(grid: SpectralGrid, rng: np.random.Generator) -> Mode
     """Random band-limited field concentrated around a random point.
 
     A Gaussian envelope with log-uniform width (from two grid spacings up
-    to an eighth of the box) and uniform center, either bare or modulating
-    white noise.  The product norm ratio is driven by how much two fields
-    overlap, so localized samples probe the large-ratio region that spread
-    flat-spectrum noise never reaches.
+    to an eighth of the box, or two spacings on grids under 16 modes) and
+    uniform center, either bare or modulating white noise.  The product
+    norm ratio is driven by how much two fields overlap, so localized
+    samples probe the large-ratio region that spread flat-spectrum noise
+    never reaches.
     """
     return ModeArray(grid, dealiased_modes(grid, _localized_samples(grid, rng)))
 

@@ -11,11 +11,16 @@ import math
 
 import numpy as np
 
-from kgcharge.propagation import free_evolve
+from kgcharge.propagation import free_evolve, suffix_time_integral
+from kgcharge.series import _pairing_integral as pairing_integral
+from kgcharge.series import _test_function_rows as test_function_rows
+from kgcharge.series import bracket_ds, leaf_table
 from kgcharge.solver import BlowUp
 from kgcharge.spectral import (
     FieldSnapshot,
     ModeArray,
+    dealiased_modes,
+    grid_values,
     pair_modes,
     pointwise_product,
     random_localized_field,
@@ -202,3 +207,38 @@ def per_node_p_residual(psi, traj, s):
     window = -traj.coupling * samples[: j_s + 1]
     integral = (window.sum() - 0.5 * (window[0] + window[-1])) * tgrid.dt
     return abs(bracket(traj.node(j_s)) - bracket(traj.node(0)) + integral)
+
+
+# The order recursion on the full complex spectrum, as the package ran it
+# before it moved to the band of the real half spectrum: every table keeps
+# all N^dim complex columns, and the phase table is rebuilt for each
+# retarded integral.
+
+
+def _full_retarded_integral(grid, tgrid, prod, upper):
+    ph = tgrid.nodes.reshape((-1,) + (1,) * grid.dim) * grid.omega
+    sin_sum = suffix_time_integral(np.sin(ph) * prod, tgrid, upper)
+    cos_sum = suffix_time_integral(np.cos(ph) * prod, tgrid, upper)
+    return (np.cos(ph) * sin_sum - np.sin(ph) * cos_sum) / grid.omega
+
+
+def _full_order_products(snap, tgrid, max_order):
+    grid = snap.grid
+    upper = tgrid.node_index(snap.time)
+    real = snap.phi.real_field and snap.pi.real_field
+    points = [grid_values(grid, leaf_table(snap, tgrid).values, real)]
+    for order in range(1, max_order + 1):
+        prod = dealiased_modes(grid, sum(points[i] * points[order - 1 - i] for i in range(order)))
+        yield prod
+        if order < max_order:
+            points.append(grid_values(grid, _full_retarded_integral(grid, tgrid, prod, upper), real))
+
+
+def full_spectrum_order_amplitudes(psi, snap, tgrid, max_order):
+    """Sum of tree amplitudes per order, order 0 first, on the full complex spectrum."""
+    upper = tgrid.node_index(snap.time)
+    psi_rows = test_function_rows(psi, tgrid)
+    return [bracket_ds(psi, snap)] + [
+        pairing_integral(snap.grid, tgrid, prod, psi_rows, upper)
+        for prod in _full_order_products(snap, tgrid, max_order)
+    ]

@@ -279,6 +279,14 @@ def test_two_dimensional_solve_and_transport(runner, tmp_path):
     assert residuals[-1] < 1e-3 * residuals[0]
 
 
+def test_an_eight_mode_grid_solves_and_transports(runner, tmp_path):
+    cfg = tmp_path / "eight.json"
+    cfg.write_text(json.dumps({"grid": {"L": 20, "Nx": 8}, "out": str(tmp_path / "run")}))
+    assert runner.invoke(main, ["solve", "--config", str(cfg)]).exit_code == 0
+    result = runner.invoke(main, ["transport", "--config", str(cfg)])
+    assert result.exit_code == 0, result.output
+
+
 def test_sweep_needs_three_couplings(runner, tmp_path):
     cfg = write_config(tmp_path, coupling=[0.1, 0.2])
     result = runner.invoke(main, ["sweep", "--config", str(cfg)])

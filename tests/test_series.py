@@ -31,9 +31,15 @@ from kgcharge.series import (
 from kgcharge.series import _test_function_rows as psi_node_rows
 from kgcharge.series import test_function_sup_norm as sup_norm
 from kgcharge.solver import TestFunction, evaluate_test_function, gaussian_field, solve
-from kgcharge.spectral import FieldSnapshot, sobolev_norm, zero_modes
+from kgcharge.spectral import FieldSnapshot, ModeArray, SpectralGrid, sobolev_norm, zero_modes
 from kgcharge.trees import enumerate_trees, from_dyck, graft, leaf
-from oracles import catalan, cherry_amplitude, free_mode_evolution, per_node_p_residual
+from oracles import (
+    catalan,
+    cherry_amplitude,
+    free_mode_evolution,
+    full_spectrum_order_amplitudes,
+    per_node_p_residual,
+)
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +177,39 @@ def test_order_recursion_matches_the_per_tree_sums_in_two_dimensions(rng):
     snap = solve(data, 0.5, tg).snapshots[-1]
     psi = random_test_function(grid2, rng)
     assert_order_sums_match_the_trees(psi, snap, 0.5, tg, max_order=3)
+
+
+# (grid, time grid, slice time s): the desk box and mode count at a smaller
+# nt, a 30-mode line sliced at T/2, and a 16^2 grid
+ORACLE_SETTINGS = {
+    "desk": (SpectralGrid(dim=1, extent=40.0, modes=128, mass=1.0, sobolev_q=1), TimeGrid(0.5, 64), 0.5),
+    "1d-30": (SpectralGrid(dim=1, extent=10.0, modes=30, mass=1.0, sobolev_q=1), TimeGrid(0.4, 32), 0.2),
+    "2d-16": (SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2), TimeGrid(0.4, 16), 0.4),
+}
+
+
+@pytest.mark.parametrize("coupling", [0.0, 0.3])
+@pytest.mark.parametrize("setting_name", sorted(ORACLE_SETTINGS))
+def test_band_recursion_matches_the_full_spectrum_oracle(setting_name, coupling):
+    grid, tg, s = ORACLE_SETTINGS[setting_name]
+    # Gaussian data fill the whole spectrum, so the leaf rows are not band
+    # limited.  A bump psi keeps the pairings free of cancellation: random
+    # band-limited psi on the 40-box flips an amplitude's sign at order 4.
+    data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 1.5), gaussian_field(grid, 0.2, 2.5, 1.0))
+    snap = solve(data, coupling, tg).node(tg.node_index(s))
+    psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5))
+    # a coupling of -1 makes each order's term its amplitude sum
+    report = series(psi, snap, -1.0, tg, max_order=6, c_q=1.0, phi_e_norm=1.0)
+    oracle = full_spectrum_order_amplitudes(psi, snap, tg, max_order=6)
+    for term, want in zip(report.per_order, oracle, strict=True):
+        assert term.order_sum == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_series_refuses_complex_slice_data(setting, tgrid):
+    _, snap, psi, coupling, _ = setting
+    complex_snap = FieldSnapshot(snap.time, ModeArray(snap.grid, snap.phi.values, False), snap.pi)
+    with pytest.raises(ValueError, match="real slice data"):
+        series(psi, complex_snap, coupling, tgrid, max_order=0, c_q=1.0, phi_e_norm=1.0)
 
 
 def test_series_reproduces_the_linear_charge(grid, tgrid, rng):

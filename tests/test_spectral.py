@@ -9,9 +9,13 @@ from kgcharge.spectral import (
     ModeArray,
     SizeMismatch,
     SpectralGrid,
+    band_modes,
+    band_values,
+    dealiased_modes,
     dealiased_product,
     estimate_algebra_constant,
     evaluate_at,
+    grid_values,
     hermitian_defect,
     pair_modes,
     pointwise_product,
@@ -227,6 +231,22 @@ def test_a_square_transforms_its_factor_once(small_grid, rng, monkeypatch, two_d
     monkeypatch.setattr(spectral, "grid_values", lambda *args: calls.append(1) or real_grid_values(*args))
     np.testing.assert_array_equal(dealiased_product(grid, stack, stack), expected)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("two_d", [False, True], ids=["1d", "2d"])
+def test_band_transform_pair_is_the_dealiased_projection(small_grid, rng, two_d):
+    grid = SpectralGrid(dim=2, extent=10.0, modes=8, mass=1.0, sobolev_q=2) if two_d else small_grid
+    kmax = grid.dealias_bound
+    samples = rng.standard_normal((3,) + grid.shape)
+    band = band_modes(grid, samples)
+    assert band.shape == (3,) + (2 * kmax + 1,) * (grid.dim - 1) + (kmax + 1,)
+    projected = grid_values(grid, dealiased_modes(grid, samples), real=True)
+    np.testing.assert_allclose(band_values(grid, band), projected, rtol=0, atol=1e-13)
+    a = np.stack([random_band_limited(grid, rng).values for _ in range(3)])
+    b = np.stack([random_band_limited(grid, rng).values for _ in range(3)])
+    x, y = grid_values(grid, a, real=True), grid_values(grid, b, real=True)
+    cut = dealiased_product(grid, a, b)[(Ellipsis,) + grid.band_index]
+    np.testing.assert_allclose(band_modes(grid, x * y), cut, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("trials, seed", [(1, 0), (25, 3), (40, 11)])

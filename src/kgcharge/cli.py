@@ -8,8 +8,10 @@ produces byte-identical CSV bodies.
 
 Exit codes: 0 success, 1 lemma-check failures, 2 config validation (also a
 stored trajectory missing, or solved from a different grid, time grid,
-coupling or initial data), 3 blow-up during solving, 4 convergence condition
-false without --force, 5 sweep underflow or too few coupling values.
+coupling or initial data, or, for transport, a manifest without the
+solver.phi_e_norm that solve records), 3 blow-up during solving (sweep names
+the coupling that crossed first), 4 convergence condition false without
+--force, 5 sweep underflow or too few coupling values.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .propagation import TimeGrid
 from .series import bracket_ds
 from .series import readout as readout_series
 from .series import series as run_series
-from .solver import BlowUp, TestFunction, dirac_test_function, field_energy_norm, gaussian_field, node_energies
+from .solver import BlowUp, TestFunction, dirac_test_function, gaussian_field, node_energies, solve_couplings
 from .solver import solve as solve_pde
 from .spectral import (
     ModeArray,
@@ -401,6 +403,12 @@ def transport(config_path, out, max_order, force):
     """Sum the tree series at s and compare with the charge at t=0."""
     cfg = _load_config(config_path, max_order=max_order, out=out)
     traj = _read_matching_trajectory(cfg)
+    if "phi_e_norm" not in traj.meta:
+        raise ConfigError(
+            "out",
+            f"the manifest under {_trajectory_dir(cfg)} lacks solver.phi_e_norm "
+            "(written by an earlier kgcharge); run solve again",
+        )
     grid = traj.grid
     psi = cfg.build_test_function(grid)
     target = bracket_ds(psi, traj.node(0))
@@ -414,7 +422,7 @@ def transport(config_path, out, max_order, force):
         target=target,
         window=cfg.window,
         c_q=estimate_algebra_constant(grid),
-        phi_e_norm=field_energy_norm(traj),
+        phi_e_norm=traj.meta["phi_e_norm"],
     )
     if not report.condition_ok:
         if not force:
@@ -451,12 +459,18 @@ def sweep(config_path, out, max_order, seed):
     initial = cfg.build_initial(grid)
     psi = cfg.build_test_function(grid)
     c_q = estimate_algebra_constant(grid)
-
-    def one(coupling: float):
-        traj = solve_pde(initial, coupling, tgrid)
-        target = bracket_ds(psi, traj.node(0))
-        snap = traj.node(tgrid.node_index(cfg.s))
-        return run_series(
+    j_s = tgrid.node_index(cfg.s)
+    try:
+        trajectories = solve_couplings(initial, couplings, tgrid)
+    except BlowUp as exc:
+        _fail(3, f"blow-up at coupling {exc.coupling!r}: {exc}")
+    # Keep only each coupling's slice at s and its norm, so the series runs
+    # with no trajectory held in memory.
+    slices = [(traj.node(j_s).copy(), traj.meta["phi_e_norm"]) for traj in trajectories]
+    del trajectories
+    target = bracket_ds(psi, initial)
+    reports = [
+        run_series(
             psi,
             snap,
             coupling,
@@ -465,13 +479,10 @@ def sweep(config_path, out, max_order, seed):
             target=target,
             window=cfg.window,
             c_q=c_q,
-            phi_e_norm=field_energy_norm(traj),
+            phi_e_norm=phi_e_norm,
         )
-
-    try:
-        reports = [one(c) for c in couplings]
-    except BlowUp as exc:
-        _fail(3, f"blow-up: {exc}")
+        for coupling, (snap, phi_e_norm) in zip(couplings, slices)
+    ]
     for coupling, report in zip(couplings, reports):
         for order, residual in enumerate(report.residuals):
             if residual < 1e-14:

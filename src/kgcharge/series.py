@@ -483,6 +483,14 @@ def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
     return abs(b_s - b_0 - trajectory.coupling * integral)
 
 
+def _band_flow(snap: FieldSnapshot, tgrid: TimeGrid):
+    """The band's ``flow_multipliers`` at the nodes up to s, built once per call."""
+    # built over every node and then cut, so each entry is the value the
+    # whole-grid table holds
+    upper = tgrid.node_index(snap.time)
+    return [m[: upper + 1] for m in flow_multipliers(snap.grid.band_omega, tgrid.nodes)]
+
+
 def _order_products(snap: FieldSnapshot, tgrid: TimeGrid, flow, max_order: int) -> list[np.ndarray]:
     """The band layout of the dealiased sum of W_i W_j over i + j = n - 1, for n = 1..max_order.
 
@@ -490,16 +498,17 @@ def _order_products(snap: FieldSnapshot, tgrid: TimeGrid, flow, max_order: int) 
     space, so the sum of products needs one real forward transform per
     order, and cutting it to the band once equals summing the cut
     products.  The n-th table is both the order-n integrand against psi and
-    the source of W_n = K[product].  ``flow`` is the band's
-    ``flow_multipliers`` at the nodes; W_0, the backward free flow of the
-    slice, comes from its half spectrum.
+    the source of W_n = K[product].  ``flow`` is :func:`_band_flow`; W_0,
+    the backward free flow of the slice, comes from its half spectrum.
+    Every table holds the rows of the nodes up to s only, the nodes the
+    retarded integrals and the pairing reach.
     """
     if not (snap.phi.real_field and snap.pi.real_field):
         raise ValueError("the tree series needs real slice data: phi and pi must be flagged real fields")
     grid = snap.grid
     upper = tgrid.node_index(snap.time)
     half = (Ellipsis, slice(0, grid.half_shape[-1]))
-    leaf_flow = flow_multipliers(grid.omega[half], tgrid.nodes - snap.time)
+    leaf_flow = [m[: upper + 1] for m in flow_multipliers(grid.omega[half], tgrid.nodes - snap.time)]
     points = [half_spectrum_values(grid, flowed_phi(leaf_flow, snap.phi.values[half], snap.pi.values[half]))]
     products = []
     for order in range(1, max_order + 1):
@@ -518,7 +527,6 @@ def _order_amplitudes(psi: TestFunction, snap: FieldSnapshot, tgrid: TimeGrid, f
     leading axes and pairs at +k only.
     """
     grid = snap.grid
-    upper = tgrid.node_index(snap.time)
     plus = grid.band_index
     minus = tuple((-index) % grid.modes for index in plus)
     psi_plus = flowed_phi(flow, psi.psi0.values[plus], psi.psi1.values[plus])
@@ -527,8 +535,12 @@ def _order_amplitudes(psi: TestFunction, snap: FieldSnapshot, tgrid: TimeGrid, f
     axes = tuple(range(1, 1 + grid.dim))
     amplitudes = [bracket_ds(psi, snap)]
     for prod in products:
-        pairs = np.sum(np.conj(prod) * psi_plus, axis=axes) + np.sum(prod * psi_minus, axis=axes)
-        amplitudes.append(_real(complex(time_integral(pairs / grid.volume, tgrid, 0, upper))))
+        # In place, the +k products keep prod's memory layout at any row
+        # count, so each row sums in one order however many rows there are.
+        plus_pairs = np.conj(prod)
+        plus_pairs *= psi_plus
+        pairs = np.sum(plus_pairs, axis=axes) + np.sum(prod * psi_minus, axis=axes)
+        amplitudes.append(_real(complex(_restricted_trapezoid(pairs / grid.volume, tgrid.dt))))
     return amplitudes
 
 
@@ -566,7 +578,7 @@ def series(
             sobolev_norm(snap.pi),
             sobolev_norm(acceleration(snap, coupling)),
         )
-    flow = flow_multipliers(snap.grid.band_omega, tgrid.nodes)
+    flow = _band_flow(snap, tgrid)
     amplitudes = _order_amplitudes(psi, snap, tgrid, flow, _order_products(snap, tgrid, flow, max_order))
     per_order: list[OrderTerm] = []
     partial_sums: list[float] = []
@@ -608,7 +620,7 @@ def readout(
     grid = trajectory.grid
     tgrid = trajectory.tgrid
     snap = trajectory.node(tgrid.node_index(s))
-    flow = flow_multipliers(grid.band_omega, tgrid.nodes)
+    flow = _band_flow(snap, tgrid)
     products = _order_products(snap, tgrid, flow, max_order)
     estimates = []
     for which in ("velocity", "position"):

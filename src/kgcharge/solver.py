@@ -6,11 +6,18 @@ pi <- pi - (dt/2) lambda phi^2 (computed dealiased), the exact free flow for
 dt, and a second half kick.  The scheme is second order in dt and reduces to
 the exact linear evolution when lambda = 0.  A step's closing half kick and
 the next step's opening one see the same phi, so the solver squares phi once
-per node: nt + 1 dealiased products for nt steps.  The per-node diagnostics
-(the energies and the norm that feeds the convergence condition) square the
-whole stack of node fields in one product.  The free-flow multipliers of one
-step are built once per solve, and the grid builds its own Sobolev weights
-once, for the per-node blow-up check.
+per node: nt + 1 dealiased products for nt steps.  The free-flow multipliers
+of one step are built once per solve.
+
+The step loop runs on a stack of couplings with a leading coupling axis:
+solve_couplings steps every coupling of a sweep from the same data at once,
+one transform per node for the whole stack, and solve is its one-row case.
+At each node the loop already holds phi, pi and the kick's phi^2, so it
+forms the acceleration -omega^2 phi - lambda phi^2 and takes the H^q norms
+of all three in one call: phi and pi drive the blow-up check, and the
+running max over nodes is the trajectory's ``phi_e_norm``, the norm that
+feeds the convergence condition.  The node energies that solve records
+square the whole stack of node fields in one product.
 
 Test functions psi solve the linear equation exactly; they are stored as
 Cauchy data at t = 0 and evaluated at any time with the free flow, so
@@ -30,14 +37,20 @@ from .spectral import (
     ModeArray,
     SpectralGrid,
     dealiased_product,
-    sobolev_norm,
     sobolev_norms,
     to_modes,
 )
 
 
 class BlowUp(RuntimeError):
-    """Raised when a trajectory norm exceeds the configured ceiling."""
+    """Raised when a trajectory norm exceeds the configured ceiling.
+
+    ``coupling`` is the coupling of the trajectory that crossed it.
+    """
+
+    def __init__(self, message: str, coupling=None):
+        super().__init__(message)
+        self.coupling = coupling
 
 
 class WidthTooSmall(ValueError):
@@ -110,40 +123,103 @@ def solve(
 ) -> Trajectory:
     """Integrate the nonlinear equation from t = 0 over the whole time grid.
 
-    Raises BlowUp as soon as the H^q norm of phi or pi at a node exceeds
-    ``norm_ceiling``, which signals leaving the perturbative regime.
+    The one-coupling case of :func:`solve_couplings`.  Raises BlowUp as soon
+    as the H^q norm of phi or pi at a node exceeds ``norm_ceiling``, which
+    signals leaving the perturbative regime.
+    """
+    return solve_couplings(initial, [coupling], tgrid, norm_ceiling)[0]
+
+
+def solve_couplings(
+    initial: FieldSnapshot,
+    couplings,
+    tgrid: TimeGrid,
+    norm_ceiling: float = 1e6,
+) -> list[Trajectory]:
+    """One trajectory per coupling, all stepped together from the same data.
+
+    Every row of the stack takes the same arithmetic as a lone solve, so each
+    trajectory is bit for bit the one its coupling gives alone.  Rows with a
+    zero coupling take no kick.  Each trajectory's ``meta["phi_e_norm"]`` is
+    the max over nodes of the H^q norms of phi, pi and the acceleration
+    -omega^2 phi - lambda phi^2, formed from the kick's square.  Stepping
+    stops at the first node where any row's phi or pi norm exceeds
+    ``norm_ceiling``; the BlowUp names that node and carries the first such
+    row's coupling.
     """
     if initial.time != 0.0:
         raise ValueError(f"initial snapshot must be at t=0, got t={initial.time}")
     grid = initial.grid
     dt = tgrid.dt
-    kick = dt / 2.0 * coupling
+    couplings = list(couplings)
+    rows = len(couplings)
+    if not rows:
+        raise ValueError("solve_couplings needs at least one coupling")
     real = initial.phi.real_field and initial.pi.real_field
-    phi, pi = initial.phi.values, initial.pi.values
+    lead = (-1,) + (1,) * grid.dim
+    active = np.flatnonzero([c != 0.0 for c in couplings])
+    # a slice keeps the common all-coupled stack free of gathers
+    act = slice(None) if len(active) == rows else active
+    kicks = np.array([dt / 2.0 * couplings[r] for r in active]).reshape(lead)
+    forcing = np.array([couplings[r] for r in active]).reshape(lead)
     step = flow_multipliers(grid.omega, dt)
-    if coupling != 0.0:
-        phi_sq = dealiased_product(grid, phi, phi, initial.phi.real_field)
-    snapshots = [initial]
+    neg_omega_sq = -(grid.omega**2)
+    diagnosed = np.empty((3, rows) + grid.shape, dtype=complex)
+
+    def square(phi, real_flag):
+        x = phi[act]
+        return dealiased_product(grid, x, x, real_flag) if len(active) else None
+
+    def kicked(pi, phi_sq):
+        if phi_sq is None:
+            return pi
+        if len(active) == rows:
+            return pi - kicks * phi_sq
+        out = pi.copy()
+        out[act] -= kicks * phi_sq
+        return out
+
+    def norms(phi, pi, phi_sq):
+        """H^q norms of phi, pi and the acceleration of every row, shape (3, rows)."""
+        diagnosed[0], diagnosed[1] = phi, pi
+        np.multiply(neg_omega_sq, phi, out=diagnosed[2])
+        if phi_sq is not None:
+            diagnosed[2, act] -= forcing * phi_sq
+        return sobolev_norms(grid, diagnosed)
+
+    phi = np.stack([initial.phi.values] * rows)
+    pi = np.stack([initial.pi.values] * rows)
+    phi_sq = square(phi, initial.phi.real_field)
+    # The first kick squares phi as phi alone is flagged; the norms square
+    # every node, the first too, as phi and pi together are.
+    node_norms = [norms(phi, pi, phi_sq if initial.phi.real_field == real else square(phi, real))]
+    snapshots = [[initial] for _ in range(rows)]
     for j in range(tgrid.nt):
-        if coupling != 0.0:
-            pi = pi - kick * phi_sq
+        pi = kicked(pi, phi_sq)
         phi, pi = apply_flow(step, phi, pi)
-        if coupling != 0.0:
-            # the next step's opening half kick reuses this square
-            phi_sq = dealiased_product(grid, phi, phi, real)
-            pi = pi - kick * phi_sq
+        # the next step's opening half kick reuses this square
+        phi_sq = square(phi, real)
+        pi = kicked(pi, phi_sq)
         # Pin the node time to the grid value; accumulated += dt drifts in
         # the last bits and node_index lookups need exact agreement.
-        current = FieldSnapshot(
-            float(tgrid.nodes[j + 1]), ModeArray(grid, phi, real), ModeArray(grid, pi, real)
+        time = float(tgrid.nodes[j + 1])
+        node = norms(phi, pi, phi_sq)
+        if node[:2].max() > norm_ceiling:
+            first = np.flatnonzero(np.maximum(node[0], node[1]) > norm_ceiling)[0]
+            raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={time}", couplings[first])
+        node_norms.append(node)
+        for r in range(rows):
+            snapshots[r].append(FieldSnapshot(time, ModeArray(grid, phi[r], real), ModeArray(grid, pi[r], real)))
+    peak = np.max(node_norms, axis=(0, 1))
+    return [
+        Trajectory(
+            tgrid,
+            tuple(snapshots[r]),
+            couplings[r],
+            {"scheme": "strang", "dt": dt, "norm_ceiling": norm_ceiling, "phi_e_norm": float(peak[r])},
         )
-        if max(sobolev_norm(current.phi), sobolev_norm(current.pi)) > norm_ceiling:
-            raise BlowUp(
-                f"norm ceiling {norm_ceiling} exceeded at t={current.time}"
-            )
-        snapshots.append(current)
-    meta = {"scheme": "strang", "dt": dt, "norm_ceiling": norm_ceiling}
-    return Trajectory(tgrid, tuple(snapshots), coupling, meta)
+        for r in range(rows)
+    ]
 
 
 def evaluate_test_function(tf: TestFunction, t: float) -> FieldSnapshot:
@@ -195,11 +271,6 @@ def dirac_test_function(
     return TestFunction(g, zero)
 
 
-def _accelerations(grid: SpectralGrid, phi: np.ndarray, coupling: float, real: bool) -> np.ndarray:
-    """-(omega^2 phi_hat) - lambda (phi^2)_hat of one mode table or of every row of a stack."""
-    return -(grid.omega**2) * phi - coupling * dealiased_product(grid, phi, phi, real)
-
-
 def _energies(grid: SpectralGrid, phi: np.ndarray, pi: np.ndarray, coupling: float, real: bool) -> np.ndarray:
     """The energy of every row of stacked (phi, pi) mode tables; see :func:`energy`."""
     n = len(phi)
@@ -219,8 +290,8 @@ def acceleration(snap: FieldSnapshot, coupling: float) -> ModeArray:
     Mode-wise -(omega^2 phi_hat) - lambda (phi^2)_hat with the dealiased
     square, i.e. the right-hand side the discrete flow actually integrates.
     """
-    real = snap.phi.real_field
-    return ModeArray(snap.grid, _accelerations(snap.grid, snap.phi.values, coupling, real), real)
+    grid, phi, real = snap.grid, snap.phi.values, snap.phi.real_field
+    return ModeArray(grid, -(grid.omega**2) * phi - coupling * dealiased_product(grid, phi, phi, real), real)
 
 
 def energy(snap: FieldSnapshot, coupling: float) -> float:
@@ -238,16 +309,3 @@ def node_energies(traj: Trajectory) -> np.ndarray:
     """:func:`energy` at every node, from one stacked square of the node fields."""
     phi, pi = traj.node_values()
     return _energies(traj.grid, phi, pi, traj.coupling, traj.real_field)
-
-
-def field_energy_norm(traj: Trajectory) -> float:
-    """Max over nodes of max(||phi||, ||d/dt phi||, ||d2/dt2 phi||) in H^q.
-
-    The second derivative comes from the equation of motion, so the norm is
-    computable from the recorded snapshots alone; it takes one stacked
-    square of the node fields.
-    """
-    grid = traj.grid
-    phi, pi = traj.node_values()
-    accel = _accelerations(grid, phi, traj.coupling, traj.real_field)
-    return float(max(sobolev_norms(grid, values).max() for values in (phi, pi, accel)))

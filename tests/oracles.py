@@ -11,20 +11,26 @@ import math
 
 import numpy as np
 
-from kgcharge.propagation import free_evolve, suffix_time_integral
+from kgcharge.propagation import flow_multipliers, flowed_phi, free_evolve, suffix_time_integral, time_integral
 from kgcharge.series import _pairing_integral as pairing_integral
+from kgcharge.series import _retarded_integral as retarded_integral
 from kgcharge.series import _test_function_rows as test_function_rows
 from kgcharge.series import bracket_ds, leaf_table
 from kgcharge.solver import BlowUp
 from kgcharge.spectral import (
     FieldSnapshot,
     ModeArray,
+    band_modes,
+    band_values,
     dealiased_modes,
+    dealiased_product,
     grid_values,
+    half_spectrum_values,
     pair_modes,
     pointwise_product,
     random_localized_field,
     sobolev_norm,
+    sobolev_norms,
 )
 from kgcharge.trees import (
     GrowSpec,
@@ -164,6 +170,19 @@ def per_node_field_energy_norm(traj):
     return best
 
 
+def field_energy_norm(traj):
+    """Max over nodes of max(||phi||, ||d/dt phi||, ||d2/dt2 phi||) in H^q, after the solve.
+
+    The second pass over a stored trajectory that the solver's in-loop
+    norms replaced: one stacked square of every node field, the
+    acceleration from the equation of motion, and the three norms.
+    """
+    grid = traj.grid
+    phi, pi = traj.node_values()
+    accel = -(grid.omega**2) * phi - traj.coupling * dealiased_product(grid, phi, phi, traj.real_field)
+    return float(max(sobolev_norms(grid, values).max() for values in (phi, pi, accel)))
+
+
 def node_energy(snap, coupling):
     """Energy of one node with its own square and an np.vdot pairing."""
     grid = snap.grid
@@ -187,6 +206,23 @@ def per_trial_algebra_constant(grid, trials=200, seed=0):
             continue
         best = max(best, sobolev_norm(pointwise_product(f, g)) / (nf * ng))
     return 1.5 * best
+
+
+def per_draw_localized_samples(grid, rng):
+    """Grid samples of one random localized envelope, built axis by axis."""
+    narrow = np.log(2.0 * grid.spacing)
+    width = np.exp(rng.uniform(narrow, max(narrow, np.log(grid.extent / 8.0))))
+    center = rng.uniform(0.0, grid.extent, size=grid.dim)
+    samples = np.ones(grid.shape)
+    for axis in range(grid.dim):
+        d = grid.axis_points - center[axis]
+        d = (d + grid.extent / 2.0) % grid.extent - grid.extent / 2.0
+        shape = [1] * grid.dim
+        shape[axis] = grid.modes
+        samples = samples * np.exp(-(d**2) / (2.0 * width**2)).reshape(shape)
+    if rng.integers(0, 2):
+        samples = samples * rng.standard_normal(grid.shape)
+    return samples
 
 
 def per_node_p_residual(psi, traj, s):
@@ -242,3 +278,34 @@ def full_spectrum_order_amplitudes(psi, snap, tgrid, max_order):
         pairing_integral(snap.grid, tgrid, prod, psi_rows, upper)
         for prod in _full_order_products(snap, tgrid, max_order)
     ]
+
+
+# The band recursion with every table over all nodes of the time grid, as the
+# package ran it before it cut its tables to the nodes up to s: rows past s
+# are built and transformed, and the trapezoid then skips them.
+
+
+def all_rows_order_amplitudes(psi, snap, tgrid, max_order):
+    """Sum of tree amplitudes per order, order 0 first, from tables over every node."""
+    grid = snap.grid
+    upper = tgrid.node_index(snap.time)
+    flow = flow_multipliers(grid.band_omega, tgrid.nodes)
+    half = (Ellipsis, slice(0, grid.half_shape[-1]))
+    leaf_flow = flow_multipliers(grid.omega[half], tgrid.nodes - snap.time)
+    points = [half_spectrum_values(grid, flowed_phi(leaf_flow, snap.phi.values[half], snap.pi.values[half]))]
+    plus = grid.band_index
+    minus = tuple((-index) % grid.modes for index in plus)
+    psi_plus = flowed_phi(flow, psi.psi0.values[plus], psi.psi1.values[plus])
+    psi_minus = flowed_phi(flow, psi.psi0.values[minus], psi.psi1.values[minus])
+    psi_minus[..., 0] = 0.0
+    axes = tuple(range(1, 1 + grid.dim))
+    amplitudes = [bracket_ds(psi, snap)]
+    for order in range(1, max_order + 1):
+        prod = band_modes(grid, sum(points[i] * points[order - 1 - i] for i in range(order)))
+        plus_pairs = np.conj(prod)
+        plus_pairs *= psi_plus
+        pairs = np.sum(plus_pairs, axis=axes) + np.sum(prod * psi_minus, axis=axes)
+        amplitudes.append(complex(time_integral(pairs / grid.volume, tgrid, 0, upper)).real)
+        if order < max_order:
+            points.append(band_values(grid, retarded_integral(flow, tgrid, prod, upper)))
+    return amplitudes

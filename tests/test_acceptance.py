@@ -25,7 +25,6 @@ from kgcharge.series import test_function_sup_norm as sup_norm
 from kgcharge.solver import (
     TestFunction,
     dirac_test_function,
-    field_energy_norm,
     gaussian_field,
     solve,
 )
@@ -49,7 +48,7 @@ from kgcharge.trees import (
     leaf_count,
     signed_grow_sum,
 )
-from oracles import cherry_amplitude
+from oracles import cherry_amplitude, field_energy_norm
 
 COUPLING = 0.2
 SWEEP = (0.05, 0.1, 0.2, 0.4)

@@ -210,6 +210,22 @@ def test_transport_rejects_arrays_that_do_not_fit_the_manifest(runner, tmp_path)
     assert "unreadable trajectory" in result.output
 
 
+def test_transport_reads_the_norm_that_solve_recorded(runner, tmp_path):
+    cfg = run_solved(runner, tmp_path)
+    manifest_path = tmp_path / "run" / "trajectory" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    recorded = manifest["solver"]["phi_e_norm"]
+    assert runner.invoke(main, ["transport", "--config", str(cfg)]).exit_code == 0
+    assert json.loads((tmp_path / "run" / "report.json").read_text())["phi_e_norm"] == recorded
+    # a manifest from a kgcharge that did not record the norm
+    del manifest["solver"]["phi_e_norm"]
+    manifest_path.write_text(json.dumps(manifest))
+    result = runner.invoke(main, ["transport", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert "solver.phi_e_norm" in result.output
+    assert "run solve again" in result.output
+
+
 def test_transport_takes_any_slice_of_the_stored_trajectory(runner, tmp_path):
     run_solved(runner, tmp_path)
     cfg = write_config(tmp_path, name="earlier.json", time={"s": 0.2}, max_order=2, seed=7)
@@ -302,6 +318,32 @@ def test_sweep_fits_slopes_one_past_the_order(runner, tmp_path):
     for order, slope in slopes.items():
         assert slope == pytest.approx(order + 1, abs=0.2)
     assert (tmp_path / "run" / "sweep_residuals.csv").exists()
+
+
+def test_sweep_rows_are_the_transport_reports_of_lone_solves(runner, tmp_path):
+    couplings = [0.1, 0.2, 0.4]
+    cfg = write_config(tmp_path, coupling=couplings, max_order=2)
+    assert runner.invoke(main, ["sweep", "--config", str(cfg)]).exit_code == 0
+    with open(tmp_path / "run" / "sweep_residuals.csv", newline="") as fh:
+        swept = [(row["residual"], row["partial_sum"]) for row in csv.DictReader(fh)]
+    lone = []
+    for coupling in couplings:
+        one = run_solved(runner, tmp_path, name=f"lone_{coupling}.json", coupling=coupling, max_order=2)
+        assert runner.invoke(main, ["transport", "--config", str(one), "--force"]).exit_code == 0
+        with open(tmp_path / "run" / "report.csv", newline="") as fh:
+            lone += [(row["residual"], row["partial_sum"]) for row in csv.DictReader(fh)]
+    assert swept == lone
+
+
+def test_sweep_blow_up_names_the_coupling_that_crossed_first(runner, tmp_path):
+    # on the desk grid 900 crosses the ceiling at an earlier node than 400,
+    # though 400 comes first in the list; the stacked solve stops there
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"coupling": [0.05, 400.0, 0.1, 900.0], "out": str(tmp_path / "run")}))
+    result = runner.invoke(main, ["sweep", "--config", str(cfg)])
+    assert result.exit_code == 3
+    assert "blow-up at coupling 900.0: norm ceiling 1000000.0 exceeded at t=0.240234375" in result.output
+    assert not (tmp_path / "run" / "sweep_residuals.csv").exists()
 
 
 def test_sweep_accepts_threads_only_as_one(runner, tmp_path):

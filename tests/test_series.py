@@ -34,6 +34,7 @@ from kgcharge.solver import TestFunction, evaluate_test_function, gaussian_field
 from kgcharge.spectral import FieldSnapshot, ModeArray, SpectralGrid, sobolev_norm, zero_modes
 from kgcharge.trees import enumerate_trees, from_dyck, graft, leaf
 from oracles import (
+    all_rows_order_amplitudes,
     catalan,
     cherry_amplitude,
     free_mode_evolution,
@@ -205,6 +206,25 @@ def test_band_recursion_matches_the_full_spectrum_oracle(setting_name, coupling)
         assert term.order_sum == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
+# (grid, time grid): the desk grid at its own nt, a 30-mode line and a 16^2
+# grid, each sliced at T/2, where half the rows lie past s
+HALF_SLICE_SETTINGS = {
+    "desk": (SpectralGrid(dim=1, extent=40.0, modes=128, mass=1.0, sobolev_q=1), TimeGrid(0.5, 512)),
+    "1d-30": (SpectralGrid(dim=1, extent=10.0, modes=30, mass=1.0, sobolev_q=1), TimeGrid(0.4, 32)),
+    "2d-16": (SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2), TimeGrid(0.4, 16)),
+}
+
+
+@pytest.mark.parametrize("setting_name", sorted(HALF_SLICE_SETTINGS))
+def test_tables_cut_at_s_match_the_tables_over_every_node_bit_for_bit(setting_name):
+    grid, tg = HALF_SLICE_SETTINGS[setting_name]
+    data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 1.5), gaussian_field(grid, 0.2, 2.5, 1.0))
+    snap = solve(data, 0.3, tg).node(tg.nt // 2)
+    psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 0.5, 2.0, 1.0))
+    report = series(psi, snap, -1.0, tg, max_order=6, c_q=1.0, phi_e_norm=1.0)
+    assert [term.order_sum for term in report.per_order] == all_rows_order_amplitudes(psi, snap, tg, 6)
+
+
 def test_series_refuses_complex_slice_data(setting, tgrid):
     _, snap, psi, coupling, _ = setting
     complex_snap = FieldSnapshot(snap.time, ModeArray(snap.grid, snap.phi.values, False), snap.pi)
@@ -320,7 +340,7 @@ def test_first_order_bound_shape():
 
 
 def test_measured_residual_obeys_the_first_order_bound(setting, grid, tgrid):
-    from kgcharge.solver import field_energy_norm
+    from oracles import field_energy_norm
     from kgcharge.spectral import estimate_algebra_constant
 
     traj, snap, psi, coupling, target = setting

@@ -14,14 +14,15 @@ from kgcharge.solver import (
     dirac_test_function,
     energy,
     evaluate_test_function,
-    field_energy_norm,
     gaussian_field,
     node_energies,
     solve,
+    solve_couplings,
 )
 from kgcharge.spectral import (
     FieldSnapshot,
     GridMismatch,
+    ModeArray,
     SpectralGrid,
     evaluate_at,
     sobolev_norm,
@@ -29,7 +30,7 @@ from kgcharge.spectral import (
     to_modes,
     zero_modes,
 )
-from oracles import node_energy, per_node_field_energy_norm, strang_with_fresh_kicks
+from oracles import field_energy_norm, node_energy, per_node_field_energy_norm, strang_with_fresh_kicks
 
 # A 1-D grid and an 8 x 8 grid for the checks that the stacked and shared
 # squares reproduce the one-product-per-call loops bit for bit.
@@ -114,6 +115,87 @@ def test_stacked_node_diagnostics_match_the_per_node_loops(grid, coupling, rng):
         literal = [node_energy(snap, traj.coupling) for snap in traj.snapshots]
         assert node_energies(traj).tolist() == literal
         assert [energy(snap, traj.coupling) for snap in traj.snapshots] == literal
+
+
+# Couplings for the stacked solves: zero (no kick), a negative and a large one
+STACK_COUPLINGS = [0.3, 0.0, -0.4, 20.0]
+STACK_GRIDS = [
+    SpectralGrid(dim=1, extent=20.0, modes=32, mass=1.0, sobolev_q=1),
+    SpectralGrid(dim=1, extent=20.0, modes=30, mass=1.0, sobolev_q=1),
+    SpectralGrid(dim=2, extent=10.0, modes=8, mass=1.0, sobolev_q=2),
+]
+
+
+def assert_same_trajectory(got, want):
+    assert got.coupling == want.coupling
+    assert got.meta == want.meta
+    assert len(got.snapshots) == len(want.snapshots)
+    for a, b in zip(got.snapshots, want.snapshots):
+        assert a.time == b.time
+        # bytes, so the sign of a zero counts too
+        assert a.phi.values.tobytes() == b.phi.values.tobytes()
+        assert a.pi.values.tobytes() == b.pi.values.tobytes()
+        assert (a.phi.real_field, a.pi.real_field) == (b.phi.real_field, b.pi.real_field)
+
+
+@pytest.mark.parametrize("grid", STACK_GRIDS, ids=["1d-32", "1d-30", "2d-8"])
+def test_stacked_couplings_match_lone_solves_bit_for_bit(grid, rng):
+    data = random_snapshot(grid, rng)
+    tg = TimeGrid(horizon=0.5, nt=16)
+    stacked = solve_couplings(data, STACK_COUPLINGS, tg)
+    assert len(stacked) == len(STACK_COUPLINGS)
+    for coupling, traj in zip(STACK_COUPLINGS, stacked):
+        assert_same_trajectory(traj, solve(data, coupling, tg))
+
+
+@pytest.mark.parametrize("grid", STACK_GRIDS, ids=["1d-32", "1d-30", "2d-8"])
+def test_in_loop_norm_is_the_field_energy_norm(grid, rng):
+    data = random_snapshot(grid, rng)
+    for traj in solve_couplings(data, STACK_COUPLINGS, TimeGrid(horizon=0.5, nt=16)):
+        assert traj.meta["phi_e_norm"] == field_energy_norm(traj)
+
+
+def test_a_complex_coupling_solves_complex_flagged_data(rng):
+    # the reversed-flow identity needs lambda off the real axis; complex
+    # data must then be flagged so no transform drops an imaginary part
+    grid = STACK_GRIDS[0]
+    real = random_snapshot(grid, rng)
+    data = FieldSnapshot(0.0, ModeArray(grid, real.phi.values, False), ModeArray(grid, real.pi.values, False))
+    tg = TimeGrid(horizon=0.5, nt=16)
+    coupling = 0.3 + 0.2j
+    traj = solve(data, coupling, tg)
+    literal = strang_with_fresh_kicks(data, coupling, tg)
+    for got, want in zip(traj.snapshots, literal, strict=True):
+        assert got.phi.values.tobytes() == want.phi.values.tobytes()
+        assert got.pi.values.tobytes() == want.pi.values.tobytes()
+        assert not got.phi.real_field
+    assert traj.meta["phi_e_norm"] == field_energy_norm(traj)
+    couplings = [0.2, coupling, 0.0]
+    for c, stacked in zip(couplings, solve_couplings(data, couplings, tg)):
+        assert_same_trajectory(stacked, solve(data, c, tg))
+
+
+def test_a_stack_stops_at_the_first_node_any_coupling_crosses(small_grid):
+    data = gaussian_data(small_grid, amplitude=2.0)
+    tg = TimeGrid(1.0, 64)
+    ceiling = 1.5 * sobolev_norm(data.phi)
+    lone = {}
+    for coupling in (5.0, 9.0):
+        with pytest.raises(BlowUp) as exc:
+            solve(data, coupling, tg, norm_ceiling=ceiling)
+        assert exc.value.coupling == coupling
+        lone[coupling] = str(exc.value)
+    assert lone[5.0] != lone[9.0]
+    # 9.0 crosses first although 5.0 comes first in the list
+    with pytest.raises(BlowUp) as stacked:
+        solve_couplings(data, [0.1, 5.0, 0.2, 9.0], tg, norm_ceiling=ceiling)
+    assert str(stacked.value) == lone[9.0]
+    assert stacked.value.coupling == 9.0
+    # 9.5 crosses at 9.0's node too: the first in list order is named
+    with pytest.raises(BlowUp) as tied:
+        solve_couplings(data, [0.1, 9.0, 9.5], tg, norm_ceiling=ceiling)
+    assert str(tied.value) == lone[9.0]
+    assert tied.value.coupling == 9.0
 
 
 def test_blow_up_is_reported(small_grid):

@@ -28,7 +28,7 @@ from kgcharge.spectral import (
 )
 from kgcharge import spectral
 from kgcharge.series import _mode_convolution
-from oracles import folded_convolution, per_trial_algebra_constant, signed_mode_index
+from oracles import folded_convolution, per_draw_localized_samples, per_trial_algebra_constant, signed_mode_index
 
 
 def test_grid_validation():
@@ -255,6 +255,27 @@ def test_stacked_algebra_constant_matches_the_per_trial_loop(small_grid, two_d, 
     # localized draws need two spacings below an eighth of the box: 16 modes at least
     grid = SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2) if two_d else small_grid
     assert estimate_algebra_constant(grid, trials, seed) == per_trial_algebra_constant(grid, trials, seed)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        SpectralGrid(dim=1, extent=20.0, modes=16, mass=1.0, sobolev_q=1),
+        SpectralGrid(dim=1, extent=37.0, modes=30, mass=1.0, sobolev_q=1),
+        SpectralGrid(dim=1, extent=20.0, modes=32, mass=1.0, sobolev_q=1),
+        SpectralGrid(dim=1, extent=40.0, modes=128, mass=1.0, sobolev_q=1),
+        SpectralGrid(dim=2, extent=20.0, modes=16, mass=1.0, sobolev_q=2),
+        SpectralGrid(dim=2, extent=10.0, modes=8, mass=1.0, sobolev_q=2),
+    ],
+    ids=["1d-16", "1d-30", "1d-32", "1d-128", "2d-16", "2d-8"],
+)
+def test_localized_draws_match_the_per_draw_loop_bit_for_bit(grid):
+    batched, looped = np.random.default_rng(4), np.random.default_rng(4)
+    samples = spectral._localized_samples(grid, batched, 60)
+    want = np.stack([per_draw_localized_samples(grid, looped) for _ in range(60)])
+    assert samples.tobytes() == want.tobytes()
+    # both left the generator at the same state
+    assert batched.uniform() == looped.uniform()
 
 
 def test_single_mode_pair_is_dominated(small_grid):

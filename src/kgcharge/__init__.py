@@ -10,7 +10,7 @@ convergence bounds, a nonlinear solver to produce ground truth, and a CLI
 for reproducible experiments.
 """
 
-from .propagation import TimeGrid, TimeSampledField, free_evolve, green_apply, time_integral
+from .propagation import TimeGrid, free_evolve, time_integral
 from .series import (
     ChargeReport,
     DeltaNormCheck,
@@ -18,15 +18,11 @@ from .series import (
     bracket_ds,
     convergence_condition,
     delta_norm_bound_check,
-    direct_amplitude,
     first_order_bound,
-    leaf_table,
     p_residual,
     radius_bound,
     readout,
     series,
-    subtree_table,
-    tree_amplitude,
 )
 from .solver import (
     BlowUp,
@@ -44,11 +40,8 @@ from .spectral import (
     SizeMismatch,
     SpectralGrid,
     estimate_algebra_constant,
-    pointwise_product,
     random_band_limited,
-    random_localized_field,
     sobolev_norm,
-    to_grid,
     to_modes,
 )
 from .trees import (

@@ -6,18 +6,21 @@ under the configured output directory, plus the trajectory archive and its
 manifest that solve writes; rerunning a command with the same config and seed
 produces byte-identical CSV bodies.
 
-Exit codes: 0 success, 1 lemma-check failures, 2 config validation (also a
-stored trajectory missing, or solved from a different grid, time grid,
-coupling or initial data, or, for transport, a manifest without the
-solver.phi_e_norm that solve records), 3 blow-up during solving (sweep names
-the coupling that crossed first), 4 convergence condition false without
---force, 5 sweep underflow or too few coupling values.
+Exit codes: 0 success, 1 lemma-check failures, 2 config validation (a
+number that is not finite or a negative seed among them; also a stored
+trajectory missing, or solved from a different grid, time grid, coupling or
+initial data, or, for transport, a manifest without the solver.phi_e_norm
+that solve records), 3 blow-up during solving (sweep names the coupling that
+crossed first), 4 convergence condition false without --force, 5 sweep
+underflow or fewer than 3 distinct coupling magnitudes (the slopes are
+fitted in log|coupling|, so a sign flip adds no point).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -98,11 +101,19 @@ class ConfigError(Exception):
         self.field = field
 
 
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {value}")
+    return value
+
+
 def _get(section: dict, section_name: str, key: str, cast, default):
+    """The field cast by ``cast``; a ConfigError names its path if that fails or a float is not finite."""
     raw = section.get(key, default)
     try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
+        value = cast(raw)
+        return _finite(value) if cast is float else value
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{section_name}.{key}" if section_name else key, str(exc)) from exc
 
 
@@ -180,8 +191,8 @@ class ExperimentConfig:
     def coupling_list(self) -> list[float]:
         values = self.coupling if isinstance(self.coupling, (list, tuple)) else [self.coupling]
         try:
-            return [float(v) for v in values]
-        except (TypeError, ValueError) as exc:
+            return [_finite(float(v)) for v in values]
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError("coupling", str(exc)) from exc
 
     def coupling_scalar(self) -> float:
@@ -212,6 +223,8 @@ class ExperimentConfig:
         self.build_tgrid()
         self.coupling_list()
         initial = self.initial_spec()
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be at least 0, got {self.seed}")
         if not 0 <= self.max_order <= DEFAULT_ENUMERATION_CAP:
             raise ConfigError(
                 "max_order", f"must be between 0 and {DEFAULT_ENUMERATION_CAP}"
@@ -452,8 +465,9 @@ def sweep(config_path, out, max_order, seed):
     """Solve and transport across a coupling list; fit residual slopes."""
     cfg = _load_config(config_path, max_order=max_order, seed=seed, out=out)
     couplings = cfg.coupling_list()
-    if len(couplings) < 3:
-        _fail(5, f"sweep needs at least 3 coupling values, got {len(couplings)}")
+    magnitudes = len({abs(c) for c in couplings})
+    if magnitudes < 3:
+        _fail(5, f"sweep needs at least 3 distinct coupling magnitudes, got {magnitudes}")
     grid = cfg.build_grid()
     tgrid = cfg.build_tgrid()
     initial = cfg.build_initial(grid)

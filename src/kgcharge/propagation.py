@@ -6,14 +6,17 @@ frequency omega = sqrt(m^2 + |k|^2), so evolution and the retarded kernels
     G0: f_hat(k) -> theta(t - tau) * sin((t - tau) omega) / omega * f_hat(k)
     G1: f_hat(k) -> theta(t - tau) * cos((t - tau) omega) * f_hat(k)
 
-are plain Fourier multipliers.  flow_multipliers is the one closed form of
+are plain Fourier multipliers (tests/oracles.py applies them node by node
+as green_apply).  flow_multipliers is the one closed form of
 the free evolution; free_flow applies it to a single snapshot or a whole
 stack of node lags, and callers that flow by the same lags many times build
-the multipliers once.  Time
-integrals throughout the package use a
-single composite trapezoid rule on the uniform node set of a
-:class:`TimeGrid`; inner integrals that start at a node use the same rule
-restricted to the trailing nodes, so nothing is ever interpolated in time.
+the multipliers once.
+
+Time integrals throughout the package use one composite trapezoid rule on
+the uniform node set of a :class:`TimeGrid`: time_integral over a node
+range, and suffix_time_integral for every trailing range at once, which the
+retarded kernels' inner integrals need.  Nothing is ever interpolated in
+time.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import FieldSnapshot, GridMismatch, ModeArray, SpectralGrid
+from .spectral import FieldSnapshot, ModeArray, SpectralGrid
 
 
 @dataclass(frozen=True)
@@ -57,26 +60,6 @@ class TimeGrid:
         if j < 0 or j > self.nt or abs(self.nodes[j] - t) > 1e-9 * max(1.0, self.horizon):
             raise ValueError(f"time {t} is not a node of {self}")
         return j
-
-
-@dataclass(eq=False)
-class TimeSampledField:
-    """One mode array per time node, stored stacked for vector arithmetic."""
-
-    grid: SpectralGrid
-    tgrid: TimeGrid
-    values: np.ndarray
-    real_field: bool = True
-
-    def __post_init__(self) -> None:
-        expected = (self.tgrid.nnodes,) + self.grid.shape
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != expected:
-            raise ValueError(f"values shape {values.shape} does not match {expected}")
-        self.values = values
-
-    def node(self, j: int) -> ModeArray:
-        return ModeArray(self.grid, self.values[j], self.real_field)
 
 
 def flow_multipliers(omega: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -122,40 +105,23 @@ def free_evolve(snap: FieldSnapshot, dt: float) -> FieldSnapshot:
     )
 
 
-def green_apply(kind: str, t: float, tau: float, f: ModeArray) -> ModeArray:
-    """Apply the retarded kernel G0 or G1 evaluated at (t, tau) to f.
-
-    Returns the zero array for t < tau; the Heaviside factor takes the
-    value 1 at t == tau.
-    """
-    if kind not in ("G0", "G1"):
-        raise ValueError(f"kind must be 'G0' or 'G1', got {kind!r}")
-    grid = f.grid
-    if t < tau:
-        return ModeArray(grid, np.zeros(grid.shape, dtype=complex), f.real_field)
-    w = grid.omega
-    if kind == "G0":
-        mult = np.sin((t - tau) * w) / w
-    else:
-        mult = np.cos((t - tau) * w)
-    return ModeArray(grid, mult * f.values, f.real_field)
-
-
 def time_integral(samples, tgrid: TimeGrid, start: int = 0, stop: int | None = None):
     """Composite trapezoid of node samples over [tau_start, tau_stop].
 
-    ``samples`` is indexed by node along its first axis; scalars per node
-    give a scalar result, stacked mode arrays integrate mode-wise.  The
-    degenerate range start == stop integrates to zero.
+    ``samples`` is indexed by node along its first axis and must reach node
+    ``stop``; rows past it are not read, so tables cut at ``stop`` need no
+    padding.  Scalars per node give a scalar result, stacked mode arrays
+    integrate mode-wise.  The degenerate range start == stop integrates to
+    zero.
     """
     if stop is None:
         stop = tgrid.nt
     if not 0 <= start <= stop <= tgrid.nt:
         raise ValueError(f"bad node range [{start}, {stop}] for nt={tgrid.nt}")
     samples = np.asarray(samples)
-    if samples.shape[0] != tgrid.nnodes:
+    if samples.shape[0] <= stop:
         raise ValueError(
-            f"samples first axis has length {samples.shape[0]}, expected {tgrid.nnodes}"
+            f"samples first axis has length {samples.shape[0]}, too short to reach node {stop}"
         )
     if start == stop:
         return samples[0] * 0.0
@@ -167,9 +133,11 @@ def time_integral(samples, tgrid: TimeGrid, start: int = 0, stop: int | None = N
 def suffix_time_integral(samples: np.ndarray, tgrid: TimeGrid, upper: int) -> np.ndarray:
     """All trailing trapezoids at once: out[j] integrates nodes j..upper.
 
-    Rows past ``upper`` are zero.  Equivalent to calling
-    ``time_integral(samples, tgrid, j, upper)`` for every j, but in one
-    reversed cumulative sum.
+    ``samples`` must reach node ``upper``, as for :func:`time_integral`;
+    rows of the result past ``upper`` are zero.  Row j is the trapezoid
+    ``time_integral(samples, tgrid, j, upper)`` up to rounding (the sums
+    run in another order), and all rows come from one reversed cumulative
+    sum.
     """
     if not 0 <= upper <= tgrid.nt:
         raise ValueError(f"upper node {upper} outside grid with nt={tgrid.nt}")

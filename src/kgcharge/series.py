@@ -40,11 +40,10 @@ it pairs each band entry with psi at +k and, through the conjugate half,
 at -k, and the last-axis j = 0 column, whose -k entries are already in the
 band, pairs once.  Only slice data flagged real are accepted.
 
-Two oracles stay beside it in this module: the per-tree tables
-(tree_amplitude, memoized by Dyck word in an AmplitudeCache) and a literal
-nested-loop evaluator (direct_amplitude) with no table shortcut, which
-covers orders <= 2.  The full-spectrum form of the recursion lives in the
-tests as the reference for the band form.
+This order recursion is the package's one evaluation of the series.  The
+references it is checked against live in the tests (tests/oracles.py): the
+per-tree tables memoized by Dyck word, a literal nested-loop evaluator with
+no table shortcut, and the full-spectrum form of the recursion.
 
 All time integrals restrict their trapezoid weights to the nodes inside the
 integrand's support (the step cutoffs of the retarded kernels), so results
@@ -53,7 +52,6 @@ do not change when the time grid extends past s.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -62,11 +60,9 @@ import numpy as np
 
 from .propagation import (
     TimeGrid,
-    TimeSampledField,
     flow_multipliers,
     flowed_phi,
     free_flow,
-    green_apply,
     suffix_time_integral,
     time_integral,
 )
@@ -74,7 +70,6 @@ from .solver import TestFunction, Trajectory, acceleration, dirac_test_function,
 from .spectral import (
     FieldSnapshot,
     GridMismatch,
-    ModeArray,
     SpectralGrid,
     band_modes,
     band_values,
@@ -86,29 +81,17 @@ from .spectral import (
     sobolev_norm,
     sobolev_norms,
 )
-from .trees import Tree, decompose, internal_count, leaf_count, to_dyck
+from .trees import Tree, decompose, internal_count, leaf_count
 
 
 class OrderTooHigh(ValueError):
-    """Raised when a literal evaluator is asked for a tree it cannot afford."""
+    """Raised when a tree's order is past what an evaluator or a check supports."""
 
 
 class OrderTerm(NamedTuple):
     order: int
     tree_count: int
     order_sum: float
-
-
-@dataclass(eq=False)
-class AmplitudeCache:
-    """Subtree tables keyed by Dyck word.
-
-    Valid only for one (snapshot at s, time grid) pair; the caller owns that
-    association.  Sharing one cache across test functions is safe because
-    tables never depend on psi.
-    """
-
-    tables: dict[str, TimeSampledField] = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -191,166 +174,6 @@ def bracket_ds(psi: TestFunction, snap: FieldSnapshot) -> float:
         raise GridMismatch("test function and snapshot live on different grids")
     at_s = evaluate_test_function(psi, snap.time)
     return _real(pair_modes(at_s.pi, snap.phi) - pair_modes(at_s.phi, snap.pi))
-
-
-def leaf_table(snap: FieldSnapshot, tgrid: TimeGrid) -> TimeSampledField:
-    """Backward free evolution of the slice data to every node.
-
-    Row j holds cos((s-tau_j) omega) phi_hat(s) - sin((s-tau_j) omega)/omega
-    pi_hat(s), the value at tau_j of the free solution matching the data at
-    s.  Rows past s are filled too; consumers that need the step cutoff
-    restrict their quadrature instead.
-    """
-    rows, _ = free_flow(snap.grid, snap.phi.values, snap.pi.values, tgrid.nodes - snap.time)
-    real = snap.phi.real_field and snap.pi.real_field
-    return TimeSampledField(snap.grid, tgrid, rows, real)
-
-
-def subtree_table(b: Tree, cache: AmplitudeCache, snap: FieldSnapshot, tgrid: TimeGrid) -> TimeSampledField:
-    """The recursion table w_b, memoized in the cache by Dyck word."""
-    key = to_dyck(b)
-    hit = cache.tables.get(key)
-    if hit is not None:
-        return hit
-    if b.is_leaf:
-        table = leaf_table(snap, tgrid)
-    else:
-        b1, b2 = decompose(b)
-        w1 = subtree_table(b1, cache, snap, tgrid)
-        w2 = subtree_table(b2, cache, snap, tgrid)
-        grid = snap.grid
-        upper = tgrid.node_index(snap.time)
-        prod = dealiased_product(grid, w1.values, w2.values, w1.real_field and w2.real_field)
-        rows = _retarded_integral(flow_multipliers(grid.omega, tgrid.nodes), tgrid, prod, upper)
-        table = TimeSampledField(grid, tgrid, rows, w1.real_field and w2.real_field)
-    cache.tables[key] = table
-    return table
-
-
-def tree_amplitude(
-    b: Tree,
-    psi: TestFunction,
-    snap: FieldSnapshot,
-    tgrid: TimeGrid,
-    cache: AmplitudeCache | None = None,
-) -> float:
-    """Amplitude of one tree: the outer integral of <psi(tau), child product>.
-
-    The leaf tree is the bare pairing at s.  Passing no cache evaluates from
-    scratch; passing one reuses and extends its subtree tables.
-    """
-    if psi.grid != snap.grid:
-        raise GridMismatch("test function and snapshot live on different grids")
-    if b.is_leaf:
-        return bracket_ds(psi, snap)
-    if cache is None:
-        cache = AmplitudeCache()
-    b1, b2 = decompose(b)
-    w1 = subtree_table(b1, cache, snap, tgrid)
-    w2 = subtree_table(b2, cache, snap, tgrid)
-    grid = snap.grid
-    upper = tgrid.node_index(snap.time)
-    prod = dealiased_product(grid, w1.values, w2.values, w1.real_field and w2.real_field)
-    return _pairing_integral(grid, tgrid, prod, _test_function_rows(psi, tgrid), upper)
-
-
-def _mode_convolution(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Reference dealiased product: circular mode convolution, no transforms.
-
-    h_hat(j) = (1/V) sum over j1 + j2 = j (mod modes) of a(j1) b(j2), then
-    modes outside the kept band are zeroed.
-    """
-    n = grid.modes
-    if grid.dim == 1:
-        full = np.convolve(np.fft.fftshift(a), np.fft.fftshift(b))
-        out = np.zeros(n, dtype=complex)
-        # Entry p of the full convolution carries mode sum p - n; fold the
-        # sums back into FFT storage order modulo n.
-        np.add.at(out, (np.arange(2 * n - 1) - n) % n, full)
-    else:
-        out = np.zeros(grid.shape, dtype=complex)
-        for j1 in np.ndindex(grid.shape):
-            for j2 in np.ndindex(grid.shape):
-                target = tuple((i1 + i2) % n for i1, i2 in zip(j1, j2))
-                out[target] += a[j1] * b[j2]
-    out /= grid.volume
-    return np.where(grid.keep_mask, out, 0.0)
-
-
-def _restricted_trapezoid(samples: np.ndarray, dt: float) -> complex:
-    """Trapezoid over the given consecutive samples (half weights at ends)."""
-    if samples.shape[0] < 2:
-        return 0.0 * samples.sum()
-    return (samples.sum(axis=0) - 0.5 * (samples[0] + samples[-1])) * dt
-
-
-def _slot_rows(
-    b: Tree,
-    alphas,
-    snap: FieldSnapshot,
-    tgrid: TimeGrid,
-    upper: int,
-) -> np.ndarray:
-    """Literal leg of one subtree into its parent vertex, node by node.
-
-    For a leaf the leg is the retarded kernel at the contraction time s
-    applied to phi(s) (derivative order 1) or pi(s) (order 0), built with
-    one green_apply call per node.  For an internal vertex the leg nests an
-    explicit per-node kernel integral over the convolved child legs.
-    """
-    grid = snap.grid
-    rows = np.zeros((tgrid.nnodes,) + grid.shape, dtype=complex)
-    if b.is_leaf:
-        a = next(alphas)
-        kind = "G1" if a == 1 else "G0"
-        data = snap.phi if a == 1 else snap.pi
-        for j in range(upper + 1):
-            rows[j] = green_apply(kind, snap.time, float(tgrid.nodes[j]), data).values
-        return rows
-    b1, b2 = decompose(b)
-    left = _slot_rows(b1, alphas, snap, tgrid, upper)
-    right = _slot_rows(b2, alphas, snap, tgrid, upper)
-    conv = np.zeros_like(rows)
-    for i in range(upper + 1):
-        conv[i] = _mode_convolution(grid, left[i], right[i])
-    for j in range(upper + 1):
-        lags = (tgrid.nodes[j : upper + 1] - tgrid.nodes[j]).reshape((-1,) + (1,) * grid.dim)
-        kernel = np.sin(lags * grid.omega) / grid.omega
-        rows[j] = _restricted_trapezoid(kernel * conv[j : upper + 1], tgrid.dt)
-    return rows
-
-
-def direct_amplitude(b: Tree, psi: TestFunction, snap: FieldSnapshot, tgrid: TimeGrid) -> float:
-    """Literal nested evaluation of a tree amplitude, orders 0 to 2 only.
-
-    Expands the boundary contraction over all per-leaf derivative choices
-    with signs, builds every leg through green_apply, and convolves modes
-    directly, with no shared tables and no transform tricks.  Cost grows as
-    nt^(order+1); OrderTooHigh guards the cliff.
-    """
-    if internal_count(b) > 2:
-        raise OrderTooHigh(f"direct evaluation supports order <= 2, got {internal_count(b)}")
-    if b.is_leaf:
-        return bracket_ds(psi, snap)
-    if psi.grid != snap.grid:
-        raise GridMismatch("test function and snapshot live on different grids")
-    grid = snap.grid
-    upper = tgrid.node_index(snap.time)
-    b1, b2 = decompose(b)
-    nleaves = leaf_count(b)
-    total = 0.0
-    for alpha in itertools.product((0, 1), repeat=nleaves):
-        alphas = iter(alpha)
-        left = _slot_rows(b1, alphas, snap, tgrid, upper)
-        right = _slot_rows(b2, alphas, snap, tgrid, upper)
-        samples = np.zeros(upper + 1, dtype=complex)
-        for j in range(upper + 1):
-            prod = _mode_convolution(grid, left[j], right[j])
-            psi_j = evaluate_test_function(psi, float(tgrid.nodes[j])).phi
-            samples[j] = pair_modes(ModeArray(grid, prod, False), psi_j)
-        sign = (-1.0) ** (nleaves - sum(alpha))
-        total += sign * _real(complex(_restricted_trapezoid(samples, tgrid.dt)))
-    return total
 
 
 def radius_bound(snap: FieldSnapshot, window: float, c_q: float) -> float:
@@ -527,6 +350,7 @@ def _order_amplitudes(psi: TestFunction, snap: FieldSnapshot, tgrid: TimeGrid, f
     leading axes and pairs at +k only.
     """
     grid = snap.grid
+    upper = tgrid.node_index(snap.time)
     plus = grid.band_index
     minus = tuple((-index) % grid.modes for index in plus)
     psi_plus = flowed_phi(flow, psi.psi0.values[plus], psi.psi1.values[plus])
@@ -540,7 +364,7 @@ def _order_amplitudes(psi: TestFunction, snap: FieldSnapshot, tgrid: TimeGrid, f
         plus_pairs = np.conj(prod)
         plus_pairs *= psi_plus
         pairs = np.sum(plus_pairs, axis=axes) + np.sum(prod * psi_minus, axis=axes)
-        amplitudes.append(_real(complex(_restricted_trapezoid(pairs / grid.volume, tgrid.dt))))
+        amplitudes.append(_real(complex(time_integral(pairs / grid.volume, tgrid, 0, upper))))
     return amplitudes
 
 

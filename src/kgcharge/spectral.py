@@ -182,8 +182,8 @@ class ModeArray:
     ``real_field`` records that the array represents a real field, i.e. it
     is Hermitian symmetric (value at -k equals the conjugate of the value at
     k).  The flag is set by :func:`to_modes` and preserved by every
-    real-field operation; :func:`hermitian_defect` measures how well an
-    array actually satisfies the symmetry.
+    real-field operation.  The tests measure how well an array actually
+    satisfies the symmetry (``hermitian_defect`` in tests/oracles.py).
     """
 
     grid: SpectralGrid
@@ -200,10 +200,6 @@ class ModeArray:
 
     def copy(self) -> "ModeArray":
         return ModeArray(self.grid, self.values.copy(), self.real_field)
-
-
-def zero_modes(grid: SpectralGrid) -> ModeArray:
-    return ModeArray(grid, np.zeros(grid.shape, dtype=complex))
 
 
 @dataclass(eq=False)
@@ -286,18 +282,6 @@ def dealiased_product(grid: SpectralGrid, a: np.ndarray, b: np.ndarray, real: bo
     return dealiased_modes(grid, x * y)
 
 
-def to_grid(f: ModeArray) -> np.ndarray:
-    """Inverse transform; real-valued output for real-field arrays."""
-    return np.ascontiguousarray(grid_values(f.grid, f.values, f.real_field))
-
-
-def hermitian_defect(f: ModeArray) -> float:
-    """Largest deviation from the real-field symmetry value(-k) == conj(value(k))."""
-    idx = [(-np.arange(n)) % n for n in f.values.shape]
-    mirrored = np.conj(f.values[np.ix_(*idx)])
-    return float(np.max(np.abs(f.values - mirrored)))
-
-
 def pair_modes(f: ModeArray, g: ModeArray) -> complex:
     """Plancherel pairing (1/V) sum_k f_hat(k) conj(g_hat(k)).
 
@@ -324,18 +308,6 @@ def sobolev_norms(grid: SpectralGrid, values: np.ndarray, q: float | None = None
 def sobolev_norm(f: ModeArray, q: float | None = None) -> float:
     """H^q norm of one field; see :func:`sobolev_norms`."""
     return float(sobolev_norms(f.grid, f.values, q))
-
-
-def pointwise_product(f: ModeArray, g: ModeArray) -> ModeArray:
-    """Dealiased pointwise product of two fields, in mode space.
-
-    Transforms both factors to the grid, multiplies, transforms back, and
-    zeroes every mode outside the kept band (two-thirds rule).
-    """
-    if f.grid != g.grid:
-        raise GridMismatch("product requires both arrays on one grid")
-    real = f.real_field and g.real_field
-    return ModeArray(f.grid, dealiased_product(f.grid, f.values, g.values, real), real)
 
 
 def evaluate_at(f: ModeArray, x) -> float | complex:
@@ -409,19 +381,6 @@ def _localized_samples(grid: SpectralGrid, rng: np.random.Generator, count: int)
     return samples
 
 
-def random_localized_field(grid: SpectralGrid, rng: np.random.Generator) -> ModeArray:
-    """Random band-limited field concentrated around a random point.
-
-    A Gaussian envelope with log-uniform width (from two grid spacings up
-    to an eighth of the box, or two spacings on grids under 16 modes) and
-    uniform center, either bare or modulating white noise.  The product
-    norm ratio is driven by how much two fields overlap, so localized
-    samples probe the large-ratio region that spread flat-spectrum noise
-    never reaches.
-    """
-    return ModeArray(grid, dealiased_modes(grid, _localized_samples(grid, rng, 1)[0]))
-
-
 def estimate_algebra_constant(grid: SpectralGrid, trials: int = 200, seed: int = 0) -> float:
     """Empirical product constant C_q with ||fg|| <= C_q ||f|| ||g|| in H^q.
 
@@ -429,8 +388,16 @@ def estimate_algebra_constant(grid: SpectralGrid, trials: int = 200, seed: int =
     observed norm ratio, and multiplies by a 1.5 safety factor.
     Deterministic for a fixed seed.  Every bound that uses the result is a
     self-consistency check under this sampled constant, not an analytic
-    statement.  The pairs are drawn one after another (f, then g, per
-    trial) and then transformed, multiplied and measured as stacks.
+    statement.
+
+    Each field is a Gaussian envelope with log-uniform width (from two grid
+    spacings up to an eighth of the box, or two spacings on grids under 16
+    modes) and uniform center, either bare or modulating white noise, cut
+    to the kept band.  The product norm ratio is driven by how much two
+    fields overlap, so localized samples probe the large-ratio region that
+    spread flat-spectrum noise never reaches.  The pairs are drawn one after
+    another (f, then g, per trial) and then transformed, multiplied and
+    measured as stacks.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")

@@ -1,25 +1,49 @@
-"""Independent reference computations the package is checked against.
+"""Reference computations and helpers that only the tests use.
 
-Everything here is written with a different algorithm than the package
-uses: closed forms, explicit index folding, and brute-force enumeration
-instead of shared tables, transform tricks, and cherry-subset scans.
-Agreement between the two paths is then evidence, not tautology.
+Two kinds of code live here, outside the package:
+
+- Independent references, written with a different algorithm than the
+  package uses: closed forms, explicit index folding, and brute-force
+  enumeration instead of shared tables, transform tricks, and cherry-subset
+  scans.  Agreement between the two paths is then evidence, not tautology.
+- The slower evaluators and loops the package replaced, kept to check it
+  by.  The oracle chain for the tree series runs from the closed form
+  (cherry_amplitude) through the literal nested evaluator
+  (direct_amplitude) and the per-tree tables memoized by Dyck word
+  (tree_amplitude) to the full-spectrum and all-rows forms of the order
+  recursion the package runs.  Beside them sit the per-node solver and
+  diagnostic loops, and the small field helpers (to_grid, zero_modes,
+  pointwise_product, hermitian_defect, green_apply, ...) that nothing in
+  the package calls.
 """
 
 import itertools
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from kgcharge.propagation import flow_multipliers, flowed_phi, free_evolve, suffix_time_integral, time_integral
+from kgcharge.propagation import (
+    TimeGrid,
+    flow_multipliers,
+    flowed_phi,
+    free_evolve,
+    free_flow,
+    suffix_time_integral,
+    time_integral,
+)
+from kgcharge.series import OrderTooHigh, bracket_ds
 from kgcharge.series import _pairing_integral as pairing_integral
+from kgcharge.series import _real as real_part
 from kgcharge.series import _retarded_integral as retarded_integral
 from kgcharge.series import _test_function_rows as test_function_rows
-from kgcharge.series import bracket_ds, leaf_table
-from kgcharge.solver import BlowUp
+from kgcharge.solver import BlowUp, TestFunction, evaluate_test_function
 from kgcharge.spectral import (
     FieldSnapshot,
+    GridMismatch,
     ModeArray,
+    SpectralGrid,
+    _localized_samples,
     band_modes,
     band_values,
     dealiased_modes,
@@ -27,20 +51,93 @@ from kgcharge.spectral import (
     grid_values,
     half_spectrum_values,
     pair_modes,
-    pointwise_product,
-    random_localized_field,
     sobolev_norm,
     sobolev_norms,
 )
 from kgcharge.trees import (
     GrowSpec,
+    Tree,
+    decompose,
     enumerate_trees,
     graft,
     grow,
     internal_count,
     leaf,
     leaf_count,
+    to_dyck,
 )
+
+
+# Field helpers the package does not call.
+
+
+def zero_modes(grid: SpectralGrid) -> ModeArray:
+    return ModeArray(grid, np.zeros(grid.shape, dtype=complex))
+
+
+def to_grid(f: ModeArray) -> np.ndarray:
+    """Inverse transform; real-valued output for real-field arrays."""
+    return np.ascontiguousarray(grid_values(f.grid, f.values, f.real_field))
+
+
+def hermitian_defect(f: ModeArray) -> float:
+    """Largest deviation from the real-field symmetry value(-k) == conj(value(k))."""
+    idx = [(-np.arange(n)) % n for n in f.values.shape]
+    mirrored = np.conj(f.values[np.ix_(*idx)])
+    return float(np.max(np.abs(f.values - mirrored)))
+
+
+def pointwise_product(f: ModeArray, g: ModeArray) -> ModeArray:
+    """Dealiased pointwise product of two fields, in mode space.
+
+    Transforms both factors to the grid, multiplies, transforms back, and
+    zeroes every mode outside the kept band (two-thirds rule).
+    """
+    if f.grid != g.grid:
+        raise GridMismatch("product requires both arrays on one grid")
+    real = f.real_field and g.real_field
+    return ModeArray(f.grid, dealiased_product(f.grid, f.values, g.values, real), real)
+
+
+def random_localized_field(grid: SpectralGrid, rng: np.random.Generator) -> ModeArray:
+    """One field as ``estimate_algebra_constant`` draws it: a random localized envelope."""
+    return ModeArray(grid, dealiased_modes(grid, _localized_samples(grid, rng, 1)[0]))
+
+
+@dataclass(eq=False)
+class TimeSampledField:
+    """One mode array per time node, stored stacked for vector arithmetic."""
+
+    grid: SpectralGrid
+    tgrid: TimeGrid
+    values: np.ndarray
+    real_field: bool = True
+
+    def __post_init__(self) -> None:
+        expected = (self.tgrid.nnodes,) + self.grid.shape
+        values = np.asarray(self.values, dtype=complex)
+        if values.shape != expected:
+            raise ValueError(f"values shape {values.shape} does not match {expected}")
+        self.values = values
+
+
+def green_apply(kind: str, t: float, tau: float, f: ModeArray) -> ModeArray:
+    """Apply the retarded kernel G0 or G1 evaluated at (t, tau) to f.
+
+    Returns the zero array for t < tau; the Heaviside factor takes the
+    value 1 at t == tau.
+    """
+    if kind not in ("G0", "G1"):
+        raise ValueError(f"kind must be 'G0' or 'G1', got {kind!r}")
+    grid = f.grid
+    if t < tau:
+        return ModeArray(grid, np.zeros(grid.shape, dtype=complex), f.real_field)
+    w = grid.omega
+    if kind == "G0":
+        mult = np.sin((t - tau) * w) / w
+    else:
+        mult = np.cos((t - tau) * w)
+    return ModeArray(grid, mult * f.values, f.real_field)
 
 
 def catalan(n):
@@ -123,6 +220,184 @@ def cherry_amplitude(extent, mass, s, nodes, phi_hat, pi_hat, psi0_hat, psi1_hat
         samples[j] = (np.conj(psi_row) * conv).sum().real / volume
     dt = nodes[1] - nodes[0]
     return float((samples.sum() - 0.5 * (samples[0] + samples[-1])) * dt)
+
+
+# The per-tree tables and the literal nested evaluator.  The package sums
+# each order in one table recursion; these evaluate one tree at a time, the
+# first with memoized subtree tables, the second with no table at all.
+
+
+@dataclass(eq=False)
+class AmplitudeCache:
+    """Subtree tables keyed by Dyck word.
+
+    Valid only for one (snapshot at s, time grid) pair; the caller owns that
+    association.  Sharing one cache across test functions is safe because
+    tables never depend on psi.
+    """
+
+    tables: dict[str, TimeSampledField] = field(default_factory=dict)
+
+
+def leaf_table(snap: FieldSnapshot, tgrid: TimeGrid) -> TimeSampledField:
+    """Backward free evolution of the slice data to every node.
+
+    Row j holds cos((s-tau_j) omega) phi_hat(s) - sin((s-tau_j) omega)/omega
+    pi_hat(s), the value at tau_j of the free solution matching the data at
+    s.  Rows past s are filled too; consumers that need the step cutoff
+    restrict their quadrature instead.
+    """
+    rows, _ = free_flow(snap.grid, snap.phi.values, snap.pi.values, tgrid.nodes - snap.time)
+    real = snap.phi.real_field and snap.pi.real_field
+    return TimeSampledField(snap.grid, tgrid, rows, real)
+
+
+def subtree_table(b: Tree, cache: AmplitudeCache, snap: FieldSnapshot, tgrid: TimeGrid) -> TimeSampledField:
+    """The recursion table w_b, memoized in the cache by Dyck word."""
+    key = to_dyck(b)
+    hit = cache.tables.get(key)
+    if hit is not None:
+        return hit
+    if b.is_leaf:
+        table = leaf_table(snap, tgrid)
+    else:
+        b1, b2 = decompose(b)
+        w1 = subtree_table(b1, cache, snap, tgrid)
+        w2 = subtree_table(b2, cache, snap, tgrid)
+        grid = snap.grid
+        upper = tgrid.node_index(snap.time)
+        prod = dealiased_product(grid, w1.values, w2.values, w1.real_field and w2.real_field)
+        rows = retarded_integral(flow_multipliers(grid.omega, tgrid.nodes), tgrid, prod, upper)
+        table = TimeSampledField(grid, tgrid, rows, w1.real_field and w2.real_field)
+    cache.tables[key] = table
+    return table
+
+
+def tree_amplitude(
+    b: Tree,
+    psi: TestFunction,
+    snap: FieldSnapshot,
+    tgrid: TimeGrid,
+    cache: AmplitudeCache | None = None,
+) -> float:
+    """Amplitude of one tree: the outer integral of <psi(tau), child product>.
+
+    The leaf tree is the bare pairing at s.  Passing no cache evaluates from
+    scratch; passing one reuses and extends its subtree tables.
+    """
+    if psi.grid != snap.grid:
+        raise GridMismatch("test function and snapshot live on different grids")
+    if b.is_leaf:
+        return bracket_ds(psi, snap)
+    if cache is None:
+        cache = AmplitudeCache()
+    b1, b2 = decompose(b)
+    w1 = subtree_table(b1, cache, snap, tgrid)
+    w2 = subtree_table(b2, cache, snap, tgrid)
+    grid = snap.grid
+    upper = tgrid.node_index(snap.time)
+    prod = dealiased_product(grid, w1.values, w2.values, w1.real_field and w2.real_field)
+    return pairing_integral(grid, tgrid, prod, test_function_rows(psi, tgrid), upper)
+
+
+def _mode_convolution(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Reference dealiased product: circular mode convolution, no transforms.
+
+    h_hat(j) = (1/V) sum over j1 + j2 = j (mod modes) of a(j1) b(j2), then
+    modes outside the kept band are zeroed.
+    """
+    n = grid.modes
+    if grid.dim == 1:
+        full = np.convolve(np.fft.fftshift(a), np.fft.fftshift(b))
+        out = np.zeros(n, dtype=complex)
+        # Entry p of the full convolution carries mode sum p - n; fold the
+        # sums back into FFT storage order modulo n.
+        np.add.at(out, (np.arange(2 * n - 1) - n) % n, full)
+    else:
+        out = np.zeros(grid.shape, dtype=complex)
+        for j1 in np.ndindex(grid.shape):
+            for j2 in np.ndindex(grid.shape):
+                target = tuple((i1 + i2) % n for i1, i2 in zip(j1, j2))
+                out[target] += a[j1] * b[j2]
+    out /= grid.volume
+    return np.where(grid.keep_mask, out, 0.0)
+
+
+def _restricted_trapezoid(samples: np.ndarray, dt: float) -> complex:
+    """Trapezoid over the given consecutive samples (half weights at ends)."""
+    if samples.shape[0] < 2:
+        return 0.0 * samples.sum()
+    return (samples.sum(axis=0) - 0.5 * (samples[0] + samples[-1])) * dt
+
+
+def _slot_rows(
+    b: Tree,
+    alphas,
+    snap: FieldSnapshot,
+    tgrid: TimeGrid,
+    upper: int,
+) -> np.ndarray:
+    """Literal leg of one subtree into its parent vertex, node by node.
+
+    For a leaf the leg is the retarded kernel at the contraction time s
+    applied to phi(s) (derivative order 1) or pi(s) (order 0), built with
+    one green_apply call per node.  For an internal vertex the leg nests an
+    explicit per-node kernel integral over the convolved child legs.
+    """
+    grid = snap.grid
+    rows = np.zeros((tgrid.nnodes,) + grid.shape, dtype=complex)
+    if b.is_leaf:
+        a = next(alphas)
+        kind = "G1" if a == 1 else "G0"
+        data = snap.phi if a == 1 else snap.pi
+        for j in range(upper + 1):
+            rows[j] = green_apply(kind, snap.time, float(tgrid.nodes[j]), data).values
+        return rows
+    b1, b2 = decompose(b)
+    left = _slot_rows(b1, alphas, snap, tgrid, upper)
+    right = _slot_rows(b2, alphas, snap, tgrid, upper)
+    conv = np.zeros_like(rows)
+    for i in range(upper + 1):
+        conv[i] = _mode_convolution(grid, left[i], right[i])
+    for j in range(upper + 1):
+        lags = (tgrid.nodes[j : upper + 1] - tgrid.nodes[j]).reshape((-1,) + (1,) * grid.dim)
+        kernel = np.sin(lags * grid.omega) / grid.omega
+        rows[j] = _restricted_trapezoid(kernel * conv[j : upper + 1], tgrid.dt)
+    return rows
+
+
+def direct_amplitude(b: Tree, psi: TestFunction, snap: FieldSnapshot, tgrid: TimeGrid) -> float:
+    """Literal nested evaluation of a tree amplitude, orders 0 to 2 only.
+
+    Expands the boundary contraction over all per-leaf derivative choices
+    with signs, builds every leg through green_apply, and convolves modes
+    directly, with no shared tables and no transform tricks.  Cost grows as
+    nt^(order+1); OrderTooHigh guards the cliff.
+    """
+    if internal_count(b) > 2:
+        raise OrderTooHigh(f"direct evaluation supports order <= 2, got {internal_count(b)}")
+    if b.is_leaf:
+        return bracket_ds(psi, snap)
+    if psi.grid != snap.grid:
+        raise GridMismatch("test function and snapshot live on different grids")
+    grid = snap.grid
+    upper = tgrid.node_index(snap.time)
+    b1, b2 = decompose(b)
+    nleaves = leaf_count(b)
+    total = 0.0
+    for alpha in itertools.product((0, 1), repeat=nleaves):
+        alphas = iter(alpha)
+        left = _slot_rows(b1, alphas, snap, tgrid, upper)
+        right = _slot_rows(b2, alphas, snap, tgrid, upper)
+        samples = np.zeros(upper + 1, dtype=complex)
+        for j in range(upper + 1):
+            prod = _mode_convolution(grid, left[j], right[j])
+            psi_j = evaluate_test_function(psi, float(tgrid.nodes[j])).phi
+            samples[j] = pair_modes(ModeArray(grid, prod, False), psi_j)
+        sign = (-1.0) ** (nleaves - sum(alpha))
+        total += sign * real_part(complex(_restricted_trapezoid(samples, tgrid.dt)))
+    return total
+
 
 
 # Literal per-node and per-call loops.  The package squares whole stacks of

@@ -10,16 +10,14 @@ import numpy as np
 import pytest
 
 from conftest import random_snapshot, random_test_function
-from kgcharge.propagation import TimeGrid, green_apply
+from kgcharge.propagation import TimeGrid
 from kgcharge.series import (
     bracket_ds,
     delta_norm_bound_check,
-    direct_amplitude,
     first_order_bound,
     p_residual,
     readout,
     series,
-    tree_amplitude,
 )
 from kgcharge.series import test_function_sup_norm as sup_norm
 from kgcharge.solver import (
@@ -36,7 +34,6 @@ from kgcharge.spectral import (
     pair_modes,
     random_band_limited,
     sobolev_norm,
-    zero_modes,
 )
 from kgcharge.trees import (
     GrowSpec,
@@ -48,7 +45,7 @@ from kgcharge.trees import (
     leaf_count,
     signed_grow_sum,
 )
-from oracles import cherry_amplitude, field_energy_norm
+from oracles import cherry_amplitude, direct_amplitude, field_energy_norm, green_apply, tree_amplitude, zero_modes
 
 COUPLING = 0.2
 SWEEP = (0.05, 0.1, 0.2, 0.4)

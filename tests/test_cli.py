@@ -156,6 +156,27 @@ def test_non_numeric_fields_are_named_by_their_key_path(runner, tmp_path, change
     assert f"config field '{field}':" in result.output
 
 
+@pytest.mark.parametrize(
+    "command, changed, options, field",
+    [
+        ("solve", {"grid": {"Nx": float("inf")}}, [], "grid.Nx"),
+        ("solve", {"max_order": float("inf")}, [], "max_order"),
+        ("solve", {"coupling": float("nan")}, [], "coupling"),
+        ("sweep", {"coupling": [0.1, float("nan"), 0.4]}, [], "coupling"),
+        ("solve", {"initial": {"amplitude": "1e400"}}, [], "initial.amplitude"),
+        ("solve", {"initial": {"center": float("inf")}}, [], "initial.center"),
+        ("transport", {"test_function": {"amplitude": float("nan")}}, [], "test_function.amplitude"),
+        ("transport", {"seed": -1, "test_function": {"type": "low-mode"}}, [], "seed"),
+        ("sweep", {"coupling": [0.1, 0.2, 0.4], "test_function": {"type": "low-mode"}}, ["--seed", "-1"], "seed"),
+    ],
+)
+def test_non_finite_numbers_and_negative_seeds_exit_2(runner, tmp_path, command, changed, options, field):
+    cfg = write_config(tmp_path, **changed)
+    result = runner.invoke(main, [command, "--config", str(cfg)] + options)
+    assert result.exit_code == 2, result.output
+    assert f"config field '{field}':" in result.output
+
+
 def test_negative_low_mode_band_exits_2(runner, tmp_path):
     # kmax < 0 keeps no mode: psi would be zero and every residual 0.000e+00
     cfg = write_config(tmp_path, test_function={"type": "low-mode", "kmax": -3})
@@ -307,6 +328,16 @@ def test_sweep_needs_three_couplings(runner, tmp_path):
     cfg = write_config(tmp_path, coupling=[0.1, 0.2])
     result = runner.invoke(main, ["sweep", "--config", str(cfg)])
     assert result.exit_code == 5
+
+
+@pytest.mark.parametrize("couplings", [[0.1, 0.1, 0.1], [0.1, -0.1, 0.1], [0.1, -0.2, 0.2, 0.1]])
+def test_sweep_needs_three_distinct_coupling_magnitudes(runner, tmp_path, couplings):
+    # the slopes are fitted in log|coupling|: a repeat or a sign flip adds no point
+    cfg = write_config(tmp_path, coupling=couplings, max_order=1)
+    result = runner.invoke(main, ["sweep", "--config", str(cfg)])
+    assert result.exit_code == 5
+    assert "sweep needs at least 3 distinct coupling magnitudes, got" in result.output
+    assert not (tmp_path / "run" / "sweep_slopes.csv").exists()
 
 
 def test_sweep_fits_slopes_one_past_the_order(runner, tmp_path):

@@ -7,12 +7,11 @@ from conftest import random_snapshot
 from kgcharge.propagation import (
     TimeGrid,
     free_evolve,
-    green_apply,
     suffix_time_integral,
     time_integral,
 )
 from kgcharge.spectral import random_band_limited, sobolev_norm
-from oracles import free_mode_evolution
+from oracles import free_mode_evolution, green_apply
 
 
 def test_time_grid_validation():
@@ -119,6 +118,18 @@ def test_time_integral_converges_at_second_order():
         errors.append(abs(time_integral(np.exp(tg.nodes), tg) - exact))
     assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.05)
     assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.05)
+
+
+def test_time_integral_reads_the_rows_up_to_stop_only(small_grid, rng):
+    tg = TimeGrid(horizon=1.0, nt=12)
+    stack = rng.standard_normal((tg.nnodes,) + small_grid.shape) + 1j * rng.standard_normal(
+        (tg.nnodes,) + small_grid.shape
+    )
+    for start, stop in ((0, 7), (3, 7), (0, 12), (5, 5)):
+        cut = stack[: stop + 1].copy()
+        assert np.array_equal(time_integral(cut, tg, start, stop), time_integral(stack, tg, start, stop))
+        with pytest.raises(ValueError, match="too short"):
+            time_integral(stack[:stop], tg, start, stop)
 
 
 def test_suffix_time_integral_matches_per_row_trapezoids(small_grid, rng):

@@ -1,10 +1,10 @@
 """Tree amplitudes, the charge series, and its bound apparatus.
 
-The per-tree table path is checked three ways: against the literal nested
-evaluator inside the package, against a closed-form oracle that shares no
-code with either, and against the conservation identities the series exists
-to satisfy.  The order recursion the series driver runs is then checked
-against the per-tree sums, order by order.
+The per-tree table path (tests/oracles.py) is checked three ways: against
+the literal nested evaluator beside it, against a closed-form oracle that
+shares no code with either, and against the conservation identities the
+series exists to satisfy.  The order recursion the series driver runs is
+then checked against the per-tree sums, order by order.
 """
 
 import numpy as np
@@ -13,33 +13,34 @@ import pytest
 from conftest import random_snapshot, random_test_function
 from kgcharge.propagation import TimeGrid
 from kgcharge.series import (
-    AmplitudeCache,
     DeltaNormCheck,
     OrderTooHigh,
     bracket_ds,
     convergence_condition,
     delta_norm_bound_check,
-    direct_amplitude,
     first_order_bound,
-    leaf_table,
     p_residual,
     radius_bound,
     readout,
     series,
-    tree_amplitude,
 )
 from kgcharge.series import _test_function_rows as psi_node_rows
 from kgcharge.series import test_function_sup_norm as sup_norm
 from kgcharge.solver import TestFunction, evaluate_test_function, gaussian_field, solve
-from kgcharge.spectral import FieldSnapshot, ModeArray, SpectralGrid, sobolev_norm, zero_modes
+from kgcharge.spectral import FieldSnapshot, ModeArray, SpectralGrid, sobolev_norm
 from kgcharge.trees import enumerate_trees, from_dyck, graft, leaf
 from oracles import (
+    AmplitudeCache,
     all_rows_order_amplitudes,
     catalan,
     cherry_amplitude,
+    direct_amplitude,
     free_mode_evolution,
     full_spectrum_order_amplitudes,
+    leaf_table,
     per_node_p_residual,
+    tree_amplitude,
+    zero_modes,
 )
 
 
@@ -125,6 +126,41 @@ def test_literal_evaluator_refuses_high_orders(setting, tgrid):
     b = from_dyck("NNLNLLNLL")
     with pytest.raises(OrderTooHigh):
         direct_amplitude(b, psi, snap, tgrid)
+
+
+# Evaluators and helpers that only the tests use; they live in tests/oracles.py.
+TEST_ONLY_NAMES = (
+    "AmplitudeCache",
+    "leaf_table",
+    "subtree_table",
+    "tree_amplitude",
+    "_mode_convolution",
+    "_slot_rows",
+    "direct_amplitude",
+    "_restricted_trapezoid",
+    "TimeSampledField",
+    "green_apply",
+    "pointwise_product",
+    "to_grid",
+    "hermitian_defect",
+    "zero_modes",
+    "random_localized_field",
+)
+
+
+def test_no_package_module_holds_a_test_only_evaluator():
+    import importlib
+    import pkgutil
+
+    import kgcharge
+
+    modules = [kgcharge] + [
+        importlib.import_module(f"kgcharge.{info.name}") for info in pkgutil.iter_modules(kgcharge.__path__)
+    ]
+    assert {module.__name__ for module in modules} >= {"kgcharge.series", "kgcharge.spectral", "kgcharge.propagation"}
+    for module in modules:
+        held = sorted(name for name in TEST_ONLY_NAMES if name in vars(module))
+        assert held == [], f"{module.__name__} holds {held}"
 
 
 def test_amplitudes_ignore_grid_time_past_s(setting, grid):
@@ -316,6 +352,31 @@ def test_stacked_p_residual_matches_the_per_node_loop(dim, coupling, rng):
             want = per_node_p_residual(psi, traj, s)
             assert p_residual(psi, traj, s) == pytest.approx(want, rel=1e-14, abs=1e-14 * scale)
     assert per_node_p_residual(psi, unsolved, 0.4) > 1e-3 * abs(bracket_ds(psi, unsolved.node(0)))
+
+
+# (grid, time grid): a 30-mode line and a 16^2 grid, each over T = 0.5
+FIRST_HALF_SETTINGS = {
+    "1d-30": (SpectralGrid(dim=1, extent=20.0, modes=30, mass=1.0, sobolev_q=1), TimeGrid(0.5, 64)),
+    "2d-16": (SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2), TimeGrid(0.5, 32)),
+}
+
+
+@pytest.mark.parametrize("setting_name", sorted(FIRST_HALF_SETTINGS))
+def test_p_residual_at_half_time_is_the_residual_of_the_first_half_bit_for_bit(setting_name, rng):
+    from kgcharge.solver import Trajectory
+
+    grid, tg = FIRST_HALF_SETTINGS[setting_name]
+    half_tg = TimeGrid(tg.horizon / 2, tg.nt // 2)
+    keep = half_tg.nnodes
+    assert np.array_equal(half_tg.nodes, tg.nodes[:keep])
+    data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 2.0), zero_modes(grid))
+    psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5))
+    solved = solve(data, 0.3, tg)
+    # random node data is no solution, so its defect is O(1), not a cancellation
+    unsolved = Trajectory(tg, tuple(random_snapshot(grid, rng, t) for t in tg.nodes), 0.3)
+    for traj in (solved, unsolved):
+        first_half = Trajectory(half_tg, traj.snapshots[:keep], traj.coupling)
+        assert p_residual(psi, traj, half_tg.horizon) == p_residual(psi, first_half, half_tg.horizon)
 
 
 def test_radius_bound_formula(setting, grid):

@@ -26,11 +26,16 @@ from kgcharge.spectral import (
     SpectralGrid,
     evaluate_at,
     sobolev_norm,
-    to_grid,
     to_modes,
+)
+from oracles import (
+    field_energy_norm,
+    node_energy,
+    per_node_field_energy_norm,
+    strang_with_fresh_kicks,
+    to_grid,
     zero_modes,
 )
-from oracles import field_energy_norm, node_energy, per_node_field_energy_norm, strang_with_fresh_kicks
 
 # A 1-D grid and an 8 x 8 grid for the checks that the stacked and shared
 # squares reproduce the one-product-per-call loops bit for bit.

@@ -16,19 +16,24 @@ from kgcharge.spectral import (
     estimate_algebra_constant,
     evaluate_at,
     grid_values,
-    hermitian_defect,
     pair_modes,
-    pointwise_product,
     random_band_limited,
-    random_localized_field,
     sobolev_norm,
-    to_grid,
     to_modes,
-    zero_modes,
 )
 from kgcharge import spectral
-from kgcharge.series import _mode_convolution
-from oracles import folded_convolution, per_draw_localized_samples, per_trial_algebra_constant, signed_mode_index
+from oracles import (
+    _mode_convolution,
+    folded_convolution,
+    hermitian_defect,
+    per_draw_localized_samples,
+    per_trial_algebra_constant,
+    pointwise_product,
+    random_localized_field,
+    signed_mode_index,
+    to_grid,
+    zero_modes,
+)
 
 
 def test_grid_validation():

@@ -8,10 +8,11 @@ produces byte-identical CSV bodies.
 
 Exit codes: 0 success, 1 lemma-check failures, 2 config validation (a
 number that is not finite or a negative seed among them; also a stored
-trajectory missing, or solved from a different grid, time grid, coupling or
-initial data, or, for transport, a manifest without the solver.phi_e_norm
-that solve records), 3 blow-up during solving (sweep names the coupling that
-crossed first), 4 convergence condition false without --force, 5 sweep
+trajectory missing, unreadable, or solved from a different grid, time grid,
+coupling or initial data, or, for transport, a manifest without the
+solver.phi_e_norm that solve records), 3 blow-up during solving, a node norm
+over the ceiling or not a number (sweep names the coupling that crossed
+first), 4 convergence condition false without --force, 5 sweep
 underflow or fewer than 3 distinct coupling magnitudes (the slopes are
 fitted in log|coupling|, so a sign flip adds no point).
 """

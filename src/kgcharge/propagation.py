@@ -54,10 +54,15 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.nt + 1)
 
+    @property
+    def tolerance(self) -> float:
+        """How far a time may lie from a node and still be that node: rounding of the node values."""
+        return 1e-9 * max(1.0, self.horizon)
+
     def node_index(self, t: float) -> int:
-        """Index of the node equal to t, up to rounding of the node values."""
+        """Index of the node equal to t, up to :attr:`tolerance`."""
         j = int(round(t / self.dt))
-        if j < 0 or j > self.nt or abs(self.nodes[j] - t) > 1e-9 * max(1.0, self.horizon):
+        if j < 0 or j > self.nt or abs(self.nodes[j] - t) > self.tolerance:
             raise ValueError(f"time {t} is not a node of {self}")
         return j
 

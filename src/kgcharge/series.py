@@ -300,8 +300,7 @@ def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
     grid = trajectory.grid
     b_s = bracket_ds(psi, trajectory.node(j_s))
     b_0 = bracket_ds(psi, trajectory.node(0))
-    phi, _ = trajectory.node_values()
-    phi_sq = dealiased_product(grid, phi, phi, trajectory.real_field)
+    phi_sq = dealiased_product(grid, trajectory.phi, trajectory.phi, trajectory.real_field)
     integral = _pairing_integral(grid, tgrid, phi_sq, _test_function_rows(psi, tgrid), j_s)
     return abs(b_s - b_0 - trajectory.coupling * integral)
 

@@ -19,6 +19,12 @@ running max over nodes is the trajectory's ``phi_e_norm``, the norm that
 feeds the convergence condition.  The node energies that solve records
 square the whole stack of node fields in one product.
 
+A trajectory is the Cauchy data at every node as two stacked mode tables,
+phi and pi, each of shape (nnodes, *grid.shape), with one real-field flag;
+``Trajectory.node`` views one row as a FieldSnapshot.  The solver writes
+each node into one preallocated block per field and hands each coupling
+its row of the blocks.
+
 Test functions psi solve the linear equation exactly; they are stored as
 Cauchy data at t = 0 and evaluated at any time with the free flow, so
 (box + m^2) psi = 0 holds to rounding at every time.
@@ -35,6 +41,7 @@ from .spectral import (
     FieldSnapshot,
     GridMismatch,
     ModeArray,
+    SizeMismatch,
     SpectralGrid,
     dealiased_product,
     sobolev_norms,
@@ -59,41 +66,36 @@ class WidthTooSmall(ValueError):
 
 @dataclass(eq=False)
 class Trajectory:
-    """Solution snapshots at every node of a time grid."""
+    """The Cauchy data at every node of a time grid, as two stacked mode tables.
+
+    ``phi`` and ``pi`` hold the complex modes of every node, shape
+    ``(tgrid.nnodes, *grid.shape)``; row j is the data at ``tgrid.nodes[j]``.
+    ``real_field`` flags both tables as real fields, at every node.
+    """
 
     tgrid: TimeGrid
-    snapshots: tuple[FieldSnapshot, ...]
+    grid: SpectralGrid
+    phi: np.ndarray
+    pi: np.ndarray
     coupling: float
+    real_field: bool = True
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if len(self.snapshots) != self.tgrid.nnodes:
-            raise ValueError(
-                f"{len(self.snapshots)} snapshots for {self.tgrid.nnodes} nodes"
+        expected = (self.tgrid.nnodes, *self.grid.shape)
+        if self.phi.shape != expected or self.pi.shape != expected:
+            raise SizeMismatch(
+                f"trajectory tables have shapes phi {self.phi.shape}, pi {self.pi.shape}; "
+                f"{self.tgrid.nnodes} nodes on this grid need {expected}"
             )
-        first = self.snapshots[0].grid
-        for snap in self.snapshots[1:]:
-            if snap.grid != first:
-                raise GridMismatch("trajectory snapshots live on different grids")
-
-    @property
-    def grid(self) -> SpectralGrid:
-        return self.snapshots[0].grid
 
     def node(self, j: int) -> FieldSnapshot:
-        return self.snapshots[j]
-
-    def node_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """phi and pi mode tables of every node, stacked along a leading axis."""
-        return (
-            np.stack([snap.phi.values for snap in self.snapshots]),
-            np.stack([snap.pi.values for snap in self.snapshots]),
+        """The data at node j, as views of row j of the tables."""
+        return FieldSnapshot(
+            float(self.tgrid.nodes[j]),
+            ModeArray(self.grid, self.phi[j], self.real_field),
+            ModeArray(self.grid, self.pi[j], self.real_field),
         )
-
-    @property
-    def real_field(self) -> bool:
-        """Whether every node's phi is a real field, as the stacked squares take it."""
-        return all(snap.phi.real_field for snap in self.snapshots)
 
 
 @dataclass(eq=False)
@@ -144,8 +146,11 @@ def solve_couplings(
     the max over nodes of the H^q norms of phi, pi and the acceleration
     -omega^2 phi - lambda phi^2, formed from the kick's square.  Stepping
     stops at the first node where any row's phi or pi norm exceeds
-    ``norm_ceiling``; the BlowUp names that node and carries the first such
-    row's coupling.
+    ``norm_ceiling`` or is not a number, as an overflow leaves it; the
+    BlowUp names that node and carries the first such row's coupling.
+
+    Every trajectory carries one real-field flag, set when the initial phi
+    and pi both are real fields; node 0 reports that flag too.
     """
     if initial.time != 0.0:
         raise ValueError(f"initial snapshot must be at t=0, got t={initial.time}")
@@ -189,33 +194,37 @@ def solve_couplings(
 
     phi = np.stack([initial.phi.values] * rows)
     pi = np.stack([initial.pi.values] * rows)
+    # every row's trajectory is one row of these blocks
+    phi_nodes = np.empty((rows, tgrid.nnodes) + grid.shape, dtype=complex)
+    pi_nodes = np.empty_like(phi_nodes)
+    phi_nodes[:, 0], pi_nodes[:, 0] = phi, pi
     phi_sq = square(phi, initial.phi.real_field)
     # The first kick squares phi as phi alone is flagged; the norms square
     # every node, the first too, as phi and pi together are.
     node_norms = [norms(phi, pi, phi_sq if initial.phi.real_field == real else square(phi, real))]
-    snapshots = [[initial] for _ in range(rows)]
     for j in range(tgrid.nt):
         pi = kicked(pi, phi_sq)
         phi, pi = apply_flow(step, phi, pi)
         # the next step's opening half kick reuses this square
         phi_sq = square(phi, real)
         pi = kicked(pi, phi_sq)
-        # Pin the node time to the grid value; accumulated += dt drifts in
-        # the last bits and node_index lookups need exact agreement.
-        time = float(tgrid.nodes[j + 1])
         node = norms(phi, pi, phi_sq)
-        if node[:2].max() > norm_ceiling:
-            first = np.flatnonzero(np.maximum(node[0], node[1]) > norm_ceiling)[0]
+        # "not <=" so that a NaN norm crosses the ceiling too
+        if not node[:2].max() <= norm_ceiling:
+            first = np.flatnonzero(~(np.maximum(node[0], node[1]) <= norm_ceiling))[0]
+            time = float(tgrid.nodes[j + 1])
             raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={time}", couplings[first])
         node_norms.append(node)
-        for r in range(rows):
-            snapshots[r].append(FieldSnapshot(time, ModeArray(grid, phi[r], real), ModeArray(grid, pi[r], real)))
+        phi_nodes[:, j + 1], pi_nodes[:, j + 1] = phi, pi
     peak = np.max(node_norms, axis=(0, 1))
     return [
         Trajectory(
             tgrid,
-            tuple(snapshots[r]),
+            grid,
+            phi_nodes[r],
+            pi_nodes[r],
             couplings[r],
+            real,
             {"scheme": "strang", "dt": dt, "norm_ceiling": norm_ceiling, "phi_e_norm": float(peak[r])},
         )
         for r in range(rows)
@@ -307,5 +316,4 @@ def energy(snap: FieldSnapshot, coupling: float) -> float:
 
 def node_energies(traj: Trajectory) -> np.ndarray:
     """:func:`energy` at every node, from one stacked square of the node fields."""
-    phi, pi = traj.node_values()
-    return _energies(traj.grid, phi, pi, traj.coupling, traj.real_field)
+    return _energies(traj.grid, traj.phi, traj.pi, traj.coupling, traj.real_field)

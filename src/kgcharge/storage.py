@@ -1,13 +1,17 @@
 """On-disk formats: trajectory directory, report JSON/CSV.
 
 A trajectory directory holds two files.  ``trajectory.npz`` is an
-uncompressed ``np.savez`` archive of three arrays: ``times`` (float64, one
-entry per time node) and ``phi`` and ``pi`` (complex128, shape
-``(nnodes, *grid.shape)``), so every grid dimension uses one format and the
-values round-trip bit for bit.  ``manifest.json`` describes the run: grid,
-time grid, coupling, solver metadata and whatever the caller adds.  The
-archive's zip entries carry a fixed timestamp, so writing the same
-trajectory again produces the same bytes.
+uncompressed ``np.savez`` archive of three arrays: ``times`` (float64, the
+time grid's nodes) and the trajectory's ``phi`` and ``pi`` tables
+(complex128, shape ``(nnodes, *grid.shape)``), written and read as they
+are, so every grid dimension uses one format and the values round-trip bit
+for bit.  ``manifest.json`` describes the run: grid, time grid, coupling,
+solver metadata and whatever the caller adds.  The archive's zip entries
+carry a fixed timestamp, so writing the same trajectory again produces the
+same bytes.  Reading checks the archive against its manifest: a manifest
+without a well-formed grid, time grid or coupling, arrays of the wrong
+shape or dtype, ``times`` that are not the manifest's nodes, or non-finite
+field values raise ValueError.
 
 Report CSV bodies are deterministic: comma separated, header rows, floats at
 17 significant digits with a "." decimal point regardless of locale.
@@ -25,7 +29,7 @@ import numpy as np
 
 from .propagation import TimeGrid
 from .solver import Trajectory
-from .spectral import FieldSnapshot, ModeArray, SpectralGrid
+from .spectral import SpectralGrid
 
 TRAJECTORY_FILE = "trajectory.npz"
 MANIFEST_FILE = "manifest.json"
@@ -39,9 +43,7 @@ def write_trajectory(directory, traj: Trajectory, manifest_extra: dict | None = 
     """One array archive of every node plus a JSON manifest describing the run."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    phi, pi = traj.node_values()
-    times = np.array([snap.time for snap in traj.snapshots], dtype=np.float64)
-    np.savez(directory / TRAJECTORY_FILE, times=times, phi=phi, pi=pi)
+    np.savez(directory / TRAJECTORY_FILE, times=traj.tgrid.nodes, phi=traj.phi, pi=traj.pi)
     grid = traj.grid
     manifest = {
         "grid": {
@@ -68,27 +70,32 @@ def read_manifest(directory) -> dict:
 
 
 def read_trajectory(directory) -> Trajectory:
-    """Rebuild a trajectory; raises ValueError if the arrays do not fit the manifest."""
+    """Rebuild a trajectory; raises ValueError unless the archive is the one its manifest describes."""
     directory = Path(directory)
     manifest = read_manifest(directory)
-    grid = SpectralGrid(**manifest["grid"])
-    tgrid = TimeGrid(manifest["time"]["horizon"], manifest["time"]["nt"])
+    try:
+        grid = SpectralGrid(**manifest["grid"])
+        tgrid = TimeGrid(manifest["time"]["horizon"], manifest["time"]["nt"])
+        coupling = manifest["coupling"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{MANIFEST_FILE} gives no grid, time grid and coupling ({exc!r})") from exc
     with np.load(directory / TRAJECTORY_FILE, allow_pickle=False) as data:
         missing = {"times", "phi", "pi"} - set(data.files)
         if missing:
             raise ValueError(f"{TRAJECTORY_FILE} lacks the arrays {sorted(missing)}")
         times, phi, pi = data["times"], data["phi"], data["pi"]
-    expected = (tgrid.nnodes, *grid.shape)
-    if times.shape != (tgrid.nnodes,) or phi.shape != expected or pi.shape != expected:
+    if (times.dtype, phi.dtype, pi.dtype) != (np.float64, np.complex128, np.complex128):
         raise ValueError(
-            f"{TRAJECTORY_FILE} arrays have shapes times {times.shape}, phi {phi.shape}, "
-            f"pi {pi.shape}; the manifest needs {(tgrid.nnodes,)} and {expected}"
+            f"{TRAJECTORY_FILE} arrays have dtypes times {times.dtype}, phi {phi.dtype}, pi {pi.dtype}; "
+            "the format needs float64 and complex128"
         )
-    snapshots = tuple(
-        FieldSnapshot(float(t), ModeArray(grid, p), ModeArray(grid, v))
-        for t, p, v in zip(times, phi, pi)
-    )
-    return Trajectory(tgrid, snapshots, manifest["coupling"], manifest.get("solver", {}))
+    # raises SizeMismatch, a ValueError, unless phi and pi fit the manifest
+    traj = Trajectory(tgrid, grid, phi, pi, coupling, meta=manifest.get("solver", {}))
+    if times.shape != tgrid.nodes.shape or not np.all(np.abs(times - tgrid.nodes) <= tgrid.tolerance):
+        raise ValueError(f"{TRAJECTORY_FILE} times are not the nodes of {tgrid}")
+    if not (np.isfinite(phi).all() and np.isfinite(pi).all()):
+        raise ValueError(f"{TRAJECTORY_FILE} holds non-finite field values")
+    return traj
 
 
 def report_to_dict(report) -> dict:

@@ -9,7 +9,7 @@ import pytest
 
 from kgcharge import SpectralGrid, random_band_limited
 from kgcharge.propagation import TimeGrid
-from kgcharge.solver import TestFunction
+from kgcharge.solver import TestFunction, Trajectory
 from kgcharge.spectral import FieldSnapshot
 
 
@@ -31,6 +31,18 @@ def rng():
 def random_snapshot(grid, rng, time=0.0):
     """Random band-limited Cauchy data placed at the given time."""
     return FieldSnapshot(time, random_band_limited(grid, rng), random_band_limited(grid, rng))
+
+
+def stacked_trajectory(tgrid, nodes, coupling):
+    """The trajectory whose node j holds the data of the snapshot nodes[j]."""
+    return Trajectory(
+        tgrid,
+        nodes[0].grid,
+        np.stack([snap.phi.values for snap in nodes]),
+        np.stack([snap.pi.values for snap in nodes]),
+        coupling,
+        all(snap.phi.real_field and snap.pi.real_field for snap in nodes),
+    )
 
 
 def random_test_function(grid, rng):

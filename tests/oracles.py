@@ -414,7 +414,7 @@ def _kick(snap, coupling, half_dt):
 def strang_with_fresh_kicks(initial, coupling, tgrid, norm_ceiling=1e6):
     """Snapshots of the Strang scheme with two freshly squared half kicks per step."""
     dt = tgrid.dt
-    snapshots = [initial]
+    nodes = [initial]
     current = initial
     for j in range(tgrid.nt):
         if coupling != 0.0:
@@ -425,8 +425,8 @@ def strang_with_fresh_kicks(initial, coupling, tgrid, norm_ceiling=1e6):
         current = FieldSnapshot(float(tgrid.nodes[j + 1]), current.phi, current.pi)
         if max(sobolev_norm(current.phi), sobolev_norm(current.pi)) > norm_ceiling:
             raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={current.time}")
-        snapshots.append(current)
-    return snapshots
+        nodes.append(current)
+    return nodes
 
 
 def node_acceleration(snap, coupling):
@@ -439,7 +439,7 @@ def node_acceleration(snap, coupling):
 def per_node_field_energy_norm(traj):
     """Max over nodes of the H^q norms of phi, pi and the acceleration, node by node."""
     best = 0.0
-    for snap in traj.snapshots:
+    for snap in (traj.node(j) for j in range(traj.tgrid.nnodes)):
         accel = node_acceleration(snap, traj.coupling)
         best = max(best, sobolev_norm(snap.phi), sobolev_norm(snap.pi), sobolev_norm(accel))
     return best
@@ -452,10 +452,9 @@ def field_energy_norm(traj):
     norms replaced: one stacked square of every node field, the
     acceleration from the equation of motion, and the three norms.
     """
-    grid = traj.grid
-    phi, pi = traj.node_values()
+    grid, phi = traj.grid, traj.phi
     accel = -(grid.omega**2) * phi - traj.coupling * dealiased_product(grid, phi, phi, traj.real_field)
-    return float(max(sobolev_norms(grid, values).max() for values in (phi, pi, accel)))
+    return float(max(sobolev_norms(grid, values).max() for values in (phi, traj.pi, accel)))
 
 
 def node_energy(snap, coupling):

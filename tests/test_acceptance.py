@@ -94,7 +94,7 @@ def test_criterion_01_linear_conservation(grid, tgrid, rng):
         pair_psi = random_test_function(grid, rng)
         traj = solve(pair_data, 0.0, tgrid)
         drift = abs(
-            bracket_ds(pair_psi, traj.snapshots[-1]) - bracket_ds(pair_psi, traj.node(0))
+            bracket_ds(pair_psi, traj.node(-1)) - bracket_ds(pair_psi, traj.node(0))
         )
         worst = max(worst, drift)
     verdict(1, "linear conservation", worst <= 1e-10, f"max drift {worst:.3e} vs 1e-10")
@@ -104,14 +104,14 @@ def test_criterion_02_first_order_identity(psi, trajectories, tgrid):
     traj = trajectories[COUPLING]
     defect = p_residual(psi, traj, tgrid.horizon)
     scale = abs(
-        bracket_ds(psi, traj.snapshots[-1]) - bracket_ds(psi, traj.node(0))
+        bracket_ds(psi, traj.node(-1)) - bracket_ds(psi, traj.node(0))
     )
     rel = defect / scale
     verdict(2, "first-order identity", rel <= 1e-6, f"relative defect {rel:.3e} vs 1e-6")
 
 
 def test_criterion_03_oracle_equivalence(grid, psi, trajectories, tgrid):
-    snap = trajectories[COUPLING].snapshots[-1]
+    snap = trajectories[COUPLING].node(-1)
     worst = 0.0
     for order in (1, 2):
         for b in enumerate_trees(order):
@@ -147,7 +147,7 @@ def test_criterion_04_series_transport(psi, trajectories, tgrid, c_q):
         target = bracket_ds(psi, traj.node(0))
         report = series(
             psi,
-            traj.snapshots[-1],
+            traj.node(-1),
             lam,
             tgrid,
             max_order=4,
@@ -240,7 +240,7 @@ def test_criterion_08_bound_self_consistency(grid, psi, trajectories, tgrid, c_q
     traj = trajectories[COUPLING]
     target = bracket_ds(psi, traj.node(0))
     report = series(
-        psi, traj.snapshots[-1], COUPLING, tgrid, max_order=1, target=target, c_q=c_q
+        psi, traj.node(-1), COUPLING, tgrid, max_order=1, target=target, c_q=c_q
     )
     measured = report.residuals[-1]
     bound = first_order_bound(

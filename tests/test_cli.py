@@ -231,6 +231,74 @@ def test_transport_rejects_arrays_that_do_not_fit_the_manifest(runner, tmp_path)
     assert "unreadable trajectory" in result.output
 
 
+def drop_last_node(arrays, manifest):
+    for name in arrays:
+        arrays[name] = arrays[name][:-1]
+
+
+def put_nan_in_phi(arrays, manifest):
+    arrays["phi"][5, 3] = np.nan
+
+
+def put_inf_in_pi(arrays, manifest):
+    arrays["pi"][-1, 0] = np.inf
+
+
+def stretch_times(arrays, manifest):
+    arrays["times"] = 3 * arrays["times"]
+
+
+def spell_out_times(arrays, manifest):
+    arrays["times"] = arrays["times"].astype(str)
+
+
+def drop_grid(arrays, manifest):
+    del manifest["grid"]
+
+
+def drop_time(arrays, manifest):
+    del manifest["time"]
+
+
+def drop_coupling(arrays, manifest):
+    del manifest["coupling"]
+
+
+def add_grid_key(arrays, manifest):
+    manifest["grid"]["spacing"] = 0.5
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        drop_last_node,
+        put_nan_in_phi,
+        put_inf_in_pi,
+        stretch_times,
+        spell_out_times,
+        drop_grid,
+        drop_time,
+        drop_coupling,
+        add_grid_key,
+    ],
+)
+def test_transport_and_readout_reject_a_malformed_archive(runner, tmp_path, spoil):
+    cfg = run_solved(runner, tmp_path)
+    # readout reads the same trajectory; the test function does not shape it
+    dirac = write_config(tmp_path, name="dirac.json", test_function={"type": "dirac", "x0": 3.0, "width": 0.8})
+    tdir = tmp_path / "run" / "trajectory"
+    with np.load(tdir / "trajectory.npz") as data:
+        arrays = {name: data[name] for name in data.files}
+    manifest = json.loads((tdir / "manifest.json").read_text())
+    spoil(arrays, manifest)
+    np.savez(tdir / "trajectory.npz", **arrays)
+    (tdir / "manifest.json").write_text(json.dumps(manifest))
+    for command, config in (("transport", cfg), ("readout", dirac)):
+        result = runner.invoke(main, [command, "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert "unreadable trajectory" in result.output
+
+
 def test_transport_reads_the_norm_that_solve_recorded(runner, tmp_path):
     cfg = run_solved(runner, tmp_path)
     manifest_path = tmp_path / "run" / "trajectory" / "manifest.json"
@@ -375,6 +443,25 @@ def test_sweep_blow_up_names_the_coupling_that_crossed_first(runner, tmp_path):
     assert result.exit_code == 3
     assert "blow-up at coupling 900.0: norm ceiling 1000000.0 exceeded at t=0.240234375" in result.output
     assert not (tmp_path / "run" / "sweep_residuals.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, changed, named",
+    [
+        ("solve", {"initial": {"amplitude": 1e200}}, "blow-up: norm ceiling"),
+        ("solve", {"coupling": 1e300}, "blow-up: norm ceiling"),
+        ("sweep", {"coupling": [0.1, 0.2, 1e300]}, "blow-up at coupling 1e+300"),
+    ],
+)
+def test_an_overflowing_solve_exits_3(runner, tmp_path, command, changed, named):
+    # finite inputs whose solve overflows: the norms turn NaN, which must
+    # cross the ceiling, not slip under it into an all-NaN trajectory
+    cfg = write_config(tmp_path, **changed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+    assert result.exit_code == 3, result.output
+    assert named in result.output
+    assert not (tmp_path / "run" / "trajectory" / "trajectory.npz").exists()
 
 
 def test_sweep_accepts_threads_only_as_one(runner, tmp_path):

@@ -10,7 +10,7 @@ then checked against the per-tree sums, order by order.
 import numpy as np
 import pytest
 
-from conftest import random_snapshot, random_test_function
+from conftest import random_snapshot, random_test_function, stacked_trajectory
 from kgcharge.propagation import TimeGrid
 from kgcharge.series import (
     DeltaNormCheck,
@@ -65,7 +65,7 @@ def setting(grid, tgrid):
     )
     coupling = 0.2
     traj = solve(data, coupling, tgrid)
-    snap = traj.snapshots[-1]
+    snap = traj.node(-1)
     target = bracket_ds(psi, traj.node(0))
     return traj, snap, psi, coupling, target
 
@@ -75,7 +75,7 @@ def test_bracket_is_conserved_without_coupling(grid, tgrid, rng):
         data = random_snapshot(grid, rng)
         psi = random_test_function(grid, rng)
         traj = solve(data, 0.0, tgrid)
-        drift = abs(bracket_ds(psi, traj.snapshots[-1]) - bracket_ds(psi, traj.node(0)))
+        drift = abs(bracket_ds(psi, traj.node(-1)) - bracket_ds(psi, traj.node(0)))
         assert drift <= 1e-10
 
 
@@ -211,7 +211,7 @@ def test_order_recursion_matches_the_per_tree_sums_in_two_dimensions(rng):
     grid2 = SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2)
     tg = TimeGrid(horizon=0.4, nt=16)
     data = FieldSnapshot(0.0, gaussian_field(grid2, 0.5, 1.5), zero_modes(grid2))
-    snap = solve(data, 0.5, tg).snapshots[-1]
+    snap = solve(data, 0.5, tg).node(-1)
     psi = random_test_function(grid2, rng)
     assert_order_sums_match_the_trees(psi, snap, 0.5, tg, max_order=3)
 
@@ -273,7 +273,7 @@ def test_series_reproduces_the_linear_charge(grid, tgrid, rng):
     psi = random_test_function(grid, rng)
     traj = solve(data, 0.0, tgrid)
     target = bracket_ds(psi, traj.node(0))
-    report = series(psi, traj.snapshots[-1], 0.0, tgrid, max_order=2, target=target)
+    report = series(psi, traj.node(-1), 0.0, tgrid, max_order=2, target=target)
     for partial, residual in zip(report.partial_sums, report.residuals):
         assert partial == pytest.approx(target, abs=1e-10)
         assert residual <= 1e-10
@@ -316,7 +316,7 @@ def test_first_order_truncation_error_is_second_order(grid, tgrid):
         traj = solve(data, coupling, tgrid)
         target = bracket_ds(psi, traj.node(0))
         report = series(
-            psi, traj.snapshots[-1], coupling, tgrid, max_order=1, target=target
+            psi, traj.node(-1), coupling, tgrid, max_order=1, target=target
         )
         residuals.append(report.residuals[-1])
     assert residuals[0] / residuals[1] == pytest.approx(4.0, rel=0.15)
@@ -334,7 +334,6 @@ def test_p_residual_vanishes_at_the_quadrature_level(setting, grid, tgrid, rng):
 @pytest.mark.parametrize("coupling", [0.0, 0.3])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_stacked_p_residual_matches_the_per_node_loop(dim, coupling, rng):
-    from kgcharge.solver import Trajectory
     from kgcharge.spectral import SpectralGrid
 
     if dim == 1:
@@ -345,7 +344,7 @@ def test_stacked_p_residual_matches_the_per_node_loop(dim, coupling, rng):
     psi = random_test_function(grid, rng)
     solved = solve(random_snapshot(grid, rng), coupling, tgrid)
     # random node data is no solution, so its defect is O(1), not a cancellation
-    unsolved = Trajectory(tgrid, tuple(random_snapshot(grid, rng, t) for t in tgrid.nodes), coupling)
+    unsolved = stacked_trajectory(tgrid, [random_snapshot(grid, rng, t) for t in tgrid.nodes], coupling)
     for traj in (solved, unsolved):
         scale = abs(bracket_ds(psi, traj.node(0)))
         for s in (0.4, 0.2):
@@ -363,8 +362,6 @@ FIRST_HALF_SETTINGS = {
 
 @pytest.mark.parametrize("setting_name", sorted(FIRST_HALF_SETTINGS))
 def test_p_residual_at_half_time_is_the_residual_of_the_first_half_bit_for_bit(setting_name, rng):
-    from kgcharge.solver import Trajectory
-
     grid, tg = FIRST_HALF_SETTINGS[setting_name]
     half_tg = TimeGrid(tg.horizon / 2, tg.nt // 2)
     keep = half_tg.nnodes
@@ -373,9 +370,9 @@ def test_p_residual_at_half_time_is_the_residual_of_the_first_half_bit_for_bit(s
     psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5))
     solved = solve(data, 0.3, tg)
     # random node data is no solution, so its defect is O(1), not a cancellation
-    unsolved = Trajectory(tg, tuple(random_snapshot(grid, rng, t) for t in tg.nodes), 0.3)
+    unsolved = stacked_trajectory(tg, [random_snapshot(grid, rng, t) for t in tg.nodes], 0.3)
     for traj in (solved, unsolved):
-        first_half = Trajectory(half_tg, traj.snapshots[:keep], traj.coupling)
+        first_half = stacked_trajectory(half_tg, [traj.node(j) for j in range(keep)], traj.coupling)
         assert p_residual(psi, traj, half_tg.horizon) == p_residual(psi, first_half, half_tg.horizon)
 
 

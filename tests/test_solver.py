@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_snapshot
+from conftest import random_snapshot, stacked_trajectory
 from kgcharge.propagation import TimeGrid, free_evolve
 from kgcharge.solver import (
     BlowUp,
@@ -23,6 +23,7 @@ from kgcharge.spectral import (
     FieldSnapshot,
     GridMismatch,
     ModeArray,
+    SizeMismatch,
     SpectralGrid,
     evaluate_at,
     sobolev_norm,
@@ -55,15 +56,15 @@ def test_free_coupling_reduces_to_free_evolution(small_grid, rng):
     traj = solve(snap, 0.0, tg)
     exact = free_evolve(snap, 0.5)
     # stepping composes 20 mode rotations, so equality holds to rounding
-    np.testing.assert_allclose(traj.snapshots[-1].phi.values, exact.phi.values, atol=1e-13)
-    np.testing.assert_allclose(traj.snapshots[-1].pi.values, exact.pi.values, atol=1e-13)
+    np.testing.assert_allclose(traj.node(-1).phi.values, exact.phi.values, atol=1e-13)
+    np.testing.assert_allclose(traj.node(-1).pi.values, exact.pi.values, atol=1e-13)
 
 
 def test_trajectory_shape_and_times(small_grid):
     tg = TimeGrid(horizon=0.5, nt=8)
     traj = solve(gaussian_data(small_grid), 0.1, tg)
-    assert len(traj.snapshots) == tg.nnodes
-    np.testing.assert_allclose([s.time for s in traj.snapshots], tg.nodes)
+    assert traj.phi.shape == traj.pi.shape == (tg.nnodes, *small_grid.shape)
+    np.testing.assert_allclose([traj.node(j).time for j in range(tg.nnodes)], tg.nodes)
     assert traj.coupling == 0.1
     assert traj.node(3).time == pytest.approx(tg.nodes[3])
 
@@ -72,7 +73,7 @@ def test_energy_is_conserved(small_grid):
     tg = TimeGrid(horizon=1.0, nt=256)
     for coupling, tol in ((0.0, 1e-10), (0.2, 1e-6)):
         traj = solve(gaussian_data(small_grid), coupling, tg)
-        energies = [energy(s, coupling) for s in traj.snapshots]
+        energies = [energy(traj.node(j), coupling) for j in range(tg.nnodes)]
         drift = max(abs(e - energies[0]) for e in energies)
         assert drift <= tol
 
@@ -80,10 +81,10 @@ def test_energy_is_conserved(small_grid):
 def test_splitting_converges_at_second_order(small_grid):
     data = gaussian_data(small_grid)
     coupling = 0.5
-    reference = solve(data, coupling, TimeGrid(1.0, 2048)).snapshots[-1]
+    reference = solve(data, coupling, TimeGrid(1.0, 2048)).node(-1)
 
     def endpoint_error(nt):
-        end = solve(data, coupling, TimeGrid(1.0, nt)).snapshots[-1]
+        end = solve(data, coupling, TimeGrid(1.0, nt)).node(-1)
         return sobolev_norm(
             to_modes(small_grid, to_grid(end.phi) - to_grid(reference.phi))
         )
@@ -100,8 +101,9 @@ def test_solve_matches_fresh_kicks_bit_for_bit(grid, coupling, rng):
     tg = TimeGrid(horizon=0.5, nt=16)
     traj = solve(data, coupling, tg)
     literal = strang_with_fresh_kicks(data, coupling, tg)
-    assert [s.time for s in traj.snapshots] == [s.time for s in literal]
-    for got, want in zip(traj.snapshots, literal):
+    nodes = [traj.node(j) for j in range(tg.nnodes)]
+    assert [s.time for s in nodes] == [s.time for s in literal]
+    for got, want in zip(nodes, literal):
         np.testing.assert_array_equal(got.phi.values, want.phi.values)
         np.testing.assert_array_equal(got.pi.values, want.pi.values)
         assert (got.phi.real_field, got.pi.real_field) == (want.phi.real_field, want.pi.real_field)
@@ -114,12 +116,13 @@ def test_stacked_node_diagnostics_match_the_per_node_loops(grid, coupling, rng):
     solved = solve(random_snapshot(grid, rng), coupling, tg)
     # random node data under a coupling large enough that the cubic term
     # dominates the energy, so the last bits of every pairing show
-    loud = Trajectory(tg, tuple(random_snapshot(grid, rng, t) for t in tg.nodes), 1e3 * coupling)
+    loud = stacked_trajectory(tg, [random_snapshot(grid, rng, t) for t in tg.nodes], 1e3 * coupling)
     for traj in (solved, loud):
         assert field_energy_norm(traj) == per_node_field_energy_norm(traj)
-        literal = [node_energy(snap, traj.coupling) for snap in traj.snapshots]
+        nodes = [traj.node(j) for j in range(tg.nnodes)]
+        literal = [node_energy(snap, traj.coupling) for snap in nodes]
         assert node_energies(traj).tolist() == literal
-        assert [energy(snap, traj.coupling) for snap in traj.snapshots] == literal
+        assert [energy(snap, traj.coupling) for snap in nodes] == literal
 
 
 # Couplings for the stacked solves: zero (no kick), a negative and a large one
@@ -134,8 +137,8 @@ STACK_GRIDS = [
 def assert_same_trajectory(got, want):
     assert got.coupling == want.coupling
     assert got.meta == want.meta
-    assert len(got.snapshots) == len(want.snapshots)
-    for a, b in zip(got.snapshots, want.snapshots):
+    assert got.tgrid.nnodes == want.tgrid.nnodes
+    for a, b in ((got.node(j), want.node(j)) for j in range(got.tgrid.nnodes)):
         assert a.time == b.time
         # bytes, so the sign of a zero counts too
         assert a.phi.values.tobytes() == b.phi.values.tobytes()
@@ -170,7 +173,7 @@ def test_a_complex_coupling_solves_complex_flagged_data(rng):
     coupling = 0.3 + 0.2j
     traj = solve(data, coupling, tg)
     literal = strang_with_fresh_kicks(data, coupling, tg)
-    for got, want in zip(traj.snapshots, literal, strict=True):
+    for got, want in zip((traj.node(j) for j in range(tg.nnodes)), literal, strict=True):
         assert got.phi.values.tobytes() == want.phi.values.tobytes()
         assert got.pi.values.tobytes() == want.pi.values.tobytes()
         assert not got.phi.real_field
@@ -178,6 +181,18 @@ def test_a_complex_coupling_solves_complex_flagged_data(rng):
     couplings = [0.2, coupling, 0.0]
     for c, stacked in zip(couplings, solve_couplings(data, couplings, tg)):
         assert_same_trajectory(stacked, solve(data, c, tg))
+
+
+def test_mixed_flag_data_give_one_flag_at_every_node(small_grid, rng):
+    # phi flagged real, pi not: the trajectory's one flag is not real, and
+    # node 0 reports it too rather than the initial data's own flags
+    real = random_snapshot(small_grid, rng)
+    data = FieldSnapshot(0.0, real.phi, ModeArray(small_grid, real.pi.values, False))
+    traj = solve(data, 0.3, TimeGrid(horizon=0.5, nt=16))
+    assert not traj.real_field
+    first = traj.node(0)
+    assert not first.phi.real_field and not first.pi.real_field
+    assert first.phi.values.tobytes() == data.phi.values.tobytes()
 
 
 def test_a_stack_stops_at_the_first_node_any_coupling_crosses(small_grid):
@@ -266,7 +281,7 @@ def test_field_energy_norm_dominates_every_node(small_grid):
     tg = TimeGrid(horizon=0.5, nt=32)
     traj = solve(gaussian_data(small_grid), 0.2, tg)
     bound = field_energy_norm(traj)
-    for snap in traj.snapshots:
+    for snap in (traj.node(j) for j in range(tg.nnodes)):
         assert sobolev_norm(snap.phi) <= bound + 1e-12
         assert sobolev_norm(snap.pi) <= bound + 1e-12
         assert sobolev_norm(acceleration(snap, 0.2)) <= bound + 1e-12
@@ -307,7 +322,11 @@ def test_grid_mismatch_is_rejected(small_grid, rng):
     with pytest.raises(GridMismatch):
         TestFunction(gaussian_field(small_grid, 1.0, 2.0), gaussian_field(other, 1.0, 2.0))
     tg = TimeGrid(horizon=0.5, nt=4)
-    snaps = [random_snapshot(small_grid, rng, t) for t in tg.nodes[:-1]]
-    snaps.append(random_snapshot(other, rng, tg.nodes[-1]))
-    with pytest.raises(GridMismatch):
-        Trajectory(tg, snaps, 0.0)
+    traj = stacked_trajectory(tg, [random_snapshot(small_grid, rng, t) for t in tg.nodes], 0.0)
+    # arrays of another grid, or of the wrong node count, do not make a trajectory
+    with pytest.raises(SizeMismatch):
+        Trajectory(tg, other, traj.phi, traj.pi, 0.0)
+    with pytest.raises(SizeMismatch):
+        Trajectory(tg, small_grid, traj.phi, traj.pi[:-1], 0.0)
+    with pytest.raises(SizeMismatch):
+        Trajectory(TimeGrid(horizon=0.5, nt=8), small_grid, traj.phi, traj.pi, 0.0)

@@ -35,7 +35,7 @@ def check_roundtrip(tmp_path, traj):
     assert back.grid == traj.grid
     assert back.tgrid == traj.tgrid
     assert back.coupling == traj.coupling
-    for ours, theirs in zip(traj.snapshots, back.snapshots, strict=True):
+    for ours, theirs in ((traj.node(j), back.node(j)) for j in range(traj.tgrid.nnodes)):
         np.testing.assert_array_equal(ours.phi.values, theirs.phi.values)
         np.testing.assert_array_equal(ours.pi.values, theirs.pi.values)
         assert ours.time == theirs.time
@@ -56,6 +56,30 @@ def test_trajectory_roundtrip_in_two_dimensions(tmp_path, rng):
     with np.load(tmp_path / "run" / TRAJECTORY_FILE) as data:
         assert data["phi"].shape == (tg.nnodes, 8, 8)
         assert data["pi"].dtype == np.complex128
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        SpectralGrid(dim=1, extent=20.0, modes=32, mass=1.0, sobolev_q=1),
+        SpectralGrid(dim=2, extent=10.0, modes=8, mass=1.0, sobolev_q=2),
+    ],
+    ids=["1d", "2d"],
+)
+def test_node_j_is_row_j_of_the_solved_and_the_read_tables(tmp_path, grid, rng):
+    tg = TimeGrid(horizon=0.5, nt=8)
+    solved = solve(random_snapshot(grid, rng), 0.1, tg)
+    write_trajectory(tmp_path / "run", solved)
+    for traj in (solved, read_trajectory(tmp_path / "run")):
+        assert traj.phi.shape == traj.pi.shape == (tg.nnodes, *grid.shape)
+        for j in range(tg.nnodes):
+            snap = traj.node(j)
+            assert snap.time == tg.nodes[j]
+            assert snap.phi.values.tobytes() == traj.phi[j].tobytes()
+            assert snap.pi.values.tobytes() == traj.pi[j].tobytes()
+            assert np.shares_memory(snap.phi.values, traj.phi)
+            assert np.shares_memory(snap.pi.values, traj.pi)
+            assert snap.phi.real_field and snap.pi.real_field
 
 
 def test_trajectory_rejects_arrays_that_do_not_fit_the_manifest(tmp_path, small_grid, rng):
@@ -85,7 +109,7 @@ def report_fixture(small_grid, rng):
     traj = solve(random_snapshot(small_grid, rng), 0.1, tg)
     psi = random_test_function(small_grid, rng)
     target = bracket_ds(psi, traj.node(0))
-    return series(psi, traj.snapshots[-1], 0.1, tg, max_order=2, target=target)
+    return series(psi, traj.node(-1), 0.1, tg, max_order=2, target=target)
 
 
 def test_report_json(tmp_path, small_grid, rng):

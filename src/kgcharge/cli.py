@@ -12,7 +12,9 @@ trajectory missing, unreadable, or solved from a different grid, time grid,
 coupling or initial data, or, for transport, a manifest without the
 solver.phi_e_norm that solve records), 3 blow-up during solving, a node norm
 over the ceiling or not a number (sweep names the coupling that crossed
-first), 4 convergence condition false without --force, 5 sweep
+first), or a series that is not finite: an order sum, partial sum or
+residual of transport or sweep, or an estimate of readout, that overflowed
+to inf or NaN, 4 convergence condition false without --force, 5 sweep
 underflow or fewer than 3 distinct coupling magnitudes (the slopes are
 fitted in log|coupling|, so a sign flip adds no point).
 """
@@ -306,6 +308,17 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+def _require_finite_series(report, label: str = "") -> None:
+    """Exit 3 unless every order sum, partial sum and residual of the report is a finite number."""
+    for term, partial, residual in zip(report.per_order, report.partial_sums, report.residuals):
+        if not all(math.isfinite(v) for v in (term.order_sum, partial, residual)):
+            _fail(
+                3,
+                f"non-finite series{label}: order {term.order} sum {term.order_sum!r}, "
+                f"partial sum {partial!r}, residual {residual!r}",
+            )
+
+
 def _config_errors(func):
     """Map ConfigError raised inside a command to exit code 2."""
 
@@ -438,6 +451,7 @@ def transport(config_path, out, max_order, force):
         c_q=estimate_algebra_constant(grid),
         phi_e_norm=traj.meta["phi_e_norm"],
     )
+    _require_finite_series(report)
     if not report.condition_ok:
         if not force:
             _fail(
@@ -498,6 +512,8 @@ def sweep(config_path, out, max_order, seed):
         )
         for coupling, (snap, phi_e_norm) in zip(couplings, slices)
     ]
+    for coupling, report in zip(couplings, reports):
+        _require_finite_series(report, f" at coupling {coupling}")
     for coupling, report in zip(couplings, reports):
         for order, residual in enumerate(report.residuals):
             if residual < 1e-14:
@@ -575,6 +591,8 @@ def readout(config_path, out, max_order):
     traj = _read_matching_trajectory(cfg)
     x0, width = spec["x0"], spec["width"]
     phi_est, dtphi_est = readout_series(traj, cfg.s, x0, width, cfg.max_order)
+    if not (math.isfinite(phi_est) and math.isfinite(dtphi_est)):
+        _fail(3, f"non-finite readout: phi estimate {phi_est!r}, d/dt phi estimate {dtphi_est!r}")
     first = traj.node(0)
     phi_true = evaluate_at(first.phi, x0)
     dtphi_true = evaluate_at(first.pi, x0)

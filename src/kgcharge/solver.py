@@ -17,13 +17,24 @@ forms the acceleration -omega^2 phi - lambda phi^2 and takes the H^q norms
 of all three in one call: phi and pi drive the blow-up check, and the
 running max over nodes is the trajectory's ``phi_e_norm``, the norm that
 feeds the convergence condition.  The node energies that solve records
-square the whole stack of node fields in one product.
+square the whole stack of node fields in one product, on the complex pair.
+
+The loop steps in one of two mode layouts (spectral.SpectrumLayout), chosen
+once per solve from the real-field flag.  Real fields keep the ``rfftn``
+half spectrum, the last axis' j = 0..modes/2: their square goes through
+``irfft``/``rfft``, their norms weigh each kept column by its multiplicity
+in the full spectrum, and after the loop every node's other half is filled
+by conjugation.  Complex-flagged data keep the full spectrum and the
+complex pair.  Both run the same loop: one buffer holds phi, pi and the
+acceleration of every row at a node, the free flow is one product with the
+pair (phi, pi) and one with the pair swapped, and a step's closing half
+kick is the next step's opening one.
 
 A trajectory is the Cauchy data at every node as two stacked mode tables,
 phi and pi, each of shape (nnodes, *grid.shape), with one real-field flag;
 ``Trajectory.node`` views one row as a FieldSnapshot.  The solver writes
 each node into one preallocated block per field and hands each coupling
-its row of the blocks.
+its row of the blocks; node 0 is the initial data as given.
 
 Test functions psi solve the linear equation exactly; they are stored as
 Cauchy data at t = 0 and evaluated at any time with the free flow, so
@@ -36,15 +47,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .propagation import TimeGrid, apply_flow, flow_multipliers, free_evolve
+from .propagation import TimeGrid, flow_multipliers, free_evolve
 from .spectral import (
     FieldSnapshot,
     GridMismatch,
     ModeArray,
     SizeMismatch,
     SpectralGrid,
+    SpectrumLayout,
     dealiased_product,
-    sobolev_norms,
     to_modes,
 )
 
@@ -161,68 +172,74 @@ def solve_couplings(
     if not rows:
         raise ValueError("solve_couplings needs at least one coupling")
     real = initial.phi.real_field and initial.pi.real_field
+    # real fields step on the rfftn half spectrum, complex ones on all of it
+    layout = SpectrumLayout(grid, real)
     lead = (-1,) + (1,) * grid.dim
     active = np.flatnonzero([c != 0.0 for c in couplings])
     # a slice keeps the common all-coupled stack free of gathers
     act = slice(None) if len(active) == rows else active
     kicks = np.array([dt / 2.0 * couplings[r] for r in active]).reshape(lead)
     forcing = np.array([couplings[r] for r in active]).reshape(lead)
-    step = flow_multipliers(grid.omega, dt)
-    neg_omega_sq = -(grid.omega**2)
-    diagnosed = np.empty((3, rows) + grid.shape, dtype=complex)
+    c, s_over_w, w_s = flow_multipliers(layout.omega, dt)
+    # the free flow of the pair (phi, pi) as one product with the pair and
+    # one with the pair swapped: c phi + (s/w) pi and c pi + (-w s) phi
+    along = np.stack([c, c])[:, None]
+    across = np.stack([s_over_w, w_s])[:, None]
+    neg_omega_sq = -(layout.omega**2)
 
     def square(phi, real_flag):
-        x = phi[act]
-        return dealiased_product(grid, x, x, real_flag) if len(active) else None
+        return layout.square(phi[act], real_flag) if len(active) else None
 
-    def kicked(pi, phi_sq):
-        if phi_sq is None:
-            return pi
-        if len(active) == rows:
-            return pi - kicks * phi_sq
-        out = pi.copy()
-        out[act] -= kicks * phi_sq
-        return out
-
-    def norms(phi, pi, phi_sq):
-        """H^q norms of phi, pi and the acceleration of every row, shape (3, rows)."""
-        diagnosed[0], diagnosed[1] = phi, pi
-        np.multiply(neg_omega_sq, phi, out=diagnosed[2])
+    def diagnose(node, phi_sq):
+        """Fill in the acceleration; the H^q norms of phi, pi and it, shape (3, rows)."""
+        np.multiply(neg_omega_sq, node[0], out=node[2])
         if phi_sq is not None:
-            diagnosed[2, act] -= forcing * phi_sq
-        return sobolev_norms(grid, diagnosed)
+            node[2, act] -= forcing * phi_sq
+        return layout.norms(node)
 
-    phi = np.stack([initial.phi.values] * rows)
-    pi = np.stack([initial.pi.values] * rows)
-    # every row's trajectory is one row of these blocks
-    phi_nodes = np.empty((rows, tgrid.nnodes) + grid.shape, dtype=complex)
-    pi_nodes = np.empty_like(phi_nodes)
-    phi_nodes[:, 0], pi_nodes[:, 0] = phi, pi
-    phi_sq = square(phi, initial.phi.real_field)
+    # phi, pi and the acceleration of every row at one node, in the kept
+    # columns: this node's buffer and the next one's
+    node = np.empty((3, rows) + layout.shape, dtype=complex)
+    node[0], node[1] = layout.cut(initial.phi.values), layout.cut(initial.pi.values)
+    ahead = np.empty_like(node)
+    # phi and pi of every row at every node: row r of tables[0] and of
+    # tables[1] is one trajectory.  The loop writes the kept columns; node 0
+    # is the initial data as given.
+    tables = np.empty((2, rows, tgrid.nnodes) + grid.shape, dtype=complex)
+    tables[0, :, 0], tables[1, :, 0] = initial.phi.values, initial.pi.values
+    kept = layout.cut(tables)
+    phi_sq = square(node[0], initial.phi.real_field)
     # The first kick squares phi as phi alone is flagged; the norms square
     # every node, the first too, as phi and pi together are.
-    node_norms = [norms(phi, pi, phi_sq if initial.phi.real_field == real else square(phi, real))]
+    node_norms = [diagnose(node, phi_sq if initial.phi.real_field == real else square(node[0], real))]
+    # a step's closing half kick is the next step's opening one
+    kick = None if phi_sq is None else kicks * phi_sq
     for j in range(tgrid.nt):
-        pi = kicked(pi, phi_sq)
-        phi, pi = apply_flow(step, phi, pi)
-        # the next step's opening half kick reuses this square
-        phi_sq = square(phi, real)
-        pi = kicked(pi, phi_sq)
-        node = norms(phi, pi, phi_sq)
+        if kick is not None:
+            node[1, act] -= kick
+        np.multiply(along, node[:2], out=ahead[:2])
+        ahead[:2] += across * node[1::-1]
+        node, ahead = ahead, node
+        phi_sq = square(node[0], real)
+        if phi_sq is not None:
+            kick = kicks * phi_sq
+            node[1, act] -= kick
+        norms = diagnose(node, phi_sq)
         # "not <=" so that a NaN norm crosses the ceiling too
-        if not node[:2].max() <= norm_ceiling:
-            first = np.flatnonzero(~(np.maximum(node[0], node[1]) <= norm_ceiling))[0]
+        if not norms[:2].max() <= norm_ceiling:
+            first = np.flatnonzero(~(np.maximum(norms[0], norms[1]) <= norm_ceiling))[0]
             time = float(tgrid.nodes[j + 1])
             raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={time}", couplings[first])
-        node_norms.append(node)
-        phi_nodes[:, j + 1], pi_nodes[:, j + 1] = phi, pi
+        node_norms.append(norms)
+        kept[:, :, j + 1] = node[:2]
+    layout.fill(tables[:, :, 1:])
     peak = np.max(node_norms, axis=(0, 1))
     return [
         Trajectory(
             tgrid,
             grid,
-            phi_nodes[r],
-            pi_nodes[r],
+            tables[0, r],
+            tables[1, r],
             couplings[r],
             real,
             {"scheme": "strang", "dt": dt, "norm_ceiling": norm_ceiling, "phi_e_norm": float(peak[r])},

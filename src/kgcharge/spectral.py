@@ -17,8 +17,18 @@ Quadratic products are evaluated on the grid and then truncated to the band
 are band limited to that band the truncated product is exactly alias free.
 This is the package's one product: ``grid_values`` and ``dealiased_modes``
 transform over the trailing ``dim`` axes of a stack of mode tables, and
-``dealiased_product`` composes them.  The solver squares single fields and
-whole node stacks.
+``dealiased_product`` composes them.  The node energies, the ``c_q``
+estimate and complex-flagged solves use it.
+
+A real field's modes at -k are the conjugates of those at k, so the solver
+steps real fields on the half spectrum of ``rfftn``: the last axis keeps
+j = 0..modes/2 (65 of 128 columns on a 128-mode line).  ``SpectrumLayout``
+holds what a layout needs, chosen once from the real-field flag: the kept
+columns, the square on them (``irfft``/``rfft`` with the transform scales
+and the 2/3 mask as one multiplier), H^q norms that weigh each kept column
+by how often it occurs in the full spectrum, and the fill that rebuilds
+the other half of full tables by conjugation.  Its complex layout is the
+full spectrum with ``dealiased_product`` and ``sobolev_norms``, unchanged.
 
 A dealiased product of real fields is zero outside the kept band and
 Hermitian, so it is fully described by the band's half: ``|j| <= K`` on the
@@ -33,6 +43,7 @@ half spectrum alike, since both store the last axis' j = 0..K first.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -280,6 +291,91 @@ def dealiased_product(grid: SpectralGrid, a: np.ndarray, b: np.ndarray, real: bo
     x = grid_values(grid, a, real)
     y = x if b is a else grid_values(grid, b, real)
     return dealiased_modes(grid, x * y)
+
+
+class SpectrumLayout:
+    """The mode columns a stepper keeps of each field, with the square and the norms on them.
+
+    Chosen once from a real-field flag.  Complex fields keep the full
+    spectrum: ``square`` is :func:`dealiased_product` and ``norms`` is
+    :func:`sobolev_norms`, to the bit.  Real fields keep the ``rfftn`` half
+    spectrum, the last axis' j = 0..modes/2:
+
+    - ``square`` goes through ``irfftn``/``rfftn`` (``irfft``/``rfft`` on a
+      1-D grid, one call each) and takes both transform scales and the 2/3
+      mask as one multiplier;
+    - ``norms`` weigh each column by how often it occurs in the full
+      spectrum: once for the last axis' j = 0 and modes/2, twice elsewhere;
+    - ``fill`` completes full-spectrum tables from their half by
+      conjugation, in place and by slices.
+
+    ``cut`` views the kept columns of full-spectrum tables, and ``omega``
+    gives the dispersion relation on them.
+    """
+
+    def __init__(self, grid: SpectralGrid, real: bool):
+        self.grid = grid
+        self.real = real
+        self.columns = grid.half_shape[-1] if real else grid.modes
+        self.shape = grid.shape[:-1] + (self.columns,)
+        self.omega = self.cut(grid.omega)
+        self._axes = tuple(range(-grid.dim, 0))
+        if real:
+            self._fold = self.cut(grid.keep_mask) * (grid.npoints / grid.volume)
+            multiplicity = np.full(self.columns, 2.0)
+            multiplicity[[0, -1]] = 1.0
+            weights = self.cut(grid.sobolev_weights(grid.sobolev_q)) * multiplicity
+            # each weight twice, for a column's real and imaginary part, over the volume
+            self._part_weights = np.repeat(weights, 2, axis=-1) / grid.volume
+
+    def cut(self, values: np.ndarray) -> np.ndarray:
+        """A view of the kept columns of full-spectrum tables."""
+        return values[..., : self.columns]
+
+    def square(self, values: np.ndarray, real: bool | None = None) -> np.ndarray:
+        """Dealiased squares of a stack of tables in this layout.
+
+        ``real`` flags full-spectrum values as real fields, as for
+        :func:`dealiased_product`, and defaults to the layout's flag;
+        half-spectrum values always are real fields.
+        """
+        if not self.real:
+            return dealiased_product(self.grid, values, values, bool(real))
+        grid = self.grid
+        if grid.dim == 1:
+            x = np.fft.irfft(values, grid.modes)
+            return np.fft.rfft(x * x) * self._fold
+        x = np.fft.irfftn(values, s=grid.shape, axes=self._axes)
+        return np.fft.rfftn(x * x, axes=self._axes) * self._fold
+
+    def norms(self, values: np.ndarray) -> np.ndarray:
+        """H^q norms, at the grid's q, of a stack of tables in this layout.
+
+        The last axis must be contiguous: the half layout weighs the squares
+        of the real and imaginary parts as one float array.
+        """
+        if not self.real:
+            return sobolev_norms(self.grid, values)
+        parts = values.view(float)
+        return np.sqrt(np.add.reduce(parts * parts * self._part_weights, axis=self._axes))
+
+    def fill(self, tables: np.ndarray) -> None:
+        """Complete real fields' full-spectrum tables from the half this layout keeps.
+
+        Column j > modes/2 of the last axis becomes the conjugate of column
+        modes - j at the mirrored index -i mod modes of every leading axis.
+        Writes over ``tables`` in place; complex layouts keep every column
+        and leave it as it is.
+        """
+        if not self.real:
+            return
+        n = self.grid.modes
+        # on a leading axis, index 0 is its own mirror and 1..n-1 reverse
+        pieces = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+        for lead in itertools.product(pieces, repeat=self.grid.dim - 1):
+            dst = (Ellipsis,) + tuple(d for d, _ in lead) + (slice(n // 2 + 1, None),)
+            src = (Ellipsis,) + tuple(s for _, s in lead) + (slice(n // 2 - 1, 0, -1),)
+            np.conjugate(tables[src], out=tables[dst])
 
 
 def pair_modes(f: ModeArray, g: ModeArray) -> complex:

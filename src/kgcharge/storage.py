@@ -6,12 +6,16 @@ time grid's nodes) and the trajectory's ``phi`` and ``pi`` tables
 (complex128, shape ``(nnodes, *grid.shape)``), written and read as they
 are, so every grid dimension uses one format and the values round-trip bit
 for bit.  ``manifest.json`` describes the run: grid, time grid, coupling,
-solver metadata and whatever the caller adds.  The archive's zip entries
+the trajectory's real-field flag, solver metadata and whatever the caller
+adds.  A complex coupling is written as ``{"real": ..., "imag": ...}``; a
+manifest without ``real_field``, as every kgcharge before the flag was
+recorded wrote, reads as real.  The archive's zip entries
 carry a fixed timestamp, so writing the same trajectory again produces the
 same bytes.  Reading checks the archive against its manifest: a manifest
 without a well-formed grid, time grid or coupling, arrays of the wrong
-shape or dtype, ``times`` that are not the manifest's nodes, or non-finite
-field values raise ValueError.
+shape or dtype, ``times`` that are not the manifest's nodes, a
+``real_field`` that is not a boolean, or non-finite field values raise
+ValueError.
 
 Report CSV bodies are deterministic: comma separated, header rows, floats at
 17 significant digits with a "." decimal point regardless of locale.
@@ -39,6 +43,18 @@ def format_float(x: float) -> str:
     return f"{x:.16e}"
 
 
+def _coupling_to_json(coupling):
+    if isinstance(coupling, complex):
+        return {"real": coupling.real, "imag": coupling.imag}
+    return coupling
+
+
+def _coupling_from_json(value):
+    if isinstance(value, dict):
+        return complex(value["real"], value["imag"])
+    return value
+
+
 def write_trajectory(directory, traj: Trajectory, manifest_extra: dict | None = None) -> None:
     """One array archive of every node plus a JSON manifest describing the run."""
     directory = Path(directory)
@@ -54,7 +70,8 @@ def write_trajectory(directory, traj: Trajectory, manifest_extra: dict | None = 
             "sobolev_q": grid.sobolev_q,
         },
         "time": {"horizon": traj.tgrid.horizon, "nt": traj.tgrid.nt},
-        "coupling": traj.coupling,
+        "coupling": _coupling_to_json(traj.coupling),
+        "real_field": traj.real_field,
         "solver": dict(traj.meta),
     }
     if manifest_extra:
@@ -76,9 +93,12 @@ def read_trajectory(directory) -> Trajectory:
     try:
         grid = SpectralGrid(**manifest["grid"])
         tgrid = TimeGrid(manifest["time"]["horizon"], manifest["time"]["nt"])
-        coupling = manifest["coupling"]
+        coupling = _coupling_from_json(manifest["coupling"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{MANIFEST_FILE} gives no grid, time grid and coupling ({exc!r})") from exc
+    real = manifest.get("real_field", True)
+    if not isinstance(real, bool):
+        raise ValueError(f"{MANIFEST_FILE} gives real_field {real!r}, not true or false")
     with np.load(directory / TRAJECTORY_FILE, allow_pickle=False) as data:
         missing = {"times", "phi", "pi"} - set(data.files)
         if missing:
@@ -90,7 +110,7 @@ def read_trajectory(directory) -> Trajectory:
             "the format needs float64 and complex128"
         )
     # raises SizeMismatch, a ValueError, unless phi and pi fit the manifest
-    traj = Trajectory(tgrid, grid, phi, pi, coupling, meta=manifest.get("solver", {}))
+    traj = Trajectory(tgrid, grid, phi, pi, coupling, real, manifest.get("solver", {}))
     if times.shape != tgrid.nodes.shape or not np.all(np.abs(times - tgrid.nodes) <= tgrid.tolerance):
         raise ValueError(f"{TRAJECTORY_FILE} times are not the nodes of {tgrid}")
     if not (np.isfinite(phi).all() and np.isfinite(pi).all()):

@@ -43,6 +43,7 @@ from kgcharge.spectral import (
     GridMismatch,
     ModeArray,
     SpectralGrid,
+    SpectrumLayout,
     _localized_samples,
     band_modes,
     band_values,
@@ -52,7 +53,6 @@ from kgcharge.spectral import (
     half_spectrum_values,
     pair_modes,
     sobolev_norm,
-    sobolev_norms,
 )
 from kgcharge.trees import (
     GrowSpec,
@@ -403,17 +403,38 @@ def direct_amplitude(b: Tree, psi: TestFunction, snap: FieldSnapshot, tgrid: Tim
 # Literal per-node and per-call loops.  The package squares whole stacks of
 # node fields at once and reuses one square per solver node; these are the
 # loops it replaced, one dealiased product per call, kept to check it by.
+# Real fields take the solver's real pair and half-spectrum norms
+# (SpectrumLayout), one node at a time, and every node's columns past
+# modes/2 are rebuilt from its kept half by a gathered mirror.
+
+
+def completed(f):
+    """The real field whose kept half is f's: columns past modes/2 conjugated from their mirrors."""
+    n = f.grid.modes
+    mirrored = np.conj(f.values[np.ix_(*[(-np.arange(n)) % n] * f.grid.dim)])
+    values = f.values.copy()
+    values[..., n // 2 + 1 :] = mirrored[..., n // 2 + 1 :]
+    return ModeArray(f.grid, values, True)
 
 
 def _kick(snap, coupling, half_dt):
-    phi_sq = pointwise_product(snap.phi, snap.phi)
-    pi = ModeArray(snap.grid, snap.pi.values - half_dt * coupling * phi_sq.values, snap.pi.real_field)
-    return FieldSnapshot(snap.time, snap.phi, pi)
+    grid = snap.grid
+    if not (snap.phi.real_field and snap.pi.real_field):
+        phi_sq = pointwise_product(snap.phi, snap.phi)
+        pi = ModeArray(grid, snap.pi.values - half_dt * coupling * phi_sq.values, snap.pi.real_field)
+        return FieldSnapshot(snap.time, snap.phi, pi)
+    # the kept half only; the columns past modes/2 are stale until completed
+    half = SpectrumLayout(grid, True)
+    pi = snap.pi.values.copy()
+    half.cut(pi)[...] = half.cut(snap.pi.values) - half_dt * coupling * half.square(half.cut(snap.phi.values))
+    return FieldSnapshot(snap.time, snap.phi, ModeArray(grid, pi, True))
 
 
 def strang_with_fresh_kicks(initial, coupling, tgrid, norm_ceiling=1e6):
     """Snapshots of the Strang scheme with two freshly squared half kicks per step."""
     dt = tgrid.dt
+    real = initial.phi.real_field and initial.pi.real_field
+    layout = SpectrumLayout(initial.grid, real)
     nodes = [initial]
     current = initial
     for j in range(tgrid.nt):
@@ -422,8 +443,9 @@ def strang_with_fresh_kicks(initial, coupling, tgrid, norm_ceiling=1e6):
         current = free_evolve(current, dt)
         if coupling != 0.0:
             current = _kick(current, coupling, dt / 2.0)
-        current = FieldSnapshot(float(tgrid.nodes[j + 1]), current.phi, current.pi)
-        if max(sobolev_norm(current.phi), sobolev_norm(current.pi)) > norm_ceiling:
+        phi, pi = (completed(current.phi), completed(current.pi)) if real else (current.phi, current.pi)
+        current = FieldSnapshot(float(tgrid.nodes[j + 1]), phi, pi)
+        if max(layout.norms(layout.cut(f.values)) for f in (current.phi, current.pi)) > norm_ceiling:
             raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={current.time}")
         nodes.append(current)
     return nodes
@@ -431,17 +453,24 @@ def strang_with_fresh_kicks(initial, coupling, tgrid, norm_ceiling=1e6):
 
 def node_acceleration(snap, coupling):
     """-(omega^2 phi_hat) - coupling (phi^2)_hat of one node."""
-    phi_sq = pointwise_product(snap.phi, snap.phi)
-    values = -(snap.grid.omega**2) * snap.phi.values - coupling * phi_sq.values
-    return ModeArray(snap.grid, values, snap.phi.real_field)
+    grid = snap.grid
+    if not snap.phi.real_field:
+        phi_sq = pointwise_product(snap.phi, snap.phi)
+        return ModeArray(grid, -(grid.omega**2) * snap.phi.values - coupling * phi_sq.values, False)
+    half = SpectrumLayout(grid, True)
+    phi = half.cut(snap.phi.values)
+    values = np.zeros(grid.shape, dtype=complex)
+    half.cut(values)[...] = -(half.omega**2) * phi - coupling * half.square(phi)
+    return completed(ModeArray(grid, values, True))
 
 
 def per_node_field_energy_norm(traj):
     """Max over nodes of the H^q norms of phi, pi and the acceleration, node by node."""
+    layout = SpectrumLayout(traj.grid, traj.real_field)
     best = 0.0
     for snap in (traj.node(j) for j in range(traj.tgrid.nnodes)):
         accel = node_acceleration(snap, traj.coupling)
-        best = max(best, sobolev_norm(snap.phi), sobolev_norm(snap.pi), sobolev_norm(accel))
+        best = max(best, *(float(layout.norms(layout.cut(f.values))) for f in (snap.phi, snap.pi, accel)))
     return best
 
 
@@ -450,11 +479,13 @@ def field_energy_norm(traj):
 
     The second pass over a stored trajectory that the solver's in-loop
     norms replaced: one stacked square of every node field, the
-    acceleration from the equation of motion, and the three norms.
+    acceleration from the equation of motion, and the three norms, all on
+    the columns the solver keeps.
     """
-    grid, phi = traj.grid, traj.phi
-    accel = -(grid.omega**2) * phi - traj.coupling * dealiased_product(grid, phi, phi, traj.real_field)
-    return float(max(sobolev_norms(grid, values).max() for values in (phi, traj.pi, accel)))
+    layout = SpectrumLayout(traj.grid, traj.real_field)
+    phi = layout.cut(traj.phi)
+    accel = -(layout.omega**2) * phi - traj.coupling * layout.square(phi)
+    return float(max(layout.norms(values).max() for values in (phi, layout.cut(traj.pi), accel)))
 
 
 def node_energy(snap, coupling):

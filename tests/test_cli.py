@@ -464,6 +464,51 @@ def test_an_overflowing_solve_exits_3(runner, tmp_path, command, changed, named)
     assert not (tmp_path / "run" / "trajectory" / "trajectory.npz").exists()
 
 
+@pytest.mark.parametrize("command", ["transport", "sweep"])
+def test_a_series_that_overflows_exits_3(runner, tmp_path, command):
+    # a finite but huge test function: its modes overflow, and the sums
+    # turn NaN, which must not be printed and written as a result
+    changed = {"test_function": {"amplitude": 1e308}}
+    if command == "sweep":
+        changed["coupling"] = [0.1, 0.2, 0.4]
+    cfg = write_config(tmp_path, **changed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if command == "transport":
+            assert runner.invoke(main, ["solve", "--config", str(cfg)]).exit_code == 0
+            result = runner.invoke(main, ["transport", "--config", str(cfg), "--force"])
+        else:
+            result = runner.invoke(main, ["sweep", "--config", str(cfg)])
+    assert result.exit_code == 3, result.output
+    assert "non-finite series" in result.output
+    assert "nan" in result.output
+    assert not list((tmp_path / "run").glob("*.csv"))
+
+
+def test_a_readout_that_overflows_exits_3(runner, tmp_path):
+    tf = {"type": "dirac", "x0": 3.0, "width": 0.8}
+    cfg = run_solved(runner, tmp_path, test_function=tf)
+    # finite fields, so the archive reads, whose squares overflow
+    tdir = tmp_path / "run" / "trajectory"
+    with np.load(tdir / "trajectory.npz") as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays["phi"] *= 1e200
+    np.savez(tdir / "trajectory.npz", **arrays)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = runner.invoke(main, ["readout", "--config", str(cfg)])
+    assert result.exit_code == 3, result.output
+    assert "non-finite readout" in result.output
+    assert not (tmp_path / "run" / "readout.csv").exists()
+
+
+def test_solving_twice_writes_the_same_archive_bytes(runner, tmp_path):
+    archives = []
+    for name in ("first", "second"):
+        cfg = write_config(tmp_path, name=f"{name}.json", out=str(tmp_path / name))
+        assert runner.invoke(main, ["solve", "--config", str(cfg)]).exit_code == 0
+        archives.append((tmp_path / name / "trajectory" / "trajectory.npz").read_bytes())
+    assert archives[0] == archives[1]
+
+
 def test_sweep_accepts_threads_only_as_one(runner, tmp_path):
     cfg = write_config(tmp_path, coupling=[0.1, 0.2, 0.4], max_order=1, threads=1)
     assert runner.invoke(main, ["sweep", "--config", str(cfg)]).exit_code == 0

@@ -183,6 +183,53 @@ def test_a_complex_coupling_solves_complex_flagged_data(rng):
         assert_same_trajectory(stacked, solve(data, c, tg))
 
 
+# The desk grid, a grid off the powers of two and a 2-D grid, for the check
+# that real fields step on the half spectrum as complex ones on the full one
+LAYOUT_GRIDS = [
+    SpectralGrid(dim=1, extent=40.0, modes=128, mass=1.0, sobolev_q=1),
+    SpectralGrid(dim=1, extent=20.0, modes=30, mass=1.0, sobolev_q=1),
+    SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2),
+]
+
+
+def flagged_complex(data):
+    grid = data.grid
+    return FieldSnapshot(0.0, ModeArray(grid, data.phi.values, False), ModeArray(grid, data.pi.values, False))
+
+
+def assert_close_rows(got, want, rel):
+    """Every row of got within rel of want, relative to the row's largest entry."""
+    for a, b in zip(got, want, strict=True):
+        assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("grid", LAYOUT_GRIDS, ids=["desk", "1d-30", "2d-16"])
+def test_real_fields_on_the_half_spectrum_match_the_full_complex_path(grid, rng):
+    data = random_snapshot(grid, rng)
+    tg = TimeGrid(horizon=0.5, nt=16)
+    half = solve_couplings(data, STACK_COUPLINGS, tg)
+    full = solve_couplings(flagged_complex(data), STACK_COUPLINGS, tg)
+    for got, want in zip(half, full, strict=True):
+        assert got.real_field and not want.real_field
+        assert_close_rows(got.phi, want.phi, 1e-12)
+        assert_close_rows(got.pi, want.pi, 1e-12)
+        assert got.meta["phi_e_norm"] == pytest.approx(want.meta["phi_e_norm"], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("grid", LAYOUT_GRIDS, ids=["desk", "1d-30", "2d-16"])
+def test_a_blow_up_names_the_same_node_and_coupling_in_both_layouts(grid):
+    data = gaussian_data(grid, amplitude=2.0)
+    tg = TimeGrid(1.0, 64)
+    ceiling = 1.5 * sobolev_norm(data.phi)
+    named = []
+    for flagged in (data, flagged_complex(data)):
+        with pytest.raises(BlowUp) as exc:
+            solve_couplings(flagged, [0.1, 5.0, 0.2, 9.0], tg, norm_ceiling=ceiling)
+        named.append((str(exc.value), exc.value.coupling))
+    assert named[0] == named[1]
+    assert named[0][1] == 9.0
+
+
 def test_mixed_flag_data_give_one_flag_at_every_node(small_grid, rng):
     # phi flagged real, pi not: the trajectory's one flag is not real, and
     # node 0 reports it too rather than the initial data's own flags

@@ -10,7 +10,7 @@ from conftest import random_snapshot, random_test_function
 from kgcharge.propagation import TimeGrid
 from kgcharge.series import bracket_ds, series
 from kgcharge.solver import solve
-from kgcharge.spectral import SpectralGrid
+from kgcharge.spectral import FieldSnapshot, ModeArray, SpectralGrid
 from kgcharge.storage import (
     TRAJECTORY_FILE,
     format_float,
@@ -80,6 +80,33 @@ def test_node_j_is_row_j_of_the_solved_and_the_read_tables(tmp_path, grid, rng):
             assert np.shares_memory(snap.phi.values, traj.phi)
             assert np.shares_memory(snap.pi.values, traj.pi)
             assert snap.phi.real_field and snap.pi.real_field
+
+
+def test_a_complex_trajectory_keeps_its_flag_and_coupling(tmp_path, small_grid, rng):
+    real = random_snapshot(small_grid, rng)
+    data = FieldSnapshot(0.0, ModeArray(small_grid, real.phi.values, False), ModeArray(small_grid, real.pi.values, False))
+    traj = solve(data, 0.3 + 0.2j, TimeGrid(horizon=0.5, nt=8))
+    write_trajectory(tmp_path / "run", traj)
+    back = read_trajectory(tmp_path / "run")
+    assert back.coupling == 0.3 + 0.2j
+    assert not back.real_field
+    assert not back.node(3).phi.real_field
+    assert back.phi.tobytes() == traj.phi.tobytes()
+    assert back.pi.tobytes() == traj.pi.tobytes()
+
+
+def test_a_manifest_without_the_flag_reads_as_real(tmp_path, small_grid, rng):
+    # every kgcharge before the flag was recorded stored real trajectories
+    write_trajectory(tmp_path / "run", solve(random_snapshot(small_grid, rng), 0.1, TimeGrid(horizon=0.5, nt=4)))
+    manifest_path = tmp_path / "run" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest.pop("real_field") is True
+    manifest_path.write_text(json.dumps(manifest))
+    assert read_trajectory(tmp_path / "run").real_field
+    manifest["real_field"] = "no"
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="real_field"):
+        read_trajectory(tmp_path / "run")
 
 
 def test_trajectory_rejects_arrays_that_do_not_fit_the_manifest(tmp_path, small_grid, rng):

@@ -7,7 +7,8 @@ manifest that solve writes; rerunning a command with the same config and seed
 produces byte-identical CSV bodies.
 
 Exit codes: 0 success, 1 lemma-check failures, 2 config validation (a
-number that is not finite or a negative seed among them; also a stored
+number that is not finite, a boolean where a number belongs, a fraction in
+an integer field or a negative seed among them; also a stored
 trajectory missing, unreadable, or solved from a different grid, time grid,
 coupling or initial data, or, for transport, a manifest without the
 solver.phi_e_norm that solve records), 3 blow-up during solving, a node norm
@@ -104,18 +105,22 @@ class ConfigError(Exception):
         self.field = field
 
 
-def _finite(value: float) -> float:
-    if not math.isfinite(value):
+def _number(raw, cast):
+    """``raw`` cast by ``cast``, refusing a boolean, a float that is not finite and a fraction for an int."""
+    if isinstance(raw, bool):
+        raise TypeError(f"must be a number, got {raw}")
+    value = cast(raw)
+    if cast is float and not math.isfinite(value):
         raise ValueError(f"must be a finite number, got {value}")
+    if cast is int and isinstance(raw, float) and value != raw:
+        raise ValueError(f"must be an integer, got {raw}")
     return value
 
 
 def _get(section: dict, section_name: str, key: str, cast, default):
-    """The field cast by ``cast``; a ConfigError names its path if that fails or a float is not finite."""
-    raw = section.get(key, default)
+    """The field cast by :func:`_number`; a ConfigError names its path if that fails."""
     try:
-        value = cast(raw)
-        return _finite(value) if cast is float else value
+        return _number(section.get(key, default), cast)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{section_name}.{key}" if section_name else key, str(exc)) from exc
 
@@ -148,7 +153,8 @@ class ExperimentConfig:
             for key in data.get(name, {}) if name else data:
                 if key not in known:
                     raise ConfigError(f"{name}.{key}" if name else key, "unknown key")
-        if data.get("threads", 1) != 1:
+        threads = data.get("threads", 1)
+        if threads != 1 or isinstance(threads, bool):
             raise ConfigError("threads", "sweep runs on one thread")
         grid = data.get("grid", {})
         time = data.get("time", {})
@@ -194,7 +200,7 @@ class ExperimentConfig:
     def coupling_list(self) -> list[float]:
         values = self.coupling if isinstance(self.coupling, (list, tuple)) else [self.coupling]
         try:
-            return [_finite(float(v)) for v in values]
+            return [_number(v, float) for v in values]
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError("coupling", str(exc)) from exc
 

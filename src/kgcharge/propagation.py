@@ -81,16 +81,10 @@ def flow_multipliers(omega: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray, np.
     return c, s / omega, -omega * s
 
 
-def flowed_phi(multipliers, phi: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """The phi_hat half of :func:`apply_flow`, for callers that need no pi_hat."""
-    c, s_over_w, _ = multipliers
-    return c * phi + s_over_w * pi
-
-
 def apply_flow(multipliers, phi: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flow mode data (phi_hat, pi_hat) by the :func:`flow_multipliers` given."""
-    c, _, w_s = multipliers
-    return flowed_phi(multipliers, phi, pi), w_s * phi + c * pi
+    c, s_over_w, w_s = multipliers
+    return c * phi + s_over_w * pi, w_s * phi + c * pi
 
 
 def free_flow(grid: SpectralGrid, phi: np.ndarray, pi: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:

@@ -21,29 +21,43 @@ Per subtree b the evaluation carries the table
 so a tree amplitude is a single outer time integral of <psi(tau), product
 of the root's child tables>.  Each table is bilinear in its child tables and
 the kernel is linear, so the summed table of all trees of order n obeys one
-recursion, W_0 = w_leaf and W_n = K[sum over i + j = n - 1 of W_i W_j], and
-the order-n term pairs psi with that same sum of products.  The series
-driver runs this order recursion: n tables and one transform pair per order
-instead of Catalan-many tables, keeping the tables in point space so the
-products of one order are summed before a single forward transform.
+recursion, W_0 = w_leaf and W_n = K[sum over i + j = n - 1 of W_i W_j].  The
+series driver runs this order recursion: n tables and one transform pair per
+order instead of Catalan-many tables, keeping the tables in point space so
+the products of one order are summed before a single forward transform.
+
+psi is paired once, at t = 0.  The trapezoid integral over [0, s] of
+<psi(tau), F(tau)> equals, sum for sum, the bracket of psi's t = 0 data
+with F's Duhamel datum (the integrals of sin(tau omega)/omega F and of
+-cos(tau omega) F), and for the order-n product that datum is the order-n
+tree field at t = 0, (W_n(0), d/dt W_n(0)): row 0 of the two suffix sums
+of its retarded integral.  So the order-n term is the bracket of psi with
+the order-n t = 0 field, order 0 being the slice's backward free flow.  The
+recursion yields these fields, none of which depends on psi, and the
+series, readout, p_residual and the bound check pair through one stacked
+bracket.
 
 Every product in the recursion is a dealiased product of real fields, so
 its mode table is zero outside the kept band and Hermitian.  The recursion
-therefore keeps its mode tables on the band's half of the real half
-spectrum (spectral.band_modes / band_values), and the retarded integrals and
-their suffix sums run on those columns only.  The free-flow multipliers
-cos(tau omega) and sin(tau omega)/omega on the band are built once per
-series or readout call and serve every order's kernel and psi's rows; the
-leaf table W_0 comes from the slice's N/2 + 1-column half spectrum.  The
-pairing with psi still forms the full complex sum over k of conj(prod) psi:
-it pairs each band entry with psi at +k and, through the conjugate half,
-at -k, and the last-axis j = 0 column, whose -k entries are already in the
-band, pairs once.  Only slice data flagged real are accepted.
+keeps its mode tables on the band's half of the real half spectrum
+(spectral.band_modes / band_values), the band's free-flow multipliers are
+built once per call, and W_0 comes from the slice's N/2 + 1-column half
+spectrum.  The t = 0 fields are filled to full real fields
+(SpectrumLayout.fill) before they are paired.  Only slice data flagged real
+are accepted.
+
+The tree series is the Taylor series in the coupling of the Strang flow
+run backward from the slice to t = 0: (-coupling)^n (W_n(0), d/dt W_n(0))
+is its order-n term.  transport's residual against the stored charge at
+t = 0 therefore certifies the series against the discrete flow, and cannot
+see the solver's time-step error.
 
 This order recursion is the package's one evaluation of the series.  The
-references it is checked against live in the tests (tests/oracles.py): the
-per-tree tables memoized by Dyck word, a literal nested-loop evaluator with
-no table shortcut, and the full-spectrum form of the recursion.
+references it is checked against live in tests/oracles.py: the per-tree
+tables memoized by Dyck word, a literal nested-loop evaluator, the
+full-spectrum recursion with psi paired at every node, and two witnesses
+of the Taylor identity, the Cauchy integral of the backward flow over a
+circle of complex couplings and that flow stepped order by order (a jet).
 
 All time integrals restrict their trapezoid weights to the nodes inside the
 integrand's support (the step cutoffs of the retarded kernels), so results
@@ -58,25 +72,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .propagation import (
-    TimeGrid,
-    flow_multipliers,
-    flowed_phi,
-    free_flow,
-    suffix_time_integral,
-    time_integral,
-)
+from .propagation import TimeGrid, flow_multipliers, free_flow, suffix_time_integral
 from .solver import TestFunction, Trajectory, acceleration, dirac_test_function, evaluate_test_function
 from .spectral import (
     FieldSnapshot,
     GridMismatch,
+    ModeArray,
     SpectralGrid,
+    SpectrumLayout,
     band_modes,
     band_values,
     dealiased_product,
     estimate_algebra_constant,
     half_spectrum_values,
-    pair_modes,
     random_band_limited,
     sobolev_norm,
     sobolev_norms,
@@ -145,9 +153,10 @@ def test_function_sup_norm(tf: TestFunction, tgrid: TimeGrid) -> float:
     return max(float(sobolev_norms(tf.grid, _test_function_rows(tf, tgrid, d), q).max()) for d in (0, 1))
 
 
-def _retarded_integral(flow, tgrid: TimeGrid, prod: np.ndarray, upper: int) -> np.ndarray:
-    """Rows integral over t in [tau_j, tau_upper] of sin((t - tau_j) omega)/omega prod(t).
+def _retarded_integral(flow, tgrid: TimeGrid, prod: np.ndarray, upper: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows integral over t in [tau_j, tau_upper] of sin((t - tau_j) omega)/omega prod(t), and prod's datum.
 
+    The datum is the table's value and time derivative at t = 0, stacked.
     ``flow`` is ``flow_multipliers(omega, tgrid.nodes)`` on the layout of
     ``prod``'s mode axes.
     """
@@ -156,24 +165,29 @@ def _retarded_integral(flow, tgrid: TimeGrid, prod: np.ndarray, upper: int) -> n
     cos, sin_over_w, _ = flow
     sin_sum = suffix_time_integral(sin_over_w * prod, tgrid, upper)
     cos_sum = suffix_time_integral(cos * prod, tgrid, upper)
-    return cos * sin_sum - sin_over_w * cos_sum
+    return cos * sin_sum - sin_over_w * cos_sum, np.stack([sin_sum[0], -cos_sum[0]])
 
 
-def _pairing_integral(
-    grid: SpectralGrid, tgrid: TimeGrid, prod: np.ndarray, psi_rows: np.ndarray, upper: int
-) -> float:
-    """Integral over [0, tau_upper] of <psi(tau), prod(tau)>."""
-    axes = tuple(range(1, 1 + grid.dim))
-    integrand = np.sum(np.conj(prod) * psi_rows, axis=axes) / grid.volume
-    return _real(complex(time_integral(integrand, tgrid, 0, upper)))
+def _brackets(psi: TestFunction, t: float, fields: np.ndarray) -> list[float]:
+    """<d/dt psi(t), phi> - <psi(t), pi> for every row (phi, pi) of a ``(rows, 2, *grid.shape)`` stack.
+
+    The rows are full-spectrum tables, and each pairing goes through :func:`_real`.
+    """
+    at_t = evaluate_test_function(psi, t)
+    rows = len(fields)
+
+    def pairs(f: np.ndarray, g: ModeArray) -> np.ndarray:
+        # np.vdot(f_row, g) of every row, batched: BLAS sums it in the same order
+        return np.matmul(np.conj(f).reshape(rows, 1, -1), g.values.reshape(-1, 1))[:, 0, 0] / psi.grid.volume
+
+    return [_real(complex(b)) for b in pairs(fields[:, 0], at_t.pi) - pairs(fields[:, 1], at_t.phi)]
 
 
 def bracket_ds(psi: TestFunction, snap: FieldSnapshot) -> float:
     """The pairing <d/dt psi(s), phi(s)> - <psi(s), d/dt phi(s)> at s = snap.time."""
     if psi.grid != snap.grid:
         raise GridMismatch("test function and snapshot live on different grids")
-    at_s = evaluate_test_function(psi, snap.time)
-    return _real(pair_modes(at_s.pi, snap.phi) - pair_modes(at_s.phi, snap.pi))
+    return _brackets(psi, snap.time, np.stack([snap.phi.values, snap.pi.values])[None])[0]
 
 
 def radius_bound(snap: FieldSnapshot, window: float, c_q: float) -> float:
@@ -232,7 +246,8 @@ def _sampled_legs(
     right, u2 = _sampled_legs(b2, legs, grid, tgrid)
     upper = min(u1, u2)
     prod = dealiased_product(grid, left, right, real=True)
-    return _retarded_integral(flow_multipliers(grid.omega, tgrid.nodes), tgrid, prod, upper), upper
+    rows, _ = _retarded_integral(flow_multipliers(grid.omega, tgrid.nodes), tgrid, prod, upper)
+    return rows, upper
 
 
 def delta_norm_bound_check(
@@ -261,7 +276,7 @@ def delta_norm_bound_check(
     psi_norm = test_function_sup_norm(psi, tgrid)
     if psi_norm == 0.0:
         raise ValueError("test function is identically zero")
-    psi_rows = _test_function_rows(psi, tgrid)
+    flow = flow_multipliers(grid.omega, tgrid.nodes)
     ratio = 0.0
     for _ in range(samples):
         drawn = []
@@ -272,15 +287,16 @@ def delta_norm_bound_check(
         legs = iter(drawn)
         if b.is_leaf:
             t_index, deriv, f = next(legs)
-            row = _test_function_rows(psi, tgrid, deriv)[t_index]
+            at_t = evaluate_test_function(psi, float(tgrid.nodes[t_index]))
+            row = (at_t.phi, at_t.pi)[deriv].values
             value = _real(complex(np.sum(row * np.conj(f.values)) / grid.volume))
         else:
             b1, b2 = decompose(b)
             left, u1 = _sampled_legs(b1, legs, grid, tgrid)
             right, u2 = _sampled_legs(b2, legs, grid, tgrid)
             upper = min(u1, u2)
-            prod = dealiased_product(grid, left, right, real=True)
-            value = _pairing_integral(grid, tgrid, prod, psi_rows, upper)
+            _, datum = _retarded_integral(flow, tgrid, dealiased_product(grid, left, right, real=True), upper)
+            value = _brackets(psi, 0.0, datum[None])[0]
         ratio = max(ratio, abs(value) / psi_norm)
     m_factor = max(1.0 / grid.mass, 1.0)
     bound = (c_q * m_factor * tgrid.horizon) ** order
@@ -292,8 +308,9 @@ def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
 
     B(s) - B(0) + integral over [0, s] of <psi(tau), (box + m^2) phi(tau)>
     vanishes for linear psi; the equation supplies (box + m^2) phi as
-    -lambda phi^2 (dealiased).  The return value is the absolute defect,
-    limited by solver and quadrature error only.
+    -lambda phi^2 (dealiased).  The integral is the bracket at t = 0 of psi
+    with the Duhamel datum of phi^2.  The return value is the absolute
+    defect, limited by solver and quadrature error only.
     """
     tgrid = trajectory.tgrid
     j_s = tgrid.node_index(s)
@@ -301,70 +318,42 @@ def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
     b_s = bracket_ds(psi, trajectory.node(j_s))
     b_0 = bracket_ds(psi, trajectory.node(0))
     phi_sq = dealiased_product(grid, trajectory.phi, trajectory.phi, trajectory.real_field)
-    integral = _pairing_integral(grid, tgrid, phi_sq, _test_function_rows(psi, tgrid), j_s)
+    _, datum = _retarded_integral(flow_multipliers(grid.omega, tgrid.nodes), tgrid, phi_sq, j_s)
+    integral = _brackets(psi, 0.0, datum[None])[0]
     return abs(b_s - b_0 - trajectory.coupling * integral)
 
 
-def _band_flow(snap: FieldSnapshot, tgrid: TimeGrid):
-    """The band's ``flow_multipliers`` at the nodes up to s, built once per call."""
-    # built over every node and then cut, so each entry is the value the
-    # whole-grid table holds
-    upper = tgrid.node_index(snap.time)
-    return [m[: upper + 1] for m in flow_multipliers(snap.grid.band_omega, tgrid.nodes)]
+def _order_fields(snap: FieldSnapshot, tgrid: TimeGrid, max_order: int) -> np.ndarray:
+    """The order-n tree fields at t = 0, (W_n(0), d/dt W_n(0)), as a ``(max_order + 1, 2, *grid.shape)`` stack.
 
-
-def _order_products(snap: FieldSnapshot, tgrid: TimeGrid, flow, max_order: int) -> list[np.ndarray]:
-    """The band layout of the dealiased sum of W_i W_j over i + j = n - 1, for n = 1..max_order.
-
-    W_n is the summed table of all trees of order n.  Each is kept in point
-    space, so the sum of products needs one real forward transform per
-    order, and cutting it to the band once equals summing the cut
-    products.  The n-th table is both the order-n integrand against psi and
-    the source of W_n = K[product].  ``flow`` is :func:`_band_flow`; W_0,
-    the backward free flow of the slice, comes from its half spectrum.
-    Every table holds the rows of the nodes up to s only, the nodes the
-    retarded integrals and the pairing reach.
+    The order-n product is the dealiased sum of W_i W_j over i + j = n - 1.
+    Each W_n is kept in point space, so the sum of products needs one real
+    forward transform per order, and cutting it to the band once equals
+    summing the cut products.  Every table holds the rows of the nodes up
+    to s only, the nodes the retarded integrals reach.
     """
     if not (snap.phi.real_field and snap.pi.real_field):
         raise ValueError("the tree series needs real slice data: phi and pi must be flagged real fields")
     grid = snap.grid
     upper = tgrid.node_index(snap.time)
-    half = (Ellipsis, slice(0, grid.half_shape[-1]))
-    leaf_flow = [m[: upper + 1] for m in flow_multipliers(grid.omega[half], tgrid.nodes - snap.time)]
-    points = [half_spectrum_values(grid, flowed_phi(leaf_flow, snap.phi.values[half], snap.pi.values[half]))]
-    products = []
+    layout = SpectrumLayout(grid, True)
+    # built over every node and then cut, so each entry is the value the
+    # whole-grid table holds
+    flow = [m[: upper + 1] for m in flow_multipliers(grid.band_omega, tgrid.nodes)]
+    c, s_over_w, w_s = (m[: upper + 1] for m in flow_multipliers(layout.omega, tgrid.nodes - snap.time))
+    phi, pi = layout.cut(snap.phi.values), layout.cut(snap.pi.values)
+    fields = np.zeros((max_order + 1, 2) + grid.shape, dtype=complex)
+    # W_0 at t = 0, node 0 of the leaf rows, with its time derivative
+    layout.cut(fields[0])[...] = c[0] * phi + s_over_w[0] * pi, w_s[0] * phi + c[0] * pi
+    points = [half_spectrum_values(grid, c * phi + s_over_w * pi)]
     for order in range(1, max_order + 1):
-        products.append(band_modes(grid, sum(points[i] * points[order - 1 - i] for i in range(order))))
+        prod = band_modes(grid, sum(points[i] * points[order - 1 - i] for i in range(order)))
+        table, datum = _retarded_integral(flow, tgrid, prod, upper)
+        fields[order][(Ellipsis,) + grid.band_index] = datum
         if order < max_order:
-            points.append(band_values(grid, _retarded_integral(flow, tgrid, products[-1], upper)))
-    return products
-
-
-def _order_amplitudes(psi: TestFunction, snap: FieldSnapshot, tgrid: TimeGrid, flow, products) -> list[float]:
-    """Sum of tree amplitudes per order, order 0 first, from _order_products.
-
-    The band holds each product's +k half.  Its -k half is the conjugate, so
-    the full pairing sum over k of conj(prod) psi takes psi's rows at +k and
-    at -k; the last-axis j = 0 column already holds both signs of the
-    leading axes and pairs at +k only.
-    """
-    grid = snap.grid
-    upper = tgrid.node_index(snap.time)
-    plus = grid.band_index
-    minus = tuple((-index) % grid.modes for index in plus)
-    psi_plus = flowed_phi(flow, psi.psi0.values[plus], psi.psi1.values[plus])
-    psi_minus = flowed_phi(flow, psi.psi0.values[minus], psi.psi1.values[minus])
-    psi_minus[..., 0] = 0.0
-    axes = tuple(range(1, 1 + grid.dim))
-    amplitudes = [bracket_ds(psi, snap)]
-    for prod in products:
-        # In place, the +k products keep prod's memory layout at any row
-        # count, so each row sums in one order however many rows there are.
-        plus_pairs = np.conj(prod)
-        plus_pairs *= psi_plus
-        pairs = np.sum(plus_pairs, axis=axes) + np.sum(prod * psi_minus, axis=axes)
-        amplitudes.append(_real(complex(time_integral(pairs / grid.volume, tgrid, 0, upper))))
-    return amplitudes
+            points.append(band_values(grid, table))
+    layout.fill(fields)
+    return fields
 
 
 def _catalan(order: int) -> int:
@@ -385,12 +374,15 @@ def series(
     """Sum the tree series from the single slice at s, order by order.
 
     The order-N term is (-coupling)^N times the sum of amplitudes over the
-    trees with N internal vertices, computed by the order recursion without
-    visiting the trees.  ``target`` is the charge at t = 0 when the caller
-    knows it (from a stored trajectory); residuals are reported against it.
+    trees with N internal vertices: the bracket of psi with the order-N
+    t = 0 field of the order recursion, which never visits the trees.
+    ``target`` is the charge at t = 0 when the caller knows it (from a
+    stored trajectory); residuals are reported against it.
     ``phi_e_norm`` feeds the convergence condition; without it the
     single-slice proxy max(||phi(s)||, ||pi(s)||, ||accel(s)||) is used.
     """
+    if psi.grid != snap.grid:
+        raise GridMismatch("test function and snapshot live on different grids")
     if window is None:
         window = tgrid.horizon
     if c_q is None:
@@ -401,8 +393,8 @@ def series(
             sobolev_norm(snap.pi),
             sobolev_norm(acceleration(snap, coupling)),
         )
-    flow = _band_flow(snap, tgrid)
-    amplitudes = _order_amplitudes(psi, snap, tgrid, flow, _order_products(snap, tgrid, flow, max_order))
+    fields = _order_fields(snap, tgrid, max_order)
+    amplitudes = _brackets(psi, 0.0, fields)
     per_order: list[OrderTerm] = []
     partial_sums: list[float] = []
     running = 0.0
@@ -434,20 +426,15 @@ def readout(
 ) -> tuple[float, float]:
     """Estimate phi(0, x0) and d/dt phi(0, x0) from the slice at s alone.
 
-    Sums the series against the two Dirac-approximating test functions; the
-    bump in the velocity slot reads out phi, the bump in the position slot
-    reads out the time derivative (with the pairing's sign).  The order
-    products do not depend on psi, so both probes share one set, and one
-    set of band phase tables.
+    Sums the order fields at t = 0 once, weighted by (-coupling)^n, and
+    brackets that one estimate with the two Dirac-approximating test
+    functions; the bump in the velocity slot reads out phi, the bump in the
+    position slot reads out the time derivative (with the pairing's sign).
     """
     grid = trajectory.grid
     tgrid = trajectory.tgrid
-    snap = trajectory.node(tgrid.node_index(s))
-    flow = _band_flow(snap, tgrid)
-    products = _order_products(snap, tgrid, flow, max_order)
-    estimates = []
-    for which in ("velocity", "position"):
-        tf = dirac_test_function(grid, x0, width, which)
-        amplitudes = _order_amplitudes(tf, snap, tgrid, flow, products)
-        estimates.append(sum((-trajectory.coupling) ** n * a for n, a in enumerate(amplitudes)))
-    return estimates[0], -estimates[1]
+    fields = _order_fields(trajectory.node(tgrid.node_index(s)), tgrid, max_order)
+    estimate = sum((-trajectory.coupling) ** n * w for n, w in enumerate(fields))
+    probes = (dirac_test_function(grid, x0, width, which) for which in ("velocity", "position"))
+    phi_est, dtphi_est = (_brackets(probe, 0.0, estimate[None])[0] for probe in probes)
+    return phi_est, -dtphi_est

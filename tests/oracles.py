@@ -11,10 +11,14 @@ Two kinds of code live here, outside the package:
   (cherry_amplitude) through the literal nested evaluator
   (direct_amplitude) and the per-tree tables memoized by Dyck word
   (tree_amplitude) to the full-spectrum and all-rows forms of the order
-  recursion the package runs.  Beside them sit the per-node solver and
-  diagnostic loops, and the small field helpers (to_grid, zero_modes,
-  pointwise_product, hermitian_defect, green_apply, ...) that nothing in
-  the package calls.
+  recursion the package runs.  Two witnesses of the series' Taylor
+  identity check every order past the per-tree tables' reach: the Cauchy
+  integral of the reversed Strang flow over a circle of complex couplings
+  (cauchy_order_fields, cauchy_order_sums) and the reversed flow stepped
+  order by order as a jet (jet_order_fields).  Beside them sit the
+  per-node solver and diagnostic loops, and the small field helpers
+  (to_grid, zero_modes, pointwise_product, hermitian_defect, green_apply,
+  ...) that nothing in the package calls.
 """
 
 import itertools
@@ -26,18 +30,17 @@ import numpy as np
 from kgcharge.propagation import (
     TimeGrid,
     flow_multipliers,
-    flowed_phi,
     free_evolve,
     free_flow,
     suffix_time_integral,
     time_integral,
 )
 from kgcharge.series import OrderTooHigh, bracket_ds
-from kgcharge.series import _pairing_integral as pairing_integral
+from kgcharge.series import _brackets as brackets
 from kgcharge.series import _real as real_part
 from kgcharge.series import _retarded_integral as retarded_integral
 from kgcharge.series import _test_function_rows as test_function_rows
-from kgcharge.solver import BlowUp, TestFunction, evaluate_test_function
+from kgcharge.solver import BlowUp, TestFunction, evaluate_test_function, solve_couplings
 from kgcharge.spectral import (
     FieldSnapshot,
     GridMismatch,
@@ -222,6 +225,18 @@ def cherry_amplitude(extent, mass, s, nodes, phi_hat, pi_hat, psi0_hat, psi1_hat
     return float((samples.sum() - 0.5 * (samples[0] + samples[-1])) * dt)
 
 
+def pairing_integral(
+    grid: SpectralGrid, tgrid: TimeGrid, prod: np.ndarray, psi_rows: np.ndarray, upper: int
+) -> float:
+    """Integral over [0, tau_upper] of <psi(tau), prod(tau)>, psi paired node by node.
+
+    The package pairs psi once, at t = 0, with prod's Duhamel datum.
+    """
+    axes = tuple(range(1, 1 + grid.dim))
+    integrand = np.sum(np.conj(prod) * psi_rows, axis=axes) / grid.volume
+    return real_part(complex(time_integral(integrand, tgrid, 0, upper)))
+
+
 # The per-tree tables and the literal nested evaluator.  The package sums
 # each order in one table recursion; these evaluate one tree at a time, the
 # first with memoized subtree tables, the second with no table at all.
@@ -267,7 +282,7 @@ def subtree_table(b: Tree, cache: AmplitudeCache, snap: FieldSnapshot, tgrid: Ti
         grid = snap.grid
         upper = tgrid.node_index(snap.time)
         prod = dealiased_product(grid, w1.values, w2.values, w1.real_field and w2.real_field)
-        rows = retarded_integral(flow_multipliers(grid.omega, tgrid.nodes), tgrid, prod, upper)
+        rows, _ = retarded_integral(flow_multipliers(grid.omega, tgrid.nodes), tgrid, prod, upper)
         table = TimeSampledField(grid, tgrid, rows, w1.real_field and w2.real_field)
     cache.tables[key] = table
     return table
@@ -587,30 +602,120 @@ def full_spectrum_order_amplitudes(psi, snap, tgrid, max_order):
 
 # The band recursion with every table over all nodes of the time grid, as the
 # package ran it before it cut its tables to the nodes up to s: rows past s
-# are built and transformed, and the trapezoid then skips them.
+# are built and transformed, and the suffix sums then skip them.
 
 
 def all_rows_order_amplitudes(psi, snap, tgrid, max_order):
-    """Sum of tree amplitudes per order, order 0 first, from tables over every node."""
+    """Sum of tree amplitudes per order, order 0 first, from tables over every node.
+
+    Each order is paired as the package pairs it: the bracket at t = 0 of
+    psi with the order's t = 0 field.
+    """
     grid = snap.grid
     upper = tgrid.node_index(snap.time)
+    layout = SpectrumLayout(grid, True)
     flow = flow_multipliers(grid.band_omega, tgrid.nodes)
-    half = (Ellipsis, slice(0, grid.half_shape[-1]))
-    leaf_flow = flow_multipliers(grid.omega[half], tgrid.nodes - snap.time)
-    points = [half_spectrum_values(grid, flowed_phi(leaf_flow, snap.phi.values[half], snap.pi.values[half]))]
-    plus = grid.band_index
-    minus = tuple((-index) % grid.modes for index in plus)
-    psi_plus = flowed_phi(flow, psi.psi0.values[plus], psi.psi1.values[plus])
-    psi_minus = flowed_phi(flow, psi.psi0.values[minus], psi.psi1.values[minus])
-    psi_minus[..., 0] = 0.0
-    axes = tuple(range(1, 1 + grid.dim))
-    amplitudes = [bracket_ds(psi, snap)]
+    c, s_over_w, w_s = flow_multipliers(layout.omega, tgrid.nodes - snap.time)
+    phi, pi = layout.cut(snap.phi.values), layout.cut(snap.pi.values)
+    fields = np.zeros((max_order + 1, 2) + grid.shape, dtype=complex)
+    layout.cut(fields[0])[...] = c[0] * phi + s_over_w[0] * pi, w_s[0] * phi + c[0] * pi
+    points = [half_spectrum_values(grid, c * phi + s_over_w * pi)]
     for order in range(1, max_order + 1):
         prod = band_modes(grid, sum(points[i] * points[order - 1 - i] for i in range(order)))
-        plus_pairs = np.conj(prod)
-        plus_pairs *= psi_plus
-        pairs = np.sum(plus_pairs, axis=axes) + np.sum(prod * psi_minus, axis=axes)
-        amplitudes.append(complex(time_integral(pairs / grid.volume, tgrid, 0, upper)).real)
+        table, datum = retarded_integral(flow, tgrid, prod, upper)
+        fields[order][(Ellipsis,) + grid.band_index] = datum
         if order < max_order:
-            points.append(band_values(grid, retarded_integral(flow, tgrid, prod, upper)))
-    return amplitudes
+            points.append(band_values(grid, table))
+    layout.fill(fields)
+    return brackets(psi, 0.0, fields)
+
+
+# Two witnesses of the identity the series rests on: the order-n term of the
+# tree series is (-1)^n times the coefficient of lambda^n in the Taylor
+# series of the Strang flow run backward from the slice at s to t = 0.  The
+# Cauchy witness samples that flow at complex couplings on a circle and takes
+# the DFT in lambda; it shares the step with the package's solver but no
+# code with the series.  The jet steps the Taylor coefficients themselves,
+# one order per row, through a plain per-step loop.
+
+
+def reversed_flow(snap, tgrid, couplings):
+    """The data at t = 0 that the Strang flow reaches from the slice at s, one row per coupling.
+
+    (phi(s), -pi(s)), flagged complex so that a coupling may be complex, is
+    solved over [0, s] as one ``solve_couplings`` stack; each row's data at
+    s, reversed to (phi, -pi), is the backward flow's.  Shape ``(rows, 2,
+    *grid.shape)``, full-spectrum mode tables.
+    """
+    grid = snap.grid
+    upper = tgrid.node_index(snap.time)
+    start = FieldSnapshot(0.0, ModeArray(grid, snap.phi.values, False), ModeArray(grid, -snap.pi.values, False))
+    return np.array([[t.phi[-1], -t.pi[-1]] for t in solve_couplings(start, couplings, TimeGrid(snap.time, upper))])
+
+
+def charges_at_zero(psi, fields):
+    """<psi1, phi> - <psi0, pi> for each row (phi, pi) of stacked t = 0 data, complex.
+
+    The pairing is bilinear in the field (psi's modes are conjugated, the
+    field's are not), so it is analytic in a complex coupling; for a real
+    field it is the bracket at t = 0.
+    """
+    pairs = [np.vdot(psi.psi1.values, phi) - np.vdot(psi.psi0.values, pi) for phi, pi in fields]
+    return np.array(pairs) / psi.grid.volume
+
+
+def reversed_flow_charge(psi, snap, tgrid, couplings):
+    """The charge at t = 0 of :func:`reversed_flow` per coupling, complex."""
+    return charges_at_zero(psi, reversed_flow(snap, tgrid, couplings))
+
+
+def _coupling_circle(radius, points):
+    return radius * np.exp(2j * np.pi * np.arange(points) / points)
+
+
+def _taylor_coefficients(samples, radius):
+    """Coefficients n = 0..points-1 in lambda from samples on :func:`_coupling_circle`, by the DFT.
+
+    Coefficient n carries the aliased c_{n + points} radius^points and
+    rounding of the samples' size over radius^n.
+    """
+    points = len(samples)
+    scale = radius ** np.arange(points).reshape((-1,) + (1,) * (np.ndim(samples) - 1))
+    return np.fft.fft(samples, axis=0) / points / scale
+
+
+def cauchy_order_fields(snap, tgrid, radius, points):
+    """The Taylor coefficients in lambda of :func:`reversed_flow`, shape ``(points, 2, *grid.shape)``."""
+    return _taylor_coefficients(reversed_flow(snap, tgrid, _coupling_circle(radius, points)), radius)
+
+
+def cauchy_order_sums(psi, snap, tgrid, radius, points):
+    """The Taylor coefficients in lambda of :func:`reversed_flow_charge`, complex."""
+    return _taylor_coefficients(reversed_flow_charge(psi, snap, tgrid, _coupling_circle(radius, points)), radius)
+
+
+def jet_order_fields(snap, tgrid, max_order):
+    """The Taylor coefficients in lambda of the backward Strang flow, stepped directly.
+
+    Orders 0..max_order of (phi, pi) start from (phi(s), -pi(s)) and zero,
+    and take the solver's step from s to t = 0: a half kick, the free flow
+    and a half kick, where order n kicks by -(dt/2) times the dealiased sum
+    of phi_i phi_j over i + j = n - 1.  Returns (phi_n, -pi_n) at t = 0,
+    shape ``(max_order + 1, 2, *grid.shape)``.
+    """
+    grid = snap.grid
+    dt = tgrid.dt
+    phi = np.zeros((max_order + 1,) + grid.shape, dtype=complex)
+    pi = np.zeros_like(phi)
+    phi[0], pi[0] = snap.phi.values, -snap.pi.values
+
+    def kick():
+        points = grid_values(grid, phi, True)
+        for n in range(1, max_order + 1):
+            pi[n] -= dt / 2.0 * dealiased_modes(grid, sum(points[i] * points[n - 1 - i] for i in range(n)))
+
+    for _ in range(tgrid.node_index(snap.time)):
+        kick()
+        phi, pi = free_flow(grid, phi, pi, dt)
+        kick()
+    return np.stack([phi, -pi], axis=1)

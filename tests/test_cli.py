@@ -157,6 +157,39 @@ def test_non_numeric_fields_are_named_by_their_key_path(runner, tmp_path, change
 
 
 @pytest.mark.parametrize(
+    "command, changed, field",
+    [
+        ("solve", {"grid": {"Nx": 32.9}}, "grid.Nx"),
+        ("solve", {"grid": {"dim": 1.5}}, "grid.dim"),
+        ("solve", {"grid": {"q": 1.5}}, "grid.q"),
+        ("solve", {"time": {"nt": 64.7}}, "time.nt"),
+        ("solve", {"max_order": 2.6}, "max_order"),
+        ("solve", {"seed": 0.5}, "seed"),
+        ("solve", {"test_function": {"type": "low-mode", "kmax": 4.5}}, "test_function.kmax"),
+        ("solve", {"coupling": True}, "coupling"),
+        ("sweep", {"coupling": [0.1, True, 0.4]}, "coupling"),
+        ("solve", {"grid": {"L": True}}, "grid.L"),
+        ("solve", {"grid": {"Nx": True}}, "grid.Nx"),
+        ("solve", {"time": {"T": False}}, "time.T"),
+        ("solve", {"max_order": True}, "max_order"),
+        ("solve", {"initial": {"amplitude": True}}, "initial.amplitude"),
+        ("solve", {"test_function": {"width": True}}, "test_function.width"),
+        ("solve", {"threads": True}, "threads"),
+    ],
+)
+def test_non_integral_ints_and_booleans_exit_2(runner, tmp_path, command, changed, field):
+    cfg = write_config(tmp_path, **changed)
+    result = runner.invoke(main, [command, "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert f"config field '{field}':" in result.output
+
+
+def test_integral_floats_stay_accepted_as_ints(runner, tmp_path):
+    run_solved(runner, tmp_path, grid={"Nx": 32.0}, time={"nt": 32.0}, max_order=3.0, seed=0.0)
+    assert (tmp_path / "run" / "trajectory" / "trajectory.npz").exists()
+
+
+@pytest.mark.parametrize(
     "command, changed, options, field",
     [
         ("solve", {"grid": {"Nx": float("inf")}}, [], "grid.Nx"),
@@ -218,6 +251,18 @@ def test_transport_rejects_the_per_node_csv_layout(runner, tmp_path):
     result = runner.invoke(main, ["transport", "--config", str(cfg)])
     assert result.exit_code == 2
     assert "run solve first" in result.output
+
+
+def test_solve_removes_a_per_node_csv_trajectory(runner, tmp_path):
+    tdir = tmp_path / "run" / "trajectory"
+    tdir.mkdir(parents=True)
+    stale = [tdir / f"node_{j:05d}.csv" for j in range(3)]
+    for path in stale:
+        path.write_text("L,Nx,m,q,time\n")
+    (tdir / "notes.txt").write_text("kept\n")
+    run_solved(runner, tmp_path)
+    assert not any(path.exists() for path in stale)
+    assert sorted(path.name for path in tdir.iterdir()) == ["manifest.json", "notes.txt", "trajectory.npz"]
 
 
 def test_transport_rejects_arrays_that_do_not_fit_the_manifest(runner, tmp_path):

@@ -4,7 +4,8 @@ The per-tree table path (tests/oracles.py) is checked three ways: against
 the literal nested evaluator beside it, against a closed-form oracle that
 shares no code with either, and against the conservation identities the
 series exists to satisfy.  The order recursion the series driver runs is
-then checked against the per-tree sums, order by order.
+then checked against the per-tree sums, order by order, and up to order 10
+against the Cauchy and jet witnesses of the reversed Strang flow.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ from kgcharge.series import (
     readout,
     series,
 )
+from kgcharge.series import _order_fields as order_fields
 from kgcharge.series import _test_function_rows as psi_node_rows
 from kgcharge.series import test_function_sup_norm as sup_norm
 from kgcharge.solver import TestFunction, evaluate_test_function, gaussian_field, solve
@@ -33,10 +35,14 @@ from oracles import (
     AmplitudeCache,
     all_rows_order_amplitudes,
     catalan,
+    cauchy_order_fields,
+    cauchy_order_sums,
+    charges_at_zero,
     cherry_amplitude,
     direct_amplitude,
     free_mode_evolution,
     full_spectrum_order_amplitudes,
+    jet_order_fields,
     leaf_table,
     per_node_p_residual,
     tree_amplitude,
@@ -259,6 +265,73 @@ def test_tables_cut_at_s_match_the_tables_over_every_node_bit_for_bit(setting_na
     psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 0.5, 2.0, 1.0))
     report = series(psi, snap, -1.0, tg, max_order=6, c_q=1.0, phi_e_norm=1.0)
     assert [term.order_sum for term in report.per_order] == all_rows_order_amplitudes(psi, snap, tg, 6)
+
+
+# (grid, time grid): a 32-mode line and an 8^2 grid, each sliced at T.  By
+# order 10 the ratio of successive order sums, the observed radius, is about
+# 90 on the line and 100 on the square, so a circle of radius 40 lies
+# between a third and a half of it: the aliased orders past the 64 points
+# are negligible, and rounding of the samples, which grows as (radius of
+# convergence / radius)^n, stays far below the tolerance at order 10.
+WITNESS_SETTINGS = {
+    "1d-32": (SpectralGrid(dim=1, extent=20.0, modes=32, mass=1.0, sobolev_q=1), TimeGrid(0.4, 32)),
+    "2d-8": (SpectralGrid(dim=2, extent=10.0, modes=8, mass=1.0, sobolev_q=2), TimeGrid(0.4, 16)),
+}
+WITNESS_RADIUS = 40.0
+WITNESS_POINTS = 64
+
+
+@pytest.mark.parametrize("coupling", [0.0, 0.5])
+@pytest.mark.parametrize("setting_name", sorted(WITNESS_SETTINGS))
+def test_orders_past_the_tree_tables_match_the_cauchy_and_jet_witnesses(setting_name, coupling):
+    grid, tg = WITNESS_SETTINGS[setting_name]
+    data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 2.0), gaussian_field(grid, 0.2, 2.5, 1.0))
+    snap = solve(data, coupling, tg).node(tg.nt)
+    psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5))
+    report = series(psi, snap, -1.0, tg, max_order=11, c_q=1.0, phi_e_norm=1.0)
+    sums = [term.order_sum for term in report.per_order]
+    # the circle lies between a third and a half of the observed radius
+    assert 2.0 * WITNESS_RADIUS <= abs(sums[10] / sums[11]) <= 3.0 * WITNESS_RADIUS
+    # the series' terms are (-lambda)^n times the amplitude sums, the
+    # witnesses' the Taylor coefficients in lambda
+    signs = (-1.0) ** np.arange(11)
+    fields = signs.reshape((-1,) + (1,) * (1 + grid.dim)) * order_fields(snap, tg, 10)
+    jet = jet_order_fields(snap, tg, 10)
+    witnesses = {
+        "cauchy": (
+            cauchy_order_fields(snap, tg, WITNESS_RADIUS, WITNESS_POINTS),
+            cauchy_order_sums(psi, snap, tg, WITNESS_RADIUS, WITNESS_POINTS),
+        ),
+        "jet": (jet, charges_at_zero(psi, jet)),
+    }
+    for name, (witness_fields, witness_sums) in witnesses.items():
+        for n in range(11):
+            gap = np.abs(witness_fields[n] - fields[n]).max()
+            assert gap <= 1e-12 * np.abs(fields[n]).max(), (name, n)
+            assert abs(witness_sums[n] - signs[n] * sums[n]) <= 1e-12 * abs(sums[n]), (name, n)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        SpectralGrid(dim=1, extent=20.0, modes=32, mass=1.0, sobolev_q=1),
+        SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2),
+    ],
+    ids=["1d-32", "2d-16"],
+)
+def test_the_recovered_charge_converges_at_second_order_in_dt(grid):
+    # transport's residual certifies the series against the discrete flow at
+    # its own dt; against the continuum, the charge recovered from one slice
+    # must move like dt^2 as the time grid is refined
+    s, coupling = 0.4, 2.0
+    snap = FieldSnapshot(s, gaussian_field(grid, 0.5, 2.0), gaussian_field(grid, 0.2, 2.5, 1.0))
+    psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5))
+    reports = [series(psi, snap, coupling, TimeGrid(s, nt), max_order=8, c_q=1.0, phi_e_norm=1.0) for nt in (8, 16, 32)]
+    charges = [report.partial_sums[-1] for report in reports]
+    steps = [charges[0] - charges[1], charges[1] - charges[2]]
+    # the last order's term, the size of the truncation, is far below the steps
+    assert all(abs(report.per_order[-1].order_sum) <= 1e-6 * abs(steps[1]) for report in reports)
+    assert steps[0] / steps[1] == pytest.approx(4.0, rel=0.01)
 
 
 def test_series_refuses_complex_slice_data(setting, tgrid):

@@ -10,7 +10,7 @@ convergence bounds, a nonlinear solver to produce ground truth, and a CLI
 for reproducible experiments.
 """
 
-from .propagation import TimeGrid, free_evolve, time_integral
+from .propagation import TimeGrid, free_evolve
 from .series import (
     ChargeReport,
     DeltaNormCheck,

@@ -37,6 +37,7 @@ from .propagation import TimeGrid
 from .series import bracket_ds
 from .series import readout as readout_series
 from .series import series as run_series
+from .series import series_couplings
 from .solver import BlowUp, TestFunction, dirac_test_function, gaussian_field, node_energies, solve_couplings
 from .solver import solve as solve_pde
 from .spectral import (
@@ -501,23 +502,20 @@ def sweep(config_path, out, max_order, seed):
         _fail(3, f"blow-up at coupling {exc.coupling!r}: {exc}")
     # Keep only each coupling's slice at s and its norm, so the series runs
     # with no trajectory held in memory.
-    slices = [(traj.node(j_s).copy(), traj.meta["phi_e_norm"]) for traj in trajectories]
+    slices = [traj.node(j_s).copy() for traj in trajectories]
+    phi_e_norms = [traj.meta["phi_e_norm"] for traj in trajectories]
     del trajectories
-    target = bracket_ds(psi, initial)
-    reports = [
-        run_series(
-            psi,
-            snap,
-            coupling,
-            tgrid,
-            cfg.max_order,
-            target=target,
-            window=cfg.window,
-            c_q=c_q,
-            phi_e_norm=phi_e_norm,
-        )
-        for coupling, (snap, phi_e_norm) in zip(couplings, slices)
-    ]
+    reports = series_couplings(
+        psi,
+        slices,
+        couplings,
+        tgrid,
+        cfg.max_order,
+        target=bracket_ds(psi, initial),
+        window=cfg.window,
+        c_q=c_q,
+        phi_e_norms=phi_e_norms,
+    )
     for coupling, report in zip(couplings, reports):
         _require_finite_series(report, f" at coupling {coupling}")
     for coupling, report in zip(couplings, reports):

@@ -10,13 +10,18 @@ are plain Fourier multipliers (tests/oracles.py applies them node by node
 as green_apply).  flow_multipliers is the one closed form of
 the free evolution; free_flow applies it to a single snapshot or a whole
 stack of node lags, and callers that flow by the same lags many times build
-the multipliers once.
+the multipliers once: the solver per solve, the series once per slice time
+s, shared by every slice at s.
 
 Time integrals throughout the package use one composite trapezoid rule on
-the uniform node set of a :class:`TimeGrid`: time_integral over a node
-range, and suffix_time_integral for every trailing range at once, which the
-retarded kernels' inner integrals need.  Nothing is ever interpolated in
-time.
+the uniform node set of a :class:`TimeGrid`.  time_integral takes one node
+range; p_residual and the sampled bound check take a product's Duhamel
+datum with it, one trapezoid over [0, s] per kernel.  suffix_time_integral
+takes every trailing range at once, as the retarded kernels' inner
+integrals need: one reversed cumulative sum, into a buffer the caller may
+reuse, with the trapezoid's end terms subtracted in place.  The series
+stacks its two kernels, sin/omega and cos, so that one call covers both.
+Nothing is ever interpolated in time.
 """
 
 from __future__ import annotations
@@ -129,20 +134,26 @@ def time_integral(samples, tgrid: TimeGrid, start: int = 0, stop: int | None = N
     return total * tgrid.dt
 
 
-def suffix_time_integral(samples: np.ndarray, tgrid: TimeGrid, upper: int) -> np.ndarray:
+def suffix_time_integral(samples: np.ndarray, tgrid: TimeGrid, upper: int, out: np.ndarray | None = None) -> np.ndarray:
     """All trailing trapezoids at once: out[j] integrates nodes j..upper.
 
-    ``samples`` must reach node ``upper``, as for :func:`time_integral`;
-    rows of the result past ``upper`` are zero.  Row j is the trapezoid
-    ``time_integral(samples, tgrid, j, upper)`` up to rounding (the sums
-    run in another order), and all rows come from one reversed cumulative
-    sum.
+    ``samples`` must reach node ``upper``, as for :func:`time_integral`.
+    Row j is the trapezoid ``time_integral(samples, tgrid, j, upper)`` up to
+    rounding (the sums run in another order), and all rows come from one
+    reversed cumulative sum, into ``out``'s rows 0..upper; the trapezoid's
+    end terms are then subtracted in place.  Without ``out`` the result is
+    a new table of ``samples``' shape whose rows past ``upper`` are zero;
+    an ``out`` of exactly upper + 1 rows spares that zero padding.
     """
     if not 0 <= upper <= tgrid.nt:
         raise ValueError(f"upper node {upper} outside grid with nt={tgrid.nt}")
     samples = np.asarray(samples)
-    out = np.zeros_like(samples, dtype=samples.dtype)
+    if out is None:
+        out = np.zeros_like(samples, dtype=samples.dtype)
     head = samples[: upper + 1]
-    csum = np.cumsum(head[::-1], axis=0)[::-1]
-    out[: upper + 1] = (csum - 0.5 * head - 0.5 * head[-1]) * tgrid.dt
+    rows = out[: upper + 1]
+    np.cumsum(head[::-1], axis=0, out=rows[::-1])
+    rows -= 0.5 * head
+    rows -= 0.5 * head[-1]
+    rows *= tgrid.dt
     return out

@@ -40,11 +40,21 @@ bracket.
 Every product in the recursion is a dealiased product of real fields, so
 its mode table is zero outside the kept band and Hermitian.  The recursion
 keeps its mode tables on the band's half of the real half spectrum
-(spectral.band_modes / band_values), the band's free-flow multipliers are
-built once per call, and W_0 comes from the slice's N/2 + 1-column half
-spectrum.  The t = 0 fields are filled to full real fields
-(SpectrumLayout.fill) before they are paired.  Only slice data flagged real
-are accepted.
+(spectral.band_modes / band_values), and W_0 comes from the slice's
+N/2 + 1-column half spectrum.  The t = 0 fields are filled to full real
+fields (SpectrumLayout.fill) before they are paired.  Only slice data
+flagged real are accepted.
+
+Each order is one pass.  Its products are summed in place in point space;
+the band's sin(tau omega)/omega and cos(tau omega) are stacked as one
+kernel pair, so both suffix sums of its retarded integral are one
+cumulative sum into buffers that every order reuses, and their row 0 is
+the order's t = 0 field.  The retarded table itself is formed only for
+orders that a higher order reads, and goes back to point space through one
+reused zero half spectrum.  The kernel pair and the leaf's backward-flow
+multipliers depend on s alone: series_couplings builds them once for all
+the slices of a sweep, which share s, and runs each slice's recursion from
+them, one slice at a time; series is its one-slice case.
 
 The tree series is the Taylor series in the coupling of the Strang flow
 run backward from the slice to t = 0: (-coupling)^n (W_n(0), d/dt W_n(0))
@@ -72,7 +82,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .propagation import TimeGrid, flow_multipliers, free_flow, suffix_time_integral
+from .propagation import TimeGrid, flow_multipliers, free_flow, suffix_time_integral, time_integral
 from .solver import TestFunction, Trajectory, acceleration, dirac_test_function, evaluate_test_function
 from .spectral import (
     FieldSnapshot,
@@ -153,19 +163,46 @@ def test_function_sup_norm(tf: TestFunction, tgrid: TimeGrid) -> float:
     return max(float(sobolev_norms(tf.grid, _test_function_rows(tf, tgrid, d), q).max()) for d in (0, 1))
 
 
-def _retarded_integral(flow, tgrid: TimeGrid, prod: np.ndarray, upper: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows integral over t in [tau_j, tau_upper] of sin((t - tau_j) omega)/omega prod(t), and prod's datum.
+def _kernel_pair(omega: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """sin(tau omega)/omega and cos(tau omega) at every node tau, stacked: shape ``(2, len(nodes), *omega.shape)``."""
+    c, s_over_w, _ = flow_multipliers(omega, nodes)
+    return np.stack([s_over_w, c])
 
-    The datum is the table's value and time derivative at t = 0, stacked.
-    ``flow`` is ``flow_multipliers(omega, tgrid.nodes)`` on the layout of
-    ``prod``'s mode axes.
+
+def _suffix_sums(weighted: np.ndarray, tgrid: TimeGrid, out: np.ndarray) -> np.ndarray:
+    """Every trailing trapezoid of both kernel-weighted tables of a :func:`_kernel_pair` stack, into ``out``.
+
+    The node axis is axis 1, and its last row is the upper node: one
+    reversed cumulative sum covers both tables.
+    """
+    suffix_time_integral(weighted.swapaxes(0, 1), tgrid, weighted.shape[1] - 1, out=out.swapaxes(0, 1))
+    return out
+
+
+def _retarded_table(pair: np.ndarray, sums: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows integral over t in [tau_j, tau_upper] of sin((t - tau_j) omega)/omega prod(t).
+
+    ``sums`` holds the suffix time integrals of ``pair * prod``, stacked as
+    :func:`_kernel_pair` stacks them; ``out``, of the same shape, is
+    overwritten and a view of it returned.
     """
     # sin((t - tau) w) / w = sin(t w) / w cos(tau w) - cos(t w) sin(tau w) / w
     # turns the per-row kernel integrals into two shared suffix sums.
-    cos, sin_over_w, _ = flow
-    sin_sum = suffix_time_integral(sin_over_w * prod, tgrid, upper)
-    cos_sum = suffix_time_integral(cos * prod, tgrid, upper)
-    return cos * sin_sum - sin_over_w * cos_sum, np.stack([sin_sum[0], -cos_sum[0]])
+    np.multiply(pair[1], sums[0], out=out[0])
+    np.multiply(pair[0], sums[1], out=out[1])
+    out[0] -= out[1]
+    return out[0]
+
+
+def _duhamel_datum(pair: np.ndarray, tgrid: TimeGrid, prod: np.ndarray, upper: int) -> np.ndarray:
+    """prod's Duhamel datum: the integrals over [0, tau_upper] of sin(t omega)/omega prod(t) and of -cos(t omega) prod(t).
+
+    One trapezoid per kernel of the :func:`_kernel_pair` ``pair``, stacked;
+    nodes of ``pair`` and ``prod`` past ``upper`` are not read.
+    """
+    sin_over_w, cos = pair[:, : upper + 1]
+    head = prod[: upper + 1]
+    return np.stack([time_integral(sin_over_w * head, tgrid, 0, upper), -time_integral(cos * head, tgrid, 0, upper)])
 
 
 def _brackets(psi: TestFunction, t: float, fields: np.ndarray) -> list[float]:
@@ -232,8 +269,13 @@ def _sampled_legs(
     legs,
     grid: SpectralGrid,
     tgrid: TimeGrid,
+    pair: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """Rows and support cutoff of one subtree with sampled leaf legs."""
+    """Rows and support cutoff of one subtree with sampled leaf legs.
+
+    ``pair`` is the :func:`_kernel_pair` of the full spectrum over every
+    node.  A leaf's rows span every node; a subtree's stop at its cutoff.
+    """
     if b.is_leaf:
         t_index, order, f = next(legs)
         lag = (tgrid.nodes[t_index] - tgrid.nodes).reshape((-1,) + (1,) * grid.dim) * grid.omega
@@ -242,12 +284,13 @@ def _sampled_legs(
         rows[t_index + 1 :] = 0.0
         return rows, t_index
     b1, b2 = decompose(b)
-    left, u1 = _sampled_legs(b1, legs, grid, tgrid)
-    right, u2 = _sampled_legs(b2, legs, grid, tgrid)
+    left, u1 = _sampled_legs(b1, legs, grid, tgrid, pair)
+    right, u2 = _sampled_legs(b2, legs, grid, tgrid, pair)
     upper = min(u1, u2)
-    prod = dealiased_product(grid, left, right, real=True)
-    rows, _ = _retarded_integral(flow_multipliers(grid.omega, tgrid.nodes), tgrid, prod, upper)
-    return rows, upper
+    prod = dealiased_product(grid, left[: upper + 1], right[: upper + 1], real=True)
+    kernels = pair[:, : upper + 1]
+    weighted = kernels * prod
+    return _retarded_table(kernels, _suffix_sums(weighted, tgrid, np.empty_like(weighted)), weighted), upper
 
 
 def delta_norm_bound_check(
@@ -276,7 +319,7 @@ def delta_norm_bound_check(
     psi_norm = test_function_sup_norm(psi, tgrid)
     if psi_norm == 0.0:
         raise ValueError("test function is identically zero")
-    flow = flow_multipliers(grid.omega, tgrid.nodes)
+    pair = _kernel_pair(grid.omega, tgrid.nodes)
     ratio = 0.0
     for _ in range(samples):
         drawn = []
@@ -292,11 +335,11 @@ def delta_norm_bound_check(
             value = _real(complex(np.sum(row * np.conj(f.values)) / grid.volume))
         else:
             b1, b2 = decompose(b)
-            left, u1 = _sampled_legs(b1, legs, grid, tgrid)
-            right, u2 = _sampled_legs(b2, legs, grid, tgrid)
+            left, u1 = _sampled_legs(b1, legs, grid, tgrid, pair)
+            right, u2 = _sampled_legs(b2, legs, grid, tgrid, pair)
             upper = min(u1, u2)
-            _, datum = _retarded_integral(flow, tgrid, dealiased_product(grid, left, right, real=True), upper)
-            value = _brackets(psi, 0.0, datum[None])[0]
+            prod = dealiased_product(grid, left[: upper + 1], right[: upper + 1], real=True)
+            value = _brackets(psi, 0.0, _duhamel_datum(pair, tgrid, prod, upper)[None])[0]
         ratio = max(ratio, abs(value) / psi_norm)
     m_factor = max(1.0 / grid.mass, 1.0)
     bound = (c_q * m_factor * tgrid.horizon) ** order
@@ -317,41 +360,86 @@ def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
     grid = trajectory.grid
     b_s = bracket_ds(psi, trajectory.node(j_s))
     b_0 = bracket_ds(psi, trajectory.node(0))
-    phi_sq = dealiased_product(grid, trajectory.phi, trajectory.phi, trajectory.real_field)
-    _, datum = _retarded_integral(flow_multipliers(grid.omega, tgrid.nodes), tgrid, phi_sq, j_s)
-    integral = _brackets(psi, 0.0, datum[None])[0]
+    phi = trajectory.phi[: j_s + 1]
+    phi_sq = dealiased_product(grid, phi, phi, trajectory.real_field)
+    pair = _kernel_pair(grid.omega, tgrid.nodes[: j_s + 1])
+    integral = _brackets(psi, 0.0, _duhamel_datum(pair, tgrid, phi_sq, j_s)[None])[0]
     return abs(b_s - b_0 - trajectory.coupling * integral)
 
 
-def _order_fields(snap: FieldSnapshot, tgrid: TimeGrid, max_order: int) -> np.ndarray:
+class _SliceKernels(NamedTuple):
+    """The free-flow tables of one slice time s, which every slice at s shares.
+
+    ``pair`` is the :func:`_kernel_pair` of the band over nodes 0..upper,
+    ``leaf`` the multipliers of the backward flow from s to those nodes on
+    the real half spectrum: cos and sin/omega of (tau - s) omega, and
+    -omega sin of it at node 0 only.
+    """
+
+    upper: int
+    pair: np.ndarray
+    leaf: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _slice_kernels(grid: SpectralGrid, tgrid: TimeGrid, s: float) -> _SliceKernels:
+    upper = tgrid.node_index(s)
+    layout = SpectrumLayout(grid, True)
+    # built over every node and then cut, so each entry is the value the
+    # whole-grid table holds; of -omega sin only node 0 is read
+    c, s_over_w, w_s = flow_multipliers(layout.omega, tgrid.nodes - s)
+    leaf = (c[: upper + 1], s_over_w[: upper + 1], w_s[:1].copy())
+    return _SliceKernels(upper, _kernel_pair(grid.band_omega, tgrid.nodes)[:, : upper + 1], leaf)
+
+
+def _order_fields(
+    snap: FieldSnapshot, tgrid: TimeGrid, max_order: int, kernels: _SliceKernels | None = None
+) -> np.ndarray:
     """The order-n tree fields at t = 0, (W_n(0), d/dt W_n(0)), as a ``(max_order + 1, 2, *grid.shape)`` stack.
 
     The order-n product is the dealiased sum of W_i W_j over i + j = n - 1.
     Each W_n is kept in point space, so the sum of products needs one real
     forward transform per order, and cutting it to the band once equals
     summing the cut products.  Every table holds the rows of the nodes up
-    to s only, the nodes the retarded integrals reach.
+    to s only, the nodes the retarded integrals reach.  ``kernels`` are the
+    :func:`_slice_kernels` of the slice's time, built here when not given.
+
+    Per order, both suffix sums of the retarded integral come from one
+    cumulative sum over the kernel pair, into buffers every order reuses;
+    their row 0 is the order's t = 0 field, and the retarded table is
+    formed only for orders that a higher order reads.
     """
     if not (snap.phi.real_field and snap.pi.real_field):
         raise ValueError("the tree series needs real slice data: phi and pi must be flagged real fields")
     grid = snap.grid
-    upper = tgrid.node_index(snap.time)
+    if kernels is None:
+        kernels = _slice_kernels(grid, tgrid, snap.time)
+    upper, pair, (c, s_over_w, w_s) = kernels
     layout = SpectrumLayout(grid, True)
-    # built over every node and then cut, so each entry is the value the
-    # whole-grid table holds
-    flow = [m[: upper + 1] for m in flow_multipliers(grid.band_omega, tgrid.nodes)]
-    c, s_over_w, w_s = (m[: upper + 1] for m in flow_multipliers(layout.omega, tgrid.nodes - snap.time))
     phi, pi = layout.cut(snap.phi.values), layout.cut(snap.pi.values)
     fields = np.zeros((max_order + 1, 2) + grid.shape, dtype=complex)
     # W_0 at t = 0, node 0 of the leaf rows, with its time derivative
     layout.cut(fields[0])[...] = c[0] * phi + s_over_w[0] * pi, w_s[0] * phi + c[0] * pi
     points = [half_spectrum_values(grid, c * phi + s_over_w * pi)]
+    band = (Ellipsis,) + grid.band_index
+    # what every order reuses: the kernel-weighted product, its suffix sums,
+    # and a zero half spectrum
+    weighted = np.empty(pair.shape, dtype=complex)
+    sums = np.empty_like(weighted)
+    half = np.zeros((upper + 1,) + grid.half_shape, dtype=complex)
     for order in range(1, max_order + 1):
-        prod = band_modes(grid, sum(points[i] * points[order - 1 - i] for i in range(order)))
-        table, datum = _retarded_integral(flow, tgrid, prod, upper)
-        fields[order][(Ellipsis,) + grid.band_index] = datum
+        total = points[0] * points[order - 1]
+        for i in range(1, order):
+            total += points[i] * points[order - 1 - i]
+        if order == max_order:
+            # no higher order reads the point tables
+            points.clear()
+        np.multiply(pair, band_modes(grid, total), out=weighted)
+        del total
+        _suffix_sums(weighted, tgrid, sums)
+        fields[order, 0][band] = sums[0, 0]
+        fields[order, 1][band] = -sums[1, 0]
         if order < max_order:
-            points.append(band_values(grid, table))
+            points.append(band_values(grid, _retarded_table(pair, sums, weighted), half))
     layout.fill(fields)
     return fields
 
@@ -380,20 +468,60 @@ def series(
     stored trajectory); residuals are reported against it.
     ``phi_e_norm`` feeds the convergence condition; without it the
     single-slice proxy max(||phi(s)||, ||pi(s)||, ||accel(s)||) is used.
+
+    The one-slice case of :func:`series_couplings`.
     """
-    if psi.grid != snap.grid:
+    return series_couplings(psi, [snap], [coupling], tgrid, max_order, target, window, c_q, [phi_e_norm])[0]
+
+
+def series_couplings(
+    psi: TestFunction,
+    slices,
+    couplings,
+    tgrid: TimeGrid,
+    max_order: int,
+    target: float | None = None,
+    window: float | None = None,
+    c_q: float | None = None,
+    phi_e_norms=None,
+) -> list[ChargeReport]:
+    """One :func:`series` report per coupling, each from its own slice, all slices at one time s.
+
+    The kernel tables of the order recursion depend on s alone, so they are
+    built once and every slice's recursion runs from them; each report is
+    bit for bit the one :func:`series` gives on its slice alone.  The
+    recursions run one slice at a time.  ``phi_e_norms``, one per slice
+    (None for the single-slice proxy), defaults to the proxy for all.
+    """
+    slices, couplings = list(slices), list(couplings)
+    if not slices or len(slices) != len(couplings):
+        raise ValueError(f"series_couplings needs one slice per coupling, got {len(slices)} and {len(couplings)}")
+    grid = psi.grid
+    if any(snap.grid != grid for snap in slices):
         raise GridMismatch("test function and snapshot live on different grids")
+    if len({snap.time for snap in slices}) != 1:
+        raise ValueError("series_couplings needs every slice at one time s")
+    if phi_e_norms is None:
+        phi_e_norms = [None] * len(slices)
     if window is None:
         window = tgrid.horizon
     if c_q is None:
-        c_q = estimate_algebra_constant(snap.grid)
+        c_q = estimate_algebra_constant(grid)
+    kernels = _slice_kernels(grid, tgrid, slices[0].time)
+    return [
+        _report(psi, snap, coupling, tgrid, max_order, target, window, c_q, phi_e_norm, kernels)
+        for snap, coupling, phi_e_norm in zip(slices, couplings, phi_e_norms, strict=True)
+    ]
+
+
+def _report(psi, snap, coupling, tgrid, max_order, target, window, c_q, phi_e_norm, kernels) -> ChargeReport:
     if phi_e_norm is None:
         phi_e_norm = max(
             sobolev_norm(snap.phi),
             sobolev_norm(snap.pi),
             sobolev_norm(acceleration(snap, coupling)),
         )
-    fields = _order_fields(snap, tgrid, max_order)
+    fields = _order_fields(snap, tgrid, max_order, kernels)
     amplitudes = _brackets(psi, 0.0, fields)
     per_order: list[OrderTerm] = []
     partial_sums: list[float] = []

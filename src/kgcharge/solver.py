@@ -12,12 +12,20 @@ of one step are built once per solve.
 The step loop runs on a stack of couplings with a leading coupling axis:
 solve_couplings steps every coupling of a sweep from the same data at once,
 one transform per node for the whole stack, and solve is its one-row case.
-At each node the loop already holds phi, pi and the kick's phi^2, so it
-forms the acceleration -omega^2 phi - lambda phi^2 and takes the H^q norms
-of all three in one call: phi and pi drive the blow-up check, and the
+A step is a half kick, the free flow, the square, the second half kick and
+one store of phi and pi into a block buffer beside the kick's phi^2.  The
+diagnostics run once per block of BLOCK nodes (node 0 alone, then nodes
+1..16, 17..32, ...): from the block's phi^2 they form the acceleration
+-omega^2 phi - lambda phi^2 at every node of it, take the H^q norms of
+phi, pi and it in one call, store the block's nodes in the trajectory
+tables, and test the ceiling.  phi and pi drive the blow-up check, and the
 running max over nodes is the trajectory's ``phi_e_norm``, the norm that
-feeds the convergence condition.  The node energies that solve records
-square the whole stack of node fields in one product, on the complex pair.
+feeds the convergence condition.  A blow-up names the same node and
+coupling as a check at every node would, but up to BLOCK - 1 steps may run
+past it before its block ends; those steps may overflow, which only turns
+the norms NaN and so crosses the ceiling too.  The node energies that
+solve records square the whole stack of node fields in one product, on the
+complex pair.
 
 The loop steps in one of two mode layouts (spectral.SpectrumLayout), chosen
 once per solve from the real-field flag.  Real fields keep the ``rfftn``
@@ -25,16 +33,16 @@ half spectrum, the last axis' j = 0..modes/2: their square goes through
 ``irfft``/``rfft``, their norms weigh each kept column by its multiplicity
 in the full spectrum, and after the loop every node's other half is filled
 by conjugation.  Complex-flagged data keep the full spectrum and the
-complex pair.  Both run the same loop: one buffer holds phi, pi and the
-acceleration of every row at a node, the free flow is one product with the
-pair (phi, pi) and one with the pair swapped, and a step's closing half
-kick is the next step's opening one.
+complex pair.  Both run the same loop: one buffer holds phi and pi of
+every row at a node, the free flow is one product with the pair (phi, pi)
+and one with the pair swapped, and a step's closing half kick is the next
+step's opening one.
 
 A trajectory is the Cauchy data at every node as two stacked mode tables,
 phi and pi, each of shape (nnodes, *grid.shape), with one real-field flag;
 ``Trajectory.node`` views one row as a FieldSnapshot.  The solver writes
-each node into one preallocated block per field and hands each coupling
-its row of the blocks; node 0 is the initial data as given.
+each block of nodes into one preallocated table per field and hands each
+coupling its row of the tables; node 0 is the initial data as given.
 
 Test functions psi solve the linear equation exactly; they are stored as
 Cauchy data at t = 0 and evaluated at any time with the free flow, so
@@ -58,6 +66,12 @@ from .spectral import (
     dealiased_product,
     to_modes,
 )
+
+
+# Nodes per block of the solver's diagnostics: the acceleration, the norms,
+# the ceiling test and the running max run once per block, not per node,
+# since on small grids their cost is per-call overhead, not arithmetic.
+BLOCK = 16
 
 
 class BlowUp(RuntimeError):
@@ -155,10 +169,12 @@ def solve_couplings(
     trajectory is bit for bit the one its coupling gives alone.  Rows with a
     zero coupling take no kick.  Each trajectory's ``meta["phi_e_norm"]`` is
     the max over nodes of the H^q norms of phi, pi and the acceleration
-    -omega^2 phi - lambda phi^2, formed from the kick's square.  Stepping
-    stops at the first node where any row's phi or pi norm exceeds
-    ``norm_ceiling`` or is not a number, as an overflow leaves it; the
-    BlowUp names that node and carries the first such row's coupling.
+    -omega^2 phi - lambda phi^2, formed from the kick's square.  The norms
+    are taken once per block of BLOCK nodes, and stepping stops at the end
+    of the first block where any row's phi or pi norm exceeds
+    ``norm_ceiling`` or is not a number, as an overflow leaves it.  The
+    BlowUp names the first such node, the node a check at every node would
+    stop at, and carries the coupling of the first row that crosses there.
 
     Every trajectory carries one real-field flag, set when the initial phi
     and pi both are real fields; node 0 reports that flag too.
@@ -179,7 +195,8 @@ def solve_couplings(
     # a slice keeps the common all-coupled stack free of gathers
     act = slice(None) if len(active) == rows else active
     kicks = np.array([dt / 2.0 * couplings[r] for r in active]).reshape(lead)
-    forcing = np.array([couplings[r] for r in active]).reshape(lead)
+    # one more axis, for the nodes of a block
+    forcing = np.array([couplings[r] for r in active]).reshape((-1, 1) + lead[1:])
     c, s_over_w, w_s = flow_multipliers(layout.omega, dt)
     # the free flow of the pair (phi, pi) as one product with the pair and
     # one with the pair swapped: c phi + (s/w) pi and c pi + (-w s) phi
@@ -187,53 +204,75 @@ def solve_couplings(
     across = np.stack([s_over_w, w_s])[:, None]
     neg_omega_sq = -(layout.omega**2)
 
-    def square(phi, real_flag):
-        return layout.square(phi[act], real_flag) if len(active) else None
-
-    def diagnose(node, phi_sq):
-        """Fill in the acceleration; the H^q norms of phi, pi and it, shape (3, rows)."""
-        np.multiply(neg_omega_sq, node[0], out=node[2])
-        if phi_sq is not None:
-            node[2, act] -= forcing * phi_sq
-        return layout.norms(node)
-
-    # phi, pi and the acceleration of every row at one node, in the kept
-    # columns: this node's buffer and the next one's
-    node = np.empty((3, rows) + layout.shape, dtype=complex)
+    # phi and pi of every row at one node, in the kept columns: this node's
+    # buffer and the next one's
+    node = np.empty((2, rows) + layout.shape, dtype=complex)
     node[0], node[1] = layout.cut(initial.phi.values), layout.cut(initial.pi.values)
     ahead = np.empty_like(node)
+    # phi, pi and the acceleration of every row at the nodes of one block,
+    # and the kicks' squares of the coupled rows there
+    block = np.empty((3, rows, BLOCK) + layout.shape, dtype=complex)
+    squares = np.empty((len(active), BLOCK) + layout.shape, dtype=complex)
     # phi and pi of every row at every node: row r of tables[0] and of
-    # tables[1] is one trajectory.  The loop writes the kept columns; node 0
+    # tables[1] is one trajectory.  The blocks write the kept columns; node 0
     # is the initial data as given.
     tables = np.empty((2, rows, tgrid.nnodes) + grid.shape, dtype=complex)
     tables[0, :, 0], tables[1, :, 0] = initial.phi.values, initial.pi.values
     kept = layout.cut(tables)
-    phi_sq = square(node[0], initial.phi.real_field)
-    # The first kick squares phi as phi alone is flagged; the norms square
-    # every node, the first too, as phi and pi together are.
-    node_norms = [diagnose(node, phi_sq if initial.phi.real_field == real else square(node[0], real))]
-    # a step's closing half kick is the next step's opening one
-    kick = None if phi_sq is None else kicks * phi_sq
-    for j in range(tgrid.nt):
-        if kick is not None:
-            node[1, act] -= kick
-        np.multiply(along, node[:2], out=ahead[:2])
-        ahead[:2] += across * node[1::-1]
-        node, ahead = ahead, node
-        phi_sq = square(node[0], real)
-        if phi_sq is not None:
-            kick = kicks * phi_sq
-            node[1, act] -= kick
-        norms = diagnose(node, phi_sq)
-        # "not <=" so that a NaN norm crosses the ceiling too
-        if not norms[:2].max() <= norm_ceiling:
-            first = np.flatnonzero(~(np.maximum(norms[0], norms[1]) <= norm_ceiling))[0]
-            time = float(tgrid.nodes[j + 1])
-            raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={time}", couplings[first])
-        node_norms.append(norms)
-        kept[:, :, j + 1] = node[:2]
+
+    def block_norms(count, start):
+        """The H^q norms of phi, pi and the acceleration at the block's first count nodes, shape (3, rows, count).
+
+        Stores phi and pi of those nodes, nodes start..start + count - 1, in
+        the tables first: the norms square the block in place.
+        """
+        nodes = block[:, :, :count]
+        np.multiply(neg_omega_sq, nodes[0], out=nodes[2])
+        if len(active):
+            forced = squares[:, :count]
+            forced *= forcing
+            nodes[2, act] -= forced
+        kept[:, :, start : start + count] = nodes[:2]
+        return layout.norms(nodes, overwrite=True)
+
+    block[:2, :, 0] = node
+    kick = None
+    if len(active):
+        # The first kick squares phi as phi alone is flagged; the norms
+        # square every node, the first too, as phi and pi together are.
+        phi_sq = layout.square(node[0, act], initial.phi.real_field)
+        kick = kicks * phi_sq
+        squares[:, 0] = phi_sq if initial.phi.real_field == real else layout.square(node[0, act], real)
+    peak = block_norms(1, 0).max(axis=(0, 2))
+    # Past a crossing, up to BLOCK - 1 more steps run before the block's
+    # check sees it; an overflow there turns the norms NaN, which crosses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(tgrid.nt):
+            i = j % BLOCK
+            # a step's closing half kick is the next step's opening one
+            if kick is not None:
+                node[1, act] -= kick
+            np.multiply(along, node, out=ahead)
+            ahead += across * node[::-1]
+            node, ahead = ahead, node
+            if kick is not None:
+                kick = kicks * layout.square(node[0, act], real, out=squares[:, i])
+                node[1, act] -= kick
+            block[:2, :, i] = node
+            if i < BLOCK - 1 and j < tgrid.nt - 1:
+                continue
+            norms = block_norms(i + 1, j - i + 1)
+            # "not <=" so that a NaN norm crosses the ceiling too
+            crossed = ~(np.maximum(norms[0], norms[1]) <= norm_ceiling)
+            if crossed.any():
+                at = np.flatnonzero(crossed.any(axis=0))[0]
+                first = np.flatnonzero(crossed[:, at])[0]
+                time = float(tgrid.nodes[j - i + 1 + at])
+                raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={time}", couplings[first])
+            peak = np.maximum(peak, norms.max(axis=(0, 2)))
+    # freed before the fill, whose conjugation takes scratch of its own
+    del block, squares
     layout.fill(tables[:, :, 1:])
-    peak = np.max(node_norms, axis=(0, 1))
     return [
         Trajectory(
             tgrid,

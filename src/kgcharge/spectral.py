@@ -266,13 +266,20 @@ def band_modes(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
     ``samples`` must be real.
     """
     axes = tuple(range(-grid.dim, 0))
-    half = np.fft.rfftn(samples, s=grid.shape, axes=axes)
-    return half[(Ellipsis,) + grid.band_index] * (grid.volume / grid.npoints)
+    band = np.fft.rfftn(samples, s=grid.shape, axes=axes)[(Ellipsis,) + grid.band_index]
+    band *= grid.volume / grid.npoints
+    return band
 
 
-def band_values(grid: SpectralGrid, band: np.ndarray) -> np.ndarray:
-    """Real point values of band-layout tables: the inverse of :func:`band_modes`."""
-    half = np.zeros(band.shape[: band.ndim - grid.dim] + grid.half_shape, dtype=complex)
+def band_values(grid: SpectralGrid, band: np.ndarray, half: np.ndarray | None = None) -> np.ndarray:
+    """Real point values of band-layout tables: the inverse of :func:`band_modes`.
+
+    ``half`` is a zero half-spectrum buffer of the tables' leading shape to
+    scatter into; only its band entries are written, so it stays zero
+    elsewhere and a caller can pass it to the next call too.
+    """
+    if half is None:
+        half = np.zeros(band.shape[: band.ndim - grid.dim] + grid.half_shape, dtype=complex)
     half[(Ellipsis,) + grid.band_index] = band
     return half_spectrum_values(grid, half)
 
@@ -332,32 +339,41 @@ class SpectrumLayout:
         """A view of the kept columns of full-spectrum tables."""
         return values[..., : self.columns]
 
-    def square(self, values: np.ndarray, real: bool | None = None) -> np.ndarray:
+    def square(self, values: np.ndarray, real: bool | None = None, out: np.ndarray | None = None) -> np.ndarray:
         """Dealiased squares of a stack of tables in this layout.
 
         ``real`` flags full-spectrum values as real fields, as for
         :func:`dealiased_product`, and defaults to the layout's flag;
-        half-spectrum values always are real fields.
+        half-spectrum values always are real fields.  ``out``, when given,
+        receives the squares and is returned.
         """
         if not self.real:
-            return dealiased_product(self.grid, values, values, bool(real))
+            sq = dealiased_product(self.grid, values, values, bool(real))
+            if out is None:
+                return sq
+            out[...] = sq
+            return out
         grid = self.grid
         if grid.dim == 1:
             x = np.fft.irfft(values, grid.modes)
-            return np.fft.rfft(x * x) * self._fold
+            return np.multiply(np.fft.rfft(x * x), self._fold, out=out)
         x = np.fft.irfftn(values, s=grid.shape, axes=self._axes)
-        return np.fft.rfftn(x * x, axes=self._axes) * self._fold
+        return np.multiply(np.fft.rfftn(x * x, axes=self._axes), self._fold, out=out)
 
-    def norms(self, values: np.ndarray) -> np.ndarray:
+    def norms(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """H^q norms, at the grid's q, of a stack of tables in this layout.
 
         The last axis must be contiguous: the half layout weighs the squares
-        of the real and imaginary parts as one float array.
+        of the real and imaginary parts as one float array.  ``overwrite``
+        lets it form them in place of ``values``, whose entries are then
+        lost.
         """
         if not self.real:
             return sobolev_norms(self.grid, values)
         parts = values.view(float)
-        return np.sqrt(np.add.reduce(parts * parts * self._part_weights, axis=self._axes))
+        weighted = np.multiply(parts, parts, out=parts if overwrite else None)
+        weighted *= self._part_weights
+        return np.sqrt(np.add.reduce(weighted, axis=self._axes))
 
     def fill(self, tables: np.ndarray) -> None:
         """Complete real fields' full-spectrum tables from the half this layout keeps.
@@ -376,16 +392,6 @@ class SpectrumLayout:
             dst = (Ellipsis,) + tuple(d for d, _ in lead) + (slice(n // 2 + 1, None),)
             src = (Ellipsis,) + tuple(s for _, s in lead) + (slice(n // 2 - 1, 0, -1),)
             np.conjugate(tables[src], out=tables[dst])
-
-
-def pair_modes(f: ModeArray, g: ModeArray) -> complex:
-    """Plancherel pairing (1/V) sum_k f_hat(k) conj(g_hat(k)).
-
-    For real fields this equals the box integral of the pointwise product.
-    """
-    if f.grid != g.grid:
-        raise GridMismatch("pairing requires both arrays on one grid")
-    return complex(np.vdot(g.values, f.values) / f.grid.volume)
 
 
 def sobolev_norms(grid: SpectralGrid, values: np.ndarray, q: float | None = None) -> np.ndarray:

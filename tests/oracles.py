@@ -38,9 +38,8 @@ from kgcharge.propagation import (
 from kgcharge.series import OrderTooHigh, bracket_ds
 from kgcharge.series import _brackets as brackets
 from kgcharge.series import _real as real_part
-from kgcharge.series import _retarded_integral as retarded_integral
 from kgcharge.series import _test_function_rows as test_function_rows
-from kgcharge.solver import BlowUp, TestFunction, evaluate_test_function, solve_couplings
+from kgcharge.solver import BlowUp, TestFunction, Trajectory, evaluate_test_function, solve_couplings
 from kgcharge.spectral import (
     FieldSnapshot,
     GridMismatch,
@@ -54,7 +53,6 @@ from kgcharge.spectral import (
     dealiased_product,
     grid_values,
     half_spectrum_values,
-    pair_modes,
     sobolev_norm,
 )
 from kgcharge.trees import (
@@ -72,6 +70,16 @@ from kgcharge.trees import (
 
 
 # Field helpers the package does not call.
+
+
+def pair_modes(f: ModeArray, g: ModeArray) -> complex:
+    """Plancherel pairing (1/V) sum_k f_hat(k) conj(g_hat(k)).
+
+    For real fields this equals the box integral of the pointwise product.
+    """
+    if f.grid != g.grid:
+        raise GridMismatch("pairing requires both arrays on one grid")
+    return complex(np.vdot(g.values, f.values) / f.grid.volume)
 
 
 def zero_modes(grid: SpectralGrid) -> ModeArray:
@@ -223,6 +231,21 @@ def cherry_amplitude(extent, mass, s, nodes, phi_hat, pi_hat, psi0_hat, psi1_hat
         samples[j] = (np.conj(psi_row) * conv).sum().real / volume
     dt = nodes[1] - nodes[0]
     return float((samples.sum() - 0.5 * (samples[0] + samples[-1])) * dt)
+
+
+def retarded_integral(flow, tgrid: TimeGrid, prod: np.ndarray, upper: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows integral over t in [tau_j, tau_upper] of sin((t - tau_j) omega)/omega prod(t), and prod's datum.
+
+    The two-pass form the package's kernel pair replaced: one suffix sum
+    per kernel, each over a table of ``prod``'s shape whose rows past
+    ``upper`` are zero.  The datum is the table's value and time derivative
+    at t = 0, stacked.  ``flow`` is ``flow_multipliers(omega, tgrid.nodes)``
+    on the layout of ``prod``'s mode axes.
+    """
+    cos, sin_over_w, _ = flow
+    sin_sum = suffix_time_integral(sin_over_w * prod, tgrid, upper)
+    cos_sum = suffix_time_integral(cos * prod, tgrid, upper)
+    return cos * sin_sum - sin_over_w * cos_sum, np.stack([sin_sum[0], -cos_sum[0]])
 
 
 def pairing_integral(
@@ -464,6 +487,71 @@ def strang_with_fresh_kicks(initial, coupling, tgrid, norm_ceiling=1e6):
             raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={current.time}")
         nodes.append(current)
     return nodes
+
+
+def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6):
+    """solve_couplings as a loop that diagnoses every node as it steps.
+
+    The same step and the same arithmetic as the package's stacked loop, but
+    the acceleration, the norms, the ceiling test and the running max run at
+    each node, so stepping stops at the first node that crosses.
+    """
+    grid = initial.grid
+    dt = tgrid.dt
+    couplings = list(couplings)
+    rows = len(couplings)
+    real = initial.phi.real_field and initial.pi.real_field
+    layout = SpectrumLayout(grid, real)
+    lead = (-1,) + (1,) * grid.dim
+    active = np.flatnonzero([c != 0.0 for c in couplings])
+    act = slice(None) if len(active) == rows else active
+    kicks = np.array([dt / 2.0 * couplings[r] for r in active]).reshape(lead)
+    forcing = np.array([couplings[r] for r in active]).reshape(lead)
+    c, s_over_w, w_s = flow_multipliers(layout.omega, dt)
+    along = np.stack([c, c])[:, None]
+    across = np.stack([s_over_w, w_s])[:, None]
+
+    def square(phi, real_flag):
+        return layout.square(phi[act], real_flag) if len(active) else None
+
+    def diagnose(node, phi_sq):
+        """Fill in the acceleration; the H^q norms of phi, pi and it, shape (3, rows)."""
+        np.multiply(-(layout.omega**2), node[0], out=node[2])
+        if phi_sq is not None:
+            node[2, act] -= forcing * phi_sq
+        return layout.norms(node)
+
+    node = np.empty((3, rows) + layout.shape, dtype=complex)
+    node[0], node[1] = layout.cut(initial.phi.values), layout.cut(initial.pi.values)
+    ahead = np.empty_like(node)
+    tables = np.empty((2, rows, tgrid.nnodes) + grid.shape, dtype=complex)
+    tables[0, :, 0], tables[1, :, 0] = initial.phi.values, initial.pi.values
+    phi_sq = square(node[0], initial.phi.real_field)
+    node_norms = [diagnose(node, phi_sq if initial.phi.real_field == real else square(node[0], real))]
+    kick = None if phi_sq is None else kicks * phi_sq
+    for j in range(tgrid.nt):
+        if kick is not None:
+            node[1, act] -= kick
+        np.multiply(along, node[:2], out=ahead[:2])
+        ahead[:2] += across * node[1::-1]
+        node, ahead = ahead, node
+        phi_sq = square(node[0], real)
+        if phi_sq is not None:
+            kick = kicks * phi_sq
+            node[1, act] -= kick
+        norms = diagnose(node, phi_sq)
+        if not norms[:2].max() <= norm_ceiling:
+            first = np.flatnonzero(~(np.maximum(norms[0], norms[1]) <= norm_ceiling))[0]
+            raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={float(tgrid.nodes[j + 1])}", couplings[first])
+        node_norms.append(norms)
+        layout.cut(tables)[:, :, j + 1] = node[:2]
+    layout.fill(tables[:, :, 1:])
+    peak = np.max(node_norms, axis=(0, 1))
+    meta = {"scheme": "strang", "dt": dt, "norm_ceiling": norm_ceiling}
+    return [
+        Trajectory(tgrid, grid, tables[0, r], tables[1, r], couplings[r], real, {**meta, "phi_e_norm": float(peak[r])})
+        for r in range(rows)
+    ]
 
 
 def node_acceleration(snap, coupling):

@@ -31,7 +31,6 @@ from kgcharge.spectral import (
     SpectralGrid,
     estimate_algebra_constant,
     evaluate_at,
-    pair_modes,
     random_band_limited,
     sobolev_norm,
 )
@@ -45,7 +44,15 @@ from kgcharge.trees import (
     leaf_count,
     signed_grow_sum,
 )
-from oracles import cherry_amplitude, direct_amplitude, field_energy_norm, green_apply, tree_amplitude, zero_modes
+from oracles import (
+    cherry_amplitude,
+    direct_amplitude,
+    field_energy_norm,
+    green_apply,
+    pair_modes,
+    tree_amplitude,
+    zero_modes,
+)
 
 COUPLING = 0.2
 SWEEP = (0.05, 0.1, 0.2, 0.4)

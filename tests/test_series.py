@@ -8,6 +8,8 @@ then checked against the per-tree sums, order by order, and up to order 10
 against the Cauchy and jet witnesses of the reversed Strang flow.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -24,11 +26,12 @@ from kgcharge.series import (
     radius_bound,
     readout,
     series,
+    series_couplings,
 )
 from kgcharge.series import _order_fields as order_fields
 from kgcharge.series import _test_function_rows as psi_node_rows
 from kgcharge.series import test_function_sup_norm as sup_norm
-from kgcharge.solver import TestFunction, evaluate_test_function, gaussian_field, solve
+from kgcharge.solver import TestFunction, evaluate_test_function, gaussian_field, solve, solve_couplings
 from kgcharge.spectral import FieldSnapshot, ModeArray, SpectralGrid, sobolev_norm
 from kgcharge.trees import enumerate_trees, from_dyck, graft, leaf
 from oracles import (
@@ -151,6 +154,9 @@ TEST_ONLY_NAMES = (
     "hermitian_defect",
     "zero_modes",
     "random_localized_field",
+    "pair_modes",
+    "retarded_integral",
+    "_retarded_integral",
 )
 
 
@@ -265,6 +271,48 @@ def test_tables_cut_at_s_match_the_tables_over_every_node_bit_for_bit(setting_na
     psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 0.5, 2.0, 1.0))
     report = series(psi, snap, -1.0, tg, max_order=6, c_q=1.0, phi_e_norm=1.0)
     assert [term.order_sum for term in report.per_order] == all_rows_order_amplitudes(psi, snap, tg, 6)
+
+
+# (grid, time grid): the desk grid at its own nt and a 16^2 grid, sliced at T
+SHARED_KERNEL_SETTINGS = {
+    "desk": (SpectralGrid(dim=1, extent=40.0, modes=128, mass=1.0, sobolev_q=1), TimeGrid(0.5, 512)),
+    "2d-16": (SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2), TimeGrid(0.4, 16)),
+}
+SWEEP_COUPLINGS = [0.05, 0.1, 0.2, 0.4]
+
+
+@pytest.mark.parametrize("max_order", [0, 1, 4])
+@pytest.mark.parametrize("setting_name", sorted(SHARED_KERNEL_SETTINGS))
+def test_shared_kernels_give_every_coupling_its_lone_series(setting_name, max_order, monkeypatch):
+    grid, tg = SHARED_KERNEL_SETTINGS[setting_name]
+    data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 1.5), gaussian_field(grid, 0.2, 2.5, 1.0))
+    slices = [traj.node(tg.nt) for traj in solve_couplings(data, SWEEP_COUPLINGS, tg)]
+    psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 0.5, 2.0, 1.0))
+    args = dict(target=0.3, c_q=1.0)
+    if max_order < 2:
+        # only an order below the last reads a retarded table; up to order 1
+        # none may be formed at all
+        def refuse(*_):
+            raise AssertionError("a retarded table was formed")
+
+        monkeypatch.setattr(importlib.import_module("kgcharge.series"), "_retarded_table", refuse)
+        with pytest.raises(AssertionError, match="retarded table"):
+            series(psi, slices[0], SWEEP_COUPLINGS[0], tg, 2, phi_e_norm=1.0, **args)
+    shared = series_couplings(psi, slices, SWEEP_COUPLINGS, tg, max_order, phi_e_norms=[1.0] * 4, **args)
+    for snap, coupling, got in zip(slices, SWEEP_COUPLINGS, shared, strict=True):
+        want = series(psi, snap, coupling, tg, max_order, phi_e_norm=1.0, **args)
+        assert got.per_order == want.per_order
+        assert got.partial_sums == want.partial_sums
+        assert got.residuals == want.residuals
+        assert len(got.per_order) == max_order + 1
+
+
+def test_shared_kernels_need_every_slice_at_one_time(setting, tgrid):
+    traj, snap, psi, _, _ = setting
+    with pytest.raises(ValueError, match="one time s"):
+        series_couplings(psi, [snap, traj.node(3)], [0.1, 0.2], tgrid, 2, c_q=1.0)
+    with pytest.raises(ValueError, match="one slice per coupling"):
+        series_couplings(psi, [snap], [0.1, 0.2], tgrid, 2, c_q=1.0)
 
 
 # (grid, time grid): a 32-mode line and an 8^2 grid, each sliced at T.  By
@@ -524,7 +572,8 @@ def test_sup_norm_dominates_the_initial_slice(grid, tgrid, rng):
 
 def test_readout_recovers_the_free_field(grid):
     from kgcharge.solver import dirac_test_function
-    from kgcharge.spectral import evaluate_at, pair_modes
+    from kgcharge.spectral import evaluate_at
+    from oracles import pair_modes
 
     tg = TimeGrid(horizon=0.4, nt=64)
     data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 2.0), zero_modes(grid))

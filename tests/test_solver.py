@@ -1,11 +1,14 @@
 """Strang-split integrator, field factories, and energy bookkeeping."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import random_snapshot, stacked_trajectory
 from kgcharge.propagation import TimeGrid, free_evolve
 from kgcharge.solver import (
+    BLOCK,
     BlowUp,
     TestFunction,
     Trajectory,
@@ -25,6 +28,7 @@ from kgcharge.spectral import (
     ModeArray,
     SizeMismatch,
     SpectralGrid,
+    SpectrumLayout,
     evaluate_at,
     sobolev_norm,
     to_modes,
@@ -33,6 +37,7 @@ from oracles import (
     field_energy_norm,
     node_energy,
     per_node_field_energy_norm,
+    per_node_solve_couplings,
     strang_with_fresh_kicks,
     to_grid,
     zero_modes,
@@ -228,6 +233,86 @@ def test_a_blow_up_names_the_same_node_and_coupling_in_both_layouts(grid):
         named.append((str(exc.value), exc.value.coupling))
     assert named[0] == named[1]
     assert named[0][1] == 9.0
+
+
+def ceiling_first_crossed_at(data, couplings, tg, node):
+    """A norm ceiling that the stack's phi or pi first crosses at the given node."""
+    layout = SpectrumLayout(data.grid, True)
+    top = np.max(
+        [np.maximum(layout.norms(layout.cut(t.phi)), layout.norms(layout.cut(t.pi))) for t in solve_couplings(data, couplings, tg)],
+        axis=0,
+    )
+    # node 0 is the initial data, which no ceiling test sees
+    if node == 1:
+        return 0.5 * top[1]
+    below = top[1:node].max()
+    assert top[node] > 1.01 * below
+    return 0.5 * (below + top[node])
+
+
+# Crossings at node 1, at the last node of the first block, at the first node
+# of the next, and at the final node of a grid whose nt is not a multiple of
+# the block
+BLOCK_EDGE_NODES = [1, BLOCK, BLOCK + 1, 40]
+
+
+@pytest.mark.parametrize("node", BLOCK_EDGE_NODES)
+@pytest.mark.parametrize("grid", LAYOUT_GRIDS, ids=["desk", "1d-30", "2d-16"])
+def test_a_blow_up_at_a_block_edge_names_the_node_of_the_per_node_loops(grid, node):
+    # under a negative coupling the bump grows at every node, the fastest
+    # for the largest magnitude, which sits last in the list
+    data = gaussian_data(grid, amplitude=2.0)
+    tg = TimeGrid(0.25, 40)
+    assert tg.nt % BLOCK != 0
+    couplings = [0.1, -5.0, 0.2, -9.0]
+    stack_ceiling = ceiling_first_crossed_at(data, couplings, tg, node)
+    lone_ceiling = ceiling_first_crossed_at(data, [-9.0], tg, node)
+    named = []
+    for flagged in (data, flagged_complex(data)):
+        with pytest.raises(BlowUp) as stacked:
+            solve_couplings(flagged, couplings, tg, norm_ceiling=stack_ceiling)
+        with pytest.raises(BlowUp) as per_node:
+            per_node_solve_couplings(flagged, couplings, tg, norm_ceiling=stack_ceiling)
+        assert (str(stacked.value), stacked.value.coupling) == (str(per_node.value), per_node.value.coupling)
+        assert str(stacked.value).endswith(f"t={float(tg.nodes[node])}")
+        with pytest.raises(BlowUp) as alone:
+            solve(flagged, -9.0, tg, norm_ceiling=lone_ceiling)
+        with pytest.raises(BlowUp) as literal:
+            strang_with_fresh_kicks(flagged, -9.0, tg, norm_ceiling=lone_ceiling)
+        assert str(alone.value) == str(literal.value)
+        assert str(alone.value).endswith(f"t={float(tg.nodes[node])}")
+        named.append((str(stacked.value), stacked.value.coupling, str(alone.value)))
+    assert named[0] == named[1]
+    # at node 1 every row crosses, and the first in list order is named
+    assert named[0][1] == (0.1 if node == 1 else -9.0)
+
+
+@pytest.mark.parametrize("nt", [15, BLOCK, BLOCK + 1, 40])
+@pytest.mark.parametrize("grid", STACK_GRIDS, ids=["1d-32", "1d-30", "2d-8"])
+def test_blocks_keep_the_trajectories_and_peak_norms_of_the_per_node_loop(grid, nt, rng):
+    data = random_snapshot(grid, rng)
+    tg = TimeGrid(horizon=0.5, nt=nt)
+    for flagged in (data, flagged_complex(data)):
+        stacked = solve_couplings(flagged, STACK_COUPLINGS, tg)
+        for got, want in zip(stacked, per_node_solve_couplings(flagged, STACK_COUPLINGS, tg), strict=True):
+            # the meta holds phi_e_norm, compared with ==
+            assert_same_trajectory(got, want)
+
+
+def test_a_desk_solve_takes_the_norms_once_per_block(monkeypatch):
+    grid = LAYOUT_GRIDS[0]
+    tg = TimeGrid(0.5, 512)
+    calls = []
+    norms = SpectrumLayout.norms
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0].shape)
+        return norms(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpectrumLayout, "norms", counted)
+    solve(gaussian_data(grid), 0.2, tg)
+    # node 0 alone, then one call per block of BLOCK steps
+    assert len(calls) == 1 + math.ceil(tg.nt / BLOCK) == math.ceil(tg.nnodes / BLOCK) == 33
 
 
 def test_mixed_flag_data_give_one_flag_at_every_node(small_grid, rng):

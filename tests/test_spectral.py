@@ -16,7 +16,6 @@ from kgcharge.spectral import (
     estimate_algebra_constant,
     evaluate_at,
     grid_values,
-    pair_modes,
     random_band_limited,
     sobolev_norm,
     to_modes,
@@ -26,6 +25,7 @@ from oracles import (
     _mode_convolution,
     folded_convolution,
     hermitian_defect,
+    pair_modes,
     per_draw_localized_samples,
     per_trial_algebra_constant,
     pointwise_product,

@@ -8,7 +8,8 @@ produces byte-identical CSV bodies.
 
 Exit codes: 0 success, 1 lemma-check failures, 2 config validation (a
 number that is not finite, a boolean where a number belongs, a fraction in
-an integer field or a negative seed among them; also a stored
+an integer field, a negative seed, an out that is not a string and a grid
+mass or extent whose powers overflow among them; also a stored
 trajectory missing, unreadable, or solved from a different grid, time grid,
 coupling or initial data, or, for transport, a manifest without the
 solver.phi_e_norm that solve records), 3 blow-up during solving, a node norm
@@ -34,7 +35,7 @@ import click
 import numpy as np
 
 from .propagation import TimeGrid
-from .series import bracket_ds
+from .series import bracket_ds, convergence_condition, radius_bound
 from .series import readout as readout_series
 from .series import series as run_series
 from .series import series_couplings
@@ -157,6 +158,9 @@ class ExperimentConfig:
         threads = data.get("threads", 1)
         if threads != 1 or isinstance(threads, bool):
             raise ConfigError("threads", "sweep runs on one thread")
+        out = data.get("out", DEFAULT_CONFIG["out"])
+        if not isinstance(out, str):
+            raise ConfigError("out", f"must be a directory name, got {out!r}")
         grid = data.get("grid", {})
         time = data.get("time", {})
         dg, dt = DEFAULT_CONFIG["grid"], DEFAULT_CONFIG["time"]
@@ -174,7 +178,7 @@ class ExperimentConfig:
             test_function={**DEFAULT_CONFIG["test_function"], **data.get("test_function", {})},
             max_order=_get(data, "", "max_order", int, DEFAULT_CONFIG["max_order"]),
             seed=_get(data, "", "seed", int, DEFAULT_CONFIG["seed"]),
-            out=str(data.get("out", DEFAULT_CONFIG["out"])),
+            out=out,
         )
 
     def build_grid(self) -> SpectralGrid:
@@ -447,19 +451,21 @@ def transport(config_path, out, max_order, force):
     psi = cfg.build_test_function(grid)
     target = bracket_ds(psi, traj.node(0))
     snap = traj.node(traj.tgrid.node_index(cfg.s))
-    report = run_series(
-        psi,
-        snap,
-        traj.coupling,
-        traj.tgrid,
-        cfg.max_order,
-        target=target,
-        window=cfg.window,
-        c_q=estimate_algebra_constant(grid),
-        phi_e_norm=traj.meta["phi_e_norm"],
-    )
+    # Formed before the series: the C_q estimate frees large blocks, which
+    # raises glibc's mmap threshold, so the series' tables then come from
+    # the heap (the other order made a transport at max_order 6 about 5%
+    # slower).
+    window, c_q, phi_e_norm = traj.tgrid.horizon, estimate_algebra_constant(grid), traj.meta["phi_e_norm"]
+    bounds = {
+        "radius_bound": radius_bound(snap, window, c_q),
+        "condition_ok": convergence_condition(traj.coupling, window, phi_e_norm, c_q, grid.mass),
+        "c_q": c_q,
+        "window": window,
+        "phi_e_norm": phi_e_norm,
+    }
+    report = run_series(psi, snap, traj.coupling, traj.tgrid, cfg.max_order, target=target)
     _require_finite_series(report)
-    if not report.condition_ok:
+    if not bounds["condition_ok"]:
         if not force:
             _fail(
                 4,
@@ -468,13 +474,13 @@ def transport(config_path, out, max_order, force):
         report.meta["forced"] = True
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_report_json(out_dir / "report.json", report)
+    write_report_json(out_dir / "report.json", report, bounds)
     write_report_csv(out_dir / "report.csv", report)
     for term, residual in zip(report.per_order, report.residuals):
         click.echo(
             f"order {term.order}: {term.tree_count} trees, partial sum residual {residual:.3e}"
         )
-    click.echo(f"radius bound {report.radius_bound:.6f}, condition_ok {report.condition_ok}")
+    click.echo(f"radius bound {bounds['radius_bound']:.6f}, condition_ok {bounds['condition_ok']}")
 
 
 @main.command()
@@ -494,28 +500,16 @@ def sweep(config_path, out, max_order, seed):
     tgrid = cfg.build_tgrid()
     initial = cfg.build_initial(grid)
     psi = cfg.build_test_function(grid)
-    c_q = estimate_algebra_constant(grid)
     j_s = tgrid.node_index(cfg.s)
     try:
         trajectories = solve_couplings(initial, couplings, tgrid)
     except BlowUp as exc:
         _fail(3, f"blow-up at coupling {exc.coupling!r}: {exc}")
-    # Keep only each coupling's slice at s and its norm, so the series runs
-    # with no trajectory held in memory.
+    # Keep only each coupling's slice at s, so the series runs with no
+    # trajectory held in memory.
     slices = [traj.node(j_s).copy() for traj in trajectories]
-    phi_e_norms = [traj.meta["phi_e_norm"] for traj in trajectories]
     del trajectories
-    reports = series_couplings(
-        psi,
-        slices,
-        couplings,
-        tgrid,
-        cfg.max_order,
-        target=bracket_ds(psi, initial),
-        window=cfg.window,
-        c_q=c_q,
-        phi_e_norms=phi_e_norms,
-    )
+    reports = series_couplings(psi, slices, couplings, tgrid, cfg.max_order, target=bracket_ds(psi, initial))
     for coupling, report in zip(couplings, reports):
         _require_finite_series(report, f" at coupling {coupling}")
     for coupling, report in zip(couplings, reports):

@@ -52,9 +52,16 @@ cumulative sum into buffers that every order reuses, and their row 0 is
 the order's t = 0 field.  The retarded table itself is formed only for
 orders that a higher order reads, and goes back to point space through one
 reused zero half spectrum.  The kernel pair and the leaf's backward-flow
-multipliers depend on s alone: series_couplings builds them once for all
-the slices of a sweep, which share s, and runs each slice's recursion from
-them, one slice at a time; series is its one-slice case.
+multipliers depend on s alone: the recursion takes every slice at one s (a
+sweep's slices share it), builds them once and runs the slices one at a
+time through the same buffers.  series_couplings is one such call, and
+series and readout pass one slice.
+
+The series computes the order terms, partial sums and residuals and
+nothing else.  Its convergence bounds (radius_bound, convergence_condition,
+first_order_bound, delta_norm_bound_check) are separate functions of the
+slice, the window, the sampled algebra constant C_q and the solver's
+recorded norm; transport is the one command that reports them.
 
 The tree series is the Taylor series in the coupling of the Strang flow
 run backward from the slice to t = 0: (-coupling)^n (W_n(0), d/dt W_n(0))
@@ -83,7 +90,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .propagation import TimeGrid, flow_multipliers, free_flow, suffix_time_integral, time_integral
-from .solver import TestFunction, Trajectory, acceleration, dirac_test_function, evaluate_test_function
+from .solver import TestFunction, Trajectory, dirac_test_function, evaluate_test_function
 from .spectral import (
     FieldSnapshot,
     GridMismatch,
@@ -114,7 +121,7 @@ class OrderTerm(NamedTuple):
 
 @dataclass(eq=False)
 class ChargeReport:
-    """Orders, partial sums, and bound bookkeeping of one series run."""
+    """Orders, partial sums and residuals of one series run."""
 
     s: float
     coupling: float
@@ -122,11 +129,6 @@ class ChargeReport:
     partial_sums: list[float]
     target: float | None
     residuals: list[float] | None
-    radius_bound: float
-    condition_ok: bool
-    c_q: float
-    window: float
-    phi_e_norm: float
     meta: dict = field(default_factory=dict)
 
 
@@ -367,79 +369,61 @@ def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
     return abs(b_s - b_0 - trajectory.coupling * integral)
 
 
-class _SliceKernels(NamedTuple):
-    """The free-flow tables of one slice time s, which every slice at s shares.
-
-    ``pair`` is the :func:`_kernel_pair` of the band over nodes 0..upper,
-    ``leaf`` the multipliers of the backward flow from s to those nodes on
-    the real half spectrum: cos and sin/omega of (tau - s) omega, and
-    -omega sin of it at node 0 only.
-    """
-
-    upper: int
-    pair: np.ndarray
-    leaf: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _slice_kernels(grid: SpectralGrid, tgrid: TimeGrid, s: float) -> _SliceKernels:
-    upper = tgrid.node_index(s)
-    layout = SpectrumLayout(grid, True)
-    # built over every node and then cut, so each entry is the value the
-    # whole-grid table holds; of -omega sin only node 0 is read
-    c, s_over_w, w_s = flow_multipliers(layout.omega, tgrid.nodes - s)
-    leaf = (c[: upper + 1], s_over_w[: upper + 1], w_s[:1].copy())
-    return _SliceKernels(upper, _kernel_pair(grid.band_omega, tgrid.nodes)[:, : upper + 1], leaf)
-
-
-def _order_fields(
-    snap: FieldSnapshot, tgrid: TimeGrid, max_order: int, kernels: _SliceKernels | None = None
-) -> np.ndarray:
-    """The order-n tree fields at t = 0, (W_n(0), d/dt W_n(0)), as a ``(max_order + 1, 2, *grid.shape)`` stack.
+def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
+    """The order-n tree fields at t = 0, (W_n(0), d/dt W_n(0)), of every slice: shape ``(len(slices), max_order + 1, 2, *grid.shape)``.
 
     The order-n product is the dealiased sum of W_i W_j over i + j = n - 1.
     Each W_n is kept in point space, so the sum of products needs one real
     forward transform per order, and cutting it to the band once equals
     summing the cut products.  Every table holds the rows of the nodes up
-    to s only, the nodes the retarded integrals reach.  ``kernels`` are the
-    :func:`_slice_kernels` of the slice's time, built here when not given.
+    to s only, the nodes the retarded integrals reach.
 
-    Per order, both suffix sums of the retarded integral come from one
-    cumulative sum over the kernel pair, into buffers every order reuses;
-    their row 0 is the order's t = 0 field, and the retarded table is
-    formed only for orders that a higher order reads.
+    The slices share one grid and one time s, so the kernel tables (the
+    band's kernel pair and the leaf's backward-flow multipliers) are built
+    once, and the recursions run one slice at a time through the same
+    buffers.  Per order, both suffix sums of the retarded integral come
+    from one cumulative sum over the kernel pair; their row 0 is the
+    order's t = 0 field, and the retarded table is formed only for orders
+    that a higher order reads.
     """
-    if not (snap.phi.real_field and snap.pi.real_field):
+    if not all(snap.phi.real_field and snap.pi.real_field for snap in slices):
         raise ValueError("the tree series needs real slice data: phi and pi must be flagged real fields")
-    grid = snap.grid
-    if kernels is None:
-        kernels = _slice_kernels(grid, tgrid, snap.time)
-    upper, pair, (c, s_over_w, w_s) = kernels
+    if len({snap.time for snap in slices}) != 1:
+        raise ValueError("the order recursion needs every slice at one time s")
+    grid, s = slices[0].grid, slices[0].time
+    upper = tgrid.node_index(s)
     layout = SpectrumLayout(grid, True)
-    phi, pi = layout.cut(snap.phi.values), layout.cut(snap.pi.values)
-    fields = np.zeros((max_order + 1, 2) + grid.shape, dtype=complex)
-    # W_0 at t = 0, node 0 of the leaf rows, with its time derivative
-    layout.cut(fields[0])[...] = c[0] * phi + s_over_w[0] * pi, w_s[0] * phi + c[0] * pi
-    points = [half_spectrum_values(grid, c * phi + s_over_w * pi)]
+    # built over every node and then cut, so each entry is the value the
+    # whole-grid table holds; of -omega sin only node 0 is read
+    c, s_over_w, w_s = flow_multipliers(layout.omega, tgrid.nodes - s)
+    c, s_over_w, w_s = c[: upper + 1], s_over_w[: upper + 1], w_s[0].copy()
+    pair = _kernel_pair(grid.band_omega, tgrid.nodes)[:, : upper + 1]
     band = (Ellipsis,) + grid.band_index
-    # what every order reuses: the kernel-weighted product, its suffix sums,
-    # and a zero half spectrum
+    fields = np.zeros((len(slices), max_order + 1, 2) + grid.shape, dtype=complex)
+    # what every order of every slice reuses: the kernel-weighted product,
+    # its suffix sums, and a zero half spectrum
     weighted = np.empty(pair.shape, dtype=complex)
     sums = np.empty_like(weighted)
     half = np.zeros((upper + 1,) + grid.half_shape, dtype=complex)
-    for order in range(1, max_order + 1):
-        total = points[0] * points[order - 1]
-        for i in range(1, order):
-            total += points[i] * points[order - 1 - i]
-        if order == max_order:
-            # no higher order reads the point tables
-            points.clear()
-        np.multiply(pair, band_modes(grid, total), out=weighted)
-        del total
-        _suffix_sums(weighted, tgrid, sums)
-        fields[order, 0][band] = sums[0, 0]
-        fields[order, 1][band] = -sums[1, 0]
-        if order < max_order:
-            points.append(band_values(grid, _retarded_table(pair, sums, weighted), half))
+    for snap, out in zip(slices, fields):
+        phi, pi = layout.cut(snap.phi.values), layout.cut(snap.pi.values)
+        # W_0 at t = 0, node 0 of the leaf rows, with its time derivative
+        layout.cut(out[0])[...] = c[0] * phi + s_over_w[0] * pi, w_s * phi + c[0] * pi
+        points = [half_spectrum_values(grid, c * phi + s_over_w * pi)]
+        for order in range(1, max_order + 1):
+            total = points[0] * points[order - 1]
+            for i in range(1, order):
+                total += points[i] * points[order - 1 - i]
+            if order == max_order:
+                # no higher order reads the point tables
+                points.clear()
+            np.multiply(pair, band_modes(grid, total), out=weighted)
+            del total
+            _suffix_sums(weighted, tgrid, sums)
+            out[order, 0][band] = sums[0, 0]
+            out[order, 1][band] = -sums[1, 0]
+            if order < max_order:
+                points.append(band_values(grid, _retarded_table(pair, sums, weighted), half))
     layout.fill(fields)
     return fields
 
@@ -455,9 +439,6 @@ def series(
     tgrid: TimeGrid,
     max_order: int,
     target: float | None = None,
-    window: float | None = None,
-    c_q: float | None = None,
-    phi_e_norm: float | None = None,
 ) -> ChargeReport:
     """Sum the tree series from the single slice at s, order by order.
 
@@ -465,13 +446,13 @@ def series(
     trees with N internal vertices: the bracket of psi with the order-N
     t = 0 field of the order recursion, which never visits the trees.
     ``target`` is the charge at t = 0 when the caller knows it (from a
-    stored trajectory); residuals are reported against it.
-    ``phi_e_norm`` feeds the convergence condition; without it the
-    single-slice proxy max(||phi(s)||, ||pi(s)||, ||accel(s)||) is used.
+    stored trajectory); residuals are reported against it.  The
+    convergence bounds are separate functions (:func:`radius_bound`,
+    :func:`convergence_condition`).
 
     The one-slice case of :func:`series_couplings`.
     """
-    return series_couplings(psi, [snap], [coupling], tgrid, max_order, target, window, c_q, [phi_e_norm])[0]
+    return series_couplings(psi, [snap], [coupling], tgrid, max_order, target)[0]
 
 
 def series_couplings(
@@ -481,48 +462,26 @@ def series_couplings(
     tgrid: TimeGrid,
     max_order: int,
     target: float | None = None,
-    window: float | None = None,
-    c_q: float | None = None,
-    phi_e_norms=None,
 ) -> list[ChargeReport]:
     """One :func:`series` report per coupling, each from its own slice, all slices at one time s.
 
-    The kernel tables of the order recursion depend on s alone, so they are
-    built once and every slice's recursion runs from them; each report is
-    bit for bit the one :func:`series` gives on its slice alone.  The
-    recursions run one slice at a time.  ``phi_e_norms``, one per slice
-    (None for the single-slice proxy), defaults to the proxy for all.
+    One :func:`_order_fields` call runs every slice's recursion from kernel
+    tables built once, and each report is bit for bit the one
+    :func:`series` gives on its slice alone.
     """
     slices, couplings = list(slices), list(couplings)
     if not slices or len(slices) != len(couplings):
         raise ValueError(f"series_couplings needs one slice per coupling, got {len(slices)} and {len(couplings)}")
-    grid = psi.grid
-    if any(snap.grid != grid for snap in slices):
+    if any(snap.grid != psi.grid for snap in slices):
         raise GridMismatch("test function and snapshot live on different grids")
-    if len({snap.time for snap in slices}) != 1:
-        raise ValueError("series_couplings needs every slice at one time s")
-    if phi_e_norms is None:
-        phi_e_norms = [None] * len(slices)
-    if window is None:
-        window = tgrid.horizon
-    if c_q is None:
-        c_q = estimate_algebra_constant(grid)
-    kernels = _slice_kernels(grid, tgrid, slices[0].time)
+    fields = _order_fields(slices, tgrid, max_order)
     return [
-        _report(psi, snap, coupling, tgrid, max_order, target, window, c_q, phi_e_norm, kernels)
-        for snap, coupling, phi_e_norm in zip(slices, couplings, phi_e_norms, strict=True)
+        _report(snap.time, coupling, _brackets(psi, 0.0, orders), target)
+        for snap, coupling, orders in zip(slices, couplings, fields, strict=True)
     ]
 
 
-def _report(psi, snap, coupling, tgrid, max_order, target, window, c_q, phi_e_norm, kernels) -> ChargeReport:
-    if phi_e_norm is None:
-        phi_e_norm = max(
-            sobolev_norm(snap.phi),
-            sobolev_norm(snap.pi),
-            sobolev_norm(acceleration(snap, coupling)),
-        )
-    fields = _order_fields(snap, tgrid, max_order, kernels)
-    amplitudes = _brackets(psi, 0.0, fields)
+def _report(s: float, coupling: float, amplitudes: list[float], target: float | None) -> ChargeReport:
     per_order: list[OrderTerm] = []
     partial_sums: list[float] = []
     running = 0.0
@@ -531,22 +490,8 @@ def _report(psi, snap, coupling, tgrid, max_order, target, window, c_q, phi_e_no
         running += term
         per_order.append(OrderTerm(order, _catalan(order), term))
         partial_sums.append(running)
-    residuals = None
-    if target is not None:
-        residuals = [abs(p - target) for p in partial_sums]
-    return ChargeReport(
-        s=snap.time,
-        coupling=coupling,
-        per_order=per_order,
-        partial_sums=partial_sums,
-        target=target,
-        residuals=residuals,
-        radius_bound=radius_bound(snap, window, c_q),
-        condition_ok=convergence_condition(coupling, window, phi_e_norm, c_q, snap.grid.mass),
-        c_q=c_q,
-        window=window,
-        phi_e_norm=phi_e_norm,
-    )
+    residuals = None if target is None else [abs(p - target) for p in partial_sums]
+    return ChargeReport(s, coupling, per_order, partial_sums, target, residuals)
 
 
 def readout(
@@ -561,7 +506,7 @@ def readout(
     """
     grid = trajectory.grid
     tgrid = trajectory.tgrid
-    fields = _order_fields(trajectory.node(tgrid.node_index(s)), tgrid, max_order)
+    fields = _order_fields([trajectory.node(tgrid.node_index(s))], tgrid, max_order)[0]
     estimate = sum((-trajectory.coupling) ** n * w for n, w in enumerate(fields))
     probes = (dirac_test_function(grid, x0, width, which) for which in ("velocity", "position"))
     phi_est, dtphi_est = (_brackets(probe, 0.0, estimate[None])[0] for probe in probes)

@@ -349,16 +349,6 @@ def _energies(grid: SpectralGrid, phi: np.ndarray, pi: np.ndarray, coupling: flo
     return total
 
 
-def acceleration(snap: FieldSnapshot, coupling: float) -> ModeArray:
-    """Second time derivative of phi from the equation of motion.
-
-    Mode-wise -(omega^2 phi_hat) - lambda (phi^2)_hat with the dealiased
-    square, i.e. the right-hand side the discrete flow actually integrates.
-    """
-    grid, phi, real = snap.grid, snap.phi.values, snap.phi.real_field
-    return ModeArray(grid, -(grid.omega**2) * phi - coupling * dealiased_product(grid, phi, phi, real), real)
-
-
 def energy(snap: FieldSnapshot, coupling: float) -> float:
     """Box integral of 1/2 pi^2 + 1/2 |grad phi|^2 + 1/2 m^2 phi^2 + (lambda/3) phi^3.
 

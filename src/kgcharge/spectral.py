@@ -92,6 +92,12 @@ class SpectralGrid:
             raise ValueError(f"modes must be even and at least 8, got {self.modes}")
         if not self.mass > 0:
             raise ValueError(f"mass must be positive, got {self.mass}")
+        # omega squares the mass and volume raises the extent to the dim
+        for name, base, power in (("mass", self.mass, 2), ("extent", self.extent, self.dim)):
+            try:
+                base**power
+            except OverflowError:
+                raise ValueError(f"{name}**{power} overflows a float, got {name}={base}") from None
         if not self.sobolev_q > self.dim / 2:
             raise ValueError(
                 f"sobolev_q must satisfy q > n/2, got q={self.sobolev_q} with n={self.dim}"

@@ -18,7 +18,10 @@ shape or dtype, ``times`` that are not the manifest's nodes, a
 ``real_field`` that is not a boolean, or non-finite field values raise
 ValueError.
 
-Report CSV bodies are deterministic: comma separated, header rows, floats at
+A report JSON holds the series report's fields and the convergence bounds
+its caller computed beside the series (transport gives ``radius_bound``,
+``condition_ok``, ``c_q``, ``window`` and ``phi_e_norm``).  Report CSV
+bodies are deterministic: comma separated, header rows, floats at
 17 significant digits with a "." decimal point regardless of locale.
 Wall-clock information lives only in trajectory manifests, never in CSV
 bodies, so reruns with the same inputs produce byte-identical CSV files.
@@ -122,7 +125,8 @@ def read_trajectory(directory) -> Trajectory:
     return traj
 
 
-def report_to_dict(report) -> dict:
+def report_to_dict(report, bounds: dict) -> dict:
+    """The series report's fields, with the convergence ``bounds`` a caller computed beside it."""
     return {
         "s": report.s,
         "coupling": report.coupling,
@@ -130,18 +134,14 @@ def report_to_dict(report) -> dict:
         "partial_sums": report.partial_sums,
         "target": report.target,
         "residuals": report.residuals,
-        "radius_bound": report.radius_bound,
-        "condition_ok": report.condition_ok,
-        "c_q": report.c_q,
-        "window": report.window,
-        "phi_e_norm": report.phi_e_norm,
         "meta": report.meta,
+        **bounds,
     }
 
 
-def write_report_json(path, report) -> None:
+def write_report_json(path, report, bounds: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
+        json.dump(report_to_dict(report, bounds), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

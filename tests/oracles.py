@@ -554,6 +554,16 @@ def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6):
     ]
 
 
+def acceleration(snap, coupling):
+    """Second time derivative of phi from the equation of motion.
+
+    Mode-wise -(omega^2 phi_hat) - lambda (phi^2)_hat with the dealiased
+    square, i.e. the right-hand side the discrete flow actually integrates.
+    """
+    grid, phi, real = snap.grid, snap.phi.values, snap.phi.real_field
+    return ModeArray(grid, -(grid.omega**2) * phi - coupling * dealiased_product(grid, phi, phi, real), real)
+
+
 def node_acceleration(snap, coupling):
     """-(omega^2 phi_hat) - coupling (phi^2)_hat of one node."""
     grid = snap.grid

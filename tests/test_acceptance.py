@@ -146,22 +146,13 @@ def test_criterion_03_oracle_equivalence(grid, psi, trajectories, tgrid):
     )
 
 
-def test_criterion_04_series_transport(psi, trajectories, tgrid, c_q):
+def test_criterion_04_series_transport(psi, trajectories, tgrid):
     residuals = {}
     targets = {}
     for lam in SWEEP:
         traj = trajectories[lam]
         target = bracket_ds(psi, traj.node(0))
-        report = series(
-            psi,
-            traj.node(-1),
-            lam,
-            tgrid,
-            max_order=4,
-            target=target,
-            c_q=c_q,
-            phi_e_norm=field_energy_norm(traj),
-        )
+        report = series(psi, traj.node(-1), lam, tgrid, max_order=4, target=target)
         residuals[lam] = report.residuals
         targets[lam] = target
     log_l = np.log(SWEEP)
@@ -246,9 +237,7 @@ def test_criterion_07_norm_growth_bound(psi, tgrid, c_q):
 def test_criterion_08_bound_self_consistency(grid, psi, trajectories, tgrid, c_q):
     traj = trajectories[COUPLING]
     target = bracket_ds(psi, traj.node(0))
-    report = series(
-        psi, traj.node(-1), COUPLING, tgrid, max_order=1, target=target, c_q=c_q
-    )
+    report = series(psi, traj.node(-1), COUPLING, tgrid, max_order=1, target=target)
     measured = report.residuals[-1]
     bound = first_order_bound(
         COUPLING,

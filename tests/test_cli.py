@@ -2,6 +2,7 @@
 
 import csv
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 from kgcharge.cli import main
+from kgcharge.series import convergence_condition, radius_bound
+from kgcharge.spectral import estimate_algebra_constant
+from kgcharge.storage import read_manifest, read_trajectory
 from oracles import catalan
 
 SMALL = {
@@ -210,6 +214,30 @@ def test_non_finite_numbers_and_negative_seeds_exit_2(runner, tmp_path, command,
     assert f"config field '{field}':" in result.output
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [{"m": 1e200, "Nx": 16}, {"dim": 2, "L": 1e200, "Nx": 8, "q": 2}],
+    ids=["mass-squared", "volume"],
+)
+def test_a_grid_whose_mass_or_volume_overflows_exits_2(runner, tmp_path, grid):
+    # finite numbers whose square or dim-th power is past the largest float
+    cfg = write_config(tmp_path, grid=grid, time={"T": 0.1, "s": 0.1, "nt": 4})
+    result = runner.invoke(main, ["solve", "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert "config field 'grid':" in result.output
+    assert "overflows" in result.output
+
+
+@pytest.mark.parametrize("out", [None, 5, ["run"]])
+def test_an_out_that_is_not_a_string_exits_2(runner, tmp_path, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, out=out)
+    result = runner.invoke(main, ["solve", "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert "config field 'out':" in result.output
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_negative_low_mode_band_exits_2(runner, tmp_path):
     # kmax < 0 keeps no mode: psi would be zero and every residual 0.000e+00
     cfg = write_config(tmp_path, test_function={"type": "low-mode", "kmax": -3})
@@ -360,6 +388,26 @@ def test_transport_reads_the_norm_that_solve_recorded(runner, tmp_path):
     assert "run solve again" in result.output
 
 
+def test_transport_reports_the_bounds_of_its_slice(runner, tmp_path):
+    cfg = run_solved(runner, tmp_path, time={"s": 0.2})
+    assert runner.invoke(main, ["transport", "--config", str(cfg)]).exit_code == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert set(report) == {
+        "s", "coupling", "per_order", "partial_sums", "target", "residuals", "meta",
+        "radius_bound", "condition_ok", "c_q", "window", "phi_e_norm",
+    }
+    traj = read_trajectory(tmp_path / "run" / "trajectory")
+    grid, window = traj.grid, SMALL["time"]["T"]
+    c_q = estimate_algebra_constant(grid)
+    phi_e_norm = read_manifest(tmp_path / "run" / "trajectory")["solver"]["phi_e_norm"]
+    assert report["c_q"] == c_q
+    assert report["window"] == window
+    assert report["phi_e_norm"] == phi_e_norm
+    snap = traj.node(traj.tgrid.node_index(0.2))
+    assert report["radius_bound"] == radius_bound(snap, window, c_q)
+    assert report["condition_ok"] is convergence_condition(SMALL["coupling"], window, phi_e_norm, c_q, grid.mass)
+
+
 def test_transport_takes_any_slice_of_the_stored_trajectory(runner, tmp_path):
     run_solved(runner, tmp_path)
     cfg = write_config(tmp_path, name="earlier.json", time={"s": 0.2}, max_order=2, seed=7)
@@ -477,6 +525,25 @@ def test_sweep_rows_are_the_transport_reports_of_lone_solves(runner, tmp_path):
         with open(tmp_path / "run" / "report.csv", newline="") as fh:
             lone += [(row["residual"], row["partial_sum"]) for row in csv.DictReader(fh)]
     assert swept == lone
+
+
+def test_sweep_never_estimates_the_algebra_constant(runner, tmp_path, monkeypatch):
+    # no sweep output reads C_q, so the series must not ask for it
+    def refuse(*_, **__):
+        raise AssertionError("estimate_algebra_constant was called")
+
+    written = {}
+    for name in ("plain", "refused"):
+        if name == "refused":
+            for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "kgcharge"]:
+                if hasattr(module, "estimate_algebra_constant"):
+                    monkeypatch.setattr(module, "estimate_algebra_constant", refuse)
+        out = tmp_path / name
+        cfg = write_config(tmp_path, name=f"{name}.json", coupling=[0.1, 0.2, 0.4], max_order=2, out=str(out))
+        result = runner.invoke(main, ["sweep", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        written[name] = [(out / f).read_bytes() for f in ("sweep_residuals.csv", "sweep_slopes.csv")]
+    assert written["refused"] == written["plain"]
 
 
 def test_sweep_blow_up_names_the_coupling_that_crossed_first(runner, tmp_path):

@@ -157,6 +157,7 @@ TEST_ONLY_NAMES = (
     "pair_modes",
     "retarded_integral",
     "_retarded_integral",
+    "acceleration",
 )
 
 
@@ -185,8 +186,8 @@ def test_amplitudes_ignore_grid_time_past_s(setting, grid):
             a1 = tree_amplitude(b, psi, snap, tg1)
             a2 = tree_amplitude(b, psi, snap, tg2)
             assert a1 == pytest.approx(a2, rel=1e-12)
-    r1 = series(psi, snap, coupling, tg1, max_order=3, c_q=1.0)
-    r2 = series(psi, snap, coupling, tg2, max_order=3, c_q=1.0)
+    r1 = series(psi, snap, coupling, tg1, max_order=3)
+    r2 = series(psi, snap, coupling, tg2, max_order=3)
     for t1, t2 in zip(r1.per_order, r2.per_order):
         assert t1.order_sum == pytest.approx(t2.order_sum, rel=1e-12)
 
@@ -204,7 +205,7 @@ def test_cache_is_shared_and_consistent(setting, tgrid):
 
 
 def assert_order_sums_match_the_trees(psi, snap, coupling, tgrid, max_order):
-    report = series(psi, snap, coupling, tgrid, max_order, c_q=1.0)
+    report = series(psi, snap, coupling, tgrid, max_order)
     cache = AmplitudeCache()
     for term in report.per_order:
         trees = enumerate_trees(term.order)
@@ -248,7 +249,7 @@ def test_band_recursion_matches_the_full_spectrum_oracle(setting_name, coupling)
     snap = solve(data, coupling, tg).node(tg.node_index(s))
     psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5))
     # a coupling of -1 makes each order's term its amplitude sum
-    report = series(psi, snap, -1.0, tg, max_order=6, c_q=1.0, phi_e_norm=1.0)
+    report = series(psi, snap, -1.0, tg, max_order=6)
     oracle = full_spectrum_order_amplitudes(psi, snap, tg, max_order=6)
     for term, want in zip(report.per_order, oracle, strict=True):
         assert term.order_sum == pytest.approx(want, rel=1e-13, abs=0.0)
@@ -269,7 +270,7 @@ def test_tables_cut_at_s_match_the_tables_over_every_node_bit_for_bit(setting_na
     data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 1.5), gaussian_field(grid, 0.2, 2.5, 1.0))
     snap = solve(data, 0.3, tg).node(tg.nt // 2)
     psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 0.5, 2.0, 1.0))
-    report = series(psi, snap, -1.0, tg, max_order=6, c_q=1.0, phi_e_norm=1.0)
+    report = series(psi, snap, -1.0, tg, max_order=6)
     assert [term.order_sum for term in report.per_order] == all_rows_order_amplitudes(psi, snap, tg, 6)
 
 
@@ -288,7 +289,6 @@ def test_shared_kernels_give_every_coupling_its_lone_series(setting_name, max_or
     data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 1.5), gaussian_field(grid, 0.2, 2.5, 1.0))
     slices = [traj.node(tg.nt) for traj in solve_couplings(data, SWEEP_COUPLINGS, tg)]
     psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 0.5, 2.0, 1.0))
-    args = dict(target=0.3, c_q=1.0)
     if max_order < 2:
         # only an order below the last reads a retarded table; up to order 1
         # none may be formed at all
@@ -297,10 +297,10 @@ def test_shared_kernels_give_every_coupling_its_lone_series(setting_name, max_or
 
         monkeypatch.setattr(importlib.import_module("kgcharge.series"), "_retarded_table", refuse)
         with pytest.raises(AssertionError, match="retarded table"):
-            series(psi, slices[0], SWEEP_COUPLINGS[0], tg, 2, phi_e_norm=1.0, **args)
-    shared = series_couplings(psi, slices, SWEEP_COUPLINGS, tg, max_order, phi_e_norms=[1.0] * 4, **args)
+            series(psi, slices[0], SWEEP_COUPLINGS[0], tg, 2, target=0.3)
+    shared = series_couplings(psi, slices, SWEEP_COUPLINGS, tg, max_order, target=0.3)
     for snap, coupling, got in zip(slices, SWEEP_COUPLINGS, shared, strict=True):
-        want = series(psi, snap, coupling, tg, max_order, phi_e_norm=1.0, **args)
+        want = series(psi, snap, coupling, tg, max_order, target=0.3)
         assert got.per_order == want.per_order
         assert got.partial_sums == want.partial_sums
         assert got.residuals == want.residuals
@@ -310,9 +310,9 @@ def test_shared_kernels_give_every_coupling_its_lone_series(setting_name, max_or
 def test_shared_kernels_need_every_slice_at_one_time(setting, tgrid):
     traj, snap, psi, _, _ = setting
     with pytest.raises(ValueError, match="one time s"):
-        series_couplings(psi, [snap, traj.node(3)], [0.1, 0.2], tgrid, 2, c_q=1.0)
+        series_couplings(psi, [snap, traj.node(3)], [0.1, 0.2], tgrid, 2)
     with pytest.raises(ValueError, match="one slice per coupling"):
-        series_couplings(psi, [snap], [0.1, 0.2], tgrid, 2, c_q=1.0)
+        series_couplings(psi, [snap], [0.1, 0.2], tgrid, 2)
 
 
 # (grid, time grid): a 32-mode line and an 8^2 grid, each sliced at T.  By
@@ -336,14 +336,14 @@ def test_orders_past_the_tree_tables_match_the_cauchy_and_jet_witnesses(setting_
     data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 2.0), gaussian_field(grid, 0.2, 2.5, 1.0))
     snap = solve(data, coupling, tg).node(tg.nt)
     psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5))
-    report = series(psi, snap, -1.0, tg, max_order=11, c_q=1.0, phi_e_norm=1.0)
+    report = series(psi, snap, -1.0, tg, max_order=11)
     sums = [term.order_sum for term in report.per_order]
     # the circle lies between a third and a half of the observed radius
     assert 2.0 * WITNESS_RADIUS <= abs(sums[10] / sums[11]) <= 3.0 * WITNESS_RADIUS
     # the series' terms are (-lambda)^n times the amplitude sums, the
     # witnesses' the Taylor coefficients in lambda
     signs = (-1.0) ** np.arange(11)
-    fields = signs.reshape((-1,) + (1,) * (1 + grid.dim)) * order_fields(snap, tg, 10)
+    fields = signs.reshape((-1,) + (1,) * (1 + grid.dim)) * order_fields([snap], tg, 10)[0]
     jet = jet_order_fields(snap, tg, 10)
     witnesses = {
         "cauchy": (
@@ -374,7 +374,7 @@ def test_the_recovered_charge_converges_at_second_order_in_dt(grid):
     s, coupling = 0.4, 2.0
     snap = FieldSnapshot(s, gaussian_field(grid, 0.5, 2.0), gaussian_field(grid, 0.2, 2.5, 1.0))
     psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5))
-    reports = [series(psi, snap, coupling, TimeGrid(s, nt), max_order=8, c_q=1.0, phi_e_norm=1.0) for nt in (8, 16, 32)]
+    reports = [series(psi, snap, coupling, TimeGrid(s, nt), max_order=8) for nt in (8, 16, 32)]
     charges = [report.partial_sums[-1] for report in reports]
     steps = [charges[0] - charges[1], charges[1] - charges[2]]
     # the last order's term, the size of the truncation, is far below the steps
@@ -386,7 +386,7 @@ def test_series_refuses_complex_slice_data(setting, tgrid):
     _, snap, psi, coupling, _ = setting
     complex_snap = FieldSnapshot(snap.time, ModeArray(snap.grid, snap.phi.values, False), snap.pi)
     with pytest.raises(ValueError, match="real slice data"):
-        series(psi, complex_snap, coupling, tgrid, max_order=0, c_q=1.0, phi_e_norm=1.0)
+        series(psi, complex_snap, coupling, tgrid, max_order=0)
 
 
 def test_series_reproduces_the_linear_charge(grid, tgrid, rng):

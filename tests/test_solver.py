@@ -13,7 +13,6 @@ from kgcharge.solver import (
     TestFunction,
     Trajectory,
     WidthTooSmall,
-    acceleration,
     dirac_test_function,
     energy,
     evaluate_test_function,
@@ -34,6 +33,7 @@ from kgcharge.spectral import (
     to_modes,
 )
 from oracles import (
+    acceleration,
     field_energy_norm,
     node_energy,
     per_node_field_energy_norm,

@@ -49,6 +49,11 @@ def test_grid_validation():
         SpectralGrid(mass=0.0)
     with pytest.raises(ValueError, match="q > n/2"):
         SpectralGrid(sobolev_q=0)
+    # finite, but omega squares the mass and the volume is extent**dim
+    with pytest.raises(ValueError, match=r"mass\*\*2 overflows"):
+        SpectralGrid(mass=1e200)
+    with pytest.raises(ValueError, match=r"extent\*\*2 overflows"):
+        SpectralGrid(dim=2, extent=1e200, modes=8, sobolev_q=2)
 
 
 def test_grid_bookkeeping(small_grid):

@@ -142,14 +142,15 @@ def report_fixture(small_grid, rng):
 def test_report_json(tmp_path, small_grid, rng):
     report = report_fixture(small_grid, rng)
     path = tmp_path / "report.json"
-    write_report_json(path, report)
+    bounds = {"radius_bound": 0.25, "condition_ok": True, "c_q": 0.75, "window": 0.4, "phi_e_norm": 1.5}
+    write_report_json(path, report, bounds)
     data = json.loads(path.read_text())
     assert data["coupling"] == report.coupling
     assert data["target"] == report.target
     assert data["partial_sums"] == report.partial_sums
-    assert data["c_q"] == report.c_q
+    assert data["c_q"] == 0.75
     assert len(data["per_order"]) == 3
-    assert report_to_dict(report) == data
+    assert report_to_dict(report, bounds) == data
 
 
 def test_report_csv(tmp_path, small_grid, rng):

@@ -1,6 +1,7 @@
 """Experiment driver: config handling, commands, and reproducible outputs.
 
-Configs are single JSON files with nested sections; defaults below.  All
+Configs are single JSON files with nested sections: SCHEMA below gives every
+key's type and DEFAULT_CONFIG the defaults that --help prints.  All
 quantities are in the grid's natural units.  Outputs are CSV and JSON reports
 under the configured output directory, plus the trajectory archive and its
 manifest that solve writes; rerunning a command with the same config and seed
@@ -8,17 +9,19 @@ produces byte-identical CSV bodies.
 
 Exit codes: 0 success, 1 lemma-check failures, 2 config validation (a
 number that is not finite, a boolean where a number belongs, a fraction in
-an integer field, a negative seed, an out that is not a string and a grid
-mass or extent whose powers overflow among them; also a stored
-trajectory missing, unreadable, or solved from a different grid, time grid,
-coupling or initial data, or, for transport, a manifest without the
-solver.phi_e_norm that solve records), 3 blow-up during solving, a node norm
-over the ceiling or not a number (sweep names the coupling that crossed
-first), or a series that is not finite: an order sum, partial sum or
-residual of transport or sweep, or an estimate of readout, that overflowed
-to inf or NaN, 4 convergence condition false without --force, 5 sweep
-underflow or fewer than 3 distinct coupling magnitudes (the slopes are
-fitted in log|coupling|, so a sign flip adds no point).
+an integer field, a negative seed, an out that is not a string, and a grid
+whose m**2 or L**dim overflows, whose m**2 underflows to 0 or whose
+m**2 + |k|**2 overflows among them; also arrays too large for memory, with
+numpy's size and the fields that set it, grid.Nx, grid.dim and time.nt;
+also a stored trajectory missing, unreadable, or solved from a different
+grid, time grid, coupling or initial data, or, for transport, a manifest
+without the solver.phi_e_norm that solve records), 3 blow-up during
+solving, a node norm over the ceiling or not a number (sweep names the
+coupling that crossed first), or a series that is not finite: an order sum,
+partial sum or residual of transport or sweep, or an estimate of readout,
+that overflowed to inf or NaN, 4 convergence condition false without
+--force, 5 sweep underflow or fewer than 3 distinct coupling magnitudes
+(the slopes are fitted in log|coupling|, so a sign flip adds no point).
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .series import series_couplings
 from .solver import BlowUp, TestFunction, dirac_test_function, gaussian_field, node_energies, solve_couplings
 from .solver import solve as solve_pde
 from .spectral import (
+    FieldSnapshot,
     ModeArray,
     SpectralGrid,
     estimate_algebra_constant,
@@ -51,9 +55,9 @@ from .spectral import (
 from .storage import (
     MANIFEST_FILE,
     TRAJECTORY_FILE,
-    format_float,
     read_manifest,
     read_trajectory,
+    write_csv,
     write_report_csv,
     write_report_json,
     write_trajectory,
@@ -87,17 +91,6 @@ DEFAULT_CONFIG = {
     "out": "runs/desk",
 }
 
-# The keys each section may hold.  test_function lists the union over its
-# types, so one spec can carry keys its type does not read.  sweep runs on one
-# thread; a top-level "threads" is still accepted, as 1 only.
-CONFIG_KEYS = {
-    "": set(DEFAULT_CONFIG) | {"threads"},
-    "grid": set(DEFAULT_CONFIG["grid"]),
-    "time": set(DEFAULT_CONFIG["time"]),
-    "initial": set(DEFAULT_CONFIG["initial"]),
-    "test_function": {"type", "amplitude", "width", "center", "slot", "kmax", "x0", "which"},
-}
-
 
 class ConfigError(Exception):
     """Config validation failure; carries the offending field path."""
@@ -119,199 +112,181 @@ def _number(raw, cast):
     return value
 
 
-def _get(section: dict, section_name: str, key: str, cast, default):
-    """The field cast by :func:`_number`; a ConfigError names its path if that fails."""
-    try:
-        return _number(section.get(key, default), cast)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{section_name}.{key}" if section_name else key, str(exc)) from exc
+def _couplings(raw) -> list[float]:
+    """One coupling or a list of them, as a list of floats."""
+    return [_number(value, float) for value in (raw if isinstance(raw, list) else [raw])]
 
 
-@dataclass
-class ExperimentConfig:
-    dim: int
-    extent: float
-    modes: int
-    mass: float
-    sobolev_q: int
-    window: float
+def _directory(raw) -> str:
+    if not isinstance(raw, str):
+        raise TypeError(f"must be a directory name, got {raw!r}")
+    return raw
+
+
+def _one_thread(raw):
+    if raw != 1 or isinstance(raw, bool):
+        raise ValueError("sweep runs on one thread")
+    return raw
+
+
+# Every key's type.  An int or float key is cast by _number, and a str key
+# is checked against its choices once the grid is built; coupling, out and
+# threads have readers of their own.  test_function holds the keys of all
+# its types, so one spec can carry keys its type does not read.
+SCHEMA = {
+    "grid": {"L": float, "Nx": int, "m": float, "q": int, "dim": int},
+    "time": {"T": float, "s": float, "nt": int},
+    "coupling": _couplings,
+    "initial": {"type": str, "amplitude": float, "width": float, "center": float},
+    "test_function": {
+        "type": str, "amplitude": float, "width": float, "center": float, "slot": str,
+        "kmax": int, "x0": float, "which": str,  # low-mode and dirac only
+    },
+    "max_order": int,
+    "seed": int,
+    "out": _directory,
+    "threads": _one_thread,
+}
+# DEFAULT_CONFIG with the defaults --help leaves out.  A dirac x0 has none
+# here: it is the middle of the box, L / 2, once the grid is built.
+_DEFAULTS = {
+    **DEFAULT_CONFIG,
+    "test_function": {**DEFAULT_CONFIG["test_function"], "kmax": 8, "which": "velocity"},
+    "threads": 1,
+}
+
+
+def _read(raw, schema: dict, defaults: dict, path: str = "") -> dict:
+    """The section ``raw`` with its defaults filled in and each value read by its ``schema`` type.
+
+    A ConfigError names the first key the schema does not know or whose
+    value does not read.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(path, "must be an object") if path else ConfigError("<file>", "must hold a JSON object")
+    for key in raw:
+        if key not in schema:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
+    section = {}
+    for key, value in {**defaults, **raw}.items():
+        kind, name = schema[key], f"{path}.{key}" if path else key
+        if isinstance(kind, dict):
+            section[key] = _read(value, kind, defaults[key], name)
+        elif kind is str:
+            section[key] = value
+        else:
+            try:
+                section[key] = _number(value, kind) if kind in (int, float) else kind(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(name, str(exc)) from exc
+    return section
+
+
+@dataclass(frozen=True)
+class Config:
+    """A config read and checked, with its grids built: what every command reads."""
+
+    grid: SpectralGrid
+    tgrid: TimeGrid
     s: float
-    nt: int
-    coupling: object
+    couplings: list[float]
     initial: dict
     test_function: dict
     max_order: int
     seed: int
     out: str
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("<file>", "must hold a JSON object")
-        for name in ("grid", "time", "initial", "test_function"):
-            if name in data and not isinstance(data[name], dict):
-                raise ConfigError(name, "must be an object")
-        for name, known in CONFIG_KEYS.items():
-            for key in data.get(name, {}) if name else data:
-                if key not in known:
-                    raise ConfigError(f"{name}.{key}" if name else key, "unknown key")
-        threads = data.get("threads", 1)
-        if threads != 1 or isinstance(threads, bool):
-            raise ConfigError("threads", "sweep runs on one thread")
-        out = data.get("out", DEFAULT_CONFIG["out"])
-        if not isinstance(out, str):
-            raise ConfigError("out", f"must be a directory name, got {out!r}")
-        grid = data.get("grid", {})
-        time = data.get("time", {})
-        dg, dt = DEFAULT_CONFIG["grid"], DEFAULT_CONFIG["time"]
-        return cls(
-            dim=_get(grid, "grid", "dim", int, dg["dim"]),
-            extent=_get(grid, "grid", "L", float, dg["L"]),
-            modes=_get(grid, "grid", "Nx", int, dg["Nx"]),
-            mass=_get(grid, "grid", "m", float, dg["m"]),
-            sobolev_q=_get(grid, "grid", "q", int, dg["q"]),
-            window=_get(time, "time", "T", float, dt["T"]),
-            s=_get(time, "time", "s", float, dt["s"]),
-            nt=_get(time, "time", "nt", int, dt["nt"]),
-            coupling=data.get("coupling", DEFAULT_CONFIG["coupling"]),
-            initial={**DEFAULT_CONFIG["initial"], **data.get("initial", {})},
-            test_function={**DEFAULT_CONFIG["test_function"], **data.get("test_function", {})},
-            max_order=_get(data, "", "max_order", int, DEFAULT_CONFIG["max_order"]),
-            seed=_get(data, "", "seed", int, DEFAULT_CONFIG["seed"]),
-            out=out,
-        )
 
-    def build_grid(self) -> SpectralGrid:
-        try:
-            return SpectralGrid(self.dim, self.extent, self.modes, self.mass, self.sobolev_q)
-        except ValueError as exc:
-            raise ConfigError("grid", str(exc)) from exc
-
-    def build_tgrid(self) -> TimeGrid:
-        try:
-            tgrid = TimeGrid(self.window, self.nt)
-        except ValueError as exc:
-            raise ConfigError("time", str(exc)) from exc
-        if self.s > self.window:
-            raise ConfigError("time.s", f"s={self.s} exceeds the window T={self.window}")
-        if not self.s > 0:
-            raise ConfigError("time.s", f"s must be positive, got {self.s}")
-        try:
-            tgrid.node_index(self.s)
-        except ValueError as exc:
-            raise ConfigError("time.s", "s must coincide with a time-grid node") from exc
-        return tgrid
-
-    def coupling_list(self) -> list[float]:
-        values = self.coupling if isinstance(self.coupling, (list, tuple)) else [self.coupling]
-        try:
-            return [_number(v, float) for v in values]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError("coupling", str(exc)) from exc
-
-    def coupling_scalar(self) -> float:
-        values = self.coupling_list()
-        if len(values) != 1:
-            raise ConfigError("coupling", "this command needs a single coupling value")
-        return values[0]
-
-    def initial_spec(self) -> dict:
-        """The initial section resolved to its type and floats, as solve records it."""
-        di = DEFAULT_CONFIG["initial"]
-        spec = {"type": self.initial.get("type")}
-        for key in ("amplitude", "width", "center"):
-            spec[key] = _get(self.initial, "initial", key, float, di[key])
-        return spec
-
-    def test_function_spec(self) -> dict:
-        """The test_function section with its numeric fields cast, as the commands read it."""
-        tf = self.test_function
-        spec = {"type": tf["type"], "slot": tf["slot"], "which": tf.get("which", "velocity")}
-        defaults = {"x0": self.extent / 2, "kmax": 8}
-        for key, cast in (("amplitude", float), ("width", float), ("center", float), ("x0", float), ("kmax", int)):
-            spec[key] = _get(tf, "test_function", key, cast, defaults.get(key))
-        return spec
-
-    def validate(self) -> None:
-        self.build_grid()
-        self.build_tgrid()
-        self.coupling_list()
-        initial = self.initial_spec()
-        if self.seed < 0:
-            raise ConfigError("seed", f"must be at least 0, got {self.seed}")
-        if not 0 <= self.max_order <= DEFAULT_ENUMERATION_CAP:
-            raise ConfigError(
-                "max_order", f"must be between 0 and {DEFAULT_ENUMERATION_CAP}"
-            )
-        if initial["type"] != "gaussian":
-            raise ConfigError("initial.type", "only 'gaussian' initial data is supported")
-        if not initial["width"] > 0:
-            raise ConfigError("initial.width", "must be positive")
-        tf = self.test_function_spec()
-        if tf["type"] not in ("gaussian", "low-mode", "dirac"):
-            raise ConfigError("test_function.type", f"unknown type {tf['type']!r}")
-        if tf["type"] == "gaussian":
-            if tf["slot"] not in ("both", "position", "velocity"):
-                raise ConfigError("test_function.slot", "must be both, position, or velocity")
-            if not tf["width"] > 0:
-                raise ConfigError("test_function.width", "must be positive")
-        if tf["type"] == "low-mode" and tf["kmax"] < 0:
-            raise ConfigError("test_function.kmax", f"must be at least 0, got {tf['kmax']}")
-        if tf["type"] == "dirac":
-            if tf["which"] not in ("velocity", "position"):
-                raise ConfigError("test_function.which", "must be velocity or position")
-            if not 0 <= tf["x0"] < self.extent:
-                raise ConfigError("test_function.x0", f"x0={tf['x0']} outside the grid [0, {self.extent})")
-            spacing = self.extent / self.modes
-            if not tf["width"] >= spacing:
-                raise ConfigError(
-                    "test_function.width", f"width {tf['width']} is below the grid spacing {spacing}"
-                )
-
-    def build_initial(self, grid: SpectralGrid):
-        from .spectral import FieldSnapshot
-
-        initial = self.initial_spec()
-        phi = gaussian_field(grid, initial["amplitude"], initial["width"], initial["center"])
-        pi = ModeArray(grid, np.zeros(grid.shape, dtype=complex))
-        return FieldSnapshot(0.0, phi, pi)
-
-    def build_test_function(self, grid: SpectralGrid) -> TestFunction:
-        spec = self.test_function_spec()
-        kind = spec["type"]
-        if kind == "gaussian":
-            g = gaussian_field(grid, spec["amplitude"], spec["width"], spec["center"])
-            zero = ModeArray(grid, np.zeros(grid.shape, dtype=complex))
-            if spec["slot"] == "position":
-                return TestFunction(g, zero)
-            if spec["slot"] == "velocity":
-                return TestFunction(zero, g)
-            return TestFunction(g, g)
-        if kind == "low-mode":
-            rng = np.random.default_rng(self.seed)
-            psi0 = random_band_limited(grid, rng, spec["kmax"])
-            psi1 = random_band_limited(grid, rng, spec["kmax"])
-            psi0.values *= spec["amplitude"]
-            psi1.values *= spec["amplitude"]
-            return TestFunction(psi0, psi1)
-        return dirac_test_function(grid, spec["x0"], spec["width"], spec["which"])
-
-
-def _load_config(path: str, max_order=None, seed=None, out=None) -> ExperimentConfig:
+def _load_config(path: str, **options) -> Config:
+    """Read the config file; each option that is not None replaces the top-level key of its name."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"not valid JSON: {exc}") from exc
-    cfg = ExperimentConfig.from_dict(data)
-    if max_order is not None:
-        cfg.max_order = max_order
-    if seed is not None:
-        cfg.seed = seed
-    if out is not None:
-        cfg.out = out
-    cfg.validate()
-    return cfg
+    data = _read(data, SCHEMA, _DEFAULTS)
+    data.update((key, value) for key, value in options.items() if value is not None)
+    g, t = data["grid"], data["time"]
+    try:
+        grid = SpectralGrid(g["dim"], g["L"], g["Nx"], g["m"], g["q"])
+    except ValueError as exc:
+        raise ConfigError("grid", str(exc)) from exc
+    try:
+        tgrid = TimeGrid(t["T"], t["nt"])
+    except ValueError as exc:
+        raise ConfigError("time", str(exc)) from exc
+    s = t["s"]
+    if s > tgrid.horizon:
+        raise ConfigError("time.s", f"s={s} exceeds the window T={tgrid.horizon}")
+    if not s > 0:
+        raise ConfigError("time.s", f"s must be positive, got {s}")
+    try:
+        tgrid.node_index(s)
+    except ValueError as exc:
+        raise ConfigError("time.s", "s must coincide with a time-grid node") from exc
+    if data["seed"] < 0:
+        raise ConfigError("seed", f"must be at least 0, got {data['seed']}")
+    if not 0 <= data["max_order"] <= DEFAULT_ENUMERATION_CAP:
+        raise ConfigError("max_order", f"must be between 0 and {DEFAULT_ENUMERATION_CAP}")
+    initial, tf = data["initial"], data["test_function"]
+    if initial["type"] != "gaussian":
+        raise ConfigError("initial.type", "only 'gaussian' initial data is supported")
+    if not initial["width"] > 0:
+        raise ConfigError("initial.width", "must be positive")
+    tf.setdefault("x0", grid.extent / 2)
+    if tf["type"] not in ("gaussian", "low-mode", "dirac"):
+        raise ConfigError("test_function.type", f"unknown type {tf['type']!r}")
+    if tf["type"] == "gaussian":
+        if tf["slot"] not in ("both", "position", "velocity"):
+            raise ConfigError("test_function.slot", "must be both, position, or velocity")
+        if not tf["width"] > 0:
+            raise ConfigError("test_function.width", "must be positive")
+    if tf["type"] == "low-mode" and tf["kmax"] < 0:
+        raise ConfigError("test_function.kmax", f"must be at least 0, got {tf['kmax']}")
+    if tf["type"] == "dirac":
+        if tf["which"] not in ("velocity", "position"):
+            raise ConfigError("test_function.which", "must be velocity or position")
+        if not 0 <= tf["x0"] < grid.extent:
+            raise ConfigError("test_function.x0", f"x0={tf['x0']} outside the grid [0, {grid.extent})")
+        if not tf["width"] >= grid.spacing:
+            raise ConfigError(
+                "test_function.width", f"width {tf['width']} is below the grid spacing {grid.spacing}"
+            )
+    return Config(grid, tgrid, s, data["coupling"], initial, tf, data["max_order"], data["seed"], data["out"])
+
+
+def _coupling(cfg: Config) -> float:
+    """The config's one coupling: every command but sweep takes a single value."""
+    if len(cfg.couplings) != 1:
+        raise ConfigError("coupling", "this command needs a single coupling value")
+    return cfg.couplings[0]
+
+
+def build_initial(cfg: Config) -> FieldSnapshot:
+    grid, spec = cfg.grid, cfg.initial
+    phi = gaussian_field(grid, spec["amplitude"], spec["width"], spec["center"])
+    return FieldSnapshot(0.0, phi, ModeArray(grid, np.zeros(grid.shape, dtype=complex)))
+
+
+def build_test_function(cfg: Config) -> TestFunction:
+    grid, spec = cfg.grid, cfg.test_function
+    kind = spec["type"]
+    if kind == "gaussian":
+        g = gaussian_field(grid, spec["amplitude"], spec["width"], spec["center"])
+        zero = ModeArray(grid, np.zeros(grid.shape, dtype=complex))
+        if spec["slot"] == "position":
+            return TestFunction(g, zero)
+        if spec["slot"] == "velocity":
+            return TestFunction(zero, g)
+        return TestFunction(g, g)
+    if kind == "low-mode":
+        rng = np.random.default_rng(cfg.seed)
+        psi0 = random_band_limited(grid, rng, spec["kmax"])
+        psi1 = random_band_limited(grid, rng, spec["kmax"])
+        psi0.values *= spec["amplitude"]
+        psi1.values *= spec["amplitude"]
+        return TestFunction(psi0, psi1)
+    return dirac_test_function(grid, spec["x0"], spec["width"], spec["which"])
 
 
 def _fail(code: int, message: str):
@@ -331,13 +306,15 @@ def _require_finite_series(report, label: str = "") -> None:
 
 
 def _config_errors(func):
-    """Map ConfigError raised inside a command to exit code 2."""
+    """Map ConfigError raised inside a command, and an array too large for memory, to exit code 2."""
 
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
         except ConfigError as exc:
             _fail(2, str(exc))
+        except MemoryError as exc:
+            _fail(2, f"out of memory ({exc}); config fields 'grid.Nx', 'grid.dim' and 'time.nt' set the array sizes")
 
     wrapper.__name__ = func.__name__
     wrapper.__doc__ = func.__doc__
@@ -358,14 +335,13 @@ def main():
 _config_opt = click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 _out_opt = click.option("--out", default=None, help="Override the output directory.")
 _max_order_opt = click.option("--max-order", type=int, default=None, help="Override max_order.")
-_seed_opt = click.option("--seed", type=int, default=None, help="Override the seed.")
 
 
-def _trajectory_dir(cfg: ExperimentConfig) -> Path:
+def _trajectory_dir(cfg: Config) -> Path:
     return Path(cfg.out) / "trajectory"
 
 
-def _read_matching_trajectory(cfg: ExperimentConfig):
+def _read_matching_trajectory(cfg: Config):
     """Load the stored trajectory; exit 2 unless it was solved from this config.
 
     Grid, time grid, coupling and initial data shape the trajectory and must
@@ -379,18 +355,18 @@ def _read_matching_trajectory(cfg: ExperimentConfig):
     except ValueError as exc:
         message = f"unreadable trajectory under {tdir} ({exc}); run solve first"
         raise ConfigError("out", message) from exc
-    if traj.grid != cfg.build_grid():
+    if traj.grid != cfg.grid:
         raise ConfigError("grid", "stored trajectory was produced with a different grid")
-    if traj.tgrid != cfg.build_tgrid():
+    if traj.tgrid != cfg.tgrid:
         raise ConfigError("time", "stored trajectory was produced with a different time grid")
-    coupling = cfg.coupling_scalar()
+    coupling = _coupling(cfg)
     if traj.coupling != coupling:
         raise ConfigError(
             "coupling",
             f"stored trajectory was solved at {traj.coupling!r}, the config gives {coupling!r}",
         )
     stored = read_manifest(tdir).get("initial", {})
-    for key, value in cfg.initial_spec().items():
+    for key, value in cfg.initial.items():
         if stored.get(key) != value:
             raise ConfigError(
                 f"initial.{key}",
@@ -403,32 +379,21 @@ def _read_matching_trajectory(cfg: ExperimentConfig):
 @main.command()
 @_config_opt
 @_out_opt
-@_seed_opt
 @_config_errors
-def solve(config_path, out, seed):
+def solve(config_path, out):
     """Integrate the field equation and store the trajectory."""
-    cfg = _load_config(config_path, seed=seed, out=out)
-    grid = cfg.build_grid()
-    tgrid = cfg.build_tgrid()
-    initial = cfg.build_initial(grid)
-    coupling = cfg.coupling_scalar()
+    cfg = _load_config(config_path, out=out)
+    initial = build_initial(cfg)
+    coupling = _coupling(cfg)
     try:
-        traj = solve_pde(initial, coupling, tgrid)
+        traj = solve_pde(initial, coupling, cfg.tgrid)
     except BlowUp as exc:
         _fail(3, f"blow-up: {exc}")
     energies = node_energies(traj)
     drift = float(np.max(np.abs(energies - energies[0]))) / max(1.0, abs(float(energies[0])))
-    write_trajectory(
-        _trajectory_dir(cfg),
-        traj,
-        {
-            "seed": cfg.seed,
-            "initial": cfg.initial_spec(),
-            "energy_drift": drift,
-            "created": datetime.now(timezone.utc).isoformat(),
-        },
-    )
-    click.echo(f"wrote {tgrid.nnodes} snapshots to {_trajectory_dir(cfg)} (energy drift {drift:.3e})")
+    manifest = {"initial": cfg.initial, "energy_drift": drift, "created": datetime.now(timezone.utc).isoformat()}
+    write_trajectory(_trajectory_dir(cfg), traj, manifest)
+    click.echo(f"wrote {cfg.tgrid.nnodes} snapshots to {_trajectory_dir(cfg)} (energy drift {drift:.3e})")
 
 
 @main.command()
@@ -447,18 +412,17 @@ def transport(config_path, out, max_order, force):
             f"the manifest under {_trajectory_dir(cfg)} lacks solver.phi_e_norm "
             "(written by an earlier kgcharge); run solve again",
         )
-    grid = traj.grid
-    psi = cfg.build_test_function(grid)
+    psi = build_test_function(cfg)
     target = bracket_ds(psi, traj.node(0))
     snap = traj.node(traj.tgrid.node_index(cfg.s))
     # Formed before the series: the C_q estimate frees large blocks, which
     # raises glibc's mmap threshold, so the series' tables then come from
     # the heap (the other order made a transport at max_order 6 about 5%
     # slower).
-    window, c_q, phi_e_norm = traj.tgrid.horizon, estimate_algebra_constant(grid), traj.meta["phi_e_norm"]
+    window, c_q, phi_e_norm = traj.tgrid.horizon, estimate_algebra_constant(cfg.grid), traj.meta["phi_e_norm"]
     bounds = {
         "radius_bound": radius_bound(snap, window, c_q),
-        "condition_ok": convergence_condition(traj.coupling, window, phi_e_norm, c_q, grid.mass),
+        "condition_ok": convergence_condition(traj.coupling, window, phi_e_norm, c_q, cfg.grid.mass),
         "c_q": c_q,
         "window": window,
         "phi_e_norm": phi_e_norm,
@@ -487,29 +451,27 @@ def transport(config_path, out, max_order, force):
 @_config_opt
 @_out_opt
 @_max_order_opt
-@_seed_opt
+@click.option("--seed", type=int, default=None, help="Override the seed.")
 @_config_errors
 def sweep(config_path, out, max_order, seed):
     """Solve and transport across a coupling list; fit residual slopes."""
     cfg = _load_config(config_path, max_order=max_order, seed=seed, out=out)
-    couplings = cfg.coupling_list()
+    couplings = cfg.couplings
     magnitudes = len({abs(c) for c in couplings})
     if magnitudes < 3:
         _fail(5, f"sweep needs at least 3 distinct coupling magnitudes, got {magnitudes}")
-    grid = cfg.build_grid()
-    tgrid = cfg.build_tgrid()
-    initial = cfg.build_initial(grid)
-    psi = cfg.build_test_function(grid)
-    j_s = tgrid.node_index(cfg.s)
+    initial = build_initial(cfg)
+    psi = build_test_function(cfg)
+    j_s = cfg.tgrid.node_index(cfg.s)
     try:
-        trajectories = solve_couplings(initial, couplings, tgrid)
+        trajectories = solve_couplings(initial, couplings, cfg.tgrid)
     except BlowUp as exc:
         _fail(3, f"blow-up at coupling {exc.coupling!r}: {exc}")
     # Keep only each coupling's slice at s, so the series runs with no
     # trajectory held in memory.
     slices = [traj.node(j_s).copy() for traj in trajectories]
     del trajectories
-    reports = series_couplings(psi, slices, couplings, tgrid, cfg.max_order, target=bracket_ds(psi, initial))
+    reports = series_couplings(psi, slices, couplings, cfg.tgrid, cfg.max_order, target=bracket_ds(psi, initial))
     for coupling, report in zip(couplings, reports):
         _require_finite_series(report, f" at coupling {coupling}")
     for coupling, report in zip(couplings, reports):
@@ -522,22 +484,23 @@ def sweep(config_path, out, max_order, seed):
                 )
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "sweep_residuals.csv", "w", newline="") as fh:
-        fh.write("coupling,order,residual,partial_sum\n")
-        for coupling, report in zip(couplings, reports):
-            for term, partial in zip(report.per_order, report.partial_sums):
-                fh.write(
-                    f"{format_float(coupling)},{term.order},"
-                    f"{format_float(report.residuals[term.order])},{format_float(partial)}\n"
-                )
+    write_csv(
+        out_dir / "sweep_residuals.csv",
+        ["coupling", "order", "residual", "partial_sum"],
+        [
+            (coupling, term.order, report.residuals[term.order], partial)
+            for coupling, report in zip(couplings, reports)
+            for term, partial in zip(report.per_order, report.partial_sums)
+        ],
+    )
     log_l = np.log(np.abs(couplings))
-    with open(out_dir / "sweep_slopes.csv", "w", newline="") as fh:
-        fh.write("order,slope\n")
-        for order in range(cfg.max_order + 1):
-            log_r = np.log([report.residuals[order] for report in reports])
-            slope = np.polyfit(log_l, log_r, 1)[0]
-            fh.write(f"{order},{format_float(slope)}\n")
-            click.echo(f"order {order}: residual slope {slope:.3f}")
+    slopes = [
+        np.polyfit(log_l, np.log([report.residuals[order] for report in reports]), 1)[0]
+        for order in range(cfg.max_order + 1)
+    ]
+    write_csv(out_dir / "sweep_slopes.csv", ["order", "slope"], enumerate(slopes))
+    for order, slope in enumerate(slopes):
+        click.echo(f"order {order}: residual slope {slope:.3f}")
 
 
 @main.command("lemma-check")
@@ -583,7 +546,7 @@ def lemma_check(max_leaves):
 def readout(config_path, out, max_order):
     """Recover phi and its time derivative at (t=0, x0) from the slice at s."""
     cfg = _load_config(config_path, max_order=max_order, out=out)
-    spec = cfg.test_function_spec()
+    spec = cfg.test_function
     if spec["type"] != "dirac":
         raise ConfigError("test_function.type", "readout needs a dirac test-function spec")
     traj = _read_matching_trajectory(cfg)
@@ -596,23 +559,11 @@ def readout(config_path, out, max_order):
     dtphi_true = evaluate_at(first.pi, x0)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "readout.csv", "w", newline="") as fh:
-        fh.write("x0,phi_true,phi_est,dtphi_true,dtphi_est,phi_abs_err,dtphi_abs_err\n")
-        fh.write(
-            ",".join(
-                format_float(v)
-                for v in (
-                    x0,
-                    phi_true,
-                    phi_est,
-                    dtphi_true,
-                    dtphi_est,
-                    abs(phi_est - phi_true),
-                    abs(dtphi_est - dtphi_true),
-                )
-            )
-            + "\n"
-        )
+    write_csv(
+        out_dir / "readout.csv",
+        ["x0", "phi_true", "phi_est", "dtphi_true", "dtphi_est", "phi_abs_err", "dtphi_abs_err"],
+        [(x0, phi_true, phi_est, dtphi_true, dtphi_est, abs(phi_est - phi_true), abs(dtphi_est - dtphi_true))],
+    )
     click.echo(
         f"phi(0,{x0}) = {phi_est:.6f} (true {phi_true:.6f}), "
         f"d/dt phi(0,{x0}) = {dtphi_est:.6f} (true {dtphi_true:.6f})"

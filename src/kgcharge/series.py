@@ -89,7 +89,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .propagation import TimeGrid, flow_multipliers, free_flow, suffix_time_integral, time_integral
+from .propagation import TimeGrid, apply_flow, flow_multipliers, free_flow, suffix_time_integral, time_integral
 from .solver import TestFunction, Trajectory, dirac_test_function, evaluate_test_function
 from .spectral import (
     FieldSnapshot,
@@ -280,9 +280,8 @@ def _sampled_legs(
     """
     if b.is_leaf:
         t_index, order, f = next(legs)
-        lag = (tgrid.nodes[t_index] - tgrid.nodes).reshape((-1,) + (1,) * grid.dim) * grid.omega
-        kernel = np.sin(lag) / grid.omega if order == 0 else np.cos(lag)
-        rows = kernel * f.values
+        c, s_over_w, _ = flow_multipliers(grid.omega, tgrid.nodes[t_index] - tgrid.nodes)
+        rows = (s_over_w if order == 0 else c) * f.values
         rows[t_index + 1 :] = 0.0
         return rows, t_index
     b1, b2 = decompose(b)
@@ -396,7 +395,9 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
     # built over every node and then cut, so each entry is the value the
     # whole-grid table holds; of -omega sin only node 0 is read
     c, s_over_w, w_s = flow_multipliers(layout.omega, tgrid.nodes - s)
-    c, s_over_w, w_s = c[: upper + 1], s_over_w[: upper + 1], w_s[0].copy()
+    to_zero = (c[0], s_over_w[0], w_s[0].copy())
+    del w_s
+    c, s_over_w = c[: upper + 1], s_over_w[: upper + 1]
     pair = _kernel_pair(grid.band_omega, tgrid.nodes)[:, : upper + 1]
     band = (Ellipsis,) + grid.band_index
     fields = np.zeros((len(slices), max_order + 1, 2) + grid.shape, dtype=complex)
@@ -408,7 +409,7 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
     for snap, out in zip(slices, fields):
         phi, pi = layout.cut(snap.phi.values), layout.cut(snap.pi.values)
         # W_0 at t = 0, node 0 of the leaf rows, with its time derivative
-        layout.cut(out[0])[...] = c[0] * phi + s_over_w[0] * pi, w_s * phi + c[0] * pi
+        layout.cut(out[0])[...] = apply_flow(to_zero, phi, pi)
         points = [half_spectrum_values(grid, c * phi + s_over_w * pi)]
         for order in range(1, max_order + 1):
             total = points[0] * points[order - 1]

@@ -44,6 +44,7 @@ half spectrum alike, since both store the last axis' j = 0..K first.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -98,6 +99,15 @@ class SpectralGrid:
                 base**power
             except OverflowError:
                 raise ValueError(f"{name}**{power} overflows a float, got {name}={base}") from None
+        if self.mass**2 == 0.0:
+            raise ValueError(f"mass**2 underflows to 0, got mass={self.mass}")
+        # omega**2 peaks at j = modes/2 on every axis, formed as k_squared forms it
+        k_top = 2.0 * math.pi * (self.modes // 2) / self.extent
+        if not math.isfinite(self.mass**2 + self.dim * (k_top * k_top)):
+            raise ValueError(
+                f"m**2 + |k|**2 overflows a float at the highest mode, got extent={self.extent} "
+                f"with modes={self.modes}"
+            )
         if not self.sobolev_q > self.dim / 2:
             raise ValueError(
                 f"sobolev_q must satisfy q > n/2, got q={self.sobolev_q} with n={self.dim}"

@@ -20,9 +20,10 @@ ValueError.
 
 A report JSON holds the series report's fields and the convergence bounds
 its caller computed beside the series (transport gives ``radius_bound``,
-``condition_ok``, ``c_q``, ``window`` and ``phi_e_norm``).  Report CSV
-bodies are deterministic: comma separated, header rows, floats at
-17 significant digits with a "." decimal point regardless of locale.
+``condition_ok``, ``c_q``, ``window`` and ``phi_e_norm``).  Every CSV,
+the report's and the CLI's sweep and readout tables, is written by
+``write_csv`` and is deterministic: comma separated, a header row, floats
+at 17 significant digits with a "." decimal point regardless of locale.
 Wall-clock information lives only in trajectory manifests, never in CSV
 bodies, so reruns with the same inputs produce byte-identical CSV files.
 """
@@ -145,20 +146,21 @@ def write_report_json(path, report, bounds: dict) -> None:
         fh.write("\n")
 
 
-def write_report_csv(path, report) -> None:
+def write_csv(path, header, rows) -> None:
+    """``header``, then ``rows``, as CSV lines, every float written by :func:`format_float`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["order", "tree_count", "order_sum", "partial_sum", "residual"])
-        for term, partial in zip(report.per_order, report.partial_sums):
-            residual = ""
-            if report.residuals is not None:
-                residual = format_float(report.residuals[term.order])
-            writer.writerow(
-                [
-                    term.order,
-                    term.tree_count,
-                    format_float(term.order_sum),
-                    format_float(partial),
-                    residual,
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows([format_float(v) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def write_report_csv(path, report) -> None:
+    residuals = [""] * len(report.per_order) if report.residuals is None else report.residuals
+    write_csv(
+        path,
+        ["order", "tree_count", "order_sum", "partial_sum", "residual"],
+        [
+            (term.order, term.tree_count, term.order_sum, partial, residual)
+            for term, partial, residual in zip(report.per_order, report.partial_sums, residuals)
+        ],
+    )

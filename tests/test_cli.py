@@ -2,6 +2,7 @@
 
 import csv
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from kgcharge.cli import main
+import kgcharge
+from kgcharge.cli import SCHEMA, main
 from kgcharge.series import convergence_condition, radius_bound
 from kgcharge.spectral import estimate_algebra_constant
 from kgcharge.storage import read_manifest, read_trajectory
@@ -226,6 +228,71 @@ def test_a_grid_whose_mass_or_volume_overflows_exits_2(runner, tmp_path, grid):
     assert result.exit_code == 2, result.output
     assert "config field 'grid':" in result.output
     assert "overflows" in result.output
+
+
+def numeric_fields():
+    """The path and type of every int and float key of the config schema."""
+    fields = []
+    for name, kind in SCHEMA.items():
+        entries = kind.items() if isinstance(kind, dict) else [(None, kind)]
+        fields += [(f"{name}.{key}" if key else name, cast) for key, cast in entries if cast in (int, float)]
+    return fields
+
+
+@pytest.mark.parametrize("field, cast", numeric_fields(), ids=[field for field, _ in numeric_fields()])
+def test_every_numeric_key_refuses_booleans_and_non_finite_values(runner, tmp_path, field, cast):
+    section, _, key = field.rpartition(".")
+    for value in [True, float("nan"), float("inf")] + ([2.5] if cast is int else []):
+        cfg = write_config(tmp_path, **({section: {key: value}} if section else {key: value}))
+        result = runner.invoke(main, ["solve", "--config", str(cfg)])
+        assert result.exit_code == 2, (value, result.output)
+        assert f"config field '{field}':" in result.output
+
+
+@pytest.mark.parametrize(
+    "grid, named",
+    [({"m": 1e-200, "Nx": 16}, "mass**2 underflows to 0"), ({"L": 1e-155, "Nx": 16}, "|k|**2 overflows")],
+    ids=["mass-underflows", "wavenumber-overflows"],
+)
+def test_a_grid_whose_dispersion_relation_leaves_the_floats_exits_2(runner, tmp_path, grid, named):
+    # finite numbers whose square inside omega is 0 or past the largest float
+    cfg = write_config(tmp_path, grid=grid, time={"T": 0.1, "s": 0.1, "nt": 4})
+    result = runner.invoke(main, ["solve", "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert "config field 'grid':" in result.output
+    assert named in result.output
+
+
+@pytest.mark.parametrize(
+    "changed, shape",
+    [({"grid": {"Nx": 1e12}}, "(1000000000000,)"), ({"time": {"T": 0.5, "s": 0.5, "nt": 1e12}}, "(1000000000001,)")],
+    ids=["modes", "nodes"],
+)
+def test_arrays_too_large_for_memory_exit_2(tmp_path, changed, shape):
+    # Each asks numpy for 7.28 TiB at once.  The child runs under a 4 GiB
+    # address-space limit, so the request fails however the host overcommits.
+    cfg = write_config(tmp_path, **changed)
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))"
+    result = subprocess.run(
+        [sys.executable, "-c", f"{limit}; from kgcharge.cli import main; main()", "solve", "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(kgcharge.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"},
+        timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert f"out of memory (Unable to allocate 7.28 TiB for an array with shape {shape}" in result.stderr
+    assert "'grid.Nx', 'grid.dim' and 'time.nt'" in result.stderr
+
+
+def test_solve_takes_no_seed_and_records_none(runner, tmp_path):
+    # nothing solve writes depends on the seed
+    cfg = run_solved(runner, tmp_path, seed=7)
+    assert "seed" not in read_manifest(tmp_path / "run" / "trajectory")
+    result = runner.invoke(main, ["solve", "--config", str(cfg), "--seed", "3"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
 
 
 @pytest.mark.parametrize("out", [None, 5, ["run"]])

@@ -56,6 +56,27 @@ def test_grid_validation():
         SpectralGrid(dim=2, extent=1e200, modes=8, sobolev_q=2)
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"mass": 1e-200, "modes": 16}, r"mass\*\*2 underflows to 0"),
+        ({"extent": 1e-155, "modes": 16}, r"m\*\*2 \+ \|k\|\*\*2 overflows"),
+        # each axis' |k|**2 is finite, their sum is not
+        ({"dim": 2, "extent": 4e-153, "modes": 16, "sobolev_q": 2}, r"m\*\*2 \+ \|k\|\*\*2 overflows"),
+    ],
+    ids=["mass", "extent", "extent-in-two-dimensions"],
+)
+def test_grid_refuses_a_dispersion_relation_that_leaves_the_floats(grid, message):
+    # a finite mass or extent whose square underflows or overflows inside omega
+    with pytest.raises(ValueError, match=message):
+        SpectralGrid(**grid)
+
+
+def test_grid_accepts_the_extremes_whose_dispersion_relation_is_finite():
+    assert SpectralGrid(mass=1e-150, modes=16).omega[0] > 0
+    assert np.isfinite(SpectralGrid(extent=4e-153, modes=16).omega).all()
+
+
 def test_grid_bookkeeping(small_grid):
     g = small_grid
     assert g.shape == (32,)

@@ -16,6 +16,7 @@ from kgcharge.storage import (
     format_float,
     read_trajectory,
     report_to_dict,
+    write_csv,
     write_report_csv,
     write_report_json,
     write_trajectory,
@@ -166,3 +167,17 @@ def test_report_csv(tmp_path, small_grid, rng):
         assert float(row["order_sum"]) == term.order_sum
         assert float(row["partial_sum"]) == report.partial_sums[term.order]
         assert float(row["residual"]) == report.residuals[term.order]
+
+
+def test_report_csv_without_a_target_leaves_the_residuals_blank(tmp_path, small_grid, rng):
+    report = report_fixture(small_grid, rng)
+    report.residuals = None
+    write_report_csv(tmp_path / "report.csv", report)
+    with open(tmp_path / "report.csv", newline="") as fh:
+        assert [row["residual"] for row in csv.DictReader(fh)] == ["", "", ""]
+
+
+def test_csv_rows_write_floats_at_17_digits_and_other_fields_as_given(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_csv(path, ["order", "value", "note"], [(0, 0.1, ""), (1, np.float64(-2.5), "x")])
+    assert path.read_bytes() == b"order,value,note\n0,1.0000000000000001e-01,\n1,-2.5000000000000000e+00,x\n"

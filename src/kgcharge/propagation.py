@@ -14,14 +14,13 @@ the multipliers once: the solver per solve, the series once per slice time
 s, shared by every slice at s.
 
 Time integrals throughout the package use one composite trapezoid rule on
-the uniform node set of a :class:`TimeGrid`.  time_integral takes one node
-range; p_residual and the sampled bound check take a product's Duhamel
-datum with it, one trapezoid over [0, s] per kernel.  suffix_time_integral
-takes every trailing range at once, as the retarded kernels' inner
-integrals need: one reversed cumulative sum, into a buffer the caller may
-reuse, with the trapezoid's end terms subtracted in place.  The series
-stacks its two kernels, sin/omega and cos, so that one call covers both.
-Nothing is ever interpolated in time.
+the uniform node set of a :class:`TimeGrid`, formed by one function:
+suffix_time_integral takes every trailing node range at once, one reversed
+cumulative sum into a buffer the caller may reuse, with the end terms
+subtracted in place.  The series stacks its two kernels, sin/omega and
+cos, so that one call covers both; row 0, the range [0, s], is a
+product's Duhamel datum.  tests/oracles.py keeps the one-range
+time_integral as its reference.  Nothing is ever interpolated in time.
 """
 
 from __future__ import annotations
@@ -109,41 +108,16 @@ def free_evolve(snap: FieldSnapshot, dt: float) -> FieldSnapshot:
     )
 
 
-def time_integral(samples, tgrid: TimeGrid, start: int = 0, stop: int | None = None):
-    """Composite trapezoid of node samples over [tau_start, tau_stop].
-
-    ``samples`` is indexed by node along its first axis and must reach node
-    ``stop``; rows past it are not read, so tables cut at ``stop`` need no
-    padding.  Scalars per node give a scalar result, stacked mode arrays
-    integrate mode-wise.  The degenerate range start == stop integrates to
-    zero.
-    """
-    if stop is None:
-        stop = tgrid.nt
-    if not 0 <= start <= stop <= tgrid.nt:
-        raise ValueError(f"bad node range [{start}, {stop}] for nt={tgrid.nt}")
-    samples = np.asarray(samples)
-    if samples.shape[0] <= stop:
-        raise ValueError(
-            f"samples first axis has length {samples.shape[0]}, too short to reach node {stop}"
-        )
-    if start == stop:
-        return samples[0] * 0.0
-    window = samples[start : stop + 1]
-    total = window.sum(axis=0) - 0.5 * (window[0] + window[-1])
-    return total * tgrid.dt
-
-
 def suffix_time_integral(samples: np.ndarray, tgrid: TimeGrid, upper: int, out: np.ndarray | None = None) -> np.ndarray:
     """All trailing trapezoids at once: out[j] integrates nodes j..upper.
 
-    ``samples`` must reach node ``upper``, as for :func:`time_integral`.
-    Row j is the trapezoid ``time_integral(samples, tgrid, j, upper)`` up to
-    rounding (the sums run in another order), and all rows come from one
-    reversed cumulative sum, into ``out``'s rows 0..upper; the trapezoid's
-    end terms are then subtracted in place.  Without ``out`` the result is
-    a new table of ``samples``' shape whose rows past ``upper`` are zero;
-    an ``out`` of exactly upper + 1 rows spares that zero padding.
+    ``samples`` is indexed by node along its first axis and must reach node
+    ``upper``; rows past it are not read.  Row j is the composite trapezoid
+    over [tau_j, tau_upper], and all rows come from one reversed cumulative
+    sum, into ``out``'s rows 0..upper; the trapezoid's end terms are then
+    subtracted in place.  Without ``out`` the result is a new table of
+    ``samples``' shape whose rows past ``upper`` are zero; an ``out`` of
+    exactly upper + 1 rows spares that zero padding.
     """
     if not 0 <= upper <= tgrid.nt:
         raise ValueError(f"upper node {upper} outside grid with nt={tgrid.nt}")

@@ -29,13 +29,13 @@ the products of one order are summed before a single forward transform.
 psi is paired once, at t = 0.  The trapezoid integral over [0, s] of
 <psi(tau), F(tau)> equals, sum for sum, the bracket of psi's t = 0 data
 with F's Duhamel datum (the integrals of sin(tau omega)/omega F and of
--cos(tau omega) F), and for the order-n product that datum is the order-n
-tree field at t = 0, (W_n(0), d/dt W_n(0)): row 0 of the two suffix sums
-of its retarded integral.  So the order-n term is the bracket of psi with
-the order-n t = 0 field, order 0 being the slice's backward free flow.  The
-recursion yields these fields, none of which depends on psi, and the
-series, readout, p_residual and the bound check pair through one stacked
-bracket.
+-cos(tau omega) F), which is the t = 0 field (w(0), d/dt w(0)) of F's
+retarded integral w: row 0 of its two suffix sums, the one way this
+module forms a t = 0 field.  For the order-n product it is the order-n
+tree field (W_n(0), d/dt W_n(0)), order 0 being the slice's backward free
+flow; p_residual takes phi^2's and the sampled bound check each subtree's
+(a leaf's from its kernel) the same way.  None depends on psi, and all
+four pair through one stacked bracket.
 
 Every product in the recursion is a dealiased product of real fields, so
 its mode table is zero outside the kept band and Hermitian.  The recursion
@@ -53,9 +53,9 @@ the order's t = 0 field.  The retarded table itself is formed only for
 orders that a higher order reads, and goes back to point space through one
 reused zero half spectrum.  The kernel pair and the leaf's backward-flow
 multipliers depend on s alone: the recursion takes every slice at one s (a
-sweep's slices share it), builds them once and runs the slices one at a
-time through the same buffers.  series_couplings is one such call, and
-series and readout pass one slice.
+sweep's slices share it), builds them once on the nodes up to s and runs
+the slices one at a time through the same buffers.  series_couplings is
+one such call, and series and readout pass one slice.
 
 The series computes the order terms, partial sums and residuals and
 nothing else.  Its convergence bounds (radius_bound, convergence_condition,
@@ -89,7 +89,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .propagation import TimeGrid, apply_flow, flow_multipliers, free_flow, suffix_time_integral, time_integral
+from .propagation import TimeGrid, apply_flow, flow_multipliers, free_flow, suffix_time_integral
 from .solver import TestFunction, Trajectory, dirac_test_function, evaluate_test_function
 from .spectral import (
     FieldSnapshot,
@@ -171,12 +171,15 @@ def _kernel_pair(omega: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.stack([s_over_w, c])
 
 
-def _suffix_sums(weighted: np.ndarray, tgrid: TimeGrid, out: np.ndarray) -> np.ndarray:
+def _suffix_sums(weighted: np.ndarray, tgrid: TimeGrid, out: np.ndarray | None = None) -> np.ndarray:
     """Every trailing trapezoid of both kernel-weighted tables of a :func:`_kernel_pair` stack, into ``out``.
 
     The node axis is axis 1, and its last row is the upper node: one
-    reversed cumulative sum covers both tables.
+    reversed cumulative sum covers both tables.  Without ``out`` the sums
+    go to a new table.
     """
+    if out is None:
+        out = np.empty_like(weighted)
     suffix_time_integral(weighted.swapaxes(0, 1), tgrid, weighted.shape[1] - 1, out=out.swapaxes(0, 1))
     return out
 
@@ -196,15 +199,9 @@ def _retarded_table(pair: np.ndarray, sums: np.ndarray, out: np.ndarray) -> np.n
     return out[0]
 
 
-def _duhamel_datum(pair: np.ndarray, tgrid: TimeGrid, prod: np.ndarray, upper: int) -> np.ndarray:
-    """prod's Duhamel datum: the integrals over [0, tau_upper] of sin(t omega)/omega prod(t) and of -cos(t omega) prod(t).
-
-    One trapezoid per kernel of the :func:`_kernel_pair` ``pair``, stacked;
-    nodes of ``pair`` and ``prod`` past ``upper`` are not read.
-    """
-    sin_over_w, cos = pair[:, : upper + 1]
-    head = prod[: upper + 1]
-    return np.stack([time_integral(sin_over_w * head, tgrid, 0, upper), -time_integral(cos * head, tgrid, 0, upper)])
+def _t0_field(sums: np.ndarray) -> np.ndarray:
+    """The t = 0 field (w(0), d/dt w(0)) of a retarded integral w: row 0 of its :func:`_suffix_sums`."""
+    return np.stack([sums[0, 0], -sums[1, 0]])
 
 
 def _brackets(psi: TestFunction, t: float, fields: np.ndarray) -> list[float]:
@@ -272,26 +269,30 @@ def _sampled_legs(
     grid: SpectralGrid,
     tgrid: TimeGrid,
     pair: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Rows and support cutoff of one subtree with sampled leaf legs.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Rows, t = 0 field (w(0), d/dt w(0)) and support cutoff of one subtree with sampled leaf legs.
 
     ``pair`` is the :func:`_kernel_pair` of the full spectrum over every
-    node.  A leaf's rows span every node; a subtree's stop at its cutoff.
+    node.  A leaf's rows span every node; a subtree's stop at its cutoff,
+    and its t = 0 field is row 0 of its suffix sums.
     """
     if b.is_leaf:
         t_index, order, f = next(legs)
-        c, s_over_w, _ = flow_multipliers(grid.omega, tgrid.nodes[t_index] - tgrid.nodes)
-        rows = (s_over_w if order == 0 else c) * f.values
+        c, s_over_w, w_s = flow_multipliers(grid.omega, tgrid.nodes[t_index] - tgrid.nodes)
+        # G0 rows sin((t - tau) omega)/omega f or G1 rows cos((t - tau) omega) f, and their tau derivatives
+        kernel, slope = (s_over_w, -c) if order == 0 else (c, -w_s)
+        rows = kernel * f.values
         rows[t_index + 1 :] = 0.0
-        return rows, t_index
+        return rows, np.stack([rows[0], slope[0] * f.values]), t_index
     b1, b2 = decompose(b)
-    left, u1 = _sampled_legs(b1, legs, grid, tgrid, pair)
-    right, u2 = _sampled_legs(b2, legs, grid, tgrid, pair)
+    left, _, u1 = _sampled_legs(b1, legs, grid, tgrid, pair)
+    right, _, u2 = _sampled_legs(b2, legs, grid, tgrid, pair)
     upper = min(u1, u2)
     prod = dealiased_product(grid, left[: upper + 1], right[: upper + 1], real=True)
     kernels = pair[:, : upper + 1]
     weighted = kernels * prod
-    return _retarded_table(kernels, _suffix_sums(weighted, tgrid, np.empty_like(weighted)), weighted), upper
+    sums = _suffix_sums(weighted, tgrid)
+    return _retarded_table(kernels, sums, weighted), _t0_field(sums), upper
 
 
 def delta_norm_bound_check(
@@ -307,8 +308,9 @@ def delta_norm_bound_check(
     The tree functional built on psi is multilinear in one field per leaf;
     we feed it random unit-norm H^q fields at random node times and both
     kernel derivative orders, and compare the largest |value| / ||psi||
-    ratio against the bound.  Orders up to 3; the ratio can only grow with
-    more samples.
+    ratio against the bound.  A value is the bracket of psi with the
+    tree's t = 0 field.  Orders up to 3; the ratio can only grow with more
+    samples.
     """
     order = internal_count(b)
     if order > 3:
@@ -328,20 +330,8 @@ def delta_norm_bound_check(
             f = random_band_limited(grid, rng)
             f.values /= sobolev_norm(f)
             drawn.append((int(rng.integers(0, tgrid.nt + 1)), int(rng.integers(0, 2)), f))
-        legs = iter(drawn)
-        if b.is_leaf:
-            t_index, deriv, f = next(legs)
-            at_t = evaluate_test_function(psi, float(tgrid.nodes[t_index]))
-            row = (at_t.phi, at_t.pi)[deriv].values
-            value = _real(complex(np.sum(row * np.conj(f.values)) / grid.volume))
-        else:
-            b1, b2 = decompose(b)
-            left, u1 = _sampled_legs(b1, legs, grid, tgrid, pair)
-            right, u2 = _sampled_legs(b2, legs, grid, tgrid, pair)
-            upper = min(u1, u2)
-            prod = dealiased_product(grid, left[: upper + 1], right[: upper + 1], real=True)
-            value = _brackets(psi, 0.0, _duhamel_datum(pair, tgrid, prod, upper)[None])[0]
-        ratio = max(ratio, abs(value) / psi_norm)
+        _, at_zero, _ = _sampled_legs(b, iter(drawn), grid, tgrid, pair)
+        ratio = max(ratio, abs(_brackets(psi, 0.0, at_zero[None])[0]) / psi_norm)
     m_factor = max(1.0 / grid.mass, 1.0)
     bound = (c_q * m_factor * tgrid.horizon) ** order
     return DeltaNormCheck(ratio <= bound, ratio, bound)
@@ -353,8 +343,9 @@ def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
     B(s) - B(0) + integral over [0, s] of <psi(tau), (box + m^2) phi(tau)>
     vanishes for linear psi; the equation supplies (box + m^2) phi as
     -lambda phi^2 (dealiased).  The integral is the bracket at t = 0 of psi
-    with the Duhamel datum of phi^2.  The return value is the absolute
-    defect, limited by solver and quadrature error only.
+    with the Duhamel datum of phi^2, row 0 of its suffix sums.  The return
+    value is the absolute defect, limited by solver and quadrature error
+    only.
     """
     tgrid = trajectory.tgrid
     j_s = tgrid.node_index(s)
@@ -363,8 +354,8 @@ def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
     b_0 = bracket_ds(psi, trajectory.node(0))
     phi = trajectory.phi[: j_s + 1]
     phi_sq = dealiased_product(grid, phi, phi, trajectory.real_field)
-    pair = _kernel_pair(grid.omega, tgrid.nodes[: j_s + 1])
-    integral = _brackets(psi, 0.0, _duhamel_datum(pair, tgrid, phi_sq, j_s)[None])[0]
+    sums = _suffix_sums(_kernel_pair(grid.omega, tgrid.nodes[: j_s + 1]) * phi_sq, tgrid)
+    integral = _brackets(psi, 0.0, _t0_field(sums)[None])[0]
     return abs(b_s - b_0 - trajectory.coupling * integral)
 
 
@@ -378,12 +369,12 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
     to s only, the nodes the retarded integrals reach.
 
     The slices share one grid and one time s, so the kernel tables (the
-    band's kernel pair and the leaf's backward-flow multipliers) are built
-    once, and the recursions run one slice at a time through the same
-    buffers.  Per order, both suffix sums of the retarded integral come
-    from one cumulative sum over the kernel pair; their row 0 is the
-    order's t = 0 field, and the retarded table is formed only for orders
-    that a higher order reads.
+    band's kernel pair and the leaf's backward-flow multipliers, on the
+    nodes up to s) are built once, and the recursions run one slice at a
+    time through the same buffers.  Per order, both suffix sums of the
+    retarded integral come from one cumulative sum over the kernel pair;
+    their row 0 is the order's t = 0 field, and the retarded table is
+    formed only for orders that a higher order reads.
     """
     if not all(snap.phi.real_field and snap.pi.real_field for snap in slices):
         raise ValueError("the tree series needs real slice data: phi and pi must be flagged real fields")
@@ -392,13 +383,10 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
     grid, s = slices[0].grid, slices[0].time
     upper = tgrid.node_index(s)
     layout = SpectrumLayout(grid, True)
-    # built over every node and then cut, so each entry is the value the
-    # whole-grid table holds; of -omega sin only node 0 is read
-    c, s_over_w, w_s = flow_multipliers(layout.omega, tgrid.nodes - s)
-    to_zero = (c[0], s_over_w[0], w_s[0].copy())
-    del w_s
-    c, s_over_w = c[: upper + 1], s_over_w[: upper + 1]
-    pair = _kernel_pair(grid.band_omega, tgrid.nodes)[:, : upper + 1]
+    nodes = tgrid.nodes[: upper + 1]
+    c, s_over_w = flow_multipliers(layout.omega, nodes - s)[:2]
+    to_zero = flow_multipliers(layout.omega, -s)
+    pair = _kernel_pair(grid.band_omega, nodes)
     band = (Ellipsis,) + grid.band_index
     fields = np.zeros((len(slices), max_order + 1, 2) + grid.shape, dtype=complex)
     # what every order of every slice reuses: the kernel-weighted product,
@@ -408,7 +396,7 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
     half = np.zeros((upper + 1,) + grid.half_shape, dtype=complex)
     for snap, out in zip(slices, fields):
         phi, pi = layout.cut(snap.phi.values), layout.cut(snap.pi.values)
-        # W_0 at t = 0, node 0 of the leaf rows, with its time derivative
+        # W_0 at t = 0, the slice flowed back by s, with its time derivative
         layout.cut(out[0])[...] = apply_flow(to_zero, phi, pi)
         points = [half_spectrum_values(grid, c * phi + s_over_w * pi)]
         for order in range(1, max_order + 1):
@@ -420,9 +408,7 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
                 points.clear()
             np.multiply(pair, band_modes(grid, total), out=weighted)
             del total
-            _suffix_sums(weighted, tgrid, sums)
-            out[order, 0][band] = sums[0, 0]
-            out[order, 1][band] = -sums[1, 0]
+            out[order][band] = _t0_field(_suffix_sums(weighted, tgrid, sums))
             if order < max_order:
                 points.append(band_values(grid, _retarded_table(pair, sums, weighted), half))
     layout.fill(fields)

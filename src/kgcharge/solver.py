@@ -177,7 +177,8 @@ def solve_couplings(
     stop at, and carries the coupling of the first row that crosses there.
 
     Every trajectory carries one real-field flag, set when the initial phi
-    and pi both are real fields; node 0 reports that flag too.
+    and pi both are real fields; node 0 reports that flag too, and every
+    square, the first kick's as well, is taken as that flag says.
     """
     if initial.time != 0.0:
         raise ValueError(f"initial snapshot must be at t=0, got t={initial.time}")
@@ -238,11 +239,8 @@ def solve_couplings(
     block[:2, :, 0] = node
     kick = None
     if len(active):
-        # The first kick squares phi as phi alone is flagged; the norms
-        # square every node, the first too, as phi and pi together are.
-        phi_sq = layout.square(node[0, act], initial.phi.real_field)
-        kick = kicks * phi_sq
-        squares[:, 0] = phi_sq if initial.phi.real_field == real else layout.square(node[0, act], real)
+        # the first kick's square is also node 0's, for its norms
+        kick = kicks * layout.square(node[0, act], out=squares[:, 0])
     peak = block_norms(1, 0).max(axis=(0, 2))
     # Past a crossing, up to BLOCK - 1 more steps run before the block's
     # check sees it; an overflow there turns the norms NaN, which crosses.
@@ -256,7 +254,7 @@ def solve_couplings(
             ahead += across * node[::-1]
             node, ahead = ahead, node
             if kick is not None:
-                kick = kicks * layout.square(node[0, act], real, out=squares[:, i])
+                kick = kicks * layout.square(node[0, act], out=squares[:, i])
                 node[1, act] -= kick
             block[:2, :, i] = node
             if i < BLOCK - 1 and j < tgrid.nt - 1:

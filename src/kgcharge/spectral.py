@@ -93,8 +93,10 @@ class SpectralGrid:
             raise ValueError(f"modes must be even and at least 8, got {self.modes}")
         if not self.mass > 0:
             raise ValueError(f"mass must be positive, got {self.mass}")
-        # omega squares the mass and volume raises the extent to the dim
-        for name, base, power in (("mass", self.mass, 2), ("extent", self.extent, self.dim)):
+        # omega squares the mass, volume raises the extent to the dim, and the
+        # squares of volume-scaled mode values raise it to twice that
+        powers = (("mass", self.mass, 2), ("extent", self.extent, self.dim), ("extent", self.extent, 2 * self.dim))
+        for name, base, power in powers:
             try:
                 base**power
             except OverflowError:
@@ -112,6 +114,14 @@ class SpectralGrid:
             raise ValueError(
                 f"sobolev_q must satisfy q > n/2, got q={self.sobolev_q} with n={self.dim}"
             )
+        # the Sobolev weight (1 + |k|**2)**q peaks at the same mode
+        try:
+            (1.0 + self.dim * (k_top * k_top)) ** self.sobolev_q
+        except OverflowError:
+            raise ValueError(f"(1 + |k|**2)**q overflows a float at the highest mode, got q={self.sobolev_q}") from None
+        # numpy addresses at most intp-max bytes, 16 to a complex entry
+        if 16 * self.modes**self.dim > np.iinfo(np.intp).max:
+            raise ValueError(f"modes**dim complex entries exceed what numpy can address, got {self.modes}**{self.dim}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -355,16 +365,13 @@ class SpectrumLayout:
         """A view of the kept columns of full-spectrum tables."""
         return values[..., : self.columns]
 
-    def square(self, values: np.ndarray, real: bool | None = None, out: np.ndarray | None = None) -> np.ndarray:
-        """Dealiased squares of a stack of tables in this layout.
+    def square(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Dealiased squares of a stack of tables in this layout, taken as the layout's flag says.
 
-        ``real`` flags full-spectrum values as real fields, as for
-        :func:`dealiased_product`, and defaults to the layout's flag;
-        half-spectrum values always are real fields.  ``out``, when given,
-        receives the squares and is returned.
+        ``out``, when given, receives the squares and is returned.
         """
         if not self.real:
-            sq = dealiased_product(self.grid, values, values, bool(real))
+            sq = dealiased_product(self.grid, values, values, False)
             if out is None:
                 return sq
             out[...] = sq

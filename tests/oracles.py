@@ -18,7 +18,8 @@ Two kinds of code live here, outside the package:
   order by order as a jet (jet_order_fields).  Beside them sit the
   per-node solver and diagnostic loops, and the small field helpers
   (to_grid, zero_modes, pointwise_product, hermitian_defect, green_apply,
-  ...) that nothing in the package calls.
+  the one-range trapezoid time_integral, ...) that nothing in the package
+  calls.
 """
 
 import itertools
@@ -33,7 +34,6 @@ from kgcharge.propagation import (
     free_evolve,
     free_flow,
     suffix_time_integral,
-    time_integral,
 )
 from kgcharge.series import OrderTooHigh, bracket_ds
 from kgcharge.series import _brackets as brackets
@@ -231,6 +231,33 @@ def cherry_amplitude(extent, mass, s, nodes, phi_hat, pi_hat, psi0_hat, psi1_hat
         samples[j] = (np.conj(psi_row) * conv).sum().real / volume
     dt = nodes[1] - nodes[0]
     return float((samples.sum() - 0.5 * (samples[0] + samples[-1])) * dt)
+
+
+def time_integral(samples, tgrid: TimeGrid, start: int = 0, stop: int | None = None):
+    """Composite trapezoid of node samples over [tau_start, tau_stop], one range per call.
+
+    The reference for the package's suffix_time_integral, which forms every
+    trailing range at once.  ``samples`` is indexed by node along its first
+    axis and must reach node ``stop``; rows past it are not read, so tables
+    cut at ``stop`` need no padding.  Scalars per node give a scalar
+    result, stacked mode arrays integrate mode-wise.  The degenerate range
+    start == stop integrates to zero.
+    """
+    if stop is None:
+        stop = tgrid.nt
+    if not 0 <= start <= stop <= tgrid.nt:
+        raise ValueError(f"bad node range [{start}, {stop}] for nt={tgrid.nt}")
+    samples = np.asarray(samples)
+    if samples.shape[0] <= stop:
+        raise ValueError(
+            f"samples first axis has length {samples.shape[0]}, too short to reach node {stop}"
+        )
+    if start == stop:
+        return samples[0] * 0.0
+    window = samples[start : stop + 1]
+    total = window.sum(axis=0) - 0.5 * (window[0] + window[-1])
+    return total * tgrid.dt
+
 
 
 def retarded_integral(flow, tgrid: TimeGrid, prod: np.ndarray, upper: int) -> tuple[np.ndarray, np.ndarray]:
@@ -511,8 +538,8 @@ def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6):
     along = np.stack([c, c])[:, None]
     across = np.stack([s_over_w, w_s])[:, None]
 
-    def square(phi, real_flag):
-        return layout.square(phi[act], real_flag) if len(active) else None
+    def square(phi):
+        return layout.square(phi[act]) if len(active) else None
 
     def diagnose(node, phi_sq):
         """Fill in the acceleration; the H^q norms of phi, pi and it, shape (3, rows)."""
@@ -526,8 +553,8 @@ def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6):
     ahead = np.empty_like(node)
     tables = np.empty((2, rows, tgrid.nnodes) + grid.shape, dtype=complex)
     tables[0, :, 0], tables[1, :, 0] = initial.phi.values, initial.pi.values
-    phi_sq = square(node[0], initial.phi.real_field)
-    node_norms = [diagnose(node, phi_sq if initial.phi.real_field == real else square(node[0], real))]
+    phi_sq = square(node[0])
+    node_norms = [diagnose(node, phi_sq)]
     kick = None if phi_sq is None else kicks * phi_sq
     for j in range(tgrid.nt):
         if kick is not None:
@@ -535,7 +562,7 @@ def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6):
         np.multiply(along, node[:2], out=ahead[:2])
         ahead[:2] += across * node[1::-1]
         node, ahead = ahead, node
-        phi_sq = square(node[0], real)
+        phi_sq = square(node[0])
         if phi_sq is not None:
             kick = kicks * phi_sq
             node[1, act] -= kick
@@ -661,6 +688,51 @@ def per_node_p_residual(psi, traj, s):
     window = -traj.coupling * samples[: j_s + 1]
     integral = (window.sum() - 0.5 * (window[0] + window[-1])) * tgrid.dt
     return abs(bracket(traj.node(j_s)) - bracket(traj.node(0)) + integral)
+
+
+def _per_node_legs(b, legs, tgrid):
+    """One subtree's leg at the nodes up to its cutoff, one ModeArray per node, and the cutoff.
+
+    A leaf (t_index, order, f) is G0 (order 0) or G1 (order 1) from the
+    leaf's node t to each node tau, by one green_apply call per node; a
+    subtree integrates G0 of its children's pointwise products node by node.
+    """
+    if b.is_leaf:
+        t_index, order, f = next(legs)
+        t = float(tgrid.nodes[t_index])
+        return [green_apply(("G0", "G1")[order], t, float(tau), f) for tau in tgrid.nodes[: t_index + 1]], t_index
+    b1, b2 = decompose(b)
+    left, u1 = _per_node_legs(b1, legs, tgrid)
+    right, u2 = _per_node_legs(b2, legs, tgrid)
+    upper = min(u1, u2)
+    prods = [pointwise_product(left[i], right[i]) for i in range(upper + 1)]
+    rows = []
+    for j, tau in enumerate(tgrid.nodes[: upper + 1]):
+        kernel_rows = [green_apply("G0", float(t), float(tau), p).values for t, p in zip(tgrid.nodes, prods)]
+        rows.append(ModeArray(prods[0].grid, time_integral(np.stack(kernel_rows), tgrid, j, upper)))
+    return rows, upper
+
+
+def per_node_sampled_value(b, drawn, psi, tgrid):
+    """The tree functional of delta_norm_bound_check on one draw of leaf legs, node by node.
+
+    ``drawn`` lists (t_index, order, f) per leaf, in leaf order.  A leaf
+    tree pairs psi (order 0) or d/dt psi (order 1) at its node with f; any
+    other tree integrates <psi(tau), product of its children's legs> over
+    [0, tau_cutoff] with one pairing per node.
+    """
+    legs = iter(drawn)
+    if b.is_leaf:
+        t_index, order, f = next(legs)
+        at = evaluate_test_function(psi, float(tgrid.nodes[t_index]))
+        return real_part(pair_modes((at.phi, at.pi)[order], f))
+    b1, b2 = decompose(b)
+    left, u1 = _per_node_legs(b1, legs, tgrid)
+    right, u2 = _per_node_legs(b2, legs, tgrid)
+    upper = min(u1, u2)
+    psi_rows = (evaluate_test_function(psi, float(tau)).phi for tau in tgrid.nodes[: upper + 1])
+    pairings = [real_part(pair_modes(row, pointwise_product(left[i], right[i]))) for i, row in enumerate(psi_rows)]
+    return float(time_integral(np.array(pairings), tgrid, 0, upper))
 
 
 # The order recursion on the full complex spectrum, as the package ran it

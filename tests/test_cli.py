@@ -264,6 +264,26 @@ def test_a_grid_whose_dispersion_relation_leaves_the_floats_exits_2(runner, tmp_
 
 
 @pytest.mark.parametrize(
+    "grid, named",
+    [
+        ({"Nx": 1e19}, "exceed what numpy can address"),
+        ({"dim": 30, "q": 16}, "exceed what numpy can address"),
+        ({"L": 1e155}, "extent**2 overflows"),
+        ({"L": 40.0, "Nx": 128, "q": 200}, "(1 + |k|**2)**q overflows"),
+    ],
+    ids=["modes", "dim", "volume-squared", "sobolev-weight"],
+)
+def test_a_grid_past_numpy_or_whose_squares_overflow_exits_2(runner, tmp_path, grid, named):
+    # arrays numpy cannot index, and finite scales whose squares leave the
+    # floats inside the mode values' norms or the Sobolev weights
+    cfg = write_config(tmp_path, grid=grid, time={"T": 0.1, "s": 0.1, "nt": 4})
+    result = runner.invoke(main, ["solve", "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert "config field 'grid':" in result.output
+    assert named in result.output
+
+
+@pytest.mark.parametrize(
     "changed, shape",
     [({"grid": {"Nx": 1e12}}, "(1000000000000,)"), ({"time": {"T": 0.5, "s": 0.5, "nt": 1e12}}, "(1000000000001,)")],
     ids=["modes", "nodes"],

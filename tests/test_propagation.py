@@ -8,10 +8,9 @@ from kgcharge.propagation import (
     TimeGrid,
     free_evolve,
     suffix_time_integral,
-    time_integral,
 )
 from kgcharge.spectral import random_band_limited, sobolev_norm
-from oracles import free_mode_evolution, green_apply
+from oracles import free_mode_evolution, green_apply, time_integral
 
 
 def test_time_grid_validation():

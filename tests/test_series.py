@@ -32,8 +32,8 @@ from kgcharge.series import _order_fields as order_fields
 from kgcharge.series import _test_function_rows as psi_node_rows
 from kgcharge.series import test_function_sup_norm as sup_norm
 from kgcharge.solver import TestFunction, evaluate_test_function, gaussian_field, solve, solve_couplings
-from kgcharge.spectral import FieldSnapshot, ModeArray, SpectralGrid, sobolev_norm
-from kgcharge.trees import enumerate_trees, from_dyck, graft, leaf
+from kgcharge.spectral import FieldSnapshot, ModeArray, SpectralGrid, random_band_limited, sobolev_norm
+from kgcharge.trees import enumerate_trees, from_dyck, graft, leaf, leaf_count
 from oracles import (
     AmplitudeCache,
     all_rows_order_amplitudes,
@@ -48,6 +48,7 @@ from oracles import (
     jet_order_fields,
     leaf_table,
     per_node_p_residual,
+    per_node_sampled_value,
     tree_amplitude,
     zero_modes,
 )
@@ -561,6 +562,28 @@ def test_delta_norm_bound_check_rejects_zero_psi(grid, tgrid):
     psi = TestFunction(zero_modes(grid), zero_modes(grid))
     with pytest.raises(ValueError):
         delta_norm_bound_check(leaf(), psi, tgrid)
+
+
+def test_the_sampled_ratio_is_the_per_node_tree_functional(grid, tgrid):
+    # the check's value, not only its bound: its draws, replayed with its
+    # seed and in its order, through green_apply legs, pointwise products
+    # and one pairing with psi per node
+    psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5))
+    samples, seed = 3, 11
+    for order in range(3):
+        for b in enumerate_trees(order):
+            check = delta_norm_bound_check(b, psi, tgrid, c_q=0.9, samples=samples, seed=seed)
+            rng = np.random.default_rng(seed)
+            values = []
+            for _ in range(samples):
+                drawn = []
+                for _ in range(leaf_count(b)):
+                    f = random_band_limited(grid, rng)
+                    f.values /= sobolev_norm(f)
+                    drawn.append((int(rng.integers(0, tgrid.nt + 1)), int(rng.integers(0, 2)), f))
+                values.append(per_node_sampled_value(b, drawn, psi, tgrid))
+            assert max(map(abs, values)) > 0.0
+            assert check.ratio == pytest.approx(max(map(abs, values)) / sup_norm(psi, tgrid), rel=1e-12)
 
 
 def test_sup_norm_dominates_the_initial_slice(grid, tgrid, rng):

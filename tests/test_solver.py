@@ -327,6 +327,18 @@ def test_mixed_flag_data_give_one_flag_at_every_node(small_grid, rng):
     assert first.phi.values.tobytes() == data.phi.values.tobytes()
 
 
+@pytest.mark.parametrize("grid", STACK_GRIDS, ids=["1d-32", "1d-30", "2d-8"])
+def test_mixed_flag_data_solve_as_the_same_values_flagged_complex(grid, rng):
+    # one flag per solve: the first kick squares as every later one does
+    real = random_snapshot(grid, rng)
+    mixed = FieldSnapshot(0.0, real.phi, ModeArray(grid, real.pi.values, False))
+    tg = TimeGrid(horizon=0.5, nt=16)
+    flagged = flagged_complex(real)
+    for got, want in zip(solve_couplings(mixed, STACK_COUPLINGS, tg), solve_couplings(flagged, STACK_COUPLINGS, tg)):
+        assert_same_trajectory(got, want)
+    assert_same_trajectory(solve(mixed, 0.3, tg), solve(flagged, 0.3, tg))
+
+
 def test_a_stack_stops_at_the_first_node_any_coupling_crosses(small_grid):
     data = gaussian_data(small_grid, amplitude=2.0)
     tg = TimeGrid(1.0, 64)

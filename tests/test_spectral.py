@@ -77,6 +77,33 @@ def test_grid_accepts_the_extremes_whose_dispersion_relation_is_finite():
     assert np.isfinite(SpectralGrid(extent=4e-153, modes=16).omega).all()
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"extent": 1e155}, r"extent\*\*2 overflows"),
+        ({"dim": 2, "extent": 1e78, "modes": 8, "sobolev_q": 2}, r"extent\*\*4 overflows"),
+        ({"sobolev_q": 154}, r"\(1 \+ \|k\|\*\*2\)\*\*q overflows"),
+        ({"modes": 10**19}, "exceed what numpy can address"),
+        ({"dim": 30, "sobolev_q": 16}, "exceed what numpy can address"),
+    ],
+    ids=["volume-squared", "volume-squared-in-two-dimensions", "sobolev-weight", "modes", "dim"],
+)
+def test_grid_refuses_squares_past_the_floats_and_arrays_past_numpy(grid, message):
+    # the square of volume-scaled mode values, the Sobolev weight at the
+    # highest mode, and modes**dim complex entries past numpy's byte limit
+    with pytest.raises(ValueError, match=message):
+        SpectralGrid(**grid)
+
+
+def test_grid_accepts_the_extremes_whose_squares_and_arrays_fit():
+    # one step inside each bound above
+    assert SpectralGrid(extent=1e154).volume ** 2 > 1e307
+    assert SpectralGrid(dim=2, extent=1e77, modes=8, sobolev_q=2).volume ** 2 > 1e307
+    # (1 + |k|**2)**153 at the desk grid's highest mode is about 2e307
+    assert np.isfinite(SpectralGrid(sobolev_q=153).sobolev_weights(153)).all()
+    assert SpectralGrid(modes=2**58).npoints * 16 <= np.iinfo(np.intp).max
+
+
 def test_grid_bookkeeping(small_grid):
     g = small_grid
     assert g.shape == (32,)

@@ -13,30 +13,32 @@ The step loop runs on a stack of couplings with a leading coupling axis:
 solve_couplings steps every coupling of a sweep from the same data at once,
 one transform per node for the whole stack, and solve is its one-row case.
 A step is a half kick, the free flow, the square, the second half kick and
-one store of phi and pi into a block buffer beside the kick's phi^2.  The
-diagnostics run once per block of BLOCK nodes (node 0 alone, then nodes
-1..16, 17..32, ...): from the block's phi^2 they form the acceleration
--omega^2 phi - lambda phi^2 at every node of it, take the H^q norms of
-phi, pi and it in one call, store the block's nodes in the trajectory
-tables, and test the ceiling.  phi and pi drive the blow-up check, and the
-running max over nodes is the trajectory's ``phi_e_norm``, the norm that
-feeds the convergence condition.  A blow-up names the same node and
-coupling as a check at every node would, but up to BLOCK - 1 steps may run
-past it before its block ends; those steps may overflow, which only turns
-the norms NaN and so crosses the ceiling too.  The node energies that
+one store of phi and pi into a block buffer beside the kick's phi^2.  Every
+row kicks, a zero coupling by zero.  The diagnostics run once per block of
+BLOCK nodes from node 0 on (nodes 0..15, 16..31, ...), so the initial data
+face the ceiling like any later node: from the block's phi^2 they form the
+acceleration -omega^2 phi - lambda phi^2 at every node of it, take the H^q
+norms of phi, pi and it in one call, store the block's nodes in the
+trajectory tables, and test the ceiling.  phi and pi drive the blow-up
+check, and the running max over nodes is the trajectory's ``phi_e_norm``,
+the norm that feeds the convergence condition.  A blow-up names the same
+node and coupling as a check at every node would, but up to BLOCK - 1 steps
+may run past it before its block ends; those steps may overflow, which only
+turns the norms NaN and so crosses the ceiling too.  The node energies that
 solve records square the whole stack of node fields in one product, on the
 complex pair.
 
 The loop steps in one of two mode layouts (spectral.SpectrumLayout), chosen
-once per solve from the real-field flag.  Real fields keep the ``rfftn``
-half spectrum, the last axis' j = 0..modes/2: their square goes through
-``irfft``/``rfft``, their norms weigh each kept column by its multiplicity
-in the full spectrum, and after the loop every node's other half is filled
-by conjugation.  Complex-flagged data keep the full spectrum and the
-complex pair.  Both run the same loop: one buffer holds phi and pi of
-every row at a node, the free flow is one product with the pair (phi, pi)
-and one with the pair swapped, and a step's closing half kick is the next
-step's opening one.
+once per solve: the real one when the data are flagged real and every
+coupling is real, since a complex coupling kicks real data off the reals.
+Real fields keep the ``rfftn`` half spectrum, the last axis' j =
+0..modes/2: their square goes through ``irfft``/``rfft``, their norms weigh
+each kept column by its multiplicity in the full spectrum, and after the
+loop every node's other half is filled by conjugation.  Complex-flagged
+data keep the full spectrum and the complex pair.  Both run the same loop:
+one buffer holds phi and pi of every row at a node, the free flow is one
+product with the pair (phi, pi) and one with the pair swapped, and a step's
+closing half kick is the next step's opening one.
 
 A trajectory is the Cauchy data at every node as two stacked mode tables,
 phi and pi, each of shape (nnodes, *grid.shape), with one real-field flag;
@@ -166,19 +168,22 @@ def solve_couplings(
     """One trajectory per coupling, all stepped together from the same data.
 
     Every row of the stack takes the same arithmetic as a lone solve, so each
-    trajectory is bit for bit the one its coupling gives alone.  Rows with a
-    zero coupling take no kick.  Each trajectory's ``meta["phi_e_norm"]`` is
-    the max over nodes of the H^q norms of phi, pi and the acceleration
-    -omega^2 phi - lambda phi^2, formed from the kick's square.  The norms
-    are taken once per block of BLOCK nodes, and stepping stops at the end
+    trajectory is bit for bit the one its coupling gives alone.  Every row
+    kicks by (dt/2) lambda phi^2, a zero coupling by zero.  Each trajectory's
+    ``meta["phi_e_norm"]`` is the max over nodes of the H^q norms of phi, pi
+    and the acceleration -omega^2 phi - lambda phi^2, formed from the kick's
+    square.  The norms are taken once per block of BLOCK nodes, block k
+    holding nodes k BLOCK .. (k + 1) BLOCK - 1, and stepping stops at the end
     of the first block where any row's phi or pi norm exceeds
     ``norm_ceiling`` or is not a number, as an overflow leaves it.  The
-    BlowUp names the first such node, the node a check at every node would
-    stop at, and carries the coupling of the first row that crosses there.
+    BlowUp names the first such node, node 0 included, the node a check at
+    every node would stop at, and carries the coupling of the first row that
+    crosses there.
 
     Every trajectory carries one real-field flag, set when the initial phi
-    and pi both are real fields; node 0 reports that flag too, and every
-    square, the first kick's as well, is taken as that flag says.
+    and pi both are real fields and every coupling is real; node 0 reports
+    that flag too, and every square, the first kick's as well, is taken as
+    that flag says.
     """
     if initial.time != 0.0:
         raise ValueError(f"initial snapshot must be at t=0, got t={initial.time}")
@@ -188,16 +193,14 @@ def solve_couplings(
     rows = len(couplings)
     if not rows:
         raise ValueError("solve_couplings needs at least one coupling")
-    real = initial.phi.real_field and initial.pi.real_field
+    # a complex coupling makes real data complex after the first kick
+    real = initial.phi.real_field and initial.pi.real_field and bool(np.isreal(couplings).all())
     # real fields step on the rfftn half spectrum, complex ones on all of it
     layout = SpectrumLayout(grid, real)
     lead = (-1,) + (1,) * grid.dim
-    active = np.flatnonzero([c != 0.0 for c in couplings])
-    # a slice keeps the common all-coupled stack free of gathers
-    act = slice(None) if len(active) == rows else active
-    kicks = np.array([dt / 2.0 * couplings[r] for r in active]).reshape(lead)
+    kicks = np.array([dt / 2.0 * c for c in couplings]).reshape(lead)
     # one more axis, for the nodes of a block
-    forcing = np.array([couplings[r] for r in active]).reshape((-1, 1) + lead[1:])
+    forcing = np.array(couplings).reshape((-1, 1) + lead[1:])
     c, s_over_w, w_s = flow_multipliers(layout.omega, dt)
     # the free flow of the pair (phi, pi) as one product with the pair and
     # one with the pair swapped: c phi + (s/w) pi and c pi + (-w s) phi
@@ -210,10 +213,10 @@ def solve_couplings(
     node = np.empty((2, rows) + layout.shape, dtype=complex)
     node[0], node[1] = layout.cut(initial.phi.values), layout.cut(initial.pi.values)
     ahead = np.empty_like(node)
-    # phi, pi and the acceleration of every row at the nodes of one block,
-    # and the kicks' squares of the coupled rows there
+    # phi, pi, the acceleration and the kick's square of every row at the
+    # nodes of one block: block k holds nodes k BLOCK .. (k + 1) BLOCK - 1
     block = np.empty((3, rows, BLOCK) + layout.shape, dtype=complex)
-    squares = np.empty((len(active), BLOCK) + layout.shape, dtype=complex)
+    squares = np.empty((rows, BLOCK) + layout.shape, dtype=complex)
     # phi and pi of every row at every node: row r of tables[0] and of
     # tables[1] is one trajectory.  The blocks write the kept columns; node 0
     # is the initial data as given.
@@ -221,51 +224,41 @@ def solve_couplings(
     tables[0, :, 0], tables[1, :, 0] = initial.phi.values, initial.pi.values
     kept = layout.cut(tables)
 
-    def block_norms(count, start):
-        """The H^q norms of phi, pi and the acceleration at the block's first count nodes, shape (3, rows, count).
-
-        Stores phi and pi of those nodes, nodes start..start + count - 1, in
-        the tables first: the norms square the block in place.
-        """
-        nodes = block[:, :, :count]
-        np.multiply(neg_omega_sq, nodes[0], out=nodes[2])
-        if len(active):
-            forced = squares[:, :count]
-            forced *= forcing
-            nodes[2, act] -= forced
-        kept[:, :, start : start + count] = nodes[:2]
-        return layout.norms(nodes, overwrite=True)
-
+    # node 0 is slot 0 of the first block, its square the first kick's
     block[:2, :, 0] = node
-    kick = None
-    if len(active):
-        # the first kick's square is also node 0's, for its norms
-        kick = kicks * layout.square(node[0, act], out=squares[:, 0])
-    peak = block_norms(1, 0).max(axis=(0, 2))
+    kick = kicks * layout.square(node[0], out=squares[:, 0])
+    peak = np.zeros(rows)
     # Past a crossing, up to BLOCK - 1 more steps run before the block's
     # check sees it; an overflow there turns the norms NaN, which crosses.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(tgrid.nt):
-            i = j % BLOCK
+        for n in range(1, tgrid.nnodes):
+            i = n % BLOCK
             # a step's closing half kick is the next step's opening one
-            if kick is not None:
-                node[1, act] -= kick
+            node[1] -= kick
             np.multiply(along, node, out=ahead)
             ahead += across * node[::-1]
             node, ahead = ahead, node
-            if kick is not None:
-                kick = kicks * layout.square(node[0, act], out=squares[:, i])
-                node[1, act] -= kick
+            kick = kicks * layout.square(node[0], out=squares[:, i])
+            node[1] -= kick
             block[:2, :, i] = node
-            if i < BLOCK - 1 and j < tgrid.nt - 1:
+            if i < BLOCK - 1 and n < tgrid.nt:
                 continue
-            norms = block_norms(i + 1, j - i + 1)
+            # the block's nodes start..n, in its slots 0..i
+            start = n - i
+            nodes = block[:, :, : i + 1]
+            np.multiply(neg_omega_sq, nodes[0], out=nodes[2])
+            forced = squares[:, : i + 1]
+            forced *= forcing
+            nodes[2] -= forced
+            kept[:, :, start : n + 1] = nodes[:2]
+            # the norms square the block in place, after the store
+            norms = layout.norms(nodes, overwrite=True)
             # "not <=" so that a NaN norm crosses the ceiling too
             crossed = ~(np.maximum(norms[0], norms[1]) <= norm_ceiling)
             if crossed.any():
                 at = np.flatnonzero(crossed.any(axis=0))[0]
                 first = np.flatnonzero(crossed[:, at])[0]
-                time = float(tgrid.nodes[j - i + 1 + at])
+                time = float(tgrid.nodes[start + at])
                 raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={time}", couplings[first])
             peak = np.maximum(peak, norms.max(axis=(0, 2)))
     # freed before the fill, whose conjugation takes scratch of its own

@@ -46,6 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
 
 import numpy as np
@@ -110,15 +111,17 @@ class SpectralGrid:
                 f"m**2 + |k|**2 overflows a float at the highest mode, got extent={self.extent} "
                 f"with modes={self.modes}"
             )
+        # q to 6 digits in the messages: a config's q may be an int of hundreds
+        # of digits, past what a float holds
         if not self.sobolev_q > self.dim / 2:
             raise ValueError(
-                f"sobolev_q must satisfy q > n/2, got q={self.sobolev_q} with n={self.dim}"
+                f"sobolev_q must satisfy q > n/2, got q={Decimal(self.sobolev_q):.6g} with n={self.dim}"
             )
         # the Sobolev weight (1 + |k|**2)**q peaks at the same mode
         try:
             (1.0 + self.dim * (k_top * k_top)) ** self.sobolev_q
         except OverflowError:
-            raise ValueError(f"(1 + |k|**2)**q overflows a float at the highest mode, got q={self.sobolev_q}") from None
+            raise ValueError(f"(1 + |k|**2)**q overflows a float at the highest mode, got q={Decimal(self.sobolev_q):.6g}") from None
         # numpy addresses at most intp-max bytes, 16 to a complex entry
         if 16 * self.modes**self.dim > np.iinfo(np.intp).max:
             raise ValueError(f"modes**dim complex entries exceed what numpy can address, got {self.modes}**{self.dim}")

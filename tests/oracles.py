@@ -500,7 +500,13 @@ def strang_with_fresh_kicks(initial, coupling, tgrid, norm_ceiling=1e6):
     dt = tgrid.dt
     real = initial.phi.real_field and initial.pi.real_field
     layout = SpectrumLayout(initial.grid, real)
-    nodes = [initial]
+
+    def checked(snap):
+        if max(layout.norms(layout.cut(f.values)) for f in (snap.phi, snap.pi)) > norm_ceiling:
+            raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={snap.time}")
+        return snap
+
+    nodes = [checked(initial)]
     current = initial
     for j in range(tgrid.nt):
         if coupling != 0.0:
@@ -509,9 +515,7 @@ def strang_with_fresh_kicks(initial, coupling, tgrid, norm_ceiling=1e6):
         if coupling != 0.0:
             current = _kick(current, coupling, dt / 2.0)
         phi, pi = (completed(current.phi), completed(current.pi)) if real else (current.phi, current.pi)
-        current = FieldSnapshot(float(tgrid.nodes[j + 1]), phi, pi)
-        if max(layout.norms(layout.cut(f.values)) for f in (current.phi, current.pi)) > norm_ceiling:
-            raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={current.time}")
+        current = checked(FieldSnapshot(float(tgrid.nodes[j + 1]), phi, pi))
         nodes.append(current)
     return nodes
 
@@ -521,56 +525,49 @@ def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6):
 
     The same step and the same arithmetic as the package's stacked loop, but
     the acceleration, the norms, the ceiling test and the running max run at
-    each node, so stepping stops at the first node that crosses.
+    each node, node 0 included, so stepping stops at the first node that
+    crosses.
     """
     grid = initial.grid
     dt = tgrid.dt
     couplings = list(couplings)
     rows = len(couplings)
-    real = initial.phi.real_field and initial.pi.real_field
+    real = initial.phi.real_field and initial.pi.real_field and bool(np.isreal(couplings).all())
     layout = SpectrumLayout(grid, real)
     lead = (-1,) + (1,) * grid.dim
-    active = np.flatnonzero([c != 0.0 for c in couplings])
-    act = slice(None) if len(active) == rows else active
-    kicks = np.array([dt / 2.0 * couplings[r] for r in active]).reshape(lead)
-    forcing = np.array([couplings[r] for r in active]).reshape(lead)
+    kicks = np.array([dt / 2.0 * c for c in couplings]).reshape(lead)
+    forcing = np.array(couplings).reshape(lead)
     c, s_over_w, w_s = flow_multipliers(layout.omega, dt)
     along = np.stack([c, c])[:, None]
     across = np.stack([s_over_w, w_s])[:, None]
 
-    def square(phi):
-        return layout.square(phi[act]) if len(active) else None
-
-    def diagnose(node, phi_sq):
-        """Fill in the acceleration; the H^q norms of phi, pi and it, shape (3, rows)."""
+    def diagnose(node, phi_sq, time):
+        """Fill in the acceleration; the H^q norms of phi, pi and it, shape (3, rows), under the ceiling."""
         np.multiply(-(layout.omega**2), node[0], out=node[2])
-        if phi_sq is not None:
-            node[2, act] -= forcing * phi_sq
-        return layout.norms(node)
+        node[2] -= forcing * phi_sq
+        norms = layout.norms(node)
+        if not norms[:2].max() <= norm_ceiling:
+            first = np.flatnonzero(~(np.maximum(norms[0], norms[1]) <= norm_ceiling))[0]
+            raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={time}", couplings[first])
+        return norms
 
     node = np.empty((3, rows) + layout.shape, dtype=complex)
     node[0], node[1] = layout.cut(initial.phi.values), layout.cut(initial.pi.values)
     ahead = np.empty_like(node)
     tables = np.empty((2, rows, tgrid.nnodes) + grid.shape, dtype=complex)
     tables[0, :, 0], tables[1, :, 0] = initial.phi.values, initial.pi.values
-    phi_sq = square(node[0])
-    node_norms = [diagnose(node, phi_sq)]
-    kick = None if phi_sq is None else kicks * phi_sq
+    phi_sq = layout.square(node[0])
+    node_norms = [diagnose(node, phi_sq, float(tgrid.nodes[0]))]
+    kick = kicks * phi_sq
     for j in range(tgrid.nt):
-        if kick is not None:
-            node[1, act] -= kick
+        node[1] -= kick
         np.multiply(along, node[:2], out=ahead[:2])
         ahead[:2] += across * node[1::-1]
         node, ahead = ahead, node
-        phi_sq = square(node[0])
-        if phi_sq is not None:
-            kick = kicks * phi_sq
-            node[1, act] -= kick
-        norms = diagnose(node, phi_sq)
-        if not norms[:2].max() <= norm_ceiling:
-            first = np.flatnonzero(~(np.maximum(norms[0], norms[1]) <= norm_ceiling))[0]
-            raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={float(tgrid.nodes[j + 1])}", couplings[first])
-        node_norms.append(norms)
+        phi_sq = layout.square(node[0])
+        kick = kicks * phi_sq
+        node[1] -= kick
+        node_norms.append(diagnose(node, phi_sq, float(tgrid.nodes[j + 1])))
         layout.cut(tables)[:, :, j + 1] = node[:2]
     layout.fill(tables[:, :, 1:])
     peak = np.max(node_norms, axis=(0, 1))

@@ -251,31 +251,29 @@ def test_every_numeric_key_refuses_booleans_and_non_finite_values(runner, tmp_pa
 
 @pytest.mark.parametrize(
     "grid, named",
-    [({"m": 1e-200, "Nx": 16}, "mass**2 underflows to 0"), ({"L": 1e-155, "Nx": 16}, "|k|**2 overflows")],
-    ids=["mass-underflows", "wavenumber-overflows"],
-)
-def test_a_grid_whose_dispersion_relation_leaves_the_floats_exits_2(runner, tmp_path, grid, named):
-    # finite numbers whose square inside omega is 0 or past the largest float
-    cfg = write_config(tmp_path, grid=grid, time={"T": 0.1, "s": 0.1, "nt": 4})
-    result = runner.invoke(main, ["solve", "--config", str(cfg)])
-    assert result.exit_code == 2, result.output
-    assert "config field 'grid':" in result.output
-    assert named in result.output
-
-
-@pytest.mark.parametrize(
-    "grid, named",
     [
+        ({"m": 1e-200, "Nx": 16}, "mass**2 underflows to 0"),
+        ({"L": 1e-155, "Nx": 16}, "|k|**2 overflows"),
         ({"Nx": 1e19}, "exceed what numpy can address"),
         ({"dim": 30, "q": 16}, "exceed what numpy can address"),
         ({"L": 1e155}, "extent**2 overflows"),
         ({"L": 40.0, "Nx": 128, "q": 200}, "(1 + |k|**2)**q overflows"),
+        # the reader casts q to an exact int, 301 digits for 1e300; the
+        # messages give it to 6 digits
+        ({"q": 1e300}, "(1 + |k|**2)**q overflows a float at the highest mode, got q=1.00000e+300\n"),
+        ({"q": -1e300}, "sobolev_q must satisfy q > n/2, got q=-1.00000e+300 with n=1\n"),
+        ({"L": 40.0, "Nx": 128, "q": 154}, "(1 + |k|**2)**q overflows a float at the highest mode, got q=154\n"),
     ],
-    ids=["modes", "dim", "volume-squared", "sobolev-weight"],
+    ids=[
+        "mass-underflows", "wavenumber-overflows", "modes", "dim", "volume-squared", "sobolev-weight",
+        "huge-q", "huge-negative-q", "whole-q",
+    ],
 )
-def test_a_grid_past_numpy_or_whose_squares_overflow_exits_2(runner, tmp_path, grid, named):
-    # arrays numpy cannot index, and finite scales whose squares leave the
-    # floats inside the mode values' norms or the Sobolev weights
+def test_a_grid_whose_dispersion_relation_leaves_the_floats_exits_2(runner, tmp_path, grid, named):
+    # finite numbers whose square inside omega is 0 or past the largest float,
+    # arrays numpy cannot index, finite scales whose squares leave the floats
+    # inside the mode values' norms or the Sobolev weights, and a q so large
+    # that only a compact message names it
     cfg = write_config(tmp_path, grid=grid, time={"T": 0.1, "s": 0.1, "nt": 4})
     result = runner.invoke(main, ["solve", "--config", str(cfg)])
     assert result.exit_code == 2, result.output
@@ -661,6 +659,25 @@ def test_an_overflowing_solve_exits_3(runner, tmp_path, command, changed, named)
     assert result.exit_code == 3, result.output
     assert named in result.output
     assert not (tmp_path / "run" / "trajectory" / "trajectory.npz").exists()
+
+
+@pytest.mark.parametrize(
+    "command, changed, named",
+    [
+        ("solve", {"initial": {"amplitude": 1e7}}, "blow-up:"),
+        ("solve", {"grid": {"L": 1e154}}, "blow-up:"),
+        ("sweep", {"initial": {"amplitude": 1e7}, "coupling": [0.1, 0.2, 0.4]}, "blow-up at coupling 0.1:"),
+    ],
+    ids=["amplitude", "volume", "sweep"],
+)
+def test_initial_data_over_the_ceiling_exit_3_at_t_0(runner, tmp_path, command, changed, named):
+    # the initial data face the ceiling like every later node, so every row
+    # crosses at t = 0 and the first in list order is named
+    cfg = write_config(tmp_path, **changed, time={"T": 0.1, "s": 0.1, "nt": 4})
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+    assert result.exit_code == 3, result.output
+    assert f"{named} norm ceiling 1000000.0 exceeded at t=0.0\n" in result.output
 
 
 @pytest.mark.parametrize("command", ["transport", "sweep"])

@@ -159,6 +159,7 @@ TEST_ONLY_NAMES = (
     "retarded_integral",
     "_retarded_integral",
     "acceleration",
+    "time_integral",
 )
 
 

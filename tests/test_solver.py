@@ -242,18 +242,24 @@ def ceiling_first_crossed_at(data, couplings, tg, node):
         [np.maximum(layout.norms(layout.cut(t.phi)), layout.norms(layout.cut(t.pi))) for t in solve_couplings(data, couplings, tg)],
         axis=0,
     )
-    # node 0 is the initial data, which no ceiling test sees
+    # node 0 is the initial data, which the first block tests like any node
+    if node == 0:
+        return 0.5 * top[0]
+    below = top[:node].max()
     if node == 1:
-        return 0.5 * top[1]
-    below = top[1:node].max()
+        # one step grows each row's norms by parts in 1e4, in proportion to
+        # its negative coupling: three quarters of the way up, only the
+        # fastest row crosses
+        assert top[1] > below
+        return below + 0.75 * (top[1] - below)
     assert top[node] > 1.01 * below
     return 0.5 * (below + top[node])
 
 
-# Crossings at node 1, at the last node of the first block, at the first node
-# of the next, and at the final node of a grid whose nt is not a multiple of
-# the block
-BLOCK_EDGE_NODES = [1, BLOCK, BLOCK + 1, 40]
+# Crossings at the initial data, at node 1, at the last node of the first
+# block, at the first node of the next and the one after it, and at the final
+# node of a grid whose nt is not a multiple of the block
+BLOCK_EDGE_NODES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 40]
 
 
 @pytest.mark.parametrize("node", BLOCK_EDGE_NODES)
@@ -283,8 +289,8 @@ def test_a_blow_up_at_a_block_edge_names_the_node_of_the_per_node_loops(grid, no
         assert str(alone.value).endswith(f"t={float(tg.nodes[node])}")
         named.append((str(stacked.value), stacked.value.coupling, str(alone.value)))
     assert named[0] == named[1]
-    # at node 1 every row crosses, and the first in list order is named
-    assert named[0][1] == (0.1 if node == 1 else -9.0)
+    # at node 0 every row crosses, and the first in list order is named
+    assert named[0][1] == (0.1 if node == 0 else -9.0)
 
 
 @pytest.mark.parametrize("nt", [15, BLOCK, BLOCK + 1, 40])
@@ -311,7 +317,8 @@ def test_a_desk_solve_takes_the_norms_once_per_block(monkeypatch):
 
     monkeypatch.setattr(SpectrumLayout, "norms", counted)
     solve(gaussian_data(grid), 0.2, tg)
-    # node 0 alone, then one call per block of BLOCK steps
+    # one call per block of BLOCK nodes from node 0, as many as node 0 alone
+    # and then one per block of BLOCK steps would take
     assert len(calls) == 1 + math.ceil(tg.nt / BLOCK) == math.ceil(tg.nnodes / BLOCK) == 33
 
 
@@ -337,6 +344,20 @@ def test_mixed_flag_data_solve_as_the_same_values_flagged_complex(grid, rng):
     for got, want in zip(solve_couplings(mixed, STACK_COUPLINGS, tg), solve_couplings(flagged, STACK_COUPLINGS, tg)):
         assert_same_trajectory(got, want)
     assert_same_trajectory(solve(mixed, 0.3, tg), solve(flagged, 0.3, tg))
+
+
+@pytest.mark.parametrize("grid", LAYOUT_GRIDS, ids=["desk", "1d-30", "2d-16"])
+def test_a_complex_coupling_on_real_flagged_data_solves_as_the_data_flagged_complex(grid):
+    # a complex coupling kicks real data off the reals, so no half spectrum
+    data = gaussian_data(grid)
+    flagged = flagged_complex(data)
+    tg = TimeGrid(0.5, 64)
+    got = solve(data, 0.3 + 0.2j, tg)
+    assert not got.real_field
+    assert_same_trajectory(got, solve(flagged, 0.3 + 0.2j, tg))
+    couplings = [0.2, 0.3 + 0.2j, 0.0]
+    for got, want in zip(solve_couplings(data, couplings, tg), solve_couplings(flagged, couplings, tg), strict=True):
+        assert_same_trajectory(got, want)
 
 
 def test_a_stack_stops_at_the_first_node_any_coupling_crosses(small_grid):

@@ -61,7 +61,9 @@ The series computes the order terms, partial sums and residuals and
 nothing else.  Its convergence bounds (radius_bound, convergence_condition,
 first_order_bound, delta_norm_bound_check) are separate functions of the
 slice, the window, the sampled algebra constant C_q and the solver's
-recorded norm; transport is the one command that reports them.
+norm; transport is the one command that reports them, and it reads C_q
+and the norm from the manifest, where solve records both once per
+trajectory.
 
 The tree series is the Taylor series in the coupling of the Strang flow
 run backward from the slice to t = 0: (-coupling)^n (W_n(0), d/dt W_n(0))

@@ -7,25 +7,27 @@ time grid's nodes) and the trajectory's ``phi`` and ``pi`` tables
 (complex128, shape ``(nnodes, *grid.shape)``), written and read as they
 are, so every grid dimension uses one format and the values round-trip bit
 for bit.  ``manifest.json`` describes the run: grid, time grid, coupling,
-the trajectory's real-field flag, solver metadata and whatever the caller
-adds.  A complex coupling is written as ``{"real": ..., "imag": ...}``; a
-manifest without ``real_field``, as every kgcharge before the flag was
-recorded wrote, reads as real.  The archive's zip entries
-carry a fixed timestamp, so writing the same trajectory again produces the
-same bytes.  Reading checks the archive against its manifest: a manifest
-without a well-formed grid, time grid or coupling, arrays of the wrong
-shape or dtype, ``times`` that are not the manifest's nodes, a
-``real_field`` that is not a boolean, or non-finite field values raise
-ValueError.
+the trajectory's real-field flag, the trajectory's ``meta`` under
+``solver`` (the CLI's solve adds the sampled algebra constant ``c_q``
+beside the solver's ``phi_e_norm``) and whatever the caller adds.  A
+complex coupling is written as ``{"real": ..., "imag": ...}``; a manifest
+without ``real_field``, as every kgcharge before the flag was recorded
+wrote, reads as real.  The archive's zip entries carry a fixed timestamp,
+so writing the same trajectory again produces the same bytes.  Reading
+checks the archive against its manifest: a manifest without a well-formed
+grid, time grid or coupling, arrays of the wrong shape or dtype, ``times``
+that are not the manifest's nodes, a ``real_field`` that is not a boolean,
+or non-finite field values raise ValueError.
 
 A report JSON holds the series report's fields and the convergence bounds
 its caller computed beside the series (transport gives ``radius_bound``,
-``condition_ok``, ``c_q``, ``window`` and ``phi_e_norm``).  Every CSV,
-the report's and the CLI's sweep and readout tables, is written by
-``write_csv`` and is deterministic: comma separated, a header row, floats
-at 17 significant digits with a "." decimal point regardless of locale.
-Wall-clock information lives only in trajectory manifests, never in CSV
-bodies, so reruns with the same inputs produce byte-identical CSV files.
+``condition_ok``, ``c_q``, ``window`` and ``phi_e_norm``, the last three
+read from the trajectory).  Every CSV, the report's and the CLI's sweep
+and readout tables, is written by ``write_csv`` and is deterministic:
+comma separated, a header row, floats at 17 significant digits with a "."
+decimal point regardless of locale.  Wall-clock information lives only in
+trajectory manifests, never in CSV bodies, so reruns with the same inputs
+produce byte-identical CSV files.
 """
 
 from __future__ import annotations

@@ -473,6 +473,92 @@ def test_transport_reads_the_norm_that_solve_recorded(runner, tmp_path):
     assert "run solve again" in result.output
 
 
+def forbid_the_algebra_constant(monkeypatch):
+    """Make every binding of estimate_algebra_constant in kgcharge raise."""
+
+    def refuse(*_, **__):
+        raise AssertionError("estimate_algebra_constant was called")
+
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "kgcharge"]:
+        if hasattr(module, "estimate_algebra_constant"):
+            monkeypatch.setattr(module, "estimate_algebra_constant", refuse)
+
+
+def test_solve_records_the_algebra_constant_of_its_grid(runner, tmp_path):
+    run_solved(runner, tmp_path, grid={"dim": 2, "Nx": 16, "q": 2}, time={"nt": 16})
+    traj = read_trajectory(tmp_path / "run" / "trajectory")
+    assert read_manifest(tmp_path / "run" / "trajectory")["solver"]["c_q"] == estimate_algebra_constant(traj.grid)
+
+
+def test_transport_reads_c_q_from_the_manifest(runner, tmp_path, monkeypatch):
+    # C_q depends on the grid alone: solve estimates it once, transport never does
+    cfg = run_solved(runner, tmp_path)
+    assert runner.invoke(main, ["transport", "--config", str(cfg)]).exit_code == 0
+    plain = (tmp_path / "run" / "report.json").read_bytes()
+    forbid_the_algebra_constant(monkeypatch)
+    (tmp_path / "run" / "report.json").unlink()
+    result = runner.invoke(main, ["transport", "--config", str(cfg)])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "run" / "report.json").read_bytes() == plain
+
+
+MISSING = object()
+
+
+def record_in_manifest(tmp_path, key, value):
+    """Put ``value`` under the stored manifest's ``solver.<key>``; MISSING deletes the key."""
+    manifest_path = tmp_path / "run" / "trajectory" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    if value is MISSING:
+        del manifest["solver"][key]
+    else:
+        manifest["solver"][key] = value
+    manifest_path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        # a manifest from a kgcharge that estimated C_q in transport
+        ("c_q", MISSING),
+        ("phi_e_norm", "x"),
+        ("phi_e_norm", None),
+        ("phi_e_norm", float("nan")),
+        ("phi_e_norm", float("inf")),
+        ("phi_e_norm", -1.0),
+        ("phi_e_norm", True),
+        ("phi_e_norm", 10**400),
+        ("c_q", "x"),
+        ("c_q", None),
+        ("c_q", float("nan")),
+        ("c_q", float("-inf")),
+        ("c_q", 0.0),
+        ("c_q", -0.5),
+        ("c_q", True),
+        ("c_q", [0.8]),
+    ],
+    ids=lambda v: "missing" if v is MISSING else "huge-int" if isinstance(v, int) and v > 10**300 else None,
+)
+def test_transport_refuses_a_recorded_value_out_of_range(runner, tmp_path, key, value):
+    cfg = run_solved(runner, tmp_path)
+    record_in_manifest(tmp_path, key, value)
+    result = runner.invoke(main, ["transport", "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert f"{'lacks' if value is MISSING else 'gives'} solver.{key}" in result.output
+    assert "run solve again" in result.output
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+def test_transport_accepts_a_recorded_norm_of_zero(runner, tmp_path):
+    cfg = run_solved(runner, tmp_path)
+    record_in_manifest(tmp_path, "phi_e_norm", 0)
+    result = runner.invoke(main, ["transport", "--config", str(cfg)])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["phi_e_norm"] == 0.0
+    assert report["condition_ok"] is True
+
+
 def test_transport_reports_the_bounds_of_its_slice(runner, tmp_path):
     cfg = run_solved(runner, tmp_path, time={"s": 0.2})
     assert runner.invoke(main, ["transport", "--config", str(cfg)]).exit_code == 0
@@ -586,6 +672,28 @@ def test_sweep_needs_three_distinct_coupling_magnitudes(runner, tmp_path, coupli
     assert not (tmp_path / "run" / "sweep_slopes.csv").exists()
 
 
+@pytest.mark.parametrize("couplings", [[0.0, 0.1, 0.2, -0.3], [0.1, -0.0, 0.2, 0.4]])
+def test_sweep_refuses_a_zero_coupling_before_solving(runner, tmp_path, couplings):
+    # log|0| has no point in the slope fit; on this 2-D grid the zero row
+    # stays above the underflow rule and reached np.polyfit
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "grid": {"dim": 2, "L": 10.0, "Nx": 16, "q": 2},
+                "coupling": couplings,
+                "max_order": 3,
+                "time": {"T": 0.5, "s": 0.5, "nt": 64},
+                "out": str(tmp_path / "run"),
+            }
+        )
+    )
+    result = runner.invoke(main, ["sweep", "--config", str(cfg)])
+    assert result.exit_code == 5, result.output
+    assert "a coupling of 0" in result.output
+    assert not (tmp_path / "run").exists()
+
+
 def test_sweep_fits_slopes_one_past_the_order(runner, tmp_path):
     cfg = write_config(tmp_path, coupling=[0.1, 0.2, 0.4], max_order=2)
     result = runner.invoke(main, ["sweep", "--config", str(cfg)])
@@ -614,15 +722,10 @@ def test_sweep_rows_are_the_transport_reports_of_lone_solves(runner, tmp_path):
 
 def test_sweep_never_estimates_the_algebra_constant(runner, tmp_path, monkeypatch):
     # no sweep output reads C_q, so the series must not ask for it
-    def refuse(*_, **__):
-        raise AssertionError("estimate_algebra_constant was called")
-
     written = {}
     for name in ("plain", "refused"):
         if name == "refused":
-            for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "kgcharge"]:
-                if hasattr(module, "estimate_algebra_constant"):
-                    monkeypatch.setattr(module, "estimate_algebra_constant", refuse)
+            forbid_the_algebra_constant(monkeypatch)
         out = tmp_path / name
         cfg = write_config(tmp_path, name=f"{name}.json", coupling=[0.1, 0.2, 0.4], max_order=2, out=str(out))
         result = runner.invoke(main, ["sweep", "--config", str(cfg)])

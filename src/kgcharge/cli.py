@@ -13,7 +13,9 @@ an integer field, a negative seed, an out that is not a string, and a grid
 whose m**2 or L**dim overflows, whose m**2 underflows to 0 or whose
 m**2 + |k|**2 overflows among them; also arrays too large for memory, with
 numpy's size and the fields that set it, grid.Nx, grid.dim and time.nt;
-also a stored trajectory missing, unreadable, or solved from a different
+also a Gaussian width whose 2 * width**2 is not a finite float above 0,
+an out or enumerate --out that cannot be written (the OS error quoted),
+a stored trajectory missing, unreadable, or solved from a different
 grid, time grid, coupling or initial data, or, for transport, a manifest
 without the solver.phi_e_norm and solver.c_q that solve records, or with
 a phi_e_norm that is not a finite number at least 0 or a c_q that is not a
@@ -33,6 +35,7 @@ import itertools
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -45,7 +48,8 @@ from .series import bracket_ds, convergence_condition, radius_bound
 from .series import readout as readout_series
 from .series import series as run_series
 from .series import series_couplings
-from .solver import BlowUp, TestFunction, dirac_test_function, gaussian_field, node_energies, solve_couplings
+from .solver import BlowUp, TestFunction, dirac_test_function, gaussian_denominator, gaussian_field
+from .solver import node_energies, solve_couplings
 from .solver import solve as solve_pde
 from .spectral import (
     FieldSnapshot,
@@ -234,16 +238,18 @@ def _load_config(path: str, **options) -> Config:
     initial, tf = data["initial"], data["test_function"]
     if initial["type"] != "gaussian":
         raise ConfigError("initial.type", "only 'gaussian' initial data is supported")
-    if not initial["width"] > 0:
-        raise ConfigError("initial.width", "must be positive")
     tf.setdefault("x0", grid.extent / 2)
     if tf["type"] not in ("gaussian", "low-mode", "dirac"):
         raise ConfigError("test_function.type", f"unknown type {tf['type']!r}")
+    for name, spec in (("initial", initial), ("test_function", tf)):
+        try:
+            if spec["type"] != "low-mode":
+                gaussian_denominator(spec["width"])
+        except ValueError as exc:
+            raise ConfigError(f"{name}.width", str(exc)) from None
     if tf["type"] == "gaussian":
         if tf["slot"] not in ("both", "position", "velocity"):
             raise ConfigError("test_function.slot", "must be both, position, or velocity")
-        if not tf["width"] > 0:
-            raise ConfigError("test_function.width", "must be positive")
     if tf["type"] == "low-mode" and tf["kmax"] < 0:
         raise ConfigError("test_function.kmax", f"must be at least 0, got {tf['kmax']}")
     if tf["type"] == "dirac":
@@ -256,6 +262,15 @@ def _load_config(path: str, **options) -> Config:
                 "test_function.width", f"width {tf['width']} is below the grid spacing {grid.spacing}"
             )
     return Config(grid, tgrid, s, data["coupling"], initial, tf, data["max_order"], data["seed"], data["out"])
+
+
+@contextmanager
+def _writing_to(name: str):
+    """Map an OSError raised while writing outputs to exit 2, naming the field that placed them."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(name, f"cannot write the outputs there: {exc}") from exc
 
 
 def _coupling(cfg: Config) -> float:
@@ -425,7 +440,8 @@ def solve(config_path, out):
     drift = float(np.max(np.abs(energies - energies[0]))) / max(1.0, abs(float(energies[0])))
     manifest = {"initial": cfg.initial, "energy_drift": drift, "created": datetime.now(timezone.utc).isoformat()}
     traj.meta["c_q"] = c_q
-    write_trajectory(_trajectory_dir(cfg), traj, manifest)
+    with _writing_to("out"):
+        write_trajectory(_trajectory_dir(cfg), traj, manifest)
     click.echo(f"wrote {cfg.tgrid.nnodes} snapshots to {_trajectory_dir(cfg)} (energy drift {drift:.3e})")
 
 
@@ -461,9 +477,10 @@ def transport(config_path, out, max_order, force):
             )
         report.meta["forced"] = True
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_report_json(out_dir / "report.json", report, bounds)
-    write_report_csv(out_dir / "report.csv", report)
+    with _writing_to("out"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_report_json(out_dir / "report.json", report, bounds)
+        write_report_csv(out_dir / "report.csv", report)
     for term, residual in zip(report.per_order, report.residuals):
         click.echo(
             f"order {term.order}: {term.tree_count} trees, partial sum residual {residual:.3e}"
@@ -475,11 +492,10 @@ def transport(config_path, out, max_order, force):
 @_config_opt
 @_out_opt
 @_max_order_opt
-@click.option("--seed", type=int, default=None, help="Override the seed.")
 @_config_errors
-def sweep(config_path, out, max_order, seed):
+def sweep(config_path, out, max_order):
     """Solve and transport across a coupling list; fit residual slopes."""
-    cfg = _load_config(config_path, max_order=max_order, seed=seed, out=out)
+    cfg = _load_config(config_path, max_order=max_order, out=out)
     couplings = cfg.couplings
     if 0.0 in couplings:
         _fail(5, "sweep fits its slopes in log|coupling|, where a coupling of 0 has no point; remove it")
@@ -508,23 +524,24 @@ def sweep(config_path, out, max_order, seed):
                     f"residual underflow at coupling {coupling}, order {order}: "
                     f"{residual:.3e} is below 1e-14, slope fit unreliable",
                 )
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out_dir / "sweep_residuals.csv",
-        ["coupling", "order", "residual", "partial_sum"],
-        [
-            (coupling, term.order, report.residuals[term.order], partial)
-            for coupling, report in zip(couplings, reports)
-            for term, partial in zip(report.per_order, report.partial_sums)
-        ],
-    )
     log_l = np.log(np.abs(couplings))
     slopes = [
         np.polyfit(log_l, np.log([report.residuals[order] for report in reports]), 1)[0]
         for order in range(cfg.max_order + 1)
     ]
-    write_csv(out_dir / "sweep_slopes.csv", ["order", "slope"], enumerate(slopes))
+    out_dir = Path(cfg.out)
+    with _writing_to("out"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_csv(
+            out_dir / "sweep_residuals.csv",
+            ["coupling", "order", "residual", "partial_sum"],
+            [
+                (coupling, term.order, report.residuals[term.order], partial)
+                for coupling, report in zip(couplings, reports)
+                for term, partial in zip(report.per_order, report.partial_sums)
+            ],
+        )
+        write_csv(out_dir / "sweep_slopes.csv", ["order", "slope"], enumerate(slopes))
     for order, slope in enumerate(slopes):
         click.echo(f"order {order}: residual slope {slope:.3f}")
 
@@ -584,12 +601,13 @@ def readout(config_path, out, max_order):
     phi_true = evaluate_at(first.phi, x0)
     dtphi_true = evaluate_at(first.pi, x0)
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out_dir / "readout.csv",
-        ["x0", "phi_true", "phi_est", "dtphi_true", "dtphi_est", "phi_abs_err", "dtphi_abs_err"],
-        [(x0, phi_true, phi_est, dtphi_true, dtphi_est, abs(phi_est - phi_true), abs(dtphi_est - dtphi_true))],
-    )
+    with _writing_to("out"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_csv(
+            out_dir / "readout.csv",
+            ["x0", "phi_true", "phi_est", "dtphi_true", "dtphi_est", "phi_abs_err", "dtphi_abs_err"],
+            [(x0, phi_true, phi_est, dtphi_true, dtphi_est, abs(phi_est - phi_true), abs(dtphi_est - dtphi_true))],
+        )
     click.echo(
         f"phi(0,{x0}) = {phi_est:.6f} (true {phi_true:.6f}), "
         f"d/dt phi(0,{x0}) = {dtphi_est:.6f} (true {dtphi_true:.6f})"
@@ -599,6 +617,7 @@ def readout(config_path, out, max_order):
 @main.command("enumerate")
 @click.option("--max-order", type=int, default=6, show_default=True, help="Largest order listed.")
 @_out_opt
+@_config_errors
 def enumerate_cmd(max_order, out):
     """List every tree up to an order as (order, dyck) CSV rows."""
     if not 0 <= max_order <= DEFAULT_ENUMERATION_CAP:
@@ -614,9 +633,10 @@ def enumerate_cmd(max_order, out):
     if out is None:
         click.echo(body, nl=False)
     else:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", newline="") as fh:
-            fh.write(body)
+        with _writing_to("--out"):
+            Path(out).parent.mkdir(parents=True, exist_ok=True)
+            with open(out, "w", newline="") as fh:
+                fh.write(body)
         click.echo(f"orders 0..{max_order}: counts {counts}; wrote {out}")
 
 

@@ -60,10 +60,10 @@ one such call, and series and readout pass one slice.
 The series computes the order terms, partial sums and residuals and
 nothing else.  Its convergence bounds (radius_bound, convergence_condition,
 first_order_bound, delta_norm_bound_check) are separate functions of the
-slice, the window, the sampled algebra constant C_q and the solver's
-norm; transport is the one command that reports them, and it reads C_q
-and the norm from the manifest, where solve records both once per
-trajectory.
+slice, the window, the solver's norm and the sampled algebra constant
+C_q, which each takes from its caller; transport is the one command that
+reports them, and it reads C_q and the norm from the manifest, where
+solve records both once per trajectory.
 
 The tree series is the Taylor series in the coupling of the Strang flow
 run backward from the slice to t = 0: (-coupling)^n (W_n(0), d/dt W_n(0))
@@ -102,7 +102,6 @@ from .spectral import (
     band_modes,
     band_values,
     dealiased_product,
-    estimate_algebra_constant,
     half_spectrum_values,
     random_band_limited,
     sobolev_norm,
@@ -301,7 +300,7 @@ def delta_norm_bound_check(
     b: Tree,
     psi: TestFunction,
     tgrid: TimeGrid,
-    c_q: float | None = None,
+    c_q: float,
     samples: int = 12,
     seed: int = 0,
 ) -> DeltaNormCheck:
@@ -318,8 +317,6 @@ def delta_norm_bound_check(
     if order > 3:
         raise OrderTooHigh(f"bound check supports order <= 3, got {order}")
     grid = psi.grid
-    if c_q is None:
-        c_q = estimate_algebra_constant(grid)
     rng = np.random.default_rng(seed)
     psi_norm = test_function_sup_norm(psi, tgrid)
     if psi_norm == 0.0:

@@ -66,6 +66,7 @@ from .spectral import (
     SpectralGrid,
     SpectrumLayout,
     dealiased_product,
+    gaussian_envelopes,
     to_modes,
 )
 
@@ -283,24 +284,24 @@ def evaluate_test_function(tf: TestFunction, t: float) -> FieldSnapshot:
     return free_evolve(FieldSnapshot(0.0, tf.psi0, tf.psi1), t)
 
 
-def gaussian_field(
-    grid: SpectralGrid, amplitude: float, width: float, center=0.0
-) -> ModeArray:
+def gaussian_denominator(width: float) -> float:
+    """2 w^2 of a Gaussian of width w; ValueError unless w > 0 and 2 w^2 is a finite float above 0."""
+    try:
+        denominator = 2.0 * width**2 if width > 0 else np.nan
+    except OverflowError:
+        denominator = np.inf
+    if not 0.0 < denominator < np.inf:
+        raise ValueError(f"width must be positive and 2 * width**2 a finite float above 0, got {width}")
+    return denominator
+
+
+def gaussian_field(grid: SpectralGrid, amplitude: float, width: float, center=0.0) -> ModeArray:
     """Mode array of a periodized Gaussian bump a * exp(-|x-x0|^2 / (2 w^2)).
 
     Distances are taken modulo the box, so the bump can sit anywhere.
     """
-    if not width > 0:
-        raise ValueError(f"width must be positive, got {width}")
-    center = np.broadcast_to(np.asarray(center, dtype=float), (grid.dim,))
-    samples = np.ones(grid.shape)
-    for axis in range(grid.dim):
-        d = grid.axis_points - center[axis]
-        d = (d + grid.extent / 2.0) % grid.extent - grid.extent / 2.0
-        profile = np.exp(-(d**2) / (2.0 * width**2))
-        shape = [1] * grid.dim
-        shape[axis] = grid.modes
-        samples = samples * profile.reshape(shape)
+    center = np.broadcast_to(np.asarray(center, dtype=float), (1, grid.dim))
+    samples = gaussian_envelopes(grid, center, [gaussian_denominator(width)])[0]
     return to_modes(grid, amplitude * samples)
 
 

@@ -39,6 +39,11 @@ band, and its inverse, which scatters into the half spectrum and applies
 ``irfftn``.  They take real point data only; the series keeps its tables in
 this layout.  ``SpectralGrid.band_index`` picks the band out of a full or a
 half spectrum alike, since both store the last axis' j = 0..K first.
+
+``estimate_algebra_constant`` samples the H^q product constant C_q from a
+fixed count of random pairs and a fixed seed, so C_q is a function of the
+grid.  ``gaussian_envelopes`` builds the envelopes of those random fields
+and the solver's Gaussian data alike.
 """
 
 from __future__ import annotations
@@ -477,6 +482,21 @@ def random_band_limited(
     return f
 
 
+def gaussian_envelopes(grid: SpectralGrid, centers: np.ndarray, denominators: np.ndarray) -> np.ndarray:
+    """Periodized Gaussians exp(-|x - c|^2 / d), one row per center c and denominator d = 2 w^2.
+
+    ``centers`` has shape (count, dim).  Distances are taken modulo the box,
+    so an envelope can sit anywhere.
+    """
+    points, denominators = grid.axis_points, np.asarray(denominators, dtype=float)[:, None]
+    samples = np.ones((len(centers),) + grid.shape)
+    for axis in range(grid.dim):
+        d = (points - centers[:, axis, None] + grid.extent / 2.0) % grid.extent - grid.extent / 2.0
+        shape = (-1,) + (1,) * axis + (grid.modes,) + (1,) * (grid.dim - 1 - axis)
+        samples = samples * np.exp(-(d**2) / denominators).reshape(shape)
+    return samples
+
+
 def _localized_samples(grid: SpectralGrid, rng: np.random.Generator, count: int) -> np.ndarray:
     """Grid samples of ``count`` random Gaussian envelopes, each bare or modulating white noise.
 
@@ -495,28 +515,36 @@ def _localized_samples(grid: SpectralGrid, rng: np.random.Generator, count: int)
         if rng.integers(0, 2):
             noisy.append(i)
             noise.append(rng.standard_normal(grid.shape))
-    width = np.array(widths)[:, None]
-    center = np.array(centers)
-    samples = np.ones((count,) + grid.shape)
-    for axis in range(grid.dim):
-        d = grid.axis_points - center[:, axis, None]
-        d = (d + grid.extent / 2.0) % grid.extent - grid.extent / 2.0
-        shape = [count] + [1] * grid.dim
-        shape[1 + axis] = grid.modes
-        samples = samples * np.exp(-(d**2) / (2.0 * width**2)).reshape(shape)
+    samples = gaussian_envelopes(grid, np.array(centers), 2.0 * np.array(widths) ** 2)
     if noisy:
         samples[noisy] *= np.array(noise)
     return samples
 
 
-def estimate_algebra_constant(grid: SpectralGrid, trials: int = 200, seed: int = 0) -> float:
+# The estimate's pairs and seed, and the bytes of mode tables, two complex
+# tables a pair, it holds at once: a grid of up to 327 points (the desk's
+# 128, 16^2) takes all its pairs in one chunk
+ALGEBRA_TRIALS, ALGEBRA_SEED, ALGEBRA_CHUNK_BYTES = 200, 0, 2**21
+
+
+def _largest_ratio(grid: SpectralGrid, rng: np.random.Generator, pairs: int) -> float:
+    """The largest product norm ratio ||fg|| / (||f|| ||g||) of ``pairs`` pairs drawn next from ``rng``."""
+    modes = dealiased_modes(grid, _localized_samples(grid, rng, 2 * pairs))
+    f, g = modes[0::2], modes[1::2]
+    nf, ng = sobolev_norms(grid, f), sobolev_norms(grid, g)
+    keep = (nf != 0.0) & (ng != 0.0)
+    ratios = sobolev_norms(grid, dealiased_product(grid, f[keep], g[keep])) / (nf[keep] * ng[keep])
+    return float(ratios.max(initial=0.0))
+
+
+def estimate_algebra_constant(grid: SpectralGrid) -> float:
     """Empirical product constant C_q with ||fg|| <= C_q ||f|| ||g|| in H^q.
 
-    Draws ``trials`` random localized band-limited pairs, takes the largest
-    observed norm ratio, and multiplies by a 1.5 safety factor.
-    Deterministic for a fixed seed.  Every bound that uses the result is a
-    self-consistency check under this sampled constant, not an analytic
-    statement.
+    Draws ALGEBRA_TRIALS random localized band-limited pairs from
+    ALGEBRA_SEED, takes the largest observed norm ratio, and multiplies by a
+    1.5 safety factor: a function of the grid.  Every bound that uses the
+    result is a self-consistency check under this sampled constant, not an
+    analytic statement.
 
     Each field is a Gaussian envelope with log-uniform width (from two grid
     spacings up to an eighth of the box, or two spacings on grids under 16
@@ -525,14 +553,10 @@ def estimate_algebra_constant(grid: SpectralGrid, trials: int = 200, seed: int =
     fields overlap, so localized samples probe the large-ratio region that
     spread flat-spectrum noise never reaches.  The pairs are drawn one after
     another (f, then g, per trial) and then transformed, multiplied and
-    measured as stacks.
+    measured as stacks, ALGEBRA_CHUNK_BYTES of mode tables at a time; a
+    pair's ratio does not depend on its chunk.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    modes = dealiased_modes(grid, _localized_samples(grid, rng, 2 * trials))
-    f, g = modes[0::2], modes[1::2]
-    nf, ng = sobolev_norms(grid, f), sobolev_norms(grid, g)
-    keep = (nf != 0.0) & (ng != 0.0)
-    ratios = sobolev_norms(grid, dealiased_product(grid, f[keep], g[keep])) / (nf[keep] * ng[keep])
-    return 1.5 * float(ratios.max(initial=0.0))
+    rng = np.random.default_rng(ALGEBRA_SEED)
+    chunk = max(1, ALGEBRA_CHUNK_BYTES // (32 * grid.npoints))
+    sizes = [min(chunk, ALGEBRA_TRIALS - start) for start in range(0, ALGEBRA_TRIALS, chunk)]
+    return 1.5 * max(_largest_ratio(grid, rng, pairs) for pairs in sizes)

@@ -1,7 +1,6 @@
 """On-disk formats: trajectory directory, report JSON/CSV.
 
-A trajectory directory holds two files; writing one removes the per-node
-``node_*.csv`` files of the older format.  ``trajectory.npz`` is an
+A trajectory directory holds two files.  ``trajectory.npz`` is an
 uncompressed ``np.savez`` archive of three arrays: ``times`` (float64, the
 time grid's nodes) and the trajectory's ``phi`` and ``pi`` tables
 (complex128, shape ``(nnodes, *grid.shape)``), written and read as they
@@ -66,9 +65,6 @@ def write_trajectory(directory, traj: Trajectory, manifest_extra: dict | None = 
     """One array archive of every node plus a JSON manifest describing the run."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    # the per-node CSVs of the format before the archive: nothing reads them
-    for stale in directory.glob("node_*.csv"):
-        stale.unlink()
     np.savez(directory / TRAJECTORY_FILE, times=traj.tgrid.nodes, phi=traj.phi, pi=traj.pi)
     grid = traj.grid
     manifest = {

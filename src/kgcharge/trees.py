@@ -109,20 +109,20 @@ def _forest(order: int) -> tuple[Tree, ...]:
     return tuple(out)
 
 
-def enumerate_trees(order: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Tree]:
+def enumerate_trees(order: int) -> list[Tree]:
     """All trees with ``internal_count == order``.
 
     The result is deterministic: trees are listed by the internal count of
     the left subtree, ascending, then recursively in the same order on both
     sides.  The length of the list is the Catalan number of ``order``.
 
-    Raises ``CapExceeded`` when ``order`` is larger than ``cap`` (default
-    10, i.e. at most 16796 trees), which bounds memory use.
+    Raises ``CapExceeded`` when ``order`` is past DEFAULT_ENUMERATION_CAP
+    (10, i.e. at most 16796 trees), which bounds memory use.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    if order > cap:
-        raise CapExceeded(f"enumeration order {order} exceeds the cap {cap}")
+    if order > DEFAULT_ENUMERATION_CAP:
+        raise CapExceeded(f"enumeration order {order} exceeds the cap {DEFAULT_ENUMERATION_CAP}")
     return list(_forest(order))
 
 

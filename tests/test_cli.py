@@ -206,7 +206,13 @@ def test_integral_floats_stay_accepted_as_ints(runner, tmp_path):
         ("solve", {"initial": {"center": float("inf")}}, [], "initial.center"),
         ("transport", {"test_function": {"amplitude": float("nan")}}, [], "test_function.amplitude"),
         ("transport", {"seed": -1, "test_function": {"type": "low-mode"}}, [], "seed"),
-        ("sweep", {"coupling": [0.1, 0.2, 0.4], "test_function": {"type": "low-mode"}}, ["--seed", "-1"], "seed"),
+        ("sweep", {"coupling": [0.1, 0.2, 0.4], "seed": -1, "test_function": {"type": "low-mode"}}, [], "seed"),
+        # Gaussian widths whose 2 * width**2 overflows or underflows to 0
+        ("solve", {"initial": {"width": 1.4e154}}, [], "initial.width"),
+        ("solve", {"initial": {"width": 1e-300}}, [], "initial.width"),
+        ("transport", {"test_function": {"width": 1e300}}, [], "test_function.width"),
+        ("transport", {"test_function": {"width": 1e-300}}, [], "test_function.width"),
+        ("readout", {"test_function": {"type": "dirac", "x0": 3.0, "width": 1e300}}, [], "test_function.width"),
     ],
 )
 def test_non_finite_numbers_and_negative_seeds_exit_2(runner, tmp_path, command, changed, options, field):
@@ -323,6 +329,21 @@ def test_an_out_that_is_not_a_string_exits_2(runner, tmp_path, monkeypatch, out)
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize(
+    "command, changed, error",
+    [("solve", {}, "Not a directory"), ("sweep", {"coupling": [0.1, 0.2, 0.4]}, "File exists")],
+)
+def test_an_out_naming_a_file_exits_2(runner, tmp_path, command, changed, error):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    cfg = write_config(tmp_path, out=str(taken), time={"T": 0.1, "s": 0.1, "nt": 16}, **changed)
+    result = runner.invoke(main, [command, "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert "config field 'out': cannot write the outputs there: " in result.output
+    assert error in result.output
+    assert taken.read_text() == "kept\n"
+
+
 def test_negative_low_mode_band_exits_2(runner, tmp_path):
     # kmax < 0 keeps no mode: psi would be zero and every residual 0.000e+00
     cfg = write_config(tmp_path, test_function={"type": "low-mode", "kmax": -3})
@@ -364,18 +385,6 @@ def test_transport_rejects_the_per_node_csv_layout(runner, tmp_path):
     result = runner.invoke(main, ["transport", "--config", str(cfg)])
     assert result.exit_code == 2
     assert "run solve first" in result.output
-
-
-def test_solve_removes_a_per_node_csv_trajectory(runner, tmp_path):
-    tdir = tmp_path / "run" / "trajectory"
-    tdir.mkdir(parents=True)
-    stale = [tdir / f"node_{j:05d}.csv" for j in range(3)]
-    for path in stale:
-        path.write_text("L,Nx,m,q,time\n")
-    (tdir / "notes.txt").write_text("kept\n")
-    run_solved(runner, tmp_path)
-    assert not any(path.exists() for path in stale)
-    assert sorted(path.name for path in tdir.iterdir()) == ["manifest.json", "notes.txt", "trajectory.npz"]
 
 
 def test_transport_rejects_arrays_that_do_not_fit_the_manifest(runner, tmp_path):
@@ -485,9 +494,11 @@ def forbid_the_algebra_constant(monkeypatch):
 
 
 def test_solve_records_the_algebra_constant_of_its_grid(runner, tmp_path):
-    run_solved(runner, tmp_path, grid={"dim": 2, "Nx": 16, "q": 2}, time={"nt": 16})
-    traj = read_trajectory(tmp_path / "run" / "trajectory")
-    assert read_manifest(tmp_path / "run" / "trajectory")["solver"]["c_q"] == estimate_algebra_constant(traj.grid)
+    for grid in ({"dim": 2, "Nx": 16, "q": 2}, {}):
+        run_solved(runner, tmp_path, grid=grid, time={"nt": 16})
+        traj = read_trajectory(tmp_path / "run" / "trajectory")
+        assert traj.grid.dim == grid.get("dim", 1)
+        assert read_manifest(tmp_path / "run" / "trajectory")["solver"]["c_q"] == estimate_algebra_constant(traj.grid)
 
 
 def test_transport_reads_c_q_from_the_manifest(runner, tmp_path, monkeypatch):
@@ -928,3 +939,13 @@ def test_enumerate_writes_a_file_and_validates_the_cap(runner, tmp_path):
     assert result.exit_code == 0
     assert out.read_text().startswith("order,dyck\n")
     assert runner.invoke(main, ["enumerate", "--max-order", "11"]).exit_code == 2
+
+
+@pytest.mark.parametrize("out, error", [(".", "Is a directory"), ("", "No such file or directory")], ids=["directory", "empty"])
+def test_enumerate_to_an_out_it_cannot_write_exits_2(runner, tmp_path, monkeypatch, out, error):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["enumerate", "--max-order", "2", "--out", out])
+    assert result.exit_code == 2, result.output
+    assert "config field '--out': cannot write the outputs there: " in result.output
+    assert error in result.output
+    assert list(tmp_path.iterdir()) == []

@@ -556,13 +556,13 @@ def test_delta_norm_bound_check_refuses_order_four(grid, tgrid):
     )
     b = enumerate_trees(4)[0]
     with pytest.raises(OrderTooHigh):
-        delta_norm_bound_check(b, psi, tgrid)
+        delta_norm_bound_check(b, psi, tgrid, c_q=0.9)
 
 
 def test_delta_norm_bound_check_rejects_zero_psi(grid, tgrid):
     psi = TestFunction(zero_modes(grid), zero_modes(grid))
     with pytest.raises(ValueError):
-        delta_norm_bound_check(leaf(), psi, tgrid)
+        delta_norm_bound_check(leaf(), psi, tgrid, c_q=0.9)
 
 
 def test_the_sampled_ratio_is_the_per_node_tree_functional(grid, tgrid):

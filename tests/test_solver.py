@@ -442,6 +442,13 @@ def test_gaussian_field_peak_and_periodicity(small_grid):
     )
 
 
+@pytest.mark.parametrize("width", [1e154, 1.4e154, 1e300, 1e-300], ids=["2w2-inf", "w2-inf", "huge", "w2-zero"])
+def test_gaussian_field_refuses_a_width_whose_denominator_leaves_the_floats(small_grid, width):
+    # 2 * width**2 overflows to inf (through width**2 or the doubling) or underflows to 0
+    with pytest.raises(ValueError, match=r"must be positive and 2 \* width\*\*2 a finite float above 0"):
+        gaussian_field(small_grid, 1.0, width)
+
+
 def test_field_energy_norm_dominates_every_node(small_grid):
     tg = TimeGrid(horizon=0.5, nt=32)
     traj = solve(gaussian_data(small_grid), 0.2, tg)

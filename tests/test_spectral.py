@@ -268,15 +268,13 @@ def test_random_localized_field_is_band_limited_and_real(small_grid):
 
 
 def test_estimate_algebra_constant_contract(small_grid):
-    c1 = estimate_algebra_constant(small_grid, trials=60, seed=3)
-    c2 = estimate_algebra_constant(small_grid, trials=60, seed=3)
+    c1 = estimate_algebra_constant(small_grid)
+    c2 = estimate_algebra_constant(small_grid)
     assert c1 == c2
     assert np.isfinite(c1) and c1 > 0
     one = to_modes(small_grid, np.ones(small_grid.shape))
     floor = sobolev_norm(pointwise_product(one, one)) / sobolev_norm(one) ** 2
     assert c1 >= floor
-    with pytest.raises(ValueError):
-        estimate_algebra_constant(small_grid, trials=0)
 
 
 @pytest.mark.parametrize("two_d", [False, True], ids=["1d", "2d"])
@@ -307,12 +305,53 @@ def test_band_transform_pair_is_the_dealiased_projection(small_grid, rng, two_d)
     np.testing.assert_allclose(band_modes(grid, x * y), cut, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("trials, seed", [(1, 0), (25, 3), (40, 11)])
 @pytest.mark.parametrize("two_d", [False, True], ids=["1d", "2d"])
-def test_stacked_algebra_constant_matches_the_per_trial_loop(small_grid, two_d, trials, seed):
+def test_stacked_algebra_constant_matches_the_per_trial_loop(small_grid, two_d):
     # localized draws need two spacings below an eighth of the box: 16 modes at least
     grid = SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2) if two_d else small_grid
-    assert estimate_algebra_constant(grid, trials, seed) == per_trial_algebra_constant(grid, trials, seed)
+    assert estimate_algebra_constant(grid) == per_trial_algebra_constant(grid, 200, 0)
+
+
+def record_chunk_sizes(monkeypatch) -> list[int]:
+    """The pair count of every chunk the estimate measures from now on, in order."""
+    sizes = []
+    measure = spectral._largest_ratio
+
+    def recorded(grid, rng, pairs):
+        sizes.append(pairs)
+        return measure(grid, rng, pairs)
+
+    monkeypatch.setattr(spectral, "_largest_ratio", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        SpectralGrid(dim=1, extent=20.0, modes=32, mass=1.0, sobolev_q=1),
+        SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2),
+        SpectralGrid(dim=3, extent=10.0, modes=8, mass=1.0, sobolev_q=2),
+    ],
+    ids=["1d-32", "2d-16", "3d-8"],
+)
+def test_the_estimate_in_chunks_is_the_estimate_in_one(grid, monkeypatch):
+    whole = estimate_algebra_constant(grid)
+    sizes = record_chunk_sizes(monkeypatch)
+    # 7 pairs a chunk (two complex tables a pair): 28 chunks of 7 and one of 4
+    monkeypatch.setattr(spectral, "ALGEBRA_CHUNK_BYTES", 7 * 32 * grid.npoints)
+    assert estimate_algebra_constant(grid) == whole == per_trial_algebra_constant(grid, 200, 0)
+    assert sizes == [7] * 28 + [4]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [SpectralGrid(), SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2)],
+    ids=["desk", "2d-16"],
+)
+def test_the_estimate_runs_one_chunk_on_small_grids(grid, monkeypatch):
+    sizes = record_chunk_sizes(monkeypatch)
+    estimate_algebra_constant(grid)
+    assert sizes == [spectral.ALGEBRA_TRIALS]
 
 
 @pytest.mark.parametrize(

@@ -51,9 +51,6 @@ def test_enumeration_is_exact_and_distinct():
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         enumerate_trees(11)
-    with pytest.raises(CapExceeded):
-        enumerate_trees(3, cap=2)
-    assert len(enumerate_trees(3, cap=3)) == 5
 
 
 @given(trees, trees)

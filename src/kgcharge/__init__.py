@@ -13,13 +13,8 @@ for reproducible experiments.
 from .propagation import TimeGrid, free_evolve
 from .series import (
     ChargeReport,
-    DeltaNormCheck,
-    OrderTooHigh,
     bracket_ds,
     convergence_condition,
-    delta_norm_bound_check,
-    first_order_bound,
-    p_residual,
     radius_bound,
     readout,
     series,

@@ -15,6 +15,10 @@ m**2 + |k|**2 overflows among them; also arrays too large for memory, with
 numpy's size and the fields that set it, grid.Nx, grid.dim and time.nt;
 also a Gaussian width whose 2 * width**2 is not a finite float above 0,
 an out or enumerate --out that cannot be written (the OS error quoted),
+for transport and sweep a test function 0 at every mode (naming
+test_function.amplitude when it is 0, test_function.width otherwise),
+for transport initial data whose slice at s has H^q norms of 0 (naming
+initial.amplitude),
 a stored trajectory missing, unreadable, or solved from a different
 grid, time grid, coupling or initial data, or, for transport, a manifest
 without the solver.phi_e_norm and solver.c_q that solve records, or with
@@ -287,24 +291,34 @@ def build_initial(cfg: Config) -> FieldSnapshot:
 
 
 def build_test_function(cfg: Config) -> TestFunction:
+    """The config's psi; ConfigError when every mode of it is 0, where every residual would read 0."""
     grid, spec = cfg.grid, cfg.test_function
     kind = spec["type"]
     if kind == "gaussian":
         g = gaussian_field(grid, spec["amplitude"], spec["width"], spec["center"])
         zero = ModeArray(grid, np.zeros(grid.shape, dtype=complex))
-        if spec["slot"] == "position":
-            return TestFunction(g, zero)
-        if spec["slot"] == "velocity":
-            return TestFunction(zero, g)
-        return TestFunction(g, g)
-    if kind == "low-mode":
+        slots = {"position": (g, zero), "velocity": (zero, g)}
+        psi = TestFunction(*slots.get(spec["slot"], (g, g)))
+    elif kind == "low-mode":
         rng = np.random.default_rng(cfg.seed)
         psi0 = random_band_limited(grid, rng, spec["kmax"])
         psi1 = random_band_limited(grid, rng, spec["kmax"])
         psi0.values *= spec["amplitude"]
         psi1.values *= spec["amplitude"]
-        return TestFunction(psi0, psi1)
-    return dirac_test_function(grid, spec["x0"], spec["width"], spec["which"])
+        psi = TestFunction(psi0, psi1)
+    else:
+        psi = dirac_test_function(grid, spec["x0"], spec["width"], spec["which"])
+    if not (psi.psi0.values.any() or psi.psi1.values.any()):
+        # a low-mode psi has no width; a Gaussian narrower than the spacing
+        # can fall between the grid points
+        if kind == "low-mode" or kind == "gaussian" and spec["amplitude"] == 0:
+            message = f"amplitude {spec['amplitude']!r} makes the test function 0 at every mode"
+            raise ConfigError("test_function.amplitude", message)
+        raise ConfigError(
+            "test_function.width",
+            f"width {spec['width']!r} leaves the test function 0 at every grid point (spacing {grid.spacing})",
+        )
+    return psi
 
 
 def _fail(code: int, message: str):
@@ -460,8 +474,14 @@ def transport(config_path, out, max_order, force):
     target = bracket_ds(psi, traj.node(0))
     snap = traj.node(traj.tgrid.node_index(cfg.s))
     window = traj.tgrid.horizon
+    try:
+        radius = radius_bound(snap, window, c_q)
+    except ValueError as exc:
+        # c_q is above 0 here, so the slice's data vanish, or underflow
+        message = f"at amplitude {cfg.initial['amplitude']!r} the data vanish at s: {exc}"
+        raise ConfigError("initial.amplitude", message) from None
     bounds = {
-        "radius_bound": radius_bound(snap, window, c_q),
+        "radius_bound": radius,
         "condition_ok": convergence_condition(traj.coupling, window, phi_e_norm, c_q, cfg.grid.mass),
         "c_q": c_q,
         "window": window,

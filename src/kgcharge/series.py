@@ -33,9 +33,10 @@ with F's Duhamel datum (the integrals of sin(tau omega)/omega F and of
 retarded integral w: row 0 of its two suffix sums, the one way this
 module forms a t = 0 field.  For the order-n product it is the order-n
 tree field (W_n(0), d/dt W_n(0)), order 0 being the slice's backward free
-flow; p_residual takes phi^2's and the sampled bound check each subtree's
-(a leaf's from its kernel) the same way.  None depends on psi, and all
-four pair through one stacked bracket.
+flow.  None of these fields depends on psi, and all orders pair with it
+through one stacked bracket.  tests/oracles.py forms phi^2's field for the
+charge-balance defect, and each subtree's for the sampled bound check,
+the same way.
 
 Every product in the recursion is a dealiased product of real fields, so
 its mode table is zero outside the kept band and Hermitian.  The recursion
@@ -58,12 +59,13 @@ the slices one at a time through the same buffers.  series_couplings is
 one such call, and series and readout pass one slice.
 
 The series computes the order terms, partial sums and residuals and
-nothing else.  Its convergence bounds (radius_bound, convergence_condition,
-first_order_bound, delta_norm_bound_check) are separate functions of the
-slice, the window, the solver's norm and the sampled algebra constant
-C_q, which each takes from its caller; transport is the one command that
-reports them, and it reads C_q and the norm from the manifest, where
-solve records both once per trajectory.
+nothing else.  Its convergence bounds (radius_bound, convergence_condition)
+are separate functions of the slice, the window, the solver's norm and the
+sampled algebra constant C_q, which each takes from its caller; transport
+is the one command that reports them, and it reads C_q and the norm from
+the manifest, where solve records both once per trajectory.  The paper's
+other bound checks, the first-order bound and the sampled operator-norm
+bound, live in tests/oracles.py beside their per-node references.
 
 The tree series is the Taylor series in the coupling of the Strang flow
 run backward from the slice to t = 0: (-coupling)^n (W_n(0), d/dt W_n(0))
@@ -91,27 +93,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .propagation import TimeGrid, apply_flow, flow_multipliers, free_flow, suffix_time_integral
+from .propagation import TimeGrid, apply_flow, flow_multipliers, suffix_time_integral
 from .solver import TestFunction, Trajectory, dirac_test_function, evaluate_test_function
 from .spectral import (
     FieldSnapshot,
     GridMismatch,
     ModeArray,
-    SpectralGrid,
     SpectrumLayout,
     band_modes,
     band_values,
-    dealiased_product,
     half_spectrum_values,
-    random_band_limited,
     sobolev_norm,
-    sobolev_norms,
 )
-from .trees import Tree, decompose, internal_count, leaf_count
-
-
-class OrderTooHigh(ValueError):
-    """Raised when a tree's order is past what an evaluator or a check supports."""
 
 
 class OrderTerm(NamedTuple):
@@ -133,37 +126,11 @@ class ChargeReport:
     meta: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class DeltaNormCheck:
-    """Result of a sampled operator-norm bound check; truthy iff it held."""
-
-    ok: bool
-    ratio: float
-    bound: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _real(value: complex) -> float:
     """Real part of a pairing that is real up to rounding."""
     if abs(value.imag) > 1e-10 * (1.0 + abs(value.real)):
         raise AssertionError(f"pairing has imaginary part {value.imag}")
     return float(value.real)
-
-
-def _test_function_rows(tf: TestFunction, tgrid: TimeGrid, derivative: int = 0) -> np.ndarray:
-    """psi (or d/dt psi) at every node, stacked, from the closed-form flow."""
-    return free_flow(tf.grid, tf.psi0.values, tf.psi1.values, tgrid.nodes)[derivative]
-
-
-def test_function_sup_norm(tf: TestFunction, tgrid: TimeGrid) -> float:
-    """sup over nodes and derivative order of the H^{-q} norm of psi.
-
-    This is the single sup-in-time dual norm all bound checks use for psi.
-    """
-    q = -tf.grid.sobolev_q
-    return max(float(sobolev_norms(tf.grid, _test_function_rows(tf, tgrid, d), q).max()) for d in (0, 1))
 
 
 def _kernel_pair(omega: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -231,12 +198,15 @@ def radius_bound(snap: FieldSnapshot, window: float, c_q: float) -> float:
     """Lower bound on the series' radius of convergence in the coupling.
 
     1 / (4 C_q M T (||phi(s)|| + ||pi(s)||)) with M = max(1/m, 1) and both
-    norms in H^q.
+    norms in H^q.  ValueError when c_q is not positive or both norms are 0,
+    where the bound has no finite value.
     """
     if not c_q > 0:
         raise ValueError(f"c_q must be positive, got {c_q}")
     m_factor = max(1.0 / snap.grid.mass, 1.0)
     data = sobolev_norm(snap.phi) + sobolev_norm(snap.pi)
+    if data == 0.0:
+        raise ValueError("the slice's H^q norms are both 0, where the radius bound has no finite value")
     return 1.0 / (4.0 * c_q * m_factor * window * data)
 
 
@@ -247,115 +217,6 @@ def convergence_condition(
     m_factor = max(1.0 / mass, 1.0)
     x = abs(coupling) * c_q * window * phi_e_norm
     return 8.0 * m_factor * x * (1.0 + x) < 1.0
-
-
-def first_order_bound(
-    coupling: float, s: float, mass: float, c_q: float, phi_e_norm: float, psi_norm: float
-) -> float:
-    """Bound on the residual after the order-1 truncation of the series."""
-    lam = abs(coupling)
-    return (
-        lam**2
-        * (
-            s**2 * c_q**2 / mass * phi_e_norm**3
-            + lam * s**3 * c_q**3 / (3.0 * mass**2) * phi_e_norm**4
-        )
-        * psi_norm
-    )
-
-
-def _sampled_legs(
-    b: Tree,
-    legs,
-    grid: SpectralGrid,
-    tgrid: TimeGrid,
-    pair: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Rows, t = 0 field (w(0), d/dt w(0)) and support cutoff of one subtree with sampled leaf legs.
-
-    ``pair`` is the :func:`_kernel_pair` of the full spectrum over every
-    node.  A leaf's rows span every node; a subtree's stop at its cutoff,
-    and its t = 0 field is row 0 of its suffix sums.
-    """
-    if b.is_leaf:
-        t_index, order, f = next(legs)
-        c, s_over_w, w_s = flow_multipliers(grid.omega, tgrid.nodes[t_index] - tgrid.nodes)
-        # G0 rows sin((t - tau) omega)/omega f or G1 rows cos((t - tau) omega) f, and their tau derivatives
-        kernel, slope = (s_over_w, -c) if order == 0 else (c, -w_s)
-        rows = kernel * f.values
-        rows[t_index + 1 :] = 0.0
-        return rows, np.stack([rows[0], slope[0] * f.values]), t_index
-    b1, b2 = decompose(b)
-    left, _, u1 = _sampled_legs(b1, legs, grid, tgrid, pair)
-    right, _, u2 = _sampled_legs(b2, legs, grid, tgrid, pair)
-    upper = min(u1, u2)
-    prod = dealiased_product(grid, left[: upper + 1], right[: upper + 1], real=True)
-    kernels = pair[:, : upper + 1]
-    weighted = kernels * prod
-    sums = _suffix_sums(weighted, tgrid)
-    return _retarded_table(kernels, sums, weighted), _t0_field(sums), upper
-
-
-def delta_norm_bound_check(
-    b: Tree,
-    psi: TestFunction,
-    tgrid: TimeGrid,
-    c_q: float,
-    samples: int = 12,
-    seed: int = 0,
-) -> DeltaNormCheck:
-    """Sampled check of the operator-norm growth bound (C_q M T)^order.
-
-    The tree functional built on psi is multilinear in one field per leaf;
-    we feed it random unit-norm H^q fields at random node times and both
-    kernel derivative orders, and compare the largest |value| / ||psi||
-    ratio against the bound.  A value is the bracket of psi with the
-    tree's t = 0 field.  Orders up to 3; the ratio can only grow with more
-    samples.
-    """
-    order = internal_count(b)
-    if order > 3:
-        raise OrderTooHigh(f"bound check supports order <= 3, got {order}")
-    grid = psi.grid
-    rng = np.random.default_rng(seed)
-    psi_norm = test_function_sup_norm(psi, tgrid)
-    if psi_norm == 0.0:
-        raise ValueError("test function is identically zero")
-    pair = _kernel_pair(grid.omega, tgrid.nodes)
-    ratio = 0.0
-    for _ in range(samples):
-        drawn = []
-        for _ in range(leaf_count(b)):
-            f = random_band_limited(grid, rng)
-            f.values /= sobolev_norm(f)
-            drawn.append((int(rng.integers(0, tgrid.nt + 1)), int(rng.integers(0, 2)), f))
-        _, at_zero, _ = _sampled_legs(b, iter(drawn), grid, tgrid, pair)
-        ratio = max(ratio, abs(_brackets(psi, 0.0, at_zero[None])[0]) / psi_norm)
-    m_factor = max(1.0 / grid.mass, 1.0)
-    bound = (c_q * m_factor * tgrid.horizon) ** order
-    return DeltaNormCheck(ratio <= bound, ratio, bound)
-
-
-def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
-    """Defect of the integrated charge balance along a computed trajectory.
-
-    B(s) - B(0) + integral over [0, s] of <psi(tau), (box + m^2) phi(tau)>
-    vanishes for linear psi; the equation supplies (box + m^2) phi as
-    -lambda phi^2 (dealiased).  The integral is the bracket at t = 0 of psi
-    with the Duhamel datum of phi^2, row 0 of its suffix sums.  The return
-    value is the absolute defect, limited by solver and quadrature error
-    only.
-    """
-    tgrid = trajectory.tgrid
-    j_s = tgrid.node_index(s)
-    grid = trajectory.grid
-    b_s = bracket_ds(psi, trajectory.node(j_s))
-    b_0 = bracket_ds(psi, trajectory.node(0))
-    phi = trajectory.phi[: j_s + 1]
-    phi_sq = dealiased_product(grid, phi, phi, trajectory.real_field)
-    sums = _suffix_sums(_kernel_pair(grid.omega, tgrid.nodes[: j_s + 1]) * phi_sq, tgrid)
-    integral = _brackets(psi, 0.0, _t0_field(sums)[None])[0]
-    return abs(b_s - b_0 - trajectory.coupling * integral)
 
 
 def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:

@@ -328,30 +328,20 @@ def dirac_test_function(
     return TestFunction(g, zero)
 
 
-def _energies(grid: SpectralGrid, phi: np.ndarray, pi: np.ndarray, coupling: float, real: bool) -> np.ndarray:
-    """The energy of every row of stacked (phi, pi) mode tables; see :func:`energy`."""
+def node_energies(traj: Trajectory) -> np.ndarray:
+    """Box integral of 1/2 pi^2 + 1/2 |grad phi|^2 + 1/2 m^2 phi^2 + (lambda/3) phi^3 at every node.
+
+    The cubic term uses the dealiased square, matching the truncated
+    dynamics; the continuous-time truncated flow conserves exactly this
+    quantity.  One stacked square covers every node field.
+    """
+    grid, phi, pi, coupling = traj.grid, traj.phi, traj.pi, traj.coupling
     n = len(phi)
     quad = 0.5 * (np.abs(pi) ** 2 + (grid.mass**2 + grid.k_squared) * np.abs(phi) ** 2)
     total = np.sum(quad.reshape(n, -1), axis=1) / grid.volume
     if coupling != 0.0:
-        phi_sq = dealiased_product(grid, phi, phi, real)
+        phi_sq = dealiased_product(grid, phi, phi, traj.real_field)
         # np.vdot(phi, phi^2) of every row, batched: BLAS sums it in the same order
         pairs = np.matmul(np.conj(phi).reshape(n, 1, -1), phi_sq.reshape(n, -1, 1))[:, 0, 0]
         total = total + coupling / 3.0 * (pairs / grid.volume).real
     return total
-
-
-def energy(snap: FieldSnapshot, coupling: float) -> float:
-    """Box integral of 1/2 pi^2 + 1/2 |grad phi|^2 + 1/2 m^2 phi^2 + (lambda/3) phi^3.
-
-    The cubic term uses the dealiased square, matching the truncated
-    dynamics; the continuous-time truncated flow conserves exactly this
-    quantity.
-    """
-    phi, pi = snap.phi.values[None], snap.pi.values[None]
-    return float(_energies(snap.grid, phi, pi, coupling, snap.phi.real_field)[0])
-
-
-def node_energies(traj: Trajectory) -> np.ndarray:
-    """:func:`energy` at every node, from one stacked square of the node fields."""
-    return _energies(traj.grid, traj.phi, traj.pi, traj.coupling, traj.real_field)

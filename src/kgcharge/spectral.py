@@ -210,14 +210,9 @@ class SpectralGrid:
         return self.omega[self.band_index]
 
     @cached_property
-    def _own_sobolev_weights(self) -> np.ndarray:
+    def sobolev_weights(self) -> np.ndarray:
+        """(1 + |k|^2)^q over the mode set, at the grid's q."""
         return (1.0 + self.k_squared) ** self.sobolev_q
-
-    def sobolev_weights(self, q: float) -> np.ndarray:
-        """(1 + |k|^2)^q over the mode set; the grid's own q is built once."""
-        if q == self.sobolev_q:
-            return self._own_sobolev_weights
-        return (1.0 + self.k_squared) ** q
 
 
 @dataclass(eq=False)
@@ -365,7 +360,7 @@ class SpectrumLayout:
             self._fold = self.cut(grid.keep_mask) * (grid.npoints / grid.volume)
             multiplicity = np.full(self.columns, 2.0)
             multiplicity[[0, -1]] = 1.0
-            weights = self.cut(grid.sobolev_weights(grid.sobolev_q)) * multiplicity
+            weights = self.cut(grid.sobolev_weights) * multiplicity
             # each weight twice, for a column's real and imaginary part, over the volume
             self._part_weights = np.repeat(weights, 2, axis=-1) / grid.volume
 
@@ -425,22 +420,18 @@ class SpectrumLayout:
             np.conjugate(tables[src], out=tables[dst])
 
 
-def sobolev_norms(grid: SpectralGrid, values: np.ndarray, q: float | None = None) -> np.ndarray:
-    """H^q norm ((1/V) sum_k (1+|k|^2)^q |f_hat|^2)^(1/2) over the trailing grid.dim axes.
+def sobolev_norms(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
+    """H^q norm ((1/V) sum_k (1+|k|^2)^q |f_hat|^2)^(1/2), at the grid's q, over the trailing grid.dim axes.
 
-    ``values`` is one mode table or a stack of them; ``q`` defaults to the
-    grid's index, and negative values give the dual norm.
+    ``values`` is one mode table or a stack of them.
     """
-    if q is None:
-        q = grid.sobolev_q
-    w = grid.sobolev_weights(q)
     axes = tuple(range(-grid.dim, 0))
-    return np.sqrt(np.sum(w * np.abs(values) ** 2, axis=axes) / grid.volume)
+    return np.sqrt(np.sum(grid.sobolev_weights * np.abs(values) ** 2, axis=axes) / grid.volume)
 
 
-def sobolev_norm(f: ModeArray, q: float | None = None) -> float:
+def sobolev_norm(f: ModeArray) -> float:
     """H^q norm of one field; see :func:`sobolev_norms`."""
-    return float(sobolev_norms(f.grid, f.values, q))
+    return float(sobolev_norms(f.grid, f.values))
 
 
 def evaluate_at(f: ModeArray, x) -> float | complex:
@@ -493,7 +484,10 @@ def gaussian_envelopes(grid: SpectralGrid, centers: np.ndarray, denominators: np
     for axis in range(grid.dim):
         d = (points - centers[:, axis, None] + grid.extent / 2.0) % grid.extent - grid.extent / 2.0
         shape = (-1,) + (1,) * axis + (grid.modes,) + (1,) * (grid.dim - 1 - axis)
-        samples = samples * np.exp(-(d**2) / denominators).reshape(shape)
+        # a denominator near the bottom of the floats sends d^2 / d to inf,
+        # and exp(-inf) = 0 is the envelope's exact value there
+        with np.errstate(over="ignore"):
+            samples = samples * np.exp(-(d**2) / denominators).reshape(shape)
     return samples
 
 

@@ -18,8 +18,14 @@ Two kinds of code live here, outside the package:
   order by order as a jet (jet_order_fields).  Beside them sit the
   per-node solver and diagnostic loops, and the small field helpers
   (to_grid, zero_modes, pointwise_product, hermitian_defect, green_apply,
-  the one-range trapezoid time_integral, ...) that nothing in the package
-  calls.
+  the one-range trapezoid time_integral, the H^q norm at any q, ...) that
+  nothing in the package calls.
+- The paper's bound checks, which no command runs: the first-order bound
+  (first_order_bound), the charge-balance defect (p_residual) and the
+  sampled operator-norm bound (delta_norm_bound_check), with the dual
+  sup norm of psi they share (test_function_sup_norm).  The defect and
+  the sampled tree functional run on the series' stacked suffix sums,
+  each beside the per-node loop that checks it.
 """
 
 import itertools
@@ -35,10 +41,9 @@ from kgcharge.propagation import (
     free_flow,
     suffix_time_integral,
 )
-from kgcharge.series import OrderTooHigh, bracket_ds
 from kgcharge.series import _brackets as brackets
+from kgcharge.series import _kernel_pair, _retarded_table, _suffix_sums, _t0_field, bracket_ds
 from kgcharge.series import _real as real_part
-from kgcharge.series import _test_function_rows as test_function_rows
 from kgcharge.solver import BlowUp, TestFunction, Trajectory, evaluate_test_function, solve_couplings
 from kgcharge.spectral import (
     FieldSnapshot,
@@ -53,6 +58,7 @@ from kgcharge.spectral import (
     dealiased_product,
     grid_values,
     half_spectrum_values,
+    random_band_limited,
     sobolev_norm,
 )
 from kgcharge.trees import (
@@ -67,6 +73,10 @@ from kgcharge.trees import (
     leaf_count,
     to_dyck,
 )
+
+
+class OrderTooHigh(ValueError):
+    """Raised when a tree's order is past what an evaluator or a check supports."""
 
 
 # Field helpers the package does not call.
@@ -108,6 +118,29 @@ def pointwise_product(f: ModeArray, g: ModeArray) -> ModeArray:
         raise GridMismatch("product requires both arrays on one grid")
     real = f.real_field and g.real_field
     return ModeArray(f.grid, dealiased_product(f.grid, f.values, g.values, real), real)
+
+
+def sobolev_norms_at(grid: SpectralGrid, values: np.ndarray, q: float) -> np.ndarray:
+    """H^q norms at any q, with weights (1 + |k|^2)^q of their own; q = -grid.sobolev_q gives the dual norm.
+
+    The package takes its norms at the grid's q only.
+    """
+    axes = tuple(range(-grid.dim, 0))
+    return np.sqrt(np.sum((1.0 + grid.k_squared) ** q * np.abs(values) ** 2, axis=axes) / grid.volume)
+
+
+def _test_function_rows(tf: TestFunction, tgrid: TimeGrid, derivative: int = 0) -> np.ndarray:
+    """psi (or d/dt psi) at every node, stacked, from the closed-form flow."""
+    return free_flow(tf.grid, tf.psi0.values, tf.psi1.values, tgrid.nodes)[derivative]
+
+
+def test_function_sup_norm(tf: TestFunction, tgrid: TimeGrid) -> float:
+    """sup over nodes and derivative order of the H^{-q} norm of psi.
+
+    This is the single sup-in-time dual norm all bound checks use for psi.
+    """
+    q = -tf.grid.sobolev_q
+    return max(float(sobolev_norms_at(tf.grid, _test_function_rows(tf, tgrid, d), q).max()) for d in (0, 1))
 
 
 def random_localized_field(grid: SpectralGrid, rng: np.random.Generator) -> ModeArray:
@@ -362,7 +395,7 @@ def tree_amplitude(
     grid = snap.grid
     upper = tgrid.node_index(snap.time)
     prod = dealiased_product(grid, w1.values, w2.values, w1.real_field and w2.real_field)
-    return pairing_integral(grid, tgrid, prod, test_function_rows(psi, tgrid), upper)
+    return pairing_integral(grid, tgrid, prod, _test_function_rows(psi, tgrid), upper)
 
 
 def _mode_convolution(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -667,6 +700,51 @@ def per_draw_localized_samples(grid, rng):
     return samples
 
 
+# The paper's bound checks, which only the acceptance gate and the tests
+# run: the first-order bound, the charge-balance defect and the sampled
+# operator-norm bound.  The defect and the sampled tree functional run on
+# the package's stacked suffix sums, each beside the per-node loop that
+# checks it; criterion 07 needs the stacked legs, since the per-node ones
+# make O(nnodes^2) green_apply calls.
+
+
+def first_order_bound(
+    coupling: float, s: float, mass: float, c_q: float, phi_e_norm: float, psi_norm: float
+) -> float:
+    """Bound on the residual after the order-1 truncation of the series."""
+    lam = abs(coupling)
+    return (
+        lam**2
+        * (
+            s**2 * c_q**2 / mass * phi_e_norm**3
+            + lam * s**3 * c_q**3 / (3.0 * mass**2) * phi_e_norm**4
+        )
+        * psi_norm
+    )
+
+
+def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
+    """Defect of the integrated charge balance along a computed trajectory.
+
+    B(s) - B(0) + integral over [0, s] of <psi(tau), (box + m^2) phi(tau)>
+    vanishes for linear psi; the equation supplies (box + m^2) phi as
+    -lambda phi^2 (dealiased).  The integral is the bracket at t = 0 of psi
+    with the Duhamel datum of phi^2, row 0 of its suffix sums.  The return
+    value is the absolute defect, limited by solver and quadrature error
+    only.
+    """
+    tgrid = trajectory.tgrid
+    j_s = tgrid.node_index(s)
+    grid = trajectory.grid
+    b_s = bracket_ds(psi, trajectory.node(j_s))
+    b_0 = bracket_ds(psi, trajectory.node(0))
+    phi = trajectory.phi[: j_s + 1]
+    phi_sq = dealiased_product(grid, phi, phi, trajectory.real_field)
+    sums = _suffix_sums(_kernel_pair(grid.omega, tgrid.nodes[: j_s + 1]) * phi_sq, tgrid)
+    integral = brackets(psi, 0.0, _t0_field(sums)[None])[0]
+    return abs(b_s - b_0 - trajectory.coupling * integral)
+
+
 def per_node_p_residual(psi, traj, s):
     """Charge-balance defect with one product and one free-flow call per node."""
     tgrid = traj.tgrid
@@ -685,6 +763,91 @@ def per_node_p_residual(psi, traj, s):
     window = -traj.coupling * samples[: j_s + 1]
     integral = (window.sum() - 0.5 * (window[0] + window[-1])) * tgrid.dt
     return abs(bracket(traj.node(j_s)) - bracket(traj.node(0)) + integral)
+
+
+@dataclass(frozen=True)
+class DeltaNormCheck:
+    """Result of a sampled operator-norm bound check; truthy iff it held."""
+
+    ok: bool
+    ratio: float
+    bound: float
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def delta_norm_bound_check(
+    b: Tree,
+    psi: TestFunction,
+    tgrid: TimeGrid,
+    c_q: float,
+    samples: int = 12,
+    seed: int = 0,
+) -> DeltaNormCheck:
+    """Sampled check of the operator-norm growth bound (C_q M T)^order.
+
+    The tree functional built on psi is multilinear in one field per leaf;
+    we feed it random unit-norm H^q fields at random node times and both
+    kernel derivative orders, and compare the largest |value| / ||psi||
+    ratio against the bound.  A value is the bracket of psi with the
+    tree's t = 0 field.  Orders up to 3; the ratio can only grow with more
+    samples.
+    """
+    order = internal_count(b)
+    if order > 3:
+        raise OrderTooHigh(f"bound check supports order <= 3, got {order}")
+    grid = psi.grid
+    rng = np.random.default_rng(seed)
+    psi_norm = test_function_sup_norm(psi, tgrid)
+    if psi_norm == 0.0:
+        raise ValueError("test function is identically zero")
+    pair = _kernel_pair(grid.omega, tgrid.nodes)
+    ratio = 0.0
+    for _ in range(samples):
+        drawn = []
+        for _ in range(leaf_count(b)):
+            f = random_band_limited(grid, rng)
+            f.values /= sobolev_norm(f)
+            drawn.append((int(rng.integers(0, tgrid.nt + 1)), int(rng.integers(0, 2)), f))
+        _, at_zero, _ = _sampled_legs(b, iter(drawn), grid, tgrid, pair)
+        ratio = max(ratio, abs(brackets(psi, 0.0, at_zero[None])[0]) / psi_norm)
+    m_factor = max(1.0 / grid.mass, 1.0)
+    bound = (c_q * m_factor * tgrid.horizon) ** order
+    return DeltaNormCheck(ratio <= bound, ratio, bound)
+
+
+def _sampled_legs(
+    b: Tree,
+    legs,
+    grid: SpectralGrid,
+    tgrid: TimeGrid,
+    pair: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Rows, t = 0 field (w(0), d/dt w(0)) and support cutoff of one subtree with sampled leaf legs.
+
+    ``pair`` is the kernel pair (sin(tau omega)/omega and cos(tau omega)) of
+    the full spectrum over every node.  A leaf's rows span every node; a
+    subtree's stop at its cutoff, and its t = 0 field is row 0 of its
+    suffix sums.
+    """
+    if b.is_leaf:
+        t_index, order, f = next(legs)
+        c, s_over_w, w_s = flow_multipliers(grid.omega, tgrid.nodes[t_index] - tgrid.nodes)
+        # G0 rows sin((t - tau) omega)/omega f or G1 rows cos((t - tau) omega) f, and their tau derivatives
+        kernel, slope = (s_over_w, -c) if order == 0 else (c, -w_s)
+        rows = kernel * f.values
+        rows[t_index + 1 :] = 0.0
+        return rows, np.stack([rows[0], slope[0] * f.values]), t_index
+    b1, b2 = decompose(b)
+    left, _, u1 = _sampled_legs(b1, legs, grid, tgrid, pair)
+    right, _, u2 = _sampled_legs(b2, legs, grid, tgrid, pair)
+    upper = min(u1, u2)
+    prod = dealiased_product(grid, left[: upper + 1], right[: upper + 1], real=True)
+    kernels = pair[:, : upper + 1]
+    weighted = kernels * prod
+    sums = _suffix_sums(weighted, tgrid)
+    return _retarded_table(kernels, sums, weighted), _t0_field(sums), upper
 
 
 def _per_node_legs(b, legs, tgrid):
@@ -760,7 +923,7 @@ def _full_order_products(snap, tgrid, max_order):
 def full_spectrum_order_amplitudes(psi, snap, tgrid, max_order):
     """Sum of tree amplitudes per order, order 0 first, on the full complex spectrum."""
     upper = tgrid.node_index(snap.time)
-    psi_rows = test_function_rows(psi, tgrid)
+    psi_rows = _test_function_rows(psi, tgrid)
     return [bracket_ds(psi, snap)] + [
         pairing_integral(snap.grid, tgrid, prod, psi_rows, upper)
         for prod in _full_order_products(snap, tgrid, max_order)

@@ -11,15 +11,7 @@ import pytest
 
 from conftest import random_snapshot, random_test_function
 from kgcharge.propagation import TimeGrid
-from kgcharge.series import (
-    bracket_ds,
-    delta_norm_bound_check,
-    first_order_bound,
-    p_residual,
-    readout,
-    series,
-)
-from kgcharge.series import test_function_sup_norm as sup_norm
+from kgcharge.series import bracket_ds, readout, series
 from kgcharge.solver import (
     TestFunction,
     dirac_test_function,
@@ -44,11 +36,15 @@ from kgcharge.trees import (
     leaf_count,
     signed_grow_sum,
 )
+from oracles import test_function_sup_norm as sup_norm
 from oracles import (
     cherry_amplitude,
+    delta_norm_bound_check,
     direct_amplitude,
     field_energy_norm,
+    first_order_bound,
     green_apply,
+    p_residual,
     pair_modes,
     tree_amplitude,
     zero_modes,

@@ -570,6 +570,55 @@ def test_transport_accepts_a_recorded_norm_of_zero(runner, tmp_path):
     assert report["condition_ok"] is True
 
 
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
+@pytest.mark.parametrize("amplitude", [0.0, 1e-200])
+def test_transport_refuses_initial_data_that_vanish(runner, tmp_path, amplitude, force):
+    # the radius bound divides by the slice's H^q norms, which are 0 here,
+    # and at 1e-200 they underflow to 0
+    cfg = run_solved(runner, tmp_path, initial={"amplitude": amplitude})
+    result = runner.invoke(main, ["transport", "--config", str(cfg), *force])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith(f"config field 'initial.amplitude': at amplitude {amplitude!r}")
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+def test_readout_and_sweep_keep_their_answers_on_initial_data_that_vanish(runner, tmp_path):
+    dirac = {"type": "dirac", "width": 0.8, "x0": 3.0}
+    cfg = run_solved(runner, tmp_path, initial={"amplitude": 0.0}, test_function=dirac)
+    assert runner.invoke(main, ["readout", "--config", str(cfg)]).exit_code == 0
+    with open(tmp_path / "run" / "readout.csv", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert float(row["phi_est"]) == float(row["dtphi_est"]) == 0.0
+    cfg = write_config(tmp_path, name="sweep.json", initial={"amplitude": 0.0}, coupling=[0.1, 0.2, 0.4])
+    result = runner.invoke(main, ["sweep", "--config", str(cfg)])
+    assert result.exit_code == 5, result.output
+    assert "residual underflow" in result.output
+
+
+@pytest.mark.parametrize("command", ["transport", "sweep"])
+@pytest.mark.parametrize(
+    "test_function, field",
+    [
+        # the centre 0.5 lies between the grid points 0 and 0.625
+        ({"width": 0.001}, "test_function.width"),
+        ({"width": 1e-160}, "test_function.width"),
+        ({"amplitude": 0.0}, "test_function.amplitude"),
+        ({"type": "low-mode", "amplitude": 0.0}, "test_function.amplitude"),
+    ],
+    ids=["narrow", "tiny", "gaussian-zero", "low-mode-zero"],
+)
+def test_a_test_function_that_vanishes_on_the_grid_exits_2(runner, tmp_path, command, test_function, field):
+    # every residual against a zero psi reads 0 at every order
+    if command == "transport":
+        cfg = run_solved(runner, tmp_path, test_function=test_function)
+    else:
+        cfg = write_config(tmp_path, test_function=test_function, coupling=[0.1, 0.2, 0.4])
+    result = runner.invoke(main, [command, "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith(f"config field '{field}': ")
+    assert not (tmp_path / "run" / ("report.json" if command == "transport" else "sweep_slopes.csv")).exists()
+
+
 def test_transport_reports_the_bounds_of_its_slice(runner, tmp_path):
     cfg = run_solved(runner, tmp_path, time={"s": 0.2})
     assert runner.invoke(main, ["transport", "--config", str(cfg)]).exit_code == 0

@@ -16,39 +16,40 @@ import pytest
 from conftest import random_snapshot, random_test_function, stacked_trajectory
 from kgcharge.propagation import TimeGrid
 from kgcharge.series import (
-    DeltaNormCheck,
-    OrderTooHigh,
     bracket_ds,
     convergence_condition,
-    delta_norm_bound_check,
-    first_order_bound,
-    p_residual,
     radius_bound,
     readout,
     series,
     series_couplings,
 )
 from kgcharge.series import _order_fields as order_fields
-from kgcharge.series import _test_function_rows as psi_node_rows
-from kgcharge.series import test_function_sup_norm as sup_norm
 from kgcharge.solver import TestFunction, evaluate_test_function, gaussian_field, solve, solve_couplings
 from kgcharge.spectral import FieldSnapshot, ModeArray, SpectralGrid, random_band_limited, sobolev_norm
 from kgcharge.trees import enumerate_trees, from_dyck, graft, leaf, leaf_count
+from oracles import _test_function_rows as psi_node_rows
+from oracles import test_function_sup_norm as sup_norm
 from oracles import (
     AmplitudeCache,
+    DeltaNormCheck,
+    OrderTooHigh,
     all_rows_order_amplitudes,
     catalan,
     cauchy_order_fields,
     cauchy_order_sums,
     charges_at_zero,
     cherry_amplitude,
+    delta_norm_bound_check,
     direct_amplitude,
+    first_order_bound,
     free_mode_evolution,
     full_spectrum_order_amplitudes,
     jet_order_fields,
     leaf_table,
+    p_residual,
     per_node_p_residual,
     per_node_sampled_value,
+    sobolev_norms_at,
     tree_amplitude,
     zero_modes,
 )
@@ -160,6 +161,15 @@ TEST_ONLY_NAMES = (
     "_retarded_integral",
     "acceleration",
     "time_integral",
+    "DeltaNormCheck",
+    "OrderTooHigh",
+    "delta_norm_bound_check",
+    "_sampled_legs",
+    "first_order_bound",
+    "p_residual",
+    "test_function_sup_norm",
+    "_test_function_rows",
+    "energy",
 )
 
 
@@ -508,6 +518,14 @@ def test_radius_bound_formula(setting, grid):
     assert radius_bound(snap, window, c_q) == pytest.approx(expected, rel=1e-12)
 
 
+def test_radius_bound_refuses_a_slice_whose_norms_vanish(grid):
+    zero = FieldSnapshot(0.4, zero_modes(grid), zero_modes(grid))
+    with pytest.raises(ValueError, match="norms are both 0"):
+        radius_bound(zero, 0.4, 0.5)
+    with pytest.raises(ValueError, match="c_q must be positive"):
+        radius_bound(zero, 0.4, 0.0)
+
+
 def test_convergence_condition_brackets():
     assert convergence_condition(0.0, 0.5, 1.0, 0.5, 1.0)
     assert not convergence_condition(10.0, 0.5, 1.0, 0.5, 1.0)
@@ -591,7 +609,7 @@ def test_sup_norm_dominates_the_initial_slice(grid, tgrid, rng):
     psi = random_test_function(grid, rng)
     sup = sup_norm(psi, tgrid)
     at0 = evaluate_test_function(psi, 0.0)
-    assert sup >= sobolev_norm(at0.phi, -grid.sobolev_q) - 1e-12
+    assert sup >= float(sobolev_norms_at(grid, at0.phi.values, -grid.sobolev_q)) - 1e-12
 
 
 def test_readout_recovers_the_free_field(grid):

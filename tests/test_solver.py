@@ -14,7 +14,6 @@ from kgcharge.solver import (
     Trajectory,
     WidthTooSmall,
     dirac_test_function,
-    energy,
     evaluate_test_function,
     gaussian_field,
     node_energies,
@@ -78,7 +77,7 @@ def test_energy_is_conserved(small_grid):
     tg = TimeGrid(horizon=1.0, nt=256)
     for coupling, tol in ((0.0, 1e-10), (0.2, 1e-6)):
         traj = solve(gaussian_data(small_grid), coupling, tg)
-        energies = [energy(traj.node(j), coupling) for j in range(tg.nnodes)]
+        energies = node_energies(traj)
         drift = max(abs(e - energies[0]) for e in energies)
         assert drift <= tol
 
@@ -127,7 +126,6 @@ def test_stacked_node_diagnostics_match_the_per_node_loops(grid, coupling, rng):
         nodes = [traj.node(j) for j in range(tg.nnodes)]
         literal = [node_energy(snap, traj.coupling) for snap in nodes]
         assert node_energies(traj).tolist() == literal
-        assert [energy(snap, traj.coupling) for snap in nodes] == literal
 
 
 # Couplings for the stacked solves: zero (no kick), a negative and a large one
@@ -408,7 +406,19 @@ def test_energy_closed_form_single_mode(small_grid):
     phi = to_modes(small_grid, a * np.cos(k1 * small_grid.axis_points))
     snap = FieldSnapshot(0.0, phi, zero_modes(small_grid))
     expected = (small_grid.mass**2 + k1**2) * a**2 * small_grid.volume / 4.0
-    assert energy(snap, 0.0) == pytest.approx(expected, rel=1e-12)
+    # a trajectory whose every node holds that snapshot
+    tg = TimeGrid(horizon=0.5, nt=2)
+    traj = stacked_trajectory(tg, [snap] * tg.nnodes, 0.0)
+    assert node_energies(traj) == pytest.approx([expected] * tg.nnodes, rel=1e-12)
+
+
+def test_a_gaussian_far_below_the_spacing_is_exact_without_a_warning(small_grid):
+    # 2 w^2 = 2e-320 sends d^2 / (2 w^2) to inf off the centre, and
+    # exp(-inf) = 0; the suite turns a RuntimeWarning into an error
+    between = gaussian_field(small_grid, 1.0, 1e-160, 0.5 * small_grid.spacing)
+    assert not between.values.any()
+    on_a_point = to_grid(gaussian_field(small_grid, 1.0, 1e-160, small_grid.spacing))
+    np.testing.assert_allclose(on_a_point, np.eye(small_grid.modes)[1], atol=1e-12)
 
 
 def test_acceleration_single_mode(small_grid):

@@ -31,6 +31,7 @@ from oracles import (
     pointwise_product,
     random_localized_field,
     signed_mode_index,
+    sobolev_norms_at,
     to_grid,
     zero_modes,
 )
@@ -100,7 +101,7 @@ def test_grid_accepts_the_extremes_whose_squares_and_arrays_fit():
     assert SpectralGrid(extent=1e154).volume ** 2 > 1e307
     assert SpectralGrid(dim=2, extent=1e77, modes=8, sobolev_q=2).volume ** 2 > 1e307
     # (1 + |k|**2)**153 at the desk grid's highest mode is about 2e307
-    assert np.isfinite(SpectralGrid(sobolev_q=153).sobolev_weights(153)).all()
+    assert np.isfinite(SpectralGrid(sobolev_q=153).sobolev_weights).all()
     assert SpectralGrid(modes=2**58).npoints * 16 <= np.iinfo(np.intp).max
 
 
@@ -148,25 +149,21 @@ def test_pair_modes_is_the_space_integral(small_grid, rng):
 
 
 def test_sobolev_norm_closed_form(small_grid):
-    x = small_grid.axis_points
-    k1 = 4.0 * np.pi / small_grid.extent
-    f = to_modes(small_grid, np.cos(k1 * x))
-    # ||cos(k x)||_{H^q}^2 = (1 + k^2)^q V / 2
-    for q, weight in ((0, 1.0), (1, 1.0 + k1**2), (-1, 1.0 / (1.0 + k1**2))):
-        expected = np.sqrt(weight**q if q >= 0 else weight) * np.sqrt(
-            small_grid.volume / 2.0
-        )
-        assert sobolev_norm(f, q) == pytest.approx(expected, rel=1e-12)
-
-
-def test_sobolev_norm_defaults_to_the_grid_index(small_grid, rng):
-    f = random_band_limited(small_grid, rng)
-    assert sobolev_norm(f) == sobolev_norm(f, small_grid.sobolev_q)
+    # the norm at the grid's q: small_grid's q = 1, and the same box at q = 2
+    for grid in (small_grid, SpectralGrid(dim=1, extent=small_grid.extent, modes=small_grid.modes, sobolev_q=2)):
+        x = grid.axis_points
+        k1 = 4.0 * np.pi / grid.extent
+        f = to_modes(grid, np.cos(k1 * x))
+        # ||cos(k x)||_{H^q}^2 = (1 + k^2)^q V / 2
+        expected = np.sqrt((1.0 + k1**2) ** grid.sobolev_q) * np.sqrt(grid.volume / 2.0)
+        assert sobolev_norm(f) == pytest.approx(expected, rel=1e-12)
 
 
 def test_dual_norm_is_weaker(small_grid, rng):
     f = random_band_limited(small_grid, rng)
-    assert sobolev_norm(f, -1) <= sobolev_norm(f, 0) <= sobolev_norm(f, 1)
+    assert small_grid.sobolev_q == 1
+    dual, plain = (float(sobolev_norms_at(small_grid, f.values, q)) for q in (-1, 0))
+    assert dual <= plain <= sobolev_norm(f)
 
 
 def test_pointwise_product_matches_folded_convolution(small_grid, rng):

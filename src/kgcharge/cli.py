@@ -14,6 +14,7 @@ whose m**2 or L**dim overflows, whose m**2 underflows to 0 or whose
 m**2 + |k|**2 overflows among them; also arrays too large for memory, with
 numpy's size and the fields that set it, grid.Nx, grid.dim and time.nt;
 also a Gaussian width whose 2 * width**2 is not a finite float above 0,
+or a dirac width whose (width * sqrt(2 pi))**dim is not,
 an out or enumerate --out that cannot be written (the OS error quoted),
 for transport and sweep a test function 0 at every mode (naming
 test_function.amplitude when it is 0, test_function.width otherwise),
@@ -52,7 +53,7 @@ from .series import bracket_ds, convergence_condition, radius_bound
 from .series import readout as readout_series
 from .series import series as run_series
 from .series import series_couplings
-from .solver import BlowUp, TestFunction, dirac_test_function, gaussian_denominator, gaussian_field
+from .solver import BlowUp, TestFunction, dirac_denominator, dirac_test_function, gaussian_denominator, gaussian_field
 from .solver import node_energies, solve_couplings
 from .solver import solve as solve_pde
 from .spectral import (
@@ -265,6 +266,10 @@ def _load_config(path: str, **options) -> Config:
             raise ConfigError(
                 "test_function.width", f"width {tf['width']} is below the grid spacing {grid.spacing}"
             )
+        try:
+            dirac_denominator(tf["width"], grid.dim)
+        except ValueError as exc:
+            raise ConfigError("test_function.width", str(exc)) from None
     return Config(grid, tgrid, s, data["coupling"], initial, tf, data["max_order"], data["seed"], data["out"])
 
 

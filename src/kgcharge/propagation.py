@@ -11,7 +11,9 @@ as green_apply).  flow_multipliers is the one closed form of
 the free evolution; free_flow applies it to a single snapshot or a whole
 stack of node lags, and callers that flow by the same lags many times build
 the multipliers once: the solver per solve, the series once per slice time
-s, shared by every slice at s.
+s, shared by every slice at s.  The flow acts mode by mode, so it needs to
+know nothing of the tables it moves: free_evolve flows a snapshot's tables
+as they are.
 
 Time integrals throughout the package use one composite trapezoid rule on
 the uniform node set of a :class:`TimeGrid`, formed by one function:
@@ -100,12 +102,7 @@ def free_evolve(snap: FieldSnapshot, dt: float) -> FieldSnapshot:
     """Exact linear evolution by dt (negative dt evolves backward)."""
     grid = snap.grid
     phi, pi = free_flow(grid, snap.phi.values, snap.pi.values, dt)
-    real = snap.phi.real_field and snap.pi.real_field
-    return FieldSnapshot(
-        snap.time + dt,
-        ModeArray(grid, phi, real),
-        ModeArray(grid, pi, real),
-    )
+    return FieldSnapshot(snap.time + dt, ModeArray(grid, phi), ModeArray(grid, pi))
 
 
 def suffix_time_integral(samples: np.ndarray, tgrid: TimeGrid, upper: int, out: np.ndarray | None = None) -> np.ndarray:

@@ -43,8 +43,7 @@ its mode table is zero outside the kept band and Hermitian.  The recursion
 keeps its mode tables on the band's half of the real half spectrum
 (spectral.band_modes / band_values), and W_0 comes from the slice's
 N/2 + 1-column half spectrum.  The t = 0 fields are filled to full real
-fields (SpectrumLayout.fill) before they are paired.  Only slice data
-flagged real are accepted.
+fields (SpectrumLayout.fill) before they are paired.
 
 Each order is one pass.  Its products are summed in place in point space;
 the band's sin(tau omega)/omega and cos(tau omega) are stacked as one
@@ -79,6 +78,8 @@ tables memoized by Dyck word, a literal nested-loop evaluator, the
 full-spectrum recursion with psi paired at every node, and two witnesses
 of the Taylor identity, the Cauchy integral of the backward flow over a
 circle of complex couplings and that flow stepped order by order (a jet).
+The package steps real couplings only, so the Cauchy witness steps on the
+full complex spectrum that tests/oracles.py keeps for it.
 
 All time integrals restrict their trapezoid weights to the nodes inside the
 integrand's support (the step cutoffs of the retarded kernels), so results
@@ -236,13 +237,11 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
     their row 0 is the order's t = 0 field, and the retarded table is
     formed only for orders that a higher order reads.
     """
-    if not all(snap.phi.real_field and snap.pi.real_field for snap in slices):
-        raise ValueError("the tree series needs real slice data: phi and pi must be flagged real fields")
     if len({snap.time for snap in slices}) != 1:
         raise ValueError("the order recursion needs every slice at one time s")
     grid, s = slices[0].grid, slices[0].time
     upper = tgrid.node_index(s)
-    layout = SpectrumLayout(grid, True)
+    layout = SpectrumLayout(grid)
     nodes = tgrid.nodes[: upper + 1]
     c, s_over_w = flow_multipliers(layout.omega, nodes - s)[:2]
     to_zero = flow_multipliers(layout.omega, -s)

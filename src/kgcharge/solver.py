@@ -25,23 +25,22 @@ the norm that feeds the convergence condition.  A blow-up names the same
 node and coupling as a check at every node would, but up to BLOCK - 1 steps
 may run past it before its block ends; those steps may overflow, which only
 turns the norms NaN and so crosses the ceiling too.  The node energies that
-solve records square the whole stack of node fields in one product, on the
-complex pair.
+solve records square the whole stack of node fields in one product on the
+full spectrum.
 
-The loop steps in one of two mode layouts (spectral.SpectrumLayout), chosen
-once per solve: the real one when the data are flagged real and every
-coupling is real, since a complex coupling kicks real data off the reals.
-Real fields keep the ``rfftn`` half spectrum, the last axis' j =
-0..modes/2: their square goes through ``irfft``/``rfft``, their norms weigh
+phi is real and so is every coupling, which solve_couplings checks: a
+complex coupling would kick the data off the reals.  The loop steps on the
+``rfftn`` half spectrum (spectral.SpectrumLayout), the last axis' j =
+0..modes/2: the square goes through ``irfft``/``rfft``, the norms weigh
 each kept column by its multiplicity in the full spectrum, and after the
-loop every node's other half is filled by conjugation.  Complex-flagged
-data keep the full spectrum and the complex pair.  Both run the same loop:
-one buffer holds phi and pi of every row at a node, the free flow is one
-product with the pair (phi, pi) and one with the pair swapped, and a step's
-closing half kick is the next step's opening one.
+loop every node's other half is filled by conjugation.  One buffer holds
+phi and pi of every row at a node, the free flow is one product with the
+pair (phi, pi) and one with the pair swapped, and a step's closing half
+kick is the next step's opening one.  tests/oracles.py keeps the same step
+on the full complex spectrum, for couplings off the real axis.
 
 A trajectory is the Cauchy data at every node as two stacked mode tables,
-phi and pi, each of shape (nnodes, *grid.shape), with one real-field flag;
+phi and pi, each of shape (nnodes, *grid.shape);
 ``Trajectory.node`` views one row as a FieldSnapshot.  The solver writes
 each block of nodes into one preallocated table per field and hands each
 coupling its row of the tables; node 0 is the initial data as given.
@@ -98,7 +97,6 @@ class Trajectory:
 
     ``phi`` and ``pi`` hold the complex modes of every node, shape
     ``(tgrid.nnodes, *grid.shape)``; row j is the data at ``tgrid.nodes[j]``.
-    ``real_field`` flags both tables as real fields, at every node.
     """
 
     tgrid: TimeGrid
@@ -106,7 +104,6 @@ class Trajectory:
     phi: np.ndarray
     pi: np.ndarray
     coupling: float
-    real_field: bool = True
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -121,8 +118,8 @@ class Trajectory:
         """The data at node j, as views of row j of the tables."""
         return FieldSnapshot(
             float(self.tgrid.nodes[j]),
-            ModeArray(self.grid, self.phi[j], self.real_field),
-            ModeArray(self.grid, self.pi[j], self.real_field),
+            ModeArray(self.grid, self.phi[j]),
+            ModeArray(self.grid, self.pi[j]),
         )
 
 
@@ -181,10 +178,8 @@ def solve_couplings(
     every node would stop at, and carries the coupling of the first row that
     crosses there.
 
-    Every trajectory carries one real-field flag, set when the initial phi
-    and pi both are real fields and every coupling is real; node 0 reports
-    that flag too, and every square, the first kick's as well, is taken as
-    that flag says.
+    ValueError when a coupling is not a real number: a complex one would
+    kick the real data off the reals.
     """
     if initial.time != 0.0:
         raise ValueError(f"initial snapshot must be at t=0, got t={initial.time}")
@@ -194,10 +189,9 @@ def solve_couplings(
     rows = len(couplings)
     if not rows:
         raise ValueError("solve_couplings needs at least one coupling")
-    # a complex coupling makes real data complex after the first kick
-    real = initial.phi.real_field and initial.pi.real_field and bool(np.isreal(couplings).all())
-    # real fields step on the rfftn half spectrum, complex ones on all of it
-    layout = SpectrumLayout(grid, real)
+    if np.iscomplexobj(couplings):
+        raise ValueError(f"couplings must be real numbers, got {couplings}")
+    layout = SpectrumLayout(grid)
     lead = (-1,) + (1,) * grid.dim
     kicks = np.array([dt / 2.0 * c for c in couplings]).reshape(lead)
     # one more axis, for the nodes of a block
@@ -272,7 +266,6 @@ def solve_couplings(
             tables[0, r],
             tables[1, r],
             couplings[r],
-            real,
             {"scheme": "strang", "dt": dt, "norm_ceiling": norm_ceiling, "phi_e_norm": float(peak[r])},
         )
         for r in range(rows)
@@ -292,6 +285,16 @@ def gaussian_denominator(width: float) -> float:
         denominator = np.inf
     if not 0.0 < denominator < np.inf:
         raise ValueError(f"width must be positive and 2 * width**2 a finite float above 0, got {width}")
+    return denominator
+
+
+def dirac_denominator(width: float, dim: int) -> float:
+    """(w sqrt(2 pi))^dim, a dim-dimensional Gaussian's integral over its peak; ValueError unless a finite float above 0."""
+    # numpy's power overflows to inf with a warning, where a float's raises
+    with np.errstate(over="ignore"):
+        denominator = (width * np.sqrt(2.0 * np.pi)) ** dim
+    if not 0.0 < denominator < np.inf:
+        raise ValueError(f"(width * sqrt(2 pi))**dim must be a finite float above 0, got width {width} with dim {dim}")
     return denominator
 
 
@@ -320,8 +323,7 @@ def dirac_test_function(
         raise WidthTooSmall(
             f"width {width} below grid spacing {grid.spacing}; bump would be unresolved"
         )
-    norm = 1.0 / (width * np.sqrt(2.0 * np.pi)) ** grid.dim
-    g = gaussian_field(grid, norm, width, x0)
+    g = gaussian_field(grid, 1.0 / dirac_denominator(width, grid.dim), width, x0)
     zero = ModeArray(grid, np.zeros(grid.shape, dtype=complex))
     if which == "velocity":
         return TestFunction(zero, g)
@@ -340,7 +342,7 @@ def node_energies(traj: Trajectory) -> np.ndarray:
     quad = 0.5 * (np.abs(pi) ** 2 + (grid.mass**2 + grid.k_squared) * np.abs(phi) ** 2)
     total = np.sum(quad.reshape(n, -1), axis=1) / grid.volume
     if coupling != 0.0:
-        phi_sq = dealiased_product(grid, phi, phi, traj.real_field)
+        phi_sq = dealiased_product(grid, phi, phi)
         # np.vdot(phi, phi^2) of every row, batched: BLAS sums it in the same order
         pairs = np.matmul(np.conj(phi).reshape(n, 1, -1), phi_sq.reshape(n, -1, 1))[:, 0, 0]
         total = total + coupling / 3.0 * (pairs / grid.volume).real

@@ -12,23 +12,25 @@ with V the box volume, so Plancherel reads
 fields and the weighted mode sums below are direct discretizations of the
 Sobolev norms of weak solutions.
 
+Every field is real: the paper's phi is a real scalar field, and a mode
+table holds the Hermitian spectrum of real point values.
+
 Quadratic products are evaluated on the grid and then truncated to the band
 ``|j| <= (modes - 1) // 3`` per axis (the two-thirds rule).  For inputs that
 are band limited to that band the truncated product is exactly alias free.
-This is the package's one product: ``grid_values`` and ``dealiased_modes``
-transform over the trailing ``dim`` axes of a stack of mode tables, and
-``dealiased_product`` composes them.  The node energies, the ``c_q``
-estimate and complex-flagged solves use it.
+On full-spectrum tables ``grid_values`` and ``dealiased_modes`` transform
+over the trailing ``dim`` axes of a stack of mode tables, and
+``dealiased_product`` composes them; the node energies and the ``c_q``
+estimate use it.
 
 A real field's modes at -k are the conjugates of those at k, so the solver
-steps real fields on the half spectrum of ``rfftn``: the last axis keeps
-j = 0..modes/2 (65 of 128 columns on a 128-mode line).  ``SpectrumLayout``
-holds what a layout needs, chosen once from the real-field flag: the kept
-columns, the square on them (``irfft``/``rfft`` with the transform scales
-and the 2/3 mask as one multiplier), H^q norms that weigh each kept column
-by how often it occurs in the full spectrum, and the fill that rebuilds
-the other half of full tables by conjugation.  Its complex layout is the
-full spectrum with ``dealiased_product`` and ``sobolev_norms``, unchanged.
+steps on the half spectrum of ``rfftn``: the last axis keeps j =
+0..modes/2 (65 of 128 columns on a 128-mode line).  ``SpectrumLayout``
+holds what that layout needs: the kept columns, the square on them
+(``irfft``/``rfft`` with the transform scales and the 2/3 mask as one
+multiplier), H^q norms that weigh each kept column by how often it occurs
+in the full spectrum, and the fill that rebuilds the other half of full
+tables by conjugation.
 
 A dealiased product of real fields is zero outside the kept band and
 Hermitian, so it is fully described by the band's half: ``|j| <= K`` on the
@@ -217,18 +219,15 @@ class SpectralGrid:
 
 @dataclass(eq=False)
 class ModeArray:
-    """Complex Fourier coefficients of one scalar field on a grid.
+    """Complex Fourier coefficients of one real scalar field on a grid.
 
-    ``real_field`` records that the array represents a real field, i.e. it
-    is Hermitian symmetric (value at -k equals the conjugate of the value at
-    k).  The flag is set by :func:`to_modes` and preserved by every
-    real-field operation.  The tests measure how well an array actually
-    satisfies the symmetry (``hermitian_defect`` in tests/oracles.py).
+    The values are Hermitian symmetric: the value at -k is the conjugate of
+    the value at k.  The tests measure how well an array actually satisfies
+    the symmetry (``hermitian_defect`` in tests/oracles.py).
     """
 
     grid: SpectralGrid
     values: np.ndarray
-    real_field: bool = True
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=complex)
@@ -239,7 +238,7 @@ class ModeArray:
         self.values = values
 
     def copy(self) -> "ModeArray":
-        return ModeArray(self.grid, self.values.copy(), self.real_field)
+        return ModeArray(self.grid, self.values.copy())
 
 
 @dataclass(eq=False)
@@ -270,15 +269,14 @@ def to_modes(grid: SpectralGrid, samples: np.ndarray) -> ModeArray:
             f"sample array shape {samples.shape} does not match grid shape {grid.shape}"
         )
     values = np.fft.fftn(samples) * (grid.volume / grid.npoints)
-    return ModeArray(grid, values, real_field=True)
+    return ModeArray(grid, values)
 
 
-def grid_values(grid: SpectralGrid, values: np.ndarray, real: bool) -> np.ndarray:
-    """Inverse transform over the trailing grid.dim axes; real part only for real fields."""
+def grid_values(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
+    """Real point values of full-spectrum mode tables: the inverse transform over the trailing grid.dim axes."""
     # Passing s along with axes keeps numpy on its fast path for one field.
     axes = tuple(range(-grid.dim, 0))
-    out = np.fft.ifftn(values, s=grid.shape, axes=axes) * (grid.npoints / grid.volume)
-    return out.real if real else out
+    return (np.fft.ifftn(values, s=grid.shape, axes=axes) * (grid.npoints / grid.volume)).real
 
 
 def dealiased_modes(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
@@ -319,23 +317,20 @@ def half_spectrum_values(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
     return np.fft.irfftn(half, s=grid.shape, axes=axes) * (grid.npoints / grid.volume)
 
 
-def dealiased_product(grid: SpectralGrid, a: np.ndarray, b: np.ndarray, real: bool = True) -> np.ndarray:
-    """Dealiased pointwise products of two stacks of mode tables, row by row.
+def dealiased_product(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dealiased pointwise products of two stacks of full-spectrum mode tables, row by row.
 
     A square (``b is a``) transforms its one factor once.
     """
-    x = grid_values(grid, a, real)
-    y = x if b is a else grid_values(grid, b, real)
+    x = grid_values(grid, a)
+    y = x if b is a else grid_values(grid, b)
     return dealiased_modes(grid, x * y)
 
 
 class SpectrumLayout:
-    """The mode columns a stepper keeps of each field, with the square and the norms on them.
+    """The ``rfftn`` half spectrum a stepper keeps of each field, with the square and the norms on it.
 
-    Chosen once from a real-field flag.  Complex fields keep the full
-    spectrum: ``square`` is :func:`dealiased_product` and ``norms`` is
-    :func:`sobolev_norms`, to the bit.  Real fields keep the ``rfftn`` half
-    spectrum, the last axis' j = 0..modes/2:
+    A real field is described by the last axis' j = 0..modes/2:
 
     - ``square`` goes through ``irfftn``/``rfftn`` (``irfft``/``rfft`` on a
       1-D grid, one call each) and takes both transform scales and the 2/3
@@ -349,36 +344,28 @@ class SpectrumLayout:
     gives the dispersion relation on them.
     """
 
-    def __init__(self, grid: SpectralGrid, real: bool):
+    def __init__(self, grid: SpectralGrid):
         self.grid = grid
-        self.real = real
-        self.columns = grid.half_shape[-1] if real else grid.modes
-        self.shape = grid.shape[:-1] + (self.columns,)
+        self.shape = grid.half_shape
+        self.columns = self.shape[-1]
         self.omega = self.cut(grid.omega)
         self._axes = tuple(range(-grid.dim, 0))
-        if real:
-            self._fold = self.cut(grid.keep_mask) * (grid.npoints / grid.volume)
-            multiplicity = np.full(self.columns, 2.0)
-            multiplicity[[0, -1]] = 1.0
-            weights = self.cut(grid.sobolev_weights) * multiplicity
-            # each weight twice, for a column's real and imaginary part, over the volume
-            self._part_weights = np.repeat(weights, 2, axis=-1) / grid.volume
+        self._fold = self.cut(grid.keep_mask) * (grid.npoints / grid.volume)
+        multiplicity = np.full(self.columns, 2.0)
+        multiplicity[[0, -1]] = 1.0
+        weights = self.cut(grid.sobolev_weights) * multiplicity
+        # each weight twice, for a column's real and imaginary part, over the volume
+        self._part_weights = np.repeat(weights, 2, axis=-1) / grid.volume
 
     def cut(self, values: np.ndarray) -> np.ndarray:
         """A view of the kept columns of full-spectrum tables."""
         return values[..., : self.columns]
 
     def square(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Dealiased squares of a stack of tables in this layout, taken as the layout's flag says.
+        """Dealiased squares of a stack of tables in this layout.
 
         ``out``, when given, receives the squares and is returned.
         """
-        if not self.real:
-            sq = dealiased_product(self.grid, values, values, False)
-            if out is None:
-                return sq
-            out[...] = sq
-            return out
         grid = self.grid
         if grid.dim == 1:
             x = np.fft.irfft(values, grid.modes)
@@ -389,28 +376,22 @@ class SpectrumLayout:
     def norms(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """H^q norms, at the grid's q, of a stack of tables in this layout.
 
-        The last axis must be contiguous: the half layout weighs the squares
-        of the real and imaginary parts as one float array.  ``overwrite``
-        lets it form them in place of ``values``, whose entries are then
-        lost.
+        The last axis must be contiguous: the squares of the real and
+        imaginary parts are weighed as one float array.  ``overwrite`` lets
+        them be formed in place of ``values``, whose entries are then lost.
         """
-        if not self.real:
-            return sobolev_norms(self.grid, values)
         parts = values.view(float)
         weighted = np.multiply(parts, parts, out=parts if overwrite else None)
         weighted *= self._part_weights
         return np.sqrt(np.add.reduce(weighted, axis=self._axes))
 
     def fill(self, tables: np.ndarray) -> None:
-        """Complete real fields' full-spectrum tables from the half this layout keeps.
+        """Complete full-spectrum tables from the half this layout keeps.
 
         Column j > modes/2 of the last axis becomes the conjugate of column
         modes - j at the mirrored index -i mod modes of every leading axis.
-        Writes over ``tables`` in place; complex layouts keep every column
-        and leave it as it is.
+        Writes over ``tables`` in place.
         """
-        if not self.real:
-            return
         n = self.grid.modes
         # on a leading axis, index 0 is its own mirror and 1..n-1 reverse
         pieces = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
@@ -434,7 +415,7 @@ def sobolev_norm(f: ModeArray) -> float:
     return float(sobolev_norms(f.grid, f.values))
 
 
-def evaluate_at(f: ModeArray, x) -> float | complex:
+def evaluate_at(f: ModeArray, x) -> float:
     """Evaluate the band-limited field at an arbitrary point by mode summation.
 
     A scalar x stands for the diagonal point (x, ..., x).
@@ -450,10 +431,7 @@ def evaluate_at(f: ModeArray, x) -> float | complex:
         shape = [1] * grid.dim
         shape[axis] = grid.modes
         phase = phase + grid.axis_wavenumbers.reshape(shape) * x[axis]
-    value = np.sum(f.values * np.exp(1j * phase)) / grid.volume
-    if f.real_field:
-        return float(value.real)
-    return complex(value)
+    return float((np.sum(f.values * np.exp(1j * phase)) / grid.volume).real)
 
 
 def random_band_limited(

@@ -5,18 +5,18 @@ uncompressed ``np.savez`` archive of three arrays: ``times`` (float64, the
 time grid's nodes) and the trajectory's ``phi`` and ``pi`` tables
 (complex128, shape ``(nnodes, *grid.shape)``), written and read as they
 are, so every grid dimension uses one format and the values round-trip bit
-for bit.  ``manifest.json`` describes the run: grid, time grid, coupling,
-the trajectory's real-field flag, the trajectory's ``meta`` under
-``solver`` (the CLI's solve adds the sampled algebra constant ``c_q``
-beside the solver's ``phi_e_norm``) and whatever the caller adds.  A
-complex coupling is written as ``{"real": ..., "imag": ...}``; a manifest
-without ``real_field``, as every kgcharge before the flag was recorded
-wrote, reads as real.  The archive's zip entries carry a fixed timestamp,
-so writing the same trajectory again produces the same bytes.  Reading
-checks the archive against its manifest: a manifest without a well-formed
-grid, time grid or coupling, arrays of the wrong shape or dtype, ``times``
-that are not the manifest's nodes, a ``real_field`` that is not a boolean,
-or non-finite field values raise ValueError.
+for bit.  ``manifest.json`` describes the run: grid, time grid, the real
+coupling, the trajectory's ``meta`` under ``solver`` (the CLI's solve adds
+the sampled algebra constant ``c_q`` beside the solver's ``phi_e_norm``)
+and whatever the caller adds.  The archive's zip entries carry a fixed
+timestamp, so writing the same trajectory again produces the same bytes.
+Reading checks the archive against its manifest: a manifest without a
+well-formed grid, time grid or coupling, a coupling that is not a real
+number, arrays of the wrong shape or dtype, ``times`` that are not the
+manifest's nodes, or non-finite field values raise ValueError.  Every
+trajectory is a real field: a manifest of an older kgcharge that flags its
+fields real still reads, and one that flags them otherwise raises
+ValueError.
 
 A report JSON holds the series report's fields and the convergence bounds
 its caller computed beside the series (transport gives ``radius_bound``,
@@ -49,18 +49,6 @@ def format_float(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _coupling_to_json(coupling):
-    if isinstance(coupling, complex):
-        return {"real": coupling.real, "imag": coupling.imag}
-    return coupling
-
-
-def _coupling_from_json(value):
-    if isinstance(value, dict):
-        return complex(value["real"], value["imag"])
-    return value
-
-
 def write_trajectory(directory, traj: Trajectory, manifest_extra: dict | None = None) -> None:
     """One array archive of every node plus a JSON manifest describing the run."""
     directory = Path(directory)
@@ -76,8 +64,7 @@ def write_trajectory(directory, traj: Trajectory, manifest_extra: dict | None = 
             "sobolev_q": grid.sobolev_q,
         },
         "time": {"horizon": traj.tgrid.horizon, "nt": traj.tgrid.nt},
-        "coupling": _coupling_to_json(traj.coupling),
-        "real_field": traj.real_field,
+        "coupling": traj.coupling,
         "solver": dict(traj.meta),
     }
     if manifest_extra:
@@ -99,12 +86,13 @@ def read_trajectory(directory) -> Trajectory:
     try:
         grid = SpectralGrid(**manifest["grid"])
         tgrid = TimeGrid(manifest["time"]["horizon"], manifest["time"]["nt"])
-        coupling = _coupling_from_json(manifest["coupling"])
+        coupling = manifest["coupling"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{MANIFEST_FILE} gives no grid, time grid and coupling ({exc!r})") from exc
-    real = manifest.get("real_field", True)
-    if not isinstance(real, bool):
-        raise ValueError(f"{MANIFEST_FILE} gives real_field {real!r}, not true or false")
+    if not isinstance(coupling, (int, float)) or isinstance(coupling, bool):
+        raise ValueError(f"{MANIFEST_FILE} gives coupling {coupling!r}, not a real number")
+    if manifest.get("real_field", True) is not True:
+        raise ValueError(f"{MANIFEST_FILE} gives real_field {manifest['real_field']!r}; kgcharge stores real fields only")
     with np.load(directory / TRAJECTORY_FILE, allow_pickle=False) as data:
         missing = {"times", "phi", "pi"} - set(data.files)
         if missing:
@@ -116,7 +104,7 @@ def read_trajectory(directory) -> Trajectory:
             "the format needs float64 and complex128"
         )
     # raises SizeMismatch, a ValueError, unless phi and pi fit the manifest
-    traj = Trajectory(tgrid, grid, phi, pi, coupling, real, manifest.get("solver", {}))
+    traj = Trajectory(tgrid, grid, phi, pi, coupling, manifest.get("solver", {}))
     if times.shape != tgrid.nodes.shape or not np.all(np.abs(times - tgrid.nodes) <= tgrid.tolerance):
         raise ValueError(f"{TRAJECTORY_FILE} times are not the nodes of {tgrid}")
     if not (np.isfinite(phi).all() and np.isfinite(pi).all()):

@@ -41,7 +41,6 @@ def stacked_trajectory(tgrid, nodes, coupling):
         np.stack([snap.phi.values for snap in nodes]),
         np.stack([snap.pi.values for snap in nodes]),
         coupling,
-        all(snap.phi.real_field and snap.pi.real_field for snap in nodes),
     )
 
 

@@ -20,6 +20,12 @@ Two kinds of code live here, outside the package:
   (to_grid, zero_modes, pointwise_product, hermitian_defect, green_apply,
   the one-range trapezoid time_integral, the H^q norm at any q, ...) that
   nothing in the package calls.
+- The full complex spectrum, which the package, stepping real fields on
+  the half spectrum, does without: the complex dealiased product
+  (complex_product) and the layout FullSpectrum, on which the per-node
+  solver loop runs.  It is the reference the half-spectrum solve is
+  checked against, and the Cauchy witness steps its complex couplings on
+  it.
 - The paper's bound checks, which no command runs: the first-order bound
   (first_order_bound), the charge-balance defect (p_residual) and the
   sampled operator-norm bound (delta_norm_bound_check), with the dual
@@ -44,7 +50,7 @@ from kgcharge.propagation import (
 from kgcharge.series import _brackets as brackets
 from kgcharge.series import _kernel_pair, _retarded_table, _suffix_sums, _t0_field, bracket_ds
 from kgcharge.series import _real as real_part
-from kgcharge.solver import BlowUp, TestFunction, Trajectory, evaluate_test_function, solve_couplings
+from kgcharge.solver import BlowUp, TestFunction, Trajectory, evaluate_test_function
 from kgcharge.spectral import (
     FieldSnapshot,
     GridMismatch,
@@ -60,6 +66,7 @@ from kgcharge.spectral import (
     half_spectrum_values,
     random_band_limited,
     sobolev_norm,
+    sobolev_norms,
 )
 from kgcharge.trees import (
     GrowSpec,
@@ -97,8 +104,8 @@ def zero_modes(grid: SpectralGrid) -> ModeArray:
 
 
 def to_grid(f: ModeArray) -> np.ndarray:
-    """Inverse transform; real-valued output for real-field arrays."""
-    return np.ascontiguousarray(grid_values(f.grid, f.values, f.real_field))
+    """Inverse transform to real point values."""
+    return np.ascontiguousarray(grid_values(f.grid, f.values))
 
 
 def hermitian_defect(f: ModeArray) -> float:
@@ -116,8 +123,21 @@ def pointwise_product(f: ModeArray, g: ModeArray) -> ModeArray:
     """
     if f.grid != g.grid:
         raise GridMismatch("product requires both arrays on one grid")
-    real = f.real_field and g.real_field
-    return ModeArray(f.grid, dealiased_product(f.grid, f.values, g.values, real), real)
+    return ModeArray(f.grid, dealiased_product(f.grid, f.values, g.values))
+
+
+def complex_product(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dealiased products of two stacks of complex fields' mode tables, row by row.
+
+    The package's dealiased_product on point values that keep their
+    imaginary part, where its grid_values keeps the real part only; a
+    square (``b is a``) transforms its one factor once.
+    """
+    axes = tuple(range(-grid.dim, 0))
+    scale = grid.npoints / grid.volume
+    x = np.fft.ifftn(a, s=grid.shape, axes=axes) * scale
+    y = x if b is a else np.fft.ifftn(b, s=grid.shape, axes=axes) * scale
+    return dealiased_modes(grid, x * y)
 
 
 def sobolev_norms_at(grid: SpectralGrid, values: np.ndarray, q: float) -> np.ndarray:
@@ -155,7 +175,6 @@ class TimeSampledField:
     grid: SpectralGrid
     tgrid: TimeGrid
     values: np.ndarray
-    real_field: bool = True
 
     def __post_init__(self) -> None:
         expected = (self.tgrid.nnodes,) + self.grid.shape
@@ -175,13 +194,13 @@ def green_apply(kind: str, t: float, tau: float, f: ModeArray) -> ModeArray:
         raise ValueError(f"kind must be 'G0' or 'G1', got {kind!r}")
     grid = f.grid
     if t < tau:
-        return ModeArray(grid, np.zeros(grid.shape, dtype=complex), f.real_field)
+        return ModeArray(grid, np.zeros(grid.shape, dtype=complex))
     w = grid.omega
     if kind == "G0":
         mult = np.sin((t - tau) * w) / w
     else:
         mult = np.cos((t - tau) * w)
-    return ModeArray(grid, mult * f.values, f.real_field)
+    return ModeArray(grid, mult * f.values)
 
 
 def catalan(n):
@@ -346,8 +365,7 @@ def leaf_table(snap: FieldSnapshot, tgrid: TimeGrid) -> TimeSampledField:
     restrict their quadrature instead.
     """
     rows, _ = free_flow(snap.grid, snap.phi.values, snap.pi.values, tgrid.nodes - snap.time)
-    real = snap.phi.real_field and snap.pi.real_field
-    return TimeSampledField(snap.grid, tgrid, rows, real)
+    return TimeSampledField(snap.grid, tgrid, rows)
 
 
 def subtree_table(b: Tree, cache: AmplitudeCache, snap: FieldSnapshot, tgrid: TimeGrid) -> TimeSampledField:
@@ -364,9 +382,9 @@ def subtree_table(b: Tree, cache: AmplitudeCache, snap: FieldSnapshot, tgrid: Ti
         w2 = subtree_table(b2, cache, snap, tgrid)
         grid = snap.grid
         upper = tgrid.node_index(snap.time)
-        prod = dealiased_product(grid, w1.values, w2.values, w1.real_field and w2.real_field)
+        prod = dealiased_product(grid, w1.values, w2.values)
         rows, _ = retarded_integral(flow_multipliers(grid.omega, tgrid.nodes), tgrid, prod, upper)
-        table = TimeSampledField(grid, tgrid, rows, w1.real_field and w2.real_field)
+        table = TimeSampledField(grid, tgrid, rows)
     cache.tables[key] = table
     return table
 
@@ -394,7 +412,7 @@ def tree_amplitude(
     w2 = subtree_table(b2, cache, snap, tgrid)
     grid = snap.grid
     upper = tgrid.node_index(snap.time)
-    prod = dealiased_product(grid, w1.values, w2.values, w1.real_field and w2.real_field)
+    prod = dealiased_product(grid, w1.values, w2.values)
     return pairing_integral(grid, tgrid, prod, _test_function_rows(psi, tgrid), upper)
 
 
@@ -491,7 +509,7 @@ def direct_amplitude(b: Tree, psi: TestFunction, snap: FieldSnapshot, tgrid: Tim
         for j in range(upper + 1):
             prod = _mode_convolution(grid, left[j], right[j])
             psi_j = evaluate_test_function(psi, float(tgrid.nodes[j])).phi
-            samples[j] = pair_modes(ModeArray(grid, prod, False), psi_j)
+            samples[j] = pair_modes(ModeArray(grid, prod), psi_j)
         sign = (-1.0) ** (nleaves - sum(alpha))
         total += sign * real_part(complex(_restricted_trapezoid(samples, tgrid.dt)))
     return total
@@ -501,9 +519,40 @@ def direct_amplitude(b: Tree, psi: TestFunction, snap: FieldSnapshot, tgrid: Tim
 # Literal per-node and per-call loops.  The package squares whole stacks of
 # node fields at once and reuses one square per solver node; these are the
 # loops it replaced, one dealiased product per call, kept to check it by.
-# Real fields take the solver's real pair and half-spectrum norms
-# (SpectrumLayout), one node at a time, and every node's columns past
-# modes/2 are rebuilt from its kept half by a gathered mirror.
+# They step on a layout: by default the solver's, the half spectrum of real
+# fields (SpectrumLayout), one node at a time, where every node's columns
+# past modes/2 are rebuilt from its kept half by a gathered mirror; or the
+# full complex spectrum (FullSpectrum), where a coupling may be complex.
+
+
+class FullSpectrum:
+    """The full complex spectrum as a stepper's layout, with SpectrumLayout's interface.
+
+    Every column is kept, ``square`` is :func:`complex_product`, ``norms``
+    is the package's ``sobolev_norms``, and ``fill`` has no other half to
+    fill.
+    """
+
+    def __init__(self, grid: SpectralGrid):
+        self.grid = grid
+        self.shape = grid.shape
+        self.omega = grid.omega
+
+    def cut(self, values: np.ndarray) -> np.ndarray:
+        return values
+
+    def square(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        sq = complex_product(self.grid, values, values)
+        if out is None:
+            return sq
+        out[...] = sq
+        return out
+
+    def norms(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        return sobolev_norms(self.grid, values)
+
+    def fill(self, tables: np.ndarray) -> None:
+        pass
 
 
 def completed(f):
@@ -512,27 +561,26 @@ def completed(f):
     mirrored = np.conj(f.values[np.ix_(*[(-np.arange(n)) % n] * f.grid.dim)])
     values = f.values.copy()
     values[..., n // 2 + 1 :] = mirrored[..., n // 2 + 1 :]
-    return ModeArray(f.grid, values, True)
+    return ModeArray(f.grid, values)
 
 
-def _kick(snap, coupling, half_dt):
-    grid = snap.grid
-    if not (snap.phi.real_field and snap.pi.real_field):
-        phi_sq = pointwise_product(snap.phi, snap.phi)
-        pi = ModeArray(grid, snap.pi.values - half_dt * coupling * phi_sq.values, snap.pi.real_field)
-        return FieldSnapshot(snap.time, snap.phi, pi)
-    # the kept half only; the columns past modes/2 are stale until completed
-    half = SpectrumLayout(grid, True)
+def _kick(snap, coupling, half_dt, layout):
+    # the layout's columns only; on the half spectrum the columns past
+    # modes/2 are stale until completed
     pi = snap.pi.values.copy()
-    half.cut(pi)[...] = half.cut(snap.pi.values) - half_dt * coupling * half.square(half.cut(snap.phi.values))
-    return FieldSnapshot(snap.time, snap.phi, ModeArray(grid, pi, True))
+    layout.cut(pi)[...] = layout.cut(snap.pi.values) - half_dt * coupling * layout.square(layout.cut(snap.phi.values))
+    return FieldSnapshot(snap.time, snap.phi, ModeArray(snap.grid, pi))
 
 
-def strang_with_fresh_kicks(initial, coupling, tgrid, norm_ceiling=1e6):
-    """Snapshots of the Strang scheme with two freshly squared half kicks per step."""
+def strang_with_fresh_kicks(initial, coupling, tgrid, norm_ceiling=1e6, layout=None):
+    """Snapshots of the Strang scheme with two freshly squared half kicks per step.
+
+    ``layout`` is the solver's half spectrum unless given, FullSpectrum for
+    complex couplings.
+    """
     dt = tgrid.dt
-    real = initial.phi.real_field and initial.pi.real_field
-    layout = SpectrumLayout(initial.grid, real)
+    layout = layout or SpectrumLayout(initial.grid)
+    half = isinstance(layout, SpectrumLayout)
 
     def checked(snap):
         if max(layout.norms(layout.cut(f.values)) for f in (snap.phi, snap.pi)) > norm_ceiling:
@@ -543,30 +591,30 @@ def strang_with_fresh_kicks(initial, coupling, tgrid, norm_ceiling=1e6):
     current = initial
     for j in range(tgrid.nt):
         if coupling != 0.0:
-            current = _kick(current, coupling, dt / 2.0)
+            current = _kick(current, coupling, dt / 2.0, layout)
         current = free_evolve(current, dt)
         if coupling != 0.0:
-            current = _kick(current, coupling, dt / 2.0)
-        phi, pi = (completed(current.phi), completed(current.pi)) if real else (current.phi, current.pi)
+            current = _kick(current, coupling, dt / 2.0, layout)
+        phi, pi = (completed(current.phi), completed(current.pi)) if half else (current.phi, current.pi)
         current = checked(FieldSnapshot(float(tgrid.nodes[j + 1]), phi, pi))
         nodes.append(current)
     return nodes
 
 
-def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6):
+def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6, layout=None):
     """solve_couplings as a loop that diagnoses every node as it steps.
 
     The same step and the same arithmetic as the package's stacked loop, but
     the acceleration, the norms, the ceiling test and the running max run at
     each node, node 0 included, so stepping stops at the first node that
-    crosses.
+    crosses.  ``layout`` is the solver's half spectrum unless given;
+    on FullSpectrum a coupling may be complex.
     """
     grid = initial.grid
     dt = tgrid.dt
     couplings = list(couplings)
     rows = len(couplings)
-    real = initial.phi.real_field and initial.pi.real_field and bool(np.isreal(couplings).all())
-    layout = SpectrumLayout(grid, real)
+    layout = layout or SpectrumLayout(grid)
     lead = (-1,) + (1,) * grid.dim
     kicks = np.array([dt / 2.0 * c for c in couplings]).reshape(lead)
     forcing = np.array(couplings).reshape(lead)
@@ -606,7 +654,7 @@ def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6):
     peak = np.max(node_norms, axis=(0, 1))
     meta = {"scheme": "strang", "dt": dt, "norm_ceiling": norm_ceiling}
     return [
-        Trajectory(tgrid, grid, tables[0, r], tables[1, r], couplings[r], real, {**meta, "phi_e_norm": float(peak[r])})
+        Trajectory(tgrid, grid, tables[0, r], tables[1, r], couplings[r], {**meta, "phi_e_norm": float(peak[r])})
         for r in range(rows)
     ]
 
@@ -617,26 +665,23 @@ def acceleration(snap, coupling):
     Mode-wise -(omega^2 phi_hat) - lambda (phi^2)_hat with the dealiased
     square, i.e. the right-hand side the discrete flow actually integrates.
     """
-    grid, phi, real = snap.grid, snap.phi.values, snap.phi.real_field
-    return ModeArray(grid, -(grid.omega**2) * phi - coupling * dealiased_product(grid, phi, phi, real), real)
+    grid, phi = snap.grid, snap.phi.values
+    return ModeArray(grid, -(grid.omega**2) * phi - coupling * dealiased_product(grid, phi, phi))
 
 
 def node_acceleration(snap, coupling):
     """-(omega^2 phi_hat) - coupling (phi^2)_hat of one node."""
     grid = snap.grid
-    if not snap.phi.real_field:
-        phi_sq = pointwise_product(snap.phi, snap.phi)
-        return ModeArray(grid, -(grid.omega**2) * snap.phi.values - coupling * phi_sq.values, False)
-    half = SpectrumLayout(grid, True)
+    half = SpectrumLayout(grid)
     phi = half.cut(snap.phi.values)
     values = np.zeros(grid.shape, dtype=complex)
     half.cut(values)[...] = -(half.omega**2) * phi - coupling * half.square(phi)
-    return completed(ModeArray(grid, values, True))
+    return completed(ModeArray(grid, values))
 
 
 def per_node_field_energy_norm(traj):
     """Max over nodes of the H^q norms of phi, pi and the acceleration, node by node."""
-    layout = SpectrumLayout(traj.grid, traj.real_field)
+    layout = SpectrumLayout(traj.grid)
     best = 0.0
     for snap in (traj.node(j) for j in range(traj.tgrid.nnodes)):
         accel = node_acceleration(snap, traj.coupling)
@@ -644,15 +689,15 @@ def per_node_field_energy_norm(traj):
     return best
 
 
-def field_energy_norm(traj):
+def field_energy_norm(traj, layout=None):
     """Max over nodes of max(||phi||, ||d/dt phi||, ||d2/dt2 phi||) in H^q, after the solve.
 
     The second pass over a stored trajectory that the solver's in-loop
     norms replaced: one stacked square of every node field, the
     acceleration from the equation of motion, and the three norms, all on
-    the columns the solver keeps.
+    the columns of ``layout``, the solver's unless given.
     """
-    layout = SpectrumLayout(traj.grid, traj.real_field)
+    layout = layout or SpectrumLayout(traj.grid)
     phi = layout.cut(traj.phi)
     accel = -(layout.omega**2) * phi - traj.coupling * layout.square(phi)
     return float(max(layout.norms(values).max() for values in (phi, layout.cut(traj.pi), accel)))
@@ -739,7 +784,7 @@ def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
     b_s = bracket_ds(psi, trajectory.node(j_s))
     b_0 = bracket_ds(psi, trajectory.node(0))
     phi = trajectory.phi[: j_s + 1]
-    phi_sq = dealiased_product(grid, phi, phi, trajectory.real_field)
+    phi_sq = dealiased_product(grid, phi, phi)
     sums = _suffix_sums(_kernel_pair(grid.omega, tgrid.nodes[: j_s + 1]) * phi_sq, tgrid)
     integral = brackets(psi, 0.0, _t0_field(sums)[None])[0]
     return abs(b_s - b_0 - trajectory.coupling * integral)
@@ -843,7 +888,7 @@ def _sampled_legs(
     left, _, u1 = _sampled_legs(b1, legs, grid, tgrid, pair)
     right, _, u2 = _sampled_legs(b2, legs, grid, tgrid, pair)
     upper = min(u1, u2)
-    prod = dealiased_product(grid, left[: upper + 1], right[: upper + 1], real=True)
+    prod = dealiased_product(grid, left[: upper + 1], right[: upper + 1])
     kernels = pair[:, : upper + 1]
     weighted = kernels * prod
     sums = _suffix_sums(weighted, tgrid)
@@ -911,13 +956,12 @@ def _full_retarded_integral(grid, tgrid, prod, upper):
 def _full_order_products(snap, tgrid, max_order):
     grid = snap.grid
     upper = tgrid.node_index(snap.time)
-    real = snap.phi.real_field and snap.pi.real_field
-    points = [grid_values(grid, leaf_table(snap, tgrid).values, real)]
+    points = [grid_values(grid, leaf_table(snap, tgrid).values)]
     for order in range(1, max_order + 1):
         prod = dealiased_modes(grid, sum(points[i] * points[order - 1 - i] for i in range(order)))
         yield prod
         if order < max_order:
-            points.append(grid_values(grid, _full_retarded_integral(grid, tgrid, prod, upper), real))
+            points.append(grid_values(grid, _full_retarded_integral(grid, tgrid, prod, upper)))
 
 
 def full_spectrum_order_amplitudes(psi, snap, tgrid, max_order):
@@ -943,7 +987,7 @@ def all_rows_order_amplitudes(psi, snap, tgrid, max_order):
     """
     grid = snap.grid
     upper = tgrid.node_index(snap.time)
-    layout = SpectrumLayout(grid, True)
+    layout = SpectrumLayout(grid)
     flow = flow_multipliers(grid.band_omega, tgrid.nodes)
     c, s_over_w, w_s = flow_multipliers(layout.omega, tgrid.nodes - snap.time)
     phi, pi = layout.cut(snap.phi.values), layout.cut(snap.pi.values)
@@ -964,23 +1008,25 @@ def all_rows_order_amplitudes(psi, snap, tgrid, max_order):
 # tree series is (-1)^n times the coefficient of lambda^n in the Taylor
 # series of the Strang flow run backward from the slice at s to t = 0.  The
 # Cauchy witness samples that flow at complex couplings on a circle and takes
-# the DFT in lambda; it shares the step with the package's solver but no
-# code with the series.  The jet steps the Taylor coefficients themselves,
+# the DFT in lambda; it steps as the package's solver does, on the full
+# complex spectrum (FullSpectrum), and shares no code with the series.  The jet steps the Taylor coefficients themselves,
 # one order per row, through a plain per-step loop.
 
 
 def reversed_flow(snap, tgrid, couplings):
     """The data at t = 0 that the Strang flow reaches from the slice at s, one row per coupling.
 
-    (phi(s), -pi(s)), flagged complex so that a coupling may be complex, is
-    solved over [0, s] as one ``solve_couplings`` stack; each row's data at
-    s, reversed to (phi, -pi), is the backward flow's.  Shape ``(rows, 2,
-    *grid.shape)``, full-spectrum mode tables.
+    (phi(s), -pi(s)) is solved over [0, s] as one
+    :func:`per_node_solve_couplings` stack on the full complex spectrum, so
+    that a coupling may be complex; each row's data at s, reversed to
+    (phi, -pi), is the backward flow's.  Shape ``(rows, 2, *grid.shape)``,
+    full-spectrum mode tables.
     """
     grid = snap.grid
     upper = tgrid.node_index(snap.time)
-    start = FieldSnapshot(0.0, ModeArray(grid, snap.phi.values, False), ModeArray(grid, -snap.pi.values, False))
-    return np.array([[t.phi[-1], -t.pi[-1]] for t in solve_couplings(start, couplings, TimeGrid(snap.time, upper))])
+    start = FieldSnapshot(0.0, snap.phi, ModeArray(grid, -snap.pi.values))
+    solved = per_node_solve_couplings(start, couplings, TimeGrid(snap.time, upper), layout=FullSpectrum(grid))
+    return np.array([[t.phi[-1], -t.pi[-1]] for t in solved])
 
 
 def charges_at_zero(psi, fields):
@@ -1040,7 +1086,7 @@ def jet_order_fields(snap, tgrid, max_order):
     phi[0], pi[0] = snap.phi.values, -snap.pi.values
 
     def kick():
-        points = grid_values(grid, phi, True)
+        points = grid_values(grid, phi)
         for n in range(1, max_order + 1):
             pi[n] -= dt / 2.0 * dealiased_modes(grid, sum(points[i] * points[n - 1 - i] for i in range(n)))
 

@@ -195,6 +195,13 @@ def test_integral_floats_stay_accepted_as_ints(runner, tmp_path):
     assert (tmp_path / "run" / "trajectory" / "trajectory.npz").exists()
 
 
+DIRAC_OVERFLOW = {
+    "grid": {"dim": 2, "L": 10.0, "Nx": 16, "q": 2},
+    "test_function": {"type": "dirac", "width": 9e153, "x0": 3.0},
+    "time": {"T": 0.1, "s": 0.1, "nt": 16},
+}
+
+
 @pytest.mark.parametrize(
     "command, changed, options, field",
     [
@@ -213,6 +220,11 @@ def test_integral_floats_stay_accepted_as_ints(runner, tmp_path):
         ("transport", {"test_function": {"width": 1e300}}, [], "test_function.width"),
         ("transport", {"test_function": {"width": 1e-300}}, [], "test_function.width"),
         ("readout", {"test_function": {"type": "dirac", "x0": 3.0, "width": 1e300}}, [], "test_function.width"),
+        # a 2-D dirac width whose 2 * width**2 is finite but whose
+        # normalization (width * sqrt(2 pi))**2 overflows, where readout
+        # would report phi as 0
+        ("solve", DIRAC_OVERFLOW, [], "test_function.width"),
+        ("readout", DIRAC_OVERFLOW, [], "test_function.width"),
     ],
 )
 def test_non_finite_numbers_and_negative_seeds_exit_2(runner, tmp_path, command, changed, options, field):
@@ -435,6 +447,14 @@ def add_grid_key(arrays, manifest):
     manifest["grid"]["spacing"] = 0.5
 
 
+def flag_fields_complex(arrays, manifest):
+    manifest["real_field"] = False
+
+
+def make_coupling_complex(arrays, manifest):
+    manifest["coupling"] = {"real": 0.2, "imag": 0.1}
+
+
 @pytest.mark.parametrize(
     "spoil",
     [
@@ -447,6 +467,8 @@ def add_grid_key(arrays, manifest):
         drop_time,
         drop_coupling,
         add_grid_key,
+        flag_fields_complex,
+        make_coupling_complex,
     ],
 )
 def test_transport_and_readout_reject_a_malformed_archive(runner, tmp_path, spoil):

@@ -23,7 +23,6 @@ from kgcharge.solver import (
 from kgcharge.spectral import (
     FieldSnapshot,
     GridMismatch,
-    ModeArray,
     SizeMismatch,
     SpectralGrid,
     SpectrumLayout,
@@ -32,6 +31,7 @@ from kgcharge.spectral import (
     to_modes,
 )
 from oracles import (
+    FullSpectrum,
     acceleration,
     field_energy_norm,
     node_energy,
@@ -110,7 +110,6 @@ def test_solve_matches_fresh_kicks_bit_for_bit(grid, coupling, rng):
     for got, want in zip(nodes, literal):
         np.testing.assert_array_equal(got.phi.values, want.phi.values)
         np.testing.assert_array_equal(got.pi.values, want.pi.values)
-        assert (got.phi.real_field, got.pi.real_field) == (want.phi.real_field, want.pi.real_field)
 
 
 @pytest.mark.parametrize("coupling", [0.0, 0.3])
@@ -146,7 +145,6 @@ def assert_same_trajectory(got, want):
         # bytes, so the sign of a zero counts too
         assert a.phi.values.tobytes() == b.phi.values.tobytes()
         assert a.pi.values.tobytes() == b.pi.values.tobytes()
-        assert (a.phi.real_field, a.pi.real_field) == (b.phi.real_field, b.pi.real_field)
 
 
 @pytest.mark.parametrize("grid", STACK_GRIDS, ids=["1d-32", "1d-30", "2d-8"])
@@ -166,38 +164,35 @@ def test_in_loop_norm_is_the_field_energy_norm(grid, rng):
         assert traj.meta["phi_e_norm"] == field_energy_norm(traj)
 
 
-def test_a_complex_coupling_solves_complex_flagged_data(rng):
-    # the reversed-flow identity needs lambda off the real axis; complex
-    # data must then be flagged so no transform drops an imaginary part
+def test_the_full_spectrum_reference_steps_a_complex_coupling_as_fresh_kicks(rng):
+    # the reversed-flow identity needs lambda off the real axis, where the
+    # fields are complex: the oracles step it on the full spectrum, so that
+    # no transform drops an imaginary part
     grid = STACK_GRIDS[0]
-    real = random_snapshot(grid, rng)
-    data = FieldSnapshot(0.0, ModeArray(grid, real.phi.values, False), ModeArray(grid, real.pi.values, False))
+    data = random_snapshot(grid, rng)
     tg = TimeGrid(horizon=0.5, nt=16)
+    full = FullSpectrum(grid)
     coupling = 0.3 + 0.2j
-    traj = solve(data, coupling, tg)
-    literal = strang_with_fresh_kicks(data, coupling, tg)
+    traj = per_node_solve_couplings(data, [coupling], tg, layout=full)[0]
+    literal = strang_with_fresh_kicks(data, coupling, tg, layout=full)
     for got, want in zip((traj.node(j) for j in range(tg.nnodes)), literal, strict=True):
         assert got.phi.values.tobytes() == want.phi.values.tobytes()
         assert got.pi.values.tobytes() == want.pi.values.tobytes()
-        assert not got.phi.real_field
-    assert traj.meta["phi_e_norm"] == field_energy_norm(traj)
+    assert np.abs(traj.phi[1:].imag).max() > 0.0
+    assert traj.meta["phi_e_norm"] == field_energy_norm(traj, full)
     couplings = [0.2, coupling, 0.0]
-    for c, stacked in zip(couplings, solve_couplings(data, couplings, tg)):
-        assert_same_trajectory(stacked, solve(data, c, tg))
+    for c, stacked in zip(couplings, per_node_solve_couplings(data, couplings, tg, layout=full)):
+        assert_same_trajectory(stacked, per_node_solve_couplings(data, [c], tg, layout=full)[0])
 
 
 # The desk grid, a grid off the powers of two and a 2-D grid, for the check
-# that real fields step on the half spectrum as complex ones on the full one
+# that real fields step on the half spectrum as the oracles' reference steps
+# them on the full complex one
 LAYOUT_GRIDS = [
     SpectralGrid(dim=1, extent=40.0, modes=128, mass=1.0, sobolev_q=1),
     SpectralGrid(dim=1, extent=20.0, modes=30, mass=1.0, sobolev_q=1),
     SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2),
 ]
-
-
-def flagged_complex(data):
-    grid = data.grid
-    return FieldSnapshot(0.0, ModeArray(grid, data.phi.values, False), ModeArray(grid, data.pi.values, False))
 
 
 def assert_close_rows(got, want, rel):
@@ -211,9 +206,8 @@ def test_real_fields_on_the_half_spectrum_match_the_full_complex_path(grid, rng)
     data = random_snapshot(grid, rng)
     tg = TimeGrid(horizon=0.5, nt=16)
     half = solve_couplings(data, STACK_COUPLINGS, tg)
-    full = solve_couplings(flagged_complex(data), STACK_COUPLINGS, tg)
+    full = per_node_solve_couplings(data, STACK_COUPLINGS, tg, layout=FullSpectrum(grid))
     for got, want in zip(half, full, strict=True):
-        assert got.real_field and not want.real_field
         assert_close_rows(got.phi, want.phi, 1e-12)
         assert_close_rows(got.pi, want.pi, 1e-12)
         assert got.meta["phi_e_norm"] == pytest.approx(want.meta["phi_e_norm"], rel=1e-12, abs=0.0)
@@ -224,18 +218,18 @@ def test_a_blow_up_names_the_same_node_and_coupling_in_both_layouts(grid):
     data = gaussian_data(grid, amplitude=2.0)
     tg = TimeGrid(1.0, 64)
     ceiling = 1.5 * sobolev_norm(data.phi)
-    named = []
-    for flagged in (data, flagged_complex(data)):
-        with pytest.raises(BlowUp) as exc:
-            solve_couplings(flagged, [0.1, 5.0, 0.2, 9.0], tg, norm_ceiling=ceiling)
-        named.append((str(exc.value), exc.value.coupling))
-    assert named[0] == named[1]
-    assert named[0][1] == 9.0
+    couplings = [0.1, 5.0, 0.2, 9.0]
+    with pytest.raises(BlowUp) as half:
+        solve_couplings(data, couplings, tg, norm_ceiling=ceiling)
+    with pytest.raises(BlowUp) as full:
+        per_node_solve_couplings(data, couplings, tg, norm_ceiling=ceiling, layout=FullSpectrum(grid))
+    assert (str(half.value), half.value.coupling) == (str(full.value), full.value.coupling)
+    assert half.value.coupling == 9.0
 
 
 def ceiling_first_crossed_at(data, couplings, tg, node):
     """A norm ceiling that the stack's phi or pi first crosses at the given node."""
-    layout = SpectrumLayout(data.grid, True)
+    layout = SpectrumLayout(data.grid)
     top = np.max(
         [np.maximum(layout.norms(layout.cut(t.phi)), layout.norms(layout.cut(t.pi))) for t in solve_couplings(data, couplings, tg)],
         axis=0,
@@ -271,22 +265,21 @@ def test_a_blow_up_at_a_block_edge_names_the_node_of_the_per_node_loops(grid, no
     couplings = [0.1, -5.0, 0.2, -9.0]
     stack_ceiling = ceiling_first_crossed_at(data, couplings, tg, node)
     lone_ceiling = ceiling_first_crossed_at(data, [-9.0], tg, node)
-    named = []
-    for flagged in (data, flagged_complex(data)):
-        with pytest.raises(BlowUp) as stacked:
-            solve_couplings(flagged, couplings, tg, norm_ceiling=stack_ceiling)
+    with pytest.raises(BlowUp) as stacked:
+        solve_couplings(data, couplings, tg, norm_ceiling=stack_ceiling)
+    assert str(stacked.value).endswith(f"t={float(tg.nodes[node])}")
+    with pytest.raises(BlowUp) as alone:
+        solve(data, -9.0, tg, norm_ceiling=lone_ceiling)
+    assert str(alone.value).endswith(f"t={float(tg.nodes[node])}")
+    named = [(str(stacked.value), stacked.value.coupling, str(alone.value))]
+    # the per-node loops on the solver's half spectrum and on the full one
+    for layout in (SpectrumLayout(grid), FullSpectrum(grid)):
         with pytest.raises(BlowUp) as per_node:
-            per_node_solve_couplings(flagged, couplings, tg, norm_ceiling=stack_ceiling)
-        assert (str(stacked.value), stacked.value.coupling) == (str(per_node.value), per_node.value.coupling)
-        assert str(stacked.value).endswith(f"t={float(tg.nodes[node])}")
-        with pytest.raises(BlowUp) as alone:
-            solve(flagged, -9.0, tg, norm_ceiling=lone_ceiling)
+            per_node_solve_couplings(data, couplings, tg, norm_ceiling=stack_ceiling, layout=layout)
         with pytest.raises(BlowUp) as literal:
-            strang_with_fresh_kicks(flagged, -9.0, tg, norm_ceiling=lone_ceiling)
-        assert str(alone.value) == str(literal.value)
-        assert str(alone.value).endswith(f"t={float(tg.nodes[node])}")
-        named.append((str(stacked.value), stacked.value.coupling, str(alone.value)))
-    assert named[0] == named[1]
+            strang_with_fresh_kicks(data, -9.0, tg, norm_ceiling=lone_ceiling, layout=layout)
+        named.append((str(per_node.value), per_node.value.coupling, str(literal.value)))
+    assert named[0] == named[1] == named[2]
     # at node 0 every row crosses, and the first in list order is named
     assert named[0][1] == (0.1 if node == 0 else -9.0)
 
@@ -296,11 +289,10 @@ def test_a_blow_up_at_a_block_edge_names_the_node_of_the_per_node_loops(grid, no
 def test_blocks_keep_the_trajectories_and_peak_norms_of_the_per_node_loop(grid, nt, rng):
     data = random_snapshot(grid, rng)
     tg = TimeGrid(horizon=0.5, nt=nt)
-    for flagged in (data, flagged_complex(data)):
-        stacked = solve_couplings(flagged, STACK_COUPLINGS, tg)
-        for got, want in zip(stacked, per_node_solve_couplings(flagged, STACK_COUPLINGS, tg), strict=True):
-            # the meta holds phi_e_norm, compared with ==
-            assert_same_trajectory(got, want)
+    stacked = solve_couplings(data, STACK_COUPLINGS, tg)
+    for got, want in zip(stacked, per_node_solve_couplings(data, STACK_COUPLINGS, tg), strict=True):
+        # the meta holds phi_e_norm, compared with ==
+        assert_same_trajectory(got, want)
 
 
 def test_a_desk_solve_takes_the_norms_once_per_block(monkeypatch):
@@ -320,42 +312,16 @@ def test_a_desk_solve_takes_the_norms_once_per_block(monkeypatch):
     assert len(calls) == 1 + math.ceil(tg.nt / BLOCK) == math.ceil(tg.nnodes / BLOCK) == 33
 
 
-def test_mixed_flag_data_give_one_flag_at_every_node(small_grid, rng):
-    # phi flagged real, pi not: the trajectory's one flag is not real, and
-    # node 0 reports it too rather than the initial data's own flags
-    real = random_snapshot(small_grid, rng)
-    data = FieldSnapshot(0.0, real.phi, ModeArray(small_grid, real.pi.values, False))
-    traj = solve(data, 0.3, TimeGrid(horizon=0.5, nt=16))
-    assert not traj.real_field
-    first = traj.node(0)
-    assert not first.phi.real_field and not first.pi.real_field
-    assert first.phi.values.tobytes() == data.phi.values.tobytes()
-
-
-@pytest.mark.parametrize("grid", STACK_GRIDS, ids=["1d-32", "1d-30", "2d-8"])
-def test_mixed_flag_data_solve_as_the_same_values_flagged_complex(grid, rng):
-    # one flag per solve: the first kick squares as every later one does
-    real = random_snapshot(grid, rng)
-    mixed = FieldSnapshot(0.0, real.phi, ModeArray(grid, real.pi.values, False))
-    tg = TimeGrid(horizon=0.5, nt=16)
-    flagged = flagged_complex(real)
-    for got, want in zip(solve_couplings(mixed, STACK_COUPLINGS, tg), solve_couplings(flagged, STACK_COUPLINGS, tg)):
-        assert_same_trajectory(got, want)
-    assert_same_trajectory(solve(mixed, 0.3, tg), solve(flagged, 0.3, tg))
-
-
 @pytest.mark.parametrize("grid", LAYOUT_GRIDS, ids=["desk", "1d-30", "2d-16"])
-def test_a_complex_coupling_on_real_flagged_data_solves_as_the_data_flagged_complex(grid):
-    # a complex coupling kicks real data off the reals, so no half spectrum
+def test_a_complex_coupling_is_refused(grid):
+    # a complex coupling kicks real data off the reals, and the half
+    # spectrum would drop its imaginary kicks
     data = gaussian_data(grid)
-    flagged = flagged_complex(data)
     tg = TimeGrid(0.5, 64)
-    got = solve(data, 0.3 + 0.2j, tg)
-    assert not got.real_field
-    assert_same_trajectory(got, solve(flagged, 0.3 + 0.2j, tg))
-    couplings = [0.2, 0.3 + 0.2j, 0.0]
-    for got, want in zip(solve_couplings(data, couplings, tg), solve_couplings(flagged, couplings, tg), strict=True):
-        assert_same_trajectory(got, want)
+    with pytest.raises(ValueError, match="real numbers"):
+        solve_couplings(data, [0.2, 0.3 + 0.2j], tg)
+    with pytest.raises(ValueError, match="real numbers"):
+        solve(data, 0.3 + 0.2j, tg)
 
 
 def test_a_stack_stops_at_the_first_node_any_coupling_crosses(small_grid):

@@ -10,7 +10,7 @@ from conftest import random_snapshot, random_test_function
 from kgcharge.propagation import TimeGrid
 from kgcharge.series import bracket_ds, series
 from kgcharge.solver import solve
-from kgcharge.spectral import FieldSnapshot, ModeArray, SpectralGrid
+from kgcharge.spectral import SpectralGrid
 from kgcharge.storage import (
     TRAJECTORY_FILE,
     format_float,
@@ -80,34 +80,42 @@ def test_node_j_is_row_j_of_the_solved_and_the_read_tables(tmp_path, grid, rng):
             assert snap.pi.values.tobytes() == traj.pi[j].tobytes()
             assert np.shares_memory(snap.phi.values, traj.phi)
             assert np.shares_memory(snap.pi.values, traj.pi)
-            assert snap.phi.real_field and snap.pi.real_field
 
 
-def test_a_complex_trajectory_keeps_its_flag_and_coupling(tmp_path, small_grid, rng):
-    real = random_snapshot(small_grid, rng)
-    data = FieldSnapshot(0.0, ModeArray(small_grid, real.phi.values, False), ModeArray(small_grid, real.pi.values, False))
-    traj = solve(data, 0.3 + 0.2j, TimeGrid(horizon=0.5, nt=8))
-    write_trajectory(tmp_path / "run", traj)
-    back = read_trajectory(tmp_path / "run")
-    assert back.coupling == 0.3 + 0.2j
-    assert not back.real_field
-    assert not back.node(3).phi.real_field
-    assert back.phi.tobytes() == traj.phi.tobytes()
-    assert back.pi.tobytes() == traj.pi.tobytes()
+@pytest.mark.parametrize(
+    "coupling",
+    [{"real": 0.2, "imag": 0.1}, {"real": 0.2, "imag": 0.0}, "0.2", True, None, [0.2]],
+    ids=["complex", "complex-on-the-axis", "string", "boolean", "null", "list"],
+)
+def test_a_manifest_whose_coupling_is_not_a_real_number_is_refused(tmp_path, small_grid, rng, coupling):
+    # the complex form {"real": ..., "imag": ...} that older kgcharge wrote
+    # for complex couplings reads no more
+    write_trajectory(tmp_path / "run", solve(random_snapshot(small_grid, rng), 0.2, TimeGrid(horizon=0.5, nt=8)))
+    manifest_path = tmp_path / "run" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["coupling"] = coupling
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="not a real number"):
+        read_trajectory(tmp_path / "run")
 
 
 def test_a_manifest_without_the_flag_reads_as_real(tmp_path, small_grid, rng):
-    # every kgcharge before the flag was recorded stored real trajectories
-    write_trajectory(tmp_path / "run", solve(random_snapshot(small_grid, rng), 0.1, TimeGrid(horizon=0.5, nt=4)))
+    # solve writes no flag; older kgcharge flagged its real fields true,
+    # and those manifests read, while any other flag is refused
+    traj = solve(random_snapshot(small_grid, rng), 0.1, TimeGrid(horizon=0.5, nt=4))
+    write_trajectory(tmp_path / "run", traj)
     manifest_path = tmp_path / "run" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    assert manifest.pop("real_field") is True
+    assert "real_field" not in manifest
+    assert read_trajectory(tmp_path / "run").phi.tobytes() == traj.phi.tobytes()
+    manifest["real_field"] = True
     manifest_path.write_text(json.dumps(manifest))
-    assert read_trajectory(tmp_path / "run").real_field
-    manifest["real_field"] = "no"
-    manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="real_field"):
-        read_trajectory(tmp_path / "run")
+    assert read_trajectory(tmp_path / "run").pi.tobytes() == traj.pi.tobytes()
+    for flag in (False, "no", 1, None):
+        manifest["real_field"] = flag
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="real_field"):
+            read_trajectory(tmp_path / "run")
 
 
 def test_trajectory_rejects_arrays_that_do_not_fit_the_manifest(tmp_path, small_grid, rng):

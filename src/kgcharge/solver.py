@@ -24,9 +24,9 @@ check, and the running max over nodes is the trajectory's ``phi_e_norm``,
 the norm that feeds the convergence condition.  A blow-up names the same
 node and coupling as a check at every node would, but up to BLOCK - 1 steps
 may run past it before its block ends; those steps may overflow, which only
-turns the norms NaN and so crosses the ceiling too.  The node energies that
-solve records square the whole stack of node fields in one product on the
-full spectrum.
+turns the norms NaN and so crosses the ceiling too.  Before the norms
+overwrite a block, its phi, pi and lambda phi^2 give each node's energy,
+whose drift a trajectory records: no node is squared twice.
 
 phi is real and so is every coupling, which solve_couplings checks: a
 complex coupling would kick the data off the reals.  The loop steps on the
@@ -64,7 +64,6 @@ from .spectral import (
     SizeMismatch,
     SpectralGrid,
     SpectrumLayout,
-    dealiased_product,
     gaussian_envelopes,
     to_modes,
 )
@@ -176,7 +175,8 @@ def solve_couplings(
     ``norm_ceiling`` or is not a number, as an overflow leaves it.  The
     BlowUp names the first such node, node 0 included, the node a check at
     every node would stop at, and carries the coupling of the first row that
-    crosses there.
+    crosses there.  ``meta["energy_drift"]`` is max |E - E_0| over the node
+    energies E, relative to max(1, |E_0|), formed in the same blocks.
 
     ValueError when a coupling is not a real number: a complex one would
     kick the real data off the reals.
@@ -218,6 +218,7 @@ def solve_couplings(
     tables = np.empty((2, rows, tgrid.nnodes) + grid.shape, dtype=complex)
     tables[0, :, 0], tables[1, :, 0] = initial.phi.values, initial.pi.values
     kept = layout.cut(tables)
+    energies = np.empty((rows, tgrid.nnodes))
 
     # node 0 is slot 0 of the first block, its square the first kick's
     block[:2, :, 0] = node
@@ -246,7 +247,8 @@ def solve_couplings(
             forced *= forcing
             nodes[2] -= forced
             kept[:, :, start : n + 1] = nodes[:2]
-            # the norms square the block in place, after the store
+            energies[:, start : n + 1] = layout.energies(nodes[0], nodes[1], forced)
+            # the norms square the block in place, after the store and the energies
             norms = layout.norms(nodes, overwrite=True)
             # "not <=" so that a NaN norm crosses the ceiling too
             crossed = ~(np.maximum(norms[0], norms[1]) <= norm_ceiling)
@@ -259,6 +261,8 @@ def solve_couplings(
     # freed before the fill, whose conjugation takes scratch of its own
     del block, squares
     layout.fill(tables[:, :, 1:])
+    drifts = np.max(np.abs(energies - energies[:, :1]), axis=1) / np.maximum(1.0, np.abs(energies[:, 0]))
+    meta = {"scheme": "strang", "dt": dt, "norm_ceiling": norm_ceiling}
     return [
         Trajectory(
             tgrid,
@@ -266,7 +270,7 @@ def solve_couplings(
             tables[0, r],
             tables[1, r],
             couplings[r],
-            {"scheme": "strang", "dt": dt, "norm_ceiling": norm_ceiling, "phi_e_norm": float(peak[r])},
+            {**meta, "phi_e_norm": float(peak[r]), "energy_drift": float(drifts[r])},
         )
         for r in range(rows)
     ]
@@ -329,21 +333,3 @@ def dirac_test_function(
         return TestFunction(zero, g)
     return TestFunction(g, zero)
 
-
-def node_energies(traj: Trajectory) -> np.ndarray:
-    """Box integral of 1/2 pi^2 + 1/2 |grad phi|^2 + 1/2 m^2 phi^2 + (lambda/3) phi^3 at every node.
-
-    The cubic term uses the dealiased square, matching the truncated
-    dynamics; the continuous-time truncated flow conserves exactly this
-    quantity.  One stacked square covers every node field.
-    """
-    grid, phi, pi, coupling = traj.grid, traj.phi, traj.pi, traj.coupling
-    n = len(phi)
-    quad = 0.5 * (np.abs(pi) ** 2 + (grid.mass**2 + grid.k_squared) * np.abs(phi) ** 2)
-    total = np.sum(quad.reshape(n, -1), axis=1) / grid.volume
-    if coupling != 0.0:
-        phi_sq = dealiased_product(grid, phi, phi)
-        # np.vdot(phi, phi^2) of every row, batched: BLAS sums it in the same order
-        pairs = np.matmul(np.conj(phi).reshape(n, 1, -1), phi_sq.reshape(n, -1, 1))[:, 0, 0]
-        total = total + coupling / 3.0 * (pairs / grid.volume).real
-    return total

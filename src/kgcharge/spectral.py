@@ -20,17 +20,16 @@ Quadratic products are evaluated on the grid and then truncated to the band
 are band limited to that band the truncated product is exactly alias free.
 On full-spectrum tables ``grid_values`` and ``dealiased_modes`` transform
 over the trailing ``dim`` axes of a stack of mode tables, and
-``dealiased_product`` composes them; the node energies and the ``c_q``
-estimate use it.
+``dealiased_product`` composes them for the ``c_q`` estimate alone.
 
 A real field's modes at -k are the conjugates of those at k, so the solver
 steps on the half spectrum of ``rfftn``: the last axis keeps j =
 0..modes/2 (65 of 128 columns on a 128-mode line).  ``SpectrumLayout``
 holds what that layout needs: the kept columns, the square on them
 (``irfft``/``rfft`` with the transform scales and the 2/3 mask as one
-multiplier), H^q norms that weigh each kept column by how often it occurs
-in the full spectrum, and the fill that rebuilds the other half of full
-tables by conjugation.
+multiplier), H^q norms and box energies that weigh each kept column by how
+often it occurs in the full spectrum, and the fill that rebuilds the other
+half of full tables by conjugation.
 
 A dealiased product of real fields is zero outside the kept band and
 Hermitian, so it is fully described by the band's half: ``|j| <= K`` on the
@@ -336,7 +335,8 @@ class SpectrumLayout:
       1-D grid, one call each) and takes both transform scales and the 2/3
       mask as one multiplier;
     - ``norms`` weigh each column by how often it occurs in the full
-      spectrum: once for the last axis' j = 0 and modes/2, twice elsewhere;
+      spectrum: once for the last axis' j = 0 and modes/2, twice elsewhere,
+      and ``energies`` weigh it likewise;
     - ``fill`` completes full-spectrum tables from their half by
       conjugation, in place and by slices.
 
@@ -353,9 +353,12 @@ class SpectrumLayout:
         self._fold = self.cut(grid.keep_mask) * (grid.npoints / grid.volume)
         multiplicity = np.full(self.columns, 2.0)
         multiplicity[[0, -1]] = 1.0
-        weights = self.cut(grid.sobolev_weights) * multiplicity
-        # each weight twice, for a column's real and imaginary part, over the volume
-        self._part_weights = np.repeat(weights, 2, axis=-1) / grid.volume
+        # each weight by multiplicity, twice (a column's real and imaginary part), over the
+        # volume: the H^q norms', and the energy density's on phi^2, pi^2 and phi lambda phi^2
+        self._part_weights, *self._energy_weights = (
+            np.repeat(weights * multiplicity, 2, axis=-1) / grid.volume
+            for weights in (self.cut(grid.sobolev_weights), self.omega**2 / 2.0, 0.5, 1.0 / 3.0)
+        )
 
     def cut(self, values: np.ndarray) -> np.ndarray:
         """A view of the kept columns of full-spectrum tables."""
@@ -384,6 +387,15 @@ class SpectrumLayout:
         weighted = np.multiply(parts, parts, out=parts if overwrite else None)
         weighted *= self._part_weights
         return np.sqrt(np.add.reduce(weighted, axis=self._axes))
+
+    def energies(self, phi: np.ndarray, pi: np.ndarray, forced: np.ndarray) -> np.ndarray:
+        """Box integrals of 1/2 pi^2 + 1/2 |grad phi|^2 + 1/2 m^2 phi^2 + 1/3 phi forced, with forced = lambda phi^2.
+
+        Of stacks of tables in this layout, weighed as ``norms`` weighs them, with its contiguous last axis.
+        """
+        on_phi, on_pi, on_forced = self._energy_weights
+        phi, pi, forced = phi.view(float), pi.view(float), forced.view(float)
+        return np.add.reduce(phi * (on_phi * phi + on_forced * forced) + on_pi * pi * pi, axis=self._axes)
 
     def fill(self, tables: np.ndarray) -> None:
         """Complete full-spectrum tables from the half this layout keeps.

@@ -49,7 +49,6 @@ from kgcharge.propagation import (
 )
 from kgcharge.series import _brackets as brackets
 from kgcharge.series import _kernel_pair, _retarded_table, _suffix_sums, _t0_field, bracket_ds
-from kgcharge.series import _real as real_part
 from kgcharge.solver import BlowUp, TestFunction, Trajectory, evaluate_test_function
 from kgcharge.spectral import (
     FieldSnapshot,
@@ -97,6 +96,13 @@ def pair_modes(f: ModeArray, g: ModeArray) -> complex:
     if f.grid != g.grid:
         raise GridMismatch("pairing requires both arrays on one grid")
     return complex(np.vdot(g.values, f.values) / f.grid.volume)
+
+
+def real_part(value: complex) -> float:
+    """Real part of a pairing that is real up to rounding, relative to its own size."""
+    if abs(value.imag) > 1e-10 * (1.0 + abs(value.real)):
+        raise AssertionError(f"pairing has imaginary part {value.imag}")
+    return float(value.real)
 
 
 def zero_modes(grid: SpectralGrid) -> ModeArray:
@@ -551,6 +557,11 @@ class FullSpectrum:
     def norms(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
         return sobolev_norms(self.grid, values)
 
+    def energies(self, phi: np.ndarray, pi: np.ndarray, forced: np.ndarray) -> np.ndarray:
+        grid = self.grid
+        density = 0.5 * (np.abs(pi) ** 2 + grid.omega**2 * np.abs(phi) ** 2) + (np.conj(phi) * forced).real / 3.0
+        return np.sum(density, axis=tuple(range(-grid.dim, 0))) / grid.volume
+
     def fill(self, tables: np.ndarray) -> None:
         pass
 
@@ -605,10 +616,10 @@ def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6, layout
     """solve_couplings as a loop that diagnoses every node as it steps.
 
     The same step and the same arithmetic as the package's stacked loop, but
-    the acceleration, the norms, the ceiling test and the running max run at
-    each node, node 0 included, so stepping stops at the first node that
-    crosses.  ``layout`` is the solver's half spectrum unless given;
-    on FullSpectrum a coupling may be complex.
+    the acceleration, the energies, the norms, the ceiling test and the
+    running max run at each node, node 0 included, so stepping stops at the
+    first node that crosses.  ``layout`` is the solver's half spectrum
+    unless given; on FullSpectrum a coupling may be complex.
     """
     grid = initial.grid
     dt = tgrid.dt
@@ -623,14 +634,16 @@ def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6, layout
     across = np.stack([s_over_w, w_s])[:, None]
 
     def diagnose(node, phi_sq, time):
-        """Fill in the acceleration; the H^q norms of phi, pi and it, shape (3, rows), under the ceiling."""
+        """Fill in the acceleration; the H^q norms of phi, pi and it, shape (3, rows), under the ceiling, and the energies."""
+        forced = forcing * phi_sq
         np.multiply(-(layout.omega**2), node[0], out=node[2])
-        node[2] -= forcing * phi_sq
+        node[2] -= forced
+        energies = layout.energies(node[0], node[1], forced)
         norms = layout.norms(node)
         if not norms[:2].max() <= norm_ceiling:
             first = np.flatnonzero(~(np.maximum(norms[0], norms[1]) <= norm_ceiling))[0]
             raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={time}", couplings[first])
-        return norms
+        return norms, energies
 
     node = np.empty((3, rows) + layout.shape, dtype=complex)
     node[0], node[1] = layout.cut(initial.phi.values), layout.cut(initial.pi.values)
@@ -638,7 +651,7 @@ def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6, layout
     tables = np.empty((2, rows, tgrid.nnodes) + grid.shape, dtype=complex)
     tables[0, :, 0], tables[1, :, 0] = initial.phi.values, initial.pi.values
     phi_sq = layout.square(node[0])
-    node_norms = [diagnose(node, phi_sq, float(tgrid.nodes[0]))]
+    diagnosed = [diagnose(node, phi_sq, float(tgrid.nodes[0]))]
     kick = kicks * phi_sq
     for j in range(tgrid.nt):
         node[1] -= kick
@@ -648,13 +661,23 @@ def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6, layout
         phi_sq = layout.square(node[0])
         kick = kicks * phi_sq
         node[1] -= kick
-        node_norms.append(diagnose(node, phi_sq, float(tgrid.nodes[j + 1])))
+        diagnosed.append(diagnose(node, phi_sq, float(tgrid.nodes[j + 1])))
         layout.cut(tables)[:, :, j + 1] = node[:2]
     layout.fill(tables[:, :, 1:])
+    node_norms, energies = zip(*diagnosed)
     peak = np.max(node_norms, axis=(0, 1))
+    energies = np.transpose(energies)
+    drifts = np.max(np.abs(energies - energies[:, :1]), axis=1) / np.maximum(1.0, np.abs(energies[:, 0]))
     meta = {"scheme": "strang", "dt": dt, "norm_ceiling": norm_ceiling}
     return [
-        Trajectory(tgrid, grid, tables[0, r], tables[1, r], couplings[r], {**meta, "phi_e_norm": float(peak[r])})
+        Trajectory(
+            tgrid,
+            grid,
+            tables[0, r],
+            tables[1, r],
+            couplings[r],
+            {**meta, "phi_e_norm": float(peak[r]), "energy_drift": float(drifts[r])},
+        )
         for r in range(rows)
     ]
 
@@ -701,6 +724,27 @@ def field_energy_norm(traj, layout=None):
     phi = layout.cut(traj.phi)
     accel = -(layout.omega**2) * phi - traj.coupling * layout.square(phi)
     return float(max(layout.norms(values).max() for values in (phi, layout.cut(traj.pi), accel)))
+
+
+def node_energies(traj: Trajectory) -> np.ndarray:
+    """Box integral of 1/2 pi^2 + 1/2 |grad phi|^2 + 1/2 m^2 phi^2 + (lambda/3) phi^3 at every node.
+
+    The second pass over a stored trajectory that the solver's in-loop
+    energies replaced: the cubic term uses the dealiased square, matching
+    the truncated dynamics, whose continuous-time flow conserves exactly
+    this quantity, and one stacked square on the full spectrum covers
+    every node field.
+    """
+    grid, phi, pi, coupling = traj.grid, traj.phi, traj.pi, traj.coupling
+    n = len(phi)
+    quad = 0.5 * (np.abs(pi) ** 2 + (grid.mass**2 + grid.k_squared) * np.abs(phi) ** 2)
+    total = np.sum(quad.reshape(n, -1), axis=1) / grid.volume
+    if coupling != 0.0:
+        phi_sq = dealiased_product(grid, phi, phi)
+        # np.vdot(phi, phi^2) of every row, batched: BLAS sums it in the same order
+        pairs = np.matmul(np.conj(phi).reshape(n, 1, -1), phi_sq.reshape(n, -1, 1))[:, 0, 0]
+        total = total + coupling / 3.0 * (pairs / grid.volume).real
+    return total
 
 
 def node_energy(snap, coupling):

@@ -86,6 +86,21 @@ def test_solve_records_tiny_drift_for_the_free_field(runner, tmp_path):
     assert abs(manifest["energy_drift"]) <= 1e-10
 
 
+def test_a_test_function_of_large_amplitude_transports_and_sweeps(runner, tmp_path):
+    # at amplitude 1e8 the order-1 pairing is 1.33 from summands of 4.3e7,
+    # whose rounding leaves an imaginary part of 6e-10: a tolerance taken
+    # relative to the pairing itself refused it with a traceback
+    big = {"test_function": {"center": 20.0, "amplitude": 1e8}}
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({**big, "out": str(tmp_path / "run")}))
+    for command in (["solve"], ["transport"], ["transport", "--force"]):
+        result = runner.invoke(main, [*command, "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+    cfg.write_text(json.dumps({**big, "coupling": [0.1, 0.2, 0.4], "max_order": 2, "out": str(tmp_path / "sweep")}))
+    result = runner.invoke(main, ["sweep", "--config", str(cfg)])
+    assert result.exit_code == 0, result.output
+
+
 def test_invalid_regularity_index_exits_2(runner, tmp_path):
     cfg = write_config(tmp_path, grid={"q": 0})
     result = runner.invoke(main, ["solve", "--config", str(cfg)])

@@ -25,7 +25,7 @@ from kgcharge.series import (
 )
 from kgcharge.series import _order_fields as order_fields
 from kgcharge.solver import TestFunction, evaluate_test_function, gaussian_field, solve, solve_couplings
-from kgcharge.spectral import FieldSnapshot, SpectralGrid, random_band_limited, sobolev_norm
+from kgcharge.spectral import FieldSnapshot, ModeArray, SpectralGrid, random_band_limited, sobolev_norm
 from kgcharge.trees import enumerate_trees, from_dyck, graft, leaf, leaf_count
 from oracles import _test_function_rows as psi_node_rows
 from oracles import test_function_sup_norm as sup_norm
@@ -107,6 +107,21 @@ def test_leaf_amplitude_is_the_bracket(setting, tgrid):
     assert tree_amplitude(leaf(), psi, snap, tgrid) == bracket_ds(psi, snap)
 
 
+def test_a_pairing_of_a_non_hermitian_table_still_raises(small_grid, rng):
+    # the tolerance on a pairing's imaginary part scales with its summands:
+    # rounding stays far below it, a table that is not a real field's does not
+    psi = random_test_function(small_grid, rng)
+    snap = random_snapshot(small_grid, rng)
+    bracket_ds(psi, snap)
+    noise = rng.standard_normal(small_grid.shape) + 1j * rng.standard_normal(small_grid.shape)
+    leaky = snap.phi.values + 1e-6 * np.abs(snap.phi.values).max() * noise
+    with pytest.raises(AssertionError, match="pairing has imaginary part"):
+        bracket_ds(psi, FieldSnapshot(0.0, ModeArray(small_grid, leaky), snap.pi))
+    # a purely imaginary field pairs to a purely imaginary bracket
+    with pytest.raises(AssertionError, match="pairing has imaginary part"):
+        bracket_ds(psi, FieldSnapshot(0.0, ModeArray(small_grid, 1j * snap.phi.values), snap.pi))
+
+
 def test_fast_path_matches_literal_evaluation(setting, tgrid):
     _, snap, psi, _, _ = setting
     for order in (1, 2):
@@ -175,6 +190,8 @@ TEST_ONLY_NAMES = (
     "per_node_solve_couplings",
     "strang_with_fresh_kicks",
     "reversed_flow",
+    "node_energies",
+    "_real",
 )
 
 

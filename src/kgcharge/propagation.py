@@ -16,13 +16,16 @@ know nothing of the tables it moves: free_evolve flows a snapshot's tables
 as they are.
 
 Time integrals throughout the package use one composite trapezoid rule on
-the uniform node set of a :class:`TimeGrid`, formed by one function:
-suffix_time_integral takes every trailing node range at once, one reversed
-cumulative sum into a buffer the caller may reuse, with the end terms
-subtracted in place.  The series stacks its two kernels, sin/omega and
-cos, so that one call covers both; row 0, the range [0, s], is a
-product's Duhamel datum.  tests/oracles.py keeps the one-range
-time_integral as its reference.  Nothing is ever interpolated in time.
+the uniform node set of a :class:`TimeGrid`: suffix_time_integral takes
+every trailing node range at once, one reversed cumulative sum into a
+buffer the caller may reuse, with the end terms subtracted in place.  The
+series stacks its two kernels, sin/omega and cos, so that one sum covers
+both; row 0, the range [0, s], is a product's Duhamel datum.  It runs the
+same sum over blocks of nodes from s down (series._suffix_sums), carrying
+the running total and the end term at s from block to block, so that its
+additions and their order are this function's.  tests/oracles.py keeps
+the one-range time_integral as its reference.  Nothing is ever
+interpolated in time.
 """
 
 from __future__ import annotations
@@ -114,7 +117,9 @@ def suffix_time_integral(samples: np.ndarray, tgrid: TimeGrid, upper: int, out: 
     sum, into ``out``'s rows 0..upper; the trapezoid's end terms are then
     subtracted in place.  Without ``out`` the result is a new table of
     ``samples``' shape whose rows past ``upper`` are zero; an ``out`` of
-    exactly upper + 1 rows spares that zero padding.
+    exactly upper + 1 rows spares that zero padding.  The series' blocks of
+    nodes continue this sum with a carry (series._suffix_sums) and give
+    its rows bit for bit.
     """
     if not 0 <= upper <= tgrid.nt:
         raise ValueError(f"upper node {upper} outside grid with nt={tgrid.nt}")

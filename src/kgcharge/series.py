@@ -45,17 +45,26 @@ keeps its mode tables on the band's half of the real half spectrum
 N/2 + 1-column half spectrum.  The t = 0 fields are filled to full real
 fields (SpectrumLayout.fill) before they are paired.
 
-Each order is one pass.  Its products are summed in place in point space;
-the band's sin(tau omega)/omega and cos(tau omega) are stacked as one
-kernel pair, so both suffix sums of its retarded integral are one
-cumulative sum into buffers that every order reuses, and their row 0 is
-the order's t = 0 field.  The retarded table itself is formed only for
-orders that a higher order reads, and goes back to point space through one
-reused zero half spectrum.  The kernel pair and the leaf's backward-flow
-multipliers depend on s alone: the recursion takes every slice at one s (a
-sweep's slices share it), builds them once on the nodes up to s and runs
-the slices one at a time through the same buffers.  series_couplings is
-one such call, and series and readout pass one slice.
+The products are pointwise in time, so the recursion runs over blocks of
+SERIES_BLOCK nodes, from s back to t = 0, and every table holds one
+block's rows: its working set is set by the block, not by s.  Within a
+block each order is one pass.  Its products are summed in place in point
+space; the band's sin(tau omega)/omega and cos(tau omega) are stacked as
+one kernel pair, so both suffix sums of its retarded integral are one
+cumulative sum into buffers that every order reuses.  That sum carries
+its running total from block to block as the first term of the next
+block's sum, and the trapezoid's end term, the row at s, from the first
+block, so the sums are bit for bit those of one sum over every node.  Row
+0 of the last block is the order's t = 0 field.  The retarded table
+itself is formed only for orders that a higher order reads, and goes back
+to point space through one reused zero half spectrum.  The kernel pair and
+the leaf's backward-flow multipliers depend on s alone: the recursion
+takes every slice at one s (a sweep's slices share it), builds them once
+on the nodes up to s, and every block views its rows of them.  The slices
+are stacked on one axis of every table, so each block runs once for all
+of them.  series_couplings is one such call, and series and readout pass
+one slice.  tests/oracles.py keeps the recursion over the whole node axis,
+one slice at a time, as the reference the blocks are checked against.
 
 The series computes the order terms, partial sums and residuals and
 nothing else.  Its convergence bounds (radius_bound, convergence_condition)
@@ -107,6 +116,11 @@ from .spectral import (
 )
 
 
+# Nodes per block of the order recursion: every table of the recursion holds
+# one block's rows, so its working set is set by the block, not by s.
+SERIES_BLOCK = 64
+
+
 class OrderTerm(NamedTuple):
     order: int
     tree_count: int
@@ -132,16 +146,44 @@ def _kernel_pair(omega: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.stack([s_over_w, c])
 
 
-def _suffix_sums(weighted: np.ndarray, tgrid: TimeGrid, out: np.ndarray | None = None) -> np.ndarray:
+def _suffix_sums(
+    weighted: np.ndarray, tgrid: TimeGrid, out: np.ndarray | None = None, carry: list | None = None
+) -> np.ndarray:
     """Every trailing trapezoid of both kernel-weighted tables of a :func:`_kernel_pair` stack, into ``out``.
 
-    The node axis is axis 1, and its last row is the upper node: one
-    reversed cumulative sum covers both tables.  Without ``out`` the sums
-    go to a new table.
+    The node axis is axis 1.  Without ``carry`` its last row is the upper
+    node, and one reversed cumulative sum covers both tables
+    (:func:`suffix_time_integral`).  Without ``out`` the sums go to a new
+    table.
+
+    With ``carry`` the rows are one block of a range that is walked in
+    blocks from the upper node down, and ``carry`` is the list that the
+    blocks of one range share.  It is empty before the block that ends at
+    the upper node, and after each block it holds the reversed cumulative
+    sum through the block's bottom row and the upper node's row, the
+    trapezoid's end term.  The running sum goes in as the first term of
+    the next block's sum, so the additions happen in the order of one sum
+    over the whole range, and the sums are bit for bit the ones it gives.
     """
     if out is None:
         out = np.empty_like(weighted)
-    suffix_time_integral(weighted.swapaxes(0, 1), tgrid, weighted.shape[1] - 1, out=out.swapaxes(0, 1))
+    head, rows = weighted.swapaxes(0, 1), out.swapaxes(0, 1)
+    if carry is None:
+        suffix_time_integral(head, tgrid, len(head) - 1, out=rows)
+        return out
+    if carry:
+        running, end = carry
+        top = head[-1].copy()
+        head[-1] += running
+        np.cumsum(head[::-1], axis=0, out=rows[::-1])
+        head[-1] = top
+    else:
+        end = head[-1].copy()
+        np.cumsum(head[::-1], axis=0, out=rows[::-1])
+    carry[:] = rows[0].copy(), end
+    rows -= 0.5 * head
+    rows -= 0.5 * end
+    rows *= tgrid.dt
     return out
 
 
@@ -226,16 +268,21 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
     The order-n product is the dealiased sum of W_i W_j over i + j = n - 1.
     Each W_n is kept in point space, so the sum of products needs one real
     forward transform per order, and cutting it to the band once equals
-    summing the cut products.  Every table holds the rows of the nodes up
-    to s only, the nodes the retarded integrals reach.
+    summing the cut products.
 
-    The slices share one grid and one time s, so the kernel tables (the
+    The products are pointwise in time, so the recursion runs over blocks
+    of SERIES_BLOCK nodes, from s back to t = 0, and every table holds one
+    block's rows.  Per order, both suffix sums of the retarded integral
+    come from one cumulative sum over the kernel pair, which carries its
+    running total from block to block (:func:`_suffix_sums`); row 0 of the
+    last block is the order's t = 0 field, and the retarded table is formed
+    only for orders that a higher order reads.
+
+    The slices share one grid and one time s.  The kernel tables (the
     band's kernel pair and the leaf's backward-flow multipliers, on the
-    nodes up to s) are built once, and the recursions run one slice at a
-    time through the same buffers.  Per order, both suffix sums of the
-    retarded integral come from one cumulative sum over the kernel pair;
-    their row 0 is the order's t = 0 field, and the retarded table is
-    formed only for orders that a higher order reads.
+    nodes up to s) are built once, and every block views its rows of them.
+    The slices are stacked on an axis after the node axis, so each block
+    runs once for all of them.
     """
     if len({snap.time for snap in slices}) != 1:
         raise ValueError("the order recursion needs every slice at one time s")
@@ -243,21 +290,29 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
     upper = tgrid.node_index(s)
     layout = SpectrumLayout(grid)
     nodes = tgrid.nodes[: upper + 1]
-    c, s_over_w = flow_multipliers(layout.omega, nodes - s)[:2]
-    to_zero = flow_multipliers(layout.omega, -s)
-    pair = _kernel_pair(grid.band_omega, nodes)
+    phi = np.stack([layout.cut(snap.phi.values) for snap in slices])
+    pi = np.stack([layout.cut(snap.pi.values) for snap in slices])
+    # the tables' axes are (nodes, slices, *grid): the kernel tables get an
+    # axis of one for the slices
+    c, s_over_w = (m[:, None] for m in flow_multipliers(layout.omega, nodes - s)[:2])
+    pair = _kernel_pair(grid.band_omega, nodes)[:, :, None]
     band = (Ellipsis,) + grid.band_index
     fields = np.zeros((len(slices), max_order + 1, 2) + grid.shape, dtype=complex)
-    # what every order of every slice reuses: the kernel-weighted product,
+    # W_0 at t = 0, the slices flowed back by s, with their time derivatives
+    layout.cut(fields[:, 0])[...] = np.stack(apply_flow(flow_multipliers(layout.omega, -s), phi, pi), axis=1)
+    # what every order of every block reuses: the kernel-weighted product,
     # its suffix sums, and a zero half spectrum
-    weighted = np.empty(pair.shape, dtype=complex)
+    rows = min(SERIES_BLOCK, upper + 1)
+    weighted = np.empty((2, rows, len(slices)) + grid.band_omega.shape, dtype=complex)
     sums = np.empty_like(weighted)
-    half = np.zeros((upper + 1,) + grid.half_shape, dtype=complex)
-    for snap, out in zip(slices, fields):
-        phi, pi = layout.cut(snap.phi.values), layout.cut(snap.pi.values)
-        # W_0 at t = 0, the slice flowed back by s, with its time derivative
-        layout.cut(out[0])[...] = apply_flow(to_zero, phi, pi)
-        points = [half_spectrum_values(grid, c * phi + s_over_w * pi)]
+    half = np.zeros((rows, len(slices)) + grid.half_shape, dtype=complex)
+    # per order, what its sums carry from block to block (_suffix_sums)
+    carries = {order: [] for order in range(1, max_order + 1)}
+    for stop in range(upper + 1, 0, -SERIES_BLOCK):
+        start = max(stop - SERIES_BLOCK, 0)
+        block_pair = pair[:, start:stop]
+        block_weighted, block_sums = weighted[:, : stop - start], sums[:, : stop - start]
+        points = [half_spectrum_values(grid, c[start:stop] * phi + s_over_w[start:stop] * pi)]
         for order in range(1, max_order + 1):
             total = points[0] * points[order - 1]
             for i in range(1, order):
@@ -265,11 +320,14 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
             if order == max_order:
                 # no higher order reads the point tables
                 points.clear()
-            np.multiply(pair, band_modes(grid, total), out=weighted)
+            np.multiply(block_pair, band_modes(grid, total), out=block_weighted)
             del total
-            out[order][band] = _t0_field(_suffix_sums(weighted, tgrid, sums))
+            _suffix_sums(block_weighted, tgrid, block_sums, carries[order])
+            if start == 0:
+                fields[:, order][band] = _t0_field(block_sums).swapaxes(0, 1)
             if order < max_order:
-                points.append(band_values(grid, _retarded_table(pair, sums, weighted), half))
+                table = _retarded_table(block_pair, block_sums, block_weighted)
+                points.append(band_values(grid, table, half[: stop - start]))
     layout.fill(fields)
     return fields
 
@@ -311,9 +369,10 @@ def series_couplings(
 ) -> list[ChargeReport]:
     """One :func:`series` report per coupling, each from its own slice, all slices at one time s.
 
-    One :func:`_order_fields` call runs every slice's recursion from kernel
-    tables built once, and each report is bit for bit the one
-    :func:`series` gives on its slice alone.
+    One :func:`_order_fields` call runs the recursion of every slice at
+    once: the slices are stacked, every block of nodes runs once for all of
+    them, and the kernel tables are built once.  Each report is bit for bit
+    the one :func:`series` gives on its slice alone.
     """
     slices, couplings = list(slices), list(couplings)
     if not slices or len(slices) != len(couplings):

@@ -10,12 +10,13 @@ Two kinds of code live here, outside the package:
   by.  The oracle chain for the tree series runs from the closed form
   (cherry_amplitude) through the literal nested evaluator
   (direct_amplitude) and the per-tree tables memoized by Dyck word
-  (tree_amplitude) to the full-spectrum and all-rows forms of the order
-  recursion the package runs.  Two witnesses of the series' Taylor
-  identity check every order past the per-tree tables' reach: the Cauchy
-  integral of the reversed Strang flow over a circle of complex couplings
-  (cauchy_order_fields, cauchy_order_sums) and the reversed flow stepped
-  order by order as a jet (jet_order_fields).  Beside them sit the
+  (tree_amplitude) to the full-spectrum, all-rows and whole-axis forms of
+  the order recursion the package runs in blocks of nodes.  Two witnesses
+  of the series' Taylor identity check every order past the per-tree
+  tables' reach: the Cauchy integral of the reversed Strang flow over a
+  circle of complex couplings (cauchy_order_fields, cauchy_order_sums)
+  and the reversed flow stepped order by order as a jet
+  (jet_order_fields).  Beside them sit the
   per-node solver and diagnostic loops, and the small field helpers
   (to_grid, zero_modes, pointwise_product, hermitian_defect, green_apply,
   the one-range trapezoid time_integral, the H^q norm at any q, ...) that
@@ -42,6 +43,7 @@ import numpy as np
 
 from kgcharge.propagation import (
     TimeGrid,
+    apply_flow,
     flow_multipliers,
     free_evolve,
     free_flow,
@@ -1046,6 +1048,45 @@ def all_rows_order_amplitudes(psi, snap, tgrid, max_order):
             points.append(band_values(grid, table))
     layout.fill(fields)
     return brackets(psi, 0.0, fields)
+
+
+def whole_axis_order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
+    """The order fields at t = 0 of every slice, with every table holding every node up to s.
+
+    The recursion the package ran before it walked the nodes in blocks:
+    one slice at a time, one suffix_time_integral call per order over the
+    whole range.  The blocked recursion, series._order_fields, must give
+    these fields bit for bit.
+    """
+    grid, s = slices[0].grid, slices[0].time
+    upper = tgrid.node_index(s)
+    layout = SpectrumLayout(grid)
+    nodes = tgrid.nodes[: upper + 1]
+    c, s_over_w = flow_multipliers(layout.omega, nodes - s)[:2]
+    to_zero = flow_multipliers(layout.omega, -s)
+    pair = _kernel_pair(grid.band_omega, nodes)
+    band = (Ellipsis,) + grid.band_index
+    fields = np.zeros((len(slices), max_order + 1, 2) + grid.shape, dtype=complex)
+    weighted = np.empty(pair.shape, dtype=complex)
+    sums = np.empty_like(weighted)
+    half = np.zeros((upper + 1,) + grid.half_shape, dtype=complex)
+    for snap, out in zip(slices, fields):
+        phi, pi = layout.cut(snap.phi.values), layout.cut(snap.pi.values)
+        layout.cut(out[0])[...] = apply_flow(to_zero, phi, pi)
+        points = [half_spectrum_values(grid, c * phi + s_over_w * pi)]
+        for order in range(1, max_order + 1):
+            total = points[0] * points[order - 1]
+            for i in range(1, order):
+                total += points[i] * points[order - 1 - i]
+            if order == max_order:
+                points.clear()
+            np.multiply(pair, band_modes(grid, total), out=weighted)
+            del total
+            out[order][band] = _t0_field(_suffix_sums(weighted, tgrid, sums))
+            if order < max_order:
+                points.append(band_values(grid, _retarded_table(pair, sums, weighted), half))
+    layout.fill(fields)
+    return fields
 
 
 # Two witnesses of the identity the series rests on: the order-n term of the

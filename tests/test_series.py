@@ -9,6 +9,7 @@ against the Cauchy and jet witnesses of the reversed Strang flow.
 """
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ from oracles import (
     per_node_sampled_value,
     sobolev_norms_at,
     tree_amplitude,
+    whole_axis_order_fields,
     zero_modes,
 )
 
@@ -192,6 +194,7 @@ TEST_ONLY_NAMES = (
     "reversed_flow",
     "node_energies",
     "_real",
+    "whole_axis_order_fields",
 )
 
 
@@ -347,6 +350,45 @@ def test_shared_kernels_need_every_slice_at_one_time(setting, tgrid):
         series_couplings(psi, [snap, traj.node(3)], [0.1, 0.2], tgrid, 2)
     with pytest.raises(ValueError, match="one slice per coupling"):
         series_couplings(psi, [snap], [0.1, 0.2], tgrid, 2)
+
+
+# Blocks of 1 node, of 7 (which divides none of the node ranges up to T or
+# T/2: 513 and 257, 33 and 17, 17 and 9), of 64 and of the desk's whole 513
+SERIES_BLOCKS = [1, 7, 64, 513]
+
+
+@pytest.mark.parametrize("setting_name", sorted(HALF_SLICE_SETTINGS))
+def test_blocked_recursion_gives_the_whole_axis_fields_bit_for_bit(setting_name, monkeypatch):
+    grid, tg = HALF_SLICE_SETTINGS[setting_name]
+    data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 1.5), gaussian_field(grid, 0.2, 2.5, 1.0))
+    trajectories = solve_couplings(data, SWEEP_COUPLINGS, tg)
+    for node in (tg.nt, tg.nt // 2):
+        for count in (1, 4):
+            slices = [traj.node(node) for traj in trajectories[:count]]
+            for max_order in (0, 1, 4, 10):
+                want = whole_axis_order_fields(slices, tg, max_order)
+                for block in SERIES_BLOCKS:
+                    monkeypatch.setattr(importlib.import_module("kgcharge.series"), "SERIES_BLOCK", block)
+                    got = order_fields(slices, tg, max_order)
+                    assert np.array_equal(got, want), (node, count, max_order, block)
+
+
+def test_blocked_recursion_holds_under_a_third_of_the_whole_axis_working_set():
+    # on the desk at order 6 the tracemalloc peaks are 1.7 MiB in blocks of
+    # 64 nodes and 6.75 MiB with every table over all 513 nodes
+    grid, tg = HALF_SLICE_SETTINGS["desk"]
+    data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 2.0), gaussian_field(grid, 0.2, 2.5, 1.0))
+    snap = solve(data, 0.2, tg).node(tg.nt)
+
+    def peak(evaluate):
+        tracemalloc.start()
+        try:
+            evaluate([snap], tg, 6)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(order_fields) < peak(whole_axis_order_fields) / 3
 
 
 # (grid, time grid): a 32-mode line and an 8^2 grid, each sliced at T.  By

@@ -476,7 +476,9 @@ def transport(config_path, out, max_order, force):
     traj = _read_matching_trajectory(cfg)
     phi_e_norm, c_q = _recorded_bound_inputs(cfg, traj)
     psi = build_test_function(cfg)
-    target = bracket_ds(psi, traj.node(0))
+    # the charge at t = 0 of the initial data as given: the stored node 0 is
+    # its kept half, and the data's fftn is Hermitian only to rounding
+    target = bracket_ds(psi, build_initial(cfg))
     snap = traj.node(traj.tgrid.node_index(cfg.s))
     window = traj.tgrid.horizon
     try:
@@ -536,7 +538,7 @@ def sweep(config_path, out, max_order):
         _fail(3, f"blow-up at coupling {exc.coupling!r}: {exc}")
     # Keep only each coupling's slice at s, so the series runs with no
     # trajectory held in memory.
-    slices = [traj.node(j_s).copy() for traj in trajectories]
+    slices = [traj.node(j_s) for traj in trajectories]
     del trajectories
     reports = series_couplings(psi, slices, couplings, cfg.tgrid, cfg.max_order, target=bracket_ds(psi, initial))
     for coupling, report in zip(couplings, reports):
@@ -622,7 +624,8 @@ def readout(config_path, out, max_order):
     phi_est, dtphi_est = readout_series(traj, cfg.s, x0, width, cfg.max_order)
     if not (math.isfinite(phi_est) and math.isfinite(dtphi_est)):
         _fail(3, f"non-finite readout: phi estimate {phi_est!r}, d/dt phi estimate {dtphi_est!r}")
-    first = traj.node(0)
+    # the initial data as given, as transport's target takes them
+    first = build_initial(cfg)
     phi_true = evaluate_at(first.phi, x0)
     dtphi_true = evaluate_at(first.pi, x0)
     out_dir = Path(cfg.out)

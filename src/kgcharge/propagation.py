@@ -10,10 +10,10 @@ are plain Fourier multipliers (tests/oracles.py applies them node by node
 as green_apply).  flow_multipliers is the one closed form of
 the free evolution; free_flow applies it to a single snapshot or a whole
 stack of node lags, and callers that flow by the same lags many times build
-the multipliers once: the solver per solve, the series once per slice time
-s, shared by every slice at s.  The flow acts mode by mode, so it needs to
-know nothing of the tables it moves: free_evolve flows a snapshot's tables
-as they are.
+the multipliers once: the solver per solve, the series once per block of
+nodes, shared by every slice at s.  The flow acts mode by mode, so it needs
+to know nothing of the tables it moves: free_evolve flows a snapshot's
+tables as they are.
 
 Time integrals throughout the package use one composite trapezoid rule on
 the uniform node set of a :class:`TimeGrid`: suffix_time_integral takes

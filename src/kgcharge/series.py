@@ -42,8 +42,9 @@ Every product in the recursion is a dealiased product of real fields, so
 its mode table is zero outside the kept band and Hermitian.  The recursion
 keeps its mode tables on the band's half of the real half spectrum
 (spectral.band_modes / band_values), and W_0 comes from the slice's
-N/2 + 1-column half spectrum.  The t = 0 fields are filled to full real
-fields (SpectrumLayout.fill) before they are paired.
+N/2 + 1-column half spectrum, the columns a stored trajectory keeps.  The
+t = 0 fields are filled to full real fields (SpectrumLayout.fill) before
+they are paired.
 
 The products are pointwise in time, so the recursion runs over blocks of
 SERIES_BLOCK nodes, from s back to t = 0, and every table holds one
@@ -58,13 +59,14 @@ block, so the sums are bit for bit those of one sum over every node.  Row
 0 of the last block is the order's t = 0 field.  The retarded table
 itself is formed only for orders that a higher order reads, and goes back
 to point space through one reused zero half spectrum.  The kernel pair and
-the leaf's backward-flow multipliers depend on s alone: the recursion
-takes every slice at one s (a sweep's slices share it), builds them once
-on the nodes up to s, and every block views its rows of them.  The slices
-are stacked on one axis of every table, so each block runs once for all
-of them.  series_couplings is one such call, and series and readout pass
-one slice.  tests/oracles.py keeps the recursion over the whole node axis,
-one slice at a time, as the reference the blocks are checked against.
+the leaf's backward-flow multipliers depend on s and the node alone: the
+recursion takes every slice at one s (a sweep's slices share it), and
+each block builds them on its own nodes, so they too are one block's
+size.  The slices are stacked on one axis of every table, so each block
+runs once for all of them.  series_couplings is one such call, and series
+and readout pass one slice.  tests/oracles.py keeps the recursion over the
+whole node axis, one slice at a time, as the reference the blocks are
+checked against.
 
 The series computes the order terms, partial sums and residuals and
 nothing else.  Its convergence bounds (radius_bound, convergence_condition)
@@ -278,24 +280,19 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
     last block is the order's t = 0 field, and the retarded table is formed
     only for orders that a higher order reads.
 
-    The slices share one grid and one time s.  The kernel tables (the
-    band's kernel pair and the leaf's backward-flow multipliers, on the
-    nodes up to s) are built once, and every block views its rows of them.
-    The slices are stacked on an axis after the node axis, so each block
-    runs once for all of them.
+    The slices share one grid and one time s.  Each block builds its
+    kernel tables (the band's kernel pair and the leaf's backward-flow
+    multipliers) on its own nodes, elementwise as one build over every
+    node would.  The slices are stacked on an axis after the node axis, so
+    each block runs once for all of them.
     """
     if len({snap.time for snap in slices}) != 1:
         raise ValueError("the order recursion needs every slice at one time s")
     grid, s = slices[0].grid, slices[0].time
     upper = tgrid.node_index(s)
     layout = SpectrumLayout(grid)
-    nodes = tgrid.nodes[: upper + 1]
     phi = np.stack([layout.cut(snap.phi.values) for snap in slices])
     pi = np.stack([layout.cut(snap.pi.values) for snap in slices])
-    # the tables' axes are (nodes, slices, *grid): the kernel tables get an
-    # axis of one for the slices
-    c, s_over_w = (m[:, None] for m in flow_multipliers(layout.omega, nodes - s)[:2])
-    pair = _kernel_pair(grid.band_omega, nodes)[:, :, None]
     band = (Ellipsis,) + grid.band_index
     fields = np.zeros((len(slices), max_order + 1, 2) + grid.shape, dtype=complex)
     # W_0 at t = 0, the slices flowed back by s, with their time derivatives
@@ -310,9 +307,13 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
     carries = {order: [] for order in range(1, max_order + 1)}
     for stop in range(upper + 1, 0, -SERIES_BLOCK):
         start = max(stop - SERIES_BLOCK, 0)
-        block_pair = pair[:, start:stop]
+        nodes = tgrid.nodes[start:stop]
+        # the block's kernel tables; their axes are (nodes, slices, *grid),
+        # with an axis of one for the slices
+        c, s_over_w = (m[:, None] for m in flow_multipliers(layout.omega, nodes - s)[:2])
+        block_pair = _kernel_pair(grid.band_omega, nodes)[:, :, None]
         block_weighted, block_sums = weighted[:, : stop - start], sums[:, : stop - start]
-        points = [half_spectrum_values(grid, c[start:stop] * phi + s_over_w[start:stop] * pi)]
+        points = [half_spectrum_values(grid, c * phi + s_over_w * pi)]
         for order in range(1, max_order + 1):
             total = points[0] * points[order - 1]
             for i in range(1, order):
@@ -370,9 +371,9 @@ def series_couplings(
     """One :func:`series` report per coupling, each from its own slice, all slices at one time s.
 
     One :func:`_order_fields` call runs the recursion of every slice at
-    once: the slices are stacked, every block of nodes runs once for all of
-    them, and the kernel tables are built once.  Each report is bit for bit
-    the one :func:`series` gives on its slice alone.
+    once: the slices are stacked, and every block of nodes, its kernel
+    tables included, runs once for all of them.  Each report is bit for
+    bit the one :func:`series` gives on its slice alone.
     """
     slices, couplings = list(slices), list(couplings)
     if not slices or len(slices) != len(couplings):

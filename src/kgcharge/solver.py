@@ -31,19 +31,20 @@ whose drift a trajectory records: no node is squared twice.
 phi is real and so is every coupling, which solve_couplings checks: a
 complex coupling would kick the data off the reals.  The loop steps on the
 ``rfftn`` half spectrum (spectral.SpectrumLayout), the last axis' j =
-0..modes/2: the square goes through ``irfft``/``rfft``, the norms weigh
-each kept column by its multiplicity in the full spectrum, and after the
-loop every node's other half is filled by conjugation.  One buffer holds
+0..modes/2: the square goes through ``irfft``/``rfft``, and the norms weigh
+each kept column by its multiplicity in the full spectrum.  One buffer holds
 phi and pi of every row at a node, the free flow is one product with the
 pair (phi, pi) and one with the pair swapped, and a step's closing half
 kick is the next step's opening one.  tests/oracles.py keeps the same step
 on the full complex spectrum, for couplings off the real axis.
 
-A trajectory is the Cauchy data at every node as two stacked mode tables,
-phi and pi, each of shape (nnodes, *grid.shape);
-``Trajectory.node`` views one row as a FieldSnapshot.  The solver writes
-each block of nodes into one preallocated table per field and hands each
-coupling its row of the tables; node 0 is the initial data as given.
+A trajectory is the Cauchy data at every node as two stacked tables of
+that half spectrum, phi and pi, each of shape (nnodes, *grid.half_shape):
+the other half of a real field holds nothing new.  The solver writes each
+block of nodes into one preallocated table per field and hands each
+coupling its row of the tables; node 0 is the kept half of the initial
+data.  ``Trajectory.node`` fills one row to full spectra by conjugation
+(SpectrumLayout.fill) and returns it as a FieldSnapshot.
 
 Test functions psi solve the linear equation exactly; they are stored as
 Cauchy data at t = 0 and evaluated at any time with the free flow, so
@@ -92,10 +93,11 @@ class WidthTooSmall(ValueError):
 
 @dataclass(eq=False)
 class Trajectory:
-    """The Cauchy data at every node of a time grid, as two stacked mode tables.
+    """The Cauchy data at every node of a time grid, as two stacked half-spectrum tables.
 
-    ``phi`` and ``pi`` hold the complex modes of every node, shape
-    ``(tgrid.nnodes, *grid.shape)``; row j is the data at ``tgrid.nodes[j]``.
+    ``phi`` and ``pi`` hold the columns of every node that the solver steps
+    in (spectral.SpectrumLayout), shape ``(tgrid.nnodes, *grid.half_shape)``;
+    row j is the data at ``tgrid.nodes[j]``.
     """
 
     tgrid: TimeGrid
@@ -106,20 +108,20 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        expected = (self.tgrid.nnodes, *self.grid.shape)
+        expected = (self.tgrid.nnodes, *self.grid.half_shape)
         if self.phi.shape != expected or self.pi.shape != expected:
             raise SizeMismatch(
                 f"trajectory tables have shapes phi {self.phi.shape}, pi {self.pi.shape}; "
-                f"{self.tgrid.nnodes} nodes on this grid need {expected}"
+                f"{self.tgrid.nnodes} nodes on this grid need {expected}, the half spectrum"
             )
 
     def node(self, j: int) -> FieldSnapshot:
-        """The data at node j, as views of row j of the tables."""
-        return FieldSnapshot(
-            float(self.tgrid.nodes[j]),
-            ModeArray(self.grid, self.phi[j]),
-            ModeArray(self.grid, self.pi[j]),
-        )
+        """The data at node j: row j of the tables, filled to full spectra by conjugation."""
+        layout = SpectrumLayout(self.grid)
+        full = np.empty((2,) + self.grid.shape, dtype=complex)
+        layout.cut(full)[...] = self.phi[j], self.pi[j]
+        layout.fill(full)
+        return FieldSnapshot(float(self.tgrid.nodes[j]), ModeArray(self.grid, full[0]), ModeArray(self.grid, full[1]))
 
 
 @dataclass(eq=False)
@@ -212,12 +214,9 @@ def solve_couplings(
     # nodes of one block: block k holds nodes k BLOCK .. (k + 1) BLOCK - 1
     block = np.empty((3, rows, BLOCK) + layout.shape, dtype=complex)
     squares = np.empty((rows, BLOCK) + layout.shape, dtype=complex)
-    # phi and pi of every row at every node: row r of tables[0] and of
-    # tables[1] is one trajectory.  The blocks write the kept columns; node 0
-    # is the initial data as given.
-    tables = np.empty((2, rows, tgrid.nnodes) + grid.shape, dtype=complex)
-    tables[0, :, 0], tables[1, :, 0] = initial.phi.values, initial.pi.values
-    kept = layout.cut(tables)
+    # phi and pi of every row at every node, in the kept columns: row r of
+    # tables[0] and of tables[1] is one trajectory
+    tables = np.empty((2, rows, tgrid.nnodes) + layout.shape, dtype=complex)
     energies = np.empty((rows, tgrid.nnodes))
 
     # node 0 is slot 0 of the first block, its square the first kick's
@@ -246,7 +245,7 @@ def solve_couplings(
             forced = squares[:, : i + 1]
             forced *= forcing
             nodes[2] -= forced
-            kept[:, :, start : n + 1] = nodes[:2]
+            tables[:, :, start : n + 1] = nodes[:2]
             energies[:, start : n + 1] = layout.energies(nodes[0], nodes[1], forced)
             # the norms square the block in place, after the store and the energies
             norms = layout.norms(nodes, overwrite=True)
@@ -258,9 +257,6 @@ def solve_couplings(
                 time = float(tgrid.nodes[start + at])
                 raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={time}", couplings[first])
             peak = np.maximum(peak, norms.max(axis=(0, 2)))
-    # freed before the fill, whose conjugation takes scratch of its own
-    del block, squares
-    layout.fill(tables[:, :, 1:])
     drifts = np.max(np.abs(energies - energies[:, :1]), axis=1) / np.maximum(1.0, np.abs(energies[:, 0]))
     meta = {"scheme": "strang", "dt": dt, "norm_ceiling": norm_ceiling}
     return [

@@ -29,7 +29,9 @@ holds what that layout needs: the kept columns, the square on them
 (``irfft``/``rfft`` with the transform scales and the 2/3 mask as one
 multiplier), H^q norms and box energies that weigh each kept column by how
 often it occurs in the full spectrum, and the fill that rebuilds the other
-half of full tables by conjugation.
+half of full tables by conjugation.  A stored trajectory keeps this half
+alone; the fill serves ``Trajectory.node``, which completes one row, and
+the series' t = 0 fields.
 
 A dealiased product of real fields is zero outside the kept band and
 Hermitian, so it is fully described by the band's half: ``|j| <= K`` on the
@@ -338,7 +340,8 @@ class SpectrumLayout:
       spectrum: once for the last axis' j = 0 and modes/2, twice elsewhere,
       and ``energies`` weigh it likewise;
     - ``fill`` completes full-spectrum tables from their half by
-      conjugation, in place and by slices.
+      conjugation, in place and by slices: a trajectory's node, and the
+      series' t = 0 fields.
 
     ``cut`` views the kept columns of full-spectrum tables, and ``omega``
     gives the dispersion relation on them.
@@ -506,9 +509,12 @@ def _localized_samples(grid: SpectralGrid, rng: np.random.Generator, count: int)
 
 
 # The estimate's pairs and seed, and the bytes of mode tables, two complex
-# tables a pair, it holds at once: a grid of up to 327 points (the desk's
-# 128, 16^2) takes all its pairs in one chunk
-ALGEBRA_TRIALS, ALGEBRA_SEED, ALGEBRA_CHUNK_BYTES = 200, 0, 2**21
+# tables a pair, it holds at once: a grid of up to 40 points takes all its
+# pairs in one chunk, the desk's 128 points four.  A chunk's working set,
+# about four times its tables, stays near 1 MiB: one chunk of the desk's
+# 200 pairs took 3.3 MiB, which the C library handed back to the system
+# after every estimate and faulted in again on the next
+ALGEBRA_TRIALS, ALGEBRA_SEED, ALGEBRA_CHUNK_BYTES = 200, 0, 2**18
 
 
 def _largest_ratio(grid: SpectralGrid, rng: np.random.Generator, pairs: int) -> float:

@@ -3,20 +3,29 @@
 A trajectory directory holds two files.  ``trajectory.npz`` is an
 uncompressed ``np.savez`` archive of three arrays: ``times`` (float64, the
 time grid's nodes) and the trajectory's ``phi`` and ``pi`` tables
-(complex128, shape ``(nnodes, *grid.shape)``), written and read as they
-are, so every grid dimension uses one format and the values round-trip bit
-for bit.  ``manifest.json`` describes the run: grid, time grid, the real
-coupling, the trajectory's ``meta`` under ``solver`` (the CLI's solve adds
-the sampled algebra constant ``c_q`` beside the solver's ``phi_e_norm``)
-and whatever the caller adds.  The archive's zip entries carry a fixed
-timestamp, so writing the same trajectory again produces the same bytes.
-Reading checks the archive against its manifest: a manifest without a
-well-formed grid, time grid or coupling, a coupling that is not a real
-number, arrays of the wrong shape or dtype, ``times`` that are not the
-manifest's nodes, or non-finite field values raise ValueError.  Every
-trajectory is a real field: a manifest of an older kgcharge that flags its
-fields real still reads, and one that flags them otherwise raises
-ValueError.
+(complex128, shape ``(nnodes, *grid.half_shape)``, the half spectrum the
+solver steps in), written and read as they are, so every grid dimension
+uses one format and the values round-trip bit for bit.  ``manifest.json``
+describes the run: grid, time grid, the real coupling, the trajectory's
+``meta`` under ``solver`` (the CLI's solve adds the sampled algebra
+constant ``c_q`` beside the solver's ``phi_e_norm``) and whatever the
+caller adds.  The archive's zip entries carry a fixed timestamp, so
+writing the same trajectory again produces the same bytes.  Reading checks
+the archive against its manifest and raises ValueError on:
+
+- a manifest that is not an object, or whose grid or time grid is not an
+  object with exactly the keys written here, with an integer (not a
+  boolean) for every integer field and a finite real number for every
+  other;
+- a coupling that is missing or not a finite real number, and a
+  ``solver`` or ``initial`` section that is not an object;
+- arrays of the wrong shape or dtype, among them the full-spectrum tables
+  of an older kgcharge, ``times`` that are not the manifest's nodes, or
+  non-finite field values.
+
+Every trajectory is a real field: a manifest of an older kgcharge that
+flags its fields real still reads, and one that flags them otherwise
+raises ValueError.
 
 A report JSON holds the series report's fields and the convergence bounds
 its caller computed beside the series (transport gives ``radius_bound``,
@@ -33,6 +42,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -79,18 +89,49 @@ def read_manifest(directory) -> dict:
         return json.load(fh)
 
 
+# The keys of the manifest's grid and time sections, each with its kind
+_GRID_FIELDS = {"dim": int, "extent": float, "modes": int, "mass": float, "sobolev_q": int}
+_TIME_FIELDS = {"horizon": float, "nt": int}
+
+
+def _is_number(value, kind) -> bool:
+    """An int for an int field; for a float field an int or a float within the finite floats.  A boolean is neither."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        return False
+    return kind is int or abs(value) <= sys.float_info.max
+
+
+def _numbers(manifest: dict, name: str, fields: dict) -> dict:
+    """The manifest's section ``name``; ValueError unless it holds exactly ``fields``, each a number of its kind."""
+    section = manifest.get(name)
+    if not isinstance(section, dict) or set(section) != set(fields):
+        raise ValueError(f"{MANIFEST_FILE} gives {name} {section!r}, not an object with the keys {sorted(fields)}")
+    for key, kind in fields.items():
+        if not _is_number(section[key], kind):
+            kind_name = "an integer" if kind is int else "a real number"
+            raise ValueError(f"{MANIFEST_FILE} gives {name}.{key} {section[key]!r}, not {kind_name}")
+    return section
+
+
 def read_trajectory(directory) -> Trajectory:
     """Rebuild a trajectory; raises ValueError unless the archive is the one its manifest describes."""
     directory = Path(directory)
     manifest = read_manifest(directory)
-    try:
-        grid = SpectralGrid(**manifest["grid"])
-        tgrid = TimeGrid(manifest["time"]["horizon"], manifest["time"]["nt"])
-        coupling = manifest["coupling"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{MANIFEST_FILE} gives no grid, time grid and coupling ({exc!r})") from exc
-    if not isinstance(coupling, (int, float)) or isinstance(coupling, bool):
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{MANIFEST_FILE} holds {type(manifest).__name__}, not an object")
+    grid_spec, time_spec = _numbers(manifest, "grid", _GRID_FIELDS), _numbers(manifest, "time", _TIME_FIELDS)
+    coupling = manifest.get("coupling")
+    if not _is_number(coupling, float):
         raise ValueError(f"{MANIFEST_FILE} gives coupling {coupling!r}, not a real number")
+    for name in ("solver", "initial"):
+        if not isinstance(manifest.get(name, {}), dict):
+            raise ValueError(f"{MANIFEST_FILE} gives {name} {manifest[name]!r}, not an object")
+    try:
+        grid = SpectralGrid(**grid_spec)
+        tgrid = TimeGrid(time_spec["horizon"], time_spec["nt"])
+    except OverflowError as exc:
+        # an int field so large that the grid's float arithmetic overflows
+        raise ValueError(f"{MANIFEST_FILE} gives a grid out of the floats' range ({exc})") from exc
     if manifest.get("real_field", True) is not True:
         raise ValueError(f"{MANIFEST_FILE} gives real_field {manifest['real_field']!r}; kgcharge stores real fields only")
     with np.load(directory / TRAJECTORY_FILE, allow_pickle=False) as data:

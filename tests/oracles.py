@@ -568,6 +568,36 @@ class FullSpectrum:
         pass
 
 
+@dataclass(eq=False)
+class FullTrajectory:
+    """A trajectory as two stacked full-spectrum tables, shape ``(nnodes, *grid.shape)``.
+
+    The layout the package stored before it kept the half spectrum alone;
+    ``node`` views row j.  The per-node loop returns it, so that it can
+    step a complex coupling on FullSpectrum, and on the half spectrum its
+    rows past node 0 are the full snapshots that ``Trajectory.node`` fills.
+    """
+
+    tgrid: TimeGrid
+    grid: SpectralGrid
+    phi: np.ndarray
+    pi: np.ndarray
+    coupling: complex
+    meta: dict = field(default_factory=dict)
+
+    def node(self, j: int) -> FieldSnapshot:
+        return FieldSnapshot(float(self.tgrid.nodes[j]), ModeArray(self.grid, self.phi[j]), ModeArray(self.grid, self.pi[j]))
+
+
+def full_tables(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """phi and pi of every node filled to full spectra, each row as ``Trajectory.node`` fills it."""
+    layout = SpectrumLayout(traj.grid)
+    tables = np.empty((2, traj.tgrid.nnodes) + traj.grid.shape, dtype=complex)
+    layout.cut(tables)[...] = traj.phi, traj.pi
+    layout.fill(tables)
+    return tables[0], tables[1]
+
+
 def completed(f):
     """The real field whose kept half is f's: columns past modes/2 conjugated from their mirrors."""
     n = f.grid.modes
@@ -621,7 +651,10 @@ def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6, layout
     the acceleration, the energies, the norms, the ceiling test and the
     running max run at each node, node 0 included, so stepping stops at the
     first node that crosses.  ``layout`` is the solver's half spectrum
-    unless given; on FullSpectrum a coupling may be complex.
+    unless given; on FullSpectrum a coupling may be complex.  Returns
+    FullTrajectory objects: node 0 is the initial data as given, and on the
+    half spectrum every later node's other half is filled by conjugation
+    after the loop.
     """
     grid = initial.grid
     dt = tgrid.dt
@@ -672,7 +705,7 @@ def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6, layout
     drifts = np.max(np.abs(energies - energies[:, :1]), axis=1) / np.maximum(1.0, np.abs(energies[:, 0]))
     meta = {"scheme": "strang", "dt": dt, "norm_ceiling": norm_ceiling}
     return [
-        Trajectory(
+        FullTrajectory(
             tgrid,
             grid,
             tables[0, r],
@@ -735,9 +768,10 @@ def node_energies(traj: Trajectory) -> np.ndarray:
     energies replaced: the cubic term uses the dealiased square, matching
     the truncated dynamics, whose continuous-time flow conserves exactly
     this quantity, and one stacked square on the full spectrum covers
-    every node field.
+    every node field, each filled from its kept half (full_tables).
     """
-    grid, phi, pi, coupling = traj.grid, traj.phi, traj.pi, traj.coupling
+    grid, coupling = traj.grid, traj.coupling
+    phi, pi = full_tables(traj)
     n = len(phi)
     quad = 0.5 * (np.abs(pi) ** 2 + (grid.mass**2 + grid.k_squared) * np.abs(phi) ** 2)
     total = np.sum(quad.reshape(n, -1), axis=1) / grid.volume
@@ -829,7 +863,7 @@ def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
     grid = trajectory.grid
     b_s = bracket_ds(psi, trajectory.node(j_s))
     b_0 = bracket_ds(psi, trajectory.node(0))
-    phi = trajectory.phi[: j_s + 1]
+    phi = full_tables(trajectory)[0][: j_s + 1]
     phi_sq = dealiased_product(grid, phi, phi)
     sums = _suffix_sums(_kernel_pair(grid.omega, tgrid.nodes[: j_s + 1]) * phi_sq, tgrid)
     integral = brackets(psi, 0.0, _t0_field(sums)[None])[0]

@@ -72,7 +72,8 @@ def test_solve_writes_a_complete_trajectory(runner, tmp_path):
     with np.load(tdir / "trajectory.npz", allow_pickle=False) as data:
         nnodes = SMALL["time"]["nt"] + 1
         assert data["times"].shape == (nnodes,)
-        assert data["phi"].shape == data["pi"].shape == (nnodes, SMALL["grid"]["Nx"])
+        # the half spectrum, the last axis' j = 0..Nx/2
+        assert data["phi"].shape == data["pi"].shape == (nnodes, SMALL["grid"]["Nx"] // 2 + 1)
     assert not list(tdir.glob("node_*.csv"))
     manifest = json.loads((tdir / "manifest.json").read_text())
     assert manifest["coupling"] == 0.2
@@ -470,6 +471,26 @@ def make_coupling_complex(arrays, manifest):
     manifest["coupling"] = {"real": 0.2, "imag": 0.1}
 
 
+def fill_to_full_spectra(arrays, manifest):
+    # the full tables an older kgcharge stored: every 1-D row's columns past
+    # Nx/2 are the conjugates of its columns Nx/2 - 1 .. 1
+    for name in ("phi", "pi"):
+        arrays[name] = np.concatenate([arrays[name], np.conj(arrays[name][:, -2:0:-1])], axis=1)
+
+
+def set_in_manifest(path, value):
+    """A spoil that sets the manifest's entry at the dotted ``path`` to ``value``."""
+    *sections, key = path.split(".")
+
+    def spoil(arrays, manifest):
+        for section in sections:
+            manifest = manifest[section]
+        manifest[key] = value
+
+    spoil.__name__ = f"set_{path}_to_{json.dumps(value)}"
+    return spoil
+
+
 @pytest.mark.parametrize(
     "spoil",
     [
@@ -484,7 +505,24 @@ def make_coupling_complex(arrays, manifest):
         add_grid_key,
         flag_fields_complex,
         make_coupling_complex,
+        fill_to_full_spectra,
+        # sections that are not objects, and integer fields that hold their
+        # value as a float or a boolean
+        *(
+            set_in_manifest(path, value)
+            for path, value in [
+                ("initial", 5),
+                ("initial", []),
+                ("initial", None),
+                ("solver", 5),
+                ("solver", None),
+                ("time.nt", float(SMALL["time"]["nt"])),
+                ("grid.modes", float(SMALL["grid"]["Nx"])),
+                ("grid.dim", True),
+            ]
+        ),
     ],
+    ids=lambda spoil: spoil.__name__,
 )
 def test_transport_and_readout_reject_a_malformed_archive(runner, tmp_path, spoil):
     cfg = run_solved(runner, tmp_path)
@@ -501,6 +539,7 @@ def test_transport_and_readout_reject_a_malformed_archive(runner, tmp_path, spoi
         result = runner.invoke(main, [command, "--config", str(config)])
         assert result.exit_code == 2, result.output
         assert "unreadable trajectory" in result.output
+        assert "run solve first" in result.output
 
 
 def test_transport_reads_the_norm_that_solve_recorded(runner, tmp_path):

@@ -195,6 +195,8 @@ TEST_ONLY_NAMES = (
     "node_energies",
     "_real",
     "whole_axis_order_fields",
+    "FullTrajectory",
+    "full_tables",
 )
 
 

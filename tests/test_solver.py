@@ -1,6 +1,7 @@
 """Strang-split integrator, field factories, and energy bookkeeping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from oracles import (
     FullSpectrum,
     acceleration,
     field_energy_norm,
+    full_tables,
     node_energies,
     node_energy,
     per_node_field_energy_norm,
@@ -67,7 +69,7 @@ def test_free_coupling_reduces_to_free_evolution(small_grid, rng):
 def test_trajectory_shape_and_times(small_grid):
     tg = TimeGrid(horizon=0.5, nt=8)
     traj = solve(gaussian_data(small_grid), 0.1, tg)
-    assert traj.phi.shape == traj.pi.shape == (tg.nnodes, *small_grid.shape)
+    assert traj.phi.shape == traj.pi.shape == (tg.nnodes, *small_grid.half_shape)
     np.testing.assert_allclose([traj.node(j).time for j in range(tg.nnodes)], tg.nodes)
     assert traj.coupling == 0.1
     assert traj.node(3).time == pytest.approx(tg.nodes[3])
@@ -108,7 +110,11 @@ def test_solve_matches_fresh_kicks_bit_for_bit(grid, coupling, rng):
     literal = strang_with_fresh_kicks(data, coupling, tg)
     nodes = [traj.node(j) for j in range(tg.nnodes)]
     assert [s.time for s in nodes] == [s.time for s in literal]
-    for got, want in zip(nodes, literal):
+    # node 0 is the kept half of the data as given, every later node a full snapshot
+    layout = SpectrumLayout(grid)
+    np.testing.assert_array_equal(traj.phi[0], layout.cut(literal[0].phi.values))
+    np.testing.assert_array_equal(traj.pi[0], layout.cut(literal[0].pi.values))
+    for got, want in zip(nodes[1:], literal[1:]):
         np.testing.assert_array_equal(got.phi.values, want.phi.values)
         np.testing.assert_array_equal(got.pi.values, want.pi.values)
 
@@ -138,12 +144,19 @@ STACK_GRIDS = [
 
 
 def assert_same_trajectory(got, want):
+    """got's tables are want's leading columns, and got's nodes past 0 want's, bit for bit.
+
+    want may hold full spectra (oracles.FullTrajectory), where got keeps the half.
+    """
     assert got.coupling == want.coupling
     assert got.meta == want.meta
     assert got.tgrid.nnodes == want.tgrid.nnodes
-    for a, b in ((got.node(j), want.node(j)) for j in range(got.tgrid.nnodes)):
+    columns = got.phi.shape[-1]
+    # bytes, so the sign of a zero counts too
+    assert got.phi.tobytes() == want.phi[..., :columns].tobytes()
+    assert got.pi.tobytes() == want.pi[..., :columns].tobytes()
+    for a, b in ((got.node(j), want.node(j)) for j in range(1, got.tgrid.nnodes)):
         assert a.time == b.time
-        # bytes, so the sign of a zero counts too
         assert a.phi.values.tobytes() == b.phi.values.tobytes()
         assert a.pi.values.tobytes() == b.pi.values.tobytes()
 
@@ -232,8 +245,9 @@ def test_real_fields_on_the_half_spectrum_match_the_full_complex_path(grid, rng)
     half = solve_couplings(data, STACK_COUPLINGS, tg)
     full = per_node_solve_couplings(data, STACK_COUPLINGS, tg, layout=FullSpectrum(grid))
     for got, want in zip(half, full, strict=True):
-        assert_close_rows(got.phi, want.phi, 1e-12)
-        assert_close_rows(got.pi, want.pi, 1e-12)
+        phi, pi = full_tables(got)
+        assert_close_rows(phi, want.phi, 1e-12)
+        assert_close_rows(pi, want.pi, 1e-12)
         assert got.meta["phi_e_norm"] == pytest.approx(want.meta["phi_e_norm"], rel=1e-12, abs=0.0)
 
 
@@ -334,6 +348,24 @@ def test_a_desk_solve_takes_the_norms_once_per_block(monkeypatch):
     # one call per block of BLOCK nodes from node 0, as many as node 0 alone
     # and then one per block of BLOCK steps would take
     assert len(calls) == 1 + math.ceil(tg.nt / BLOCK) == math.ceil(tg.nnodes / BLOCK) == 33
+
+
+def test_a_sweep_solve_holds_under_six_tenths_of_the_full_tables():
+    # the desk sweep's four couplings: full tables of phi and pi at every
+    # node would take 2 x 4 x 513 x 128 complex entries, 8.4 MB
+    grid = LAYOUT_GRIDS[0]
+    tg = TimeGrid(0.5, 512)
+    couplings = [0.05, 0.1, 0.2, 0.4]
+    full_bytes = 2 * len(couplings) * tg.nnodes * grid.npoints * np.dtype(complex).itemsize
+    data = gaussian_data(grid)
+    tracemalloc.start()
+    try:
+        trajectories = solve_couplings(data, couplings, tg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trajectories) == len(couplings)
+    assert peak < 0.6 * full_bytes, (peak, full_bytes)
 
 
 @pytest.mark.parametrize("grid", LAYOUT_GRIDS, ids=["desk", "1d-30", "2d-16"])

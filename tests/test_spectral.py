@@ -342,14 +342,20 @@ def test_the_estimate_in_chunks_is_the_estimate_in_one(grid, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "grid",
-    [SpectralGrid(), SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2)],
-    ids=["desk", "2d-16"],
+    "grid, expected",
+    [
+        (SpectralGrid(dim=1, extent=20.0, modes=32, mass=1.0, sobolev_q=1), [200]),
+        (SpectralGrid(), [64, 64, 64, 8]),
+        (SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2), [32] * 6 + [8]),
+    ],
+    ids=["1d-32", "desk", "2d-16"],
 )
-def test_the_estimate_runs_one_chunk_on_small_grids(grid, monkeypatch):
+def test_the_estimate_takes_its_pairs_in_chunks_of_256_kib(grid, expected, monkeypatch):
+    # 2**18 bytes of mode tables, two complex tables a pair: one chunk on
+    # grids of up to 40 points
     sizes = record_chunk_sizes(monkeypatch)
     estimate_algebra_constant(grid)
-    assert sizes == [spectral.ALGEBRA_TRIALS]
+    assert sizes == expected
 
 
 @pytest.mark.parametrize(

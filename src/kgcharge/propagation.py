@@ -1,4 +1,4 @@
-"""Free Klein-Gordon evolution, retarded mode kernels, and time quadrature.
+"""The time grid, free Klein-Gordon evolution, and retarded mode kernels.
 
 Every mode k evolves independently under the linear equation with angular
 frequency omega = sqrt(m^2 + |k|^2), so evolution and the retarded kernels
@@ -15,17 +15,13 @@ nodes, shared by every slice at s.  The flow acts mode by mode, so it needs
 to know nothing of the tables it moves: free_evolve flows a snapshot's
 tables as they are.
 
-Time integrals throughout the package use one composite trapezoid rule on
-the uniform node set of a :class:`TimeGrid`: suffix_time_integral takes
-every trailing node range at once, one reversed cumulative sum into a
-buffer the caller may reuse, with the end terms subtracted in place.  The
-series stacks its two kernels, sin/omega and cos, so that one sum covers
-both; row 0, the range [0, s], is a product's Duhamel datum.  It runs the
-same sum over blocks of nodes from s down (series._suffix_sums), carrying
-the running total and the end term at s from block to block, so that its
-additions and their order are this function's.  tests/oracles.py keeps
-the one-range time_integral as its reference.  Nothing is ever
-interpolated in time.
+Time integrals run on the uniform node set of a :class:`TimeGrid`, by one
+composite trapezoid rule, which lives in the series (series._suffix_sums):
+every trailing node range at once, as one reversed cumulative sum walked
+in blocks of nodes from s down, whose running total is carried from block
+to block.  tests/oracles.py keeps the trapezoid over one range and the
+one over every trailing range in a single sum as its references.
+Nothing is ever interpolated in time.
 """
 
 from __future__ import annotations
@@ -107,29 +103,3 @@ def free_evolve(snap: FieldSnapshot, dt: float) -> FieldSnapshot:
     phi, pi = free_flow(grid, snap.phi.values, snap.pi.values, dt)
     return FieldSnapshot(snap.time + dt, ModeArray(grid, phi), ModeArray(grid, pi))
 
-
-def suffix_time_integral(samples: np.ndarray, tgrid: TimeGrid, upper: int, out: np.ndarray | None = None) -> np.ndarray:
-    """All trailing trapezoids at once: out[j] integrates nodes j..upper.
-
-    ``samples`` is indexed by node along its first axis and must reach node
-    ``upper``; rows past it are not read.  Row j is the composite trapezoid
-    over [tau_j, tau_upper], and all rows come from one reversed cumulative
-    sum, into ``out``'s rows 0..upper; the trapezoid's end terms are then
-    subtracted in place.  Without ``out`` the result is a new table of
-    ``samples``' shape whose rows past ``upper`` are zero; an ``out`` of
-    exactly upper + 1 rows spares that zero padding.  The series' blocks of
-    nodes continue this sum with a carry (series._suffix_sums) and give
-    its rows bit for bit.
-    """
-    if not 0 <= upper <= tgrid.nt:
-        raise ValueError(f"upper node {upper} outside grid with nt={tgrid.nt}")
-    samples = np.asarray(samples)
-    if out is None:
-        out = np.zeros_like(samples, dtype=samples.dtype)
-    head = samples[: upper + 1]
-    rows = out[: upper + 1]
-    np.cumsum(head[::-1], axis=0, out=rows[::-1])
-    rows -= 0.5 * head
-    rows -= 0.5 * head[-1]
-    rows *= tgrid.dt
-    return out

@@ -36,7 +36,7 @@ tree field (W_n(0), d/dt W_n(0)), order 0 being the slice's backward free
 flow.  None of these fields depends on psi, and all orders pair with it
 through one stacked bracket.  tests/oracles.py forms phi^2's field for the
 charge-balance defect, and each subtree's for the sampled bound check,
-the same way.
+the same way, from its own whole-range suffix sums.
 
 Every product in the recursion is a dealiased product of real fields, so
 its mode table is zero outside the kept band and Hermitian.  The recursion
@@ -55,8 +55,9 @@ one kernel pair, so both suffix sums of its retarded integral are one
 cumulative sum into buffers that every order reuses.  That sum carries
 its running total from block to block as the first term of the next
 block's sum, and the trapezoid's end term, the row at s, from the first
-block, so the sums are bit for bit those of one sum over every node.  Row
-0 of the last block is the order's t = 0 field.  The retarded table
+block, so the sums are bit for bit those of one sum over every node.
+This carried sum (_suffix_sums) is the package's one time quadrature.
+Row 0 of the last block is the order's t = 0 field.  The retarded table
 itself is formed only for orders that a higher order reads, and goes back
 to point space through one reused zero half spectrum.  The kernel pair and
 the leaf's backward-flow multipliers depend on s and the node alone: the
@@ -105,7 +106,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .propagation import TimeGrid, apply_flow, flow_multipliers, suffix_time_integral
+from .propagation import TimeGrid, apply_flow, flow_multipliers
 from .solver import TestFunction, Trajectory, dirac_test_function, evaluate_test_function
 from .spectral import (
     FieldSnapshot,
@@ -148,31 +149,22 @@ def _kernel_pair(omega: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.stack([s_over_w, c])
 
 
-def _suffix_sums(
-    weighted: np.ndarray, tgrid: TimeGrid, out: np.ndarray | None = None, carry: list | None = None
-) -> np.ndarray:
-    """Every trailing trapezoid of both kernel-weighted tables of a :func:`_kernel_pair` stack, into ``out``.
+def _suffix_sums(weighted: np.ndarray, tgrid: TimeGrid, out: np.ndarray, carry: list) -> np.ndarray:
+    """One block's trailing trapezoids of both kernel-weighted tables of a :func:`_kernel_pair` stack, into ``out``.
 
-    The node axis is axis 1.  Without ``carry`` its last row is the upper
-    node, and one reversed cumulative sum covers both tables
-    (:func:`suffix_time_integral`).  Without ``out`` the sums go to a new
-    table.
-
-    With ``carry`` the rows are one block of a range that is walked in
-    blocks from the upper node down, and ``carry`` is the list that the
-    blocks of one range share.  It is empty before the block that ends at
-    the upper node, and after each block it holds the reversed cumulative
-    sum through the block's bottom row and the upper node's row, the
-    trapezoid's end term.  The running sum goes in as the first term of
-    the next block's sum, so the additions happen in the order of one sum
-    over the whole range, and the sums are bit for bit the ones it gives.
+    The package's one time quadrature: row j is the composite trapezoid
+    over [tau_j, tau_upper], and the nodes up to the upper one are walked
+    in blocks from it down.  The node axis is axis 1, and ``carry`` is the
+    list that the blocks of one range share.  It is empty before the block
+    that ends at the upper node, and after each block it holds the
+    reversed cumulative sum through the block's bottom row and the upper
+    node's row, the trapezoid's end term.  The running sum goes in as the
+    first term of the next block's sum, so the additions happen in the
+    order of one reversed cumulative sum over the whole range, and the sums
+    are bit for bit the ones it gives: tests/oracles.py keeps that sum as
+    the reference.
     """
-    if out is None:
-        out = np.empty_like(weighted)
     head, rows = weighted.swapaxes(0, 1), out.swapaxes(0, 1)
-    if carry is None:
-        suffix_time_integral(head, tgrid, len(head) - 1, out=rows)
-        return out
     if carry:
         running, end = carry
         top = head[-1].copy()

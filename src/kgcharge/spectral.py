@@ -238,9 +238,6 @@ class ModeArray:
             )
         self.values = values
 
-    def copy(self) -> "ModeArray":
-        return ModeArray(self.grid, self.values.copy())
-
 
 @dataclass(eq=False)
 class FieldSnapshot:
@@ -257,9 +254,6 @@ class FieldSnapshot:
     @property
     def grid(self) -> SpectralGrid:
         return self.phi.grid
-
-    def copy(self) -> "FieldSnapshot":
-        return FieldSnapshot(self.time, self.phi.copy(), self.pi.copy())
 
 
 def to_modes(grid: SpectralGrid, samples: np.ndarray) -> ModeArray:
@@ -344,7 +338,9 @@ class SpectrumLayout:
       series' t = 0 fields.
 
     ``cut`` views the kept columns of full-spectrum tables, and ``omega``
-    gives the dispersion relation on them.
+    gives the dispersion relation on them.  The mask and the weight tables
+    are built on first use, so a layout that only cuts and fills, as a
+    trajectory's node does, costs no more than those views.
     """
 
     def __init__(self, grid: SpectralGrid):
@@ -353,14 +349,20 @@ class SpectrumLayout:
         self.columns = self.shape[-1]
         self.omega = self.cut(grid.omega)
         self._axes = tuple(range(-grid.dim, 0))
-        self._fold = self.cut(grid.keep_mask) * (grid.npoints / grid.volume)
-        multiplicity = np.full(self.columns, 2.0)
-        multiplicity[[0, -1]] = 1.0
+
+    @cached_property
+    def _fold(self) -> np.ndarray:
+        return self.cut(self.grid.keep_mask) * (self.grid.npoints / self.grid.volume)
+
+    @cached_property
+    def _weights(self) -> tuple[np.ndarray, ...]:
         # each weight by multiplicity, twice (a column's real and imaginary part), over the
         # volume: the H^q norms', and the energy density's on phi^2, pi^2 and phi lambda phi^2
-        self._part_weights, *self._energy_weights = (
-            np.repeat(weights * multiplicity, 2, axis=-1) / grid.volume
-            for weights in (self.cut(grid.sobolev_weights), self.omega**2 / 2.0, 0.5, 1.0 / 3.0)
+        multiplicity = np.full(self.columns, 2.0)
+        multiplicity[[0, -1]] = 1.0
+        return tuple(
+            np.repeat(weights * multiplicity, 2, axis=-1) / self.grid.volume
+            for weights in (self.cut(self.grid.sobolev_weights), self.omega**2 / 2.0, 0.5, 1.0 / 3.0)
         )
 
     def cut(self, values: np.ndarray) -> np.ndarray:
@@ -388,7 +390,7 @@ class SpectrumLayout:
         """
         parts = values.view(float)
         weighted = np.multiply(parts, parts, out=parts if overwrite else None)
-        weighted *= self._part_weights
+        weighted *= self._weights[0]
         return np.sqrt(np.add.reduce(weighted, axis=self._axes))
 
     def energies(self, phi: np.ndarray, pi: np.ndarray, forced: np.ndarray) -> np.ndarray:
@@ -396,7 +398,7 @@ class SpectrumLayout:
 
         Of stacks of tables in this layout, weighed as ``norms`` weighs them, with its contiguous last axis.
         """
-        on_phi, on_pi, on_forced = self._energy_weights
+        _, on_phi, on_pi, on_forced = self._weights
         phi, pi, forced = phi.view(float), pi.view(float), forced.view(float)
         return np.add.reduce(phi * (on_phi * phi + on_forced * forced) + on_pi * pi * pi, axis=self._axes)
 

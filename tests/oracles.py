@@ -20,7 +20,11 @@ Two kinds of code live here, outside the package:
   per-node solver and diagnostic loops, and the small field helpers
   (to_grid, zero_modes, pointwise_product, hermitian_defect, green_apply,
   the one-range trapezoid time_integral, the H^q norm at any q, ...) that
-  nothing in the package calls.
+  nothing in the package calls.  The trapezoid over every trailing range
+  at once, suffix_time_integral, is the whole-range reference for the
+  package's one time quadrature, the suffix sums that series._suffix_sums
+  carries from block to block of nodes; every oracle here sums through it
+  (pair_suffix_sums), never through the package's carry.
 - The full complex spectrum, which the package, stepping real fields on
   the half spectrum, does without: the complex dealiased product
   (complex_product) and the layout FullSpectrum, on which the per-node
@@ -31,8 +35,8 @@ Two kinds of code live here, outside the package:
   (first_order_bound), the charge-balance defect (p_residual) and the
   sampled operator-norm bound (delta_norm_bound_check), with the dual
   sup norm of psi they share (test_function_sup_norm).  The defect and
-  the sampled tree functional run on the series' stacked suffix sums,
-  each beside the per-node loop that checks it.
+  the sampled tree functional run on the stacked kernel pair's
+  whole-range suffix sums, each beside the per-node loop that checks it.
 """
 
 import itertools
@@ -41,16 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kgcharge.propagation import (
-    TimeGrid,
-    apply_flow,
-    flow_multipliers,
-    free_evolve,
-    free_flow,
-    suffix_time_integral,
-)
+from kgcharge.propagation import TimeGrid, apply_flow, flow_multipliers, free_evolve, free_flow
 from kgcharge.series import _brackets as brackets
-from kgcharge.series import _kernel_pair, _retarded_table, _suffix_sums, _t0_field, bracket_ds
+from kgcharge.series import _kernel_pair, _retarded_table, _t0_field, bracket_ds
 from kgcharge.solver import BlowUp, TestFunction, Trajectory, evaluate_test_function
 from kgcharge.spectral import (
     FieldSnapshot,
@@ -296,10 +293,10 @@ def cherry_amplitude(extent, mass, s, nodes, phi_hat, pi_hat, psi0_hat, psi1_hat
 def time_integral(samples, tgrid: TimeGrid, start: int = 0, stop: int | None = None):
     """Composite trapezoid of node samples over [tau_start, tau_stop], one range per call.
 
-    The reference for the package's suffix_time_integral, which forms every
-    trailing range at once.  ``samples`` is indexed by node along its first
-    axis and must reach node ``stop``; rows past it are not read, so tables
-    cut at ``stop`` need no padding.  Scalars per node give a scalar
+    The reference for suffix_time_integral, which forms every trailing
+    range at once.  ``samples`` is indexed by node along its first axis
+    and must reach node ``stop``; rows past it are not read, so tables cut
+    at ``stop`` need no padding.  Scalars per node give a scalar
     result, stacked mode arrays integrate mode-wise.  The degenerate range
     start == stop integrates to zero.
     """
@@ -318,6 +315,48 @@ def time_integral(samples, tgrid: TimeGrid, start: int = 0, stop: int | None = N
     total = window.sum(axis=0) - 0.5 * (window[0] + window[-1])
     return total * tgrid.dt
 
+
+def suffix_time_integral(samples: np.ndarray, tgrid: TimeGrid, upper: int, out: np.ndarray | None = None) -> np.ndarray:
+    """All trailing trapezoids at once: out[j] integrates nodes j..upper.
+
+    ``samples`` is indexed by node along its first axis and must reach node
+    ``upper``; rows past it are not read.  Row j is the composite trapezoid
+    over [tau_j, tau_upper], and all rows come from one reversed cumulative
+    sum, into ``out``'s rows 0..upper; the trapezoid's end terms are then
+    subtracted in place.  Without ``out`` the result is a new table of
+    ``samples``' shape whose rows past ``upper`` are zero; an ``out`` of
+    exactly upper + 1 rows spares that zero padding.  The whole-range
+    reference for the package's one quadrature, series._suffix_sums, which
+    walks the range in blocks of nodes with a carry and must give these
+    rows bit for bit.
+    """
+    if not 0 <= upper <= tgrid.nt:
+        raise ValueError(f"upper node {upper} outside grid with nt={tgrid.nt}")
+    samples = np.asarray(samples)
+    if out is None:
+        out = np.zeros_like(samples, dtype=samples.dtype)
+    head = samples[: upper + 1]
+    rows = out[: upper + 1]
+    np.cumsum(head[::-1], axis=0, out=rows[::-1])
+    rows -= 0.5 * head
+    rows -= 0.5 * head[-1]
+    rows *= tgrid.dt
+    return out
+
+
+def pair_suffix_sums(weighted: np.ndarray, tgrid: TimeGrid, out: np.ndarray | None = None) -> np.ndarray:
+    """Every trailing trapezoid of both kernel-weighted tables of a kernel-pair stack, over the whole range.
+
+    The node axis is axis 1 and its last row is the upper node; one
+    suffix_time_integral call covers both tables.  series._suffix_sums
+    walks the same range in blocks with a carry.  Without ``out`` the sums
+    go to a new table.
+    """
+    if out is None:
+        out = np.empty_like(weighted)
+    head = weighted.swapaxes(0, 1)
+    suffix_time_integral(head, tgrid, len(head) - 1, out=out.swapaxes(0, 1))
+    return out
 
 
 def retarded_integral(flow, tgrid: TimeGrid, prod: np.ndarray, upper: int) -> tuple[np.ndarray, np.ndarray]:
@@ -828,9 +867,9 @@ def per_draw_localized_samples(grid, rng):
 # The paper's bound checks, which only the acceptance gate and the tests
 # run: the first-order bound, the charge-balance defect and the sampled
 # operator-norm bound.  The defect and the sampled tree functional run on
-# the package's stacked suffix sums, each beside the per-node loop that
-# checks it; criterion 07 needs the stacked legs, since the per-node ones
-# make O(nnodes^2) green_apply calls.
+# the stacked kernel pair's whole-range suffix sums (pair_suffix_sums),
+# each beside the per-node loop that checks it; criterion 07 needs the
+# stacked legs, since the per-node ones make O(nnodes^2) green_apply calls.
 
 
 def first_order_bound(
@@ -865,7 +904,7 @@ def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
     b_0 = bracket_ds(psi, trajectory.node(0))
     phi = full_tables(trajectory)[0][: j_s + 1]
     phi_sq = dealiased_product(grid, phi, phi)
-    sums = _suffix_sums(_kernel_pair(grid.omega, tgrid.nodes[: j_s + 1]) * phi_sq, tgrid)
+    sums = pair_suffix_sums(_kernel_pair(grid.omega, tgrid.nodes[: j_s + 1]) * phi_sq, tgrid)
     integral = brackets(psi, 0.0, _t0_field(sums)[None])[0]
     return abs(b_s - b_0 - trajectory.coupling * integral)
 
@@ -971,7 +1010,7 @@ def _sampled_legs(
     prod = dealiased_product(grid, left[: upper + 1], right[: upper + 1])
     kernels = pair[:, : upper + 1]
     weighted = kernels * prod
-    sums = _suffix_sums(weighted, tgrid)
+    sums = pair_suffix_sums(weighted, tgrid)
     return _retarded_table(kernels, sums, weighted), _t0_field(sums), upper
 
 
@@ -1089,8 +1128,9 @@ def whole_axis_order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarr
 
     The recursion the package ran before it walked the nodes in blocks:
     one slice at a time, one suffix_time_integral call per order over the
-    whole range.  The blocked recursion, series._order_fields, must give
-    these fields bit for bit.
+    whole range (pair_suffix_sums), so it shares no summation code with the
+    package's carried sums.  The blocked recursion, series._order_fields,
+    must give these fields bit for bit.
     """
     grid, s = slices[0].grid, slices[0].time
     upper = tgrid.node_index(s)
@@ -1116,7 +1156,7 @@ def whole_axis_order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarr
                 points.clear()
             np.multiply(pair, band_modes(grid, total), out=weighted)
             del total
-            out[order][band] = _t0_field(_suffix_sums(weighted, tgrid, sums))
+            out[order][band] = _t0_field(pair_suffix_sums(weighted, tgrid, sums))
             if order < max_order:
                 points.append(band_values(grid, _retarded_table(pair, sums, weighted), half))
     layout.fill(fields)

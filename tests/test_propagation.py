@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_snapshot
-from kgcharge.propagation import (
-    TimeGrid,
-    free_evolve,
-    suffix_time_integral,
-)
+from kgcharge.propagation import TimeGrid, free_evolve
+from kgcharge.series import _suffix_sums
 from kgcharge.spectral import random_band_limited, sobolev_norm
-from oracles import free_mode_evolution, green_apply, time_integral
+from oracles import free_mode_evolution, green_apply, suffix_time_integral, time_integral
 
 
 def test_time_grid_validation():
@@ -142,3 +139,17 @@ def test_suffix_time_integral_matches_per_row_trapezoids(small_grid, rng):
         else:
             expected = time_integral(stack, tg, j, upper)
             np.testing.assert_allclose(out[j], expected, atol=1e-12)
+    # the series' sums over a kernel pair's stack, node axis 1, walked from
+    # the upper node down in blocks that carry the running sum, give the
+    # whole range's rows bit for bit
+    pair = rng.standard_normal((2, tg.nnodes) + small_grid.shape) + 1j * rng.standard_normal(
+        (2, tg.nnodes) + small_grid.shape
+    )
+    whole = suffix_time_integral(pair.swapaxes(0, 1), tg, upper)[: upper + 1].swapaxes(0, 1)
+    for block in (1, 5, upper + 1):
+        sums = np.empty_like(whole)
+        carry = []
+        for stop in range(upper + 1, 0, -block):
+            start = max(stop - block, 0)
+            _suffix_sums(pair[:, start:stop], tg, sums[:, start:stop], carry)
+        assert np.array_equal(sums, whole), block

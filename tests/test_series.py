@@ -195,6 +195,8 @@ TEST_ONLY_NAMES = (
     "node_energies",
     "_real",
     "whole_axis_order_fields",
+    "suffix_time_integral",
+    "pair_suffix_sums",
     "FullTrajectory",
     "full_tables",
 )

@@ -292,7 +292,7 @@ def _coupling(cfg: Config) -> float:
 def build_initial(cfg: Config) -> FieldSnapshot:
     grid, spec = cfg.grid, cfg.initial
     phi = gaussian_field(grid, spec["amplitude"], spec["width"], spec["center"])
-    return FieldSnapshot(0.0, phi, ModeArray(grid, np.zeros(grid.shape, dtype=complex)))
+    return FieldSnapshot(0.0, phi, ModeArray(grid, np.zeros(grid.half_shape, dtype=complex)))
 
 
 def build_test_function(cfg: Config) -> TestFunction:
@@ -301,7 +301,7 @@ def build_test_function(cfg: Config) -> TestFunction:
     kind = spec["type"]
     if kind == "gaussian":
         g = gaussian_field(grid, spec["amplitude"], spec["width"], spec["center"])
-        zero = ModeArray(grid, np.zeros(grid.shape, dtype=complex))
+        zero = ModeArray(grid, np.zeros(grid.half_shape, dtype=complex))
         slots = {"position": (g, zero), "velocity": (zero, g)}
         psi = TestFunction(*slots.get(spec["slot"], (g, g)))
     elif kind == "low-mode":
@@ -476,9 +476,7 @@ def transport(config_path, out, max_order, force):
     traj = _read_matching_trajectory(cfg)
     phi_e_norm, c_q = _recorded_bound_inputs(cfg, traj)
     psi = build_test_function(cfg)
-    # the charge at t = 0 of the initial data as given: the stored node 0 is
-    # its kept half, and the data's fftn is Hermitian only to rounding
-    target = bracket_ds(psi, build_initial(cfg))
+    target = bracket_ds(psi, traj.node(0))
     snap = traj.node(traj.tgrid.node_index(cfg.s))
     window = traj.tgrid.horizon
     try:
@@ -624,8 +622,7 @@ def readout(config_path, out, max_order):
     phi_est, dtphi_est = readout_series(traj, cfg.s, x0, width, cfg.max_order)
     if not (math.isfinite(phi_est) and math.isfinite(dtphi_est)):
         _fail(3, f"non-finite readout: phi estimate {phi_est!r}, d/dt phi estimate {dtphi_est!r}")
-    # the initial data as given, as transport's target takes them
-    first = build_initial(cfg)
+    first = traj.node(0)
     phi_true = evaluate_at(first.phi, x0)
     dtphi_true = evaluate_at(first.pi, x0)
     out_dir = Path(cfg.out)

@@ -8,12 +8,11 @@ frequency omega = sqrt(m^2 + |k|^2), so evolution and the retarded kernels
 
 are plain Fourier multipliers (tests/oracles.py applies them node by node
 as green_apply).  flow_multipliers is the one closed form of
-the free evolution; free_flow applies it to a single snapshot or a whole
-stack of node lags, and callers that flow by the same lags many times build
-the multipliers once: the solver per solve, the series once per block of
-nodes, shared by every slice at s.  The flow acts mode by mode, so it needs
-to know nothing of the tables it moves: free_evolve flows a snapshot's
-tables as they are.
+the free evolution, on whatever mode layout omega is given on, for one lag
+or a whole stack of node lags; callers that flow by the same lags many
+times build the multipliers once: the solver per solve, the series once
+per block of nodes, shared by every slice at s.  free_evolve flows one
+snapshot, on the half spectrum every mode table holds.
 
 Time integrals run on the uniform node set of a :class:`TimeGrid`, by one
 composite trapezoid rule, which lives in the series (series._suffix_sums):
@@ -31,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import FieldSnapshot, ModeArray, SpectralGrid
+from .spectral import FieldSnapshot, ModeArray, SpectrumLayout
 
 
 @dataclass(frozen=True)
@@ -92,14 +91,9 @@ def apply_flow(multipliers, phi: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray
     return c * phi + s_over_w * pi, w_s * phi + c * pi
 
 
-def free_flow(grid: SpectralGrid, phi: np.ndarray, pi: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form linear flow of mode data (phi_hat, pi_hat) by dt; see :func:`flow_multipliers`."""
-    return apply_flow(flow_multipliers(grid.omega, dt), phi, pi)
-
-
 def free_evolve(snap: FieldSnapshot, dt: float) -> FieldSnapshot:
     """Exact linear evolution by dt (negative dt evolves backward)."""
     grid = snap.grid
-    phi, pi = free_flow(grid, snap.phi.values, snap.pi.values, dt)
+    phi, pi = apply_flow(flow_multipliers(SpectrumLayout(grid).omega, dt), snap.phi.values, snap.pi.values)
     return FieldSnapshot(snap.time + dt, ModeArray(grid, phi), ModeArray(grid, pi))
 

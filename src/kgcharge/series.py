@@ -42,9 +42,9 @@ Every product in the recursion is a dealiased product of real fields, so
 its mode table is zero outside the kept band and Hermitian.  The recursion
 keeps its mode tables on the band's half of the real half spectrum
 (spectral.band_modes / band_values), and W_0 comes from the slice's
-N/2 + 1-column half spectrum, the columns a stored trajectory keeps.  The
-t = 0 fields are filled to full real fields (SpectrumLayout.fill) before
-they are paired.
+N/2 + 1-column half spectrum, the layout of every mode table.  The t = 0
+fields stay on that half spectrum, and the bracket weighs each column by
+how often it occurs in the full spectrum.
 
 The products are pointwise in time, so the recursion runs over blocks of
 SERIES_BLOCK nodes, from s back to t = 0, and every table holds one
@@ -202,26 +202,34 @@ def _t0_field(sums: np.ndarray) -> np.ndarray:
 
 
 def _brackets(psi: TestFunction, t: float, fields: np.ndarray) -> list[float]:
-    """<d/dt psi(t), phi> - <psi(t), pi> for every row (phi, pi) of a ``(rows, 2, *grid.shape)`` stack.
+    """<d/dt psi(t), phi> - <psi(t), pi> for every row (phi, pi) of a ``(rows, 2, *grid.half_shape)`` stack.
 
-    The rows are full-spectrum tables of real fields.  AssertionError when
-    a pairing's imaginary part exceeds 1e-10 (1 + (1/V) sum |f_k| |g_k|)
-    over its summands f_k g_k, the scale that their rounding takes.
+    The rows are half-spectrum tables of real fields.  The full sum of
+    conj(f_k) g_k is its sum over the self-conjugate columns, the last
+    axis' j = 0 and modes/2, plus twice the real part of its sum over the
+    interior ones, whose mirrors hold the conjugate terms.  Over the
+    self-conjugate columns the sum is real for real fields, and
+    AssertionError is raised when its imaginary part exceeds 1e-10 (1 +
+    (1/V) sum |f_k| |g_k|) over every summand of the full sum, the scale
+    that their rounding takes.
     """
     at_t = evaluate_test_function(psi, t)
     rows = len(fields)
     phi, pi = fields[:, 0], fields[:, 1]
 
-    def pairs(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        # np.vdot(f_row, g) of every row, batched: BLAS sums it in the same order
-        return np.matmul(np.conj(f).reshape(rows, 1, -1), g.reshape(-1, 1))[:, 0, 0] / psi.grid.volume
+    def pairs(f: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
+        # per row, the sums of conj(f) g over the self-conjugate columns and over the interior ones
+        terms = np.conj(f) * g
+        return [terms[..., [0, -1]].reshape(rows, -1).sum(axis=1), terms[..., 1:-1].reshape(rows, -1).sum(axis=1)]
 
-    values = pairs(phi, at_t.pi.values) - pairs(pi, at_t.phi.values)
-    scale = pairs(np.abs(phi), np.abs(at_t.pi.values)) + pairs(np.abs(pi), np.abs(at_t.phi.values))
-    leaks = np.abs(values.imag) > 1e-10 * (1.0 + scale)
+    edge, interior = np.subtract(pairs(phi, at_t.pi.values), pairs(pi, at_t.phi.values))
+    sizes = np.add(pairs(np.abs(phi), np.abs(at_t.pi.values)), pairs(np.abs(pi), np.abs(at_t.phi.values)))
+    volume = psi.grid.volume
+    scale = (sizes[0] + 2.0 * sizes[1]) / volume
+    leaks = np.abs(edge.imag) / volume > 1e-10 * (1.0 + scale)
     if leaks.any():
-        raise AssertionError(f"pairing has imaginary part {values.imag[leaks][0]}")
-    return values.real.tolist()
+        raise AssertionError(f"pairing has imaginary part {edge.imag[leaks][0] / volume}")
+    return ((edge.real + 2.0 * interior.real) / volume).tolist()
 
 
 def bracket_ds(psi: TestFunction, snap: FieldSnapshot) -> float:
@@ -257,7 +265,7 @@ def convergence_condition(
 
 
 def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
-    """The order-n tree fields at t = 0, (W_n(0), d/dt W_n(0)), of every slice: shape ``(len(slices), max_order + 1, 2, *grid.shape)``.
+    """The order-n tree fields at t = 0, (W_n(0), d/dt W_n(0)), of every slice: shape ``(len(slices), max_order + 1, 2, *grid.half_shape)``.
 
     The order-n product is the dealiased sum of W_i W_j over i + j = n - 1.
     Each W_n is kept in point space, so the sum of products needs one real
@@ -282,13 +290,13 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
         raise ValueError("the order recursion needs every slice at one time s")
     grid, s = slices[0].grid, slices[0].time
     upper = tgrid.node_index(s)
-    layout = SpectrumLayout(grid)
-    phi = np.stack([layout.cut(snap.phi.values) for snap in slices])
-    pi = np.stack([layout.cut(snap.pi.values) for snap in slices])
+    omega = SpectrumLayout(grid).omega
+    phi = np.stack([snap.phi.values for snap in slices])
+    pi = np.stack([snap.pi.values for snap in slices])
     band = (Ellipsis,) + grid.band_index
-    fields = np.zeros((len(slices), max_order + 1, 2) + grid.shape, dtype=complex)
+    fields = np.zeros((len(slices), max_order + 1, 2) + grid.half_shape, dtype=complex)
     # W_0 at t = 0, the slices flowed back by s, with their time derivatives
-    layout.cut(fields[:, 0])[...] = np.stack(apply_flow(flow_multipliers(layout.omega, -s), phi, pi), axis=1)
+    fields[:, 0] = np.stack(apply_flow(flow_multipliers(omega, -s), phi, pi), axis=1)
     # what every order of every block reuses: the kernel-weighted product,
     # its suffix sums, and a zero half spectrum
     rows = min(SERIES_BLOCK, upper + 1)
@@ -302,7 +310,7 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
         nodes = tgrid.nodes[start:stop]
         # the block's kernel tables; their axes are (nodes, slices, *grid),
         # with an axis of one for the slices
-        c, s_over_w = (m[:, None] for m in flow_multipliers(layout.omega, nodes - s)[:2])
+        c, s_over_w = (m[:, None] for m in flow_multipliers(omega, nodes - s)[:2])
         block_pair = _kernel_pair(grid.band_omega, nodes)[:, :, None]
         block_weighted, block_sums = weighted[:, : stop - start], sums[:, : stop - start]
         points = [half_spectrum_values(grid, c * phi + s_over_w * pi)]
@@ -321,7 +329,6 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
             if order < max_order:
                 table = _retarded_table(block_pair, block_sums, block_weighted)
                 points.append(band_values(grid, table, half[: stop - start]))
-    layout.fill(fields)
     return fields
 
 

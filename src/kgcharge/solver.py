@@ -42,9 +42,10 @@ A trajectory is the Cauchy data at every node as two stacked tables of
 that half spectrum, phi and pi, each of shape (nnodes, *grid.half_shape):
 the other half of a real field holds nothing new.  The solver writes each
 block of nodes into one preallocated table per field and hands each
-coupling its row of the tables; node 0 is the kept half of the initial
-data.  ``Trajectory.node`` fills one row to full spectra by conjugation
-(SpectrumLayout.fill) and returns it as a FieldSnapshot.
+coupling its row of the tables; node 0 is the initial data, which are on
+the half spectrum like every mode table.  ``Trajectory.node`` returns a
+copy of one row as a FieldSnapshot, so that a kept node does not keep the
+tables alive.
 
 Test functions psi solve the linear equation exactly; they are stored as
 Cauchy data at t = 0 and evaluated at any time with the free flow, so
@@ -116,12 +117,9 @@ class Trajectory:
             )
 
     def node(self, j: int) -> FieldSnapshot:
-        """The data at node j: row j of the tables, filled to full spectra by conjugation."""
-        layout = SpectrumLayout(self.grid)
-        full = np.empty((2,) + self.grid.shape, dtype=complex)
-        layout.cut(full)[...] = self.phi[j], self.pi[j]
-        layout.fill(full)
-        return FieldSnapshot(float(self.tgrid.nodes[j]), ModeArray(self.grid, full[0]), ModeArray(self.grid, full[1]))
+        """The data at node j: copies of row j of the tables."""
+        phi, pi = (ModeArray(self.grid, table[j].copy()) for table in (self.phi, self.pi))
+        return FieldSnapshot(float(self.tgrid.nodes[j]), phi, pi)
 
 
 @dataclass(eq=False)
@@ -205,17 +203,16 @@ def solve_couplings(
     across = np.stack([s_over_w, w_s])[:, None]
     neg_omega_sq = -(layout.omega**2)
 
-    # phi and pi of every row at one node, in the kept columns: this node's
-    # buffer and the next one's
+    # phi and pi of every row at one node: this node's buffer and the next one's
     node = np.empty((2, rows) + layout.shape, dtype=complex)
-    node[0], node[1] = layout.cut(initial.phi.values), layout.cut(initial.pi.values)
+    node[0], node[1] = initial.phi.values, initial.pi.values
     ahead = np.empty_like(node)
     # phi, pi, the acceleration and the kick's square of every row at the
     # nodes of one block: block k holds nodes k BLOCK .. (k + 1) BLOCK - 1
     block = np.empty((3, rows, BLOCK) + layout.shape, dtype=complex)
     squares = np.empty((rows, BLOCK) + layout.shape, dtype=complex)
-    # phi and pi of every row at every node, in the kept columns: row r of
-    # tables[0] and of tables[1] is one trajectory
+    # phi and pi of every row at every node: row r of tables[0] and of
+    # tables[1] is one trajectory
     tables = np.empty((2, rows, tgrid.nnodes) + layout.shape, dtype=complex)
     energies = np.empty((rows, tgrid.nnodes))
 
@@ -324,7 +321,7 @@ def dirac_test_function(
             f"width {width} below grid spacing {grid.spacing}; bump would be unresolved"
         )
     g = gaussian_field(grid, 1.0 / dirac_denominator(width, grid.dim), width, x0)
-    zero = ModeArray(grid, np.zeros(grid.shape, dtype=complex))
+    zero = ModeArray(grid, np.zeros(grid.half_shape, dtype=complex))
     if which == "velocity":
         return TestFunction(zero, g)
     return TestFunction(g, zero)

@@ -12,8 +12,8 @@ with V the box volume, so Plancherel reads
 fields and the weighted mode sums below are direct discretizations of the
 Sobolev norms of weak solutions.
 
-Every field is real: the paper's phi is a real scalar field, and a mode
-table holds the Hermitian spectrum of real point values.
+Every field is real: the paper's phi is a real scalar field, so its
+spectrum is Hermitian and half of it holds the whole field.
 
 Quadratic products are evaluated on the grid and then truncated to the band
 ``|j| <= (modes - 1) // 3`` per axis (the two-thirds rule).  For inputs that
@@ -22,16 +22,16 @@ On full-spectrum tables ``grid_values`` and ``dealiased_modes`` transform
 over the trailing ``dim`` axes of a stack of mode tables, and
 ``dealiased_product`` composes them for the ``c_q`` estimate alone.
 
-A real field's modes at -k are the conjugates of those at k, so the solver
-steps on the half spectrum of ``rfftn``: the last axis keeps j =
-0..modes/2 (65 of 128 columns on a 128-mode line).  ``SpectrumLayout``
-holds what that layout needs: the kept columns, the square on them
-(``irfft``/``rfft`` with the transform scales and the 2/3 mask as one
-multiplier), H^q norms and box energies that weigh each kept column by how
-often it occurs in the full spectrum, and the fill that rebuilds the other
-half of full tables by conjugation.  A stored trajectory keeps this half
-alone; the fill serves ``Trajectory.node``, which completes one row, and
-the series' t = 0 fields.
+A real field's modes at -k are the conjugates of those at k, so every mode
+table in the package holds the half spectrum of ``rfftn``: the last axis
+keeps j = 0..modes/2 (65 of 128 columns on a 128-mode line).  A
+``ModeArray`` has ``grid.half_shape``, and ``to_modes`` cuts the ``fftn``
+of its samples to it.  ``SpectrumLayout`` holds what the solver's step
+needs on that layout: the square (``irfft``/``rfft`` with the transform
+scales and the 2/3 mask as one multiplier), and H^q norms and box energies
+that weigh each kept column by how often it occurs in the full spectrum.
+``sobolev_norm`` weighs a field's columns the same way, and ``evaluate_at``
+adds the conjugate of each interior column at its mirrored wavenumbers.
 
 A dealiased product of real fields is zero outside the kept band and
 Hermitian, so it is fully described by the band's half: ``|j| <= K`` on the
@@ -51,7 +51,6 @@ and the solver's Gaussian data alike.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -220,21 +219,21 @@ class SpectralGrid:
 
 @dataclass(eq=False)
 class ModeArray:
-    """Complex Fourier coefficients of one real scalar field on a grid.
+    """Complex Fourier coefficients of one real scalar field on a grid, as the ``rfftn`` half spectrum.
 
-    The values are Hermitian symmetric: the value at -k is the conjugate of
-    the value at k.  The tests measure how well an array actually satisfies
-    the symmetry (``hermitian_defect`` in tests/oracles.py).
+    The values have shape ``grid.half_shape``: the last axis keeps j =
+    0..modes/2, and the value at -k, the conjugate of the value at k, is
+    not stored.  A full-spectrum table raises SizeMismatch.
     """
 
     grid: SpectralGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != self.grid.shape:
+        values = np.ascontiguousarray(self.values, dtype=complex)
+        if values.shape != self.grid.half_shape:
             raise SizeMismatch(
-                f"mode array shape {values.shape} does not match grid shape {self.grid.shape}"
+                f"mode array shape {values.shape} does not match the grid's half_shape {self.grid.half_shape}"
             )
         self.values = values
 
@@ -257,13 +256,18 @@ class FieldSnapshot:
 
 
 def to_modes(grid: SpectralGrid, samples: np.ndarray) -> ModeArray:
-    """Forward transform of real grid samples."""
+    """Forward transform of real grid samples, cut to the half spectrum.
+
+    ``fftn`` cut to the last axis' j = 0..modes/2, not ``rfftn``, whose last
+    bits differ: the half is then bit for bit the kept half of the full
+    transform.
+    """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != grid.shape:
         raise SizeMismatch(
             f"sample array shape {samples.shape} does not match grid shape {grid.shape}"
         )
-    values = np.fft.fftn(samples) * (grid.volume / grid.npoints)
+    values = np.fft.fftn(samples)[..., : grid.half_shape[-1]] * (grid.volume / grid.npoints)
     return ModeArray(grid, values)
 
 
@@ -323,36 +327,30 @@ def dealiased_product(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> np.nd
 
 
 class SpectrumLayout:
-    """The ``rfftn`` half spectrum a stepper keeps of each field, with the square and the norms on it.
-
-    A real field is described by the last axis' j = 0..modes/2:
+    """The square and the norms on the ``rfftn`` half spectrum, the last axis' j = 0..modes/2.
 
     - ``square`` goes through ``irfftn``/``rfftn`` (``irfft``/``rfft`` on a
       1-D grid, one call each) and takes both transform scales and the 2/3
       mask as one multiplier;
     - ``norms`` weigh each column by how often it occurs in the full
       spectrum: once for the last axis' j = 0 and modes/2, twice elsewhere,
-      and ``energies`` weigh it likewise;
-    - ``fill`` completes full-spectrum tables from their half by
-      conjugation, in place and by slices: a trajectory's node, and the
-      series' t = 0 fields.
+      and ``energies`` weigh it likewise.
 
-    ``cut`` views the kept columns of full-spectrum tables, and ``omega``
-    gives the dispersion relation on them.  The mask and the weight tables
-    are built on first use, so a layout that only cuts and fills, as a
-    trajectory's node does, costs no more than those views.
+    ``omega`` gives the dispersion relation on the kept columns.  The mask
+    and the weight tables are built on first use, so a layout that only
+    needs ``omega`` costs no more than that view.
     """
 
     def __init__(self, grid: SpectralGrid):
         self.grid = grid
         self.shape = grid.half_shape
         self.columns = self.shape[-1]
-        self.omega = self.cut(grid.omega)
+        self.omega = grid.omega[..., : self.columns]
         self._axes = tuple(range(-grid.dim, 0))
 
     @cached_property
     def _fold(self) -> np.ndarray:
-        return self.cut(self.grid.keep_mask) * (self.grid.npoints / self.grid.volume)
+        return self.grid.keep_mask[..., : self.columns] * (self.grid.npoints / self.grid.volume)
 
     @cached_property
     def _weights(self) -> tuple[np.ndarray, ...]:
@@ -362,12 +360,8 @@ class SpectrumLayout:
         multiplicity[[0, -1]] = 1.0
         return tuple(
             np.repeat(weights * multiplicity, 2, axis=-1) / self.grid.volume
-            for weights in (self.cut(self.grid.sobolev_weights), self.omega**2 / 2.0, 0.5, 1.0 / 3.0)
+            for weights in (self.grid.sobolev_weights[..., : self.columns], self.omega**2 / 2.0, 0.5, 1.0 / 3.0)
         )
-
-    def cut(self, values: np.ndarray) -> np.ndarray:
-        """A view of the kept columns of full-spectrum tables."""
-        return values[..., : self.columns]
 
     def square(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Dealiased squares of a stack of tables in this layout.
@@ -402,21 +396,6 @@ class SpectrumLayout:
         phi, pi, forced = phi.view(float), pi.view(float), forced.view(float)
         return np.add.reduce(phi * (on_phi * phi + on_forced * forced) + on_pi * pi * pi, axis=self._axes)
 
-    def fill(self, tables: np.ndarray) -> None:
-        """Complete full-spectrum tables from the half this layout keeps.
-
-        Column j > modes/2 of the last axis becomes the conjugate of column
-        modes - j at the mirrored index -i mod modes of every leading axis.
-        Writes over ``tables`` in place.
-        """
-        n = self.grid.modes
-        # on a leading axis, index 0 is its own mirror and 1..n-1 reverse
-        pieces = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
-        for lead in itertools.product(pieces, repeat=self.grid.dim - 1):
-            dst = (Ellipsis,) + tuple(d for d, _ in lead) + (slice(n // 2 + 1, None),)
-            src = (Ellipsis,) + tuple(s for _, s in lead) + (slice(n // 2 - 1, 0, -1),)
-            np.conjugate(tables[src], out=tables[dst])
-
 
 def sobolev_norms(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
     """H^q norm ((1/V) sum_k (1+|k|^2)^q |f_hat|^2)^(1/2), at the grid's q, over the trailing grid.dim axes.
@@ -428,14 +407,18 @@ def sobolev_norms(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
 
 
 def sobolev_norm(f: ModeArray) -> float:
-    """H^q norm of one field; see :func:`sobolev_norms`."""
-    return float(sobolev_norms(f.grid, f.values))
+    """H^q norm of one field, its columns weighed as :meth:`SpectrumLayout.norms` weighs them."""
+    return float(SpectrumLayout(f.grid).norms(f.values))
 
 
 def evaluate_at(f: ModeArray, x) -> float:
     """Evaluate the band-limited field at an arbitrary point by mode summation.
 
-    A scalar x stands for the diagonal point (x, ..., x).
+    The sum of the full spectrum: every kept entry at its wavenumbers, and
+    for each interior column j of the last axis the conjugate entry at the
+    mirrored ones, -k_j on the last axis and the wavenumber of index -i mod
+    modes on a leading axis, where index modes/2 is its own mirror.  A
+    scalar x stands for the diagonal point (x, ..., x).
     """
     grid = f.grid
     x = np.asarray(x, dtype=float)
@@ -443,12 +426,21 @@ def evaluate_at(f: ModeArray, x) -> float:
         x = np.full(grid.dim, x)
     if x.shape != (grid.dim,):
         raise SizeMismatch(f"point must have {grid.dim} coordinates, got shape {x.shape}")
-    phase = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = grid.modes
-        phase = phase + grid.axis_wavenumbers.reshape(shape) * x[axis]
-    return float((np.sum(f.values * np.exp(1j * phase)) / grid.volume).real)
+    k = grid.axis_wavenumbers
+    columns = grid.half_shape[-1]
+
+    def phase(lead: np.ndarray, last: np.ndarray) -> np.ndarray:
+        total = last * x[-1]
+        for axis in range(grid.dim - 1):
+            shape = [1] * grid.dim
+            shape[axis] = grid.modes
+            total = total + lead.reshape(shape) * x[axis]
+        return total
+
+    kept = np.sum(f.values * np.exp(1j * phase(k, k[:columns])))
+    mirrored = k[(-np.arange(grid.modes)) % grid.modes]
+    interior = np.sum(np.conj(f.values[..., 1:-1]) * np.exp(1j * phase(mirrored, -k[1 : columns - 1])))
+    return float(((kept + interior) / grid.volume).real)
 
 
 def random_band_limited(
@@ -464,7 +456,7 @@ def random_band_limited(
         kmax = grid.dealias_bound
     noise = rng.standard_normal(grid.shape)
     f = to_modes(grid, noise)
-    f.values[~grid.band_mask(kmax)] = 0.0
+    f.values[~grid.band_mask(kmax)[..., : grid.half_shape[-1]]] = 0.0
     return f
 
 

@@ -10,7 +10,7 @@ import pytest
 from kgcharge import SpectralGrid, random_band_limited
 from kgcharge.propagation import TimeGrid
 from kgcharge.solver import TestFunction, Trajectory
-from kgcharge.spectral import FieldSnapshot, SpectrumLayout
+from kgcharge.spectral import FieldSnapshot
 
 
 @pytest.fixture(scope="session")
@@ -34,13 +34,12 @@ def random_snapshot(grid, rng, time=0.0):
 
 
 def stacked_trajectory(tgrid, nodes, coupling):
-    """The trajectory whose row j holds the kept half of the snapshot nodes[j]."""
-    layout = SpectrumLayout(nodes[0].grid)
+    """The trajectory whose row j holds the snapshot nodes[j]."""
     return Trajectory(
         tgrid,
         nodes[0].grid,
-        np.stack([layout.cut(snap.phi.values) for snap in nodes]),
-        np.stack([layout.cut(snap.pi.values) for snap in nodes]),
+        np.stack([snap.phi.values for snap in nodes]),
+        np.stack([snap.pi.values for snap in nodes]),
         coupling,
     )
 

@@ -25,12 +25,19 @@ Two kinds of code live here, outside the package:
   package's one time quadrature, the suffix sums that series._suffix_sums
   carries from block to block of nodes; every oracle here sums through it
   (pair_suffix_sums), never through the package's carry.
-- The full complex spectrum, which the package, stepping real fields on
-  the half spectrum, does without: the complex dealiased product
-  (complex_product) and the layout FullSpectrum, on which the per-node
-  solver loop runs.  It is the reference the half-spectrum solve is
-  checked against, and the Cauchy witness steps its complex couplings on
-  it.
+- The full complex spectrum, which the package, holding every mode table
+  as the half spectrum of a real field, does without.  full_spectrum is
+  the one completion of a half table: column j > modes/2 of the last axis
+  is the conjugate of column modes - j at the mirrored leading indices.
+  Every reference here that sums, multiplies or flows over the whole
+  spectrum (pair_modes, to_grid, pointwise_product, the full-spectrum
+  free_flow, the leaf tables, the per-tree evaluators, the energies, the
+  literal evaluate_at, the witnesses) completes the package's half tables
+  through it, and hands its results back cut to the half.  Beside them sit
+  the complex dealiased product (complex_product) and the layout
+  FullSpectrum, on which the per-node solver loop runs: the reference the
+  half-spectrum solve is checked against, and the one the Cauchy witness
+  steps its complex couplings on.
 - The paper's bound checks, which no command runs: the first-order bound
   (first_order_bound), the charge-balance defect (p_residual) and the
   sampled operator-norm bound (delta_norm_bound_check), with the dual
@@ -45,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kgcharge.propagation import TimeGrid, apply_flow, flow_multipliers, free_evolve, free_flow
+from kgcharge.propagation import TimeGrid, apply_flow, flow_multipliers, free_evolve
 from kgcharge.series import _brackets as brackets
 from kgcharge.series import _kernel_pair, _retarded_table, _t0_field, bracket_ds
 from kgcharge.solver import BlowUp, TestFunction, Trajectory, evaluate_test_function
@@ -87,14 +94,37 @@ class OrderTooHigh(ValueError):
 # Field helpers the package does not call.
 
 
+def full_spectrum(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
+    """Full-spectrum tables of real fields from their half spectrum, over the trailing grid.dim axes.
+
+    Column j > modes/2 of the last axis becomes the conjugate of column
+    modes - j at the mirrored index -i mod modes of every leading axis.
+    """
+    n = grid.modes
+    tables = np.empty(half.shape[:-1] + (n,), dtype=complex)
+    tables[..., : n // 2 + 1] = half
+    # on a leading axis, index 0 is its own mirror and 1..n-1 reverse
+    pieces = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    for lead in itertools.product(pieces, repeat=grid.dim - 1):
+        dst = (Ellipsis,) + tuple(d for d, _ in lead) + (slice(n // 2 + 1, None),)
+        src = (Ellipsis,) + tuple(s for _, s in lead) + (slice(n // 2 - 1, 0, -1),)
+        np.conjugate(tables[src], out=tables[dst])
+    return tables
+
+
+def kept_half(grid: SpectralGrid, tables: np.ndarray) -> np.ndarray:
+    """The half spectrum the package keeps of full-spectrum tables: a view of the last axis' j = 0..modes/2."""
+    return tables[..., : grid.half_shape[-1]]
+
+
 def pair_modes(f: ModeArray, g: ModeArray) -> complex:
-    """Plancherel pairing (1/V) sum_k f_hat(k) conj(g_hat(k)).
+    """Plancherel pairing (1/V) sum_k f_hat(k) conj(g_hat(k)), over the full spectrum.
 
     For real fields this equals the box integral of the pointwise product.
     """
     if f.grid != g.grid:
         raise GridMismatch("pairing requires both arrays on one grid")
-    return complex(np.vdot(g.values, f.values) / f.grid.volume)
+    return complex(np.vdot(full_spectrum(g.grid, g.values), full_spectrum(f.grid, f.values)) / f.grid.volume)
 
 
 def real_part(value: complex) -> float:
@@ -105,30 +135,55 @@ def real_part(value: complex) -> float:
 
 
 def zero_modes(grid: SpectralGrid) -> ModeArray:
-    return ModeArray(grid, np.zeros(grid.shape, dtype=complex))
+    return ModeArray(grid, np.zeros(grid.half_shape, dtype=complex))
 
 
 def to_grid(f: ModeArray) -> np.ndarray:
-    """Inverse transform to real point values."""
-    return np.ascontiguousarray(grid_values(f.grid, f.values))
+    """Inverse transform of the completed table to real point values."""
+    return np.ascontiguousarray(grid_values(f.grid, full_spectrum(f.grid, f.values)))
 
 
 def hermitian_defect(f: ModeArray) -> float:
-    """Largest deviation from the real-field symmetry value(-k) == conj(value(k))."""
-    idx = [(-np.arange(n)) % n for n in f.values.shape]
-    mirrored = np.conj(f.values[np.ix_(*idx)])
-    return float(np.max(np.abs(f.values - mirrored)))
+    """Largest deviation of the completed table from the real-field symmetry value(-k) == conj(value(k)).
+
+    The completion makes every column past modes/2 the mirror of a kept
+    one, so the defect is that of the last axis' self-conjugate columns, j
+    = 0 and modes/2.
+    """
+    full = full_spectrum(f.grid, f.values)
+    idx = [(-np.arange(n)) % n for n in full.shape]
+    mirrored = np.conj(full[np.ix_(*idx)])
+    return float(np.max(np.abs(full - mirrored)))
+
+
+def full_sum_evaluate_at(f: ModeArray, x) -> float:
+    """The field at a point: the sum over every mode of the completed table at its own wavenumbers.
+
+    The package's evaluate_at sums the half spectrum with each interior
+    column's mirror; this is the sum it replaced.  A scalar x stands for
+    the diagonal point (x, ..., x).
+    """
+    grid = f.grid
+    x = np.broadcast_to(np.asarray(x, dtype=float), (grid.dim,))
+    phase = np.zeros(grid.shape)
+    for axis in range(grid.dim):
+        shape = [1] * grid.dim
+        shape[axis] = grid.modes
+        phase = phase + grid.axis_wavenumbers.reshape(shape) * x[axis]
+    return float((np.sum(full_spectrum(grid, f.values) * np.exp(1j * phase)) / grid.volume).real)
 
 
 def pointwise_product(f: ModeArray, g: ModeArray) -> ModeArray:
     """Dealiased pointwise product of two fields, in mode space.
 
-    Transforms both factors to the grid, multiplies, transforms back, and
-    zeroes every mode outside the kept band (two-thirds rule).
+    Transforms both completed factors to the grid, multiplies, transforms
+    back, and zeroes every mode outside the kept band (two-thirds rule).
     """
     if f.grid != g.grid:
         raise GridMismatch("product requires both arrays on one grid")
-    return ModeArray(f.grid, dealiased_product(f.grid, f.values, g.values))
+    grid = f.grid
+    product = dealiased_product(grid, full_spectrum(grid, f.values), full_spectrum(grid, g.values))
+    return ModeArray(grid, kept_half(grid, product))
 
 
 def complex_product(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -154,9 +209,15 @@ def sobolev_norms_at(grid: SpectralGrid, values: np.ndarray, q: float) -> np.nda
     return np.sqrt(np.sum((1.0 + grid.k_squared) ** q * np.abs(values) ** 2, axis=axes) / grid.volume)
 
 
+def free_flow(grid: SpectralGrid, phi: np.ndarray, pi: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form linear flow of full-spectrum mode data (phi_hat, pi_hat) by dt, one lag or a stack of them."""
+    return apply_flow(flow_multipliers(grid.omega, dt), phi, pi)
+
+
 def _test_function_rows(tf: TestFunction, tgrid: TimeGrid, derivative: int = 0) -> np.ndarray:
-    """psi (or d/dt psi) at every node, stacked, from the closed-form flow."""
-    return free_flow(tf.grid, tf.psi0.values, tf.psi1.values, tgrid.nodes)[derivative]
+    """psi (or d/dt psi) at every node, stacked full-spectrum tables, from the closed-form flow."""
+    grid = tf.grid
+    return free_flow(grid, full_spectrum(grid, tf.psi0.values), full_spectrum(grid, tf.psi1.values), tgrid.nodes)[derivative]
 
 
 def test_function_sup_norm(tf: TestFunction, tgrid: TimeGrid) -> float:
@@ -168,9 +229,14 @@ def test_function_sup_norm(tf: TestFunction, tgrid: TimeGrid) -> float:
     return max(float(sobolev_norms_at(tf.grid, _test_function_rows(tf, tgrid, d), q).max()) for d in (0, 1))
 
 
+def _localized_modes(grid: SpectralGrid, rng: np.random.Generator) -> np.ndarray:
+    """The full-spectrum table of one field as ``estimate_algebra_constant`` draws it."""
+    return dealiased_modes(grid, _localized_samples(grid, rng, 1)[0])
+
+
 def random_localized_field(grid: SpectralGrid, rng: np.random.Generator) -> ModeArray:
     """One field as ``estimate_algebra_constant`` draws it: a random localized envelope."""
-    return ModeArray(grid, dealiased_modes(grid, _localized_samples(grid, rng, 1)[0]))
+    return ModeArray(grid, kept_half(grid, _localized_modes(grid, rng)))
 
 
 @dataclass(eq=False)
@@ -199,8 +265,8 @@ def green_apply(kind: str, t: float, tau: float, f: ModeArray) -> ModeArray:
         raise ValueError(f"kind must be 'G0' or 'G1', got {kind!r}")
     grid = f.grid
     if t < tau:
-        return ModeArray(grid, np.zeros(grid.shape, dtype=complex))
-    w = grid.omega
+        return zero_modes(grid)
+    w = kept_half(grid, grid.omega)
     if kind == "G0":
         mult = np.sin((t - tau) * w) / w
     else:
@@ -411,8 +477,10 @@ def leaf_table(snap: FieldSnapshot, tgrid: TimeGrid) -> TimeSampledField:
     s.  Rows past s are filled too; consumers that need the step cutoff
     restrict their quadrature instead.
     """
-    rows, _ = free_flow(snap.grid, snap.phi.values, snap.pi.values, tgrid.nodes - snap.time)
-    return TimeSampledField(snap.grid, tgrid, rows)
+    grid = snap.grid
+    phi, pi = (full_spectrum(grid, f.values) for f in (snap.phi, snap.pi))
+    rows, _ = free_flow(grid, phi, pi, tgrid.nodes - snap.time)
+    return TimeSampledField(grid, tgrid, rows)
 
 
 def subtree_table(b: Tree, cache: AmplitudeCache, snap: FieldSnapshot, tgrid: TimeGrid) -> TimeSampledField:
@@ -514,7 +582,7 @@ def _slot_rows(
         kind = "G1" if a == 1 else "G0"
         data = snap.phi if a == 1 else snap.pi
         for j in range(upper + 1):
-            rows[j] = green_apply(kind, snap.time, float(tgrid.nodes[j]), data).values
+            rows[j] = full_spectrum(grid, green_apply(kind, snap.time, float(tgrid.nodes[j]), data).values)
         return rows
     b1, b2 = decompose(b)
     left = _slot_rows(b1, alphas, snap, tgrid, upper)
@@ -556,7 +624,7 @@ def direct_amplitude(b: Tree, psi: TestFunction, snap: FieldSnapshot, tgrid: Tim
         for j in range(upper + 1):
             prod = _mode_convolution(grid, left[j], right[j])
             psi_j = evaluate_test_function(psi, float(tgrid.nodes[j])).phi
-            samples[j] = pair_modes(ModeArray(grid, prod), psi_j)
+            samples[j] = np.vdot(full_spectrum(grid, psi_j.values), prod) / grid.volume
         sign = (-1.0) ** (nleaves - sum(alpha))
         total += sign * real_part(complex(_restricted_trapezoid(samples, tgrid.dt)))
     return total
@@ -567,26 +635,22 @@ def direct_amplitude(b: Tree, psi: TestFunction, snap: FieldSnapshot, tgrid: Tim
 # node fields at once and reuses one square per solver node; these are the
 # loops it replaced, one dealiased product per call, kept to check it by.
 # They step on a layout: by default the solver's, the half spectrum of real
-# fields (SpectrumLayout), one node at a time, where every node's columns
-# past modes/2 are rebuilt from its kept half by a gathered mirror; or the
-# full complex spectrum (FullSpectrum), where a coupling may be complex.
+# fields (SpectrumLayout), one node at a time; or the full complex spectrum
+# (FullSpectrum), where a coupling may be complex and the initial data are
+# completed (full_spectrum) before the first step.
 
 
 class FullSpectrum:
     """The full complex spectrum as a stepper's layout, with SpectrumLayout's interface.
 
-    Every column is kept, ``square`` is :func:`complex_product`, ``norms``
-    is the package's ``sobolev_norms``, and ``fill`` has no other half to
-    fill.
+    Every column is kept, ``square`` is :func:`complex_product` and
+    ``norms`` is the package's ``sobolev_norms``.
     """
 
     def __init__(self, grid: SpectralGrid):
         self.grid = grid
         self.shape = grid.shape
         self.omega = grid.omega
-
-    def cut(self, values: np.ndarray) -> np.ndarray:
-        return values
 
     def square(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         sq = complex_product(self.grid, values, values)
@@ -603,18 +667,20 @@ class FullSpectrum:
         density = 0.5 * (np.abs(pi) ** 2 + grid.omega**2 * np.abs(phi) ** 2) + (np.conj(phi) * forced).real / 3.0
         return np.sum(density, axis=tuple(range(-grid.dim, 0))) / grid.volume
 
-    def fill(self, tables: np.ndarray) -> None:
-        pass
+
+def _layout_tables(layout, snap: FieldSnapshot) -> tuple[np.ndarray, np.ndarray]:
+    """phi and pi of a snapshot as a stepper layout holds them: completed on FullSpectrum."""
+    if isinstance(layout, FullSpectrum):
+        return full_spectrum(snap.grid, snap.phi.values), full_spectrum(snap.grid, snap.pi.values)
+    return snap.phi.values, snap.pi.values
 
 
 @dataclass(eq=False)
-class FullTrajectory:
-    """A trajectory as two stacked full-spectrum tables, shape ``(nnodes, *grid.shape)``.
+class SteppedTrajectory:
+    """phi and pi at every node as the per-node loops return them: stacked tables of shape ``(nnodes, *layout.shape)``.
 
-    The layout the package stored before it kept the half spectrum alone;
-    ``node`` views row j.  The per-node loop returns it, so that it can
-    step a complex coupling on FullSpectrum, and on the half spectrum its
-    rows past node 0 are the full snapshots that ``Trajectory.node`` fills.
+    On the half spectrum the tables are those of a package Trajectory; on
+    FullSpectrum they hold every column, and the coupling may be complex.
     """
 
     tgrid: TimeGrid
@@ -624,63 +690,31 @@ class FullTrajectory:
     coupling: complex
     meta: dict = field(default_factory=dict)
 
-    def node(self, j: int) -> FieldSnapshot:
-        return FieldSnapshot(float(self.tgrid.nodes[j]), ModeArray(self.grid, self.phi[j]), ModeArray(self.grid, self.pi[j]))
-
-
-def full_tables(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """phi and pi of every node filled to full spectra, each row as ``Trajectory.node`` fills it."""
-    layout = SpectrumLayout(traj.grid)
-    tables = np.empty((2, traj.tgrid.nnodes) + traj.grid.shape, dtype=complex)
-    layout.cut(tables)[...] = traj.phi, traj.pi
-    layout.fill(tables)
-    return tables[0], tables[1]
-
-
-def completed(f):
-    """The real field whose kept half is f's: columns past modes/2 conjugated from their mirrors."""
-    n = f.grid.modes
-    mirrored = np.conj(f.values[np.ix_(*[(-np.arange(n)) % n] * f.grid.dim)])
-    values = f.values.copy()
-    values[..., n // 2 + 1 :] = mirrored[..., n // 2 + 1 :]
-    return ModeArray(f.grid, values)
-
-
-def _kick(snap, coupling, half_dt, layout):
-    # the layout's columns only; on the half spectrum the columns past
-    # modes/2 are stale until completed
-    pi = snap.pi.values.copy()
-    layout.cut(pi)[...] = layout.cut(snap.pi.values) - half_dt * coupling * layout.square(layout.cut(snap.phi.values))
-    return FieldSnapshot(snap.time, snap.phi, ModeArray(snap.grid, pi))
-
 
 def strang_with_fresh_kicks(initial, coupling, tgrid, norm_ceiling=1e6, layout=None):
-    """Snapshots of the Strang scheme with two freshly squared half kicks per step.
+    """The Strang scheme with two freshly squared half kicks per step, as a SteppedTrajectory.
 
     ``layout`` is the solver's half spectrum unless given, FullSpectrum for
     complex couplings.
     """
     dt = tgrid.dt
     layout = layout or SpectrumLayout(initial.grid)
-    half = isinstance(layout, SpectrumLayout)
+    flow = flow_multipliers(layout.omega, dt)
 
-    def checked(snap):
-        if max(layout.norms(layout.cut(f.values)) for f in (snap.phi, snap.pi)) > norm_ceiling:
-            raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={snap.time}")
-        return snap
+    def kick(phi, pi):
+        return pi - dt / 2.0 * coupling * layout.square(phi) if coupling != 0.0 else pi
 
-    nodes = [checked(initial)]
-    current = initial
-    for j in range(tgrid.nt):
-        if coupling != 0.0:
-            current = _kick(current, coupling, dt / 2.0, layout)
-        current = free_evolve(current, dt)
-        if coupling != 0.0:
-            current = _kick(current, coupling, dt / 2.0, layout)
-        phi, pi = (completed(current.phi), completed(current.pi)) if half else (current.phi, current.pi)
-        current = checked(FieldSnapshot(float(tgrid.nodes[j + 1]), phi, pi))
-        nodes.append(current)
-    return nodes
+    phi, pi = _layout_tables(layout, initial)
+    nodes = []
+    for j, time in enumerate(tgrid.nodes):
+        if j:
+            phi, pi = apply_flow(flow, phi, kick(phi, pi))
+            pi = kick(phi, pi)
+        if max(layout.norms(f) for f in (phi, pi)) > norm_ceiling:
+            raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={float(time)}")
+        nodes.append((phi, pi))
+    phi, pi = (np.array(tables) for tables in zip(*nodes))
+    return SteppedTrajectory(tgrid, initial.grid, phi, pi, coupling)
 
 
 def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6, layout=None):
@@ -691,9 +725,7 @@ def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6, layout
     running max run at each node, node 0 included, so stepping stops at the
     first node that crosses.  ``layout`` is the solver's half spectrum
     unless given; on FullSpectrum a coupling may be complex.  Returns
-    FullTrajectory objects: node 0 is the initial data as given, and on the
-    half spectrum every later node's other half is filled by conjugation
-    after the loop.
+    SteppedTrajectory objects.
     """
     grid = initial.grid
     dt = tgrid.dt
@@ -720,10 +752,10 @@ def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6, layout
         return norms, energies
 
     node = np.empty((3, rows) + layout.shape, dtype=complex)
-    node[0], node[1] = layout.cut(initial.phi.values), layout.cut(initial.pi.values)
+    node[0], node[1] = _layout_tables(layout, initial)
     ahead = np.empty_like(node)
-    tables = np.empty((2, rows, tgrid.nnodes) + grid.shape, dtype=complex)
-    tables[0, :, 0], tables[1, :, 0] = initial.phi.values, initial.pi.values
+    tables = np.empty((2, rows, tgrid.nnodes) + layout.shape, dtype=complex)
+    tables[:, :, 0] = node[:2]
     phi_sq = layout.square(node[0])
     diagnosed = [diagnose(node, phi_sq, float(tgrid.nodes[0]))]
     kick = kicks * phi_sq
@@ -736,15 +768,14 @@ def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6, layout
         kick = kicks * phi_sq
         node[1] -= kick
         diagnosed.append(diagnose(node, phi_sq, float(tgrid.nodes[j + 1])))
-        layout.cut(tables)[:, :, j + 1] = node[:2]
-    layout.fill(tables[:, :, 1:])
+        tables[:, :, j + 1] = node[:2]
     node_norms, energies = zip(*diagnosed)
     peak = np.max(node_norms, axis=(0, 1))
     energies = np.transpose(energies)
     drifts = np.max(np.abs(energies - energies[:, :1]), axis=1) / np.maximum(1.0, np.abs(energies[:, 0]))
     meta = {"scheme": "strang", "dt": dt, "norm_ceiling": norm_ceiling}
     return [
-        FullTrajectory(
+        SteppedTrajectory(
             tgrid,
             grid,
             tables[0, r],
@@ -760,20 +791,19 @@ def acceleration(snap, coupling):
     """Second time derivative of phi from the equation of motion.
 
     Mode-wise -(omega^2 phi_hat) - lambda (phi^2)_hat with the dealiased
-    square, i.e. the right-hand side the discrete flow actually integrates.
+    square, i.e. the right-hand side the discrete flow actually integrates,
+    on the completed table.
     """
-    grid, phi = snap.grid, snap.phi.values
-    return ModeArray(grid, -(grid.omega**2) * phi - coupling * dealiased_product(grid, phi, phi))
+    grid = snap.grid
+    phi = full_spectrum(grid, snap.phi.values)
+    return ModeArray(grid, kept_half(grid, -(grid.omega**2) * phi - coupling * dealiased_product(grid, phi, phi)))
 
 
 def node_acceleration(snap, coupling):
-    """-(omega^2 phi_hat) - coupling (phi^2)_hat of one node."""
-    grid = snap.grid
-    half = SpectrumLayout(grid)
-    phi = half.cut(snap.phi.values)
-    values = np.zeros(grid.shape, dtype=complex)
-    half.cut(values)[...] = -(half.omega**2) * phi - coupling * half.square(phi)
-    return completed(ModeArray(grid, values))
+    """-(omega^2 phi_hat) - coupling (phi^2)_hat of one node, on the half spectrum."""
+    layout = SpectrumLayout(snap.grid)
+    phi = snap.phi.values
+    return ModeArray(snap.grid, -(layout.omega**2) * phi - coupling * layout.square(phi))
 
 
 def per_node_field_energy_norm(traj):
@@ -782,7 +812,7 @@ def per_node_field_energy_norm(traj):
     best = 0.0
     for snap in (traj.node(j) for j in range(traj.tgrid.nnodes)):
         accel = node_acceleration(snap, traj.coupling)
-        best = max(best, *(float(layout.norms(layout.cut(f.values))) for f in (snap.phi, snap.pi, accel)))
+        best = max(best, *(float(layout.norms(f.values)) for f in (snap.phi, snap.pi, accel)))
     return best
 
 
@@ -792,12 +822,11 @@ def field_energy_norm(traj, layout=None):
     The second pass over a stored trajectory that the solver's in-loop
     norms replaced: one stacked square of every node field, the
     acceleration from the equation of motion, and the three norms, all on
-    the columns of ``layout``, the solver's unless given.
+    the tables of ``layout``, the solver's unless given.
     """
     layout = layout or SpectrumLayout(traj.grid)
-    phi = layout.cut(traj.phi)
-    accel = -(layout.omega**2) * phi - traj.coupling * layout.square(phi)
-    return float(max(layout.norms(values).max() for values in (phi, layout.cut(traj.pi), accel)))
+    accel = -(layout.omega**2) * traj.phi - traj.coupling * layout.square(traj.phi)
+    return float(max(layout.norms(values).max() for values in (traj.phi, traj.pi, accel)))
 
 
 def node_energies(traj: Trajectory) -> np.ndarray:
@@ -807,10 +836,10 @@ def node_energies(traj: Trajectory) -> np.ndarray:
     energies replaced: the cubic term uses the dealiased square, matching
     the truncated dynamics, whose continuous-time flow conserves exactly
     this quantity, and one stacked square on the full spectrum covers
-    every node field, each filled from its kept half (full_tables).
+    every node field, each completed from its half (full_spectrum).
     """
     grid, coupling = traj.grid, traj.coupling
-    phi, pi = full_tables(traj)
+    phi, pi = full_spectrum(grid, traj.phi), full_spectrum(grid, traj.pi)
     n = len(phi)
     quad = 0.5 * (np.abs(pi) ** 2 + (grid.mass**2 + grid.k_squared) * np.abs(phi) ** 2)
     total = np.sum(quad.reshape(n, -1), axis=1) / grid.volume
@@ -823,27 +852,28 @@ def node_energies(traj: Trajectory) -> np.ndarray:
 
 
 def node_energy(snap, coupling):
-    """Energy of one node with its own square and an np.vdot pairing."""
+    """Energy of one node, completed, with its own square and an np.vdot pairing."""
     grid = snap.grid
-    quad = 0.5 * (np.abs(snap.pi.values) ** 2 + (grid.mass**2 + grid.k_squared) * np.abs(snap.phi.values) ** 2)
+    phi, pi = full_spectrum(grid, snap.phi.values), full_spectrum(grid, snap.pi.values)
+    quad = 0.5 * (np.abs(pi) ** 2 + (grid.mass**2 + grid.k_squared) * np.abs(phi) ** 2)
     total = float(np.sum(quad) / grid.volume)
     if coupling != 0.0:
-        phi_sq = pointwise_product(snap.phi, snap.phi)
-        total += coupling / 3.0 * pair_modes(phi_sq, snap.phi).real
+        phi_sq = dealiased_product(grid, phi, phi)
+        total += coupling / 3.0 * complex(np.vdot(phi, phi_sq) / grid.volume).real
     return total
 
 
 def per_trial_algebra_constant(grid, trials=200, seed=0):
-    """1.5 times the largest product norm ratio, one drawn pair at a time."""
+    """1.5 times the largest product norm ratio, one drawn pair at a time, on the full spectrum."""
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(trials):
-        f = random_localized_field(grid, rng)
-        g = random_localized_field(grid, rng)
-        nf, ng = sobolev_norm(f), sobolev_norm(g)
+        f = _localized_modes(grid, rng)
+        g = _localized_modes(grid, rng)
+        nf, ng = float(sobolev_norms(grid, f)), float(sobolev_norms(grid, g))
         if nf == 0.0 or ng == 0.0:
             continue
-        best = max(best, sobolev_norm(pointwise_product(f, g)) / (nf * ng))
+        best = max(best, float(sobolev_norms(grid, dealiased_product(grid, f, g))) / (nf * ng))
     return 1.5 * best
 
 
@@ -902,10 +932,10 @@ def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
     grid = trajectory.grid
     b_s = bracket_ds(psi, trajectory.node(j_s))
     b_0 = bracket_ds(psi, trajectory.node(0))
-    phi = full_tables(trajectory)[0][: j_s + 1]
+    phi = full_spectrum(grid, trajectory.phi[: j_s + 1])
     phi_sq = dealiased_product(grid, phi, phi)
     sums = pair_suffix_sums(_kernel_pair(grid.omega, tgrid.nodes[: j_s + 1]) * phi_sq, tgrid)
-    integral = brackets(psi, 0.0, _t0_field(sums)[None])[0]
+    integral = brackets(psi, 0.0, kept_half(grid, _t0_field(sums))[None])[0]
     return abs(b_s - b_0 - trajectory.coupling * integral)
 
 
@@ -975,7 +1005,7 @@ def delta_norm_bound_check(
             f.values /= sobolev_norm(f)
             drawn.append((int(rng.integers(0, tgrid.nt + 1)), int(rng.integers(0, 2)), f))
         _, at_zero, _ = _sampled_legs(b, iter(drawn), grid, tgrid, pair)
-        ratio = max(ratio, abs(brackets(psi, 0.0, at_zero[None])[0]) / psi_norm)
+        ratio = max(ratio, abs(brackets(psi, 0.0, kept_half(grid, at_zero)[None])[0]) / psi_norm)
     m_factor = max(1.0 / grid.mass, 1.0)
     bound = (c_q * m_factor * tgrid.horizon) ** order
     return DeltaNormCheck(ratio <= bound, ratio, bound)
@@ -993,16 +1023,17 @@ def _sampled_legs(
     ``pair`` is the kernel pair (sin(tau omega)/omega and cos(tau omega)) of
     the full spectrum over every node.  A leaf's rows span every node; a
     subtree's stop at its cutoff, and its t = 0 field is row 0 of its
-    suffix sums.
+    suffix sums.  Every table is full-spectrum, the leaves' completed.
     """
     if b.is_leaf:
         t_index, order, f = next(legs)
         c, s_over_w, w_s = flow_multipliers(grid.omega, tgrid.nodes[t_index] - tgrid.nodes)
         # G0 rows sin((t - tau) omega)/omega f or G1 rows cos((t - tau) omega) f, and their tau derivatives
         kernel, slope = (s_over_w, -c) if order == 0 else (c, -w_s)
-        rows = kernel * f.values
+        values = full_spectrum(grid, f.values)
+        rows = kernel * values
         rows[t_index + 1 :] = 0.0
-        return rows, np.stack([rows[0], slope[0] * f.values]), t_index
+        return rows, np.stack([rows[0], slope[0] * values]), t_index
     b1, b2 = decompose(b)
     left, _, u1 = _sampled_legs(b1, legs, grid, tgrid, pair)
     right, _, u2 = _sampled_legs(b2, legs, grid, tgrid, pair)
@@ -1106,12 +1137,11 @@ def all_rows_order_amplitudes(psi, snap, tgrid, max_order):
     """
     grid = snap.grid
     upper = tgrid.node_index(snap.time)
-    layout = SpectrumLayout(grid)
     flow = flow_multipliers(grid.band_omega, tgrid.nodes)
-    c, s_over_w, w_s = flow_multipliers(layout.omega, tgrid.nodes - snap.time)
-    phi, pi = layout.cut(snap.phi.values), layout.cut(snap.pi.values)
-    fields = np.zeros((max_order + 1, 2) + grid.shape, dtype=complex)
-    layout.cut(fields[0])[...] = c[0] * phi + s_over_w[0] * pi, w_s[0] * phi + c[0] * pi
+    c, s_over_w, w_s = flow_multipliers(SpectrumLayout(grid).omega, tgrid.nodes - snap.time)
+    phi, pi = snap.phi.values, snap.pi.values
+    fields = np.zeros((max_order + 1, 2) + grid.half_shape, dtype=complex)
+    fields[0] = c[0] * phi + s_over_w[0] * pi, w_s[0] * phi + c[0] * pi
     points = [half_spectrum_values(grid, c * phi + s_over_w * pi)]
     for order in range(1, max_order + 1):
         prod = band_modes(grid, sum(points[i] * points[order - 1 - i] for i in range(order)))
@@ -1119,7 +1149,6 @@ def all_rows_order_amplitudes(psi, snap, tgrid, max_order):
         fields[order][(Ellipsis,) + grid.band_index] = datum
         if order < max_order:
             points.append(band_values(grid, table))
-    layout.fill(fields)
     return brackets(psi, 0.0, fields)
 
 
@@ -1134,19 +1163,19 @@ def whole_axis_order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarr
     """
     grid, s = slices[0].grid, slices[0].time
     upper = tgrid.node_index(s)
-    layout = SpectrumLayout(grid)
+    omega = SpectrumLayout(grid).omega
     nodes = tgrid.nodes[: upper + 1]
-    c, s_over_w = flow_multipliers(layout.omega, nodes - s)[:2]
-    to_zero = flow_multipliers(layout.omega, -s)
+    c, s_over_w = flow_multipliers(omega, nodes - s)[:2]
+    to_zero = flow_multipliers(omega, -s)
     pair = _kernel_pair(grid.band_omega, nodes)
     band = (Ellipsis,) + grid.band_index
-    fields = np.zeros((len(slices), max_order + 1, 2) + grid.shape, dtype=complex)
+    fields = np.zeros((len(slices), max_order + 1, 2) + grid.half_shape, dtype=complex)
     weighted = np.empty(pair.shape, dtype=complex)
     sums = np.empty_like(weighted)
     half = np.zeros((upper + 1,) + grid.half_shape, dtype=complex)
     for snap, out in zip(slices, fields):
-        phi, pi = layout.cut(snap.phi.values), layout.cut(snap.pi.values)
-        layout.cut(out[0])[...] = apply_flow(to_zero, phi, pi)
+        phi, pi = snap.phi.values, snap.pi.values
+        out[0] = apply_flow(to_zero, phi, pi)
         points = [half_spectrum_values(grid, c * phi + s_over_w * pi)]
         for order in range(1, max_order + 1):
             total = points[0] * points[order - 1]
@@ -1159,7 +1188,6 @@ def whole_axis_order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarr
             out[order][band] = _t0_field(pair_suffix_sums(weighted, tgrid, sums))
             if order < max_order:
                 points.append(band_values(grid, _retarded_table(pair, sums, weighted), half))
-    layout.fill(fields)
     return fields
 
 
@@ -1195,7 +1223,8 @@ def charges_at_zero(psi, fields):
     field's are not), so it is analytic in a complex coupling; for a real
     field it is the bracket at t = 0.
     """
-    pairs = [np.vdot(psi.psi1.values, phi) - np.vdot(psi.psi0.values, pi) for phi, pi in fields]
+    psi0, psi1 = (full_spectrum(psi.grid, f.values) for f in (psi.psi0, psi.psi1))
+    pairs = [np.vdot(psi1, phi) - np.vdot(psi0, pi) for phi, pi in fields]
     return np.array(pairs) / psi.grid.volume
 
 
@@ -1242,7 +1271,7 @@ def jet_order_fields(snap, tgrid, max_order):
     dt = tgrid.dt
     phi = np.zeros((max_order + 1,) + grid.shape, dtype=complex)
     pi = np.zeros_like(phi)
-    phi[0], pi[0] = snap.phi.values, -snap.pi.values
+    phi[0], pi[0] = full_spectrum(grid, snap.phi.values), -full_spectrum(grid, snap.pi.values)
 
     def kick():
         points = grid_values(grid, phi)

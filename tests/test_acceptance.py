@@ -43,6 +43,7 @@ from oracles import (
     direct_amplitude,
     field_energy_norm,
     first_order_bound,
+    full_spectrum,
     green_apply,
     p_residual,
     pair_modes,
@@ -126,10 +127,7 @@ def test_criterion_03_oracle_equivalence(grid, psi, trajectories, tgrid):
         grid.mass,
         snap.time,
         np.asarray(tgrid.nodes),
-        snap.phi.values,
-        snap.pi.values,
-        psi.psi0.values,
-        psi.psi1.values,
+        *(full_spectrum(grid, f.values) for f in (snap.phi, snap.pi, psi.psi0, psi.psi1)),
     )
     cherry = tree_amplitude(graft(leaf(), leaf()), psi, snap, tgrid)
     closed = abs(cherry - oracle) / abs(oracle)

@@ -44,6 +44,7 @@ from oracles import (
     direct_amplitude,
     first_order_bound,
     free_mode_evolution,
+    full_spectrum,
     full_spectrum_order_amplitudes,
     jet_order_fields,
     leaf_table,
@@ -94,13 +95,15 @@ def test_bracket_is_conserved_without_coupling(grid, tgrid, rng):
 
 def test_leaf_and_test_function_rows_follow_the_free_flow(setting, tgrid):
     _, snap, psi, _, _ = setting
-    omega = snap.grid.omega
+    grid = snap.grid
+    omega = grid.omega
     leaves = leaf_table(snap, tgrid).values
     psi_rows = [psi_node_rows(psi, tgrid, derivative) for derivative in (0, 1)]
+    phi0, pi0, psi0, psi1 = (full_spectrum(grid, f.values) for f in (snap.phi, snap.pi, psi.psi0, psi.psi1))
     for j, tau in enumerate(tgrid.nodes):
-        phi, _ = free_mode_evolution(snap.phi.values, snap.pi.values, omega, tau - snap.time)
+        phi, _ = free_mode_evolution(phi0, pi0, omega, tau - snap.time)
         np.testing.assert_allclose(leaves[j], phi, rtol=1e-12, atol=1e-12)
-        for rows, expected in zip(psi_rows, free_mode_evolution(psi.psi0.values, psi.psi1.values, omega, tau)):
+        for rows, expected in zip(psi_rows, free_mode_evolution(psi0, psi1, omega, tau)):
             np.testing.assert_allclose(rows[j], expected, rtol=1e-12, atol=1e-12)
 
 
@@ -115,7 +118,7 @@ def test_a_pairing_of_a_non_hermitian_table_still_raises(small_grid, rng):
     psi = random_test_function(small_grid, rng)
     snap = random_snapshot(small_grid, rng)
     bracket_ds(psi, snap)
-    noise = rng.standard_normal(small_grid.shape) + 1j * rng.standard_normal(small_grid.shape)
+    noise = rng.standard_normal(small_grid.half_shape) + 1j * rng.standard_normal(small_grid.half_shape)
     leaky = snap.phi.values + 1e-6 * np.abs(snap.phi.values).max() * noise
     with pytest.raises(AssertionError, match="pairing has imaginary part"):
         bracket_ds(psi, FieldSnapshot(0.0, ModeArray(small_grid, leaky), snap.pi))
@@ -140,10 +143,7 @@ def test_cherry_amplitude_matches_the_closed_form_oracle(setting, grid, tgrid):
         grid.mass,
         snap.time,
         np.asarray(tgrid.nodes),
-        snap.phi.values,
-        snap.pi.values,
-        psi.psi0.values,
-        psi.psi1.values,
+        *(full_spectrum(grid, f.values) for f in (snap.phi, snap.pi, psi.psi0, psi.psi1)),
     )
     value = tree_amplitude(graft(leaf(), leaf()), psi, snap, tgrid)
     assert value == pytest.approx(oracle, rel=1e-9)
@@ -197,8 +197,11 @@ TEST_ONLY_NAMES = (
     "whole_axis_order_fields",
     "suffix_time_integral",
     "pair_suffix_sums",
-    "FullTrajectory",
-    "full_tables",
+    "SteppedTrajectory",
+    "full_spectrum",
+    "kept_half",
+    "full_sum_evaluate_at",
+    "free_flow",
 )
 
 
@@ -423,7 +426,8 @@ def test_orders_past_the_tree_tables_match_the_cauchy_and_jet_witnesses(setting_
     # the series' terms are (-lambda)^n times the amplitude sums, the
     # witnesses' the Taylor coefficients in lambda
     signs = (-1.0) ** np.arange(11)
-    fields = signs.reshape((-1,) + (1,) * (1 + grid.dim)) * order_fields([snap], tg, 10)[0]
+    # completed, to meet the witnesses' full spectra
+    fields = signs.reshape((-1,) + (1,) * (1 + grid.dim)) * full_spectrum(grid, order_fields([snap], tg, 10)[0])
     jet = jet_order_fields(snap, tg, 10)
     witnesses = {
         "cauchy": (
@@ -670,7 +674,7 @@ def test_sup_norm_dominates_the_initial_slice(grid, tgrid, rng):
     psi = random_test_function(grid, rng)
     sup = sup_norm(psi, tgrid)
     at0 = evaluate_test_function(psi, 0.0)
-    assert sup >= float(sobolev_norms_at(grid, at0.phi.values, -grid.sobolev_q)) - 1e-12
+    assert sup >= float(sobolev_norms_at(grid, full_spectrum(grid, at0.phi.values), -grid.sobolev_q)) - 1e-12
 
 
 def test_readout_recovers_the_free_field(grid):

@@ -34,7 +34,7 @@ from oracles import (
     FullSpectrum,
     acceleration,
     field_energy_norm,
-    full_tables,
+    full_spectrum,
     node_energies,
     node_energy,
     per_node_field_energy_norm,
@@ -108,15 +108,9 @@ def test_solve_matches_fresh_kicks_bit_for_bit(grid, coupling, rng):
     tg = TimeGrid(horizon=0.5, nt=16)
     traj = solve(data, coupling, tg)
     literal = strang_with_fresh_kicks(data, coupling, tg)
-    nodes = [traj.node(j) for j in range(tg.nnodes)]
-    assert [s.time for s in nodes] == [s.time for s in literal]
-    # node 0 is the kept half of the data as given, every later node a full snapshot
-    layout = SpectrumLayout(grid)
-    np.testing.assert_array_equal(traj.phi[0], layout.cut(literal[0].phi.values))
-    np.testing.assert_array_equal(traj.pi[0], layout.cut(literal[0].pi.values))
-    for got, want in zip(nodes[1:], literal[1:]):
-        np.testing.assert_array_equal(got.phi.values, want.phi.values)
-        np.testing.assert_array_equal(got.pi.values, want.pi.values)
+    # node 0 is the data as given
+    np.testing.assert_array_equal(traj.phi, literal.phi)
+    np.testing.assert_array_equal(traj.pi, literal.pi)
 
 
 @pytest.mark.parametrize("coupling", [0.0, 0.3])
@@ -144,9 +138,9 @@ STACK_GRIDS = [
 
 
 def assert_same_trajectory(got, want):
-    """got's tables are want's leading columns, and got's nodes past 0 want's, bit for bit.
+    """got's tables are want's leading columns, bit for bit.
 
-    want may hold full spectra (oracles.FullTrajectory), where got keeps the half.
+    want may hold full spectra (a SteppedTrajectory on FullSpectrum), where got keeps the half.
     """
     assert got.coupling == want.coupling
     assert got.meta == want.meta
@@ -155,10 +149,6 @@ def assert_same_trajectory(got, want):
     # bytes, so the sign of a zero counts too
     assert got.phi.tobytes() == want.phi[..., :columns].tobytes()
     assert got.pi.tobytes() == want.pi[..., :columns].tobytes()
-    for a, b in ((got.node(j), want.node(j)) for j in range(1, got.tgrid.nnodes)):
-        assert a.time == b.time
-        assert a.phi.values.tobytes() == b.phi.values.tobytes()
-        assert a.pi.values.tobytes() == b.pi.values.tobytes()
 
 
 @pytest.mark.parametrize("grid", STACK_GRIDS, ids=["1d-32", "1d-30", "2d-8"])
@@ -189,9 +179,8 @@ def test_the_full_spectrum_reference_steps_a_complex_coupling_as_fresh_kicks(rng
     coupling = 0.3 + 0.2j
     traj = per_node_solve_couplings(data, [coupling], tg, layout=full)[0]
     literal = strang_with_fresh_kicks(data, coupling, tg, layout=full)
-    for got, want in zip((traj.node(j) for j in range(tg.nnodes)), literal, strict=True):
-        assert got.phi.values.tobytes() == want.phi.values.tobytes()
-        assert got.pi.values.tobytes() == want.pi.values.tobytes()
+    assert traj.phi.tobytes() == literal.phi.tobytes()
+    assert traj.pi.tobytes() == literal.pi.tobytes()
     assert np.abs(traj.phi[1:].imag).max() > 0.0
     assert traj.meta["phi_e_norm"] == field_energy_norm(traj, full)
     couplings = [0.2, coupling, 0.0]
@@ -227,8 +216,7 @@ def test_the_loop_energies_match_the_second_pass(grid, couplings, nt, rng):
         scale = max(1.0, abs(want[0]))
         assert abs(traj.meta["energy_drift"] - np.max(np.abs(want - want[0])) / scale) <= 1e-14 * scale
         # every node's energy, from the square the loop kicks with
-        phi = layout.cut(traj.phi)
-        got = layout.energies(phi, layout.cut(traj.pi), traj.coupling * layout.square(phi))
+        got = layout.energies(traj.phi, traj.pi, traj.coupling * layout.square(traj.phi))
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
@@ -245,7 +233,7 @@ def test_real_fields_on_the_half_spectrum_match_the_full_complex_path(grid, rng)
     half = solve_couplings(data, STACK_COUPLINGS, tg)
     full = per_node_solve_couplings(data, STACK_COUPLINGS, tg, layout=FullSpectrum(grid))
     for got, want in zip(half, full, strict=True):
-        phi, pi = full_tables(got)
+        phi, pi = full_spectrum(grid, got.phi), full_spectrum(grid, got.pi)
         assert_close_rows(phi, want.phi, 1e-12)
         assert_close_rows(pi, want.pi, 1e-12)
         assert got.meta["phi_e_norm"] == pytest.approx(want.meta["phi_e_norm"], rel=1e-12, abs=0.0)
@@ -269,7 +257,7 @@ def ceiling_first_crossed_at(data, couplings, tg, node):
     """A norm ceiling that the stack's phi or pi first crosses at the given node."""
     layout = SpectrumLayout(data.grid)
     top = np.max(
-        [np.maximum(layout.norms(layout.cut(t.phi)), layout.norms(layout.cut(t.pi))) for t in solve_couplings(data, couplings, tg)],
+        [np.maximum(layout.norms(t.phi), layout.norms(t.pi)) for t in solve_couplings(data, couplings, tg)],
         axis=0,
     )
     # node 0 is the initial data, which the first block tests like any node

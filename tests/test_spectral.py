@@ -21,11 +21,15 @@ from kgcharge.spectral import (
     to_modes,
 )
 from kgcharge import spectral
+from kgcharge.solver import gaussian_field
 from oracles import (
     _mode_convolution,
     complex_product,
     folded_convolution,
+    full_spectrum,
+    full_sum_evaluate_at,
     hermitian_defect,
+    kept_half,
     pair_modes,
     per_draw_localized_samples,
     per_trial_algebra_constant,
@@ -36,6 +40,11 @@ from oracles import (
     to_grid,
     zero_modes,
 )
+
+
+def full_draw(grid, rng):
+    """The full-spectrum table of a random band-limited field."""
+    return full_spectrum(grid, random_band_limited(grid, rng).values)
 
 
 def test_grid_validation():
@@ -129,8 +138,9 @@ def test_transform_scaling_on_a_single_mode(small_grid):
     x = small_grid.axis_points
     k1 = 2.0 * np.pi / small_grid.extent
     f = to_modes(small_grid, np.cos(k1 * x))
-    expected = np.zeros(32, dtype=complex)
-    expected[1] = expected[-1] = small_grid.volume / 2.0
+    # the half spectrum keeps +k1 alone
+    expected = np.zeros(small_grid.half_shape, dtype=complex)
+    expected[1] = small_grid.volume / 2.0
     np.testing.assert_allclose(f.values, expected, atol=1e-10)
 
 
@@ -139,6 +149,13 @@ def test_to_modes_rejects_wrong_shape(small_grid):
         to_modes(small_grid, np.zeros(33))
     with pytest.raises(SizeMismatch):
         ModeArray(small_grid, np.zeros(31, dtype=complex))
+    # fftn output is a full spectrum, which would pair into wrong brackets
+    square = SpectralGrid(dim=2, extent=10.0, modes=8, mass=1.0, sobolev_q=2)
+    for grid in (small_grid, square):
+        full = np.fft.fftn(np.ones(grid.shape))
+        with pytest.raises(SizeMismatch, match="half_shape"):
+            ModeArray(grid, full)
+        assert ModeArray(grid, full[..., : grid.modes // 2 + 1]).values.shape == grid.half_shape
 
 
 def test_pair_modes_is_the_space_integral(small_grid, rng):
@@ -163,7 +180,7 @@ def test_sobolev_norm_closed_form(small_grid):
 def test_dual_norm_is_weaker(small_grid, rng):
     f = random_band_limited(small_grid, rng)
     assert small_grid.sobolev_q == 1
-    dual, plain = (float(sobolev_norms_at(small_grid, f.values, q)) for q in (-1, 0))
+    dual, plain = (float(sobolev_norms_at(small_grid, full_spectrum(small_grid, f.values), q)) for q in (-1, 0))
     assert dual <= plain <= sobolev_norm(f)
 
 
@@ -171,13 +188,13 @@ def test_pointwise_product_matches_folded_convolution(small_grid, rng):
     f = random_band_limited(small_grid, rng)
     g = random_band_limited(small_grid, rng)
     prod = pointwise_product(f, g)
-    oracle = folded_convolution(f.values, g.values, small_grid.volume)
-    np.testing.assert_allclose(prod.values, oracle, atol=1e-12)
+    oracle = folded_convolution(*(full_spectrum(small_grid, h.values) for h in (f, g)), small_grid.volume)
+    np.testing.assert_allclose(prod.values, kept_half(small_grid, oracle), atol=1e-12)
 
 
 def test_stacked_product_matches_folded_convolution_row_by_row(small_grid, rng):
-    a = np.stack([random_band_limited(small_grid, rng).values for _ in range(5)])
-    b = np.stack([random_band_limited(small_grid, rng).values for _ in range(5)])
+    a = np.stack([full_draw(small_grid, rng) for _ in range(5)])
+    b = np.stack([full_draw(small_grid, rng) for _ in range(5)])
     prod = dealiased_product(small_grid, a, b)
     assert prod.shape == a.shape
     for row_a, row_b, row in zip(a, b, prod):
@@ -189,7 +206,7 @@ def test_two_dimensional_stacked_product_matches_mode_convolution(rng, real):
     # complex fields take the oracles' complex product, real ones the package's
     grid = SpectralGrid(dim=2, extent=10.0, modes=8, mass=1.0, sobolev_q=2)
     if real:
-        draw = lambda: random_band_limited(grid, rng).values
+        draw = lambda: full_draw(grid, rng)
     else:
         draw = lambda: rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     a = np.stack([draw() for _ in range(3)])
@@ -218,8 +235,9 @@ def test_product_outside_the_band_is_dropped(small_grid):
     j = small_grid.dealias_bound
     f = to_modes(small_grid, np.cos(j * base * x))
     prod = pointwise_product(f, f)
-    # 2 j falls outside the kept band; only the zero mode survives
-    assert abs(prod.values[2 * j % 32]) < 1e-12
+    # 2 j falls outside the kept band; only the zero mode survives.  -2 j
+    # aliases to 32 - 2 j, which the half spectrum keeps
+    assert abs(prod.values[32 - 2 * j]) < 1e-12
     assert prod.values[0].real == pytest.approx(small_grid.volume / 2.0, rel=1e-12)
 
 
@@ -227,7 +245,8 @@ def test_hermitian_defect(small_grid, rng):
     f = to_modes(small_grid, rng.standard_normal(small_grid.shape))
     assert hermitian_defect(f) < 1e-12
     broken = f.values.copy()
-    broken[3] += 1.0j
+    # the half spectrum can break the symmetry only in a self-conjugate column
+    broken[0] += 1.0j
     assert hermitian_defect(ModeArray(small_grid, broken)) > 0.1
 
 
@@ -241,6 +260,26 @@ def test_evaluate_at_grid_points_and_off_grid(small_grid, rng):
     assert evaluate_at(g, 0.3) == pytest.approx(np.cos(k1 * 0.3), abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2),
+        SpectralGrid(dim=3, extent=8.0, modes=8, mass=1.0, sobolev_q=2),
+    ],
+    ids=["2d-16", "3d-8"],
+)
+def test_evaluate_at_matches_the_full_sum_off_the_grid(grid, rng):
+    # a Gaussian of width 2 carries Nyquist content, where index modes/2 of
+    # a leading axis is its own mirror and keeps the wavenumber -k_N
+    f = gaussian_field(grid, 1.0, 2.0, 3.0)
+    full = full_spectrum(grid, f.values)
+    scale = np.abs(full).sum() / grid.volume
+    assert np.abs(f.values[grid.modes // 2]).max() > 1e-12 * scale
+    assert np.abs(f.values[..., -1]).max() > 1e-12 * scale
+    for x in [np.full(grid.dim, 3.0)] + list(rng.uniform(0.0, grid.extent, (4, grid.dim))):
+        assert abs(evaluate_at(f, x) - full_sum_evaluate_at(f, x)) <= 1e-12 * scale
+
+
 def test_evaluate_at_reads_a_scalar_as_the_diagonal_point(rng):
     grid = SpectralGrid(dim=2, extent=10.0, modes=8, mass=1.0, sobolev_q=2)
     f = random_band_limited(grid, rng)
@@ -251,7 +290,7 @@ def test_evaluate_at_reads_a_scalar_as_the_diagonal_point(rng):
 
 def test_random_band_limited_is_band_limited_and_real(small_grid, rng):
     f = random_band_limited(small_grid, rng)
-    assert np.all(f.values[~small_grid.keep_mask] == 0.0)
+    assert np.all(f.values[~kept_half(small_grid, small_grid.keep_mask)] == 0.0)
     assert hermitian_defect(f) < 1e-10
     assert not np.iscomplexobj(to_grid(f))
 
@@ -259,7 +298,7 @@ def test_random_band_limited_is_band_limited_and_real(small_grid, rng):
 def test_random_localized_field_is_band_limited_and_real(small_grid):
     rng = np.random.default_rng(7)
     f = random_localized_field(small_grid, rng)
-    assert np.all(f.values[~small_grid.keep_mask] == 0.0)
+    assert np.all(f.values[~kept_half(small_grid, small_grid.keep_mask)] == 0.0)
     assert hermitian_defect(f) < 1e-10
     g = random_localized_field(small_grid, np.random.default_rng(7))
     np.testing.assert_array_equal(f.values, g.values)
@@ -278,7 +317,7 @@ def test_estimate_algebra_constant_contract(small_grid):
 @pytest.mark.parametrize("two_d", [False, True], ids=["1d", "2d"])
 def test_a_square_transforms_its_factor_once(small_grid, rng, monkeypatch, two_d):
     grid = SpectralGrid(dim=2, extent=10.0, modes=8, mass=1.0, sobolev_q=2) if two_d else small_grid
-    stack = np.stack([random_band_limited(grid, rng).values for _ in range(5)])
+    stack = np.stack([full_draw(grid, rng) for _ in range(5)])
     expected = dealiased_product(grid, stack, stack.copy())
     calls = []
     real_grid_values = spectral.grid_values
@@ -296,8 +335,8 @@ def test_band_transform_pair_is_the_dealiased_projection(small_grid, rng, two_d)
     assert band.shape == (3,) + (2 * kmax + 1,) * (grid.dim - 1) + (kmax + 1,)
     projected = grid_values(grid, dealiased_modes(grid, samples))
     np.testing.assert_allclose(band_values(grid, band), projected, rtol=0, atol=1e-13)
-    a = np.stack([random_band_limited(grid, rng).values for _ in range(3)])
-    b = np.stack([random_band_limited(grid, rng).values for _ in range(3)])
+    a = np.stack([full_draw(grid, rng) for _ in range(3)])
+    b = np.stack([full_draw(grid, rng) for _ in range(3)])
     x, y = grid_values(grid, a), grid_values(grid, b)
     cut = dealiased_product(grid, a, b)[(Ellipsis,) + grid.band_index]
     np.testing.assert_allclose(band_modes(grid, x * y), cut, rtol=0, atol=1e-13)

@@ -10,7 +10,7 @@ from conftest import random_snapshot, random_test_function
 from kgcharge.propagation import TimeGrid
 from kgcharge.series import bracket_ds, series
 from kgcharge.solver import solve, solve_couplings
-from kgcharge.spectral import ModeArray, SpectralGrid, SpectrumLayout
+from kgcharge.spectral import SpectralGrid
 from kgcharge.storage import (
     TRAJECTORY_FILE,
     format_float,
@@ -21,7 +21,7 @@ from kgcharge.storage import (
     write_report_json,
     write_trajectory,
 )
-from oracles import completed, per_node_solve_couplings
+from oracles import per_node_solve_couplings
 
 
 def test_format_float_roundtrips_exactly(rng):
@@ -72,18 +72,18 @@ def test_node_j_is_row_j_of_the_solved_and_the_read_tables(tmp_path, grid, rng):
     tg = TimeGrid(horizon=0.5, nt=8)
     solved = solve(random_snapshot(grid, rng), 0.1, tg)
     write_trajectory(tmp_path / "run", solved)
-    layout = SpectrumLayout(grid)
     for traj in (solved, read_trajectory(tmp_path / "run")):
         assert traj.phi.shape == traj.pi.shape == (tg.nnodes, *grid.half_shape)
         for j in range(tg.nnodes):
             snap = traj.node(j)
             assert snap.time == tg.nodes[j]
-            # row j's columns, and their mirrors conjugated; a snapshot of
-            # its own, which outlives the tables
+            # row j, as a snapshot of its own, which outlives the tables
             for values, row in ((snap.phi.values, traj.phi[j]), (snap.pi.values, traj.pi[j])):
-                assert layout.cut(values).tobytes() == row.tobytes()
-                assert values.tobytes() == completed(ModeArray(grid, values)).values.tobytes()
+                assert values.tobytes() == row.tobytes()
                 assert not np.shares_memory(values, traj.phi) and not np.shares_memory(values, traj.pi)
+                kept = row.copy()
+                values[...] = 7.0
+                assert row.tobytes() == kept.tobytes()
 
 
 # The desk grid, a grid off the powers of two, and a 2-D and a 3-D grid
@@ -97,22 +97,18 @@ LAYOUT_GRIDS = [
 
 @pytest.mark.parametrize("grid", LAYOUT_GRIDS, ids=["desk", "1d-30", "2d-16", "3d-8"])
 def test_solved_and_read_tables_are_the_kept_columns_of_the_full_tables(tmp_path, grid, rng):
-    # the per-node loop keeps the full tables the solver stored before the
-    # half spectrum: node 0 the data as given, every later node filled
+    # the per-node loop's tables, node 0 the data as given: the kept
+    # columns of the full tables the solver stored before the half spectrum
     data = random_snapshot(grid, rng)
     tg = TimeGrid(horizon=0.5, nt=17)
     couplings = [0.3, 0.0, -0.4]
-    layout = SpectrumLayout(grid)
-    full = per_node_solve_couplings(data, couplings, tg)
-    for r, (solved, want) in enumerate(zip(solve_couplings(data, couplings, tg), full, strict=True)):
+    stepped = per_node_solve_couplings(data, couplings, tg)
+    for r, (solved, want) in enumerate(zip(solve_couplings(data, couplings, tg), stepped, strict=True)):
         write_trajectory(tmp_path / str(r), solved)
         for traj in (solved, read_trajectory(tmp_path / str(r))):
             assert traj.phi.shape == traj.pi.shape == (tg.nnodes, *grid.half_shape)
-            assert traj.phi.tobytes() == layout.cut(want.phi).tobytes()
-            assert traj.pi.tobytes() == layout.cut(want.pi).tobytes()
-            for j in range(1, tg.nnodes):
-                assert traj.node(j).phi.values.tobytes() == want.phi[j].tobytes()
-                assert traj.node(j).pi.values.tobytes() == want.pi[j].tobytes()
+            assert traj.phi.tobytes() == want.phi.tobytes()
+            assert traj.pi.tobytes() == want.pi.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -18,9 +18,6 @@ spectrum is Hermitian and half of it holds the whole field.
 Quadratic products are evaluated on the grid and then truncated to the band
 ``|j| <= (modes - 1) // 3`` per axis (the two-thirds rule).  For inputs that
 are band limited to that band the truncated product is exactly alias free.
-On full-spectrum tables ``grid_values`` and ``dealiased_modes`` transform
-over the trailing ``dim`` axes of a stack of mode tables, and
-``dealiased_product`` composes them for the ``c_q`` estimate alone.
 
 A real field's modes at -k are the conjugates of those at k, so every mode
 table in the package holds the half spectrum of ``rfftn``: the last axis
@@ -40,7 +37,8 @@ leading axes and ``0 <= j <= K`` on the last, with K = ``dealias_bound``
 are the real transform pair on that layout: ``rfftn`` scaled and cut to the
 band, and its inverse, which scatters into the half spectrum and applies
 ``irfftn``.  They take real point data only; the series keeps its tables in
-this layout.  ``SpectralGrid.band_index`` picks the band out of a full or a
+this layout, and the ``c_q`` estimate forms its pairs and their products
+through them.  ``SpectralGrid.band_index`` picks the band out of a full or a
 half spectrum alike, since both store the last axis' j = 0..K first.
 
 ``estimate_algebra_constant`` samples the H^q product constant C_q from a
@@ -271,25 +269,11 @@ def to_modes(grid: SpectralGrid, samples: np.ndarray) -> ModeArray:
     return ModeArray(grid, values)
 
 
-def grid_values(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
-    """Real point values of full-spectrum mode tables: the inverse transform over the trailing grid.dim axes."""
-    # Passing s along with axes keeps numpy on its fast path for one field.
-    axes = tuple(range(-grid.dim, 0))
-    return (np.fft.ifftn(values, s=grid.shape, axes=axes) * (grid.npoints / grid.volume)).real
-
-
-def dealiased_modes(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
-    """Forward transform over the trailing grid.dim axes, then the 2/3 mask."""
-    axes = tuple(range(-grid.dim, 0))
-    values = np.fft.fftn(samples, s=grid.shape, axes=axes) * (grid.volume / grid.npoints)
-    return np.where(grid.keep_mask, values, 0.0)
-
-
 def band_modes(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
     """Real forward transform over the trailing grid.dim axes, cut to the band layout.
 
-    The band entries equal those of ``dealiased_modes`` up to rounding;
-    ``samples`` must be real.
+    The band entries are those of the dealiased ``fftn`` of the samples up
+    to rounding; ``samples`` must be real.
     """
     axes = tuple(range(-grid.dim, 0))
     band = np.fft.rfftn(samples, s=grid.shape, axes=axes)[(Ellipsis,) + grid.band_index]
@@ -297,15 +281,13 @@ def band_modes(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
     return band
 
 
-def band_values(grid: SpectralGrid, band: np.ndarray, half: np.ndarray | None = None) -> np.ndarray:
+def band_values(grid: SpectralGrid, band: np.ndarray, half: np.ndarray) -> np.ndarray:
     """Real point values of band-layout tables: the inverse of :func:`band_modes`.
 
     ``half`` is a zero half-spectrum buffer of the tables' leading shape to
     scatter into; only its band entries are written, so it stays zero
     elsewhere and a caller can pass it to the next call too.
     """
-    if half is None:
-        half = np.zeros(band.shape[: band.ndim - grid.dim] + grid.half_shape, dtype=complex)
     half[(Ellipsis,) + grid.band_index] = band
     return half_spectrum_values(grid, half)
 
@@ -314,16 +296,6 @@ def half_spectrum_values(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
     """Real point values from ``rfftn``-layout mode tables over the trailing grid.dim axes."""
     axes = tuple(range(-grid.dim, 0))
     return np.fft.irfftn(half, s=grid.shape, axes=axes) * (grid.npoints / grid.volume)
-
-
-def dealiased_product(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dealiased pointwise products of two stacks of full-spectrum mode tables, row by row.
-
-    A square (``b is a``) transforms its one factor once.
-    """
-    x = grid_values(grid, a)
-    y = x if b is a else grid_values(grid, b)
-    return dealiased_modes(grid, x * y)
 
 
 class SpectrumLayout:
@@ -395,15 +367,6 @@ class SpectrumLayout:
         _, on_phi, on_pi, on_forced = self._weights
         phi, pi, forced = phi.view(float), pi.view(float), forced.view(float)
         return np.add.reduce(phi * (on_phi * phi + on_forced * forced) + on_pi * pi * pi, axis=self._axes)
-
-
-def sobolev_norms(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
-    """H^q norm ((1/V) sum_k (1+|k|^2)^q |f_hat|^2)^(1/2), at the grid's q, over the trailing grid.dim axes.
-
-    ``values`` is one mode table or a stack of them.
-    """
-    axes = tuple(range(-grid.dim, 0))
-    return np.sqrt(np.sum(grid.sobolev_weights * np.abs(values) ** 2, axis=axes) / grid.volume)
 
 
 def sobolev_norm(f: ModeArray) -> float:
@@ -502,22 +465,30 @@ def _localized_samples(grid: SpectralGrid, rng: np.random.Generator, count: int)
     return samples
 
 
-# The estimate's pairs and seed, and the bytes of mode tables, two complex
-# tables a pair, it holds at once: a grid of up to 40 points takes all its
-# pairs in one chunk, the desk's 128 points four.  A chunk's working set,
-# about four times its tables, stays near 1 MiB: one chunk of the desk's
-# 200 pairs took 3.3 MiB, which the C library handed back to the system
+# The estimate's pairs and seed, and the bytes it holds at once, counted as
+# 32 a grid point per pair: the two fields' real samples, 8 bytes a point
+# each, and their complex half spectra, 16 bytes on about half the points
+# each.  A grid of up to 40 points takes all its pairs in one chunk, the
+# desk's 128 points four.  With the point values and the products, the
+# estimate's tracemalloc peak is then 0.8 MiB on the desk: one chunk of its
+# 200 pairs took 2.3 MiB, which the C library handed back to the system
 # after every estimate and faulted in again on the next
 ALGEBRA_TRIALS, ALGEBRA_SEED, ALGEBRA_CHUNK_BYTES = 200, 0, 2**18
 
 
-def _largest_ratio(grid: SpectralGrid, rng: np.random.Generator, pairs: int) -> float:
+def _largest_ratio(layout: SpectrumLayout, rng: np.random.Generator, pairs: int) -> float:
     """The largest product norm ratio ||fg|| / (||f|| ||g||) of ``pairs`` pairs drawn next from ``rng``."""
-    modes = dealiased_modes(grid, _localized_samples(grid, rng, 2 * pairs))
-    f, g = modes[0::2], modes[1::2]
-    nf, ng = sobolev_norms(grid, f), sobolev_norms(grid, g)
+    grid = layout.grid
+    half = np.zeros((2 * pairs,) + grid.half_shape, dtype=complex)
+    x = band_values(grid, band_modes(grid, _localized_samples(grid, rng, 2 * pairs)), half)
+    # only band entries are ever written to half, and the norms square them
+    # in place: the rest stays zero for the products' scatter
+    norms = layout.norms(half, overwrite=True)
+    nf, ng = norms[0::2], norms[1::2]
     keep = (nf != 0.0) & (ng != 0.0)
-    ratios = sobolev_norms(grid, dealiased_product(grid, f[keep], g[keep])) / (nf[keep] * ng[keep])
+    products = half[: np.count_nonzero(keep)]
+    products[(Ellipsis,) + grid.band_index] = band_modes(grid, x[0::2][keep] * x[1::2][keep])
+    ratios = layout.norms(products, overwrite=True) / (nf[keep] * ng[keep])
     return float(ratios.max(initial=0.0))
 
 
@@ -537,10 +508,16 @@ def estimate_algebra_constant(grid: SpectralGrid) -> float:
     fields overlap, so localized samples probe the large-ratio region that
     spread flat-spectrum noise never reaches.  The pairs are drawn one after
     another (f, then g, per trial) and then transformed, multiplied and
-    measured as stacks, ALGEBRA_CHUNK_BYTES of mode tables at a time; a
-    pair's ratio does not depend on its chunk.
+    measured as stacks, about ALGEBRA_CHUNK_BYTES at a time; a pair's ratio
+    does not depend on its chunk.  The pairs and their products go through
+    the band pair (``band_modes``, ``band_values``) and their norms through
+    ``SpectrumLayout.norms`` on the half spectrum, as the series and the
+    solver run them.
     """
     rng = np.random.default_rng(ALGEBRA_SEED)
+    # one layout for every chunk: its weight tables cost 0.7 ms on 3-D 32^3,
+    # where each of the 200 chunks holds one pair
+    layout = SpectrumLayout(grid)
     chunk = max(1, ALGEBRA_CHUNK_BYTES // (32 * grid.npoints))
     sizes = [min(chunk, ALGEBRA_TRIALS - start) for start in range(0, ALGEBRA_TRIALS, chunk)]
-    return 1.5 * max(_largest_ratio(grid, rng, pairs) for pairs in sizes)
+    return 1.5 * max(_largest_ratio(layout, rng, pairs) for pairs in sizes)

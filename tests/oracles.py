@@ -33,7 +33,11 @@ Two kinds of code live here, outside the package:
   spectrum (pair_modes, to_grid, pointwise_product, the full-spectrum
   free_flow, the leaf tables, the per-tree evaluators, the energies, the
   literal evaluate_at, the witnesses) completes the package's half tables
-  through it, and hands its results back cut to the half.  Beside them sit
+  through it, and hands its results back cut to the half.  They transform
+  and multiply through grid_values, dealiased_modes and dealiased_product.
+  The package's c_q estimate ran on that path before it took the band
+  pair, and full_spectrum_algebra_constant keeps that estimate as its
+  reference.  Beside them sit
   the complex dealiased product (complex_product) and the layout
   FullSpectrum, on which the per-node solver loop runs: the reference the
   half-spectrum solve is checked against, and the one the Cauchy witness
@@ -65,13 +69,9 @@ from kgcharge.spectral import (
     _localized_samples,
     band_modes,
     band_values,
-    dealiased_modes,
-    dealiased_product,
-    grid_values,
     half_spectrum_values,
     random_band_limited,
     sobolev_norm,
-    sobolev_norms,
 )
 from kgcharge.trees import (
     GrowSpec,
@@ -110,6 +110,30 @@ def full_spectrum(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
         src = (Ellipsis,) + tuple(s for _, s in lead) + (slice(n // 2 - 1, 0, -1),)
         np.conjugate(tables[src], out=tables[dst])
     return tables
+
+
+def grid_values(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
+    """Real point values of full-spectrum mode tables: the inverse transform over the trailing grid.dim axes."""
+    # Passing s along with axes keeps numpy on its fast path for one field.
+    axes = tuple(range(-grid.dim, 0))
+    return (np.fft.ifftn(values, s=grid.shape, axes=axes) * (grid.npoints / grid.volume)).real
+
+
+def dealiased_modes(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
+    """Forward transform over the trailing grid.dim axes, then the 2/3 mask."""
+    axes = tuple(range(-grid.dim, 0))
+    values = np.fft.fftn(samples, s=grid.shape, axes=axes) * (grid.volume / grid.npoints)
+    return np.where(grid.keep_mask, values, 0.0)
+
+
+def dealiased_product(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dealiased pointwise products of two stacks of full-spectrum mode tables, row by row.
+
+    A square (``b is a``) transforms its one factor once.
+    """
+    x = grid_values(grid, a)
+    y = x if b is a else grid_values(grid, b)
+    return dealiased_modes(grid, x * y)
 
 
 def kept_half(grid: SpectralGrid, tables: np.ndarray) -> np.ndarray:
@@ -644,7 +668,7 @@ class FullSpectrum:
     """The full complex spectrum as a stepper's layout, with SpectrumLayout's interface.
 
     Every column is kept, ``square`` is :func:`complex_product` and
-    ``norms`` is the package's ``sobolev_norms``.
+    ``norms`` is :func:`sobolev_norms_at` at the grid's q.
     """
 
     def __init__(self, grid: SpectralGrid):
@@ -660,7 +684,7 @@ class FullSpectrum:
         return out
 
     def norms(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        return sobolev_norms(self.grid, values)
+        return sobolev_norms_at(self.grid, values, self.grid.sobolev_q)
 
     def energies(self, phi: np.ndarray, pi: np.ndarray, forced: np.ndarray) -> np.ndarray:
         grid = self.grid
@@ -864,16 +888,47 @@ def node_energy(snap, coupling):
 
 
 def per_trial_algebra_constant(grid, trials=200, seed=0):
-    """1.5 times the largest product norm ratio, one drawn pair at a time, on the full spectrum."""
+    """1.5 times the largest product norm ratio, one drawn pair at a time, through the band pair.
+
+    Each field and each product is scattered into a zero half spectrum of
+    its own and measured by SpectrumLayout.norms, as the stacked estimate
+    measures its chunks.
+    """
     rng = np.random.default_rng(seed)
+    layout = SpectrumLayout(grid)
+
+    def band_field(samples):
+        """The samples' band in a zero half spectrum of its own, and its point values."""
+        half = np.zeros(grid.half_shape, dtype=complex)
+        return half, band_values(grid, band_modes(grid, samples), half)
+
+    best = 0.0
+    for _ in range(trials):
+        f, x = band_field(_localized_samples(grid, rng, 1)[0])
+        g, y = band_field(_localized_samples(grid, rng, 1)[0])
+        nf, ng = float(layout.norms(f)), float(layout.norms(g))
+        if nf == 0.0 or ng == 0.0:
+            continue
+        best = max(best, float(layout.norms(band_field(x * y)[0])) / (nf * ng))
+    return 1.5 * best
+
+
+def full_spectrum_algebra_constant(grid, trials=200, seed=0):
+    """1.5 times the largest product norm ratio, one drawn pair at a time, on the full spectrum.
+
+    The estimate the package ran before it formed its pairs through the
+    band pair: the same draws, full-spectrum transforms and norms.
+    """
+    rng = np.random.default_rng(seed)
+    q = grid.sobolev_q
     best = 0.0
     for _ in range(trials):
         f = _localized_modes(grid, rng)
         g = _localized_modes(grid, rng)
-        nf, ng = float(sobolev_norms(grid, f)), float(sobolev_norms(grid, g))
+        nf, ng = float(sobolev_norms_at(grid, f, q)), float(sobolev_norms_at(grid, g, q))
         if nf == 0.0 or ng == 0.0:
             continue
-        best = max(best, float(sobolev_norms(grid, dealiased_product(grid, f, g))) / (nf * ng))
+        best = max(best, float(sobolev_norms_at(grid, dealiased_product(grid, f, g), q)) / (nf * ng))
     return 1.5 * best
 
 
@@ -1142,13 +1197,14 @@ def all_rows_order_amplitudes(psi, snap, tgrid, max_order):
     phi, pi = snap.phi.values, snap.pi.values
     fields = np.zeros((max_order + 1, 2) + grid.half_shape, dtype=complex)
     fields[0] = c[0] * phi + s_over_w[0] * pi, w_s[0] * phi + c[0] * pi
+    half = np.zeros((len(tgrid.nodes),) + grid.half_shape, dtype=complex)
     points = [half_spectrum_values(grid, c * phi + s_over_w * pi)]
     for order in range(1, max_order + 1):
         prod = band_modes(grid, sum(points[i] * points[order - 1 - i] for i in range(order)))
         table, datum = retarded_integral(flow, tgrid, prod, upper)
         fields[order][(Ellipsis,) + grid.band_index] = datum
         if order < max_order:
-            points.append(band_values(grid, table))
+            points.append(band_values(grid, table, half))
     return brackets(psi, 0.0, fields)
 
 

@@ -202,6 +202,10 @@ TEST_ONLY_NAMES = (
     "kept_half",
     "full_sum_evaluate_at",
     "free_flow",
+    "grid_values",
+    "dealiased_modes",
+    "dealiased_product",
+    "sobolev_norms",
 )
 
 

@@ -11,23 +11,25 @@ from kgcharge.spectral import (
     SpectralGrid,
     band_modes,
     band_values,
-    dealiased_modes,
-    dealiased_product,
     estimate_algebra_constant,
     evaluate_at,
-    grid_values,
     random_band_limited,
     sobolev_norm,
     to_modes,
 )
 from kgcharge import spectral
 from kgcharge.solver import gaussian_field
+import oracles
 from oracles import (
     _mode_convolution,
     complex_product,
+    dealiased_modes,
+    dealiased_product,
     folded_convolution,
     full_spectrum,
+    full_spectrum_algebra_constant,
     full_sum_evaluate_at,
+    grid_values,
     hermitian_defect,
     kept_half,
     pair_modes,
@@ -320,8 +322,8 @@ def test_a_square_transforms_its_factor_once(small_grid, rng, monkeypatch, two_d
     stack = np.stack([full_draw(grid, rng) for _ in range(5)])
     expected = dealiased_product(grid, stack, stack.copy())
     calls = []
-    real_grid_values = spectral.grid_values
-    monkeypatch.setattr(spectral, "grid_values", lambda *args: calls.append(1) or real_grid_values(*args))
+    real_grid_values = oracles.grid_values
+    monkeypatch.setattr(oracles, "grid_values", lambda *args: calls.append(1) or real_grid_values(*args))
     np.testing.assert_array_equal(dealiased_product(grid, stack, stack), expected)
     assert len(calls) == 1
 
@@ -334,7 +336,8 @@ def test_band_transform_pair_is_the_dealiased_projection(small_grid, rng, two_d)
     band = band_modes(grid, samples)
     assert band.shape == (3,) + (2 * kmax + 1,) * (grid.dim - 1) + (kmax + 1,)
     projected = grid_values(grid, dealiased_modes(grid, samples))
-    np.testing.assert_allclose(band_values(grid, band), projected, rtol=0, atol=1e-13)
+    half = np.zeros((3,) + grid.half_shape, dtype=complex)
+    np.testing.assert_allclose(band_values(grid, band, half), projected, rtol=0, atol=1e-13)
     a = np.stack([full_draw(grid, rng) for _ in range(3)])
     b = np.stack([full_draw(grid, rng) for _ in range(3)])
     x, y = grid_values(grid, a), grid_values(grid, b)
@@ -349,14 +352,30 @@ def test_stacked_algebra_constant_matches_the_per_trial_loop(small_grid, two_d):
     assert estimate_algebra_constant(grid) == per_trial_algebra_constant(grid, 200, 0)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        SpectralGrid(),
+        SpectralGrid(dim=1, extent=20.0, modes=30, mass=1.0, sobolev_q=1),
+        SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2),
+        SpectralGrid(dim=3, extent=8.0, modes=8, mass=1.0, sobolev_q=2),
+    ],
+    ids=["desk", "1d-30", "2d-16", "3d-8"],
+)
+def test_the_band_estimate_matches_the_full_spectrum_estimate(grid):
+    # the same draws; only the transforms and the norms' summation order differ
+    band, full = estimate_algebra_constant(grid), full_spectrum_algebra_constant(grid, 200, 0)
+    assert abs(band - full) <= 1e-14 * full
+
+
 def record_chunk_sizes(monkeypatch) -> list[int]:
     """The pair count of every chunk the estimate measures from now on, in order."""
     sizes = []
     measure = spectral._largest_ratio
 
-    def recorded(grid, rng, pairs):
+    def recorded(layout, rng, pairs):
         sizes.append(pairs)
-        return measure(grid, rng, pairs)
+        return measure(layout, rng, pairs)
 
     monkeypatch.setattr(spectral, "_largest_ratio", recorded)
     return sizes

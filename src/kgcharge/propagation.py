@@ -12,7 +12,8 @@ the free evolution, on whatever mode layout omega is given on, for one lag
 or a whole stack of node lags; callers that flow by the same lags many
 times build the multipliers once: the solver per solve, the series once
 per block of nodes, shared by every slice at s.  free_evolve flows one
-snapshot, on the half spectrum every mode table holds.
+snapshot by the grid's omega, which has the half-spectrum shape of every
+mode table.
 
 Time integrals run on the uniform node set of a :class:`TimeGrid`, by one
 composite trapezoid rule, which lives in the series (series._suffix_sums):
@@ -30,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import FieldSnapshot, ModeArray, SpectrumLayout
+from .spectral import FieldSnapshot, ModeArray
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,6 @@ def apply_flow(multipliers, phi: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray
 def free_evolve(snap: FieldSnapshot, dt: float) -> FieldSnapshot:
     """Exact linear evolution by dt (negative dt evolves backward)."""
     grid = snap.grid
-    phi, pi = apply_flow(flow_multipliers(SpectrumLayout(grid).omega, dt), snap.phi.values, snap.pi.values)
+    phi, pi = apply_flow(flow_multipliers(grid.omega, dt), snap.phi.values, snap.pi.values)
     return FieldSnapshot(snap.time + dt, ModeArray(grid, phi), ModeArray(grid, pi))
 

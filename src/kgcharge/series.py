@@ -42,9 +42,10 @@ Every product in the recursion is a dealiased product of real fields, so
 its mode table is zero outside the kept band and Hermitian.  The recursion
 keeps its mode tables on the band's half of the real half spectrum
 (spectral.band_modes / band_values), and W_0 comes from the slice's
-N/2 + 1-column half spectrum, the layout of every mode table.  The t = 0
-fields stay on that half spectrum, and the bracket weighs each column by
-how often it occurs in the full spectrum.
+N/2 + 1-column half spectrum, the layout of every mode table and of the
+grid's own tables: the leaf's backward flow takes ``grid.omega`` as it
+is.  The t = 0 fields stay on that half spectrum, and the bracket weighs
+each column by how often it occurs in the full spectrum.
 
 The products are pointwise in time, so the recursion runs over blocks of
 SERIES_BLOCK nodes, from s back to t = 0, and every table holds one
@@ -111,7 +112,6 @@ from .solver import TestFunction, Trajectory, dirac_test_function, evaluate_test
 from .spectral import (
     FieldSnapshot,
     GridMismatch,
-    SpectrumLayout,
     band_modes,
     band_values,
     half_spectrum_values,
@@ -290,13 +290,12 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
         raise ValueError("the order recursion needs every slice at one time s")
     grid, s = slices[0].grid, slices[0].time
     upper = tgrid.node_index(s)
-    omega = SpectrumLayout(grid).omega
     phi = np.stack([snap.phi.values for snap in slices])
     pi = np.stack([snap.pi.values for snap in slices])
     band = (Ellipsis,) + grid.band_index
     fields = np.zeros((len(slices), max_order + 1, 2) + grid.half_shape, dtype=complex)
     # W_0 at t = 0, the slices flowed back by s, with their time derivatives
-    fields[:, 0] = np.stack(apply_flow(flow_multipliers(omega, -s), phi, pi), axis=1)
+    fields[:, 0] = np.stack(apply_flow(flow_multipliers(grid.omega, -s), phi, pi), axis=1)
     # what every order of every block reuses: the kernel-weighted product,
     # its suffix sums, and a zero half spectrum
     rows = min(SERIES_BLOCK, upper + 1)
@@ -310,7 +309,7 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
         nodes = tgrid.nodes[start:stop]
         # the block's kernel tables; their axes are (nodes, slices, *grid),
         # with an axis of one for the slices
-        c, s_over_w = (m[:, None] for m in flow_multipliers(omega, nodes - s)[:2])
+        c, s_over_w = (m[:, None] for m in flow_multipliers(grid.omega, nodes - s)[:2])
         block_pair = _kernel_pair(grid.band_omega, nodes)[:, :, None]
         block_weighted, block_sums = weighted[:, : stop - start], sums[:, : stop - start]
         points = [half_spectrum_values(grid, c * phi + s_over_w * pi)]

@@ -30,9 +30,11 @@ whose drift a trajectory records: no node is squared twice.
 
 phi is real and so is every coupling, which solve_couplings checks: a
 complex coupling would kick the data off the reals.  The loop steps on the
-``rfftn`` half spectrum (spectral.SpectrumLayout), the last axis' j =
-0..modes/2: the square goes through ``irfft``/``rfft``, and the norms weigh
-each kept column by its multiplicity in the full spectrum.  One buffer holds
+``rfftn`` half spectrum, the last axis' j = 0..modes/2, which is the
+grid's layout: it takes ``grid.omega``, ``grid.square``, ``grid.norms``
+and ``grid.energies`` as they are.  The square goes through
+``irfft``/``rfft``, and the norms weigh each kept column by its
+multiplicity in the full spectrum.  One buffer holds
 phi and pi of every row at a node, the free flow is one product with the
 pair (phi, pi) and one with the pair swapped, and a step's closing half
 kick is the next step's opening one.  tests/oracles.py keeps the same step
@@ -65,7 +67,6 @@ from .spectral import (
     ModeArray,
     SizeMismatch,
     SpectralGrid,
-    SpectrumLayout,
     gaussian_envelopes,
     to_modes,
 )
@@ -97,7 +98,7 @@ class Trajectory:
     """The Cauchy data at every node of a time grid, as two stacked half-spectrum tables.
 
     ``phi`` and ``pi`` hold the columns of every node that the solver steps
-    in (spectral.SpectrumLayout), shape ``(tgrid.nnodes, *grid.half_shape)``;
+    in, shape ``(tgrid.nnodes, *grid.half_shape)``;
     row j is the data at ``tgrid.nodes[j]``.
     """
 
@@ -191,34 +192,33 @@ def solve_couplings(
         raise ValueError("solve_couplings needs at least one coupling")
     if np.iscomplexobj(couplings):
         raise ValueError(f"couplings must be real numbers, got {couplings}")
-    layout = SpectrumLayout(grid)
     lead = (-1,) + (1,) * grid.dim
     kicks = np.array([dt / 2.0 * c for c in couplings]).reshape(lead)
     # one more axis, for the nodes of a block
     forcing = np.array(couplings).reshape((-1, 1) + lead[1:])
-    c, s_over_w, w_s = flow_multipliers(layout.omega, dt)
+    c, s_over_w, w_s = flow_multipliers(grid.omega, dt)
     # the free flow of the pair (phi, pi) as one product with the pair and
     # one with the pair swapped: c phi + (s/w) pi and c pi + (-w s) phi
     along = np.stack([c, c])[:, None]
     across = np.stack([s_over_w, w_s])[:, None]
-    neg_omega_sq = -(layout.omega**2)
+    neg_omega_sq = -(grid.omega**2)
 
     # phi and pi of every row at one node: this node's buffer and the next one's
-    node = np.empty((2, rows) + layout.shape, dtype=complex)
+    node = np.empty((2, rows) + grid.half_shape, dtype=complex)
     node[0], node[1] = initial.phi.values, initial.pi.values
     ahead = np.empty_like(node)
     # phi, pi, the acceleration and the kick's square of every row at the
     # nodes of one block: block k holds nodes k BLOCK .. (k + 1) BLOCK - 1
-    block = np.empty((3, rows, BLOCK) + layout.shape, dtype=complex)
-    squares = np.empty((rows, BLOCK) + layout.shape, dtype=complex)
+    block = np.empty((3, rows, BLOCK) + grid.half_shape, dtype=complex)
+    squares = np.empty((rows, BLOCK) + grid.half_shape, dtype=complex)
     # phi and pi of every row at every node: row r of tables[0] and of
     # tables[1] is one trajectory
-    tables = np.empty((2, rows, tgrid.nnodes) + layout.shape, dtype=complex)
+    tables = np.empty((2, rows, tgrid.nnodes) + grid.half_shape, dtype=complex)
     energies = np.empty((rows, tgrid.nnodes))
 
     # node 0 is slot 0 of the first block, its square the first kick's
     block[:2, :, 0] = node
-    kick = kicks * layout.square(node[0], out=squares[:, 0])
+    kick = kicks * grid.square(node[0], out=squares[:, 0])
     peak = np.zeros(rows)
     # Past a crossing, up to BLOCK - 1 more steps run before the block's
     # check sees it; an overflow there turns the norms NaN, which crosses.
@@ -230,7 +230,7 @@ def solve_couplings(
             np.multiply(along, node, out=ahead)
             ahead += across * node[::-1]
             node, ahead = ahead, node
-            kick = kicks * layout.square(node[0], out=squares[:, i])
+            kick = kicks * grid.square(node[0], out=squares[:, i])
             node[1] -= kick
             block[:2, :, i] = node
             if i < BLOCK - 1 and n < tgrid.nt:
@@ -243,9 +243,9 @@ def solve_couplings(
             forced *= forcing
             nodes[2] -= forced
             tables[:, :, start : n + 1] = nodes[:2]
-            energies[:, start : n + 1] = layout.energies(nodes[0], nodes[1], forced)
+            energies[:, start : n + 1] = grid.energies(nodes[0], nodes[1], forced)
             # the norms square the block in place, after the store and the energies
-            norms = layout.norms(nodes, overwrite=True)
+            norms = grid.norms(nodes, overwrite=True)
             # "not <=" so that a NaN norm crosses the ceiling too
             crossed = ~(np.maximum(norms[0], norms[1]) <= norm_ceiling)
             if crossed.any():

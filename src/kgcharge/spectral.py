@@ -21,14 +21,16 @@ are band limited to that band the truncated product is exactly alias free.
 
 A real field's modes at -k are the conjugates of those at k, so every mode
 table in the package holds the half spectrum of ``rfftn``: the last axis
-keeps j = 0..modes/2 (65 of 128 columns on a 128-mode line).  A
-``ModeArray`` has ``grid.half_shape``, and ``to_modes`` cuts the ``fftn``
-of its samples to it.  ``SpectrumLayout`` holds what the solver's step
-needs on that layout: the square (``irfft``/``rfft`` with the transform
-scales and the 2/3 mask as one multiplier), and H^q norms and box energies
-that weigh each kept column by how often it occurs in the full spectrum.
-``sobolev_norm`` weighs a field's columns the same way, and ``evaluate_at``
-adds the conjugate of each interior column at its mirrored wavenumbers.
+keeps j = 0..modes/2 (65 of 128 columns on a 128-mode line).  The grid is
+that layout: its tables (``k_squared``, ``omega``, ``sobolev_weights``,
+``keep_mask``, ``band_mask``) have ``grid.half_shape``, as does a
+``ModeArray``, and ``to_modes`` cuts the ``fftn`` of its samples to it.
+The grid also holds what the solver's step needs on that layout: the
+square (``irfft``/``rfft`` with the transform scales and the 2/3 mask as
+one multiplier), and H^q norms and box energies that weigh each kept
+column by how often it occurs in the full spectrum.  ``sobolev_norm``
+weighs a field's columns the same way, and ``evaluate_at`` adds the
+conjugate of each interior column at its mirrored wavenumbers.
 
 A dealiased product of real fields is zero outside the kept band and
 Hermitian, so it is fully described by the band's half: ``|j| <= K`` on the
@@ -38,8 +40,8 @@ are the real transform pair on that layout: ``rfftn`` scaled and cut to the
 band, and its inverse, which scatters into the half spectrum and applies
 ``irfftn``.  They take real point data only; the series keeps its tables in
 this layout, and the ``c_q`` estimate forms its pairs and their products
-through them.  ``SpectralGrid.band_index`` picks the band out of a full or a
-half spectrum alike, since both store the last axis' j = 0..K first.
+through them.  ``SpectralGrid.band_index`` picks the band out of a half
+spectrum.
 
 ``estimate_algebra_constant`` samples the H^q product constant C_q from a
 fixed count of random pairs and a fixed seed, so C_q is a function of the
@@ -68,6 +70,11 @@ class GridMismatch(ValueError):
 @dataclass(frozen=True)
 class SpectralGrid:
     """Periodic box discretization with Fourier mode bookkeeping.
+
+    Every spectral table of the grid has ``half_shape``, and ``square``,
+    ``norms`` and ``energies`` take stacks of tables of that shape.  The
+    tables are built on first use and kept; equality and the hash see the
+    five fields only.
 
     Parameters
     ----------
@@ -160,20 +167,22 @@ class SpectralGrid:
     def axis_wavenumbers(self) -> np.ndarray:
         return 2.0 * np.pi * self.mode_index / self.extent
 
-    @cached_property
-    def k_squared(self) -> np.ndarray:
-        axes = np.meshgrid(*([self.axis_wavenumbers] * self.dim), indexing="ij")
-        return sum(a**2 for a in axes)
-
-    @cached_property
-    def omega(self) -> np.ndarray:
-        """Dispersion relation sqrt(m^2 + |k|^2) over the mode set."""
-        return np.sqrt(self.mass**2 + self.k_squared)
-
     @property
     def half_shape(self) -> tuple[int, ...]:
         """Shape of an ``rfftn`` spectrum: the last axis keeps j = 0..modes/2."""
         return self.shape[:-1] + (self.modes // 2 + 1,)
+
+    @cached_property
+    def k_squared(self) -> np.ndarray:
+        """|k|^2 over the half spectrum."""
+        k = self.axis_wavenumbers
+        axes = np.meshgrid(*([k] * (self.dim - 1) + [k[: self.half_shape[-1]]]), indexing="ij")
+        return sum(a**2 for a in axes)
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """Dispersion relation sqrt(m^2 + |k|^2) over the half spectrum."""
+        return np.sqrt(self.mass**2 + self.k_squared)
 
     @property
     def dealias_bound(self) -> int:
@@ -182,11 +191,11 @@ class SpectralGrid:
         return (self.modes - 1) // 3
 
     def band_mask(self, kmax: int) -> np.ndarray:
-        """True on the modes with |j| <= kmax on every axis."""
+        """True on the half spectrum's modes with |j| <= kmax on every axis."""
         axis_keep = np.abs(self.mode_index) <= kmax
-        mask = axis_keep
+        mask = axis_keep[: self.half_shape[-1]]
         for _ in range(self.dim - 1):
-            mask = np.multiply.outer(mask, axis_keep)
+            mask = np.multiply.outer(axis_keep, mask)
         return mask
 
     @cached_property
@@ -195,7 +204,7 @@ class SpectralGrid:
 
     @cached_property
     def band_index(self) -> tuple[np.ndarray, ...]:
-        """Open-mesh index of the kept band's half in a full or a half spectrum.
+        """Open-mesh index of the kept band's half in a half spectrum.
 
         |j| <= dealias_bound on the leading axes, in FFT storage order, and
         j = 0..dealias_bound on the last axis.
@@ -211,8 +220,64 @@ class SpectralGrid:
 
     @cached_property
     def sobolev_weights(self) -> np.ndarray:
-        """(1 + |k|^2)^q over the mode set, at the grid's q."""
+        """(1 + |k|^2)^q over the half spectrum, at the grid's q."""
         return (1.0 + self.k_squared) ** self.sobolev_q
+
+    @cached_property
+    def _axes(self) -> tuple[int, ...]:
+        return tuple(range(-self.dim, 0))
+
+    @cached_property
+    def _fold(self) -> np.ndarray:
+        return self.keep_mask * (self.npoints / self.volume)
+
+    @cached_property
+    def _weights(self) -> tuple[np.ndarray, ...]:
+        # each weight by multiplicity, twice (a column's real and imaginary part), over the
+        # volume: the H^q norms', and the energy density's on phi^2, pi^2 and phi lambda phi^2
+        multiplicity = np.full(self.half_shape[-1], 2.0)
+        multiplicity[[0, -1]] = 1.0
+        return tuple(
+            np.repeat(weights * multiplicity, 2, axis=-1) / self.volume
+            for weights in (self.sobolev_weights, self.omega**2 / 2.0, 0.5, 1.0 / 3.0)
+        )
+
+    def square(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Dealiased squares of a stack of half-spectrum tables.
+
+        ``irfftn``/``rfftn`` (``irfft``/``rfft`` on a 1-D grid, one call
+        each), with both transform scales and the 2/3 mask as one
+        multiplier.  ``out``, when given, receives the squares and is
+        returned.
+        """
+        if self.dim == 1:
+            x = np.fft.irfft(values, self.modes)
+            return np.multiply(np.fft.rfft(x * x), self._fold, out=out)
+        x = np.fft.irfftn(values, s=self.shape, axes=self._axes)
+        return np.multiply(np.fft.rfftn(x * x, axes=self._axes), self._fold, out=out)
+
+    def norms(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """H^q norms, at the grid's q, of a stack of half-spectrum tables.
+
+        Each column is weighed by how often it occurs in the full spectrum:
+        once for the last axis' j = 0 and modes/2, twice elsewhere.  The
+        last axis must be contiguous: the squares of the real and imaginary
+        parts are weighed as one float array.  ``overwrite`` lets them be
+        formed in place of ``values``, whose entries are then lost.
+        """
+        parts = values.view(float)
+        weighted = np.multiply(parts, parts, out=parts if overwrite else None)
+        weighted *= self._weights[0]
+        return np.sqrt(np.add.reduce(weighted, axis=self._axes))
+
+    def energies(self, phi: np.ndarray, pi: np.ndarray, forced: np.ndarray) -> np.ndarray:
+        """Box integrals of 1/2 pi^2 + 1/2 |grad phi|^2 + 1/2 m^2 phi^2 + 1/3 phi forced, with forced = lambda phi^2.
+
+        Of stacks of half-spectrum tables, weighed as ``norms`` weighs them, with its contiguous last axis.
+        """
+        _, on_phi, on_pi, on_forced = self._weights
+        phi, pi, forced = phi.view(float), pi.view(float), forced.view(float)
+        return np.add.reduce(phi * (on_phi * phi + on_forced * forced) + on_pi * pi * pi, axis=self._axes)
 
 
 @dataclass(eq=False)
@@ -275,8 +340,7 @@ def band_modes(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
     The band entries are those of the dealiased ``fftn`` of the samples up
     to rounding; ``samples`` must be real.
     """
-    axes = tuple(range(-grid.dim, 0))
-    band = np.fft.rfftn(samples, s=grid.shape, axes=axes)[(Ellipsis,) + grid.band_index]
+    band = np.fft.rfftn(samples, s=grid.shape, axes=grid._axes)[(Ellipsis,) + grid.band_index]
     band *= grid.volume / grid.npoints
     return band
 
@@ -294,84 +358,12 @@ def band_values(grid: SpectralGrid, band: np.ndarray, half: np.ndarray) -> np.nd
 
 def half_spectrum_values(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
     """Real point values from ``rfftn``-layout mode tables over the trailing grid.dim axes."""
-    axes = tuple(range(-grid.dim, 0))
-    return np.fft.irfftn(half, s=grid.shape, axes=axes) * (grid.npoints / grid.volume)
-
-
-class SpectrumLayout:
-    """The square and the norms on the ``rfftn`` half spectrum, the last axis' j = 0..modes/2.
-
-    - ``square`` goes through ``irfftn``/``rfftn`` (``irfft``/``rfft`` on a
-      1-D grid, one call each) and takes both transform scales and the 2/3
-      mask as one multiplier;
-    - ``norms`` weigh each column by how often it occurs in the full
-      spectrum: once for the last axis' j = 0 and modes/2, twice elsewhere,
-      and ``energies`` weigh it likewise.
-
-    ``omega`` gives the dispersion relation on the kept columns.  The mask
-    and the weight tables are built on first use, so a layout that only
-    needs ``omega`` costs no more than that view.
-    """
-
-    def __init__(self, grid: SpectralGrid):
-        self.grid = grid
-        self.shape = grid.half_shape
-        self.columns = self.shape[-1]
-        self.omega = grid.omega[..., : self.columns]
-        self._axes = tuple(range(-grid.dim, 0))
-
-    @cached_property
-    def _fold(self) -> np.ndarray:
-        return self.grid.keep_mask[..., : self.columns] * (self.grid.npoints / self.grid.volume)
-
-    @cached_property
-    def _weights(self) -> tuple[np.ndarray, ...]:
-        # each weight by multiplicity, twice (a column's real and imaginary part), over the
-        # volume: the H^q norms', and the energy density's on phi^2, pi^2 and phi lambda phi^2
-        multiplicity = np.full(self.columns, 2.0)
-        multiplicity[[0, -1]] = 1.0
-        return tuple(
-            np.repeat(weights * multiplicity, 2, axis=-1) / self.grid.volume
-            for weights in (self.grid.sobolev_weights[..., : self.columns], self.omega**2 / 2.0, 0.5, 1.0 / 3.0)
-        )
-
-    def square(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Dealiased squares of a stack of tables in this layout.
-
-        ``out``, when given, receives the squares and is returned.
-        """
-        grid = self.grid
-        if grid.dim == 1:
-            x = np.fft.irfft(values, grid.modes)
-            return np.multiply(np.fft.rfft(x * x), self._fold, out=out)
-        x = np.fft.irfftn(values, s=grid.shape, axes=self._axes)
-        return np.multiply(np.fft.rfftn(x * x, axes=self._axes), self._fold, out=out)
-
-    def norms(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """H^q norms, at the grid's q, of a stack of tables in this layout.
-
-        The last axis must be contiguous: the squares of the real and
-        imaginary parts are weighed as one float array.  ``overwrite`` lets
-        them be formed in place of ``values``, whose entries are then lost.
-        """
-        parts = values.view(float)
-        weighted = np.multiply(parts, parts, out=parts if overwrite else None)
-        weighted *= self._weights[0]
-        return np.sqrt(np.add.reduce(weighted, axis=self._axes))
-
-    def energies(self, phi: np.ndarray, pi: np.ndarray, forced: np.ndarray) -> np.ndarray:
-        """Box integrals of 1/2 pi^2 + 1/2 |grad phi|^2 + 1/2 m^2 phi^2 + 1/3 phi forced, with forced = lambda phi^2.
-
-        Of stacks of tables in this layout, weighed as ``norms`` weighs them, with its contiguous last axis.
-        """
-        _, on_phi, on_pi, on_forced = self._weights
-        phi, pi, forced = phi.view(float), pi.view(float), forced.view(float)
-        return np.add.reduce(phi * (on_phi * phi + on_forced * forced) + on_pi * pi * pi, axis=self._axes)
+    return np.fft.irfftn(half, s=grid.shape, axes=grid._axes) * (grid.npoints / grid.volume)
 
 
 def sobolev_norm(f: ModeArray) -> float:
-    """H^q norm of one field, its columns weighed as :meth:`SpectrumLayout.norms` weighs them."""
-    return float(SpectrumLayout(f.grid).norms(f.values))
+    """H^q norm of one field, its columns weighed as :meth:`SpectralGrid.norms` weighs them."""
+    return float(f.grid.norms(f.values))
 
 
 def evaluate_at(f: ModeArray, x) -> float:
@@ -419,7 +411,7 @@ def random_band_limited(
         kmax = grid.dealias_bound
     noise = rng.standard_normal(grid.shape)
     f = to_modes(grid, noise)
-    f.values[~grid.band_mask(kmax)[..., : grid.half_shape[-1]]] = 0.0
+    f.values[~grid.band_mask(kmax)] = 0.0
     return f
 
 
@@ -476,19 +468,18 @@ def _localized_samples(grid: SpectralGrid, rng: np.random.Generator, count: int)
 ALGEBRA_TRIALS, ALGEBRA_SEED, ALGEBRA_CHUNK_BYTES = 200, 0, 2**18
 
 
-def _largest_ratio(layout: SpectrumLayout, rng: np.random.Generator, pairs: int) -> float:
+def _largest_ratio(grid: SpectralGrid, rng: np.random.Generator, pairs: int) -> float:
     """The largest product norm ratio ||fg|| / (||f|| ||g||) of ``pairs`` pairs drawn next from ``rng``."""
-    grid = layout.grid
     half = np.zeros((2 * pairs,) + grid.half_shape, dtype=complex)
     x = band_values(grid, band_modes(grid, _localized_samples(grid, rng, 2 * pairs)), half)
     # only band entries are ever written to half, and the norms square them
     # in place: the rest stays zero for the products' scatter
-    norms = layout.norms(half, overwrite=True)
+    norms = grid.norms(half, overwrite=True)
     nf, ng = norms[0::2], norms[1::2]
     keep = (nf != 0.0) & (ng != 0.0)
     products = half[: np.count_nonzero(keep)]
     products[(Ellipsis,) + grid.band_index] = band_modes(grid, x[0::2][keep] * x[1::2][keep])
-    ratios = layout.norms(products, overwrite=True) / (nf[keep] * ng[keep])
+    ratios = grid.norms(products, overwrite=True) / (nf[keep] * ng[keep])
     return float(ratios.max(initial=0.0))
 
 
@@ -511,13 +502,10 @@ def estimate_algebra_constant(grid: SpectralGrid) -> float:
     measured as stacks, about ALGEBRA_CHUNK_BYTES at a time; a pair's ratio
     does not depend on its chunk.  The pairs and their products go through
     the band pair (``band_modes``, ``band_values``) and their norms through
-    ``SpectrumLayout.norms`` on the half spectrum, as the series and the
+    ``SpectralGrid.norms`` on the half spectrum, as the series and the
     solver run them.
     """
     rng = np.random.default_rng(ALGEBRA_SEED)
-    # one layout for every chunk: its weight tables cost 0.7 ms on 3-D 32^3,
-    # where each of the 200 chunks holds one pair
-    layout = SpectrumLayout(grid)
     chunk = max(1, ALGEBRA_CHUNK_BYTES // (32 * grid.npoints))
     sizes = [min(chunk, ALGEBRA_TRIALS - start) for start in range(0, ALGEBRA_TRIALS, chunk)]
-    return 1.5 * max(_largest_ratio(layout, rng, pairs) for pairs in sizes)
+    return 1.5 * max(_largest_ratio(grid, rng, pairs) for pairs in sizes)

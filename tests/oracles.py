@@ -35,6 +35,9 @@ Two kinds of code live here, outside the package:
   literal evaluate_at, the witnesses) completes the package's half tables
   through it, and hands its results back cut to the half.  They transform
   and multiply through grid_values, dealiased_modes and dealiased_product.
+  The grid's own tables hold the half spectrum too, so these references
+  take their full tables from full_k_squared, full_omega, full_band_mask
+  and full_keep_mask, of which the grid's are the kept half.
   The package's c_q estimate ran on that path before it took the band
   pair, and full_spectrum_algebra_constant keeps that estimate as its
   reference.  Beside them sit
@@ -65,7 +68,6 @@ from kgcharge.spectral import (
     GridMismatch,
     ModeArray,
     SpectralGrid,
-    SpectrumLayout,
     _localized_samples,
     band_modes,
     band_values,
@@ -92,6 +94,31 @@ class OrderTooHigh(ValueError):
 
 
 # Field helpers the package does not call.
+
+
+def full_k_squared(grid: SpectralGrid) -> np.ndarray:
+    """|k|^2 over the full spectrum, of which the grid's k_squared is the kept half."""
+    axes = np.meshgrid(*([grid.axis_wavenumbers] * grid.dim), indexing="ij")
+    return sum(a**2 for a in axes)
+
+
+def full_omega(grid: SpectralGrid) -> np.ndarray:
+    """The dispersion relation sqrt(m^2 + |k|^2) over the full spectrum."""
+    return np.sqrt(grid.mass**2 + full_k_squared(grid))
+
+
+def full_band_mask(grid: SpectralGrid, kmax: int) -> np.ndarray:
+    """True on the full spectrum's modes with |j| <= kmax on every axis."""
+    axis_keep = np.abs(grid.mode_index) <= kmax
+    mask = axis_keep
+    for _ in range(grid.dim - 1):
+        mask = np.multiply.outer(mask, axis_keep)
+    return mask
+
+
+def full_keep_mask(grid: SpectralGrid) -> np.ndarray:
+    """The full spectrum's 2/3 band, |j| <= dealias_bound on every axis."""
+    return full_band_mask(grid, grid.dealias_bound)
 
 
 def full_spectrum(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
@@ -123,7 +150,7 @@ def dealiased_modes(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
     """Forward transform over the trailing grid.dim axes, then the 2/3 mask."""
     axes = tuple(range(-grid.dim, 0))
     values = np.fft.fftn(samples, s=grid.shape, axes=axes) * (grid.volume / grid.npoints)
-    return np.where(grid.keep_mask, values, 0.0)
+    return np.where(full_keep_mask(grid), values, 0.0)
 
 
 def dealiased_product(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -230,12 +257,12 @@ def sobolev_norms_at(grid: SpectralGrid, values: np.ndarray, q: float) -> np.nda
     The package takes its norms at the grid's q only.
     """
     axes = tuple(range(-grid.dim, 0))
-    return np.sqrt(np.sum((1.0 + grid.k_squared) ** q * np.abs(values) ** 2, axis=axes) / grid.volume)
+    return np.sqrt(np.sum((1.0 + full_k_squared(grid)) ** q * np.abs(values) ** 2, axis=axes) / grid.volume)
 
 
 def free_flow(grid: SpectralGrid, phi: np.ndarray, pi: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form linear flow of full-spectrum mode data (phi_hat, pi_hat) by dt, one lag or a stack of them."""
-    return apply_flow(flow_multipliers(grid.omega, dt), phi, pi)
+    return apply_flow(flow_multipliers(full_omega(grid), dt), phi, pi)
 
 
 def _test_function_rows(tf: TestFunction, tgrid: TimeGrid, derivative: int = 0) -> np.ndarray:
@@ -290,7 +317,7 @@ def green_apply(kind: str, t: float, tau: float, f: ModeArray) -> ModeArray:
     grid = f.grid
     if t < tau:
         return zero_modes(grid)
-    w = kept_half(grid, grid.omega)
+    w = grid.omega
     if kind == "G0":
         mult = np.sin((t - tau) * w) / w
     else:
@@ -522,7 +549,7 @@ def subtree_table(b: Tree, cache: AmplitudeCache, snap: FieldSnapshot, tgrid: Ti
         grid = snap.grid
         upper = tgrid.node_index(snap.time)
         prod = dealiased_product(grid, w1.values, w2.values)
-        rows, _ = retarded_integral(flow_multipliers(grid.omega, tgrid.nodes), tgrid, prod, upper)
+        rows, _ = retarded_integral(flow_multipliers(full_omega(grid), tgrid.nodes), tgrid, prod, upper)
         table = TimeSampledField(grid, tgrid, rows)
     cache.tables[key] = table
     return table
@@ -575,7 +602,7 @@ def _mode_convolution(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> np.nd
                 target = tuple((i1 + i2) % n for i1, i2 in zip(j1, j2))
                 out[target] += a[j1] * b[j2]
     out /= grid.volume
-    return np.where(grid.keep_mask, out, 0.0)
+    return np.where(full_keep_mask(grid), out, 0.0)
 
 
 def _restricted_trapezoid(samples: np.ndarray, dt: float) -> complex:
@@ -614,9 +641,10 @@ def _slot_rows(
     conv = np.zeros_like(rows)
     for i in range(upper + 1):
         conv[i] = _mode_convolution(grid, left[i], right[i])
+    omega = full_omega(grid)
     for j in range(upper + 1):
         lags = (tgrid.nodes[j : upper + 1] - tgrid.nodes[j]).reshape((-1,) + (1,) * grid.dim)
-        kernel = np.sin(lags * grid.omega) / grid.omega
+        kernel = np.sin(lags * omega) / omega
         rows[j] = _restricted_trapezoid(kernel * conv[j : upper + 1], tgrid.dt)
     return rows
 
@@ -659,22 +687,22 @@ def direct_amplitude(b: Tree, psi: TestFunction, snap: FieldSnapshot, tgrid: Tim
 # node fields at once and reuses one square per solver node; these are the
 # loops it replaced, one dealiased product per call, kept to check it by.
 # They step on a layout: by default the solver's, the half spectrum of real
-# fields (SpectrumLayout), one node at a time; or the full complex spectrum
-# (FullSpectrum), where a coupling may be complex and the initial data are
-# completed (full_spectrum) before the first step.
+# fields that the SpectralGrid itself holds, one node at a time; or the full
+# complex spectrum (FullSpectrum), where a coupling may be complex and the
+# initial data are completed (full_spectrum) before the first step.
 
 
 class FullSpectrum:
-    """The full complex spectrum as a stepper's layout, with SpectrumLayout's interface.
+    """The full complex spectrum as a stepper's layout, with the interface of SpectralGrid's half-spectrum steps.
 
-    Every column is kept, ``square`` is :func:`complex_product` and
-    ``norms`` is :func:`sobolev_norms_at` at the grid's q.
+    Every column is kept: ``omega`` is :func:`full_omega`, ``square`` is
+    :func:`complex_product` and ``norms`` is :func:`sobolev_norms_at` at
+    the grid's q.
     """
 
     def __init__(self, grid: SpectralGrid):
         self.grid = grid
-        self.shape = grid.shape
-        self.omega = grid.omega
+        self.omega = full_omega(grid)
 
     def square(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         sq = complex_product(self.grid, values, values)
@@ -688,7 +716,7 @@ class FullSpectrum:
 
     def energies(self, phi: np.ndarray, pi: np.ndarray, forced: np.ndarray) -> np.ndarray:
         grid = self.grid
-        density = 0.5 * (np.abs(pi) ** 2 + grid.omega**2 * np.abs(phi) ** 2) + (np.conj(phi) * forced).real / 3.0
+        density = 0.5 * (np.abs(pi) ** 2 + self.omega**2 * np.abs(phi) ** 2) + (np.conj(phi) * forced).real / 3.0
         return np.sum(density, axis=tuple(range(-grid.dim, 0))) / grid.volume
 
 
@@ -701,7 +729,7 @@ def _layout_tables(layout, snap: FieldSnapshot) -> tuple[np.ndarray, np.ndarray]
 
 @dataclass(eq=False)
 class SteppedTrajectory:
-    """phi and pi at every node as the per-node loops return them: stacked tables of shape ``(nnodes, *layout.shape)``.
+    """phi and pi at every node as the per-node loops return them: stacked tables of the layout's mode shape.
 
     On the half spectrum the tables are those of a package Trajectory; on
     FullSpectrum they hold every column, and the coupling may be complex.
@@ -722,7 +750,7 @@ def strang_with_fresh_kicks(initial, coupling, tgrid, norm_ceiling=1e6, layout=N
     complex couplings.
     """
     dt = tgrid.dt
-    layout = layout or SpectrumLayout(initial.grid)
+    layout = layout or initial.grid
     flow = flow_multipliers(layout.omega, dt)
 
     def kick(phi, pi):
@@ -755,7 +783,7 @@ def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6, layout
     dt = tgrid.dt
     couplings = list(couplings)
     rows = len(couplings)
-    layout = layout or SpectrumLayout(grid)
+    layout = layout or grid
     lead = (-1,) + (1,) * grid.dim
     kicks = np.array([dt / 2.0 * c for c in couplings]).reshape(lead)
     forcing = np.array(couplings).reshape(lead)
@@ -775,10 +803,11 @@ def per_node_solve_couplings(initial, couplings, tgrid, norm_ceiling=1e6, layout
             raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={time}", couplings[first])
         return norms, energies
 
-    node = np.empty((3, rows) + layout.shape, dtype=complex)
-    node[0], node[1] = _layout_tables(layout, initial)
+    phi, pi = _layout_tables(layout, initial)
+    node = np.empty((3, rows) + phi.shape, dtype=complex)
+    node[0], node[1] = phi, pi
     ahead = np.empty_like(node)
-    tables = np.empty((2, rows, tgrid.nnodes) + layout.shape, dtype=complex)
+    tables = np.empty((2, rows, tgrid.nnodes) + phi.shape, dtype=complex)
     tables[:, :, 0] = node[:2]
     phi_sq = layout.square(node[0])
     diagnosed = [diagnose(node, phi_sq, float(tgrid.nodes[0]))]
@@ -820,23 +849,23 @@ def acceleration(snap, coupling):
     """
     grid = snap.grid
     phi = full_spectrum(grid, snap.phi.values)
-    return ModeArray(grid, kept_half(grid, -(grid.omega**2) * phi - coupling * dealiased_product(grid, phi, phi)))
+    accel = -(full_omega(grid) ** 2) * phi - coupling * dealiased_product(grid, phi, phi)
+    return ModeArray(grid, kept_half(grid, accel))
 
 
 def node_acceleration(snap, coupling):
     """-(omega^2 phi_hat) - coupling (phi^2)_hat of one node, on the half spectrum."""
-    layout = SpectrumLayout(snap.grid)
-    phi = snap.phi.values
-    return ModeArray(snap.grid, -(layout.omega**2) * phi - coupling * layout.square(phi))
+    grid, phi = snap.grid, snap.phi.values
+    return ModeArray(grid, -(grid.omega**2) * phi - coupling * grid.square(phi))
 
 
 def per_node_field_energy_norm(traj):
     """Max over nodes of the H^q norms of phi, pi and the acceleration, node by node."""
-    layout = SpectrumLayout(traj.grid)
+    grid = traj.grid
     best = 0.0
     for snap in (traj.node(j) for j in range(traj.tgrid.nnodes)):
         accel = node_acceleration(snap, traj.coupling)
-        best = max(best, *(float(layout.norms(f.values)) for f in (snap.phi, snap.pi, accel)))
+        best = max(best, *(float(grid.norms(f.values)) for f in (snap.phi, snap.pi, accel)))
     return best
 
 
@@ -848,7 +877,7 @@ def field_energy_norm(traj, layout=None):
     acceleration from the equation of motion, and the three norms, all on
     the tables of ``layout``, the solver's unless given.
     """
-    layout = layout or SpectrumLayout(traj.grid)
+    layout = layout or traj.grid
     accel = -(layout.omega**2) * traj.phi - traj.coupling * layout.square(traj.phi)
     return float(max(layout.norms(values).max() for values in (traj.phi, traj.pi, accel)))
 
@@ -865,7 +894,7 @@ def node_energies(traj: Trajectory) -> np.ndarray:
     grid, coupling = traj.grid, traj.coupling
     phi, pi = full_spectrum(grid, traj.phi), full_spectrum(grid, traj.pi)
     n = len(phi)
-    quad = 0.5 * (np.abs(pi) ** 2 + (grid.mass**2 + grid.k_squared) * np.abs(phi) ** 2)
+    quad = 0.5 * (np.abs(pi) ** 2 + (grid.mass**2 + full_k_squared(grid)) * np.abs(phi) ** 2)
     total = np.sum(quad.reshape(n, -1), axis=1) / grid.volume
     if coupling != 0.0:
         phi_sq = dealiased_product(grid, phi, phi)
@@ -879,7 +908,7 @@ def node_energy(snap, coupling):
     """Energy of one node, completed, with its own square and an np.vdot pairing."""
     grid = snap.grid
     phi, pi = full_spectrum(grid, snap.phi.values), full_spectrum(grid, snap.pi.values)
-    quad = 0.5 * (np.abs(pi) ** 2 + (grid.mass**2 + grid.k_squared) * np.abs(phi) ** 2)
+    quad = 0.5 * (np.abs(pi) ** 2 + (grid.mass**2 + full_k_squared(grid)) * np.abs(phi) ** 2)
     total = float(np.sum(quad) / grid.volume)
     if coupling != 0.0:
         phi_sq = dealiased_product(grid, phi, phi)
@@ -891,11 +920,10 @@ def per_trial_algebra_constant(grid, trials=200, seed=0):
     """1.5 times the largest product norm ratio, one drawn pair at a time, through the band pair.
 
     Each field and each product is scattered into a zero half spectrum of
-    its own and measured by SpectrumLayout.norms, as the stacked estimate
+    its own and measured by SpectralGrid.norms, as the stacked estimate
     measures its chunks.
     """
     rng = np.random.default_rng(seed)
-    layout = SpectrumLayout(grid)
 
     def band_field(samples):
         """The samples' band in a zero half spectrum of its own, and its point values."""
@@ -906,10 +934,10 @@ def per_trial_algebra_constant(grid, trials=200, seed=0):
     for _ in range(trials):
         f, x = band_field(_localized_samples(grid, rng, 1)[0])
         g, y = band_field(_localized_samples(grid, rng, 1)[0])
-        nf, ng = float(layout.norms(f)), float(layout.norms(g))
+        nf, ng = float(grid.norms(f)), float(grid.norms(g))
         if nf == 0.0 or ng == 0.0:
             continue
-        best = max(best, float(layout.norms(band_field(x * y)[0])) / (nf * ng))
+        best = max(best, float(grid.norms(band_field(x * y)[0])) / (nf * ng))
     return 1.5 * best
 
 
@@ -989,7 +1017,7 @@ def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
     b_0 = bracket_ds(psi, trajectory.node(0))
     phi = full_spectrum(grid, trajectory.phi[: j_s + 1])
     phi_sq = dealiased_product(grid, phi, phi)
-    sums = pair_suffix_sums(_kernel_pair(grid.omega, tgrid.nodes[: j_s + 1]) * phi_sq, tgrid)
+    sums = pair_suffix_sums(_kernel_pair(full_omega(grid), tgrid.nodes[: j_s + 1]) * phi_sq, tgrid)
     integral = brackets(psi, 0.0, kept_half(grid, _t0_field(sums))[None])[0]
     return abs(b_s - b_0 - trajectory.coupling * integral)
 
@@ -1051,7 +1079,7 @@ def delta_norm_bound_check(
     psi_norm = test_function_sup_norm(psi, tgrid)
     if psi_norm == 0.0:
         raise ValueError("test function is identically zero")
-    pair = _kernel_pair(grid.omega, tgrid.nodes)
+    pair = _kernel_pair(full_omega(grid), tgrid.nodes)
     ratio = 0.0
     for _ in range(samples):
         drawn = []
@@ -1082,7 +1110,7 @@ def _sampled_legs(
     """
     if b.is_leaf:
         t_index, order, f = next(legs)
-        c, s_over_w, w_s = flow_multipliers(grid.omega, tgrid.nodes[t_index] - tgrid.nodes)
+        c, s_over_w, w_s = flow_multipliers(full_omega(grid), tgrid.nodes[t_index] - tgrid.nodes)
         # G0 rows sin((t - tau) omega)/omega f or G1 rows cos((t - tau) omega) f, and their tau derivatives
         kernel, slope = (s_over_w, -c) if order == 0 else (c, -w_s)
         values = full_spectrum(grid, f.values)
@@ -1152,10 +1180,11 @@ def per_node_sampled_value(b, drawn, psi, tgrid):
 
 
 def _full_retarded_integral(grid, tgrid, prod, upper):
-    ph = tgrid.nodes.reshape((-1,) + (1,) * grid.dim) * grid.omega
+    omega = full_omega(grid)
+    ph = tgrid.nodes.reshape((-1,) + (1,) * grid.dim) * omega
     sin_sum = suffix_time_integral(np.sin(ph) * prod, tgrid, upper)
     cos_sum = suffix_time_integral(np.cos(ph) * prod, tgrid, upper)
-    return (np.cos(ph) * sin_sum - np.sin(ph) * cos_sum) / grid.omega
+    return (np.cos(ph) * sin_sum - np.sin(ph) * cos_sum) / omega
 
 
 def _full_order_products(snap, tgrid, max_order):
@@ -1193,7 +1222,7 @@ def all_rows_order_amplitudes(psi, snap, tgrid, max_order):
     grid = snap.grid
     upper = tgrid.node_index(snap.time)
     flow = flow_multipliers(grid.band_omega, tgrid.nodes)
-    c, s_over_w, w_s = flow_multipliers(SpectrumLayout(grid).omega, tgrid.nodes - snap.time)
+    c, s_over_w, w_s = flow_multipliers(grid.omega, tgrid.nodes - snap.time)
     phi, pi = snap.phi.values, snap.pi.values
     fields = np.zeros((max_order + 1, 2) + grid.half_shape, dtype=complex)
     fields[0] = c[0] * phi + s_over_w[0] * pi, w_s[0] * phi + c[0] * pi
@@ -1219,7 +1248,7 @@ def whole_axis_order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarr
     """
     grid, s = slices[0].grid, slices[0].time
     upper = tgrid.node_index(s)
-    omega = SpectrumLayout(grid).omega
+    omega = grid.omega
     nodes = tgrid.nodes[: upper + 1]
     c, s_over_w = flow_multipliers(omega, nodes - s)[:2]
     to_zero = flow_multipliers(omega, -s)

@@ -7,7 +7,7 @@ from conftest import random_snapshot
 from kgcharge.propagation import TimeGrid, free_evolve
 from kgcharge.series import _suffix_sums
 from kgcharge.spectral import random_band_limited, sobolev_norm
-from oracles import free_mode_evolution, green_apply, kept_half, suffix_time_integral, time_integral
+from oracles import free_mode_evolution, green_apply, suffix_time_integral, time_integral
 
 
 def test_time_grid_validation():
@@ -41,7 +41,7 @@ def test_free_evolution_matches_the_closed_form(small_grid, rng):
     snap = random_snapshot(small_grid, rng)
     t = 0.37
     out = free_evolve(snap, t)
-    phi, pi = free_mode_evolution(snap.phi.values, snap.pi.values, kept_half(small_grid, small_grid.omega), t)
+    phi, pi = free_mode_evolution(snap.phi.values, snap.pi.values, small_grid.omega, t)
     np.testing.assert_allclose(out.phi.values, phi, atol=1e-12)
     np.testing.assert_allclose(out.pi.values, pi, atol=1e-12)
     assert out.time == pytest.approx(snap.time + t)
@@ -63,7 +63,7 @@ def test_green_kernels_closed_form(small_grid, rng):
     t, tau = 0.9, 0.4
     g0 = green_apply("G0", t, tau, f)
     g1 = green_apply("G1", t, tau, f)
-    w = kept_half(small_grid, small_grid.omega)
+    w = small_grid.omega
     np.testing.assert_allclose(g0.values, np.sin((t - tau) * w) / w * f.values, atol=1e-12)
     np.testing.assert_allclose(g1.values, np.cos((t - tau) * w) * f.values, atol=1e-12)
 

@@ -44,6 +44,7 @@ from oracles import (
     direct_amplitude,
     first_order_bound,
     free_mode_evolution,
+    full_omega,
     full_spectrum,
     full_spectrum_order_amplitudes,
     jet_order_fields,
@@ -96,7 +97,7 @@ def test_bracket_is_conserved_without_coupling(grid, tgrid, rng):
 def test_leaf_and_test_function_rows_follow_the_free_flow(setting, tgrid):
     _, snap, psi, _, _ = setting
     grid = snap.grid
-    omega = grid.omega
+    omega = full_omega(grid)
     leaves = leaf_table(snap, tgrid).values
     psi_rows = [psi_node_rows(psi, tgrid, derivative) for derivative in (0, 1)]
     phi0, pi0, psi0, psi1 = (full_spectrum(grid, f.values) for f in (snap.phi, snap.pi, psi.psi0, psi.psi1))
@@ -206,6 +207,11 @@ TEST_ONLY_NAMES = (
     "dealiased_modes",
     "dealiased_product",
     "sobolev_norms",
+    "SpectrumLayout",
+    "full_k_squared",
+    "full_omega",
+    "full_band_mask",
+    "full_keep_mask",
 )
 
 

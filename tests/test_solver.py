@@ -25,7 +25,6 @@ from kgcharge.spectral import (
     GridMismatch,
     SizeMismatch,
     SpectralGrid,
-    SpectrumLayout,
     evaluate_at,
     sobolev_norm,
     to_modes,
@@ -210,13 +209,12 @@ ENERGY_GRIDS = LAYOUT_GRIDS + [SpectralGrid(dim=3, extent=10.0, modes=8, mass=1.
 def test_the_loop_energies_match_the_second_pass(grid, couplings, nt, rng):
     data = random_snapshot(grid, rng)
     tg = TimeGrid(horizon=0.5, nt=nt)
-    layout = SpectrumLayout(grid)
     for traj in solve_couplings(data, couplings, tg):
         want = node_energies(traj)
         scale = max(1.0, abs(want[0]))
         assert abs(traj.meta["energy_drift"] - np.max(np.abs(want - want[0])) / scale) <= 1e-14 * scale
         # every node's energy, from the square the loop kicks with
-        got = layout.energies(traj.phi, traj.pi, traj.coupling * layout.square(traj.phi))
+        got = grid.energies(traj.phi, traj.pi, traj.coupling * grid.square(traj.phi))
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
@@ -255,9 +253,9 @@ def test_a_blow_up_names_the_same_node_and_coupling_in_both_layouts(grid):
 
 def ceiling_first_crossed_at(data, couplings, tg, node):
     """A norm ceiling that the stack's phi or pi first crosses at the given node."""
-    layout = SpectrumLayout(data.grid)
+    grid = data.grid
     top = np.max(
-        [np.maximum(layout.norms(t.phi), layout.norms(t.pi)) for t in solve_couplings(data, couplings, tg)],
+        [np.maximum(grid.norms(t.phi), grid.norms(t.pi)) for t in solve_couplings(data, couplings, tg)],
         axis=0,
     )
     # node 0 is the initial data, which the first block tests like any node
@@ -299,7 +297,7 @@ def test_a_blow_up_at_a_block_edge_names_the_node_of_the_per_node_loops(grid, no
     assert str(alone.value).endswith(f"t={float(tg.nodes[node])}")
     named = [(str(stacked.value), stacked.value.coupling, str(alone.value))]
     # the per-node loops on the solver's half spectrum and on the full one
-    for layout in (SpectrumLayout(grid), FullSpectrum(grid)):
+    for layout in (grid, FullSpectrum(grid)):
         with pytest.raises(BlowUp) as per_node:
             per_node_solve_couplings(data, couplings, tg, norm_ceiling=stack_ceiling, layout=layout)
         with pytest.raises(BlowUp) as literal:
@@ -325,13 +323,13 @@ def test_a_desk_solve_takes_the_norms_once_per_block(monkeypatch):
     grid = LAYOUT_GRIDS[0]
     tg = TimeGrid(0.5, 512)
     calls = []
-    norms = SpectrumLayout.norms
+    norms = SpectralGrid.norms
 
     def counted(self, *args, **kwargs):
         calls.append(args[0].shape)
         return norms(self, *args, **kwargs)
 
-    monkeypatch.setattr(SpectrumLayout, "norms", counted)
+    monkeypatch.setattr(SpectralGrid, "norms", counted)
     solve(gaussian_data(grid), 0.2, tg)
     # one call per block of BLOCK nodes from node 0, as many as node 0 alone
     # and then one per block of BLOCK steps would take

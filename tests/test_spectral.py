@@ -26,6 +26,10 @@ from oracles import (
     dealiased_modes,
     dealiased_product,
     folded_convolution,
+    full_band_mask,
+    full_k_squared,
+    full_keep_mask,
+    full_omega,
     full_spectrum,
     full_spectrum_algebra_constant,
     full_sum_evaluate_at,
@@ -124,9 +128,63 @@ def test_grid_bookkeeping(small_grid):
     assert g.spacing == pytest.approx(0.625)
     assert g.dealias_bound == (32 - 1) // 3
     np.testing.assert_array_equal(g.mode_index, signed_mode_index(32))
-    # the kept band is symmetric under k -> -k
-    mask = g.keep_mask
+    # the kept band is symmetric under k -> -k; a half mask has no mirrored
+    # columns, so the check runs on the full one
+    mask = full_keep_mask(g)
     np.testing.assert_array_equal(mask, mask[(-np.arange(32)) % 32])
+
+
+# The desk grid and the 1-D 30, 2-D 16^2 and 3-D 8^3 grids of the output checks
+TABLE_GRIDS = [
+    SpectralGrid(),
+    SpectralGrid(dim=1, extent=20.0, modes=30, mass=1.0, sobolev_q=1),
+    SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2),
+    SpectralGrid(dim=3, extent=8.0, modes=8, mass=1.0, sobolev_q=2),
+]
+
+
+@pytest.mark.parametrize("grid", TABLE_GRIDS, ids=["desk", "1d-30", "2d-16", "3d-8"])
+def test_the_grid_tables_are_the_kept_half_of_the_full_tables(grid):
+    # the oracles build the full tables on their own; a band mask of 2 on a
+    # leading axis and of the whole half on the last pins the order of the
+    # N-D mask's outer product
+    tables = [
+        (grid.k_squared, full_k_squared(grid)),
+        (grid.omega, full_omega(grid)),
+        (grid.sobolev_weights, (1.0 + full_k_squared(grid)) ** grid.sobolev_q),
+        (grid.keep_mask, full_keep_mask(grid)),
+        (grid.band_mask(2), full_band_mask(grid, 2)),
+        (grid.band_mask(grid.dealias_bound), full_band_mask(grid, grid.dealias_bound)),
+    ]
+    for half, full in tables:
+        assert half.shape == grid.half_shape
+        assert np.array_equal(half, kept_half(grid, full))
+    bound = grid.dealias_bound
+    assert grid.band_omega.shape == (2 * bound + 1,) * (grid.dim - 1) + (bound + 1,)
+    assert np.array_equal(grid.band_omega, full_omega(grid)[grid.band_index])
+
+
+def test_a_grid_keeps_its_equality_and_hash_once_its_tables_are_built(rng):
+    # transport matches a trajectory's grid to the config's with !=, and a
+    # snapshot checks that phi and pi share one grid
+    fields = {"dim": 2, "extent": 10.0, "modes": 16, "mass": 1.0, "sobolev_q": 2}
+    grid, fresh = SpectralGrid(**fields), SpectralGrid(**fields)
+    f = random_band_limited(grid, rng)
+    assert "_weights" not in vars(grid)
+    norm = sobolev_norm(f)
+    weights = vars(grid)["_weights"]
+    # the second norm reads the weight tables the first one built
+    assert sobolev_norm(f) == norm
+    assert vars(grid)["_weights"] is weights
+    grid.energies(f.values, f.values, grid.square(f.values))
+    tables = ("k_squared", "omega", "sobolev_weights", "keep_mask", "band_index", "band_omega", "_fold", "_weights")
+    for name in tables:
+        getattr(grid, name)
+    assert set(tables) <= set(vars(grid))
+    assert not set(tables) & set(vars(fresh))
+    assert grid == fresh and hash(grid) == hash(fresh)
+    assert grid != SpectralGrid(**{**fields, "sobolev_q": 3})
+    FieldSnapshot(0.0, f, ModeArray(fresh, f.values))
 
 
 def test_transform_roundtrip(small_grid, rng):
@@ -292,7 +350,7 @@ def test_evaluate_at_reads_a_scalar_as_the_diagonal_point(rng):
 
 def test_random_band_limited_is_band_limited_and_real(small_grid, rng):
     f = random_band_limited(small_grid, rng)
-    assert np.all(f.values[~kept_half(small_grid, small_grid.keep_mask)] == 0.0)
+    assert np.all(f.values[~small_grid.keep_mask] == 0.0)
     assert hermitian_defect(f) < 1e-10
     assert not np.iscomplexobj(to_grid(f))
 
@@ -300,7 +358,7 @@ def test_random_band_limited_is_band_limited_and_real(small_grid, rng):
 def test_random_localized_field_is_band_limited_and_real(small_grid):
     rng = np.random.default_rng(7)
     f = random_localized_field(small_grid, rng)
-    assert np.all(f.values[~kept_half(small_grid, small_grid.keep_mask)] == 0.0)
+    assert np.all(f.values[~small_grid.keep_mask] == 0.0)
     assert hermitian_defect(f) < 1e-10
     g = random_localized_field(small_grid, np.random.default_rng(7))
     np.testing.assert_array_equal(f.values, g.values)
@@ -373,9 +431,9 @@ def record_chunk_sizes(monkeypatch) -> list[int]:
     sizes = []
     measure = spectral._largest_ratio
 
-    def recorded(layout, rng, pairs):
+    def recorded(grid, rng, pairs):
         sizes.append(pairs)
-        return measure(layout, rng, pairs)
+        return measure(grid, rng, pairs)
 
     monkeypatch.setattr(spectral, "_largest_ratio", recorded)
     return sizes

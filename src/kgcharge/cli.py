@@ -478,7 +478,11 @@ def transport(config_path, out, max_order, force):
     psi = build_test_function(cfg)
     target = bracket_ds(psi, traj.node(0))
     snap = traj.node(traj.tgrid.node_index(cfg.s))
-    window = traj.tgrid.horizon
+    # the series reads the slice at s alone: the tables are freed before
+    # its workspace is taken, which can then reuse their memory
+    tgrid, coupling = traj.tgrid, traj.coupling
+    del traj
+    window = tgrid.horizon
     try:
         radius = radius_bound(snap, window, c_q)
     except ValueError as exc:
@@ -487,12 +491,12 @@ def transport(config_path, out, max_order, force):
         raise ConfigError("initial.amplitude", message) from None
     bounds = {
         "radius_bound": radius,
-        "condition_ok": convergence_condition(traj.coupling, window, phi_e_norm, c_q, cfg.grid.mass),
+        "condition_ok": convergence_condition(coupling, window, phi_e_norm, c_q, cfg.grid.mass),
         "c_q": c_q,
         "window": window,
         "phi_e_norm": phi_e_norm,
     }
-    report = run_series(psi, snap, traj.coupling, traj.tgrid, cfg.max_order, target=target)
+    report = run_series(psi, snap, coupling, tgrid, cfg.max_order, target=target)
     _require_finite_series(report)
     if not bounds["condition_ok"]:
         if not force:
@@ -530,14 +534,13 @@ def sweep(config_path, out, max_order):
     initial = build_initial(cfg)
     psi = build_test_function(cfg)
     j_s = cfg.tgrid.node_index(cfg.s)
+    # the solve stores each coupling's slice at s alone, and still steps
+    # and checks every node up to T
     try:
-        trajectories = solve_couplings(initial, couplings, cfg.tgrid)
+        trajectories = solve_couplings(initial, couplings, cfg.tgrid, keep=range(j_s, j_s + 1))
     except BlowUp as exc:
         _fail(3, f"blow-up at coupling {exc.coupling!r}: {exc}")
-    # Keep only each coupling's slice at s, so the series runs with no
-    # trajectory held in memory.
     slices = [traj.node(j_s) for traj in trajectories]
-    del trajectories
     reports = series_couplings(psi, slices, couplings, cfg.tgrid, cfg.max_order, target=bracket_ds(psi, initial))
     for coupling, report in zip(couplings, reports):
         _require_finite_series(report, f" at coupling {coupling}")
@@ -618,11 +621,15 @@ def readout(config_path, out, max_order):
     if spec["type"] != "dirac":
         raise ConfigError("test_function.type", "readout needs a dirac test-function spec")
     traj = _read_matching_trajectory(cfg)
+    first = traj.node(0)
+    j_s = traj.tgrid.node_index(cfg.s)
+    # the series reads the slice at s alone: the tables are freed before
+    # its workspace is taken, which can then reuse their memory
+    traj = traj.keep(range(j_s, j_s + 1))
     x0, width = spec["x0"], spec["width"]
     phi_est, dtphi_est = readout_series(traj, cfg.s, x0, width, cfg.max_order)
     if not (math.isfinite(phi_est) and math.isfinite(dtphi_est)):
         _fail(3, f"non-finite readout: phi estimate {phi_est!r}, d/dt phi estimate {dtphi_est!r}")
-    first = traj.node(0)
     phi_true = evaluate_at(first.phi, x0)
     dtphi_true = evaluate_at(first.pi, x0)
     out_dir = Path(cfg.out)

@@ -49,11 +49,17 @@ each column by how often it occurs in the full spectrum.
 
 The products are pointwise in time, so the recursion runs over blocks of
 SERIES_BLOCK nodes, from s back to t = 0, and every table holds one
-block's rows: its working set is set by the block, not by s.  Within a
+block's rows: its working set is set by the block, not by s.  Every
+table lives in one workspace, allocated once per call and reused by every
+order of every block: each order's point table, the product sum, the
+forward and inverse transforms' outputs (numpy's ``out=``), the band cut
+and the suffix sums' halved terms, so the block loop allocates only the
+block's kernel tables and each write is bit for bit the value a fresh
+array would hold.  Within a
 block each order is one pass.  Its products are summed in place in point
 space; the band's sin(tau omega)/omega and cos(tau omega) are stacked as
 one kernel pair, so both suffix sums of its retarded integral are one
-cumulative sum into buffers that every order reuses.  That sum carries
+cumulative sum.  That sum carries
 its running total from block to block as the first term of the next
 block's sum, and the trapezoid's end term, the row at s, from the first
 block, so the sums are bit for bit those of one sum over every node.
@@ -149,7 +155,9 @@ def _kernel_pair(omega: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.stack([s_over_w, c])
 
 
-def _suffix_sums(weighted: np.ndarray, tgrid: TimeGrid, out: np.ndarray, carry: list) -> np.ndarray:
+def _suffix_sums(
+    weighted: np.ndarray, tgrid: TimeGrid, out: np.ndarray, carry: list, halves: np.ndarray | None = None
+) -> np.ndarray:
     """One block's trailing trapezoids of both kernel-weighted tables of a :func:`_kernel_pair` stack, into ``out``.
 
     The package's one time quadrature: row j is the composite trapezoid
@@ -162,7 +170,9 @@ def _suffix_sums(weighted: np.ndarray, tgrid: TimeGrid, out: np.ndarray, carry: 
     first term of the next block's sum, so the additions happen in the
     order of one reversed cumulative sum over the whole range, and the sums
     are bit for bit the ones it gives: tests/oracles.py keeps that sum as
-    the reference.
+    the reference.  ``halves``, of ``weighted``'s shape, receives the
+    trapezoid's halved terms, and may be ``weighted`` itself when the
+    caller no longer reads it; it is allocated when not given.
     """
     head, rows = weighted.swapaxes(0, 1), out.swapaxes(0, 1)
     if carry:
@@ -175,7 +185,7 @@ def _suffix_sums(weighted: np.ndarray, tgrid: TimeGrid, out: np.ndarray, carry: 
         end = head[-1].copy()
         np.cumsum(head[::-1], axis=0, out=rows[::-1])
     carry[:] = rows[0].copy(), end
-    rows -= 0.5 * head
+    out -= np.multiply(0.5, weighted, out=halves)
     rows -= 0.5 * end
     rows *= tgrid.dt
     return out
@@ -264,6 +274,24 @@ def convergence_condition(
     return 8.0 * m_factor * x * (1.0 + x) < 1.0
 
 
+def _workspace(*tables) -> list[np.ndarray]:
+    """Uninitialised arrays of the ``(shape, dtype)`` pairs given, views into one allocation.
+
+    The C library frees one allocation as one chunk and hands it whole to
+    the next call.  Freed as separate tables, a desk sweep's workspace
+    (four slices, 64 rows, 2.8 MB) went back to the system after every
+    call and was faulted in again on the next: 687 minor faults per
+    sweep, against none as one allocation.
+    """
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in tables]
+    space = np.empty(sum(sizes), dtype=np.uint8)
+    ends = np.cumsum(sizes)
+    return [
+        space[end - size : end].view(dtype).reshape(shape)
+        for (shape, dtype), size, end in zip(tables, sizes, ends, strict=True)
+    ]
+
+
 def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
     """The order-n tree fields at t = 0, (W_n(0), d/dt W_n(0)), of every slice: shape ``(len(slices), max_order + 1, 2, *grid.half_shape)``.
 
@@ -296,38 +324,58 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
     fields = np.zeros((len(slices), max_order + 1, 2) + grid.half_shape, dtype=complex)
     # W_0 at t = 0, the slices flowed back by s, with their time derivatives
     fields[:, 0] = np.stack(apply_flow(flow_multipliers(grid.omega, -s), phi, pi), axis=1)
-    # what every order of every block reuses: the kernel-weighted product,
-    # its suffix sums, and a zero half spectrum
+    if max_order == 0:
+        return fields
+    # The workspace that every order of every block reuses, one allocation
+    # per call.  Each table holds one block's rows on axis 1 and the slices
+    # on axis 2.  Half spectra: the forward transform and a zero one that
+    # the inverse transforms scatter into.  Band tables: the kernel-weighted
+    # pair, which first takes the band cut, and its suffix sums.  Point
+    # tables: one per order below max_order, the product sum and one
+    # product.
     rows = min(SERIES_BLOCK, upper + 1)
-    weighted = np.empty((2, rows, len(slices)) + grid.band_omega.shape, dtype=complex)
-    sums = np.empty_like(weighted)
-    half = np.zeros((rows, len(slices)) + grid.half_shape, dtype=complex)
+    lead = (rows, len(slices))
+    half_tables, band_tables, point_tables = _workspace(
+        ((2,) + lead + grid.half_shape, complex),
+        ((4,) + lead + grid.band_omega.shape, complex),
+        ((max_order + 2,) + lead + grid.shape, float),
+    )
+    half_tables[1] = 0.0
     # per order, what its sums carry from block to block (_suffix_sums)
     carries = {order: [] for order in range(1, max_order + 1)}
     for stop in range(upper + 1, 0, -SERIES_BLOCK):
         start = max(stop - SERIES_BLOCK, 0)
         nodes = tgrid.nodes[start:stop]
+        *points, total, product = point_tables[:, : stop - start]
+        spectrum, half = half_tables[:, : stop - start]
+        bands = band_tables[:, : stop - start]
+        weighted, sums = bands[0:2], bands[2:4]
         # the block's kernel tables; their axes are (nodes, slices, *grid),
         # with an axis of one for the slices
         c, s_over_w = (m[:, None] for m in flow_multipliers(grid.omega, nodes - s)[:2])
         block_pair = _kernel_pair(grid.band_omega, nodes)[:, :, None]
-        block_weighted, block_sums = weighted[:, : stop - start], sums[:, : stop - start]
-        points = [half_spectrum_values(grid, c * phi + s_over_w * pi)]
+        # W_0 at the block's nodes, c phi + (s/w) pi: the zero half
+        # spectrum holds the second term and is zeroed again, which on 3-D
+        # 32^3 spares a third half-spectrum table of 18 MB
+        leaf = np.multiply(c, phi, out=spectrum)
+        leaf += np.multiply(s_over_w, pi, out=half)
+        half[...] = 0.0
+        half_spectrum_values(grid, leaf, points[0])
         for order in range(1, max_order + 1):
-            total = points[0] * points[order - 1]
+            np.multiply(points[0], points[order - 1], out=total)
             for i in range(1, order):
-                total += points[i] * points[order - 1 - i]
-            if order == max_order:
-                # no higher order reads the point tables
-                points.clear()
-            np.multiply(block_pair, band_modes(grid, total), out=block_weighted)
-            del total
-            _suffix_sums(block_weighted, tgrid, block_sums, carries[order])
+                total += np.multiply(points[i], points[order - 1 - i], out=product)
+            # the band cut goes to weighted[1], which is then weighted in place
+            cut = band_modes(grid, total, weighted[1], spectrum)
+            np.multiply(block_pair[0], cut, out=weighted[0])
+            np.multiply(block_pair[1], cut, out=weighted[1])
+            # nothing reads weighted after its sums: it takes their halved terms
+            _suffix_sums(weighted, tgrid, sums, carries[order], weighted)
             if start == 0:
-                fields[:, order][band] = _t0_field(block_sums).swapaxes(0, 1)
+                fields[:, order][band] = _t0_field(sums).swapaxes(0, 1)
             if order < max_order:
-                table = _retarded_table(block_pair, block_sums, block_weighted)
-                points.append(band_values(grid, table, half[: stop - start]))
+                table = _retarded_table(block_pair, sums, weighted)
+                band_values(grid, table, half, points[order])
     return fields
 
 

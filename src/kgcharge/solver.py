@@ -37,8 +37,12 @@ and ``grid.energies`` as they are.  The square goes through
 multiplicity in the full spectrum.  One buffer holds
 phi and pi of every row at a node, the free flow is one product with the
 pair (phi, pi) and one with the pair swapped, and a step's closing half
-kick is the next step's opening one.  tests/oracles.py keeps the same step
-on the full complex spectrum, for couplings off the real axis.
+kick is the next step's opening one.  The step allocates nothing: the
+flow's cross term, the kick and the point values the square takes phi to
+have buffers allocated once per solve, and the transforms write into them
+through numpy's ``out=``, each write bit for bit the value a fresh array
+would hold.  tests/oracles.py keeps the same step on the full complex
+spectrum, for couplings off the real axis.
 
 A trajectory is the Cauchy data at every node as two stacked tables of
 that half spectrum, phi and pi, each of shape (nnodes, *grid.half_shape):
@@ -47,7 +51,14 @@ block of nodes into one preallocated table per field and hands each
 coupling its row of the tables; node 0 is the initial data, which are on
 the half spectrum like every mode table.  ``Trajectory.node`` returns a
 copy of one row as a FieldSnapshot, so that a kept node does not keep the
-tables alive.
+tables alive.  A solve that is asked to keep a range of nodes stores
+their rows alone, the trajectory's ``kept``, and forms no node energies,
+while it still steps every node, tests every node against the ceiling and
+takes ``phi_e_norm`` over every node: sweep keeps the slice at s alone,
+and solve keeps every node and records their energies' drift.
+``Trajectory.keep`` copies the rows of a range of nodes into a trajectory
+that keeps them alone, so that readout can free a stored trajectory's
+tables before its series runs.
 
 Test functions psi solve the linear equation exactly; they are stored as
 Cauchy data at t = 0 and evaluated at any time with the free flow, so
@@ -95,11 +106,12 @@ class WidthTooSmall(ValueError):
 
 @dataclass(eq=False)
 class Trajectory:
-    """The Cauchy data at every node of a time grid, as two stacked half-spectrum tables.
+    """The Cauchy data at the nodes of a time grid, as two stacked half-spectrum tables.
 
-    ``phi`` and ``pi`` hold the columns of every node that the solver steps
-    in, shape ``(tgrid.nnodes, *grid.half_shape)``;
-    row j is the data at ``tgrid.nodes[j]``.
+    ``phi`` and ``pi`` hold the columns that the solver steps in, one row
+    per node, shape ``(tgrid.nnodes, *grid.half_shape)``: row j is the data
+    at ``tgrid.nodes[j]``.  When ``kept`` is a range of node indices, the
+    tables hold the rows of those nodes alone, ``len(kept)`` of them.
     """
 
     tgrid: TimeGrid
@@ -108,19 +120,28 @@ class Trajectory:
     pi: np.ndarray
     coupling: float
     meta: dict = field(default_factory=dict)
+    kept: range | None = None
 
     def __post_init__(self) -> None:
-        expected = (self.tgrid.nnodes, *self.grid.half_shape)
+        nodes = self.tgrid.nnodes if self.kept is None else len(self.kept)
+        expected = (nodes, *self.grid.half_shape)
         if self.phi.shape != expected or self.pi.shape != expected:
             raise SizeMismatch(
                 f"trajectory tables have shapes phi {self.phi.shape}, pi {self.pi.shape}; "
-                f"{self.tgrid.nnodes} nodes on this grid need {expected}, the half spectrum"
+                f"{nodes} nodes on this grid need {expected}, the half spectrum"
             )
 
     def node(self, j: int) -> FieldSnapshot:
-        """The data at node j: copies of row j of the tables."""
-        phi, pi = (ModeArray(self.grid, table[j].copy()) for table in (self.phi, self.pi))
+        """The data at node j: copies of its row of the tables; ValueError for a node not kept."""
+        row = j if self.kept is None else self.kept.index(j)
+        phi, pi = (ModeArray(self.grid, table[row].copy()) for table in (self.phi, self.pi))
         return FieldSnapshot(float(self.tgrid.nodes[j]), phi, pi)
+
+    def keep(self, nodes: range) -> Trajectory:
+        """A trajectory that keeps ``nodes`` alone: copies of their rows, which do not keep these tables alive."""
+        snaps = [self.node(j) for j in nodes]
+        phi, pi = (np.stack([getattr(snap, name).values for snap in snaps]) for name in ("phi", "pi"))
+        return Trajectory(self.tgrid, self.grid, phi, pi, self.coupling, dict(self.meta), nodes)
 
 
 @dataclass(eq=False)
@@ -162,6 +183,7 @@ def solve_couplings(
     couplings,
     tgrid: TimeGrid,
     norm_ceiling: float = 1e6,
+    keep: range | None = None,
 ) -> list[Trajectory]:
     """One trajectory per coupling, all stepped together from the same data.
 
@@ -179,8 +201,15 @@ def solve_couplings(
     crosses there.  ``meta["energy_drift"]`` is max |E - E_0| over the node
     energies E, relative to max(1, |E_0|), formed in the same blocks.
 
+    ``keep``, a range of consecutive node indices, stores the rows of those
+    nodes alone, as each trajectory's ``kept``, and forms no node energies
+    and no ``energy_drift``: every node is still stepped and checked
+    against the ceiling, and ``phi_e_norm`` is still over every node.  By
+    default every node is kept.
+
     ValueError when a coupling is not a real number: a complex one would
-    kick the real data off the reals.
+    kick the real data off the reals, and when ``keep`` is not a range of
+    step 1 inside the time grid.
     """
     if initial.time != 0.0:
         raise ValueError(f"initial snapshot must be at t=0, got t={initial.time}")
@@ -192,6 +221,11 @@ def solve_couplings(
         raise ValueError("solve_couplings needs at least one coupling")
     if np.iscomplexobj(couplings):
         raise ValueError(f"couplings must be real numbers, got {couplings}")
+    every = keep is None
+    if every:
+        keep = range(tgrid.nnodes)
+    elif keep.step != 1 or not 0 <= keep.start < keep.stop <= tgrid.nnodes:
+        raise ValueError(f"keep must be a range of step 1 inside the {tgrid.nnodes} nodes, got {keep}")
     lead = (-1,) + (1,) * grid.dim
     kicks = np.array([dt / 2.0 * c for c in couplings]).reshape(lead)
     # one more axis, for the nodes of a block
@@ -203,22 +237,26 @@ def solve_couplings(
     across = np.stack([s_over_w, w_s])[:, None]
     neg_omega_sq = -(grid.omega**2)
 
-    # phi and pi of every row at one node: this node's buffer and the next one's
+    # phi and pi of every row at one node: this node's buffer, the next
+    # one's and the flow's cross term; the kick, and the points the square
+    # takes phi to
     node = np.empty((2, rows) + grid.half_shape, dtype=complex)
     node[0], node[1] = initial.phi.values, initial.pi.values
-    ahead = np.empty_like(node)
+    ahead, cross = np.empty_like(node), np.empty_like(node)
+    kick = np.empty_like(node[0])
+    points = np.empty((rows,) + grid.shape)
     # phi, pi, the acceleration and the kick's square of every row at the
     # nodes of one block: block k holds nodes k BLOCK .. (k + 1) BLOCK - 1
     block = np.empty((3, rows, BLOCK) + grid.half_shape, dtype=complex)
     squares = np.empty((rows, BLOCK) + grid.half_shape, dtype=complex)
-    # phi and pi of every row at every node: row r of tables[0] and of
+    # phi and pi of every row at every kept node: row r of tables[0] and of
     # tables[1] is one trajectory
-    tables = np.empty((2, rows, tgrid.nnodes) + grid.half_shape, dtype=complex)
-    energies = np.empty((rows, tgrid.nnodes))
+    tables = np.empty((2, rows, len(keep)) + grid.half_shape, dtype=complex)
+    energies = np.empty((rows, tgrid.nnodes)) if every else None
 
     # node 0 is slot 0 of the first block, its square the first kick's
     block[:2, :, 0] = node
-    kick = kicks * grid.square(node[0], out=squares[:, 0])
+    np.multiply(kicks, grid.square(node[0], squares[:, 0], points), out=kick)
     peak = np.zeros(rows)
     # Past a crossing, up to BLOCK - 1 more steps run before the block's
     # check sees it; an overflow there turns the norms NaN, which crosses.
@@ -228,9 +266,9 @@ def solve_couplings(
             # a step's closing half kick is the next step's opening one
             node[1] -= kick
             np.multiply(along, node, out=ahead)
-            ahead += across * node[::-1]
+            ahead += np.multiply(across, node[::-1], out=cross)
             node, ahead = ahead, node
-            kick = kicks * grid.square(node[0], out=squares[:, i])
+            np.multiply(kicks, grid.square(node[0], squares[:, i], points), out=kick)
             node[1] -= kick
             block[:2, :, i] = node
             if i < BLOCK - 1 and n < tgrid.nt:
@@ -242,8 +280,12 @@ def solve_couplings(
             forced = squares[:, : i + 1]
             forced *= forcing
             nodes[2] -= forced
-            tables[:, :, start : n + 1] = nodes[:2]
-            energies[:, start : n + 1] = grid.energies(nodes[0], nodes[1], forced)
+            # the block's kept nodes lo..hi - 1
+            lo, hi = max(start, keep.start), min(n + 1, keep.stop)
+            if lo < hi:
+                tables[:, :, lo - keep.start : hi - keep.start] = nodes[:2, :, lo - start : hi - start]
+            if every:
+                energies[:, start : n + 1] = grid.energies(nodes[0], nodes[1], forced)
             # the norms square the block in place, after the store and the energies
             norms = grid.norms(nodes, overwrite=True)
             # "not <=" so that a NaN norm crosses the ceiling too
@@ -254,17 +296,13 @@ def solve_couplings(
                 time = float(tgrid.nodes[start + at])
                 raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={time}", couplings[first])
             peak = np.maximum(peak, norms.max(axis=(0, 2)))
-    drifts = np.max(np.abs(energies - energies[:, :1]), axis=1) / np.maximum(1.0, np.abs(energies[:, 0]))
-    meta = {"scheme": "strang", "dt": dt, "norm_ceiling": norm_ceiling}
+    metas = [{"scheme": "strang", "dt": dt, "norm_ceiling": norm_ceiling, "phi_e_norm": float(p)} for p in peak]
+    if every:
+        drifts = np.max(np.abs(energies - energies[:, :1]), axis=1) / np.maximum(1.0, np.abs(energies[:, 0]))
+        for meta, drift in zip(metas, drifts):
+            meta["energy_drift"] = float(drift)
     return [
-        Trajectory(
-            tgrid,
-            grid,
-            tables[0, r],
-            tables[1, r],
-            couplings[r],
-            {**meta, "phi_e_norm": float(peak[r]), "energy_drift": float(drifts[r])},
-        )
+        Trajectory(tgrid, grid, tables[0, r], tables[1, r], couplings[r], metas[r], None if every else keep)
         for r in range(rows)
     ]
 

@@ -40,8 +40,10 @@ are the real transform pair on that layout: ``rfftn`` scaled and cut to the
 band, and its inverse, which scatters into the half spectrum and applies
 ``irfftn``.  They take real point data only; the series keeps its tables in
 this layout, and the ``c_q`` estimate forms its pairs and their products
-through them.  ``SpectralGrid.band_index`` picks the band out of a half
-spectrum.
+through them.  They, like ``half_spectrum_values`` and the grid's
+``square``, write into buffers the caller passes, through numpy's ``out=``
+on the transforms, when the caller reuses its tables from call to call.
+``SpectralGrid.band_index`` picks the band out of a half spectrum.
 
 ``estimate_algebra_constant`` samples the H^q product constant C_q from a
 fixed count of random pairs and a fixed seed, so C_q is a function of the
@@ -214,6 +216,11 @@ class SpectralGrid:
         return np.ix_(*([rows] * (self.dim - 1) + [np.arange(kmax + 1)]))
 
     @cached_property
+    def band_flat(self) -> np.ndarray:
+        """:attr:`band_index` as flat indices into a half spectrum, in the band layout's order."""
+        return np.arange(math.prod(self.half_shape)).reshape(self.half_shape)[self.band_index].ravel()
+
+    @cached_property
     def band_omega(self) -> np.ndarray:
         """The dispersion relation on the band layout of :attr:`band_index`."""
         return self.omega[self.band_index]
@@ -242,19 +249,24 @@ class SpectralGrid:
             for weights in (self.sobolev_weights, self.omega**2 / 2.0, 0.5, 1.0 / 3.0)
         )
 
-    def square(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def square(self, values: np.ndarray, out: np.ndarray | None = None, points: np.ndarray | None = None) -> np.ndarray:
         """Dealiased squares of a stack of half-spectrum tables.
 
         ``irfftn``/``rfftn`` (``irfft``/``rfft`` on a 1-D grid, one call
         each), with both transform scales and the 2/3 mask as one
         multiplier.  ``out``, when given, receives the squares and is
-        returned.
+        returned; ``points``, a float buffer of the stack's leading shape
+        and ``grid.shape``, receives the point values and their squares.
+        Either is allocated when not given.
         """
         if self.dim == 1:
-            x = np.fft.irfft(values, self.modes)
-            return np.multiply(np.fft.rfft(x * x), self._fold, out=out)
-        x = np.fft.irfftn(values, s=self.shape, axes=self._axes)
-        return np.multiply(np.fft.rfftn(x * x, axes=self._axes), self._fold, out=out)
+            x = np.fft.irfft(values, self.modes, out=points)
+            squares = np.fft.rfft(np.multiply(x, x, out=x), out=out)
+        else:
+            x = np.fft.irfftn(values, s=self.shape, axes=self._axes, out=points)
+            squares = np.fft.rfftn(np.multiply(x, x, out=x), axes=self._axes, out=out)
+        squares *= self._fold
+        return squares
 
     def norms(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """H^q norms, at the grid's q, of a stack of half-spectrum tables.
@@ -334,31 +346,47 @@ def to_modes(grid: SpectralGrid, samples: np.ndarray) -> ModeArray:
     return ModeArray(grid, values)
 
 
-def band_modes(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
+def band_modes(
+    grid: SpectralGrid, samples: np.ndarray, out: np.ndarray | None = None, spectrum: np.ndarray | None = None
+) -> np.ndarray:
     """Real forward transform over the trailing grid.dim axes, cut to the band layout.
 
     The band entries are those of the dealiased ``fftn`` of the samples up
-    to rounding; ``samples`` must be real.
+    to rounding; ``samples`` must be real.  ``out`` (C-contiguous, the
+    band layout) receives the band and ``spectrum`` (the half spectrum)
+    the whole transform; either is allocated when not given.
     """
-    band = np.fft.rfftn(samples, s=grid.shape, axes=grid._axes)[(Ellipsis,) + grid.band_index]
-    band *= grid.volume / grid.npoints
-    return band
+    spectrum = np.fft.rfftn(samples, s=grid.shape, axes=grid._axes, out=spectrum)
+    lead = spectrum.shape[: -grid.dim]
+    if out is None:
+        out = np.empty(lead + grid.band_omega.shape, dtype=complex)
+    # a gather into out's own memory: take's "clip" mode spares its copy of out
+    np.take(spectrum.reshape(lead + (-1,)), grid.band_flat, axis=-1, out=out.reshape(lead + (-1,)), mode="clip")
+    out *= grid.volume / grid.npoints
+    return out
 
 
-def band_values(grid: SpectralGrid, band: np.ndarray, half: np.ndarray) -> np.ndarray:
+def band_values(grid: SpectralGrid, band: np.ndarray, half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Real point values of band-layout tables: the inverse of :func:`band_modes`.
 
     ``half`` is a zero half-spectrum buffer of the tables' leading shape to
     scatter into; only its band entries are written, so it stays zero
-    elsewhere and a caller can pass it to the next call too.
+    elsewhere and a caller can pass it to the next call too.  ``out`` is
+    as :func:`half_spectrum_values` takes it.
     """
     half[(Ellipsis,) + grid.band_index] = band
-    return half_spectrum_values(grid, half)
+    return half_spectrum_values(grid, half, out)
 
 
-def half_spectrum_values(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
-    """Real point values from ``rfftn``-layout mode tables over the trailing grid.dim axes."""
-    return np.fft.irfftn(half, s=grid.shape, axes=grid._axes) * (grid.npoints / grid.volume)
+def half_spectrum_values(grid: SpectralGrid, half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Real point values from ``rfftn``-layout mode tables over the trailing grid.dim axes.
+
+    ``out``, a float buffer of the tables' leading shape and
+    ``grid.shape``, receives them when given.
+    """
+    values = np.fft.irfftn(half, s=grid.shape, axes=grid._axes, out=out)
+    values *= grid.npoints / grid.volume
+    return values
 
 
 def sobolev_norm(f: ModeArray) -> float:

@@ -881,6 +881,18 @@ def test_sweep_blow_up_names_the_coupling_that_crossed_first(runner, tmp_path):
     assert not (tmp_path / "run" / "sweep_residuals.csv").exists()
 
 
+def test_a_sweep_tests_every_node_past_the_slice_it_stores(runner, tmp_path):
+    # the solve stores node j_s = 128 of 512 alone, and 900 crosses the
+    # ceiling at a later node, before T: the sweep still stops there
+    cfg = tmp_path / "sweep.json"
+    changed = {"coupling": [0.05, 0.1, 900.0], "time": {"T": 0.5, "s": 0.125, "nt": 512}}
+    cfg.write_text(json.dumps({**changed, "out": str(tmp_path / "run")}))
+    result = runner.invoke(main, ["sweep", "--config", str(cfg)])
+    assert result.exit_code == 3
+    assert "blow-up at coupling 900.0: norm ceiling 1000000.0 exceeded at t=0.240234375" in result.output
+    assert not (tmp_path / "run" / "sweep_residuals.csv").exists()
+
+
 @pytest.mark.parametrize(
     "command, changed, named",
     [

@@ -378,11 +378,13 @@ def _trajectory_dir(cfg: Config) -> Path:
     return Path(cfg.out) / "trajectory"
 
 
-def _read_matching_trajectory(cfg: Config):
-    """Load the stored trajectory; exit 2 unless it was solved from this config.
+def _read_matching_trajectory(cfg: Config) -> tuple[FieldSnapshot, FieldSnapshot, dict]:
+    """Copies of node 0 and of the slice at s of the stored trajectory, and its meta; exit 2 unless it matches.
 
     Grid, time grid, coupling and initial data shape the trajectory and must
-    match; s, max_order, test_function and seed do not and stay free.
+    match; s, max_order, test_function and seed do not and stay free.  The
+    archive's tables are freed on return, before a series takes its
+    workspace, which can then reuse their memory.
     """
     tdir = _trajectory_dir(cfg)
     if not ((tdir / MANIFEST_FILE).exists() and (tdir / TRAJECTORY_FILE).exists()):
@@ -410,10 +412,10 @@ def _read_matching_trajectory(cfg: Config):
                 f"stored trajectory was solved with {stored.get(key)!r}, "
                 f"the config gives {value!r}",
             )
-    return traj
+    return traj.node(0), traj.node(cfg.tgrid.node_index(cfg.s)), traj.meta
 
 
-def _recorded_bound_inputs(cfg: Config, traj) -> tuple[float, float]:
+def _recorded_bound_inputs(cfg: Config, meta: dict) -> tuple[float, float]:
     """The ``phi_e_norm`` and ``c_q`` that solve recorded; exit 2 unless both are there and in range.
 
     Each must be a finite number, phi_e_norm at least 0 and c_q above 0; a
@@ -422,9 +424,9 @@ def _recorded_bound_inputs(cfg: Config, traj) -> tuple[float, float]:
     where = f"the manifest under {_trajectory_dir(cfg)}"
     recorded = []
     for key, zero_ok in (("phi_e_norm", True), ("c_q", False)):
-        if key not in traj.meta:
+        if key not in meta:
             raise ConfigError("out", f"{where} lacks solver.{key} (written by an earlier kgcharge); run solve again")
-        value = traj.meta[key]
+        value = meta[key]
         try:
             number = _number(value, float) if isinstance(value, (int, float)) else math.nan
         except (TypeError, ValueError, OverflowError):
@@ -473,16 +475,11 @@ def solve(config_path, out):
 def transport(config_path, out, max_order, force):
     """Sum the tree series at s and compare with the charge at t=0."""
     cfg = _load_config(config_path, max_order=max_order, out=out)
-    traj = _read_matching_trajectory(cfg)
-    phi_e_norm, c_q = _recorded_bound_inputs(cfg, traj)
+    first, snap, meta = _read_matching_trajectory(cfg)
+    phi_e_norm, c_q = _recorded_bound_inputs(cfg, meta)
     psi = build_test_function(cfg)
-    target = bracket_ds(psi, traj.node(0))
-    snap = traj.node(traj.tgrid.node_index(cfg.s))
-    # the series reads the slice at s alone: the tables are freed before
-    # its workspace is taken, which can then reuse their memory
-    tgrid, coupling = traj.tgrid, traj.coupling
-    del traj
-    window = tgrid.horizon
+    target = bracket_ds(psi, first)
+    coupling, window = _coupling(cfg), cfg.tgrid.horizon
     try:
         radius = radius_bound(snap, window, c_q)
     except ValueError as exc:
@@ -496,7 +493,7 @@ def transport(config_path, out, max_order, force):
         "window": window,
         "phi_e_norm": phi_e_norm,
     }
-    report = run_series(psi, snap, coupling, tgrid, cfg.max_order, target=target)
+    report = run_series(psi, snap, coupling, cfg.tgrid, cfg.max_order, target=target)
     _require_finite_series(report)
     if not bounds["condition_ok"]:
         if not force:
@@ -533,14 +530,12 @@ def sweep(config_path, out, max_order):
         _fail(5, f"sweep needs at least 3 distinct coupling magnitudes, got {magnitudes}")
     initial = build_initial(cfg)
     psi = build_test_function(cfg)
-    j_s = cfg.tgrid.node_index(cfg.s)
     # the solve stores each coupling's slice at s alone, and still steps
     # and checks every node up to T
     try:
-        trajectories = solve_couplings(initial, couplings, cfg.tgrid, keep=range(j_s, j_s + 1))
+        slices = solve_couplings(initial, couplings, cfg.tgrid, at=cfg.tgrid.node_index(cfg.s))
     except BlowUp as exc:
         _fail(3, f"blow-up at coupling {exc.coupling!r}: {exc}")
-    slices = [traj.node(j_s) for traj in trajectories]
     reports = series_couplings(psi, slices, couplings, cfg.tgrid, cfg.max_order, target=bracket_ds(psi, initial))
     for coupling, report in zip(couplings, reports):
         _require_finite_series(report, f" at coupling {coupling}")
@@ -620,14 +615,9 @@ def readout(config_path, out, max_order):
     spec = cfg.test_function
     if spec["type"] != "dirac":
         raise ConfigError("test_function.type", "readout needs a dirac test-function spec")
-    traj = _read_matching_trajectory(cfg)
-    first = traj.node(0)
-    j_s = traj.tgrid.node_index(cfg.s)
-    # the series reads the slice at s alone: the tables are freed before
-    # its workspace is taken, which can then reuse their memory
-    traj = traj.keep(range(j_s, j_s + 1))
+    first, snap, _ = _read_matching_trajectory(cfg)
     x0, width = spec["x0"], spec["width"]
-    phi_est, dtphi_est = readout_series(traj, cfg.s, x0, width, cfg.max_order)
+    phi_est, dtphi_est = readout_series(snap, _coupling(cfg), cfg.tgrid, x0, width, cfg.max_order)
     if not (math.isfinite(phi_est) and math.isfinite(dtphi_est)):
         _fail(3, f"non-finite readout: phi estimate {phi_est!r}, d/dt phi estimate {dtphi_est!r}")
     phi_true = evaluate_at(first.phi, x0)

@@ -114,7 +114,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .propagation import TimeGrid, apply_flow, flow_multipliers
-from .solver import TestFunction, Trajectory, dirac_test_function, evaluate_test_function
+from .solver import TestFunction, dirac_test_function, evaluate_test_function
 from .spectral import (
     FieldSnapshot,
     GridMismatch,
@@ -447,19 +447,17 @@ def _report(s: float, coupling: float, amplitudes: list[float], target: float | 
 
 
 def readout(
-    trajectory: Trajectory, s: float, x0, width: float, max_order: int
+    snap: FieldSnapshot, coupling: float, tgrid: TimeGrid, x0, width: float, max_order: int
 ) -> tuple[float, float]:
-    """Estimate phi(0, x0) and d/dt phi(0, x0) from the slice at s alone.
+    """Estimate phi(0, x0) and d/dt phi(0, x0) from ``snap``, the slice at s alone, as :func:`series` takes it.
 
     Sums the order fields at t = 0 once, weighted by (-coupling)^n, and
     brackets that one estimate with the two Dirac-approximating test
     functions; the bump in the velocity slot reads out phi, the bump in the
     position slot reads out the time derivative (with the pairing's sign).
     """
-    grid = trajectory.grid
-    tgrid = trajectory.tgrid
-    fields = _order_fields([trajectory.node(tgrid.node_index(s))], tgrid, max_order)[0]
-    estimate = sum((-trajectory.coupling) ** n * w for n, w in enumerate(fields))
-    probes = (dirac_test_function(grid, x0, width, which) for which in ("velocity", "position"))
+    fields = _order_fields([snap], tgrid, max_order)[0]
+    estimate = sum((-coupling) ** n * w for n, w in enumerate(fields))
+    probes = (dirac_test_function(snap.grid, x0, width, which) for which in ("velocity", "position"))
     phi_est, dtphi_est = (_brackets(probe, 0.0, estimate[None])[0] for probe in probes)
     return phi_est, -dtphi_est

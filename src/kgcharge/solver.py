@@ -50,15 +50,12 @@ the other half of a real field holds nothing new.  The solver writes each
 block of nodes into one preallocated table per field and hands each
 coupling its row of the tables; node 0 is the initial data, which are on
 the half spectrum like every mode table.  ``Trajectory.node`` returns a
-copy of one row as a FieldSnapshot, so that a kept node does not keep the
-tables alive.  A solve that is asked to keep a range of nodes stores
-their rows alone, the trajectory's ``kept``, and forms no node energies,
-while it still steps every node, tests every node against the ceiling and
-takes ``phi_e_norm`` over every node: sweep keeps the slice at s alone,
-and solve keeps every node and records their energies' drift.
-``Trajectory.keep`` copies the rows of a range of nodes into a trajectory
-that keeps them alone, so that readout can free a stored trajectory's
-tables before its series runs.
+copy of one row as a FieldSnapshot, so that a slice taken from it does not
+keep the tables alive.  A solve asked for the slice at one node returns
+each coupling's data there and no trajectory: it stores that node's rows
+alone and forms no node energies, while it still steps every node and
+tests every node against the ceiling.  sweep asks for the slice at s, and
+solve takes every node and records their energies' drift.
 
 Test functions psi solve the linear equation exactly; they are stored as
 Cauchy data at t = 0 and evaluated at any time with the free flow, so
@@ -106,12 +103,11 @@ class WidthTooSmall(ValueError):
 
 @dataclass(eq=False)
 class Trajectory:
-    """The Cauchy data at the nodes of a time grid, as two stacked half-spectrum tables.
+    """The Cauchy data at every node of a time grid, as two stacked half-spectrum tables.
 
-    ``phi`` and ``pi`` hold the columns that the solver steps in, one row
-    per node, shape ``(tgrid.nnodes, *grid.half_shape)``: row j is the data
-    at ``tgrid.nodes[j]``.  When ``kept`` is a range of node indices, the
-    tables hold the rows of those nodes alone, ``len(kept)`` of them.
+    ``phi`` and ``pi`` hold the columns of every node that the solver steps
+    in, shape ``(tgrid.nnodes, *grid.half_shape)``;
+    row j is the data at ``tgrid.nodes[j]``.
     """
 
     tgrid: TimeGrid
@@ -120,28 +116,19 @@ class Trajectory:
     pi: np.ndarray
     coupling: float
     meta: dict = field(default_factory=dict)
-    kept: range | None = None
 
     def __post_init__(self) -> None:
-        nodes = self.tgrid.nnodes if self.kept is None else len(self.kept)
-        expected = (nodes, *self.grid.half_shape)
+        expected = (self.tgrid.nnodes, *self.grid.half_shape)
         if self.phi.shape != expected or self.pi.shape != expected:
             raise SizeMismatch(
                 f"trajectory tables have shapes phi {self.phi.shape}, pi {self.pi.shape}; "
-                f"{nodes} nodes on this grid need {expected}, the half spectrum"
+                f"{self.tgrid.nnodes} nodes on this grid need {expected}, the half spectrum"
             )
 
     def node(self, j: int) -> FieldSnapshot:
-        """The data at node j: copies of its row of the tables; ValueError for a node not kept."""
-        row = j if self.kept is None else self.kept.index(j)
-        phi, pi = (ModeArray(self.grid, table[row].copy()) for table in (self.phi, self.pi))
+        """The data at node j: copies of row j of the tables."""
+        phi, pi = (ModeArray(self.grid, table[j].copy()) for table in (self.phi, self.pi))
         return FieldSnapshot(float(self.tgrid.nodes[j]), phi, pi)
-
-    def keep(self, nodes: range) -> Trajectory:
-        """A trajectory that keeps ``nodes`` alone: copies of their rows, which do not keep these tables alive."""
-        snaps = [self.node(j) for j in nodes]
-        phi, pi = (np.stack([getattr(snap, name).values for snap in snaps]) for name in ("phi", "pi"))
-        return Trajectory(self.tgrid, self.grid, phi, pi, self.coupling, dict(self.meta), nodes)
 
 
 @dataclass(eq=False)
@@ -183,8 +170,8 @@ def solve_couplings(
     couplings,
     tgrid: TimeGrid,
     norm_ceiling: float = 1e6,
-    keep: range | None = None,
-) -> list[Trajectory]:
+    at: int | None = None,
+) -> list[Trajectory] | list[FieldSnapshot]:
     """One trajectory per coupling, all stepped together from the same data.
 
     Every row of the stack takes the same arithmetic as a lone solve, so each
@@ -201,15 +188,13 @@ def solve_couplings(
     crosses there.  ``meta["energy_drift"]`` is max |E - E_0| over the node
     energies E, relative to max(1, |E_0|), formed in the same blocks.
 
-    ``keep``, a range of consecutive node indices, stores the rows of those
-    nodes alone, as each trajectory's ``kept``, and forms no node energies
-    and no ``energy_drift``: every node is still stepped and checked
-    against the ceiling, and ``phi_e_norm`` is still over every node.  By
-    default every node is kept.
+    Given ``at``, a node index, it returns each coupling's FieldSnapshot at
+    that node in place of its trajectory, and forms no node energies: every
+    node is still stepped and checked against the ceiling.
 
     ValueError when a coupling is not a real number: a complex one would
-    kick the real data off the reals, and when ``keep`` is not a range of
-    step 1 inside the time grid.
+    kick the real data off the reals, and when ``at`` is not a node of the
+    time grid, 0 to nt.
     """
     if initial.time != 0.0:
         raise ValueError(f"initial snapshot must be at t=0, got t={initial.time}")
@@ -221,11 +206,11 @@ def solve_couplings(
         raise ValueError("solve_couplings needs at least one coupling")
     if np.iscomplexobj(couplings):
         raise ValueError(f"couplings must be real numbers, got {couplings}")
-    every = keep is None
-    if every:
-        keep = range(tgrid.nnodes)
-    elif keep.step != 1 or not 0 <= keep.start < keep.stop <= tgrid.nnodes:
-        raise ValueError(f"keep must be a range of step 1 inside the {tgrid.nnodes} nodes, got {keep}")
+    every = at is None
+    if not (every or 0 <= at <= tgrid.nt):
+        raise ValueError(f"at must be a node index from 0 to {tgrid.nt}, got {at}")
+    # the nodes whose rows are stored
+    stored = range(tgrid.nnodes) if every else range(at, at + 1)
     lead = (-1,) + (1,) * grid.dim
     kicks = np.array([dt / 2.0 * c for c in couplings]).reshape(lead)
     # one more axis, for the nodes of a block
@@ -249,9 +234,9 @@ def solve_couplings(
     # nodes of one block: block k holds nodes k BLOCK .. (k + 1) BLOCK - 1
     block = np.empty((3, rows, BLOCK) + grid.half_shape, dtype=complex)
     squares = np.empty((rows, BLOCK) + grid.half_shape, dtype=complex)
-    # phi and pi of every row at every kept node: row r of tables[0] and of
-    # tables[1] is one trajectory
-    tables = np.empty((2, rows, len(keep)) + grid.half_shape, dtype=complex)
+    # phi and pi of every row at every stored node: row r of tables[0] and
+    # of tables[1] is one trajectory
+    tables = np.empty((2, rows, len(stored)) + grid.half_shape, dtype=complex)
     energies = np.empty((rows, tgrid.nnodes)) if every else None
 
     # node 0 is slot 0 of the first block, its square the first kick's
@@ -280,10 +265,10 @@ def solve_couplings(
             forced = squares[:, : i + 1]
             forced *= forcing
             nodes[2] -= forced
-            # the block's kept nodes lo..hi - 1
-            lo, hi = max(start, keep.start), min(n + 1, keep.stop)
+            # the block's stored nodes lo..hi - 1
+            lo, hi = max(start, stored.start), min(n + 1, stored.stop)
             if lo < hi:
-                tables[:, :, lo - keep.start : hi - keep.start] = nodes[:2, :, lo - start : hi - start]
+                tables[:, :, lo - stored.start : hi - stored.start] = nodes[:2, :, lo - start : hi - start]
             if every:
                 energies[:, start : n + 1] = grid.energies(nodes[0], nodes[1], forced)
             # the norms square the block in place, after the store and the energies
@@ -291,18 +276,25 @@ def solve_couplings(
             # "not <=" so that a NaN norm crosses the ceiling too
             crossed = ~(np.maximum(norms[0], norms[1]) <= norm_ceiling)
             if crossed.any():
-                at = np.flatnonzero(crossed.any(axis=0))[0]
-                first = np.flatnonzero(crossed[:, at])[0]
-                time = float(tgrid.nodes[start + at])
+                slot = np.flatnonzero(crossed.any(axis=0))[0]
+                first = np.flatnonzero(crossed[:, slot])[0]
+                time = float(tgrid.nodes[start + slot])
                 raise BlowUp(f"norm ceiling {norm_ceiling} exceeded at t={time}", couplings[first])
             peak = np.maximum(peak, norms.max(axis=(0, 2)))
-    metas = [{"scheme": "strang", "dt": dt, "norm_ceiling": norm_ceiling, "phi_e_norm": float(p)} for p in peak]
-    if every:
-        drifts = np.max(np.abs(energies - energies[:, :1]), axis=1) / np.maximum(1.0, np.abs(energies[:, 0]))
-        for meta, drift in zip(metas, drifts):
-            meta["energy_drift"] = float(drift)
+    if not every:
+        time = float(tgrid.nodes[at])
+        return [FieldSnapshot(time, ModeArray(grid, phi), ModeArray(grid, pi)) for phi, pi in zip(*tables[:, :, 0])]
+    drifts = np.max(np.abs(energies - energies[:, :1]), axis=1) / np.maximum(1.0, np.abs(energies[:, 0]))
+    meta = {"scheme": "strang", "dt": dt, "norm_ceiling": norm_ceiling}
     return [
-        Trajectory(tgrid, grid, tables[0, r], tables[1, r], couplings[r], metas[r], None if every else keep)
+        Trajectory(
+            tgrid,
+            grid,
+            tables[0, r],
+            tables[1, r],
+            couplings[r],
+            {**meta, "phi_e_norm": float(peak[r]), "energy_drift": float(drifts[r])},
+        )
         for r in range(rows)
     ]
 

@@ -277,7 +277,7 @@ def test_criterion_09_p_residual(data, psi, trajectories, tgrid):
 def test_criterion_10_readout(grid, trajectories, tgrid):
     x0, width = 2.0, 0.5
     traj = trajectories[COUPLING]
-    phi_est, dtphi_est = readout(traj, tgrid.horizon, x0, width, max_order=3)
+    phi_est, dtphi_est = readout(traj.node(tgrid.node_index(tgrid.horizon)), traj.coupling, tgrid, x0, width, max_order=3)
     first = traj.node(0)
     phi_true = evaluate_at(first.phi, x0)
     dtphi_true = evaluate_at(first.pi, x0)

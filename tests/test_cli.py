@@ -1050,6 +1050,36 @@ def test_readout_on_a_two_dimensional_grid_uses_the_diagonal_point(runner, tmp_p
     assert float(row["dtphi_abs_err"]) <= 1e-8
 
 
+def test_transport_and_readout_free_the_stored_tables_before_their_series(runner, tmp_path, monkeypatch):
+    # a grid and time grid no other test uses, so any Trajectory alive on
+    # that grid is the archive's
+    import gc
+    import importlib
+
+    from kgcharge.solver import Trajectory
+    from kgcharge.spectral import SpectralGrid
+
+    own = SpectralGrid(1, 17.0, 24, 1.0, 1)
+    grids = {"grid": {"L": 17.0, "Nx": 24}, "time": {"T": 0.3, "s": 0.15, "nt": 24}}
+    cfg = run_solved(runner, tmp_path, **grids)
+    dirac = write_config(tmp_path, "dirac.json", test_function={"type": "dirac", "x0": 3.0, "width": 1.0}, **grids)
+    series_module = importlib.import_module("kgcharge.series")
+    order_fields = series_module._order_fields
+    alive = []
+
+    def counting(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(isinstance(obj, Trajectory) and obj.grid == own for obj in gc.get_objects()))
+        return order_fields(*args, **kwargs)
+
+    monkeypatch.setattr(series_module, "_order_fields", counting)
+    for command, path in (("transport", cfg), ("readout", dirac)):
+        result = runner.invoke(main, [command, "--config", str(path)])
+        assert result.exit_code == 0, result.output
+    # one series per command, each with no trajectory table alive
+    assert alive == [0, 0]
+
+
 def test_readout_rejects_an_unresolved_bump(runner, tmp_path):
     cfg = write_config(tmp_path, test_function={"type": "dirac", "x0": 3.0, "width": 0.3})
     result = runner.invoke(main, ["solve", "--config", str(cfg)])

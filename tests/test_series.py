@@ -696,7 +696,7 @@ def test_readout_recovers_the_free_field(grid):
     data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 2.0), zero_modes(grid))
     traj = solve(data, 0.0, tg)
     x0, width = 3.0, 0.8
-    phi_est, dtphi_est = readout(traj, 0.4, x0, width, max_order=1)
+    phi_est, dtphi_est = readout(traj.node(tg.node_index(0.4)), 0.0, tg, x0, width, max_order=1)
     # at zero coupling the estimate equals the bump-smoothed field exactly
     bump = dirac_test_function(grid, x0, width).psi1
     smoothed = complex(pair_modes(data.phi, bump)).real
@@ -711,7 +711,7 @@ def test_readout_equals_two_series_runs(setting, grid, tgrid):
 
     traj, _, _, coupling, _ = setting
     x0, width, max_order = 3.0, 0.8, 3
-    phi_est, dtphi_est = readout(traj, tgrid.horizon, x0, width, max_order)
+    phi_est, dtphi_est = readout(traj.node(tgrid.node_index(tgrid.horizon)), coupling, tgrid, x0, width, max_order)
     snap = traj.node(tgrid.node_index(tgrid.horizon))
     expected = []
     for which in ("velocity", "position"):

@@ -354,93 +354,69 @@ def test_a_sweep_solve_holds_under_six_tenths_of_the_full_tables():
     assert peak < 0.6 * full_bytes, (peak, full_bytes)
 
 
-# The desk grid and a 16^2 grid, for the checks of a solve that keeps a
-# range of nodes
-KEEP_GRIDS = [LAYOUT_GRIDS[0], LAYOUT_GRIDS[2]]
+# The desk grid and a 16^2 grid, for the checks of a solve that returns the
+# slice at one node
+AT_GRIDS = [LAYOUT_GRIDS[0], LAYOUT_GRIDS[2]]
 
 
-# on 40 steps: one node at T, at T/2 and at 0, and a range across the first
-# block edge
-@pytest.mark.parametrize("keep", [range(40, 41), range(20, 21), range(0, 1), range(BLOCK - 2, BLOCK + 3)])
-@pytest.mark.parametrize("grid", KEEP_GRIDS, ids=["desk", "2d-16"])
-def test_a_kept_range_holds_the_rows_and_peak_norm_of_the_full_solve(grid, keep, rng):
+# on 40 steps: the nodes at T, at T/2 and at 0, and the nodes on both sides
+# of the first block edge
+@pytest.mark.parametrize("at", [40, 20, 0, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("grid", AT_GRIDS, ids=["desk", "2d-16"])
+def test_the_slice_at_a_node_holds_the_rows_of_the_full_solve(grid, at, rng):
     data = random_snapshot(grid, rng)
     tg = TimeGrid(0.5, 40)
     full = solve_couplings(data, STACK_COUPLINGS, tg)
-    kept = solve_couplings(data, STACK_COUPLINGS, tg, keep=keep)
-    for got, want in zip(kept, full, strict=True):
-        assert got.kept == keep and want.kept is None
+    slices = solve_couplings(data, STACK_COUPLINGS, tg, at=at)
+    for got, want in zip(slices, full, strict=True):
+        assert isinstance(got, FieldSnapshot)
+        assert got.time == want.node(at).time
         # bytes, so the sign of a zero counts too
-        assert got.phi.tobytes() == want.phi[keep.start : keep.stop].tobytes()
-        assert got.pi.tobytes() == want.pi[keep.start : keep.stop].tobytes()
-        assert got.meta["phi_e_norm"] == want.meta["phi_e_norm"]
-        # no node energies, so no drift
-        assert got.meta == {key: value for key, value in want.meta.items() if key != "energy_drift"}
-        for j in keep:
-            node, whole = got.node(j), want.node(j)
-            assert node.time == whole.time
-            assert node.phi.values.tobytes() == whole.phi.values.tobytes()
-        with pytest.raises(ValueError):
-            got.node(keep.stop)
+        assert got.phi.values.tobytes() == want.phi[at].tobytes()
+        assert got.pi.values.tobytes() == want.pi[at].tobytes()
 
 
-def test_a_trajectory_keeps_copies_of_the_rows_of_a_range(small_grid, rng):
-    tg = TimeGrid(0.5, 40)
-    traj = solve(random_snapshot(small_grid, rng), 0.3, tg)
-    kept = traj.keep(range(BLOCK - 2, BLOCK + 3))
-    assert kept.kept == range(BLOCK - 2, BLOCK + 3)
-    assert (kept.coupling, kept.meta) == (traj.coupling, traj.meta)
-    assert kept.phi.tobytes() == traj.phi[BLOCK - 2 : BLOCK + 3].tobytes()
-    assert kept.pi.tobytes() == traj.pi[BLOCK - 2 : BLOCK + 3].tobytes()
-    assert not np.shares_memory(kept.phi, traj.phi) and not np.shares_memory(kept.pi, traj.pi)
-    # a trajectory that keeps a range keeps any range of its own nodes
-    one = kept.keep(range(BLOCK, BLOCK + 1))
-    assert one.node(BLOCK).pi.values.tobytes() == traj.node(BLOCK).pi.values.tobytes()
-    with pytest.raises(ValueError):
-        kept.keep(range(BLOCK - 3, BLOCK))
+@pytest.mark.parametrize("at", [-1, 41])
+def test_a_slice_outside_the_nodes_is_refused(at, small_grid):
+    with pytest.raises(ValueError, match="at must be a node index"):
+        solve_couplings(gaussian_data(small_grid), [0.2], TimeGrid(0.5, 40), at=at)
 
 
-@pytest.mark.parametrize("keep", [range(0, 4, 2), range(3, 3), range(-1, 2), range(40, 42)])
-def test_a_keep_outside_the_nodes_or_with_gaps_is_refused(keep, small_grid):
-    with pytest.raises(ValueError, match="keep must be a range"):
-        solve_couplings(gaussian_data(small_grid), [0.2], TimeGrid(0.5, 40), keep=keep)
-
-
-# the nodes on both sides of the first block edge, and the last node, past
+# a slice on both sides of the first block edge, and the last node, past
 # every crossing but the last one, so the blow-up names a node never stored;
 # crossings mid-block (nodes 1 and 40) and at the block edges
-@pytest.mark.parametrize("keep", [range(BLOCK - 1, BLOCK + 1), range(40, 41)])
+@pytest.mark.parametrize("at", [BLOCK - 1, BLOCK, 40])
 @pytest.mark.parametrize("node", BLOCK_EDGE_NODES)
-@pytest.mark.parametrize("grid", KEEP_GRIDS, ids=["desk", "2d-16"])
-def test_a_kept_range_blows_up_at_the_node_and_coupling_of_the_full_solve(grid, node, keep):
+@pytest.mark.parametrize("grid", AT_GRIDS, ids=["desk", "2d-16"])
+def test_a_slice_blows_up_at_the_node_and_coupling_of_the_full_solve(grid, node, at):
     data = gaussian_data(grid, amplitude=2.0)
     tg = TimeGrid(0.25, 40)
     couplings = [0.1, -5.0, 0.2, -9.0]
     ceiling = ceiling_first_crossed_at(data, couplings, tg, node)
     named = []
-    for kept in (None, keep):
+    for node_at in (None, at):
         with pytest.raises(BlowUp) as exc:
-            solve_couplings(data, couplings, tg, norm_ceiling=ceiling, keep=kept)
+            solve_couplings(data, couplings, tg, norm_ceiling=ceiling, at=node_at)
         named.append((str(exc.value), exc.value.coupling))
     assert named[0] == named[1]
     assert named[1][0].endswith(f"t={float(tg.nodes[node])}")
 
 
-def test_a_kept_range_forms_no_node_energies(monkeypatch):
+def test_a_slice_forms_no_node_energies(monkeypatch):
     def refuse(*_):
         raise AssertionError("node energies were formed")
 
     monkeypatch.setattr(SpectralGrid, "energies", refuse)
     grid = LAYOUT_GRIDS[0]
     tg = TimeGrid(0.5, 512)
-    kept = solve_couplings(gaussian_data(grid), [0.05, 0.1, 0.2, 0.4], tg, keep=range(256, 257))
-    assert all("energy_drift" not in traj.meta for traj in kept)
+    slices = solve_couplings(gaussian_data(grid), [0.05, 0.1, 0.2, 0.4], tg, at=256)
+    assert len(slices) == 4
     with pytest.raises(AssertionError, match="node energies"):
         solve(gaussian_data(grid), 0.2, tg)
 
 
-def test_a_sweep_solve_that_keeps_its_slice_holds_under_a_tenth_of_the_full_tables():
-    # the desk sweep's four couplings, keeping node j_s alone: the full
+def test_a_sweep_solve_for_its_slice_holds_under_a_tenth_of_the_full_tables():
+    # the desk sweep's four couplings, asking for node j_s alone: the full
     # tables would take 2 x 4 x 513 x 128 complex entries, 8.4 MB
     grid = LAYOUT_GRIDS[0]
     tg = TimeGrid(0.5, 512)
@@ -449,11 +425,11 @@ def test_a_sweep_solve_that_keeps_its_slice_holds_under_a_tenth_of_the_full_tabl
     data = gaussian_data(grid)
     tracemalloc.start()
     try:
-        kept = solve_couplings(data, couplings, tg, keep=range(256, 257))
+        slices = solve_couplings(data, couplings, tg, at=256)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(kept) == len(couplings)
+    assert len(slices) == len(couplings)
     assert peak < 0.1 * full_bytes, (peak, full_bytes)
 
 

@@ -44,15 +44,11 @@ from .trees import (
     DegenerateTree,
     GrowSpec,
     LengthMismatch,
-    ParseError,
     Tree,
-    decompose,
     enumerate_trees,
-    from_dyck,
     graft,
     grow,
     leaf,
-    prune_cherries,
     signed_grow_sum,
     to_dyck,
 )

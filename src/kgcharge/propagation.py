@@ -11,9 +11,12 @@ as green_apply).  flow_multipliers is the one closed form of
 the free evolution, on whatever mode layout omega is given on, for one lag
 or a whole stack of node lags; callers that flow by the same lags many
 times build the multipliers once: the solver per solve, the series once
-per block of nodes, shared by every slice at s.  free_evolve flows one
-snapshot by the grid's omega, which has the half-spectrum shape of every
-mode table.
+per block of nodes, shared by every slice at s.  retarded_multipliers
+gives its first two tables, the kernels G1 and G0, without the third,
+which the series' blocks never read.  Both form cos and sin through one
+helper, the only place in the package that forms them.  free_evolve
+flows one snapshot by the grid's omega, which has the half-spectrum shape
+of every mode table.
 
 Time integrals run on the uniform node set of a :class:`TimeGrid`, by one
 composite trapezoid rule, which lives in the series (series._suffix_sums):
@@ -72,6 +75,24 @@ class TimeGrid:
         return j
 
 
+def _cos_sin(omega: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:
+    """cos(omega dt) and sin(omega dt), the latter formed in place of the phases."""
+    dt = np.asarray(dt)
+    ph = dt.reshape(dt.shape + (1,) * omega.ndim) * omega
+    c = np.cos(ph)
+    return c, np.sin(ph, out=ph)
+
+
+def retarded_multipliers(omega: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:
+    """cos(omega dt) and sin(omega dt) / omega: the kernels G1 and G0 at lag dt.
+
+    The first two of the :func:`flow_multipliers`, bit for bit, without the
+    third; sin / omega is formed in place of sin.
+    """
+    c, s = _cos_sin(omega, dt)
+    return c, np.divide(s, omega, out=s)
+
+
 def flow_multipliers(omega: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """cos(omega dt), sin(omega dt) / omega and -omega sin(omega dt).
 
@@ -79,10 +100,7 @@ def flow_multipliers(omega: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray, np.
     is given on.  ``dt`` is a scalar or a 1-D array of lags; an array
     broadcasts over a leading node axis, so row j holds the flow by dt[j].
     """
-    dt = np.asarray(dt)
-    ph = dt.reshape(dt.shape + (1,) * omega.ndim) * omega
-    c = np.cos(ph)
-    s = np.sin(ph)
+    c, s = _cos_sin(omega, dt)
     return c, s / omega, -omega * s
 
 

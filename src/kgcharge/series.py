@@ -48,26 +48,36 @@ is.  The t = 0 fields stay on that half spectrum, and the bracket weighs
 each column by how often it occurs in the full spectrum.
 
 The products are pointwise in time, so the recursion runs over blocks of
-SERIES_BLOCK nodes, from s back to t = 0, and every table holds one
-block's rows: its working set is set by the block, not by s.  Every
-table lives in one workspace, allocated once per call and reused by every
-order of every block: each order's point table, the product sum, the
-forward and inverse transforms' outputs (numpy's ``out=``), the band cut
-and the suffix sums' halved terms, so the block loop allocates only the
-block's kernel tables and each write is bit for bit the value a fresh
-array would hold.  Within a
-block each order is one pass.  Its products are summed in place in point
-space; the band's sin(tau omega)/omega and cos(tau omega) are stacked as
-one kernel pair, so both suffix sums of its retarded integral are one
-cumulative sum.  That sum carries
-its running total from block to block as the first term of the next
-block's sum, and the trapezoid's end term, the row at s, from the first
-block, so the sums are bit for bit those of one sum over every node.
-This carried sum (_suffix_sums) is the package's one time quadrature.
-Row 0 of the last block is the order's t = 0 field.  The retarded table
-itself is formed only for orders that a higher order reads, and goes back
-to point space through one reused zero half spectrum.  The kernel pair and
-the leaf's backward-flow multipliers depend on s and the node alone: the
+nodes, from s back to t = 0, and every table holds one block's rows: its
+working set is set by the block, not by s.  A block has SERIES_BLOCK rows,
+or fewer where its tables would pass SERIES_BLOCK_BYTES (_block_rows): a
+row takes, per slice, max_order + 2 point tables, 2 half spectra and 4
+band tables, and the block's kernel tables besides.  The budget binds on
+2-D and 3-D grids and on none of the desk's calls, where each block also
+pays a fixed cost in numpy calls.  Every table lives in one workspace,
+allocated once per call and reused by every order of every block: each
+order's point table, the product sum, the forward and inverse transforms'
+outputs and steps (numpy's ``out=``), the band cut and the suffix sums'
+halved terms, so the block loop allocates only the block's kernel tables
+and each write is bit for bit the value a fresh array would hold.  Within
+a block each order is one pass.  Its products are summed in place in
+point space, and its band cut is weighted by the band's sin(tau
+omega)/omega and cos(tau omega), the kernel pair, into one stacked table,
+so both suffix sums of its retarded integral are one cumulative sum.
+That sum carries its running total from block to block as the first term
+of the next block's sum, and the trapezoid's end term, the row at s, from
+the first block, so the sums are bit for bit those of one sum over every
+node.  This carried sum (_suffix_sums) is the package's one time
+quadrature.  Row 0 of the last block is the order's t = 0 field.  Nothing
+reads the top order's sums but that row, so the top order carries only
+its running total, one reduction per block that adds in the cumulative
+sum's order, and applies row 0's trapezoid terms at the last block.  The
+retarded table itself is formed only for orders that a higher order
+reads, and goes back to point space through one reused zero half
+spectrum, whose band is written box by box (spectral.scatter_band).
+The kernel pair and the leaf's backward-flow multipliers are cos(omega
+dt) and sin(omega dt)/omega (propagation.retarded_multipliers, which
+forms no -omega sin table) and depend on s and the node alone: the
 recursion takes every slice at one s (a sweep's slices share it), and
 each block builds them on its own nodes, so they too are one block's
 size.  The slices are stacked on one axis of every table, so each block
@@ -113,7 +123,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .propagation import TimeGrid, apply_flow, flow_multipliers
+from .propagation import TimeGrid, apply_flow, flow_multipliers, retarded_multipliers
 from .solver import TestFunction, dirac_test_function, evaluate_test_function
 from .spectral import (
     FieldSnapshot,
@@ -121,13 +131,20 @@ from .spectral import (
     band_modes,
     band_values,
     half_spectrum_values,
+    scatter_band,
     sobolev_norm,
 )
 
 
-# Nodes per block of the order recursion: every table of the recursion holds
-# one block's rows, so its working set is set by the block, not by s.
+# Nodes per block of the order recursion at most, and the bytes that one
+# block's tables may take (_block_rows): every table of the recursion holds
+# one block's rows, so its working set is set by the block, not by s.  The
+# desk's calls keep 64 rows, as each block pays a fixed cost in numpy
+# calls: one slice at order 10 takes 19 KB a row, and a sweep's four
+# slices at order 3 take 42 KB.  3-D 32^3 at order 4 takes 2.8 MB a row,
+# and 2 rows; 2-D 64^2 at order 6 takes 19 rows.
 SERIES_BLOCK = 64
+SERIES_BLOCK_BYTES = 2**23
 
 
 class OrderTerm(NamedTuple):
@@ -149,16 +166,10 @@ class ChargeReport:
     meta: dict = field(default_factory=dict)
 
 
-def _kernel_pair(omega: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """sin(tau omega)/omega and cos(tau omega) at every node tau, stacked: shape ``(2, len(nodes), *omega.shape)``."""
-    c, s_over_w, _ = flow_multipliers(omega, nodes)
-    return np.stack([s_over_w, c])
-
-
 def _suffix_sums(
-    weighted: np.ndarray, tgrid: TimeGrid, out: np.ndarray, carry: list, halves: np.ndarray | None = None
-) -> np.ndarray:
-    """One block's trailing trapezoids of both kernel-weighted tables of a :func:`_kernel_pair` stack, into ``out``.
+    weighted: np.ndarray, tgrid: TimeGrid, out: np.ndarray | None, carry: list, halves: np.ndarray | None = None
+) -> np.ndarray | None:
+    """One block's trailing trapezoids of both kernel-weighted tables of a kernel pair, into ``out``.
 
     The package's one time quadrature: row j is the composite trapezoid
     over [tau_j, tau_upper], and the nodes up to the upper one are walked
@@ -166,37 +177,56 @@ def _suffix_sums(
     list that the blocks of one range share.  It is empty before the block
     that ends at the upper node, and after each block it holds the
     reversed cumulative sum through the block's bottom row and the upper
-    node's row, the trapezoid's end term.  The running sum goes in as the
-    first term of the next block's sum, so the additions happen in the
-    order of one reversed cumulative sum over the whole range, and the sums
-    are bit for bit the ones it gives: tests/oracles.py keeps that sum as
-    the reference.  ``halves``, of ``weighted``'s shape, receives the
-    trapezoid's halved terms, and may be ``weighted`` itself when the
-    caller no longer reads it; it is allocated when not given.
+    node's row halved, the trapezoid's end term.  The running sum goes in
+    as the first term of the next block's sum, so the additions happen in
+    the order of one reversed cumulative sum over the whole range, and the
+    sums are bit for bit the ones it gives: tests/oracles.py keeps that
+    sum as the reference.
+
+    ``out`` takes every row of the block, or, when it lacks the node axis,
+    row 0 alone.  Then only the carried total is formed, by one reduction
+    along the reversed node axis, which adds the rows in the cumulative
+    sum's order, and row 0's trapezoid terms are applied to it alone; with
+    ``out`` None the block only adds to the carry.  ``halves``, of
+    ``weighted``'s shape, receives the trapezoid's halved terms of every
+    row, and may be ``weighted`` itself when the caller no longer reads
+    it; it is allocated when not given.
     """
-    head, rows = weighted.swapaxes(0, 1), out.swapaxes(0, 1)
+    head = weighted.swapaxes(0, 1)
     if carry:
-        running, end = carry
+        running, half_end = carry
         top = head[-1].copy()
         head[-1] += running
-        np.cumsum(head[::-1], axis=0, out=rows[::-1])
-        head[-1] = top
     else:
-        end = head[-1].copy()
-        np.cumsum(head[::-1], axis=0, out=rows[::-1])
-    carry[:] = rows[0].copy(), end
-    out -= np.multiply(0.5, weighted, out=halves)
-    rows -= 0.5 * end
-    rows *= tgrid.dt
+        running, half_end = None, 0.5 * head[-1]
+    every_row = out is not None and out.ndim == weighted.ndim
+    if every_row:
+        np.cumsum(head[::-1], axis=0, out=out.swapaxes(0, 1)[::-1])
+        total = out[:, 0].copy()
+    else:
+        total = np.add.reduce(head[::-1], axis=0, out=running)
+    if carry:
+        head[-1] = top
+    carry[:] = total, half_end
+    if out is None:
+        return None
+    if every_row:
+        out -= np.multiply(0.5, weighted, out=halves)
+        out -= half_end[:, None]
+    else:
+        np.subtract(total, 0.5 * weighted[:, 0], out=out)
+        out -= half_end
+    out *= tgrid.dt
     return out
 
 
-def _retarded_table(pair: np.ndarray, sums: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _retarded_table(pair, sums: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Rows integral over t in [tau_j, tau_upper] of sin((t - tau_j) omega)/omega prod(t).
 
-    ``sums`` holds the suffix time integrals of ``pair * prod``, stacked as
-    :func:`_kernel_pair` stacks them; ``out``, of the same shape, is
-    overwritten and a view of it returned.
+    ``pair`` holds sin(tau omega)/omega and cos(tau omega) at the rows'
+    nodes, and ``sums`` the suffix time integrals of ``pair * prod``,
+    stacked in that order; ``out``, of ``sums``' shape, is overwritten and
+    a view of it returned.
     """
     # sin((t - tau) w) / w = sin(t w) / w cos(tau w) - cos(t w) sin(tau w) / w
     # turns the per-row kernel integrals into two shared suffix sums.
@@ -206,9 +236,9 @@ def _retarded_table(pair: np.ndarray, sums: np.ndarray, out: np.ndarray) -> np.n
     return out[0]
 
 
-def _t0_field(sums: np.ndarray) -> np.ndarray:
-    """The t = 0 field (w(0), d/dt w(0)) of a retarded integral w: row 0 of its :func:`_suffix_sums`."""
-    return np.stack([sums[0, 0], -sums[1, 0]])
+def _t0_field(row: np.ndarray) -> np.ndarray:
+    """The t = 0 field (w(0), d/dt w(0)) of a retarded integral w from row 0 of its :func:`_suffix_sums`."""
+    return np.stack([row[0], -row[1]])
 
 
 def _brackets(psi: TestFunction, t: float, fields: np.ndarray) -> list[float]:
@@ -292,6 +322,20 @@ def _workspace(*tables) -> list[np.ndarray]:
     ]
 
 
+def _block_rows(grid, slices: int, max_order: int) -> int:
+    """Rows per block of :func:`_order_fields`: SERIES_BLOCK, or fewer where SERIES_BLOCK_BYTES binds.
+
+    A row takes, per slice, the recursion's max_order + 2 point tables, 2
+    half spectra and 4 band tables, and, shared by the slices, the block's
+    kernel tables: the leaf's two multipliers on the half spectrum and the
+    kernel pair on the band, all real.
+    """
+    points, halves, bands = grid.npoints, math.prod(grid.half_shape), grid.band_omega.size
+    per_slice = 8 * (max_order + 2) * points + 16 * (2 * halves + 4 * bands)
+    row = slices * per_slice + 8 * 2 * (halves + bands)
+    return max(1, min(SERIES_BLOCK, SERIES_BLOCK_BYTES // row))
+
+
 def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
     """The order-n tree fields at t = 0, (W_n(0), d/dt W_n(0)), of every slice: shape ``(len(slices), max_order + 1, 2, *grid.half_shape)``.
 
@@ -301,11 +345,12 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
     summing the cut products.
 
     The products are pointwise in time, so the recursion runs over blocks
-    of SERIES_BLOCK nodes, from s back to t = 0, and every table holds one
-    block's rows.  Per order, both suffix sums of the retarded integral
-    come from one cumulative sum over the kernel pair, which carries its
-    running total from block to block (:func:`_suffix_sums`); row 0 of the
-    last block is the order's t = 0 field, and the retarded table is formed
+    of :func:`_block_rows` nodes, from s back to t = 0, and every table
+    holds one block's rows.  Per order, both suffix sums of the retarded
+    integral come from one cumulative sum over the kernel pair, which
+    carries its running total from block to block (:func:`_suffix_sums`);
+    row 0 of the last block is the order's t = 0 field, the only row of
+    the top order's sums that is formed, and the retarded table is formed
     only for orders that a higher order reads.
 
     The slices share one grid and one time s.  Each block builds its
@@ -320,7 +365,6 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
     upper = tgrid.node_index(s)
     phi = np.stack([snap.phi.values for snap in slices])
     pi = np.stack([snap.pi.values for snap in slices])
-    band = (Ellipsis,) + grid.band_index
     fields = np.zeros((len(slices), max_order + 1, 2) + grid.half_shape, dtype=complex)
     # W_0 at t = 0, the slices flowed back by s, with their time derivatives
     fields[:, 0] = np.stack(apply_flow(flow_multipliers(grid.omega, -s), phi, pi), axis=1)
@@ -333,7 +377,7 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
     # pair, which first takes the band cut, and its suffix sums.  Point
     # tables: one per order below max_order, the product sum and one
     # product.
-    rows = min(SERIES_BLOCK, upper + 1)
+    rows = min(_block_rows(grid, len(slices), max_order), upper + 1)
     lead = (rows, len(slices))
     half_tables, band_tables, point_tables = _workspace(
         ((2,) + lead + grid.half_shape, complex),
@@ -341,41 +385,54 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
         ((max_order + 2,) + lead + grid.shape, float),
     )
     half_tables[1] = 0.0
-    # per order, what its sums carry from block to block (_suffix_sums)
+    # per order, what its sums carry from block to block (_suffix_sums), and
+    # the top order's row 0
     carries = {order: [] for order in range(1, max_order + 1)}
-    for stop in range(upper + 1, 0, -SERIES_BLOCK):
-        start = max(stop - SERIES_BLOCK, 0)
+    top_row = np.empty((2, len(slices)) + grid.band_omega.shape, dtype=complex)
+    for stop in range(upper + 1, 0, -rows):
+        start = max(stop - rows, 0)
         nodes = tgrid.nodes[start:stop]
         *points, total, product = point_tables[:, : stop - start]
         spectrum, half = half_tables[:, : stop - start]
         bands = band_tables[:, : stop - start]
         weighted, sums = bands[0:2], bands[2:4]
-        # the block's kernel tables; their axes are (nodes, slices, *grid),
-        # with an axis of one for the slices
-        c, s_over_w = (m[:, None] for m in flow_multipliers(grid.omega, nodes - s)[:2])
-        block_pair = _kernel_pair(grid.band_omega, nodes)[:, :, None]
+        # the block's kernel tables, with an axis of one for the slices: the
+        # leaf's backward flow and the band's kernel pair, sin(tau omega)/omega
+        # and cos(tau omega)
+        c, s_over_w = (m[:, None] for m in retarded_multipliers(grid.omega, nodes - s))
+        pair = [m[:, None] for m in retarded_multipliers(grid.band_omega, nodes)[::-1]]
         # W_0 at the block's nodes, c phi + (s/w) pi: the zero half
         # spectrum holds the second term and is zeroed again, which on 3-D
-        # 32^3 spares a third half-spectrum table of 18 MB
+        # 32^3 spares a third half-spectrum table of 18 MB, and the inverse
+        # transform's steps run in place of the sum
         leaf = np.multiply(c, phi, out=spectrum)
         leaf += np.multiply(s_over_w, pi, out=half)
         half[...] = 0.0
-        half_spectrum_values(grid, leaf, points[0])
+        half_spectrum_values(grid, leaf, points[0], leaf)
         for order in range(1, max_order + 1):
             np.multiply(points[0], points[order - 1], out=total)
             for i in range(1, order):
                 total += np.multiply(points[i], points[order - 1 - i], out=product)
             # the band cut goes to weighted[1], which is then weighted in place
             cut = band_modes(grid, total, weighted[1], spectrum)
-            np.multiply(block_pair[0], cut, out=weighted[0])
-            np.multiply(block_pair[1], cut, out=weighted[1])
-            # nothing reads weighted after its sums: it takes their halved terms
-            _suffix_sums(weighted, tgrid, sums, carries[order], weighted)
+            np.multiply(pair[0], cut, out=weighted[0])
+            np.multiply(pair[1], cut, out=weighted[1])
+            if order == max_order:
+                # only row 0 of the last block is read: the top order carries its total
+                _suffix_sums(weighted, tgrid, top_row if start == 0 else None, carries[order])
+                row = top_row
+            else:
+                # nothing reads weighted after its sums: it takes their halved terms
+                _suffix_sums(weighted, tgrid, sums, carries[order], weighted)
+                row = sums[:, 0]
             if start == 0:
-                fields[:, order][band] = _t0_field(sums).swapaxes(0, 1)
+                scatter_band(grid, _t0_field(row).swapaxes(0, 1), fields[:, order])
             if order < max_order:
-                table = _retarded_table(block_pair, sums, weighted)
-                band_values(grid, table, half, points[order])
+                table = _retarded_table(pair, sums, weighted)
+                # the forward transform's table is free again: the inverse's steps run in it
+                band_values(grid, table, half, points[order], spectrum)
+        # the next block's kernel tables replace these rather than join them
+        del c, s_over_w, pair
     return fields
 
 

@@ -4,8 +4,11 @@ A planar binary tree is either a single leaf or an ordered pair of planar
 binary trees joined under a new root.  These trees index the perturbative
 expansion evaluated in :mod:`kgcharge.series`; this module is the pure
 combinatorial layer: construction, enumeration, the leaf-replacement
-("growing") operation, cherry pruning, and the signed sums whose
-cancellation makes the expansion telescope order by order.
+("growing") operation, the Dyck-word encoding, and the signed sums over
+cherry prunings whose cancellation makes the expansion telescope order by
+order.  The root decomposition, the pruning of every cherry at once and
+the Dyck-word parser live in tests/oracles.py, since only the tests call
+them.
 
 Size conventions: ``internal_count(b)`` counts vertices with two children,
 ``leaf_count(b)`` counts leaves, and every tree satisfies
@@ -35,14 +38,6 @@ class LengthMismatch(ValueError):
     """Raised when a grow spec does not provide exactly one entry per leaf."""
 
 
-class ParseError(ValueError):
-    """Raised on a malformed tree encoding; carries the failing position."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (position {position})")
-        self.position = position
-
-
 @dataclass(frozen=True)
 class Tree:
     """Immutable planar binary tree: a leaf, or two ordered subtrees."""
@@ -70,13 +65,6 @@ def leaf() -> Tree:
 def graft(b1: Tree, b2: Tree) -> Tree:
     """Join two trees under a new root, with b1 on the left."""
     return Tree(b1, b2)
-
-
-def decompose(b: Tree) -> tuple[Tree, Tree]:
-    """Return the unique (left, right) pair with ``graft(left, right) == b``."""
-    if b.is_leaf:
-        raise DegenerateTree("a leaf has no (left, right) decomposition")
-    return b.left, b.right
 
 
 @lru_cache(maxsize=None)
@@ -202,19 +190,6 @@ def _prune(b: Tree, selected: frozenset[tuple[int, ...]]) -> tuple[Tree, list[Tr
     return rec(b, ())
 
 
-def prune_cherries(b: Tree) -> tuple[Tree, GrowSpec]:
-    """Collapse every cherry of ``b`` simultaneously.
-
-    Returns ``(a, spec)`` with ``grow(spec, a) == b`` and ``spec`` maximal:
-    every cherry of ``b`` is recorded as a cherry entry.  The collapse is a
-    single pass, so the result may itself contain cherries (collapsing both
-    cherries of the four-leaf balanced tree yields the two-leaf tree).  For
-    the bare leaf the trivial pair ``(leaf, (leaf,))`` is returned.
-    """
-    a, entries = _prune(b, frozenset(_cherry_paths(b)))
-    return a, GrowSpec(tuple(entries))
-
-
 def signed_grow_sum(b: Tree, *, min_growth: int = 0) -> int:
     """Signed count of the ways to obtain ``b`` by growing a smaller tree.
 
@@ -242,24 +217,3 @@ def to_dyck(b: Tree) -> str:
     if b.is_leaf:
         return "L"
     return "N" + to_dyck(b.left) + to_dyck(b.right)
-
-
-def from_dyck(s: str) -> Tree:
-    """Inverse of :func:`to_dyck`; rejects malformed input with a position."""
-
-    def parse(i: int) -> tuple[Tree, int]:
-        if i >= len(s):
-            raise ParseError("unexpected end of input", i)
-        c = s[i]
-        if c == "L":
-            return _LEAF, i + 1
-        if c == "N":
-            left, j = parse(i + 1)
-            right, k = parse(j)
-            return Tree(left, right), k
-        raise ParseError(f"unexpected character {c!r}", i)
-
-    tree, end = parse(0)
-    if end != len(s):
-        raise ParseError("trailing input after a complete tree", end)
-    return tree

@@ -19,8 +19,9 @@ Two kinds of code live here, outside the package:
   (jet_order_fields).  Beside them sit the
   per-node solver and diagnostic loops, and the small field helpers
   (to_grid, zero_modes, pointwise_product, hermitian_defect, green_apply,
-  the one-range trapezoid time_integral, the H^q norm at any q, ...) that
-  nothing in the package calls.  The trapezoid over every trailing range
+  the one-range trapezoid time_integral, the H^q norm at any q, the tree
+  helpers decompose, prune_cherries and from_dyck, ...) that nothing in
+  the package calls.  The trapezoid over every trailing range
   at once, suffix_time_integral, is the whole-range reference for the
   package's one time quadrature, the suffix sums that series._suffix_sums
   carries from block to block of nodes; every oracle here sums through it
@@ -50,7 +51,7 @@ Two kinds of code live here, outside the package:
   sampled operator-norm bound (delta_norm_bound_check), with the dual
   sup norm of psi they share (test_function_sup_norm).  The defect and
   the sampled tree functional run on the stacked kernel pair's
-  whole-range suffix sums, each beside the per-node loop that checks it.
+  (kernel_pair) whole-range suffix sums, each beside the per-node loop that checks it.
 """
 
 import itertools
@@ -59,9 +60,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kgcharge.propagation import TimeGrid, apply_flow, flow_multipliers, free_evolve
+from kgcharge.propagation import TimeGrid, apply_flow, flow_multipliers, free_evolve, retarded_multipliers
 from kgcharge.series import _brackets as brackets
-from kgcharge.series import _kernel_pair, _retarded_table, _t0_field, bracket_ds
+from kgcharge.series import _retarded_table, _t0_field, bracket_ds
 from kgcharge.solver import BlowUp, TestFunction, Trajectory, evaluate_test_function
 from kgcharge.spectral import (
     FieldSnapshot,
@@ -76,9 +77,11 @@ from kgcharge.spectral import (
     sobolev_norm,
 )
 from kgcharge.trees import (
+    DegenerateTree,
     GrowSpec,
     Tree,
-    decompose,
+    _cherry_paths,
+    _prune,
     enumerate_trees,
     graft,
     grow,
@@ -325,6 +328,59 @@ def green_apply(kind: str, t: float, tau: float, f: ModeArray) -> ModeArray:
     return ModeArray(grid, mult * f.values)
 
 
+# Tree helpers the package does not call: the root decomposition, cherry
+# pruning, and the Dyck-word parser with its error.
+
+
+def decompose(b: Tree) -> tuple[Tree, Tree]:
+    """Return the unique (left, right) pair with ``graft(left, right) == b``."""
+    if b.is_leaf:
+        raise DegenerateTree("a leaf has no (left, right) decomposition")
+    return b.left, b.right
+
+
+def prune_cherries(b: Tree) -> tuple[Tree, GrowSpec]:
+    """Collapse every cherry of ``b`` simultaneously.
+
+    Returns ``(a, spec)`` with ``grow(spec, a) == b`` and ``spec`` maximal:
+    every cherry of ``b`` is recorded as a cherry entry.  The collapse is a
+    single pass, so the result may itself contain cherries (collapsing both
+    cherries of the four-leaf balanced tree yields the two-leaf tree).  For
+    the bare leaf the trivial pair ``(leaf, (leaf,))`` is returned.
+    """
+    a, entries = _prune(b, frozenset(_cherry_paths(b)))
+    return a, GrowSpec(tuple(entries))
+
+
+class ParseError(ValueError):
+    """Raised on a malformed tree encoding; carries the failing position."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (position {position})")
+        self.position = position
+
+
+def from_dyck(s: str) -> Tree:
+    """Inverse of ``trees.to_dyck``; rejects malformed input with a position."""
+
+    def parse(i: int) -> tuple[Tree, int]:
+        if i >= len(s):
+            raise ParseError("unexpected end of input", i)
+        c = s[i]
+        if c == "L":
+            return leaf(), i + 1
+        if c == "N":
+            left, j = parse(i + 1)
+            right, k = parse(j)
+            return Tree(left, right), k
+        raise ParseError(f"unexpected character {c!r}", i)
+
+    tree, end = parse(0)
+    if end != len(s):
+        raise ParseError("trailing input after a complete tree", end)
+    return tree
+
+
 def catalan(n):
     """Closed-form Catalan number C_n."""
     return math.comb(2 * n, n) // (n + 1)
@@ -459,6 +515,14 @@ def suffix_time_integral(samples: np.ndarray, tgrid: TimeGrid, upper: int, out: 
     rows -= 0.5 * head[-1]
     rows *= tgrid.dt
     return out
+
+
+def kernel_pair(omega: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """sin(tau omega)/omega and cos(tau omega) at every node tau, stacked: shape ``(2, len(nodes), *omega.shape)``.
+
+    The package's blocks hold the two tables apart, each block's own.
+    """
+    return np.stack(retarded_multipliers(omega, nodes)[::-1])
 
 
 def pair_suffix_sums(weighted: np.ndarray, tgrid: TimeGrid, out: np.ndarray | None = None) -> np.ndarray:
@@ -1017,8 +1081,8 @@ def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
     b_0 = bracket_ds(psi, trajectory.node(0))
     phi = full_spectrum(grid, trajectory.phi[: j_s + 1])
     phi_sq = dealiased_product(grid, phi, phi)
-    sums = pair_suffix_sums(_kernel_pair(full_omega(grid), tgrid.nodes[: j_s + 1]) * phi_sq, tgrid)
-    integral = brackets(psi, 0.0, kept_half(grid, _t0_field(sums))[None])[0]
+    sums = pair_suffix_sums(kernel_pair(full_omega(grid), tgrid.nodes[: j_s + 1]) * phi_sq, tgrid)
+    integral = brackets(psi, 0.0, kept_half(grid, _t0_field(sums[:, 0]))[None])[0]
     return abs(b_s - b_0 - trajectory.coupling * integral)
 
 
@@ -1079,7 +1143,7 @@ def delta_norm_bound_check(
     psi_norm = test_function_sup_norm(psi, tgrid)
     if psi_norm == 0.0:
         raise ValueError("test function is identically zero")
-    pair = _kernel_pair(full_omega(grid), tgrid.nodes)
+    pair = kernel_pair(full_omega(grid), tgrid.nodes)
     ratio = 0.0
     for _ in range(samples):
         drawn = []
@@ -1125,7 +1189,7 @@ def _sampled_legs(
     kernels = pair[:, : upper + 1]
     weighted = kernels * prod
     sums = pair_suffix_sums(weighted, tgrid)
-    return _retarded_table(kernels, sums, weighted), _t0_field(sums), upper
+    return _retarded_table(kernels, sums, weighted), _t0_field(sums[:, 0]), upper
 
 
 def _per_node_legs(b, legs, tgrid):
@@ -1252,7 +1316,7 @@ def whole_axis_order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarr
     nodes = tgrid.nodes[: upper + 1]
     c, s_over_w = flow_multipliers(omega, nodes - s)[:2]
     to_zero = flow_multipliers(omega, -s)
-    pair = _kernel_pair(grid.band_omega, nodes)
+    pair = kernel_pair(grid.band_omega, nodes)
     band = (Ellipsis,) + grid.band_index
     fields = np.zeros((len(slices), max_order + 1, 2) + grid.half_shape, dtype=complex)
     weighted = np.empty(pair.shape, dtype=complex)
@@ -1270,7 +1334,7 @@ def whole_axis_order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarr
                 points.clear()
             np.multiply(pair, band_modes(grid, total), out=weighted)
             del total
-            out[order][band] = _t0_field(pair_suffix_sums(weighted, tgrid, sums))
+            out[order][band] = _t0_field(pair_suffix_sums(weighted, tgrid, sums)[:, 0])
             if order < max_order:
                 points.append(band_values(grid, _retarded_table(pair, sums, weighted), half))
     return fields

@@ -1,10 +1,13 @@
 """Free evolution, retarded kernels, and time quadrature."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kgcharge
 from conftest import random_snapshot
-from kgcharge.propagation import TimeGrid, free_evolve
+from kgcharge.propagation import TimeGrid, flow_multipliers, free_evolve, retarded_multipliers
 from kgcharge.series import _suffix_sums
 from kgcharge.spectral import random_band_limited, sobolev_norm
 from oracles import free_mode_evolution, green_apply, suffix_time_integral, time_integral
@@ -153,3 +156,26 @@ def test_suffix_time_integral_matches_per_row_trapezoids(small_grid, rng):
             start = max(stop - block, 0)
             _suffix_sums(pair[:, start:stop], tg, sums[:, start:stop], carry)
         assert np.array_equal(sums, whole), block
+        # row 0 alone: the blocks above node 0 only carry their total, and
+        # the last one applies row 0's trapezoid terms to it
+        row = np.empty_like(whole[:, 0])
+        carry = []
+        for stop in range(upper + 1, 0, -block):
+            start = max(stop - block, 0)
+            _suffix_sums(pair[:, start:stop], tg, row if start == 0 else None, carry)
+        assert np.array_equal(row, whole[:, 0]), block
+
+
+def test_the_retarded_multipliers_are_the_flow_multipliers_without_the_third(small_grid):
+    nodes = TimeGrid(horizon=0.7, nt=9).nodes
+    for lags in (nodes, nodes - 0.7, -0.35):
+        c, s_over_w, _ = flow_multipliers(small_grid.omega, lags)
+        got = retarded_multipliers(small_grid.omega, lags)
+        assert np.array_equal(got[0], c) and np.array_equal(got[1], s_over_w)
+
+
+def test_only_propagation_forms_sin_and_cos():
+    for path in Path(kgcharge.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        forms = "np.sin(" in text or "np.cos(" in text
+        assert forms == (path.name == "propagation.py"), path.name

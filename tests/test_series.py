@@ -9,6 +9,7 @@ against the Cauchy and jet witnesses of the reversed Strang flow.
 """
 
 import importlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -24,10 +25,12 @@ from kgcharge.series import (
     series,
     series_couplings,
 )
+from kgcharge.series import SERIES_BLOCK, SERIES_BLOCK_BYTES
+from kgcharge.series import _block_rows as block_rows
 from kgcharge.series import _order_fields as order_fields
 from kgcharge.solver import TestFunction, evaluate_test_function, gaussian_field, solve, solve_couplings
 from kgcharge.spectral import FieldSnapshot, ModeArray, SpectralGrid, random_band_limited, sobolev_norm
-from kgcharge.trees import enumerate_trees, from_dyck, graft, leaf, leaf_count
+from kgcharge.trees import enumerate_trees, graft, leaf, leaf_count
 from oracles import _test_function_rows as psi_node_rows
 from oracles import test_function_sup_norm as sup_norm
 from oracles import (
@@ -43,6 +46,7 @@ from oracles import (
     delta_norm_bound_check,
     direct_amplitude,
     first_order_bound,
+    from_dyck,
     free_mode_evolution,
     full_omega,
     full_spectrum,
@@ -198,6 +202,7 @@ TEST_ONLY_NAMES = (
     "whole_axis_order_fields",
     "suffix_time_integral",
     "pair_suffix_sums",
+    "kernel_pair",
     "SteppedTrajectory",
     "full_spectrum",
     "kept_half",
@@ -212,6 +217,10 @@ TEST_ONLY_NAMES = (
     "full_omega",
     "full_band_mask",
     "full_keep_mask",
+    "decompose",
+    "from_dyck",
+    "prune_cherries",
+    "ParseError",
 )
 
 
@@ -372,11 +381,18 @@ def test_shared_kernels_need_every_slice_at_one_time(setting, tgrid):
 # Blocks of 1 node, of 7 (which divides none of the node ranges up to T or
 # T/2: 513 and 257, 33 and 17, 17 and 9), of 64 and of the desk's whole 513
 SERIES_BLOCKS = [1, 7, 64, 513]
+# the half-slice settings and a 16^3 grid, on which SERIES_BLOCK_BYTES gives
+# 14 to 31 rows to one slice and 3 to 9 to four, so blocks of 64 and 513
+# nodes take the budget's rows
+BLOCKED_SETTINGS = {
+    **HALF_SLICE_SETTINGS,
+    "3d-16": (SpectralGrid(dim=3, extent=10.0, modes=16, mass=1.0, sobolev_q=2), TimeGrid(0.4, 32)),
+}
 
 
-@pytest.mark.parametrize("setting_name", sorted(HALF_SLICE_SETTINGS))
+@pytest.mark.parametrize("setting_name", sorted(BLOCKED_SETTINGS))
 def test_blocked_recursion_gives_the_whole_axis_fields_bit_for_bit(setting_name, monkeypatch):
-    grid, tg = HALF_SLICE_SETTINGS[setting_name]
+    grid, tg = BLOCKED_SETTINGS[setting_name]
     data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 1.5), gaussian_field(grid, 0.2, 2.5, 1.0))
     trajectories = solve_couplings(data, SWEEP_COUPLINGS, tg)
     for node in (tg.nt, tg.nt // 2):
@@ -406,6 +422,48 @@ def test_blocked_recursion_holds_under_a_third_of_the_whole_axis_working_set():
             tracemalloc.stop()
 
     assert peak(order_fields) < peak(whole_axis_order_fields) / 3
+
+
+def test_the_byte_budget_binds_on_3d_grids_and_leaves_the_desk_its_rows(monkeypatch):
+    series_module = importlib.import_module("kgcharge.series")
+    workspace, rows = series_module._workspace, []
+
+    def recording(*tables):
+        rows.append(tables[0][0][1])
+        return workspace(*tables)
+
+    monkeypatch.setattr(series_module, "_workspace", recording)
+    desk, desk_tg = HALF_SLICE_SETTINGS["desk"]
+    data = FieldSnapshot(0.0, gaussian_field(desk, 0.5, 2.0), gaussian_field(desk, 0.2, 2.5, 1.0))
+    slices = [traj.node(desk_tg.nt) for traj in solve_couplings(data, SWEEP_COUPLINGS, desk_tg)]
+    # the desk's series up to the order cap, and its sweep of four slices at order 3
+    for count, max_order in [(1, 10), (4, 3)]:
+        order_fields(slices[:count], desk_tg, max_order)
+        assert rows[-1] == SERIES_BLOCK == 64
+    assert all(block_rows(desk, 1, max_order) == SERIES_BLOCK for max_order in range(1, 11))
+    cube, _ = BLOCKED_SETTINGS["3d-16"]
+    assert block_rows(cube, 1, 4) < SERIES_BLOCK
+    assert block_rows(SpectralGrid(dim=3, extent=20.0, modes=32, mass=1.0, sobolev_q=2), 1, 4) == 2
+
+
+def test_a_3d_series_holds_under_the_byte_budget_and_its_fixed_tables(rng):
+    grid, tg, max_order = SpectralGrid(dim=3, extent=10.0, modes=24, mass=1.0, sobolev_q=2), TimeGrid(0.4, 32), 4
+    snap = random_snapshot(grid, rng, time=0.4)
+    assert block_rows(grid, 1, max_order) < tg.nnodes
+    order_fields([snap], tg, 1)
+    tracemalloc.start()
+    try:
+        order_fields([snap], tg, max_order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the tables whose size does not depend on the rows: the order fields and
+    # the stacked slice; band rows of both kernels for each order's carry (its
+    # running total and end term), the top order's row 0 and three more that a
+    # carry's update holds; and numpy's buffer for a real operand cast to complex
+    half, band_row = 16 * math.prod(grid.half_shape), 2 * 16 * grid.band_omega.size
+    fixed = (max_order + 1) * 2 * half + 2 * half + (2 * max_order + 4) * band_row + 16 * np.getbufsize()
+    assert peak < SERIES_BLOCK_BYTES + fixed
 
 
 # (grid, time grid): a 32-mode line and an 8^2 grid, each sliced at T.  By

@@ -14,6 +14,7 @@ from kgcharge.spectral import (
     estimate_algebra_constant,
     evaluate_at,
     random_band_limited,
+    scatter_band,
     sobolev_norm,
     to_modes,
 )
@@ -401,6 +402,39 @@ def test_band_transform_pair_is_the_dealiased_projection(small_grid, rng, two_d)
     x, y = grid_values(grid, a), grid_values(grid, b)
     cut = dealiased_product(grid, a, b)[(Ellipsis,) + grid.band_index]
     np.testing.assert_allclose(band_modes(grid, x * y), cut, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        SpectralGrid(),
+        SpectralGrid(dim=1, extent=20.0, modes=30, mass=1.0, sobolev_q=1),
+        SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2),
+        SpectralGrid(dim=3, extent=8.0, modes=8, mass=1.0, sobolev_q=2),
+    ],
+    ids=["1d-128", "1d-30", "2d-16", "3d-8"],
+)
+def test_the_band_boxes_scatter_and_gather_as_the_band_index(grid, rng):
+    band = (Ellipsis,) + grid.band_index
+    assert len(grid.band_boxes) == 2 ** (grid.dim - 1)
+    shape = (2, 3)
+    half = rng.standard_normal(shape + grid.half_shape) + 1j * rng.standard_normal(shape + grid.half_shape)
+    gathered = np.empty(shape + grid.band_omega.shape, dtype=complex)
+    for box, into in grid.band_boxes:
+        gathered[box] = half[into]
+    assert np.array_equal(gathered, half[band])
+    want = np.zeros_like(half)
+    want[band] = gathered
+    got = scatter_band(grid, gathered, np.zeros_like(half))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # outside the band the scatter leaves its buffer as it was
+    marked = np.full_like(half, 7.0)
+    scatter_band(grid, gathered, marked)
+    assert np.all(marked[..., ~grid.keep_mask] == 7.0)
+    # band_modes gathers its transform as the band index does, bit for bit
+    samples = rng.standard_normal((3,) + grid.shape)
+    spectrum = np.fft.rfftn(samples, axes=tuple(range(-grid.dim, 0)))
+    assert np.array_equal(band_modes(grid, samples), spectrum[band] * (grid.volume / grid.npoints))
 
 
 @pytest.mark.parametrize("two_d", [False, True], ids=["1d", "2d"])

@@ -8,21 +8,17 @@ from kgcharge.trees import (
     DegenerateTree,
     GrowSpec,
     LengthMismatch,
-    ParseError,
     Tree,
-    decompose,
     enumerate_trees,
-    from_dyck,
     graft,
     grow,
     internal_count,
     leaf,
     leaf_count,
-    prune_cherries,
     signed_grow_sum,
     to_dyck,
 )
-from oracles import brute_force_signed_grow_sum, catalan
+from oracles import ParseError, brute_force_signed_grow_sum, catalan, decompose, from_dyck, prune_cherries
 
 trees = st.recursive(
     st.just(leaf()), lambda children: st.builds(graft, children, children), max_leaves=24

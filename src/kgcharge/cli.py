@@ -212,9 +212,10 @@ class Config:
 def _load_config(path: str, **options) -> Config:
     """Read the config file; each option that is not None replaces the top-level key of its name."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # JSON text is UTF-8: a file that does not decode is not JSON either
         raise ConfigError("<file>", f"not valid JSON: {exc}") from exc
     data = _read(data, SCHEMA, _DEFAULTS)
     data.update((key, value) for key, value in options.items() if value is not None)

@@ -26,11 +26,11 @@ that layout: its tables (``k_squared``, ``omega``, ``sobolev_weights``,
 ``keep_mask``, ``band_mask``) have ``grid.half_shape``, as does a
 ``ModeArray``, and ``to_modes`` cuts the ``fftn`` of its samples to it.
 The grid also holds what the solver's step needs on that layout: the
-square (``irfft``/``rfft`` with the transform scales and the 2/3 mask as
-one multiplier), and H^q norms and box energies that weigh each kept
-column by how often it occurs in the full spectrum.  ``sobolev_norm``
-weighs a field's columns the same way, and ``evaluate_at`` adds the
-conjugate of each interior column at its mirrored wavenumbers.
+square (the inverse and forward transform steps with the transform scales
+and the 2/3 mask as one multiplier), and H^q norms and box energies that
+weigh each kept column by how often it occurs in the full spectrum.
+``sobolev_norm`` weighs a field's columns the same way, and ``evaluate_at``
+adds the conjugate of each interior column at its mirrored wavenumbers.
 
 A dealiased product of real fields is zero outside the kept band and
 Hermitian, so it is fully described by the band's half: ``|j| <= K`` on the
@@ -38,18 +38,15 @@ leading axes and ``0 <= j <= K`` on the last, with K = ``dealias_bound``
 (43 of 128 columns on a 128-mode line).  ``band_modes`` and ``band_values``
 are the real transform pair on that layout: ``rfftn`` scaled and cut to the
 band, and its inverse, which scatters into the half spectrum and applies
-``irfftn``, each run as its one-axis steps.  They take real point data
-only; the series keeps its tables in this layout, and the ``c_q`` estimate
-forms its pairs and their products through them.  They, like
-``half_spectrum_values`` and the grid's ``square``, write into buffers the
-caller passes, through numpy's ``out=`` on the transforms, when the caller
-reuses its tables from call to call.  ``SpectralGrid.band_index`` picks
-the band out of a half spectrum.  ``scatter_band`` writes it back through
-``SpectralGrid.band_boxes``: the band is one box of basic slices on a 1-D
-grid and 2^(dim - 1) boxes on dim >= 2, which numpy copies several times
-faster than the open-mesh index.  The forward cut gathers with
-``np.take`` over ``band_flat``: the boxes gather faster on 1-D grids but
-slower on 3-D ones.
+``irfftn``.  They take real point data only; the series keeps its tables
+in this layout, and the ``c_q`` estimate forms its pairs and their
+products through them.  They, ``half_spectrum_values`` and the grid's
+``square`` run one set of transform steps, ``_rfftn`` and ``_irfftn``,
+unscaled and bit for bit numpy's own, into buffers the caller passes when
+it reuses its tables from call to call.  The band has one index,
+``SpectralGrid.band_boxes``: one box of basic slices on a 1-D grid and
+2^(dim - 1) on dim >= 2, through which ``band_modes`` gathers,
+``scatter_band`` scatters and ``band_omega`` is gathered.
 
 ``estimate_algebra_constant`` samples the H^q product constant C_q from a
 fixed count of random pairs and a fixed seed, so C_q is a function of the
@@ -212,28 +209,13 @@ class SpectralGrid:
         return self.band_mask(self.dealias_bound)
 
     @cached_property
-    def band_index(self) -> tuple[np.ndarray, ...]:
-        """Open-mesh index of the kept band's half in a half spectrum.
-
-        |j| <= dealias_bound on the leading axes, in FFT storage order, and
-        j = 0..dealias_bound on the last axis.
-        """
-        kmax = self.dealias_bound
-        rows = np.r_[0 : kmax + 1, self.modes - kmax : self.modes]
-        return np.ix_(*([rows] * (self.dim - 1) + [np.arange(kmax + 1)]))
-
-    @cached_property
-    def band_flat(self) -> np.ndarray:
-        """:attr:`band_index` as flat indices into a half spectrum, in the band layout's order."""
-        return np.arange(math.prod(self.half_shape)).reshape(self.half_shape)[self.band_index].ravel()
-
-    @cached_property
     def band_boxes(self) -> tuple[tuple[tuple, tuple], ...]:
-        """:attr:`band_index` as boxes of basic slices: pairs of indices into the band layout and into a half spectrum.
+        """The kept band's half as boxes of basic slices: pairs of indices into the band layout and into a half spectrum.
 
-        One box on a 1-D grid and 2^(dim - 1) on dim >= 2, as each leading
-        axis keeps two runs, j = 0..dealias_bound and its negatives; each
-        index leads with an Ellipsis for the tables' leading axes.
+        The band layout holds |j| <= dealias_bound on the leading axes, in
+        FFT storage order, and j = 0..dealias_bound on the last: one box on
+        a 1-D grid and 2^(dim - 1) on dim >= 2, as each leading axis keeps
+        two runs.  Each index leads with an Ellipsis for the leading axes.
         """
         kmax, modes = self.dealias_bound, self.modes
         low = (slice(0, kmax + 1), slice(0, kmax + 1))
@@ -245,8 +227,12 @@ class SpectralGrid:
 
     @cached_property
     def band_omega(self) -> np.ndarray:
-        """The dispersion relation on the band layout of :attr:`band_index`."""
-        return self.omega[self.band_index]
+        """The dispersion relation on the band layout of :attr:`band_boxes`, gathered box by box."""
+        kmax = self.dealias_bound
+        band = np.empty((2 * kmax + 1,) * (self.dim - 1) + (kmax + 1,))
+        for box, into in self.band_boxes:
+            band[box] = self.omega[into]
+        return band
 
     @cached_property
     def sobolev_weights(self) -> np.ndarray:
@@ -275,19 +261,15 @@ class SpectralGrid:
     def square(self, values: np.ndarray, out: np.ndarray | None = None, points: np.ndarray | None = None) -> np.ndarray:
         """Dealiased squares of a stack of half-spectrum tables.
 
-        ``irfftn``/``rfftn`` (``irfft``/``rfft`` on a 1-D grid, one call
-        each), with both transform scales and the 2/3 mask as one
-        multiplier.  ``out``, when given, receives the squares and is
-        returned; ``points``, a float buffer of the stack's leading shape
-        and ``grid.shape``, receives the point values and their squares.
-        Either is allocated when not given.
+        The module's inverse and forward transform steps, with both scales
+        and the 2/3 mask as one multiplier.  ``out``, when given, receives
+        the squares and is returned; on dim >= 2 the inverse steps run in it
+        first, leaving ``values`` as it was.  ``points``, a float buffer of
+        the stack's leading shape and ``grid.shape``, receives the point
+        values and their squares.  Either is allocated when not given.
         """
-        if self.dim == 1:
-            x = np.fft.irfft(values, self.modes, out=points)
-            squares = np.fft.rfft(np.multiply(x, x, out=x), out=out)
-        else:
-            x = np.fft.irfftn(values, s=self.shape, axes=self._axes, out=points)
-            squares = np.fft.rfftn(np.multiply(x, x, out=x), axes=self._axes, out=out)
+        x = _irfftn(self, values, points, out)
+        squares = _rfftn(self, np.multiply(x, x, out=x), out)
         squares *= self._fold
         return squares
 
@@ -375,21 +357,15 @@ def band_modes(
     """Real forward transform over the trailing grid.dim axes, cut to the band layout.
 
     The band entries are those of the dealiased ``fftn`` of the samples up
-    to rounding; ``samples`` must be real.  ``out`` (C-contiguous, the
-    band layout) receives the band and ``spectrum`` (the half spectrum)
-    the whole transform; either is allocated when not given.
+    to rounding; ``samples`` must be real.  ``out`` (the band layout),
+    gathered box by box, receives the band and ``spectrum`` (the half
+    spectrum) the whole transform; either is allocated when not given.
     """
-    # rfftn's steps: rfft over the last axis, then fft in place over each
-    # leading axis from the last to the first
-    spectrum = np.fft.rfft(samples, out=spectrum)
-    for axis in grid._axes[-2::-1]:
-        spectrum = np.fft.fft(spectrum, axis=axis, out=spectrum)
-    lead = spectrum.shape[: -grid.dim]
+    spectrum = _rfftn(grid, samples, spectrum)
     if out is None:
-        out = np.empty(lead + grid.band_omega.shape, dtype=complex)
-    # a gather into out's own memory: take's "clip" mode spares its copy of
-    # out.  It is faster than the band boxes on 3-D grids.
-    np.take(spectrum.reshape(lead + (-1,)), grid.band_flat, axis=-1, out=out.reshape(lead + (-1,)), mode="clip")
+        out = np.empty(spectrum.shape[: -grid.dim] + grid.band_omega.shape, dtype=complex)
+    for box, into in grid.band_boxes:
+        out[box] = spectrum[into]
     out *= grid.volume / grid.npoints
     return out
 
@@ -433,12 +409,24 @@ def half_spectrum_values(
     that may be ``half`` itself when the caller no longer reads it, and
     allocate a table each when not.
     """
-    # irfftn's steps: ifft over each leading axis, then irfft over the last
-    for axis in grid._axes[:-1]:
-        half = np.fft.ifft(half, axis=axis, out=scratch)
-    values = np.fft.irfft(half, grid.modes, out=out)
+    values = _irfftn(grid, half, out, scratch)
     values *= grid.npoints / grid.volume
     return values
+
+
+def _rfftn(grid: SpectralGrid, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``rfftn`` over the trailing grid.dim axes, unscaled, as its steps: rfft into ``out``, then fft in place, last to first."""
+    spectrum = np.fft.rfft(samples, out=out)
+    for axis in grid._axes[-2::-1]:
+        np.fft.fft(spectrum, axis=axis, out=spectrum)
+    return spectrum
+
+
+def _irfftn(grid: SpectralGrid, half: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """``irfftn`` over the trailing grid.dim axes, unscaled, as its steps: ifft into ``scratch``, then irfft into ``out``."""
+    for axis in grid._axes[:-1]:
+        half = np.fft.ifft(half, axis=axis, out=scratch)
+    return np.fft.irfft(half, grid.modes, out=out)
 
 
 def sobolev_norm(f: ModeArray) -> float:

@@ -13,6 +13,8 @@ caller adds.  The archive's zip entries carry a fixed timestamp, so
 writing the same trajectory again produces the same bytes.  Reading checks
 the archive against its manifest and raises ValueError on:
 
+- a manifest or archive that cannot be read: a directory, or an archive
+  that is empty, truncated or corrupted (a bad CRC-32 among them);
 - a manifest that is not an object, or whose grid or time grid is not an
   object with exactly the keys written here, with an integer (not a
   boolean) for every integer field and a finite real number for every
@@ -43,6 +45,8 @@ from __future__ import annotations
 import csv
 import json
 import sys
+import tokenize
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -116,7 +120,10 @@ def _numbers(manifest: dict, name: str, fields: dict) -> dict:
 def read_trajectory(directory) -> Trajectory:
     """Rebuild a trajectory; raises ValueError unless the archive is the one its manifest describes."""
     directory = Path(directory)
-    manifest = read_manifest(directory)
+    try:
+        manifest = read_manifest(directory)
+    except OSError as exc:
+        raise ValueError(f"{MANIFEST_FILE} cannot be read ({exc})") from exc
     if not isinstance(manifest, dict):
         raise ValueError(f"{MANIFEST_FILE} holds {type(manifest).__name__}, not an object")
     grid_spec, time_spec = _numbers(manifest, "grid", _GRID_FIELDS), _numbers(manifest, "time", _TIME_FIELDS)
@@ -134,11 +141,15 @@ def read_trajectory(directory) -> Trajectory:
         raise ValueError(f"{MANIFEST_FILE} gives a grid out of the floats' range ({exc})") from exc
     if manifest.get("real_field", True) is not True:
         raise ValueError(f"{MANIFEST_FILE} gives real_field {manifest['real_field']!r}; kgcharge stores real fields only")
-    with np.load(directory / TRAJECTORY_FILE, allow_pickle=False) as data:
-        missing = {"times", "phi", "pi"} - set(data.files)
-        if missing:
-            raise ValueError(f"{TRAJECTORY_FILE} lacks the arrays {sorted(missing)}")
-        times, phi, pi = data["times"], data["phi"], data["pi"]
+    try:
+        with np.load(directory / TRAJECTORY_FILE, allow_pickle=False) as data:
+            missing = {"times", "phi", "pi"} - set(data.files)
+            if missing:
+                raise ValueError(f"{TRAJECTORY_FILE} lacks the arrays {sorted(missing)}")
+            times, phi, pi = data["times"], data["phi"], data["pi"]
+    except (OSError, EOFError, zipfile.BadZipFile, NotImplementedError, tokenize.TokenError) as exc:
+        # a directory, or an empty, truncated or corrupted archive: a byte flipped anywhere raises one of these
+        raise ValueError(f"{TRAJECTORY_FILE} cannot be read ({type(exc).__name__}: {exc})") from exc
     if (times.dtype, phi.dtype, pi.dtype) != (np.float64, np.complex128, np.complex128):
         raise ValueError(
             f"{TRAJECTORY_FILE} arrays have dtypes times {times.dtype}, phi {phi.dtype}, pi {pi.dtype}; "

@@ -21,8 +21,10 @@ Two kinds of code live here, outside the package:
   (to_grid, zero_modes, pointwise_product, hermitian_defect, green_apply,
   the one-range trapezoid time_integral, the H^q norm at any q, the tree
   helpers decompose, prune_cherries and from_dyck, ...) that nothing in
-  the package calls.  The trapezoid over every trailing range
-  at once, suffix_time_integral, is the whole-range reference for the
+  the package calls, and the open-mesh band index (band_index) and the
+  square through numpy's irfftn and rfftn (rfftn_square) that the grid's
+  band boxes and square are checked against.  The trapezoid over every
+  trailing range at once, suffix_time_integral, is the whole-range reference for the
   package's one time quadrature, the suffix sums that series._suffix_sums
   carries from block to block of nodes; every oracle here sums through it
   (pair_suffix_sums), never through the package's carry.
@@ -122,6 +124,24 @@ def full_band_mask(grid: SpectralGrid, kmax: int) -> np.ndarray:
 def full_keep_mask(grid: SpectralGrid) -> np.ndarray:
     """The full spectrum's 2/3 band, |j| <= dealias_bound on every axis."""
     return full_band_mask(grid, grid.dealias_bound)
+
+
+def band_index(grid: SpectralGrid) -> tuple[np.ndarray, ...]:
+    """Open-mesh index of the kept band's half in a half spectrum: the reference for the grid's band boxes.
+
+    |j| <= dealias_bound on the leading axes, in FFT storage order, and
+    j = 0..dealias_bound on the last axis.
+    """
+    kmax = grid.dealias_bound
+    rows = np.r_[0 : kmax + 1, grid.modes - kmax : grid.modes]
+    return np.ix_(*([rows] * (grid.dim - 1) + [np.arange(kmax + 1)]))
+
+
+def rfftn_square(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
+    """Dealiased squares of half-spectrum tables through numpy's ``irfftn`` and ``rfftn``, the grid's square's reference."""
+    axes = tuple(range(-grid.dim, 0))
+    x = np.fft.irfftn(values, s=grid.shape, axes=axes)
+    return np.fft.rfftn(x * x, axes=axes) * (grid.keep_mask * (grid.npoints / grid.volume))
 
 
 def full_spectrum(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
@@ -1295,7 +1315,7 @@ def all_rows_order_amplitudes(psi, snap, tgrid, max_order):
     for order in range(1, max_order + 1):
         prod = band_modes(grid, sum(points[i] * points[order - 1 - i] for i in range(order)))
         table, datum = retarded_integral(flow, tgrid, prod, upper)
-        fields[order][(Ellipsis,) + grid.band_index] = datum
+        fields[order][(Ellipsis,) + band_index(grid)] = datum
         if order < max_order:
             points.append(band_values(grid, table, half))
     return brackets(psi, 0.0, fields)
@@ -1317,7 +1337,7 @@ def whole_axis_order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarr
     c, s_over_w = flow_multipliers(omega, nodes - s)[:2]
     to_zero = flow_multipliers(omega, -s)
     pair = kernel_pair(grid.band_omega, nodes)
-    band = (Ellipsis,) + grid.band_index
+    band = (Ellipsis,) + band_index(grid)
     fields = np.zeros((len(slices), max_order + 1, 2) + grid.half_shape, dtype=complex)
     weighted = np.empty(pair.shape, dtype=complex)
     sums = np.empty_like(weighted)

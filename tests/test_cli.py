@@ -121,6 +121,15 @@ def test_malformed_config_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "transport", "readout", "sweep"])
+def test_a_config_that_is_not_utf8_exits_2(runner, tmp_path, command):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe")
+    result = runner.invoke(main, [command, "--config", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "config field '<file>'" in result.output
+
+
 def test_unknown_test_function_type_exits_2(runner, tmp_path):
     cfg = write_config(tmp_path, test_function={"type": "comb"})
     result = runner.invoke(main, ["solve", "--config", str(cfg)])
@@ -539,6 +548,56 @@ def test_transport_and_readout_reject_a_malformed_archive(runner, tmp_path, spoi
         result = runner.invoke(main, [command, "--config", str(config)])
         assert result.exit_code == 2, result.output
         assert "unreadable trajectory" in result.output
+        assert "run solve first" in result.output
+
+
+def truncate_the_archive(tdir):
+    archive = tdir / "trajectory.npz"
+    archive.write_bytes(archive.read_bytes()[:6000])
+
+
+def empty_the_archive(tdir):
+    (tdir / "trajectory.npz").write_bytes(b"")
+
+
+def flip_a_byte_of_pi(tdir):
+    archive = tdir / "trajectory.npz"
+    raw = bytearray(archive.read_bytes())
+    with np.load(archive) as data:
+        pi = data["pi"].tobytes()
+    raw[raw.find(pi) + len(pi) // 2] ^= 0xFF
+    archive.write_bytes(bytes(raw))
+
+
+def make_the_archive_a_directory(tdir):
+    (tdir / "trajectory.npz").unlink()
+    (tdir / "trajectory.npz").mkdir()
+
+
+def make_the_manifest_a_directory(tdir):
+    (tdir / "manifest.json").unlink()
+    (tdir / "manifest.json").mkdir()
+
+
+@pytest.mark.parametrize(
+    "spoil, reason",
+    [
+        pytest.param(truncate_the_archive, "File is not a zip file", id="truncated"),
+        pytest.param(empty_the_archive, "No data left in file", id="empty"),
+        pytest.param(flip_a_byte_of_pi, "Bad CRC-32 for file 'pi.npy'", id="bad-crc"),
+        pytest.param(make_the_archive_a_directory, "Is a directory", id="archive-directory"),
+        pytest.param(make_the_manifest_a_directory, "Is a directory", id="manifest-directory"),
+    ],
+)
+def test_transport_and_readout_exit_2_on_an_archive_they_cannot_read(runner, tmp_path, spoil, reason):
+    cfg = run_solved(runner, tmp_path)
+    dirac = write_config(tmp_path, name="dirac.json", test_function={"type": "dirac", "x0": 3.0, "width": 0.8})
+    spoil(tmp_path / "run" / "trajectory")
+    for command, config in (("transport", cfg), ("readout", dirac)):
+        result = runner.invoke(main, [command, "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert "unreadable trajectory" in result.output
+        assert reason in result.output
         assert "run solve first" in result.output
 
 

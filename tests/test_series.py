@@ -221,6 +221,8 @@ TEST_ONLY_NAMES = (
     "from_dyck",
     "prune_cherries",
     "ParseError",
+    "band_index",
+    "rfftn_square",
 )
 
 

@@ -23,6 +23,7 @@ from kgcharge.solver import gaussian_field
 import oracles
 from oracles import (
     _mode_convolution,
+    band_index,
     complex_product,
     dealiased_modes,
     dealiased_product,
@@ -42,6 +43,7 @@ from oracles import (
     per_trial_algebra_constant,
     pointwise_product,
     random_localized_field,
+    rfftn_square,
     signed_mode_index,
     sobolev_norms_at,
     to_grid,
@@ -162,7 +164,7 @@ def test_the_grid_tables_are_the_kept_half_of_the_full_tables(grid):
         assert np.array_equal(half, kept_half(grid, full))
     bound = grid.dealias_bound
     assert grid.band_omega.shape == (2 * bound + 1,) * (grid.dim - 1) + (bound + 1,)
-    assert np.array_equal(grid.band_omega, full_omega(grid)[grid.band_index])
+    assert np.array_equal(grid.band_omega, full_omega(grid)[band_index(grid)])
 
 
 def test_a_grid_keeps_its_equality_and_hash_once_its_tables_are_built(rng):
@@ -178,7 +180,7 @@ def test_a_grid_keeps_its_equality_and_hash_once_its_tables_are_built(rng):
     assert sobolev_norm(f) == norm
     assert vars(grid)["_weights"] is weights
     grid.energies(f.values, f.values, grid.square(f.values))
-    tables = ("k_squared", "omega", "sobolev_weights", "keep_mask", "band_index", "band_omega", "_fold", "_weights")
+    tables = ("k_squared", "omega", "sobolev_weights", "keep_mask", "band_boxes", "band_omega", "_fold", "_weights")
     for name in tables:
         getattr(grid, name)
     assert set(tables) <= set(vars(grid))
@@ -400,7 +402,7 @@ def test_band_transform_pair_is_the_dealiased_projection(small_grid, rng, two_d)
     a = np.stack([full_draw(grid, rng) for _ in range(3)])
     b = np.stack([full_draw(grid, rng) for _ in range(3)])
     x, y = grid_values(grid, a), grid_values(grid, b)
-    cut = dealiased_product(grid, a, b)[(Ellipsis,) + grid.band_index]
+    cut = dealiased_product(grid, a, b)[(Ellipsis,) + band_index(grid)]
     np.testing.assert_allclose(band_modes(grid, x * y), cut, rtol=0, atol=1e-13)
 
 
@@ -415,7 +417,7 @@ def test_band_transform_pair_is_the_dealiased_projection(small_grid, rng, two_d)
     ids=["1d-128", "1d-30", "2d-16", "3d-8"],
 )
 def test_the_band_boxes_scatter_and_gather_as_the_band_index(grid, rng):
-    band = (Ellipsis,) + grid.band_index
+    band = (Ellipsis,) + band_index(grid)
     assert len(grid.band_boxes) == 2 ** (grid.dim - 1)
     shape = (2, 3)
     half = rng.standard_normal(shape + grid.half_shape) + 1j * rng.standard_normal(shape + grid.half_shape)
@@ -431,10 +433,40 @@ def test_the_band_boxes_scatter_and_gather_as_the_band_index(grid, rng):
     marked = np.full_like(half, 7.0)
     scatter_band(grid, gathered, marked)
     assert np.all(marked[..., ~grid.keep_mask] == 7.0)
-    # band_modes gathers its transform as the band index does, bit for bit
+    # band_modes gathers its transform as the band index does, bit for bit,
+    # into a buffer it is given and into one of its own
     samples = rng.standard_normal((3,) + grid.shape)
     spectrum = np.fft.rfftn(samples, axes=tuple(range(-grid.dim, 0)))
-    assert np.array_equal(band_modes(grid, samples), spectrum[band] * (grid.volume / grid.npoints))
+    want = spectrum[band] * (grid.volume / grid.npoints)
+    assert np.array_equal(band_modes(grid, samples), want)
+    out = np.empty_like(want)
+    assert band_modes(grid, samples, out) is out
+    assert np.array_equal(out, want)
+    assert np.array_equal(grid.band_omega, grid.omega[band])
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        SpectralGrid(),
+        SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2),
+        SpectralGrid(dim=2, extent=40.0, modes=64, mass=1.0, sobolev_q=2),
+        SpectralGrid(dim=3, extent=8.0, modes=8, mass=1.0, sobolev_q=2),
+    ],
+    ids=["1d-128", "2d-16", "2d-64", "3d-8"],
+)
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("given", [False, True], ids=["allocated", "given"])
+def test_the_square_is_the_irfftn_rfftn_square_bit_for_bit(grid, rows, given, rng):
+    values = np.stack([random_band_limited(grid, rng).values for _ in range(rows)])
+    kept = values.copy()
+    out = np.empty_like(values) if given else None
+    points = np.empty((rows,) + grid.shape) if given else None
+    squares = grid.square(values, out, points)
+    assert squares is out if given else squares.shape == values.shape
+    assert np.array_equal(squares, rfftn_square(grid, values))
+    # the inverse steps run in out, not in the table they read
+    assert np.array_equal(values.view(np.uint64), kept.view(np.uint64))
 
 
 @pytest.mark.parametrize("two_d", [False, True], ids=["1d", "2d"])

@@ -10,10 +10,10 @@ convergence bounds, a nonlinear solver to produce ground truth, and a CLI
 for reproducible experiments.
 """
 
-from .propagation import TimeGrid, free_evolve
+from .propagation import TimeGrid
 from .series import (
     ChargeReport,
-    bracket_ds,
+    bracket,
     convergence_condition,
     radius_bound,
     readout,
@@ -21,11 +21,9 @@ from .series import (
 )
 from .solver import (
     BlowUp,
-    TestFunction,
     Trajectory,
     WidthTooSmall,
     dirac_test_function,
-    evaluate_test_function,
     solve,
 )
 from .spectral import (

@@ -8,8 +8,9 @@ manifest that solve writes; rerunning a command with the same config and seed
 produces byte-identical CSV bodies.
 
 Exit codes: 0 success, 1 lemma-check failures, 2 config validation (a
-number that is not finite, a boolean where a number belongs, a fraction in
-an integer field, a negative seed, an out that is not a string, and a grid
+number that is not finite, a boolean or a quoted number such as "32" where
+a number belongs, a fraction in an integer field, a negative seed, an out
+that is not a string, and a grid
 whose m**2 or L**dim overflows, whose m**2 underflows to 0 or whose
 m**2 + |k|**2 overflows among them; also arrays too large for memory, with
 numpy's size and the fields that set it, grid.Nx, grid.dim and time.nt;
@@ -49,11 +50,11 @@ import click
 import numpy as np
 
 from .propagation import TimeGrid
-from .series import bracket_ds, convergence_condition, radius_bound
+from .series import bracket, convergence_condition, radius_bound
 from .series import readout as readout_series
 from .series import series as run_series
 from .series import series_couplings
-from .solver import BlowUp, TestFunction, dirac_denominator, dirac_test_function, gaussian_denominator, gaussian_field
+from .solver import BlowUp, dirac_denominator, dirac_test_function, gaussian_denominator, gaussian_field
 from .solver import solve_couplings
 from .solver import solve as solve_pde
 from .spectral import (
@@ -113,9 +114,9 @@ class ConfigError(Exception):
 
 
 def _number(raw, cast):
-    """``raw`` cast by ``cast``, refusing a boolean, a float that is not finite and a fraction for an int."""
-    if isinstance(raw, bool):
-        raise TypeError(f"must be a number, got {raw}")
+    """``raw`` cast by ``cast``, refusing all but a JSON number (a boolean, a quoted "32"), a float that is not finite and a fraction for an int."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise TypeError(f"must be a number, got {raw!r}")
     value = cast(raw)
     if cast is float and not math.isfinite(value):
         raise ValueError(f"must be a finite number, got {value}")
@@ -296,25 +297,23 @@ def build_initial(cfg: Config) -> FieldSnapshot:
     return FieldSnapshot(0.0, phi, ModeArray(grid, np.zeros(grid.half_shape, dtype=complex)))
 
 
-def build_test_function(cfg: Config) -> TestFunction:
-    """The config's psi; ConfigError when every mode of it is 0, where every residual would read 0."""
+def build_test_function(cfg: Config) -> FieldSnapshot:
+    """The config's psi, Cauchy data at t = 0; ConfigError when every mode of it is 0, where every residual would read 0."""
     grid, spec = cfg.grid, cfg.test_function
     kind = spec["type"]
     if kind == "gaussian":
         g = gaussian_field(grid, spec["amplitude"], spec["width"], spec["center"])
         zero = ModeArray(grid, np.zeros(grid.half_shape, dtype=complex))
         slots = {"position": (g, zero), "velocity": (zero, g)}
-        psi = TestFunction(*slots.get(spec["slot"], (g, g)))
+        psi = FieldSnapshot(0.0, *slots.get(spec["slot"], (g, g)))
     elif kind == "low-mode":
         rng = np.random.default_rng(cfg.seed)
-        psi0 = random_band_limited(grid, rng, spec["kmax"])
-        psi1 = random_band_limited(grid, rng, spec["kmax"])
-        psi0.values *= spec["amplitude"]
-        psi1.values *= spec["amplitude"]
-        psi = TestFunction(psi0, psi1)
+        psi = FieldSnapshot(0.0, *(random_band_limited(grid, rng, spec["kmax"]) for _ in range(2)))
+        psi.phi.values *= spec["amplitude"]
+        psi.pi.values *= spec["amplitude"]
     else:
         psi = dirac_test_function(grid, spec["x0"], spec["width"], spec["which"])
-    if not (psi.psi0.values.any() or psi.psi1.values.any()):
+    if not (psi.phi.values.any() or psi.pi.values.any()):
         # a low-mode psi has no width; a Gaussian narrower than the spacing
         # can fall between the grid points
         if kind == "low-mode" or kind == "gaussian" and spec["amplitude"] == 0:
@@ -429,7 +428,7 @@ def _recorded_bound_inputs(cfg: Config, meta: dict) -> tuple[float, float]:
             raise ConfigError("out", f"{where} lacks solver.{key} (written by an earlier kgcharge); run solve again")
         value = meta[key]
         try:
-            number = _number(value, float) if isinstance(value, (int, float)) else math.nan
+            number = _number(value, float)
         except (TypeError, ValueError, OverflowError):
             number = math.nan
         if not (number > 0 or zero_ok and number == 0):
@@ -479,7 +478,7 @@ def transport(config_path, out, max_order, force):
     first, snap, meta = _read_matching_trajectory(cfg)
     phi_e_norm, c_q = _recorded_bound_inputs(cfg, meta)
     psi = build_test_function(cfg)
-    target = bracket_ds(psi, first)
+    target = bracket(psi, first)
     coupling, window = _coupling(cfg), cfg.tgrid.horizon
     try:
         radius = radius_bound(snap, window, c_q)
@@ -537,7 +536,7 @@ def sweep(config_path, out, max_order):
         slices = solve_couplings(initial, couplings, cfg.tgrid, at=cfg.tgrid.node_index(cfg.s))
     except BlowUp as exc:
         _fail(3, f"blow-up at coupling {exc.coupling!r}: {exc}")
-    reports = series_couplings(psi, slices, couplings, cfg.tgrid, cfg.max_order, target=bracket_ds(psi, initial))
+    reports = series_couplings(psi, slices, couplings, cfg.tgrid, cfg.max_order, target=bracket(psi, initial))
     for coupling, report in zip(couplings, reports):
         _require_finite_series(report, f" at coupling {coupling}")
     for coupling, report in zip(couplings, reports):

@@ -14,9 +14,11 @@ times build the multipliers once: the solver per solve, the series once
 per block of nodes, shared by every slice at s.  retarded_multipliers
 gives its first two tables, the kernels G1 and G0, without the third,
 which the series' blocks never read.  Both form cos and sin through one
-helper, the only place in the package that forms them.  free_evolve
-flows one snapshot by the grid's omega, which has the half-spectrum shape
-of every mode table.
+helper, the only place in the package that forms them.  Nothing here
+applies them: the solver and the series multiply their own tables, on
+the grid's omega, which has the half-spectrum shape of every mode table.
+A test function is never flowed, since the package pairs it at t = 0
+only; tests/oracles.py keeps the flow of one snapshot as a reference.
 
 Time integrals run on the uniform node set of a :class:`TimeGrid`, by one
 composite trapezoid rule, which lives in the series (series._suffix_sums):
@@ -33,8 +35,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .spectral import FieldSnapshot, ModeArray
 
 
 @dataclass(frozen=True)
@@ -102,17 +102,4 @@ def flow_multipliers(omega: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray, np.
     """
     c, s = _cos_sin(omega, dt)
     return c, s / omega, -omega * s
-
-
-def apply_flow(multipliers, phi: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flow mode data (phi_hat, pi_hat) by the :func:`flow_multipliers` given."""
-    c, s_over_w, w_s = multipliers
-    return c * phi + s_over_w * pi, w_s * phi + c * pi
-
-
-def free_evolve(snap: FieldSnapshot, dt: float) -> FieldSnapshot:
-    """Exact linear evolution by dt (negative dt evolves backward)."""
-    grid = snap.grid
-    phi, pi = apply_flow(flow_multipliers(grid.omega, dt), snap.phi.values, snap.pi.values)
-    return FieldSnapshot(snap.time + dt, ModeArray(grid, phi), ModeArray(grid, pi))
 

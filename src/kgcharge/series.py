@@ -26,7 +26,8 @@ series driver runs this order recursion: n tables and one transform pair per
 order instead of Catalan-many tables, keeping the tables in point space so
 the products of one order are summed before a single forward transform.
 
-psi is paired once, at t = 0.  The trapezoid integral over [0, s] of
+psi is its Cauchy data at t = 0, a FieldSnapshot at time 0.0, and is
+paired as it is, once, at t = 0.  The trapezoid integral over [0, s] of
 <psi(tau), F(tau)> equals, sum for sum, the bracket of psi's t = 0 data
 with F's Duhamel datum (the integrals of sin(tau omega)/omega F and of
 -cos(tau omega) F), which is the t = 0 field (w(0), d/dt w(0)) of F's
@@ -123,8 +124,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .propagation import TimeGrid, apply_flow, flow_multipliers, retarded_multipliers
-from .solver import TestFunction, dirac_test_function, evaluate_test_function
+from .propagation import TimeGrid, flow_multipliers, retarded_multipliers
+from .solver import dirac_test_function
 from .spectral import (
     FieldSnapshot,
     GridMismatch,
@@ -241,8 +242,8 @@ def _t0_field(row: np.ndarray) -> np.ndarray:
     return np.stack([row[0], -row[1]])
 
 
-def _brackets(psi: TestFunction, t: float, fields: np.ndarray) -> list[float]:
-    """<d/dt psi(t), phi> - <psi(t), pi> for every row (phi, pi) of a ``(rows, 2, *grid.half_shape)`` stack.
+def _brackets(psi: FieldSnapshot, fields: np.ndarray) -> list[float]:
+    """<psi.pi, phi> - <psi.phi, pi> for every row (phi, pi) of a ``(rows, 2, *grid.half_shape)`` stack.
 
     The rows are half-spectrum tables of real fields.  The full sum of
     conj(f_k) g_k is its sum over the self-conjugate columns, the last
@@ -253,7 +254,6 @@ def _brackets(psi: TestFunction, t: float, fields: np.ndarray) -> list[float]:
     (1/V) sum |f_k| |g_k|) over every summand of the full sum, the scale
     that their rounding takes.
     """
-    at_t = evaluate_test_function(psi, t)
     rows = len(fields)
     phi, pi = fields[:, 0], fields[:, 1]
 
@@ -262,8 +262,8 @@ def _brackets(psi: TestFunction, t: float, fields: np.ndarray) -> list[float]:
         terms = np.conj(f) * g
         return [terms[..., [0, -1]].reshape(rows, -1).sum(axis=1), terms[..., 1:-1].reshape(rows, -1).sum(axis=1)]
 
-    edge, interior = np.subtract(pairs(phi, at_t.pi.values), pairs(pi, at_t.phi.values))
-    sizes = np.add(pairs(np.abs(phi), np.abs(at_t.pi.values)), pairs(np.abs(pi), np.abs(at_t.phi.values)))
+    edge, interior = np.subtract(pairs(phi, psi.pi.values), pairs(pi, psi.phi.values))
+    sizes = np.add(pairs(np.abs(phi), np.abs(psi.pi.values)), pairs(np.abs(pi), np.abs(psi.phi.values)))
     volume = psi.grid.volume
     scale = (sizes[0] + 2.0 * sizes[1]) / volume
     leaks = np.abs(edge.imag) / volume > 1e-10 * (1.0 + scale)
@@ -272,11 +272,13 @@ def _brackets(psi: TestFunction, t: float, fields: np.ndarray) -> list[float]:
     return ((edge.real + 2.0 * interior.real) / volume).tolist()
 
 
-def bracket_ds(psi: TestFunction, snap: FieldSnapshot) -> float:
-    """The pairing <d/dt psi(s), phi(s)> - <psi(s), d/dt phi(s)> at s = snap.time."""
+def bracket(psi: FieldSnapshot, snap: FieldSnapshot) -> float:
+    """The pairing <d/dt psi, phi> - <psi, d/dt phi> of two Cauchy data at one time; ValueError at two times."""
     if psi.grid != snap.grid:
         raise GridMismatch("test function and snapshot live on different grids")
-    return _brackets(psi, snap.time, np.stack([snap.phi.values, snap.pi.values])[None])[0]
+    if psi.time != snap.time:
+        raise ValueError(f"the pairing needs both data at one time, got psi at {psi.time} and the snapshot at {snap.time}")
+    return _brackets(psi, np.stack([snap.phi.values, snap.pi.values])[None])[0]
 
 
 def radius_bound(snap: FieldSnapshot, window: float, c_q: float) -> float:
@@ -367,7 +369,9 @@ def _order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
     pi = np.stack([snap.pi.values for snap in slices])
     fields = np.zeros((len(slices), max_order + 1, 2) + grid.half_shape, dtype=complex)
     # W_0 at t = 0, the slices flowed back by s, with their time derivatives
-    fields[:, 0] = np.stack(apply_flow(flow_multipliers(grid.omega, -s), phi, pi), axis=1)
+    c, s_over_w, w_s = flow_multipliers(grid.omega, -s)
+    fields[:, 0, 0] = c * phi + s_over_w * pi
+    fields[:, 0, 1] = w_s * phi + c * pi
     if max_order == 0:
         return fields
     # The workspace that every order of every block reuses, one allocation
@@ -441,7 +445,7 @@ def _catalan(order: int) -> int:
 
 
 def series(
-    psi: TestFunction,
+    psi: FieldSnapshot,
     snap: FieldSnapshot,
     coupling: float,
     tgrid: TimeGrid,
@@ -464,7 +468,7 @@ def series(
 
 
 def series_couplings(
-    psi: TestFunction,
+    psi: FieldSnapshot,
     slices,
     couplings,
     tgrid: TimeGrid,
@@ -476,16 +480,19 @@ def series_couplings(
     One :func:`_order_fields` call runs the recursion of every slice at
     once: the slices are stacked, and every block of nodes, its kernel
     tables included, runs once for all of them.  Each report is bit for
-    bit the one :func:`series` gives on its slice alone.
+    bit the one :func:`series` gives on its slice alone.  ``psi`` is Cauchy
+    data at t = 0, where the order fields are; ValueError otherwise.
     """
     slices, couplings = list(slices), list(couplings)
     if not slices or len(slices) != len(couplings):
         raise ValueError(f"series_couplings needs one slice per coupling, got {len(slices)} and {len(couplings)}")
     if any(snap.grid != psi.grid for snap in slices):
         raise GridMismatch("test function and snapshot live on different grids")
+    if psi.time != 0.0:
+        raise ValueError(f"psi must be Cauchy data at t = 0, got t = {psi.time}")
     fields = _order_fields(slices, tgrid, max_order)
     return [
-        _report(snap.time, coupling, _brackets(psi, 0.0, orders), target)
+        _report(snap.time, coupling, _brackets(psi, orders), target)
         for snap, coupling, orders in zip(slices, couplings, fields, strict=True)
     ]
 
@@ -516,5 +523,5 @@ def readout(
     fields = _order_fields([snap], tgrid, max_order)[0]
     estimate = sum((-coupling) ** n * w for n, w in enumerate(fields))
     probes = (dirac_test_function(snap.grid, x0, width, which) for which in ("velocity", "position"))
-    phi_est, dtphi_est = (_brackets(probe, 0.0, estimate[None])[0] for probe in probes)
+    phi_est, dtphi_est = (_brackets(probe, estimate[None])[0] for probe in probes)
     return phi_est, -dtphi_est

@@ -1,4 +1,4 @@
-"""Nonlinear Klein-Gordon trajectories and closed-form linear test functions.
+"""Nonlinear Klein-Gordon trajectories and the Cauchy data of linear test functions.
 
 The field equation is (box + m^2) phi + lambda phi^2 = 0.  Trajectories are
 produced by Strang splitting: a half step of the nonlinear kick
@@ -32,16 +32,16 @@ phi is real and so is every coupling, which solve_couplings checks: a
 complex coupling would kick the data off the reals.  The loop steps on the
 ``rfftn`` half spectrum, the last axis' j = 0..modes/2, which is the
 grid's layout: it takes ``grid.omega``, ``grid.square``, ``grid.norms``
-and ``grid.energies`` as they are.  The square goes through
-``irfft``/``rfft``, and the norms weigh each kept column by its
-multiplicity in the full spectrum.  One buffer holds
-phi and pi of every row at a node, the free flow is one product with the
-pair (phi, pi) and one with the pair swapped, and a step's closing half
-kick is the next step's opening one.  The step allocates nothing: the
-flow's cross term, the kick and the point values the square takes phi to
-have buffers allocated once per solve, and the transforms write into them
-through numpy's ``out=``, each write bit for bit the value a fresh array
-would hold.  tests/oracles.py keeps the same step on the full complex
+and ``grid.energies`` as they are.  The square runs the spectral
+module's one set of transform steps (``_irfftn``/``_rfftn``), and the
+norms weigh each kept column by its multiplicity in the full spectrum.
+One buffer holds phi and pi of every row at a node, the free flow is one
+product with the pair (phi, pi) and one with the pair swapped, and a
+step's closing half kick is the next step's opening one.  The step
+allocates nothing: the flow's cross term, the kick and the point values
+the square takes phi to have buffers allocated once per solve, and the
+transforms write into them through numpy's ``out=``, each write bit for
+bit the value a fresh array would hold.  tests/oracles.py keeps the same step on the full complex
 spectrum, for couplings off the real axis.
 
 A trajectory is the Cauchy data at every node as two stacked tables of
@@ -57,9 +57,9 @@ alone and forms no node energies, while it still steps every node and
 tests every node against the ceiling.  sweep asks for the slice at s, and
 solve takes every node and records their energies' drift.
 
-Test functions psi solve the linear equation exactly; they are stored as
-Cauchy data at t = 0 and evaluated at any time with the free flow, so
-(box + m^2) psi = 0 holds to rounding at every time.
+A test function psi is a linear solution given by its Cauchy data at
+t = 0, a FieldSnapshot at time 0.0: the package pairs it with other data
+at t = 0 only, so it never flows psi to another time.
 """
 
 from __future__ import annotations
@@ -68,10 +68,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .propagation import TimeGrid, flow_multipliers, free_evolve
+from .propagation import TimeGrid, flow_multipliers
 from .spectral import (
     FieldSnapshot,
-    GridMismatch,
     ModeArray,
     SizeMismatch,
     SpectralGrid,
@@ -129,25 +128,6 @@ class Trajectory:
         """The data at node j: copies of row j of the tables."""
         phi, pi = (ModeArray(self.grid, table[j].copy()) for table in (self.phi, self.pi))
         return FieldSnapshot(float(self.tgrid.nodes[j]), phi, pi)
-
-
-@dataclass(eq=False)
-class TestFunction:
-    """Cauchy data (psi0, psi1) at t = 0 of a linear solution."""
-
-    # the name looks like a test case to pytest's collector; it is not one
-    __test__ = False
-
-    psi0: ModeArray
-    psi1: ModeArray
-
-    def __post_init__(self) -> None:
-        if self.psi0.grid != self.psi1.grid:
-            raise GridMismatch("psi0 and psi1 must share one grid")
-
-    @property
-    def grid(self) -> SpectralGrid:
-        return self.psi0.grid
 
 
 def solve(
@@ -299,11 +279,6 @@ def solve_couplings(
     ]
 
 
-def evaluate_test_function(tf: TestFunction, t: float) -> FieldSnapshot:
-    """Exact linear solution with data (psi0, psi1), evaluated at time t."""
-    return free_evolve(FieldSnapshot(0.0, tf.psi0, tf.psi1), t)
-
-
 def gaussian_denominator(width: float) -> float:
     """2 w^2 of a Gaussian of width w; ValueError unless w > 0 and 2 w^2 is a finite float above 0."""
     try:
@@ -337,10 +312,10 @@ def gaussian_field(grid: SpectralGrid, amplitude: float, width: float, center=0.
 
 def dirac_test_function(
     grid: SpectralGrid, x0, width: float, which: str = "velocity"
-) -> TestFunction:
-    """Normalized Gaussian approximation of a Dirac mass at x0.
+) -> FieldSnapshot:
+    """Normalized Gaussian approximation of a Dirac mass at x0, as Cauchy data at t = 0.
 
-    which="velocity" puts the bump in psi1 (psi0 = 0); the conserved pairing
+    which="velocity" puts the bump in pi (phi = 0); the conserved pairing
     then reads out phi at x0.  which="position" swaps the slots so the
     pairing reads out the time derivative of phi instead.
     """
@@ -353,6 +328,6 @@ def dirac_test_function(
     g = gaussian_field(grid, 1.0 / dirac_denominator(width, grid.dim), width, x0)
     zero = ModeArray(grid, np.zeros(grid.half_shape, dtype=complex))
     if which == "velocity":
-        return TestFunction(zero, g)
-    return TestFunction(g, zero)
+        return FieldSnapshot(0.0, zero, g)
+    return FieldSnapshot(0.0, g, zero)
 

@@ -9,7 +9,7 @@ import pytest
 
 from kgcharge import SpectralGrid, random_band_limited
 from kgcharge.propagation import TimeGrid
-from kgcharge.solver import TestFunction, Trajectory
+from kgcharge.solver import Trajectory
 from kgcharge.spectral import FieldSnapshot
 
 
@@ -45,5 +45,5 @@ def stacked_trajectory(tgrid, nodes, coupling):
 
 
 def random_test_function(grid, rng):
-    """Random band-limited data in both test-function slots."""
-    return TestFunction(random_band_limited(grid, rng), random_band_limited(grid, rng))
+    """Random band-limited data in both test-function slots, at t = 0."""
+    return FieldSnapshot(0.0, random_band_limited(grid, rng), random_band_limited(grid, rng))

@@ -20,9 +20,11 @@ Two kinds of code live here, outside the package:
   per-node solver and diagnostic loops, and the small field helpers
   (to_grid, zero_modes, pointwise_product, hermitian_defect, green_apply,
   the one-range trapezoid time_integral, the H^q norm at any q, the tree
-  helpers decompose, prune_cherries and from_dyck, ...) that nothing in
-  the package calls, and the open-mesh band index (band_index) and the
-  square through numpy's irfftn and rfftn (rfftn_square) that the grid's
+  helpers decompose, prune_cherries and from_dyck, the flow of one
+  snapshot free_evolve through apply_flow, and psi flowed from t = 0,
+  evaluate_test_function, since the package pairs psi at t = 0 only,
+  ...) that nothing in the package calls, and the open-mesh band index
+  (band_index) and the square through numpy's irfftn and rfftn (rfftn_square) that the grid's
   band boxes and square are checked against.  The trapezoid over every
   trailing range at once, suffix_time_integral, is the whole-range reference for the
   package's one time quadrature, the suffix sums that series._suffix_sums
@@ -62,10 +64,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kgcharge.propagation import TimeGrid, apply_flow, flow_multipliers, free_evolve, retarded_multipliers
+from kgcharge.propagation import TimeGrid, flow_multipliers, retarded_multipliers
 from kgcharge.series import _brackets as brackets
-from kgcharge.series import _retarded_table, _t0_field, bracket_ds
-from kgcharge.solver import BlowUp, TestFunction, Trajectory, evaluate_test_function
+from kgcharge.series import _retarded_table, _t0_field, bracket
+from kgcharge.solver import BlowUp, Trajectory
 from kgcharge.spectral import (
     FieldSnapshot,
     GridMismatch,
@@ -283,18 +285,36 @@ def sobolev_norms_at(grid: SpectralGrid, values: np.ndarray, q: float) -> np.nda
     return np.sqrt(np.sum((1.0 + full_k_squared(grid)) ** q * np.abs(values) ** 2, axis=axes) / grid.volume)
 
 
+def apply_flow(multipliers, phi: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flow mode data (phi_hat, pi_hat) by the :func:`flow_multipliers` given."""
+    c, s_over_w, w_s = multipliers
+    return c * phi + s_over_w * pi, w_s * phi + c * pi
+
+
+def free_evolve(snap: FieldSnapshot, dt: float) -> FieldSnapshot:
+    """Exact linear evolution of half-spectrum data by dt (negative dt evolves backward)."""
+    grid = snap.grid
+    phi, pi = apply_flow(flow_multipliers(grid.omega, dt), snap.phi.values, snap.pi.values)
+    return FieldSnapshot(snap.time + dt, ModeArray(grid, phi), ModeArray(grid, pi))
+
+
+def evaluate_test_function(psi: FieldSnapshot, t: float) -> FieldSnapshot:
+    """The linear solution with psi's Cauchy data at t = 0, at time t: psi flowed by t."""
+    return free_evolve(psi, t)
+
+
 def free_flow(grid: SpectralGrid, phi: np.ndarray, pi: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form linear flow of full-spectrum mode data (phi_hat, pi_hat) by dt, one lag or a stack of them."""
     return apply_flow(flow_multipliers(full_omega(grid), dt), phi, pi)
 
 
-def _test_function_rows(tf: TestFunction, tgrid: TimeGrid, derivative: int = 0) -> np.ndarray:
+def _test_function_rows(tf: FieldSnapshot, tgrid: TimeGrid, derivative: int = 0) -> np.ndarray:
     """psi (or d/dt psi) at every node, stacked full-spectrum tables, from the closed-form flow."""
     grid = tf.grid
-    return free_flow(grid, full_spectrum(grid, tf.psi0.values), full_spectrum(grid, tf.psi1.values), tgrid.nodes)[derivative]
+    return free_flow(grid, full_spectrum(grid, tf.phi.values), full_spectrum(grid, tf.pi.values), tgrid.nodes)[derivative]
 
 
-def test_function_sup_norm(tf: TestFunction, tgrid: TimeGrid) -> float:
+def test_function_sup_norm(tf: FieldSnapshot, tgrid: TimeGrid) -> float:
     """sup over nodes and derivative order of the H^{-q} norm of psi.
 
     This is the single sup-in-time dual norm all bound checks use for psi.
@@ -641,7 +661,7 @@ def subtree_table(b: Tree, cache: AmplitudeCache, snap: FieldSnapshot, tgrid: Ti
 
 def tree_amplitude(
     b: Tree,
-    psi: TestFunction,
+    psi: FieldSnapshot,
     snap: FieldSnapshot,
     tgrid: TimeGrid,
     cache: AmplitudeCache | None = None,
@@ -654,7 +674,7 @@ def tree_amplitude(
     if psi.grid != snap.grid:
         raise GridMismatch("test function and snapshot live on different grids")
     if b.is_leaf:
-        return bracket_ds(psi, snap)
+        return bracket(free_evolve(psi, snap.time), snap)
     if cache is None:
         cache = AmplitudeCache()
     b1, b2 = decompose(b)
@@ -733,7 +753,7 @@ def _slot_rows(
     return rows
 
 
-def direct_amplitude(b: Tree, psi: TestFunction, snap: FieldSnapshot, tgrid: TimeGrid) -> float:
+def direct_amplitude(b: Tree, psi: FieldSnapshot, snap: FieldSnapshot, tgrid: TimeGrid) -> float:
     """Literal nested evaluation of a tree amplitude, orders 0 to 2 only.
 
     Expands the boundary contraction over all per-leaf derivative choices
@@ -744,7 +764,7 @@ def direct_amplitude(b: Tree, psi: TestFunction, snap: FieldSnapshot, tgrid: Tim
     if internal_count(b) > 2:
         raise OrderTooHigh(f"direct evaluation supports order <= 2, got {internal_count(b)}")
     if b.is_leaf:
-        return bracket_ds(psi, snap)
+        return bracket(free_evolve(psi, snap.time), snap)
     if psi.grid != snap.grid:
         raise GridMismatch("test function and snapshot live on different grids")
     grid = snap.grid
@@ -1084,7 +1104,7 @@ def first_order_bound(
     )
 
 
-def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
+def p_residual(psi: FieldSnapshot, trajectory: Trajectory, s: float) -> float:
     """Defect of the integrated charge balance along a computed trajectory.
 
     B(s) - B(0) + integral over [0, s] of <psi(tau), (box + m^2) phi(tau)>
@@ -1097,12 +1117,13 @@ def p_residual(psi: TestFunction, trajectory: Trajectory, s: float) -> float:
     tgrid = trajectory.tgrid
     j_s = tgrid.node_index(s)
     grid = trajectory.grid
-    b_s = bracket_ds(psi, trajectory.node(j_s))
-    b_0 = bracket_ds(psi, trajectory.node(0))
+    at_s = trajectory.node(j_s)
+    b_s = bracket(free_evolve(psi, at_s.time), at_s)
+    b_0 = bracket(psi, trajectory.node(0))
     phi = full_spectrum(grid, trajectory.phi[: j_s + 1])
     phi_sq = dealiased_product(grid, phi, phi)
     sums = pair_suffix_sums(kernel_pair(full_omega(grid), tgrid.nodes[: j_s + 1]) * phi_sq, tgrid)
-    integral = brackets(psi, 0.0, kept_half(grid, _t0_field(sums[:, 0]))[None])[0]
+    integral = brackets(psi, kept_half(grid, _t0_field(sums[:, 0]))[None])[0]
     return abs(b_s - b_0 - trajectory.coupling * integral)
 
 
@@ -1112,14 +1133,14 @@ def per_node_p_residual(psi, traj, s):
     j_s = tgrid.node_index(s)
 
     def bracket(snap):
-        at = free_evolve(FieldSnapshot(0.0, psi.psi0, psi.psi1), snap.time)
+        at = free_evolve(psi, snap.time)
         return (pair_modes(at.pi, snap.phi) - pair_modes(at.phi, snap.pi)).real
 
     samples = np.zeros(tgrid.nnodes)
     for j in range(j_s + 1):
         snap = traj.node(j)
         phi_sq = pointwise_product(snap.phi, snap.phi)
-        psi_j = free_evolve(FieldSnapshot(0.0, psi.psi0, psi.psi1), float(tgrid.nodes[j])).phi
+        psi_j = free_evolve(psi, float(tgrid.nodes[j])).phi
         samples[j] = pair_modes(psi_j, phi_sq).real
     window = -traj.coupling * samples[: j_s + 1]
     integral = (window.sum() - 0.5 * (window[0] + window[-1])) * tgrid.dt
@@ -1140,7 +1161,7 @@ class DeltaNormCheck:
 
 def delta_norm_bound_check(
     b: Tree,
-    psi: TestFunction,
+    psi: FieldSnapshot,
     tgrid: TimeGrid,
     c_q: float,
     samples: int = 12,
@@ -1172,7 +1193,7 @@ def delta_norm_bound_check(
             f.values /= sobolev_norm(f)
             drawn.append((int(rng.integers(0, tgrid.nt + 1)), int(rng.integers(0, 2)), f))
         _, at_zero, _ = _sampled_legs(b, iter(drawn), grid, tgrid, pair)
-        ratio = max(ratio, abs(brackets(psi, 0.0, kept_half(grid, at_zero)[None])[0]) / psi_norm)
+        ratio = max(ratio, abs(brackets(psi, kept_half(grid, at_zero)[None])[0]) / psi_norm)
     m_factor = max(1.0 / grid.mass, 1.0)
     bound = (c_q * m_factor * tgrid.horizon) ** order
     return DeltaNormCheck(ratio <= bound, ratio, bound)
@@ -1286,7 +1307,7 @@ def full_spectrum_order_amplitudes(psi, snap, tgrid, max_order):
     """Sum of tree amplitudes per order, order 0 first, on the full complex spectrum."""
     upper = tgrid.node_index(snap.time)
     psi_rows = _test_function_rows(psi, tgrid)
-    return [bracket_ds(psi, snap)] + [
+    return [bracket(free_evolve(psi, snap.time), snap)] + [
         pairing_integral(snap.grid, tgrid, prod, psi_rows, upper)
         for prod in _full_order_products(snap, tgrid, max_order)
     ]
@@ -1318,7 +1339,7 @@ def all_rows_order_amplitudes(psi, snap, tgrid, max_order):
         fields[order][(Ellipsis,) + band_index(grid)] = datum
         if order < max_order:
             points.append(band_values(grid, table, half))
-    return brackets(psi, 0.0, fields)
+    return brackets(psi, fields)
 
 
 def whole_axis_order_fields(slices, tgrid: TimeGrid, max_order: int) -> np.ndarray:
@@ -1386,13 +1407,13 @@ def reversed_flow(snap, tgrid, couplings):
 
 
 def charges_at_zero(psi, fields):
-    """<psi1, phi> - <psi0, pi> for each row (phi, pi) of stacked t = 0 data, complex.
+    """<psi.pi, phi> - <psi.phi, pi> for each row (phi, pi) of stacked t = 0 data, complex.
 
     The pairing is bilinear in the field (psi's modes are conjugated, the
     field's are not), so it is analytic in a complex coupling; for a real
     field it is the bracket at t = 0.
     """
-    psi0, psi1 = (full_spectrum(psi.grid, f.values) for f in (psi.psi0, psi.psi1))
+    psi0, psi1 = (full_spectrum(psi.grid, f.values) for f in (psi.phi, psi.pi))
     pairs = [np.vdot(psi1, phi) - np.vdot(psi0, pi) for phi, pi in fields]
     return np.array(pairs) / psi.grid.volume
 

@@ -11,9 +11,8 @@ import pytest
 
 from conftest import random_snapshot, random_test_function
 from kgcharge.propagation import TimeGrid
-from kgcharge.series import bracket_ds, readout, series
+from kgcharge.series import bracket, readout, series
 from kgcharge.solver import (
-    TestFunction,
     dirac_test_function,
     gaussian_field,
     solve,
@@ -43,6 +42,7 @@ from oracles import (
     direct_amplitude,
     field_energy_norm,
     first_order_bound,
+    free_evolve,
     full_spectrum,
     green_apply,
     p_residual,
@@ -73,7 +73,7 @@ def data(grid):
 @pytest.fixture(scope="module")
 def psi(grid):
     bump = gaussian_field(grid, 1.0, 3.0, 0.5)
-    return TestFunction(bump, bump)
+    return FieldSnapshot(0.0, bump, bump)
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +97,9 @@ def test_criterion_01_linear_conservation(grid, tgrid, rng):
         pair_data = random_snapshot(grid, rng)
         pair_psi = random_test_function(grid, rng)
         traj = solve(pair_data, 0.0, tgrid)
+        last = traj.node(-1)
         drift = abs(
-            bracket_ds(pair_psi, traj.node(-1)) - bracket_ds(pair_psi, traj.node(0))
+            bracket(free_evolve(pair_psi, last.time), last) - bracket(pair_psi, traj.node(0))
         )
         worst = max(worst, drift)
     verdict(1, "linear conservation", worst <= 1e-10, f"max drift {worst:.3e} vs 1e-10")
@@ -107,8 +108,9 @@ def test_criterion_01_linear_conservation(grid, tgrid, rng):
 def test_criterion_02_first_order_identity(psi, trajectories, tgrid):
     traj = trajectories[COUPLING]
     defect = p_residual(psi, traj, tgrid.horizon)
+    last = traj.node(-1)
     scale = abs(
-        bracket_ds(psi, traj.node(-1)) - bracket_ds(psi, traj.node(0))
+        bracket(free_evolve(psi, last.time), last) - bracket(psi, traj.node(0))
     )
     rel = defect / scale
     verdict(2, "first-order identity", rel <= 1e-6, f"relative defect {rel:.3e} vs 1e-6")
@@ -127,7 +129,7 @@ def test_criterion_03_oracle_equivalence(grid, psi, trajectories, tgrid):
         grid.mass,
         snap.time,
         np.asarray(tgrid.nodes),
-        *(full_spectrum(grid, f.values) for f in (snap.phi, snap.pi, psi.psi0, psi.psi1)),
+        *(full_spectrum(grid, f.values) for f in (snap.phi, snap.pi, psi.phi, psi.pi)),
     )
     cherry = tree_amplitude(graft(leaf(), leaf()), psi, snap, tgrid)
     closed = abs(cherry - oracle) / abs(oracle)
@@ -145,7 +147,7 @@ def test_criterion_04_series_transport(psi, trajectories, tgrid):
     targets = {}
     for lam in SWEEP:
         traj = trajectories[lam]
-        target = bracket_ds(psi, traj.node(0))
+        target = bracket(psi, traj.node(0))
         report = series(psi, traj.node(-1), lam, tgrid, max_order=4, target=target)
         residuals[lam] = report.residuals
         targets[lam] = target
@@ -230,7 +232,7 @@ def test_criterion_07_norm_growth_bound(psi, tgrid, c_q):
 
 def test_criterion_08_bound_self_consistency(grid, psi, trajectories, tgrid, c_q):
     traj = trajectories[COUPLING]
-    target = bracket_ds(psi, traj.node(0))
+    target = bracket(psi, traj.node(0))
     report = series(psi, traj.node(-1), COUPLING, tgrid, max_order=1, target=target)
     measured = report.residuals[-1]
     bound = first_order_bound(
@@ -281,7 +283,7 @@ def test_criterion_10_readout(grid, trajectories, tgrid):
     first = traj.node(0)
     phi_true = evaluate_at(first.phi, x0)
     dtphi_true = evaluate_at(first.pi, x0)
-    bump = dirac_test_function(grid, x0, width).psi1
+    bump = dirac_test_function(grid, x0, width).pi
     smoothing_phi = abs(complex(pair_modes(first.phi, bump)).real - phi_true)
     smoothing_pi = abs(complex(pair_modes(first.pi, bump)).real - dtphi_true)
     err_phi = abs(phi_est - phi_true)

@@ -188,6 +188,28 @@ def test_non_numeric_fields_are_named_by_their_key_path(runner, tmp_path, change
 
 
 @pytest.mark.parametrize(
+    "changed, field, shown",
+    [
+        ({"grid": {"Nx": "32"}}, "grid.Nx", "'32'"),
+        ({"coupling": "0.2"}, "coupling", "'0.2'"),
+        ({"grid": {"L": " 20 "}}, "grid.L", "' 20 '"),
+        ({"max_order": "3"}, "max_order", "'3'"),
+        ({"seed": "7"}, "seed", "'7'"),
+    ],
+)
+def test_a_number_given_as_a_string_exits_2(runner, tmp_path, changed, field, shown):
+    # int() and float() would parse each of these; a config, like a
+    # manifest, takes a number only as a JSON number.  transport finds the
+    # trajectory that the unquoted config solved.
+    run_solved(runner, tmp_path)
+    cfg = write_config(tmp_path, name="quoted.json", **changed)
+    for command in (["solve"], ["transport", "--force"]):
+        result = runner.invoke(main, command + ["--config", str(cfg)])
+        assert result.exit_code == 2, (command, result.output)
+        assert f"config field '{field}': must be a number, got {shown}" in result.output
+
+
+@pytest.mark.parametrize(
     "command, changed, field",
     [
         ("solve", {"grid": {"Nx": 32.9}}, "grid.Nx"),

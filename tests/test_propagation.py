@@ -7,10 +7,10 @@ import pytest
 
 import kgcharge
 from conftest import random_snapshot
-from kgcharge.propagation import TimeGrid, flow_multipliers, free_evolve, retarded_multipliers
+from kgcharge.propagation import TimeGrid, flow_multipliers, retarded_multipliers
 from kgcharge.series import _suffix_sums
 from kgcharge.spectral import random_band_limited, sobolev_norm
-from oracles import free_mode_evolution, green_apply, suffix_time_integral, time_integral
+from oracles import free_evolve, free_mode_evolution, green_apply, suffix_time_integral, time_integral
 
 
 def test_time_grid_validation():

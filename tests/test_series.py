@@ -18,18 +18,18 @@ import pytest
 from conftest import random_snapshot, random_test_function, stacked_trajectory
 from kgcharge.propagation import TimeGrid
 from kgcharge.series import (
-    bracket_ds,
+    bracket,
     convergence_condition,
     radius_bound,
     readout,
     series,
     series_couplings,
 )
-from kgcharge.series import SERIES_BLOCK, SERIES_BLOCK_BYTES
+from kgcharge.series import SERIES_BLOCK, SERIES_BLOCK_BYTES, _brackets as brackets
 from kgcharge.series import _block_rows as block_rows
 from kgcharge.series import _order_fields as order_fields
-from kgcharge.solver import TestFunction, evaluate_test_function, gaussian_field, solve, solve_couplings
-from kgcharge.spectral import FieldSnapshot, ModeArray, SpectralGrid, random_band_limited, sobolev_norm
+from kgcharge.solver import dirac_test_function, gaussian_field, solve, solve_couplings
+from kgcharge.spectral import FieldSnapshot, GridMismatch, ModeArray, SpectralGrid, random_band_limited, sobolev_norm
 from kgcharge.trees import enumerate_trees, graft, leaf, leaf_count
 from oracles import _test_function_rows as psi_node_rows
 from oracles import test_function_sup_norm as sup_norm
@@ -45,7 +45,9 @@ from oracles import (
     cherry_amplitude,
     delta_norm_bound_check,
     direct_amplitude,
+    evaluate_test_function,
     first_order_bound,
+    free_evolve,
     from_dyck,
     free_mode_evolution,
     full_omega,
@@ -79,13 +81,13 @@ def tgrid():
 def setting(grid, tgrid):
     """One solved interacting trajectory with its test function and target."""
     data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 2.0), zero_modes(grid))
-    psi = TestFunction(
-        gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5)
+    psi = FieldSnapshot(
+        0.0, gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5)
     )
     coupling = 0.2
     traj = solve(data, coupling, tgrid)
     snap = traj.node(-1)
-    target = bracket_ds(psi, traj.node(0))
+    target = bracket(psi, traj.node(0))
     return traj, snap, psi, coupling, target
 
 
@@ -94,7 +96,8 @@ def test_bracket_is_conserved_without_coupling(grid, tgrid, rng):
         data = random_snapshot(grid, rng)
         psi = random_test_function(grid, rng)
         traj = solve(data, 0.0, tgrid)
-        drift = abs(bracket_ds(psi, traj.node(-1)) - bracket_ds(psi, traj.node(0)))
+        last = traj.node(-1)
+        drift = abs(bracket(free_evolve(psi, last.time), last) - bracket(psi, traj.node(0)))
         assert drift <= 1e-10
 
 
@@ -104,7 +107,7 @@ def test_leaf_and_test_function_rows_follow_the_free_flow(setting, tgrid):
     omega = full_omega(grid)
     leaves = leaf_table(snap, tgrid).values
     psi_rows = [psi_node_rows(psi, tgrid, derivative) for derivative in (0, 1)]
-    phi0, pi0, psi0, psi1 = (full_spectrum(grid, f.values) for f in (snap.phi, snap.pi, psi.psi0, psi.psi1))
+    phi0, pi0, psi0, psi1 = (full_spectrum(grid, f.values) for f in (snap.phi, snap.pi, psi.phi, psi.pi))
     for j, tau in enumerate(tgrid.nodes):
         phi, _ = free_mode_evolution(phi0, pi0, omega, tau - snap.time)
         np.testing.assert_allclose(leaves[j], phi, rtol=1e-12, atol=1e-12)
@@ -114,7 +117,7 @@ def test_leaf_and_test_function_rows_follow_the_free_flow(setting, tgrid):
 
 def test_leaf_amplitude_is_the_bracket(setting, tgrid):
     _, snap, psi, _, _ = setting
-    assert tree_amplitude(leaf(), psi, snap, tgrid) == bracket_ds(psi, snap)
+    assert tree_amplitude(leaf(), psi, snap, tgrid) == bracket(free_evolve(psi, snap.time), snap)
 
 
 def test_a_pairing_of_a_non_hermitian_table_still_raises(small_grid, rng):
@@ -122,14 +125,80 @@ def test_a_pairing_of_a_non_hermitian_table_still_raises(small_grid, rng):
     # rounding stays far below it, a table that is not a real field's does not
     psi = random_test_function(small_grid, rng)
     snap = random_snapshot(small_grid, rng)
-    bracket_ds(psi, snap)
+    bracket(psi, snap)
     noise = rng.standard_normal(small_grid.half_shape) + 1j * rng.standard_normal(small_grid.half_shape)
     leaky = snap.phi.values + 1e-6 * np.abs(snap.phi.values).max() * noise
     with pytest.raises(AssertionError, match="pairing has imaginary part"):
-        bracket_ds(psi, FieldSnapshot(0.0, ModeArray(small_grid, leaky), snap.pi))
+        bracket(psi, FieldSnapshot(0.0, ModeArray(small_grid, leaky), snap.pi))
     # a purely imaginary field pairs to a purely imaginary bracket
     with pytest.raises(AssertionError, match="pairing has imaginary part"):
-        bracket_ds(psi, FieldSnapshot(0.0, ModeArray(small_grid, 1j * snap.phi.values), snap.pi))
+        bracket(psi, FieldSnapshot(0.0, ModeArray(small_grid, 1j * snap.phi.values), snap.pi))
+
+
+# (grid, time grid): the desk grid, a 30-mode line, a 16^2 grid and an 8^3 cube
+PAIRING_SETTINGS = {
+    "desk": (SpectralGrid(dim=1, extent=40.0, modes=128, mass=1.0, sobolev_q=1), TimeGrid(0.5, 64)),
+    "1d-30": (SpectralGrid(dim=1, extent=20.0, modes=30, mass=1.0, sobolev_q=1), TimeGrid(0.4, 32)),
+    "2d-16": (SpectralGrid(dim=2, extent=10.0, modes=16, mass=1.0, sobolev_q=2), TimeGrid(0.5, 16)),
+    "3d-8": (SpectralGrid(dim=3, extent=8.0, modes=8, mass=1.0, sobolev_q=2), TimeGrid(0.5, 16)),
+}
+
+
+def psi_of_every_kind(grid):
+    """The test functions the CLI builds: a Gaussian in each slot, low-mode data and both Dirac probes."""
+    g, zero = gaussian_field(grid, 1.0, 3.0, 0.5), zero_modes(grid)
+    rng = np.random.default_rng(7)
+    return {
+        "both": FieldSnapshot(0.0, g, g),
+        "position": FieldSnapshot(0.0, g, zero),
+        "velocity": FieldSnapshot(0.0, zero, g),
+        "low-mode": FieldSnapshot(0.0, random_band_limited(grid, rng, 8), random_band_limited(grid, rng, 8)),
+        **{f"dirac-{which}": dirac_test_function(grid, 3.0, 1.0, which) for which in ("velocity", "position")},
+    }
+
+
+@pytest.mark.parametrize("setting_name", sorted(PAIRING_SETTINGS))
+def test_psi_paired_as_it_is_gives_the_flowed_pairing_bit_for_bit(setting_name):
+    # psi's t = 0 data paired as they are must give, bit for bit, the
+    # pairing of the linear solution they start, flowed by 0
+    grid, tg = PAIRING_SETTINGS[setting_name]
+    data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 1.5), gaussian_field(grid, 0.2, 2.5, 1.0))
+    snap = solve(data, 0.3, tg).node(tg.nt)
+    stacks = {
+        "order fields": order_fields([snap], tg, 10)[0],
+        "t = 0 data": np.stack([data.phi.values, data.pi.values])[None],
+    }
+    for kind, psi in psi_of_every_kind(grid).items():
+        flowed = free_evolve(psi, 0.0)
+        assert flowed.time == 0.0
+        for name, fields in stacks.items():
+            got = brackets(psi, fields)
+            assert got == brackets(flowed, fields), (kind, name)
+            assert any(value != 0.0 for value in got), (kind, name)
+        assert bracket(psi, data) == brackets(flowed, stacks["t = 0 data"])[0], kind
+
+
+def test_a_pairing_needs_both_data_at_one_time_and_on_one_grid(setting, tgrid):
+    traj, snap, psi, _, _ = setting
+    with pytest.raises(ValueError, match="one time"):
+        bracket(psi, snap)
+    with pytest.raises(ValueError, match="one time"):
+        bracket(free_evolve(psi, snap.time), traj.node(0))
+    other = SpectralGrid(dim=1, extent=20.0, modes=64, mass=1.0, sobolev_q=1)
+    with pytest.raises(GridMismatch):
+        bracket(psi, FieldSnapshot(0.0, zero_modes(other), zero_modes(other)))
+
+
+def test_the_series_refuses_a_psi_off_t_0(setting, tgrid):
+    # the order fields are at t = 0, so a psi at any other time would be
+    # paired across two times
+    traj, snap, psi, coupling, _ = setting
+    for t in (snap.time, 0.1, -0.1):
+        moved = FieldSnapshot(t, psi.phi, psi.pi)
+        with pytest.raises(ValueError, match="t = 0"):
+            series_couplings(moved, [snap], [coupling], tgrid, 2)
+        with pytest.raises(ValueError, match="t = 0"):
+            series(moved, snap, coupling, tgrid, 2)
 
 
 def test_fast_path_matches_literal_evaluation(setting, tgrid):
@@ -148,7 +217,7 @@ def test_cherry_amplitude_matches_the_closed_form_oracle(setting, grid, tgrid):
         grid.mass,
         snap.time,
         np.asarray(tgrid.nodes),
-        *(full_spectrum(grid, f.values) for f in (snap.phi, snap.pi, psi.psi0, psi.psi1)),
+        *(full_spectrum(grid, f.values) for f in (snap.phi, snap.pi, psi.phi, psi.pi)),
     )
     value = tree_amplitude(graft(leaf(), leaf()), psi, snap, tgrid)
     assert value == pytest.approx(oracle, rel=1e-9)
@@ -223,6 +292,10 @@ TEST_ONLY_NAMES = (
     "ParseError",
     "band_index",
     "rfftn_square",
+    "TestFunction",
+    "evaluate_test_function",
+    "free_evolve",
+    "apply_flow",
 )
 
 
@@ -312,7 +385,7 @@ def test_band_recursion_matches_the_full_spectrum_oracle(setting_name, coupling)
     # band-limited psi on the 40-box flips an amplitude's sign at order 4.
     data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 1.5), gaussian_field(grid, 0.2, 2.5, 1.0))
     snap = solve(data, coupling, tg).node(tg.node_index(s))
-    psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5))
+    psi = FieldSnapshot(0.0, gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5))
     # a coupling of -1 makes each order's term its amplitude sum
     report = series(psi, snap, -1.0, tg, max_order=6)
     oracle = full_spectrum_order_amplitudes(psi, snap, tg, max_order=6)
@@ -334,7 +407,7 @@ def test_tables_cut_at_s_match_the_tables_over_every_node_bit_for_bit(setting_na
     grid, tg = HALF_SLICE_SETTINGS[setting_name]
     data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 1.5), gaussian_field(grid, 0.2, 2.5, 1.0))
     snap = solve(data, 0.3, tg).node(tg.nt // 2)
-    psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 0.5, 2.0, 1.0))
+    psi = FieldSnapshot(0.0, gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 0.5, 2.0, 1.0))
     report = series(psi, snap, -1.0, tg, max_order=6)
     assert [term.order_sum for term in report.per_order] == all_rows_order_amplitudes(psi, snap, tg, 6)
 
@@ -353,7 +426,7 @@ def test_shared_kernels_give_every_coupling_its_lone_series(setting_name, max_or
     grid, tg = SHARED_KERNEL_SETTINGS[setting_name]
     data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 1.5), gaussian_field(grid, 0.2, 2.5, 1.0))
     slices = [traj.node(tg.nt) for traj in solve_couplings(data, SWEEP_COUPLINGS, tg)]
-    psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 0.5, 2.0, 1.0))
+    psi = FieldSnapshot(0.0, gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 0.5, 2.0, 1.0))
     if max_order < 2:
         # only an order below the last reads a retarded table; up to order 1
         # none may be formed at all
@@ -488,7 +561,7 @@ def test_orders_past_the_tree_tables_match_the_cauchy_and_jet_witnesses(setting_
     grid, tg = WITNESS_SETTINGS[setting_name]
     data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 2.0), gaussian_field(grid, 0.2, 2.5, 1.0))
     snap = solve(data, coupling, tg).node(tg.nt)
-    psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5))
+    psi = FieldSnapshot(0.0, gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5))
     report = series(psi, snap, -1.0, tg, max_order=11)
     sums = [term.order_sum for term in report.per_order]
     # the circle lies between a third and a half of the observed radius
@@ -527,7 +600,7 @@ def test_the_recovered_charge_converges_at_second_order_in_dt(grid):
     # must move like dt^2 as the time grid is refined
     s, coupling = 0.4, 2.0
     snap = FieldSnapshot(s, gaussian_field(grid, 0.5, 2.0), gaussian_field(grid, 0.2, 2.5, 1.0))
-    psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5))
+    psi = FieldSnapshot(0.0, gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5))
     reports = [series(psi, snap, coupling, TimeGrid(s, nt), max_order=8) for nt in (8, 16, 32)]
     charges = [report.partial_sums[-1] for report in reports]
     steps = [charges[0] - charges[1], charges[1] - charges[2]]
@@ -540,7 +613,7 @@ def test_series_reproduces_the_linear_charge(grid, tgrid, rng):
     data = random_snapshot(grid, rng)
     psi = random_test_function(grid, rng)
     traj = solve(data, 0.0, tgrid)
-    target = bracket_ds(psi, traj.node(0))
+    target = bracket(psi, traj.node(0))
     report = series(psi, traj.node(-1), 0.0, tgrid, max_order=2, target=target)
     for partial, residual in zip(report.partial_sums, report.residuals):
         assert partial == pytest.approx(target, abs=1e-10)
@@ -576,13 +649,13 @@ def test_order_terms_scale_with_the_coupling(setting, tgrid):
 
 def test_first_order_truncation_error_is_second_order(grid, tgrid):
     data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 2.0), zero_modes(grid))
-    psi = TestFunction(
-        gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5)
+    psi = FieldSnapshot(
+        0.0, gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5)
     )
     residuals = []
     for coupling in (0.1, 0.05):
         traj = solve(data, coupling, tgrid)
-        target = bracket_ds(psi, traj.node(0))
+        target = bracket(psi, traj.node(0))
         report = series(
             psi, traj.node(-1), coupling, tgrid, max_order=1, target=target
         )
@@ -614,11 +687,11 @@ def test_stacked_p_residual_matches_the_per_node_loop(dim, coupling, rng):
     # random node data is no solution, so its defect is O(1), not a cancellation
     unsolved = stacked_trajectory(tgrid, [random_snapshot(grid, rng, t) for t in tgrid.nodes], coupling)
     for traj in (solved, unsolved):
-        scale = abs(bracket_ds(psi, traj.node(0)))
+        scale = abs(bracket(psi, traj.node(0)))
         for s in (0.4, 0.2):
             want = per_node_p_residual(psi, traj, s)
             assert p_residual(psi, traj, s) == pytest.approx(want, rel=1e-14, abs=1e-14 * scale)
-    assert per_node_p_residual(psi, unsolved, 0.4) > 1e-3 * abs(bracket_ds(psi, unsolved.node(0)))
+    assert per_node_p_residual(psi, unsolved, 0.4) > 1e-3 * abs(bracket(psi, unsolved.node(0)))
 
 
 # (grid, time grid): a 30-mode line and a 16^2 grid, each over T = 0.5
@@ -635,7 +708,7 @@ def test_p_residual_at_half_time_is_the_residual_of_the_first_half_bit_for_bit(s
     keep = half_tg.nnodes
     assert np.array_equal(half_tg.nodes, tg.nodes[:keep])
     data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 2.0), zero_modes(grid))
-    psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5))
+    psi = FieldSnapshot(0.0, gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5))
     solved = solve(data, 0.3, tg)
     # random node data is no solution, so its defect is O(1), not a cancellation
     unsolved = stacked_trajectory(tg, [random_snapshot(grid, rng, t) for t in tg.nodes], 0.3)
@@ -692,8 +765,8 @@ def test_measured_residual_obeys_the_first_order_bound(setting, grid, tgrid):
 
 
 def test_delta_norm_bound_check_holds_through_order_three(grid, tgrid):
-    psi = TestFunction(
-        gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5)
+    psi = FieldSnapshot(
+        0.0, gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5)
     )
     for order in range(4):
         for b in enumerate_trees(order):
@@ -704,8 +777,8 @@ def test_delta_norm_bound_check_holds_through_order_three(grid, tgrid):
 
 
 def test_delta_norm_bound_check_refuses_order_four(grid, tgrid):
-    psi = TestFunction(
-        gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5)
+    psi = FieldSnapshot(
+        0.0, gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5)
     )
     b = enumerate_trees(4)[0]
     with pytest.raises(OrderTooHigh):
@@ -713,7 +786,7 @@ def test_delta_norm_bound_check_refuses_order_four(grid, tgrid):
 
 
 def test_delta_norm_bound_check_rejects_zero_psi(grid, tgrid):
-    psi = TestFunction(zero_modes(grid), zero_modes(grid))
+    psi = FieldSnapshot(0.0, zero_modes(grid), zero_modes(grid))
     with pytest.raises(ValueError):
         delta_norm_bound_check(leaf(), psi, tgrid, c_q=0.9)
 
@@ -722,7 +795,7 @@ def test_the_sampled_ratio_is_the_per_node_tree_functional(grid, tgrid):
     # the check's value, not only its bound: its draws, replayed with its
     # seed and in its order, through green_apply legs, pointwise products
     # and one pairing with psi per node
-    psi = TestFunction(gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5))
+    psi = FieldSnapshot(0.0, gaussian_field(grid, 1.0, 3.0, 0.5), gaussian_field(grid, 1.0, 3.0, 0.5))
     samples, seed = 3, 11
     for order in range(3):
         for b in enumerate_trees(order):
@@ -758,7 +831,7 @@ def test_readout_recovers_the_free_field(grid):
     x0, width = 3.0, 0.8
     phi_est, dtphi_est = readout(traj.node(tg.node_index(0.4)), 0.0, tg, x0, width, max_order=1)
     # at zero coupling the estimate equals the bump-smoothed field exactly
-    bump = dirac_test_function(grid, x0, width).psi1
+    bump = dirac_test_function(grid, x0, width).pi
     smoothed = complex(pair_modes(data.phi, bump)).real
     assert phi_est == pytest.approx(smoothed, abs=1e-10)
     # and the smoothing itself stays close to the point value

@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import random_snapshot, stacked_trajectory
-from kgcharge.propagation import TimeGrid, free_evolve
+from kgcharge.propagation import TimeGrid
 from kgcharge.solver import (
     BLOCK,
     BlowUp,
-    TestFunction,
     Trajectory,
     WidthTooSmall,
     dirac_test_function,
-    evaluate_test_function,
     gaussian_field,
     solve,
     solve_couplings,
@@ -32,7 +30,9 @@ from kgcharge.spectral import (
 from oracles import (
     FullSpectrum,
     acceleration,
+    evaluate_test_function,
     field_energy_norm,
+    free_evolve,
     full_spectrum,
     node_energies,
     node_energy,
@@ -557,25 +557,25 @@ def test_field_energy_norm_dominates_every_node(small_grid):
 
 
 def test_evaluate_test_function(small_grid, rng):
-    psi = TestFunction(
-        gaussian_field(small_grid, 1.0, 2.0, 3.0), gaussian_field(small_grid, 0.5, 1.5, 8.0)
+    psi = FieldSnapshot(
+        0.0, gaussian_field(small_grid, 1.0, 2.0, 3.0), gaussian_field(small_grid, 0.5, 1.5, 8.0)
     )
     at0 = evaluate_test_function(psi, 0.0)
-    np.testing.assert_array_equal(at0.phi.values, psi.psi0.values)
-    np.testing.assert_array_equal(at0.pi.values, psi.psi1.values)
+    np.testing.assert_array_equal(at0.phi.values, psi.phi.values)
+    np.testing.assert_array_equal(at0.pi.values, psi.pi.values)
     at_t = evaluate_test_function(psi, 0.3)
-    exact = free_evolve(FieldSnapshot(0.0, psi.psi0, psi.psi1), 0.3)
+    exact = free_evolve(psi, 0.3)
     np.testing.assert_array_equal(at_t.phi.values, exact.phi.values)
 
 
 def test_dirac_test_function_slots_and_mass(small_grid):
     tf_v = dirac_test_function(small_grid, 10.0, 1.0, "velocity")
-    assert sobolev_norm(tf_v.psi0) == 0.0
-    assert sobolev_norm(tf_v.psi1) > 0.0
+    assert sobolev_norm(tf_v.phi) == 0.0
+    assert sobolev_norm(tf_v.pi) > 0.0
     tf_p = dirac_test_function(small_grid, 10.0, 1.0, "position")
-    assert sobolev_norm(tf_p.psi1) == 0.0
+    assert sobolev_norm(tf_p.pi) == 0.0
     # the bump integrates to one, like the Dirac mass it approximates
-    total = small_grid.spacing * to_grid(tf_v.psi1).sum()
+    total = small_grid.spacing * to_grid(tf_v.pi).sum()
     assert total == pytest.approx(1.0, rel=1e-8)
 
 
@@ -589,7 +589,7 @@ def test_dirac_test_function_validation(small_grid):
 def test_grid_mismatch_is_rejected(small_grid, rng):
     other = SpectralGrid(dim=1, extent=20.0, modes=64, mass=1.0, sobolev_q=1)
     with pytest.raises(GridMismatch):
-        TestFunction(gaussian_field(small_grid, 1.0, 2.0), gaussian_field(other, 1.0, 2.0))
+        FieldSnapshot(0.0, gaussian_field(small_grid, 1.0, 2.0), gaussian_field(other, 1.0, 2.0))
     tg = TimeGrid(horizon=0.5, nt=4)
     traj = stacked_trajectory(tg, [random_snapshot(small_grid, rng, t) for t in tg.nodes], 0.0)
     # arrays of another grid, or of the wrong node count, do not make a trajectory

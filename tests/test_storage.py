@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_snapshot, random_test_function
 from kgcharge.propagation import TimeGrid
-from kgcharge.series import bracket_ds, series
+from kgcharge.series import bracket, series
 from kgcharge.solver import solve, solve_couplings
 from kgcharge.spectral import SpectralGrid
 from kgcharge.storage import (
@@ -197,7 +197,7 @@ def report_fixture(small_grid, rng):
     tg = TimeGrid(horizon=0.4, nt=16)
     traj = solve(random_snapshot(small_grid, rng), 0.1, tg)
     psi = random_test_function(small_grid, rng)
-    target = bracket_ds(psi, traj.node(0))
+    target = bracket(psi, traj.node(0))
     return series(psi, traj.node(-1), 0.1, tg, max_order=2, target=target)
 
 

@@ -23,7 +23,7 @@ from .solver import (
     BlowUp,
     Trajectory,
     WidthTooSmall,
-    dirac_test_function,
+    dirac_bump,
     solve,
 )
 from .spectral import (

@@ -50,12 +50,10 @@ import click
 import numpy as np
 
 from .propagation import TimeGrid
-from .series import bracket, convergence_condition, radius_bound
+from .series import bracket, convergence_condition, radius_bound, series_couplings
 from .series import readout as readout_series
 from .series import series as run_series
-from .series import series_couplings
-from .solver import BlowUp, dirac_denominator, dirac_test_function, gaussian_denominator, gaussian_field
-from .solver import solve_couplings
+from .solver import BlowUp, dirac_bump, dirac_denominator, gaussian_denominator, gaussian_field, solve_couplings
 from .solver import solve as solve_pde
 from .spectral import (
     FieldSnapshot,
@@ -291,10 +289,15 @@ def _coupling(cfg: Config) -> float:
     return cfg.couplings[0]
 
 
+def place_bump(bump: ModeArray, slot: str) -> FieldSnapshot:
+    """Cauchy data at t = 0 with ``bump`` in phi ("position"), in pi ("velocity") or in both ("both"), 0 elsewhere."""
+    zero = ModeArray(bump.grid, np.zeros(bump.grid.half_shape, dtype=complex))
+    return FieldSnapshot(0.0, zero if slot == "velocity" else bump, zero if slot == "position" else bump)
+
+
 def build_initial(cfg: Config) -> FieldSnapshot:
-    grid, spec = cfg.grid, cfg.initial
-    phi = gaussian_field(grid, spec["amplitude"], spec["width"], spec["center"])
-    return FieldSnapshot(0.0, phi, ModeArray(grid, np.zeros(grid.half_shape, dtype=complex)))
+    spec = cfg.initial
+    return place_bump(gaussian_field(cfg.grid, spec["amplitude"], spec["width"], spec["center"]), "position")
 
 
 def build_test_function(cfg: Config) -> FieldSnapshot:
@@ -302,17 +305,14 @@ def build_test_function(cfg: Config) -> FieldSnapshot:
     grid, spec = cfg.grid, cfg.test_function
     kind = spec["type"]
     if kind == "gaussian":
-        g = gaussian_field(grid, spec["amplitude"], spec["width"], spec["center"])
-        zero = ModeArray(grid, np.zeros(grid.half_shape, dtype=complex))
-        slots = {"position": (g, zero), "velocity": (zero, g)}
-        psi = FieldSnapshot(0.0, *slots.get(spec["slot"], (g, g)))
+        psi = place_bump(gaussian_field(grid, spec["amplitude"], spec["width"], spec["center"]), spec["slot"])
     elif kind == "low-mode":
         rng = np.random.default_rng(cfg.seed)
         psi = FieldSnapshot(0.0, *(random_band_limited(grid, rng, spec["kmax"]) for _ in range(2)))
         psi.phi.values *= spec["amplitude"]
         psi.pi.values *= spec["amplitude"]
     else:
-        psi = dirac_test_function(grid, spec["x0"], spec["width"], spec["which"])
+        psi = place_bump(dirac_bump(grid, spec["x0"], spec["width"]), spec["which"])
     if not (psi.phi.values.any() or psi.pi.values.any()):
         # a low-mode psi has no width; a Gaussian narrower than the spacing
         # can fall between the grid points
@@ -610,14 +610,16 @@ def lemma_check(max_leaves):
 @_max_order_opt
 @_config_errors
 def readout(config_path, out, max_order):
-    """Recover phi and its time derivative at (t=0, x0) from the slice at s."""
+    """Recover phi and its time derivative at (t=0, x0) from the slice at s, pairing one Dirac bump in two slots."""
     cfg = _load_config(config_path, max_order=max_order, out=out)
     spec = cfg.test_function
     if spec["type"] != "dirac":
         raise ConfigError("test_function.type", "readout needs a dirac test-function spec")
     first, snap, _ = _read_matching_trajectory(cfg)
-    x0, width = spec["x0"], spec["width"]
-    phi_est, dtphi_est = readout_series(snap, _coupling(cfg), cfg.tgrid, x0, width, cfg.max_order)
+    estimate = readout_series(snap, _coupling(cfg), cfg.tgrid, cfg.max_order)
+    x0, bump = spec["x0"], dirac_bump(cfg.grid, spec["x0"], spec["width"])
+    phi_est = bracket(place_bump(bump, "velocity"), estimate)
+    dtphi_est = -bracket(place_bump(bump, "position"), estimate)
     if not (math.isfinite(phi_est) and math.isfinite(dtphi_est)):
         _fail(3, f"non-finite readout: phi estimate {phi_est!r}, d/dt phi estimate {dtphi_est!r}")
     phi_true = evaluate_at(first.phi, x0)

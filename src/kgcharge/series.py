@@ -83,7 +83,9 @@ recursion takes every slice at one s (a sweep's slices share it), and
 each block builds them on its own nodes, so they too are one block's
 size.  The slices are stacked on one axis of every table, so each block
 runs once for all of them.  series_couplings is one such call, and series
-and readout pass one slice.  tests/oracles.py keeps the recursion over the
+and readout pass one slice; readout returns the order fields summed with
+their weights (-coupling)^n, the Cauchy data at t = 0 that the series
+recovers.  tests/oracles.py keeps the recursion over the
 whole node axis, one slice at a time, as the reference the blocks are
 checked against.
 
@@ -125,10 +127,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .propagation import TimeGrid, flow_multipliers, retarded_multipliers
-from .solver import dirac_test_function
 from .spectral import (
     FieldSnapshot,
     GridMismatch,
+    ModeArray,
     band_modes,
     band_values,
     half_spectrum_values,
@@ -510,18 +512,13 @@ def _report(s: float, coupling: float, amplitudes: list[float], target: float | 
     return ChargeReport(s, coupling, per_order, partial_sums, target, residuals)
 
 
-def readout(
-    snap: FieldSnapshot, coupling: float, tgrid: TimeGrid, x0, width: float, max_order: int
-) -> tuple[float, float]:
-    """Estimate phi(0, x0) and d/dt phi(0, x0) from ``snap``, the slice at s alone, as :func:`series` takes it.
+def readout(snap: FieldSnapshot, coupling: float, tgrid: TimeGrid, max_order: int) -> FieldSnapshot:
+    """The Cauchy data at t = 0 that the series recovers from ``snap``, the slice at s alone, as :func:`series` takes it.
 
-    Sums the order fields at t = 0 once, weighted by (-coupling)^n, and
-    brackets that one estimate with the two Dirac-approximating test
-    functions; the bump in the velocity slot reads out phi, the bump in the
-    position slot reads out the time derivative (with the pairing's sign).
+    The sum over n of (-coupling)^n (W_n(0), d/dt W_n(0)), formed once.
+    Its bracket with a psi is, to rounding, the partial sum of :func:`series`
+    to max_order; a Dirac bump in pi reads out phi(0, x0), in phi minus d/dt phi.
     """
     fields = _order_fields([snap], tgrid, max_order)[0]
     estimate = sum((-coupling) ** n * w for n, w in enumerate(fields))
-    probes = (dirac_test_function(snap.grid, x0, width, which) for which in ("velocity", "position"))
-    phi_est, dtphi_est = (_brackets(probe, estimate[None])[0] for probe in probes)
-    return phi_est, -dtphi_est
+    return FieldSnapshot(0.0, ModeArray(snap.grid, estimate[0]), ModeArray(snap.grid, estimate[1]))

@@ -1,4 +1,4 @@
-"""Nonlinear Klein-Gordon trajectories and the Cauchy data of linear test functions.
+"""Nonlinear Klein-Gordon trajectories, and the bumps that initial data and test functions are made of.
 
 The field equation is (box + m^2) phi + lambda phi^2 = 0.  Trajectories are
 produced by Strang splitting: a half step of the nonlinear kick
@@ -57,9 +57,8 @@ alone and forms no node energies, while it still steps every node and
 tests every node against the ceiling.  sweep asks for the slice at s, and
 solve takes every node and records their energies' drift.
 
-A test function psi is a linear solution given by its Cauchy data at
-t = 0, a FieldSnapshot at time 0.0: the package pairs it with other data
-at t = 0 only, so it never flows psi to another time.
+gaussian_field and dirac_bump, a bump normalized to approximate a Dirac
+mass, are mode arrays that the CLI places in the slots of data at t = 0.
 """
 
 from __future__ import annotations
@@ -310,24 +309,8 @@ def gaussian_field(grid: SpectralGrid, amplitude: float, width: float, center=0.
     return to_modes(grid, amplitude * samples)
 
 
-def dirac_test_function(
-    grid: SpectralGrid, x0, width: float, which: str = "velocity"
-) -> FieldSnapshot:
-    """Normalized Gaussian approximation of a Dirac mass at x0, as Cauchy data at t = 0.
-
-    which="velocity" puts the bump in pi (phi = 0); the conserved pairing
-    then reads out phi at x0.  which="position" swaps the slots so the
-    pairing reads out the time derivative of phi instead.
-    """
-    if which not in ("velocity", "position"):
-        raise ValueError(f"which must be 'velocity' or 'position', got {which!r}")
+def dirac_bump(grid: SpectralGrid, x0, width: float) -> ModeArray:
+    """Normalized Gaussian approximation of a Dirac mass at x0, a bump that integrates to 1; WidthTooSmall below the grid spacing."""
     if width < grid.spacing:
-        raise WidthTooSmall(
-            f"width {width} below grid spacing {grid.spacing}; bump would be unresolved"
-        )
-    g = gaussian_field(grid, 1.0 / dirac_denominator(width, grid.dim), width, x0)
-    zero = ModeArray(grid, np.zeros(grid.half_shape, dtype=complex))
-    if which == "velocity":
-        return FieldSnapshot(0.0, zero, g)
-    return FieldSnapshot(0.0, g, zero)
-
+        raise WidthTooSmall(f"width {width} below grid spacing {grid.spacing}; bump would be unresolved")
+    return gaussian_field(grid, 1.0 / dirac_denominator(width, grid.dim), width, x0)

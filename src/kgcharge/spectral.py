@@ -244,6 +244,14 @@ class SpectralGrid:
         return tuple(range(-self.dim, 0))
 
     @cached_property
+    def _fft_axes(self) -> tuple[int, ...]:
+        return self._axes[-2::-1]
+
+    @cached_property
+    def _ifft_axes(self) -> tuple[int, ...]:
+        return self._axes[:-1]
+
+    @cached_property
     def _fold(self) -> np.ndarray:
         return self.keep_mask * (self.npoints / self.volume)
 
@@ -417,14 +425,14 @@ def half_spectrum_values(
 def _rfftn(grid: SpectralGrid, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``rfftn`` over the trailing grid.dim axes, unscaled, as its steps: rfft into ``out``, then fft in place, last to first."""
     spectrum = np.fft.rfft(samples, out=out)
-    for axis in grid._axes[-2::-1]:
+    for axis in grid._fft_axes:
         np.fft.fft(spectrum, axis=axis, out=spectrum)
     return spectrum
 
 
 def _irfftn(grid: SpectralGrid, half: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """``irfftn`` over the trailing grid.dim axes, unscaled, as its steps: ifft into ``scratch``, then irfft into ``out``."""
-    for axis in grid._axes[:-1]:
+    for axis in grid._ifft_axes:
         half = np.fft.ifft(half, axis=axis, out=scratch)
     return np.fft.irfft(half, grid.modes, out=out)
 

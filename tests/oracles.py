@@ -22,8 +22,9 @@ Two kinds of code live here, outside the package:
   the one-range trapezoid time_integral, the H^q norm at any q, the tree
   helpers decompose, prune_cherries and from_dyck, the flow of one
   snapshot free_evolve through apply_flow, and psi flowed from t = 0,
-  evaluate_test_function, since the package pairs psi at t = 0 only,
-  ...) that nothing in the package calls, and the open-mesh band index
+  evaluate_test_function, since the package pairs psi at t = 0 only, the
+  Dirac probe as Cauchy data, dirac_test_function, since the package
+  builds the bump alone and the CLI places it, ...) that nothing in the package calls, and the open-mesh band index
   (band_index) and the square through numpy's irfftn and rfftn (rfftn_square) that the grid's
   band boxes and square are checked against.  The trapezoid over every
   trailing range at once, suffix_time_integral, is the whole-range reference for the
@@ -67,7 +68,7 @@ import numpy as np
 from kgcharge.propagation import TimeGrid, flow_multipliers, retarded_multipliers
 from kgcharge.series import _brackets as brackets
 from kgcharge.series import _retarded_table, _t0_field, bracket
-from kgcharge.solver import BlowUp, Trajectory
+from kgcharge.solver import BlowUp, Trajectory, WidthTooSmall, dirac_denominator, gaussian_field
 from kgcharge.spectral import (
     FieldSnapshot,
     GridMismatch,
@@ -301,6 +302,25 @@ def free_evolve(snap: FieldSnapshot, dt: float) -> FieldSnapshot:
 def evaluate_test_function(psi: FieldSnapshot, t: float) -> FieldSnapshot:
     """The linear solution with psi's Cauchy data at t = 0, at time t: psi flowed by t."""
     return free_evolve(psi, t)
+
+
+def dirac_test_function(grid: SpectralGrid, x0, width: float, which: str = "velocity") -> FieldSnapshot:
+    """Normalized Gaussian approximation of a Dirac mass at x0, as Cauchy data at t = 0.
+
+    which="velocity" puts the bump in pi (phi = 0); the conserved pairing
+    then reads out phi at x0.  which="position" swaps the slots so the
+    pairing reads out the time derivative of phi instead.  The package
+    builds the bump alone (solver.dirac_bump) and the CLI places it.
+    """
+    if which not in ("velocity", "position"):
+        raise ValueError(f"which must be 'velocity' or 'position', got {which!r}")
+    if width < grid.spacing:
+        raise WidthTooSmall(f"width {width} below grid spacing {grid.spacing}; bump would be unresolved")
+    g = gaussian_field(grid, 1.0 / dirac_denominator(width, grid.dim), width, x0)
+    zero = ModeArray(grid, np.zeros(grid.half_shape, dtype=complex))
+    if which == "velocity":
+        return FieldSnapshot(0.0, zero, g)
+    return FieldSnapshot(0.0, g, zero)
 
 
 def free_flow(grid: SpectralGrid, phi: np.ndarray, pi: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:

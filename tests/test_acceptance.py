@@ -11,9 +11,10 @@ import pytest
 
 from conftest import random_snapshot, random_test_function
 from kgcharge.propagation import TimeGrid
+from kgcharge.cli import place_bump
 from kgcharge.series import bracket, readout, series
 from kgcharge.solver import (
-    dirac_test_function,
+    dirac_bump,
     gaussian_field,
     solve,
 )
@@ -279,11 +280,13 @@ def test_criterion_09_p_residual(data, psi, trajectories, tgrid):
 def test_criterion_10_readout(grid, trajectories, tgrid):
     x0, width = 2.0, 0.5
     traj = trajectories[COUPLING]
-    phi_est, dtphi_est = readout(traj.node(tgrid.node_index(tgrid.horizon)), traj.coupling, tgrid, x0, width, max_order=3)
+    estimate = readout(traj.node(tgrid.node_index(tgrid.horizon)), traj.coupling, tgrid, max_order=3)
+    bump = dirac_bump(grid, x0, width)
+    phi_est = bracket(place_bump(bump, "velocity"), estimate)
+    dtphi_est = -bracket(place_bump(bump, "position"), estimate)
     first = traj.node(0)
     phi_true = evaluate_at(first.phi, x0)
     dtphi_true = evaluate_at(first.pi, x0)
-    bump = dirac_test_function(grid, x0, width).pi
     smoothing_phi = abs(complex(pair_modes(first.phi, bump)).real - phi_true)
     smoothing_pi = abs(complex(pair_modes(first.pi, bump)).real - dtphi_true)
     err_phi = abs(phi_est - phi_true)

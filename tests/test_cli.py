@@ -11,9 +11,10 @@ import pytest
 from click.testing import CliRunner
 
 import kgcharge
-from kgcharge.cli import SCHEMA, main
+from kgcharge.cli import SCHEMA, _load_config, build_initial, build_test_function, main, place_bump
 from kgcharge.series import convergence_condition, radius_bound
-from kgcharge.spectral import estimate_algebra_constant
+from kgcharge.solver import dirac_bump, gaussian_field
+from kgcharge.spectral import FieldSnapshot, ModeArray, estimate_algebra_constant
 from kgcharge.storage import read_manifest, read_trajectory
 from oracles import catalan
 
@@ -1083,6 +1084,36 @@ def test_lemma_check_vacuous_below_two_leaves(runner):
 def test_lemma_check_rejects_out_of_range(runner):
     assert runner.invoke(main, ["lemma-check", "--max-leaves", "9"]).exit_code == 2
     assert runner.invoke(main, ["lemma-check", "--max-leaves", "0"]).exit_code == 2
+
+
+@pytest.mark.parametrize("slot", ["position", "velocity", "both"])
+def test_every_placement_is_the_snapshot_built_by_hand(tmp_path, slot):
+    # one helper places every bump: the initial data, a Gaussian psi, a
+    # dirac psi and readout's two probes, each Cauchy data at t = 0
+    cfg = _load_config(str(write_config(tmp_path, test_function={"slot": slot})))
+    grid = cfg.grid
+    zero = np.zeros(grid.half_shape, dtype=complex)
+
+    def by_hand(bump, slot):
+        phi, pi = {"position": (bump, zero), "velocity": (zero, bump), "both": (bump, bump)}[slot]
+        return FieldSnapshot(0.0, ModeArray(grid, phi), ModeArray(grid, pi))
+
+    def assert_same(placed, expected):
+        assert placed.time == expected.time == 0.0
+        np.testing.assert_array_equal(placed.phi.values, expected.phi.values)
+        np.testing.assert_array_equal(placed.pi.values, expected.pi.values)
+
+    gaussian = gaussian_field(grid, 1.0, 3.0, 0.5)
+    assert_same(place_bump(gaussian, slot), by_hand(gaussian.values, slot))
+    assert_same(build_test_function(cfg), by_hand(gaussian.values, slot))
+    initial = gaussian_field(grid, 0.5, 2.0, 0.0)
+    assert_same(build_initial(cfg), by_hand(initial.values, "position"))
+    if slot != "both":
+        tf = {"type": "dirac", "x0": 3.0, "width": 0.8, "which": slot}
+        dirac = _load_config(str(write_config(tmp_path, "dirac.json", test_function=tf)))
+        bump = dirac_bump(grid, 3.0, 0.8)
+        assert_same(place_bump(bump, slot), by_hand(bump.values, slot))
+        assert_same(build_test_function(dirac), by_hand(bump.values, slot))
 
 
 def test_readout_requires_a_dirac_spec(runner, tmp_path):

@@ -28,7 +28,8 @@ from kgcharge.series import (
 from kgcharge.series import SERIES_BLOCK, SERIES_BLOCK_BYTES, _brackets as brackets
 from kgcharge.series import _block_rows as block_rows
 from kgcharge.series import _order_fields as order_fields
-from kgcharge.solver import dirac_test_function, gaussian_field, solve, solve_couplings
+from kgcharge.cli import place_bump
+from kgcharge.solver import dirac_bump, gaussian_field, solve, solve_couplings
 from kgcharge.spectral import FieldSnapshot, GridMismatch, ModeArray, SpectralGrid, random_band_limited, sobolev_norm
 from kgcharge.trees import enumerate_trees, graft, leaf, leaf_count
 from oracles import _test_function_rows as psi_node_rows
@@ -45,6 +46,7 @@ from oracles import (
     cherry_amplitude,
     delta_norm_bound_check,
     direct_amplitude,
+    dirac_test_function,
     evaluate_test_function,
     first_order_bound,
     free_evolve,
@@ -146,14 +148,12 @@ PAIRING_SETTINGS = {
 
 def psi_of_every_kind(grid):
     """The test functions the CLI builds: a Gaussian in each slot, low-mode data and both Dirac probes."""
-    g, zero = gaussian_field(grid, 1.0, 3.0, 0.5), zero_modes(grid)
+    g, bump = gaussian_field(grid, 1.0, 3.0, 0.5), dirac_bump(grid, 3.0, 1.0)
     rng = np.random.default_rng(7)
     return {
-        "both": FieldSnapshot(0.0, g, g),
-        "position": FieldSnapshot(0.0, g, zero),
-        "velocity": FieldSnapshot(0.0, zero, g),
+        **{slot: place_bump(g, slot) for slot in ("both", "position", "velocity")},
         "low-mode": FieldSnapshot(0.0, random_band_limited(grid, rng, 8), random_band_limited(grid, rng, 8)),
-        **{f"dirac-{which}": dirac_test_function(grid, 3.0, 1.0, which) for which in ("velocity", "position")},
+        **{f"dirac-{which}": place_bump(bump, which) for which in ("velocity", "position")},
     }
 
 
@@ -176,6 +176,44 @@ def test_psi_paired_as_it_is_gives_the_flowed_pairing_bit_for_bit(setting_name):
             assert got == brackets(flowed, fields), (kind, name)
             assert any(value != 0.0 for value in got), (kind, name)
         assert bracket(psi, data) == brackets(flowed, stacks["t = 0 data"])[0], kind
+
+
+@pytest.mark.parametrize("setting_name", sorted(PAIRING_SETTINGS))
+def test_readout_returns_the_summed_order_fields_bit_for_bit(setting_name):
+    # readout's data at t = 0 are the order fields summed with their
+    # weights, and pairing one Dirac bump in each slot with them gives the
+    # oracles' Dirac probes paired with the summed fields, bit for bit
+    grid, tg = PAIRING_SETTINGS[setting_name]
+    coupling = 0.3
+    data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 1.5), gaussian_field(grid, 0.2, 2.5, 1.0))
+    snap = solve(data, coupling, tg).node(tg.nt)
+    summed = sum((-coupling) ** n * w for n, w in enumerate(order_fields([snap], tg, 10)[0]))
+    estimate = readout(snap, coupling, tg, 10)
+    assert estimate.time == 0.0 and estimate.grid == grid
+    np.testing.assert_array_equal(estimate.phi.values, summed[0])
+    np.testing.assert_array_equal(estimate.pi.values, summed[1])
+    bump = dirac_bump(grid, 3.0, 1.0)
+    for which in ("velocity", "position"):
+        expected = brackets(dirac_test_function(grid, 3.0, 1.0, which), summed[None])[0]
+        assert bracket(place_bump(bump, which), estimate) == expected != 0.0, which
+
+
+def test_series_imports_nothing_from_the_solver():
+    import ast
+    import inspect
+
+    def imported(name):
+        # every module an import names, and every name a from-import takes
+        names = []
+        for node in ast.walk(ast.parse(inspect.getsource(importlib.import_module(name)))):
+            if isinstance(node, ast.ImportFrom):
+                names += [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names += [alias.name for alias in node.names]
+        return [n for n in names if "solver" in n.split(".")]
+
+    assert imported("kgcharge.cli"), "the check must see the CLI's import of the solver"
+    assert imported("kgcharge.series") == []
 
 
 def test_a_pairing_needs_both_data_at_one_time_and_on_one_grid(setting, tgrid):
@@ -296,6 +334,7 @@ TEST_ONLY_NAMES = (
     "evaluate_test_function",
     "free_evolve",
     "apply_flow",
+    "dirac_test_function",
 )
 
 
@@ -821,7 +860,6 @@ def test_sup_norm_dominates_the_initial_slice(grid, tgrid, rng):
 
 
 def test_readout_recovers_the_free_field(grid):
-    from kgcharge.solver import dirac_test_function
     from kgcharge.spectral import evaluate_at
     from oracles import pair_modes
 
@@ -829,7 +867,9 @@ def test_readout_recovers_the_free_field(grid):
     data = FieldSnapshot(0.0, gaussian_field(grid, 0.5, 2.0), zero_modes(grid))
     traj = solve(data, 0.0, tg)
     x0, width = 3.0, 0.8
-    phi_est, dtphi_est = readout(traj.node(tg.node_index(0.4)), 0.0, tg, x0, width, max_order=1)
+    estimate = readout(traj.node(tg.node_index(0.4)), 0.0, tg, max_order=1)
+    phi_probe, dtphi_probe = (dirac_test_function(grid, x0, width, which) for which in ("velocity", "position"))
+    phi_est, dtphi_est = bracket(phi_probe, estimate), -bracket(dtphi_probe, estimate)
     # at zero coupling the estimate equals the bump-smoothed field exactly
     bump = dirac_test_function(grid, x0, width).pi
     smoothed = complex(pair_modes(data.phi, bump)).real
@@ -840,15 +880,12 @@ def test_readout_recovers_the_free_field(grid):
 
 
 def test_readout_equals_two_series_runs(setting, grid, tgrid):
-    from kgcharge.solver import dirac_test_function
-
     traj, _, _, coupling, _ = setting
     x0, width, max_order = 3.0, 0.8, 3
-    phi_est, dtphi_est = readout(traj.node(tgrid.node_index(tgrid.horizon)), coupling, tgrid, x0, width, max_order)
     snap = traj.node(tgrid.node_index(tgrid.horizon))
-    expected = []
-    for which in ("velocity", "position"):
-        probe = dirac_test_function(grid, x0, width, which)
-        expected.append(series(probe, snap, coupling, tgrid, max_order).partial_sums[-1])
+    estimate = readout(snap, coupling, tgrid, max_order)
+    phi_probe, dtphi_probe = (dirac_test_function(grid, x0, width, which) for which in ("velocity", "position"))
+    phi_est, dtphi_est = bracket(phi_probe, estimate), -bracket(dtphi_probe, estimate)
+    expected = [series(probe, snap, coupling, tgrid, max_order).partial_sums[-1] for probe in (phi_probe, dtphi_probe)]
     assert phi_est == pytest.approx(expected[0], rel=1e-12)
     assert dtphi_est == pytest.approx(-expected[1], rel=1e-12)

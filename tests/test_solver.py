@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import random_snapshot, stacked_trajectory
+from kgcharge.cli import place_bump
 from kgcharge.propagation import TimeGrid
 from kgcharge.solver import (
     BLOCK,
     BlowUp,
     Trajectory,
     WidthTooSmall,
-    dirac_test_function,
+    dirac_bump,
     gaussian_field,
     solve,
     solve_couplings,
@@ -30,6 +31,7 @@ from kgcharge.spectral import (
 from oracles import (
     FullSpectrum,
     acceleration,
+    dirac_test_function,
     evaluate_test_function,
     field_energy_norm,
     free_evolve,
@@ -569,21 +571,26 @@ def test_evaluate_test_function(small_grid, rng):
 
 
 def test_dirac_test_function_slots_and_mass(small_grid):
-    tf_v = dirac_test_function(small_grid, 10.0, 1.0, "velocity")
+    # the package's bump, placed by the CLI's one slot helper, is the
+    # oracles' Dirac probe in either slot
+    bump = dirac_bump(small_grid, 10.0, 1.0)
+    tf_v = place_bump(bump, "velocity")
     assert sobolev_norm(tf_v.phi) == 0.0
     assert sobolev_norm(tf_v.pi) > 0.0
-    tf_p = dirac_test_function(small_grid, 10.0, 1.0, "position")
+    tf_p = place_bump(bump, "position")
     assert sobolev_norm(tf_p.pi) == 0.0
+    for which, placed in (("velocity", tf_v), ("position", tf_p)):
+        probe = dirac_test_function(small_grid, 10.0, 1.0, which)
+        np.testing.assert_array_equal(placed.phi.values, probe.phi.values)
+        np.testing.assert_array_equal(placed.pi.values, probe.pi.values)
     # the bump integrates to one, like the Dirac mass it approximates
-    total = small_grid.spacing * to_grid(tf_v.pi).sum()
+    total = small_grid.spacing * to_grid(bump).sum()
     assert total == pytest.approx(1.0, rel=1e-8)
 
 
 def test_dirac_test_function_validation(small_grid):
     with pytest.raises(WidthTooSmall):
-        dirac_test_function(small_grid, 10.0, 0.5 * small_grid.spacing)
-    with pytest.raises(ValueError):
-        dirac_test_function(small_grid, 10.0, 1.0, "sideways")
+        dirac_bump(small_grid, 10.0, 0.5 * small_grid.spacing)
 
 
 def test_grid_mismatch_is_rejected(small_grid, rng):
